@@ -1,7 +1,6 @@
 #include "src/algebra/columnar.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 
@@ -13,9 +12,8 @@ namespace svx {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Varint + raw-cell byte primitives. The raw-cell layout mirrors the v1
-// row-major cell encoding (extent_io.cc) so type-mixed columns keep exactly
-// the old fidelity; everything else uses LEB128 varints.
+// The cell codec: EncodeValue's layout (columnar.h), its size, and the one
+// decoder that reads it back.
 // ---------------------------------------------------------------------------
 
 enum CellTag : uint8_t {
@@ -26,217 +24,104 @@ enum CellTag : uint8_t {
   kCellNested = 4,
 };
 
-void PutVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
+// Nesting cap for decoded cells, so corrupt input cannot recurse without
+// bound.
+constexpr int kMaxCellDepth = 16;
+
+// Component cap for one decoded ORDPATH (cells and delta-coded chunks), so a
+// corrupt count cannot force a huge allocation.
+constexpr uint64_t kMaxOrdPathComponents = 1u << 20;
+
+const OrdPath& CellOrdPath(const Value& v) {
+  if (v.IsId()) return v.AsId();
+  const NodeRef& ref = v.AsContent();
+  SVX_CHECK(ref.doc != nullptr && ref.node != kInvalidNode);
+  return ref.doc->ord_path(ref.node);
 }
 
-int64_t VarintSize(uint64_t v) {
-  int64_t n = 1;
-  while (v >= 0x80) {
-    ++n;
-    v >>= 7;
+void PutOrdPath(const OrdPath& id, std::string* out) {
+  PutU32(static_cast<uint32_t>(id.components().size()), out);
+  for (int32_t c : id.components()) {
+    PutU32(static_cast<uint32_t>(c), out);
   }
-  return n;
 }
 
-/// Bounds-checked reader over serialized chunk payloads.
-class ByteReader {
- public:
-  ByteReader(std::string_view bytes, size_t pos) : bytes_(bytes), pos_(pos) {}
-
-  bool GetVarint(uint64_t* v) {
-    *v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= bytes_.size() || shift > 63) return false;
-      uint8_t b = static_cast<uint8_t>(bytes_[pos_++]);
-      *v |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) return true;
-      shift += 7;
-    }
+bool GetOrdPath(ByteReader* r, OrdPath* id) {
+  uint32_t n = 0;
+  if (!r->GetU32(&n) || n > kMaxOrdPathComponents ||
+      4ull * n > r->Remaining()) {
+    return false;
   }
-  bool GetU8(uint8_t* v) {
-    if (pos_ >= bytes_.size()) return false;
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return true;
+  std::vector<int32_t> comps(n);
+  for (int32_t& c : comps) {
+    uint32_t u = 0;
+    if (!r->GetU32(&u)) return false;
+    c = static_cast<int32_t>(u);
   }
-  bool GetBytes(size_t n, std::string* out) {
-    if (n > Remaining()) return false;
-    out->assign(bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  size_t pos() const { return pos_; }
-  size_t Remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
+  *id = OrdPath(std::move(comps));
+  return true;
+}
 
 Status Truncated(const ByteReader& r) {
   return Status::ParseError(
       StrFormat("truncated columnar extent at offset %zu", r.pos()));
 }
 
-// Raw cells use the v1 fixed-width framing (u32 lengths / components, u64
-// nested row counts) so the fallback stays byte-compatible in spirit with
-// the row-major format it replaces.
-void PutU32Raw(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Resolves a content reference against `doc` — what a content cell decodes
+/// to.
+Result<Value> BindContent(const Document* doc, const OrdPath& id) {
+  if (doc == nullptr) {
+    return Status::InvalidArgument(
+        "extent has content references but no document was supplied");
   }
+  NodeIndex node = doc->FindByOrdPath(id);
+  if (node == kInvalidNode) {
+    return Status::NotFound("content reference " + id.ToString() +
+                            " not in the document");
+  }
+  return Value(NodeRef{doc, node});
 }
 
-void PutU64Raw(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
+/// What a decoded content cell becomes: BindContent when decoding rows, a
+/// ⊥ placeholder when a caller only visits the references.
+using ContentFn = std::function<Result<Value>(const OrdPath&)>;
 
-void PutOrdPathRaw(const OrdPath& id, std::string* out) {
-  PutU32Raw(static_cast<uint32_t>(id.components().size()), out);
-  for (int32_t c : id.components()) {
-    PutU32Raw(static_cast<uint32_t>(c), out);
-  }
-}
-
-void PutRawCell(const Value& v, std::string* out) {
-  if (v.IsNull()) {
-    out->push_back(static_cast<char>(kCellNull));
-  } else if (v.IsString()) {
-    out->push_back(static_cast<char>(kCellString));
-    PutU32Raw(static_cast<uint32_t>(v.AsString().size()), out);
-    out->append(v.AsString());
-  } else if (v.IsId()) {
-    out->push_back(static_cast<char>(kCellId));
-    PutOrdPathRaw(v.AsId(), out);
-  } else if (v.IsContent()) {
-    const NodeRef& ref = v.AsContent();
-    SVX_CHECK(ref.doc != nullptr && ref.node != kInvalidNode);
-    out->push_back(static_cast<char>(kCellContent));
-    PutOrdPathRaw(ref.doc->ord_path(ref.node), out);
-  } else {
-    const Table& nested = v.AsTable();
-    out->push_back(static_cast<char>(kCellNested));
-    PutU64Raw(static_cast<uint64_t>(nested.NumRows()), out);
-    for (const Tuple& row : nested.rows()) {
-      for (const Value& cell : row) PutRawCell(cell, out);
-    }
-  }
-}
-
-class RawCellReader {
- public:
-  explicit RawCellReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ >= bytes_.size()) return false;
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool GetString(std::string* s) {
-    uint32_t len = 0;
-    if (!GetU32(&len) || pos_ + len > bytes_.size()) return false;
-    s->assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool GetOrdPath(OrdPath* id) {
-    uint32_t n = 0;
-    if (!GetU32(&n) || n > 1u << 20 || pos_ + 4ull * n > bytes_.size()) {
-      return false;
-    }
-    std::vector<int32_t> comps;
-    comps.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t c = 0;
-      if (!GetU32(&c)) return false;
-      comps.push_back(static_cast<int32_t>(c));
-    }
-    *id = OrdPath(std::move(comps));
-    return true;
-  }
-  size_t pos() const { return pos_; }
-  size_t Remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-Status RawTruncated(const RawCellReader& r) {
-  return Status::ParseError(
-      StrFormat("truncated raw column chunk at offset %zu", r.pos()));
-}
-
-Result<Value> GetRawCell(RawCellReader* r, const ColumnSpec& col,
-                         const Document* doc, int depth) {
-  if (depth > 16) return Status::ParseError("raw cell nesting too deep");
+/// The cell decoder: the inverse of EncodeValue for a cell of column `col`.
+Result<Value> GetCell(ByteReader* r, const ColumnSpec& col,
+                      const ContentFn& content, int depth) {
+  if (depth > kMaxCellDepth) return Status::ParseError("cell nesting too deep");
   uint8_t tag = 0;
-  if (!r->GetU8(&tag)) return RawTruncated(*r);
+  if (!r->GetU8(&tag)) return Truncated(*r);
   switch (tag) {
     case kCellNull:
       return Value();
     case kCellString: {
       std::string s;
-      if (!r->GetString(&s)) return RawTruncated(*r);
+      if (!r->GetString(&s)) return Truncated(*r);
       return Value(std::move(s));
     }
-    case kCellId: {
-      OrdPath id;
-      if (!r->GetOrdPath(&id)) return RawTruncated(*r);
-      return Value(std::move(id));
-    }
+    case kCellId:
     case kCellContent: {
       OrdPath id;
-      if (!r->GetOrdPath(&id)) return RawTruncated(*r);
-      if (doc == nullptr) {
-        return Status::InvalidArgument(
-            "extent has content references but no document was supplied");
-      }
-      NodeIndex node = doc->FindByOrdPath(id);
-      if (node == kInvalidNode) {
-        return Status::NotFound(
-            "content reference " + id.ToString() + " not in the document");
-      }
-      return Value(NodeRef{doc, node});
+      if (!GetOrdPath(r, &id)) return Truncated(*r);
+      if (tag == kCellContent) return content(id);
+      return Value(std::move(id));
     }
     case kCellNested: {
       if (col.nested == nullptr) {
         return Status::ParseError("nested cell in a non-nested column");
       }
       uint64_t nrows = 0;
-      if (!r->GetU64(&nrows)) return RawTruncated(*r);
+      if (!r->GetU64(&nrows)) return Truncated(*r);
       const Schema& schema = *col.nested;
-      if (nrows > 0 &&
-          (schema.size() == 0 ||
-           nrows > r->Remaining() / static_cast<uint64_t>(schema.size()))) {
+      // Every cell costs at least one byte, so a row count beyond the
+      // remaining input is corrupt rather than large; zero-column rows cost
+      // nothing and are held to the input size.
+      const uint64_t limit =
+          schema.size() > 0
+              ? r->Remaining() / static_cast<uint64_t>(schema.size())
+              : r->size();
+      if (nrows > limit) {
         return Status::ParseError(
             StrFormat("nested row count %llu exceeds input size",
                       static_cast<unsigned long long>(nrows)));
@@ -246,7 +131,7 @@ Result<Value> GetRawCell(RawCellReader* r, const ColumnSpec& col,
         Tuple row;
         row.reserve(static_cast<size_t>(schema.size()));
         for (int32_t c = 0; c < schema.size(); ++c) {
-          Result<Value> v = GetRawCell(r, schema.column(c), doc, depth + 1);
+          Result<Value> v = GetCell(r, schema.column(c), content, depth + 1);
           if (!v.ok()) return v.status();
           row.push_back(std::move(*v));
         }
@@ -256,70 +141,64 @@ Result<Value> GetRawCell(RawCellReader* r, const ColumnSpec& col,
     }
     default:
       return Status::ParseError(
-          StrFormat("bad raw cell tag %u", static_cast<unsigned>(tag)));
+          StrFormat("bad cell tag %u", static_cast<unsigned>(tag)));
   }
 }
 
-/// Walks every content ORDPATH inside a raw cell stream without resolving
-/// the references.
-Status WalkRawContentIds(RawCellReader* r, const ColumnSpec& col, int depth,
-                         const std::function<Status(const OrdPath&)>& fn) {
-  if (depth > 16) return Status::ParseError("raw cell nesting too deep");
-  uint8_t tag = 0;
-  if (!r->GetU8(&tag)) return RawTruncated(*r);
-  switch (tag) {
-    case kCellNull:
-      return Status::OK();
-    case kCellString: {
-      std::string s;
-      if (!r->GetString(&s)) return RawTruncated(*r);
-      return Status::OK();
-    }
-    case kCellId: {
-      OrdPath id;
-      if (!r->GetOrdPath(&id)) return RawTruncated(*r);
-      return Status::OK();
-    }
-    case kCellContent: {
-      OrdPath id;
-      if (!r->GetOrdPath(&id)) return RawTruncated(*r);
-      return fn(id);
-    }
-    case kCellNested: {
-      if (col.nested == nullptr) {
-        return Status::ParseError("nested cell in a non-nested column");
-      }
-      uint64_t nrows = 0;
-      if (!r->GetU64(&nrows)) return RawTruncated(*r);
-      const Schema& schema = *col.nested;
-      if (nrows > 0 &&
-          (schema.size() == 0 ||
-           nrows > r->Remaining() / static_cast<uint64_t>(schema.size()))) {
-        return Status::ParseError("nested row count exceeds input size");
-      }
-      for (uint64_t i = 0; i < nrows; ++i) {
-        for (int32_t c = 0; c < schema.size(); ++c) {
-          SVX_RETURN_IF_ERROR(
-              WalkRawContentIds(r, schema.column(c), depth + 1, fn));
-        }
-      }
-      return Status::OK();
-    }
-    default:
-      return Status::ParseError("bad raw cell tag");
+/// Decodes a raw chunk: one cell per row, filling the chunk exactly.
+Status GetRawCells(const ColumnChunk& chunk, const ColumnSpec& spec,
+                   const ContentFn& content, std::vector<Value>* out) {
+  ByteReader r(chunk.raw_cells);
+  out->reserve(static_cast<size_t>(chunk.num_rows));
+  for (int64_t i = 0; i < chunk.num_rows; ++i) {
+    Result<Value> v = GetCell(&r, spec, content, 0);
+    if (!v.ok()) return v.status();
+    out->push_back(std::move(*v));
   }
+  if (!r.AtEnd()) {
+    return Status::ParseError("trailing bytes in raw column chunk");
+  }
+  return Status::OK();
+}
+
+/// Walks a kIds/kContent chunk's delta-coded ORDPATHs in row order, calling
+/// `fn(nullptr)` for ⊥ and `fn(&components)` otherwise.
+template <typename Fn>
+Status ForEachDeltaId(const ColumnChunk& chunk, const ColumnSpec& spec,
+                      Fn&& fn) {
+  std::vector<int32_t> comps;
+  ByteReader r(chunk.id_bytes);
+  for (int64_t i = 0; i < chunk.num_rows; ++i) {
+    uint64_t head = 0;
+    if (!r.GetVarint(&head)) return Truncated(r);
+    if (head == 0) {
+      SVX_RETURN_IF_ERROR(fn(nullptr));
+      continue;
+    }
+    uint64_t prefix = head - 1;
+    uint64_t suffix = 0;
+    if (!r.GetVarint(&suffix)) return Truncated(r);
+    if (prefix > comps.size() || suffix > kMaxOrdPathComponents - prefix) {
+      return Status::ParseError(
+          StrFormat("bad ORDPATH delta in column %s", spec.name.c_str()));
+    }
+    comps.resize(static_cast<size_t>(prefix));
+    for (uint64_t k = 0; k < suffix; ++k) {
+      uint64_t comp = 0;
+      if (!r.GetVarint(&comp)) return Truncated(r);
+      comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
+    }
+    SVX_RETURN_IF_ERROR(fn(&comps));
+  }
+  if (r.Remaining() != 0) {
+    return Status::ParseError("trailing bytes in ORDPATH column chunk");
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Per-column encoding.
 // ---------------------------------------------------------------------------
-
-const OrdPath& CellOrdPath(const Value& v) {
-  if (v.IsId()) return v.AsId();
-  const NodeRef& ref = v.AsContent();
-  SVX_CHECK(ref.doc != nullptr && ref.node != kInvalidNode);
-  return ref.doc->ord_path(ref.node);
-}
 
 void AppendDeltaId(const OrdPath& id, std::vector<int32_t>* prev,
                    std::string* out) {
@@ -419,7 +298,7 @@ ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
 
   chunk->encoding = ColumnChunk::kRaw;
   for (const Tuple& row : table.rows()) {
-    PutRawCell(row[static_cast<size_t>(c)], &chunk->raw_cells);
+    EncodeValue(row[static_cast<size_t>(c)], &chunk->raw_cells);
   }
   return chunk;
 }
@@ -432,15 +311,15 @@ bool ChunkHasContent(const ColumnChunk& chunk, const ColumnSpec& spec) {
       return chunk.child != nullptr && chunk.child->has_content();
     case ColumnChunk::kRaw: {
       bool found = false;
-      RawCellReader r(chunk.raw_cells);
-      for (int64_t i = 0; i < chunk.num_rows && !found; ++i) {
-        Status s = WalkRawContentIds(
-            &r, spec, 0, [&found](const OrdPath&) {
-              found = true;
-              return Status::OK();
-            });
-        if (!s.ok()) return false;  // corrupt chunks fail later, at decode
-      }
+      std::vector<Value> ignored;
+      // A corrupt chunk fails later, at decode (or at load, through
+      // ForEachContentId, once a content cell was found before the damage).
+      (void)GetRawCells(chunk, spec,
+                        [&found](const OrdPath&) -> Result<Value> {
+                          found = true;
+                          return Value();
+                        },
+                        &ignored);
       return found;
     }
     default:
@@ -455,52 +334,23 @@ bool ChunkHasContent(const ColumnChunk& chunk, const ColumnSpec& spec) {
 Status DecodeIdColumn(const ColumnChunk& chunk, const ColumnSpec& spec,
                       const Document* doc, std::vector<Value>* out) {
   const bool content = chunk.encoding == ColumnChunk::kContent;
-  std::vector<int32_t> prev;
-  ByteReader r(chunk.id_bytes, 0);
   out->reserve(static_cast<size_t>(chunk.num_rows));
-  for (int64_t i = 0; i < chunk.num_rows; ++i) {
-    uint64_t head = 0;
-    if (!r.GetVarint(&head)) return Truncated(r);
-    if (head == 0) {
-      out->push_back(Value());
-      continue;
-    }
-    uint64_t prefix = head - 1;
-    uint64_t suffix = 0;
-    if (!r.GetVarint(&suffix)) return Truncated(r);
-    if (prefix > prev.size() || prefix + suffix > 1u << 20) {
-      return Status::ParseError(
-          StrFormat("bad ORDPATH delta in column %s", spec.name.c_str()));
-    }
-    std::vector<int32_t> comps(prev.begin(),
-                               prev.begin() + static_cast<ptrdiff_t>(prefix));
-    comps.reserve(static_cast<size_t>(prefix + suffix));
-    for (uint64_t k = 0; k < suffix; ++k) {
-      uint64_t comp = 0;
-      if (!r.GetVarint(&comp)) return Truncated(r);
-      comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
-    }
-    prev = comps;
-    OrdPath id(std::move(comps));
-    if (!content) {
-      out->push_back(Value(std::move(id)));
-      continue;
-    }
-    if (doc == nullptr) {
-      return Status::InvalidArgument(
-          "extent has content references but no document was supplied");
-    }
-    NodeIndex node = doc->FindByOrdPath(id);
-    if (node == kInvalidNode) {
-      return Status::NotFound("content reference " + id.ToString() +
-                              " not in the document");
-    }
-    out->push_back(Value(NodeRef{doc, node}));
-  }
-  if (r.Remaining() != 0) {
-    return Status::ParseError("trailing bytes in ORDPATH column chunk");
-  }
-  return Status::OK();
+  return ForEachDeltaId(
+      chunk, spec, [&](const std::vector<int32_t>* comps) -> Status {
+        if (comps == nullptr) {
+          out->push_back(Value());
+          return Status::OK();
+        }
+        OrdPath id(*comps);
+        if (!content) {
+          out->push_back(Value(std::move(id)));
+          return Status::OK();
+        }
+        Result<Value> ref = BindContent(doc, id);
+        if (!ref.ok()) return ref.status();
+        out->push_back(std::move(*ref));
+        return Status::OK();
+      });
 }
 
 Status DecodeColumnValues(const ColumnChunk& chunk, const ColumnSpec& spec,
@@ -554,24 +404,47 @@ Status DecodeColumnValues(const ColumnChunk& chunk, const ColumnSpec& spec,
       }
       return Status::OK();
     }
-    case ColumnChunk::kRaw: {
-      RawCellReader r(chunk.raw_cells);
-      out->reserve(static_cast<size_t>(chunk.num_rows));
-      for (int64_t i = 0; i < chunk.num_rows; ++i) {
-        Result<Value> v = GetRawCell(&r, spec, doc, 0);
-        if (!v.ok()) return v.status();
-        out->push_back(std::move(*v));
-      }
-      if (!r.AtEnd()) {
-        return Status::ParseError("trailing bytes in raw column chunk");
-      }
-      return Status::OK();
-    }
+    case ColumnChunk::kRaw:
+      return GetRawCells(
+          chunk, spec,
+          [doc](const OrdPath& id) { return BindContent(doc, id); }, out);
   }
   return Status::ParseError("bad column chunk encoding");
 }
 
 }  // namespace
+
+void EncodeValue(const Value& v, std::string* out) {
+  if (v.IsNull()) {
+    PutU8(kCellNull, out);
+  } else if (v.IsString()) {
+    PutU8(kCellString, out);
+    PutString(v.AsString(), out);
+  } else if (v.IsId() || v.IsContent()) {
+    PutU8(v.IsId() ? kCellId : kCellContent, out);
+    PutOrdPath(CellOrdPath(v), out);
+  } else {
+    const Table& nested = v.AsTable();
+    PutU8(kCellNested, out);
+    PutU64(static_cast<uint64_t>(nested.NumRows()), out);
+    for (const Tuple& row : nested.rows()) {
+      for (const Value& cell : row) EncodeValue(cell, out);
+    }
+  }
+}
+
+int64_t EncodedValueSize(const Value& v) {
+  if (v.IsNull()) return 1;
+  if (v.IsString()) return 1 + 4 + static_cast<int64_t>(v.AsString().size());
+  if (v.IsId() || v.IsContent()) {
+    return 1 + 4 + 4 * static_cast<int64_t>(CellOrdPath(v).components().size());
+  }
+  int64_t size = 1 + 8;
+  for (const Tuple& row : v.AsTable().rows()) {
+    for (const Value& cell : row) size += EncodedValueSize(cell);
+  }
+  return size;
+}
 
 bool ColumnChunk::operator==(const ColumnChunk& other) const {
   if (encoding != other.encoding || num_rows != other.num_rows) return false;
@@ -648,7 +521,7 @@ Result<Table> ColumnarExtent::DecodeColumns(const std::vector<bool>& used,
         row.push_back(std::move(cols[static_cast<size_t>(c)]
                                     [static_cast<size_t>(i)]));
       } else {
-        row.push_back(Value());
+        row.emplace_back();
       }
     }
     table.AddRow(std::move(row));
@@ -657,46 +530,9 @@ Result<Table> ColumnarExtent::DecodeColumns(const std::vector<bool>& used,
 }
 
 int64_t ColumnarExtent::SerializedByteSize() const {
-  int64_t size = VarintSize(static_cast<uint64_t>(num_rows_));
-  for (const ColumnChunkPtr& chunk : columns_) {
-    size += 1;  // encoding tag
-    switch (chunk->encoding) {
-      case ColumnChunk::kDict: {
-        size += VarintSize(chunk->dict.size());
-        for (const std::string& s : chunk->dict) {
-          size += VarintSize(s.size()) + static_cast<int64_t>(s.size());
-        }
-        for (uint32_t code : chunk->codes) {
-          size += VarintSize(code == ColumnChunk::kNullCode
-                                 ? 0
-                                 : static_cast<uint64_t>(code) + 1);
-        }
-        break;
-      }
-      case ColumnChunk::kIds:
-      case ColumnChunk::kContent:
-        size += VarintSize(chunk->id_bytes.size()) +
-                static_cast<int64_t>(chunk->id_bytes.size());
-        break;
-      case ColumnChunk::kNested: {
-        size += (chunk->num_rows + 7) / 8;  // ⊥ bitmap
-        for (int64_t i = 0; i < chunk->num_rows; ++i) {
-          if (chunk->nulls[static_cast<size_t>(i)] == 0) {
-            size += VarintSize(static_cast<uint64_t>(
-                chunk->offsets[static_cast<size_t>(i) + 1] -
-                chunk->offsets[static_cast<size_t>(i)]));
-          }
-        }
-        size += chunk->child->SerializedByteSize();
-        break;
-      }
-      case ColumnChunk::kRaw:
-        size += VarintSize(chunk->raw_cells.size()) +
-                static_cast<int64_t>(chunk->raw_cells.size());
-        break;
-    }
-  }
-  return size;
+  std::string bytes;
+  AppendBytes(&bytes);
+  return static_cast<int64_t>(bytes.size());
 }
 
 void ColumnarExtent::AppendBytes(std::string* out) const {
@@ -752,14 +588,15 @@ void ColumnarExtent::AppendBytes(std::string* out) const {
   }
 }
 
-Result<ColumnarExtent> ColumnarExtent::FromBytes(std::string_view bytes,
-                                                 size_t* pos, Schema schema) {
-  ByteReader r(bytes, *pos);
+Result<ColumnarExtent> ColumnarExtent::FromBytes(ByteReader* reader,
+                                                 Schema schema) {
+  ByteReader& r = *reader;
   uint64_t nrows = 0;
   if (!r.GetVarint(&nrows)) return Truncated(r);
   // Every non-empty column costs at least one byte per row downstream, so a
-  // row count beyond the remaining input is corrupt, not just large.
-  if (schema.size() > 0 && nrows > r.Remaining() + 1) {
+  // row count beyond the remaining input is corrupt, not just large; a
+  // zero-column table costs no bytes per row and is held to the input size.
+  if (nrows > (schema.size() > 0 ? r.Remaining() + 1 : r.size())) {
     return Status::ParseError("columnar row count exceeds input size");
   }
   ColumnarExtent out;
@@ -832,20 +669,23 @@ Result<ColumnarExtent> ColumnarExtent::FromBytes(std::string_view bytes,
           if (chunk->nulls[static_cast<size_t>(i)] == 0) {
             uint64_t size = 0;
             if (!r.GetVarint(&size)) return Truncated(r);
+            // The groups partition the child's rows, whose count the child
+            // header holds to the input size.
+            const auto used = static_cast<uint64_t>(chunk->offsets.back());
+            if (size > r.size() - used) {
+              return Status::ParseError("nested group sizes exceed input size");
+            }
             group = static_cast<int64_t>(size);
           }
           chunk->offsets.push_back(chunk->offsets.back() + group);
         }
-        size_t child_pos = r.pos();
-        Result<ColumnarExtent> child =
-            FromBytes(bytes, &child_pos, *spec.nested);
+        Result<ColumnarExtent> child = FromBytes(&r, *spec.nested);
         if (!child.ok()) return child.status();
         if (child->num_rows() != chunk->offsets.back()) {
           return Status::ParseError("nested child row count mismatch");
         }
         chunk->child = std::make_shared<const ColumnarExtent>(
             std::move(*child));
-        r = ByteReader(bytes, child_pos);
         break;
       }
       case ColumnChunk::kRaw: {
@@ -860,7 +700,6 @@ Result<ColumnarExtent> ColumnarExtent::FromBytes(std::string_view bytes,
     out.has_content_ = out.has_content_ || ChunkHasContent(*chunk, spec);
     out.columns_.push_back(std::move(chunk));
   }
-  *pos = r.pos();
   return out;
 }
 
@@ -870,39 +709,26 @@ Status ColumnarExtent::ForEachContentId(
     const ColumnChunk& chunk = *columns_[static_cast<size_t>(c)];
     const ColumnSpec& spec = schema_.column(c);
     switch (chunk.encoding) {
-      case ColumnChunk::kContent: {
-        std::vector<int32_t> prev;
-        ByteReader r(chunk.id_bytes, 0);
-        for (int64_t i = 0; i < chunk.num_rows; ++i) {
-          uint64_t head = 0;
-          if (!r.GetVarint(&head)) return Truncated(r);
-          if (head == 0) continue;
-          uint64_t prefix = head - 1;
-          uint64_t suffix = 0;
-          if (!r.GetVarint(&suffix)) return Truncated(r);
-          if (prefix > prev.size() || prefix + suffix > 1u << 20) {
-            return Status::ParseError("bad ORDPATH delta");
-          }
-          prev.resize(static_cast<size_t>(prefix));
-          for (uint64_t k = 0; k < suffix; ++k) {
-            uint64_t comp = 0;
-            if (!r.GetVarint(&comp)) return Truncated(r);
-            prev.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
-          }
-          SVX_RETURN_IF_ERROR(fn(OrdPath(prev)));
-        }
+      case ColumnChunk::kContent:
+        SVX_RETURN_IF_ERROR(ForEachDeltaId(
+            chunk, spec, [&fn](const std::vector<int32_t>* comps) {
+              return comps == nullptr ? Status::OK() : fn(OrdPath(*comps));
+            }));
         break;
-      }
       case ColumnChunk::kNested:
         if (chunk.child != nullptr) {
           SVX_RETURN_IF_ERROR(chunk.child->ForEachContentId(fn));
         }
         break;
       case ColumnChunk::kRaw: {
-        RawCellReader r(chunk.raw_cells);
-        for (int64_t i = 0; i < chunk.num_rows; ++i) {
-          SVX_RETURN_IF_ERROR(WalkRawContentIds(&r, spec, 0, fn));
-        }
+        std::vector<Value> ignored;
+        SVX_RETURN_IF_ERROR(GetRawCells(
+            chunk, spec,
+            [&fn](const OrdPath& id) -> Result<Value> {
+              SVX_RETURN_IF_ERROR(fn(id));
+              return Value();
+            },
+            &ignored));
         break;
       }
       default:

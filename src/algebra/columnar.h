@@ -12,7 +12,7 @@
 //   * nested columns       -> one recursively columnar child extent holding
 //                             all group rows back to back, plus per-row
 //                             offsets and a ⊥ bitmap,
-//   * anything type-mixed  -> a raw fallback chunk of v1-style cells.
+//   * anything type-mixed  -> a raw fallback chunk of EncodeValue cells.
 //
 // Chunks are held by shared_ptr and never mutated, so maintenance can share
 // every untouched column between epochs (EncodeSharing) and a decoded table
@@ -23,6 +23,11 @@
 // Encoding is deterministic: equal tables (same schema, same row order)
 // produce byte-identical serialized chunks — the property the view store's
 // maintained-vs-rematerialized byte-identity checks rely on.
+//
+// This file also owns the one encoding of a single cell (EncodeValue and
+// its decoder): raw chunks hold it, the row-major serialization of
+// extent_io.h writes it, and it is the deep value identity of maintenance
+// and statistics.
 #ifndef SVX_ALGEBRA_COLUMNAR_H_
 #define SVX_ALGEBRA_COLUMNAR_H_
 
@@ -34,6 +39,7 @@
 #include <vector>
 
 #include "src/algebra/relation.h"
+#include "src/util/bytes.h"
 #include "src/util/status.h"
 #include "src/xml/document.h"
 
@@ -50,7 +56,7 @@ struct ColumnChunk {
     kIds = 1,      // ORDPATH ids, delta-encoded
     kContent = 2,  // content refs as ORDPATHs, delta-encoded
     kNested = 3,   // nested tables: child extent + offsets + ⊥ bitmap
-    kRaw = 4,      // fallback: v1-style cell stream (type-mixed columns)
+    kRaw = 4,      // fallback: EncodeValue cell stream (type-mixed columns)
   };
   static constexpr uint32_t kNullCode = 0xFFFFFFFFu;
 
@@ -74,7 +80,7 @@ struct ColumnChunk {
   std::vector<int64_t> offsets;  // size num_rows + 1
   std::vector<uint8_t> nulls;    // size num_rows
 
-  // kRaw: cells in the v1 extent cell encoding, back to back.
+  // kRaw: one EncodeValue cell per row, back to back.
   std::string raw_cells;
 
   /// Deep structural equality (child extents compare recursively). Used by
@@ -131,10 +137,9 @@ class ColumnarExtent {
   /// schema is *not* included — extent_io writes it in the file header).
   void AppendBytes(std::string* out) const;
 
-  /// Parses a payload produced by AppendBytes for `schema`. `*pos` is
-  /// advanced past the payload.
-  [[nodiscard]] static Result<ColumnarExtent> FromBytes(std::string_view bytes,
-                                                        size_t* pos,
+  /// Parses a payload produced by AppendBytes for `schema`, advancing `r`
+  /// past it.
+  [[nodiscard]] static Result<ColumnarExtent> FromBytes(ByteReader* r,
                                                         Schema schema);
 
   /// Calls `fn` for every content reference's ORDPATH, in storage order,
@@ -152,6 +157,18 @@ class ColumnarExtent {
   std::vector<ColumnChunkPtr> columns_;  // one per schema column
   bool has_content_ = false;
 };
+
+/// Encodes one cell: a u8 tag (0 ⊥, 1 string, 2 id, 3 content, 4 nested)
+/// and its payload — string: u32 length + bytes; id and content: u32
+/// component count + u32 components; nested: u64 row count + every row's
+/// cells (the schema comes from the column). Integers are little-endian. A
+/// content cell stores the referenced node's ORDPATH, so the encoding is
+/// invariant under RebindTupleContent and doubles as a stable deep value
+/// identity (exact distinct counting, maintenance tuple keys).
+void EncodeValue(const Value& v, std::string* out);
+
+/// Length of EncodeValue(v) in bytes, without building them.
+int64_t EncodedValueSize(const Value& v);
 
 }  // namespace svx
 

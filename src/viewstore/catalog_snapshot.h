@@ -51,9 +51,9 @@ namespace svx {
 struct StoredView {
   ViewDef def;
   ViewStats stats;
-  /// Row-major (v1) serialized size: the advisor/cost-model byte currency,
-  /// maintained incrementally by maintenance, and the bytes the decoded
-  /// table charges against the memory budget.
+  /// Row-major serialized size (ExtentByteSize): the advisor/cost-model
+  /// byte currency, maintained incrementally by maintenance, and the bytes
+  /// the decoded table charges against the memory budget.
   int64_t extent_bytes = 0;
   /// Columnar payload size (ColumnarExtent::SerializedByteSize) — what the
   /// compressed extent actually costs to keep resident.
@@ -131,7 +131,7 @@ class CatalogSnapshot {
 
   const StoredView* Find(const std::string& name) const;
 
-  /// Total serialized size of all extents (row-major v1 bytes).
+  /// Total row-major serialized size of all extents (ExtentByteSize).
   int64_t TotalBytes() const;
 
   /// Total compressed columnar size of all extents.

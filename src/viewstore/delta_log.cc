@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "src/observability/metrics.h"
+#include "src/util/bytes.h"
 #include "src/util/fileio.h"
 #include "src/util/strings.h"
 
@@ -18,62 +19,6 @@ constexpr char kMagic[4] = {'S', 'V', 'X', 'W'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderSize = 8;   // magic + version
 constexpr size_t kFrameSize = 8;    // payload_len + crc32
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendStr(std::string_view s, std::string* out) {
-  AppendU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s.data(), s.size());
-}
-
-/// Bounds-checked little-endian cursor over a payload.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (bytes_.size() - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    if (bytes_.size() - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadStr(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (bytes_.size() - pos_ < len) return false;
-    s->assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -120,38 +65,42 @@ bool DeltaLog::ParseSegmentFileName(std::string_view name,
 
 std::string DeltaLog::EncodePayload(const WalRecord& record) {
   std::string out;
-  AppendU64(record.epoch, &out);
-  AppendU32(static_cast<uint32_t>(record.views.size()), &out);
+  PutU64(record.epoch, &out);
+  PutU32(static_cast<uint32_t>(record.views.size()), &out);
   for (const WalViewDelta& v : record.views) {
-    AppendStr(v.view, &out);
-    AppendU32(static_cast<uint32_t>(v.delete_keys.size()), &out);
-    for (const std::string& key : v.delete_keys) AppendStr(key, &out);
-    AppendStr(v.inserts_bytes, &out);
+    PutString(v.view, &out);
+    PutU32(static_cast<uint32_t>(v.delete_keys.size()), &out);
+    for (const std::string& key : v.delete_keys) PutString(key, &out);
+    PutString(v.inserts_bytes, &out);
   }
   return out;
 }
 
 Result<WalRecord> DeltaLog::DecodePayload(std::string_view bytes) {
-  Reader r(bytes);
+  ByteReader r(bytes);
   WalRecord record;
   uint32_t nviews = 0;
-  if (!r.ReadU64(&record.epoch) || !r.ReadU32(&nviews)) {
+  // Counts are held to the remaining input before anything is allocated for
+  // them: a view entry takes at least 12 bytes, a delete key at least 4.
+  if (!r.GetU64(&record.epoch) || !r.GetU32(&nviews) ||
+      nviews > r.Remaining() / 12) {
     return Status::ParseError("WAL record payload truncated");
   }
   record.views.reserve(nviews);
   for (uint32_t i = 0; i < nviews; ++i) {
     WalViewDelta v;
     uint32_t ndeletes = 0;
-    if (!r.ReadStr(&v.view) || !r.ReadU32(&ndeletes)) {
+    if (!r.GetString(&v.view) || !r.GetU32(&ndeletes) ||
+        ndeletes > r.Remaining() / 4) {
       return Status::ParseError("WAL record payload truncated");
     }
     v.delete_keys.resize(ndeletes);
     for (uint32_t d = 0; d < ndeletes; ++d) {
-      if (!r.ReadStr(&v.delete_keys[d])) {
+      if (!r.GetString(&v.delete_keys[d])) {
         return Status::ParseError("WAL record payload truncated");
       }
     }
-    if (!r.ReadStr(&v.inserts_bytes)) {
+    if (!r.GetString(&v.inserts_bytes)) {
       return Status::ParseError("WAL record payload truncated");
     }
     record.views.push_back(std::move(v));
@@ -192,7 +141,7 @@ Result<std::unique_ptr<DeltaLog>> DeltaLog::Open(const std::string& dir,
   if (size == 0) {
     std::string header;
     header.append(kMagic, sizeof(kMagic));
-    AppendU32(kVersion, &header);
+    PutU32(kVersion, &header);
     if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
         std::fflush(f) != 0) {
       std::fclose(f);
@@ -209,8 +158,8 @@ Status DeltaLog::Append(const WalRecord& record) {
   std::string payload = EncodePayload(record);
   std::string frame;
   frame.reserve(kFrameSize + payload.size());
-  AppendU32(static_cast<uint32_t>(payload.size()), &frame);
-  AppendU32(Crc32(payload), &frame);
+  PutU32(static_cast<uint32_t>(payload.size()), &frame);
+  PutU32(Crc32(payload), &frame);
   frame += payload;
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
       std::fflush(file_) != 0) {
@@ -234,9 +183,9 @@ Result<std::vector<WalRecord>> DeltaLog::ReadSegment(const std::string& path,
     return Status::ParseError(
         StrFormat("%s is not a WAL segment", path.c_str()));
   }
-  Reader header(std::string_view(bytes).substr(sizeof(kMagic), 4));
+  ByteReader header(bytes, sizeof(kMagic));
   uint32_t version = 0;
-  (void)header.ReadU32(&version);
+  (void)header.GetU32(&version);
   if (version != kVersion) {
     return Status::ParseError(
         StrFormat("unsupported WAL version %u in %s", version, path.c_str()));
@@ -249,11 +198,11 @@ Result<std::vector<WalRecord>> DeltaLog::ReadSegment(const std::string& path,
     // payload parses; anything else from `pos` onward is the torn tail.
     bool torn = true;
     if (bytes.size() - pos >= kFrameSize) {
-      Reader frame(std::string_view(bytes).substr(pos, kFrameSize));
+      ByteReader frame(bytes, pos);
       uint32_t len = 0;
       uint32_t crc = 0;
-      (void)frame.ReadU32(&len);
-      (void)frame.ReadU32(&crc);
+      (void)frame.GetU32(&len);
+      (void)frame.GetU32(&crc);
       if (bytes.size() - pos - kFrameSize >= len) {
         std::string_view payload =
             std::string_view(bytes).substr(pos + kFrameSize, len);

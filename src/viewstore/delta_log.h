@@ -12,9 +12,15 @@
 //   payload:       u64 epoch, u32 nviews, per view:
 //                    str view_name
 //                    u32 ndeletes, ndeletes x str delete_key (EncodeTupleKey)
-//                    str inserts_bytes (SerializeExtent of inserted rows,
-//                                       empty when the view had no inserts)
-//   str = u32 length + bytes.
+//                    str inserts_bytes (SerializeColumnarExtent of the
+//                                       inserted rows, extent_io.h; empty
+//                                       when the view had no inserts)
+//   str = u32 length + bytes (src/util/bytes.h).
+//
+// Insert payloads use the one extent format the store reads, so a segment
+// written before it (version-1 row-major inserts) fails replay with the
+// payload's extent-version error; such a store is rebuilt from the document
+// unless a Save has emptied its log.
 //
 // Torn-write contract: a record is visible iff its length prefix, checksum
 // and payload all parse. A torn tail (partial final record after a crash
@@ -38,7 +44,7 @@
 namespace svx {
 
 /// Tuple-level delta for one view inside one WAL record. Delete keys are
-/// EncodeTupleKey encodings (rebind-invariant), inserts are a serialized
+/// EncodeTupleKey encodings (rebind-invariant), inserts are a version-2
 /// extent holding only the inserted rows.
 struct WalViewDelta {
   std::string view;

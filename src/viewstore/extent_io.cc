@@ -1,10 +1,10 @@
-#include "src/util/check.h"
 #include "src/viewstore/extent_io.h"
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 
+#include "src/util/bytes.h"
+#include "src/util/check.h"
 #include "src/util/fileio.h"
 #include "src/util/strings.h"
 
@@ -12,45 +12,9 @@ namespace svx {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'V', 'X', 'T'};
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kColumnarVersion = 2;
-
-enum CellTag : uint8_t {
-  kCellNull = 0,
-  kCellString = 1,
-  kCellId = 2,
-  kCellContent = 3,
-  kCellNested = 4,
-};
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutString(std::string_view s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s.data(), s.size());
-}
-
-void PutOrdPath(const OrdPath& id, std::string* out) {
-  PutU32(static_cast<uint32_t>(id.components().size()), out);
-  for (int32_t c : id.components()) {
-    PutU32(static_cast<uint32_t>(c), out);
-  }
-}
+constexpr std::string_view kMagic = "SVXT";
+constexpr uint32_t kRowMajorVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 void PutSchema(const Schema& schema, std::string* out) {
   PutU32(static_cast<uint32_t>(schema.size()), out);
@@ -62,79 +26,20 @@ void PutSchema(const Schema& schema, std::string* out) {
   }
 }
 
-void PutRows(const Table& table, std::string* out) {
-  PutU64(static_cast<uint64_t>(table.NumRows()), out);
-  for (const Tuple& row : table.rows()) {
-    for (const Value& v : row) EncodeValue(v, out);
-  }
+/// SerializeExtent's header: "SVXT" u32(1) + schema.
+std::string RowMajorHeader(const Schema& schema) {
+  std::string out(kMagic);
+  PutU32(kRowMajorVersion, &out);
+  PutSchema(schema, &out);
+  return out;
 }
 
-/// Bounds-checked little-endian reader over the serialized bytes.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > bytes_.size()) return false;
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool GetString(std::string* s) {
-    uint32_t len = 0;
-    if (!GetU32(&len) || pos_ + len > bytes_.size()) return false;
-    s->assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool GetOrdPath(OrdPath* id) {
-    uint32_t n = 0;
-    if (!GetU32(&n) || n > 1u << 20) return false;
-    std::vector<int32_t> comps;
-    comps.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t c = 0;
-      if (!GetU32(&c)) return false;
-      comps.push_back(static_cast<int32_t>(c));
-    }
-    *id = OrdPath(std::move(comps));
-    return true;
-  }
-
-  size_t pos() const { return pos_; }
-  size_t Remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-Status Truncated(const Reader& r) {
+Status Truncated(const ByteReader& r) {
   return Status::ParseError(
       StrFormat("truncated extent at offset %zu", r.pos()));
 }
 
-Result<Schema> GetSchema(Reader* r, int depth) {
+Result<Schema> GetSchema(ByteReader* r, int depth) {
   if (depth > 16) return Status::ParseError("schema nesting too deep");
   uint32_t ncols = 0;
   if (!r->GetU32(&ncols) || ncols > 1u << 16) return Truncated(*r);
@@ -162,271 +67,73 @@ Result<Schema> GetSchema(Reader* r, int depth) {
   return schema;
 }
 
-Result<Table> GetRows(Reader* r, const Schema& schema, const Document* doc,
-                      int depth);
-
-Result<Value> GetCell(Reader* r, const ColumnSpec& col, const Document* doc,
-                      int depth) {
-  uint8_t tag = 0;
-  if (!r->GetU8(&tag)) return Truncated(*r);
-  switch (tag) {
-    case kCellNull:
-      return Value();
-    case kCellString: {
-      std::string s;
-      if (!r->GetString(&s)) return Truncated(*r);
-      return Value(std::move(s));
-    }
-    case kCellId: {
-      OrdPath id;
-      if (!r->GetOrdPath(&id)) return Truncated(*r);
-      return Value(std::move(id));
-    }
-    case kCellContent: {
-      OrdPath id;
-      if (!r->GetOrdPath(&id)) return Truncated(*r);
-      if (doc == nullptr) {
-        return Status::InvalidArgument(
-            "extent has content references but no document was supplied");
-      }
-      NodeIndex node = doc->FindByOrdPath(id);
-      if (node == kInvalidNode) {
-        return Status::NotFound(
-            "content reference " + id.ToString() + " not in the document");
-      }
-      return Value(NodeRef{doc, node});
-    }
-    case kCellNested: {
-      if (col.nested == nullptr) {
-        return Status::ParseError("nested cell in a non-nested column");
-      }
-      Result<Table> nested = GetRows(r, *col.nested, doc, depth + 1);
-      if (!nested.ok()) return nested.status();
-      return Value(std::make_shared<const Table>(std::move(*nested)));
-    }
-    default:
-      return Status::ParseError(
-          StrFormat("bad cell tag %u", static_cast<unsigned>(tag)));
-  }
-}
-
-Result<Table> GetRows(Reader* r, const Schema& schema, const Document* doc,
-                      int depth) {
-  if (depth > 16) return Status::ParseError("extent nesting too deep");
-  uint64_t nrows = 0;
-  if (!r->GetU64(&nrows)) return Truncated(*r);
-  // Bound the row count by the remaining input (each cell is >= 1 byte), so
-  // corrupt headers fail with ParseError instead of allocating unboundedly.
-  if (nrows > 0 &&
-      (schema.size() == 0 ||
-       nrows > r->Remaining() / static_cast<uint64_t>(schema.size()))) {
-    return Status::ParseError(
-        StrFormat("row count %llu exceeds input size",
-                  static_cast<unsigned long long>(nrows)));
-  }
-  Table table(schema);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    Tuple row;
-    row.reserve(static_cast<size_t>(schema.size()));
-    for (int32_t c = 0; c < schema.size(); ++c) {
-      Result<Value> v = GetCell(r, schema.column(c), doc, depth);
-      if (!v.ok()) return v.status();
-      row.push_back(std::move(*v));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
-}
-
 }  // namespace
 
-void EncodeValue(const Value& v, std::string* out) {
-  if (v.IsNull()) {
-    PutU8(kCellNull, out);
-  } else if (v.IsString()) {
-    PutU8(kCellString, out);
-    PutString(v.AsString(), out);
-  } else if (v.IsId()) {
-    PutU8(kCellId, out);
-    PutOrdPath(v.AsId(), out);
-  } else if (v.IsContent()) {
-    const NodeRef& ref = v.AsContent();
-    SVX_CHECK(ref.doc != nullptr && ref.node != kInvalidNode);
-    PutU8(kCellContent, out);
-    PutOrdPath(ref.doc->ord_path(ref.node), out);
-  } else {
-    PutU8(kCellNested, out);
-    PutRows(v.AsTable(), out);
-  }
-}
-
 std::string SerializeExtent(const Table& table) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(kVersion, &out);
-  PutSchema(table.schema(), &out);
-  PutRows(table, &out);
+  std::string out = RowMajorHeader(table.schema());
+  PutU64(static_cast<uint64_t>(table.NumRows()), &out);
+  for (const Tuple& row : table.rows()) {
+    for (const Value& v : row) EncodeValue(v, &out);
+  }
   return out;
 }
 
-namespace {
-
-int64_t SchemaByteSize(const Schema& schema) {
-  int64_t size = 4;  // ncols
-  for (const ColumnSpec& col : schema.columns()) {
-    size += 4 + static_cast<int64_t>(col.name.size()) + 1 + 1;
-    if (col.nested != nullptr) size += SchemaByteSize(*col.nested);
-  }
-  return size;
-}
-
-int64_t RowsByteSize(const Table& table);
-
-int64_t CellByteSize(const Value& v) {
-  if (v.IsNull()) return 1;
-  if (v.IsString()) return 1 + 4 + static_cast<int64_t>(v.AsString().size());
-  if (v.IsId()) return 1 + 4 + 4 * static_cast<int64_t>(
-                                      v.AsId().components().size());
-  if (v.IsContent()) {
-    const NodeRef& ref = v.AsContent();
-    return 1 + 4 + 4 * static_cast<int64_t>(
-                           ref.doc->ord_path(ref.node).Depth());
-  }
-  return 1 + RowsByteSize(v.AsTable());
-}
-
-int64_t RowsByteSize(const Table& table) {
-  int64_t size = 8;  // nrows
-  for (const Tuple& row : table.rows()) {
-    for (const Value& v : row) size += CellByteSize(v);
-  }
-  return size;
-}
-
-}  // namespace
-
 int64_t ExtentByteSize(const Table& table) {
-  return static_cast<int64_t>(sizeof(kMagic)) + 4 +
-         SchemaByteSize(table.schema()) + RowsByteSize(table);
+  int64_t size = static_cast<int64_t>(RowMajorHeader(table.schema()).size());
+  size += 8;  // u64 row count
+  for (const Tuple& row : table.rows()) size += TupleByteSize(row);
+  return size;
 }
 
 int64_t TupleByteSize(const Tuple& tuple) {
   int64_t size = 0;
-  for (const Value& v : tuple) size += CellByteSize(v);
+  for (const Value& v : tuple) size += EncodedValueSize(v);
   return size;
-}
-
-namespace {
-
-/// Parses the shared "SVXT" + version + schema prefix of either format.
-/// On success the reader is positioned at the rows/chunks payload and
-/// `*uncompressed_bytes` carries the v2 header size (0 for v1).
-Result<Schema> GetHeader(std::string_view bytes, Reader* r, uint32_t* version,
-                         int64_t* uncompressed_bytes) {
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::ParseError("not an extent file (bad magic)");
-  }
-  if (!r->GetU32(version)) return Truncated(*r);
-  if (*version != kVersion && *version != kColumnarVersion) {
-    return Status::Unsupported(
-        StrFormat("extent version %u (want %u or %u)", *version, kVersion,
-                  kColumnarVersion));
-  }
-  *uncompressed_bytes = 0;
-  if (*version == kColumnarVersion) {
-    uint64_t raw = 0;
-    if (!r->GetU64(&raw)) return Truncated(*r);
-    *uncompressed_bytes = static_cast<int64_t>(raw);
-  }
-  return GetSchema(r, 0);
-}
-
-}  // namespace
-
-Result<Table> DeserializeExtent(std::string_view bytes, const Document* doc) {
-  Reader r(bytes.substr(sizeof(kMagic) <= bytes.size() ? sizeof(kMagic)
-                                                       : bytes.size()));
-  uint32_t version = 0;
-  int64_t uncompressed = 0;
-  Result<Schema> schema = GetHeader(bytes, &r, &version, &uncompressed);
-  if (!schema.ok()) return schema.status();
-  if (version == kColumnarVersion) {
-    size_t pos = r.pos();
-    std::string_view payload = bytes.substr(sizeof(kMagic));
-    Result<ColumnarExtent> columnar =
-        ColumnarExtent::FromBytes(payload, &pos, std::move(*schema));
-    if (!columnar.ok()) return columnar.status();
-    if (pos != payload.size()) {
-      return Status::ParseError(
-          StrFormat("trailing bytes at offset %zu", pos));
-    }
-    return columnar->Decode(doc);
-  }
-  Result<Table> table = GetRows(&r, *schema, doc, 0);
-  if (!table.ok()) return table;
-  if (!r.AtEnd()) {
-    return Status::ParseError(
-        StrFormat("trailing bytes at offset %zu", r.pos()));
-  }
-  return table;
 }
 
 std::string SerializeColumnarExtent(const ColumnarExtent& extent,
                                     int64_t uncompressed_bytes) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(kColumnarVersion, &out);
+  std::string out(kMagic);
+  PutU32(kVersion, &out);
   PutU64(static_cast<uint64_t>(uncompressed_bytes), &out);
   PutSchema(extent.schema(), &out);
   extent.AppendBytes(&out);
   return out;
 }
 
-Result<ColumnarLoad> DeserializeExtentColumnar(std::string_view bytes,
-                                               const Document* doc) {
-  Reader r(bytes.substr(sizeof(kMagic) <= bytes.size() ? sizeof(kMagic)
-                                                       : bytes.size()));
-  uint32_t version = 0;
-  int64_t uncompressed = 0;
-  Result<Schema> schema = GetHeader(bytes, &r, &version, &uncompressed);
-  if (!schema.ok()) return schema.status();
-  ColumnarLoad load;
-  if (version == kColumnarVersion) {
-    size_t pos = r.pos();
-    std::string_view payload = bytes.substr(sizeof(kMagic));
-    Result<ColumnarExtent> columnar =
-        ColumnarExtent::FromBytes(payload, &pos, std::move(*schema));
-    if (!columnar.ok()) return columnar.status();
-    if (pos != payload.size()) {
-      return Status::ParseError(
-          StrFormat("trailing bytes at offset %zu", pos));
-    }
-    load.columnar =
-        std::make_shared<const ColumnarExtent>(std::move(*columnar));
-    load.uncompressed_bytes = uncompressed;
-    return load;
+Result<ColumnarLoad> DeserializeExtentColumnar(std::string_view bytes) {
+  if (!StartsWith(bytes, kMagic)) {
+    return Status::ParseError("not an extent file (bad magic)");
   }
-  // Row-major v1: parsing decodes the rows, so hand them back along with a
-  // fresh columnar encoding — the back-compat upgrade path for old stores.
-  Result<Table> table = GetRows(&r, *schema, doc, 0);
-  if (!table.ok()) return table.status();
+  ByteReader r(bytes, kMagic.size());
+  uint32_t version = 0;
+  uint64_t uncompressed = 0;
+  if (!r.GetU32(&version)) return Truncated(r);
+  if (version != kVersion) {
+    return Status::Unsupported(StrFormat(
+        "extent version %u (want %u); rebuild the store from the document",
+        version, kVersion));
+  }
+  if (!r.GetU64(&uncompressed)) return Truncated(r);
+  Result<Schema> schema = GetSchema(&r, 0);
+  if (!schema.ok()) return schema.status();
+  Result<ColumnarExtent> columnar =
+      ColumnarExtent::FromBytes(&r, std::move(*schema));
+  if (!columnar.ok()) return columnar.status();
   if (!r.AtEnd()) {
     return Status::ParseError(
         StrFormat("trailing bytes at offset %zu", r.pos()));
   }
-  load.uncompressed_bytes = static_cast<int64_t>(bytes.size());
-  load.columnar = std::make_shared<const ColumnarExtent>(
-      ColumnarExtent::Encode(*table));
-  load.decoded = std::make_shared<const Table>(std::move(*table));
+  ColumnarLoad load;
+  load.columnar = std::make_shared<const ColumnarExtent>(std::move(*columnar));
+  load.uncompressed_bytes = static_cast<int64_t>(uncompressed);
   return load;
 }
 
-Result<ColumnarLoad> ReadExtentFileColumnar(const std::string& path,
-                                            const Document* doc) {
+Result<ColumnarLoad> ReadExtentFileColumnar(const std::string& path) {
   Result<std::string> bytes = ReadFileBytes(path);
   if (!bytes.ok()) return bytes.status();
-  return DeserializeExtentColumnar(*bytes, doc);
+  return DeserializeExtentColumnar(*bytes);
 }
 
 std::string EncodeTupleKey(const Tuple& tuple) {
@@ -471,16 +178,6 @@ Status RebindTupleContent(Tuple* tuple, const Document& doc) {
     }
   }
   return Status::OK();
-}
-
-Status WriteExtentFile(const std::string& path, const Table& table) {
-  return WriteFileBytes(path, SerializeExtent(table));
-}
-
-Result<Table> ReadExtentFile(const std::string& path, const Document* doc) {
-  Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return DeserializeExtent(*bytes, doc);
 }
 
 }  // namespace svx

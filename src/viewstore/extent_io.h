@@ -1,22 +1,24 @@
 // Binary serialization of materialized view extents (Schema + rows),
 // including nested tables, ⊥ values, ORDPATH ids and content references.
 // Content references are persisted as the referenced node's ORDPATH and
-// rebound against a Document on load (the store keeps references into the
+// rebound against a Document on decode (the store keeps references into the
 // repository, not copies — §4.4 "stored ... as a reference").
 //
-// Version 1 (row-major; still written for WAL payloads and still loadable):
-//   "SVXT" u32(1)
+// Extent file, version 2 — the one format the store writes and reads (extent
+// files and WAL insert payloads alike):
+//   "SVXT" u32(2) u64(uncompressed_bytes = ExtentByteSize of the rows)
 //   schema:   u32 ncols { str name, u8 kind, u8 has_nested, [schema] }
-//   rows:     u64 nrows, per row per column one cell:
-//     u8 tag: 0 ⊥ | 1 string | 2 id | 3 content | 4 nested
-//     payload: string -> str; id/content -> u32 ncomp, i32 components;
-//              nested -> u64 nrows + cells (schema taken from the column)
-//   str = u32 length + bytes.
+//   then the ColumnarExtent payload (columnar.h): a varint row count plus
+//   one tagged compressed chunk per column.
+//   str = u32 length + bytes; integers are little-endian (src/util/bytes.h).
+// Any other version is rejected with Unsupported: a store written by an
+// older build is rebuilt from the document.
 //
-// Version 2 (columnar; what the store writes for extents):
-//   "SVXT" u32(2) u64(uncompressed_bytes = the v1 serialized size)
-//   schema (as above), then the ColumnarExtent payload (columnar.h): a
-//   varint row count plus one tagged compressed chunk per column.
+// SerializeExtent is the row-major rendering of a table — the same header
+// with version 1 and the schema, then u64 nrows and every row's EncodeValue
+// cells. Nothing reads it back: it is the deterministic byte identity that
+// maintained-vs-rematerialized checks compare, and its size (ExtentByteSize)
+// is what a decoded table charges against the memory budget.
 #ifndef SVX_VIEWSTORE_EXTENT_IO_H_
 #define SVX_VIEWSTORE_EXTENT_IO_H_
 
@@ -30,11 +32,11 @@
 
 namespace svx {
 
-/// Serializes `table` (schema + rows) into a compact binary string.
+/// Serializes `table` (schema + rows) row-major (see file comment).
 /// Deterministic: equal tables produce identical bytes.
 std::string SerializeExtent(const Table& table);
 
-/// Size of SerializeExtent(table) without building the bytes.
+/// Size of SerializeExtent(table) without building the row bytes.
 int64_t ExtentByteSize(const Table& table);
 
 /// Serialized size of one row's cells (rows carry no per-row header, so
@@ -42,52 +44,31 @@ int64_t ExtentByteSize(const Table& table);
 /// the incremental byte accounting used by view maintenance).
 int64_t TupleByteSize(const Tuple& tuple);
 
-/// Parses a serialized extent of either version into a row-major table.
-/// Content cells are rebound against `doc` via their ORDPATH ids; a content
-/// cell with `doc == nullptr` or an id absent from `doc` is an error.
-[[nodiscard]] Result<Table> DeserializeExtent(std::string_view bytes,
-                                              const Document* doc);
-
 /// Serializes a columnar extent as a version-2 extent file.
-/// `uncompressed_bytes` is the v1 (row-major) serialized size recorded in
-/// the header — the size a decoded table will charge against the memory
-/// budget. Deterministic.
+/// `uncompressed_bytes` is the ExtentByteSize recorded in the header — the
+/// size a decoded table will charge against the memory budget.
+/// Deterministic.
 std::string SerializeColumnarExtent(const ColumnarExtent& extent,
                                     int64_t uncompressed_bytes);
 
-/// A columnar parse of either extent version (the lazy-decode load path).
+/// A parsed version-2 extent: its chunks (content stays as ORDPATHs until
+/// ColumnarExtent::Decode binds it) and the header's uncompressed size.
 struct ColumnarLoad {
   ColumnarExtentPtr columnar;
   int64_t uncompressed_bytes = 0;
-  /// Set when the file was row-major v1: parsing it decoded the rows anyway,
-  /// so the caller can install them as the resident table for free.
-  TablePtr decoded;
 };
 
-/// Parses either version without materializing rows when possible: a v2
-/// file yields its chunks directly (no Document needed — content stays as
-/// ORDPATHs); a v1 file is decoded (requiring `doc` if it has content
-/// references) and re-encoded columnar.
+/// Parses a version-2 extent without materializing rows.
 [[nodiscard]] Result<ColumnarLoad> DeserializeExtentColumnar(
-    std::string_view bytes, const Document* doc);
+    std::string_view bytes);
 
+/// DeserializeExtentColumnar over a file's bytes.
 [[nodiscard]] Result<ColumnarLoad> ReadExtentFileColumnar(
-    const std::string& path, const Document* doc);
+    const std::string& path);
 
-/// File convenience wrappers around the two functions above.
-[[nodiscard]] Status WriteExtentFile(const std::string& path,
-                                     const Table& table);
-[[nodiscard]] Result<Table> ReadExtentFile(const std::string& path,
-                                           const Document* doc);
-
-/// Serializes one cell value (the row encoding above, without the schema) —
-/// a stable deep encoding also used for exact distinct counting. Content
-/// cells encode as the referenced node's ORDPATH, so the encoding is
-/// invariant under RebindTupleContent.
-void EncodeValue(const Value& v, std::string* out);
-
-/// EncodeValue folded over a whole row — the stable tuple identity used by
-/// incremental maintenance to match deltas against stored extents.
+/// EncodeValue (columnar.h) folded over a whole row — the stable tuple
+/// identity used by incremental maintenance to match deltas against stored
+/// extents.
 std::string EncodeTupleKey(const Tuple& tuple);
 
 /// Rebinds every content reference in the tuple (deep, including nested

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <optional>
 #include <utility>
 
 #include "src/algebra/executor.h"
@@ -99,8 +98,7 @@ Table MergeSlices(std::vector<Table> parts) {
 
 }  // namespace
 
-Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query,
-                                            bool parallel) const {
+Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query) const {
   // The same locality test that shards views: an anchored query's result
   // rows each live in exactly one shard, so shard slices partition the full
   // result. Anything else (no anchoring return id, nodes off the spine —
@@ -124,26 +122,12 @@ Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query,
     return rws.status();
   }
   const PlanNode& plan = *rws->front().plan;
-  std::vector<std::optional<Result<Table>>> slots(shards_.size());
-  if (parallel && shards_.size() > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      threads.emplace_back([this, &plan, &slots, i]() {
-        slots[i] = Execute(plan, shards_[i]->ExecutorCatalog());
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      slots[i] = Execute(plan, shards_[i]->ExecutorCatalog());
-    }
-  }
   std::vector<Table> parts;
-  parts.reserve(slots.size());
-  for (std::optional<Result<Table>>& slot : slots) {
-    if (!slot->ok()) return slot->status();
-    parts.push_back(std::move(**slot));
+  parts.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    Result<Table> part = Execute(plan, shard->ExecutorCatalog());
+    if (!part.ok()) return part.status();
+    parts.push_back(std::move(*part));
   }
   return MergeSlices(std::move(parts));
 }

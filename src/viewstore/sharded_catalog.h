@@ -13,12 +13,12 @@
 // different shards never contend on a mutex.
 //
 // Reads: Snapshot() pins one CatalogSnapshot per shard (scatter);
-// ShardedSnapshot::ExecuteQuery rewrites the query per shard through
-// shard-local caches and view indexes, executes the per-shard plans
-// (optionally in parallel), and merges the slices in document order by the
-// anchor ORDPATH (gather). Queries that are not shard-local (no anchoring
-// return id, or nodes off the anchor spine) are served by the global
-// catalog instead.
+// ShardedSnapshot::ExecuteQuery rewrites the query once, through shard 0's
+// cache and view index (every shard holds the same view definitions),
+// executes that plan against each shard's extents in turn, and merges the
+// slices in document order by the anchor ORDPATH (gather). Queries that are
+// not shard-local (no anchoring return id, or nodes off the anchor spine)
+// are served by the global catalog instead.
 //
 // On-disk layout under the store directory:
 //   shards.txt     one boundary ORDPATH per line (N-1 lines)
@@ -78,13 +78,11 @@ class ShardedSnapshot {
 
   /// Scatter-gather query execution. Shard-local queries (the pattern has
   /// an anchoring return id and every node on its spine — the same test
-  /// that shards views) are rewritten and executed per shard through each
-  /// shard's caches, then merged in document order; other queries are
-  /// served by the global catalog. `parallel` executes the per-shard plans
-  /// on one thread per shard. Every pinned snapshot must carry a bound
+  /// that shards views) are rewritten once on shard 0, executed against
+  /// every shard's extents, and merged in document order; other queries are
+  /// served by the global catalog. Every pinned snapshot must carry a bound
   /// document and summary (BindDocument / shared-pointer Load).
-  [[nodiscard]] Result<Table> ExecuteQuery(const Pattern& query,
-                                           bool parallel = false) const;
+  [[nodiscard]] Result<Table> ExecuteQuery(const Pattern& query) const;
 
   /// Sum of the pinned epochs across shards and global — the monotone
   /// counter benchmarks diff to count epochs published.

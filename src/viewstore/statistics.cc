@@ -245,95 +245,6 @@ int64_t CountStatsColumns(const Schema& schema) {
   return n;
 }
 
-/// Folds the additive counters of `rows` into the stats, mirroring the
-/// ComputeColumns traversal order; `cursor` walks stats->columns.
-void FoldRowsIntoColumns(const Schema& schema,
-                         const std::vector<const Tuple*>& rows,
-                         size_t* cursor, ViewStats* stats) {
-  for (int32_t c = 0; c < schema.size(); ++c) {
-    ColumnStats& col = stats->columns[(*cursor)++];
-    for (const Tuple* row : rows) {
-      const Value& v = (*row)[static_cast<size_t>(c)];
-      if (v.IsNull()) continue;
-      int64_t len = ValueLength(v);
-      if (col.non_null == 0) {
-        col.min_len = col.max_len = len;
-      } else {
-        col.min_len = std::min(col.min_len, len);
-        col.max_len = std::max(col.max_len, len);
-      }
-      ++col.non_null;
-      if (v.IsTable()) col.nested_rows += v.AsTable().NumRows();
-    }
-    if (schema.column(c).nested != nullptr) {
-      std::vector<const Tuple*> inner;
-      for (const Tuple* row : rows) {
-        const Value& v = (*row)[static_cast<size_t>(c)];
-        if (!v.IsTable()) continue;
-        for (const Tuple& r : v.AsTable().rows()) inner.push_back(&r);
-      }
-      FoldRowsIntoColumns(*schema.column(c).nested, inner, cursor, stats);
-    }
-  }
-}
-
-/// Re-derives the exact distinct counts only (one encoding pass).
-void RecomputeDistinct(const Schema& schema,
-                       const std::vector<const Table*>& tables,
-                       size_t* cursor, ViewStats* stats) {
-  for (int32_t c = 0; c < schema.size(); ++c) {
-    ColumnStats& col = stats->columns[(*cursor)++];
-    std::unordered_set<std::string> seen;
-    for (const Table* table : tables) {
-      for (const Tuple& row : table->rows()) {
-        const Value& v = row[static_cast<size_t>(c)];
-        if (v.IsNull()) continue;
-        std::string key;
-        EncodeValue(v, &key);
-        seen.insert(std::move(key));
-      }
-    }
-    col.distinct = static_cast<int64_t>(seen.size());
-    if (schema.column(c).nested != nullptr) {
-      std::vector<const Table*> groups;
-      for (const Table* table : tables) {
-        for (const Tuple& row : table->rows()) {
-          const Value& v = row[static_cast<size_t>(c)];
-          if (v.IsTable()) groups.push_back(&v.AsTable());
-        }
-      }
-      RecomputeDistinct(*schema.column(c).nested, groups, cursor, stats);
-    }
-  }
-}
-
-}  // namespace
-
-ViewStats RefreshViewStats(const ViewStats& stats, const Table& extent,
-                           int64_t deleted_rows,
-                           const std::vector<Tuple>& inserted) {
-  if (deleted_rows > 0) return ComputeViewStats(extent);
-  if (inserted.empty()) return stats;
-  if (static_cast<int64_t>(stats.columns.size()) !=
-      CountStatsColumns(extent.schema())) {
-    // Stats do not line up with the schema (e.g. computed elsewhere);
-    // recompute rather than guess the traversal.
-    return ComputeViewStats(extent);
-  }
-  ViewStats out = stats;
-  out.num_rows += static_cast<int64_t>(inserted.size());
-  std::vector<const Tuple*> rows;
-  rows.reserve(inserted.size());
-  for (const Tuple& t : inserted) rows.push_back(&t);
-  size_t cursor = 0;
-  FoldRowsIntoColumns(extent.schema(), rows, &cursor, &out);
-  cursor = 0;
-  RecomputeDistinct(extent.schema(), {&extent}, &cursor, &out);
-  return out;
-}
-
-namespace {
-
 /// Folds `rows` into the cache (and, when `stats` is given, its additive
 /// counters) with multiplicity `sign`, mirroring the ComputeColumns
 /// traversal; `cursor` walks the flattened stats/cache columns.

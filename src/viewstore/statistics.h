@@ -59,27 +59,16 @@ ViewStats ComputeViewStats(const Table& extent);
 /// ComputeViewStats(decoded table).
 ViewStats ComputeViewStats(const ColumnarExtent& extent, const Document* doc);
 
-/// Refreshes `stats` to describe `extent` after a tuple delta was applied
-/// by incremental view maintenance. With no deleted rows, the additive
-/// counters (row count, non-null, nested totals, length bounds) are
-/// updated from the inserted tuples in O(|delta|) and only the exact
-/// distinct counts are re-derived with a column scan; a delete forces a
-/// full recomputation (distinct counts and length bounds cannot shrink
-/// incrementally). The result always equals ComputeViewStats(extent).
-ViewStats RefreshViewStats(const ViewStats& stats, const Table& extent,
-                           int64_t deleted_rows,
-                           const std::vector<Tuple>& inserted);
-
 /// Per-column multiset indexes over one extent: for every stats column
 /// (ComputeViewStats emission order, nested columns flattened) the exact
 /// count of each distinct encoded value and of each value length. They make
 /// every ViewStats counter — including distinct counts and length bounds,
 /// which are not incrementally maintainable from the stats alone —
-/// refreshable in O(|delta| log) per tuple delta, where RefreshViewStats
-/// has to rescan whole columns.
+/// refreshable in O(|delta| log) per tuple delta instead of by whole-column
+/// rescans.
 struct ValueCountCache {
   struct Column {
-    /// Encoded value (extent_io EncodeValue) → multiplicity. Its size is
+    /// Encoded value (EncodeValue, columnar.h) → multiplicity. Its size is
     /// the column's exact distinct count.
     std::unordered_map<std::string, int64_t> values;
     /// Value length (ValueLength measure of statistics.cc) → multiplicity.

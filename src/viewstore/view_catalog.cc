@@ -24,9 +24,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::string_view kManifestHeaderV1 = "svx-viewstore 1";
-constexpr std::string_view kManifestHeaderV2 = "svx-viewstore 2";
-constexpr std::string_view kManifestHeaderV3 = "svx-viewstore 3";
+constexpr char kManifestHeader[] = "svx-viewstore 3";
 
 bool SafeName(const std::string& name) {
   if (name.empty() || name.size() > 128) return false;
@@ -344,7 +342,7 @@ Status ViewCatalog::PersistLocked(
       if (ext != ".extent" && ext != ".stats") continue;
       std::string stem = entry.path().stem().string();  // "<name>.<gen>"
       size_t dot = stem.rfind('.');
-      if (dot == std::string::npos) continue;  // version-1 unsuffixed file
+      if (dot == std::string::npos) continue;  // not "<name>.<gen>"
       std::optional<int64_t> gen = ParseInt64(stem.substr(dot + 1));
       if (gen && *gen > 0) {
         max_gen = std::max(max_gen, static_cast<uint64_t>(*gen));
@@ -362,7 +360,7 @@ Status ViewCatalog::PersistLocked(
   // mode it also advances the WAL segment floor past the current segment,
   // making this save the checkpoint that retires every earlier record.
   const uint64_t new_floor = wal_generation_ + 1;
-  std::string manifest(kManifestHeaderV3);
+  std::string manifest(kManifestHeader);
   manifest.push_back('\n');
   manifest += StrFormat("epoch %llu\n", static_cast<unsigned long long>(epoch));
   if (enable_delta_log_) {
@@ -663,7 +661,8 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       wd.delete_keys.assign(net_deletes.begin(), net_deletes.end());
       Table inserts(working.schema());
       for (const auto& [key, row] : net_inserts) inserts.AddRow(row);
-      wd.inserts_bytes = SerializeExtent(inserts);
+      wd.inserts_bytes = SerializeColumnarExtent(
+          ColumnarExtent::Encode(inserts), ExtentByteSize(inserts));
       wal_views.push_back(std::move(wd));
     }
     {
@@ -746,23 +745,23 @@ Status ViewCatalog::LoadImpl(const Document* doc,
   uint64_t max_generation = 0;
   uint64_t persisted_epoch = 0;  // epoch the manifest's extents capture
   uint64_t wal_floor = 0;        // first WAL segment generation to replay
-  int version = 0;
+  bool header_seen = false;
   for (const std::string& raw : Split(*manifest, '\n')) {
     std::string_view line = Trim(raw);
     if (line.empty()) continue;
-    if (version == 0) {
-      if (line == kManifestHeaderV1) {
-        version = 1;
-      } else if (line == kManifestHeaderV2) {
-        version = 2;
-      } else if (line == kManifestHeaderV3) {
-        version = 3;
-      } else {
-        return Status::ParseError("bad manifest header: " + raw);
+    if (!header_seen) {
+      // The store reads only the format it writes; an older store is
+      // rebuilt from the document.
+      if (line != kManifestHeader) {
+        return Status::Unsupported(StrFormat(
+            "manifest header \"%s\" (want \"%s\"); rebuild the store from "
+            "the document",
+            raw.c_str(), kManifestHeader));
       }
+      header_seen = true;
       continue;
     }
-    if (version >= 3 && StartsWith(line, "epoch ")) {
+    if (StartsWith(line, "epoch ")) {
       std::optional<int64_t> e = ParseInt64(line.substr(6));
       if (!e || *e < 0) {
         return Status::ParseError("bad epoch in manifest: " + raw);
@@ -770,7 +769,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
       persisted_epoch = static_cast<uint64_t>(*e);
       continue;
     }
-    if (version >= 3 && StartsWith(line, "wal ")) {
+    if (StartsWith(line, "wal ")) {
       std::optional<int64_t> g = ParseInt64(line.substr(4));
       if (!g || *g <= 0) {
         return Status::ParseError("bad wal floor in manifest: " + raw);
@@ -792,33 +791,25 @@ Status ViewCatalog::LoadImpl(const Document* doc,
       return Status::ParseError("unsafe view name in manifest: " + raw);
     }
     rest = rest.substr(space + 1);
-    if (version >= 2) {
-      space = rest.find(' ');
-      if (space == std::string_view::npos) {
-        return Status::ParseError("bad manifest line: " + raw);
-      }
-      std::optional<int64_t> gen = ParseInt64(rest.substr(0, space));
-      if (!gen || *gen <= 0) {
-        return Status::ParseError("bad generation in manifest: " + raw);
-      }
-      stored->generation = static_cast<uint64_t>(*gen);
-      max_generation = std::max(max_generation, stored->generation);
-      rest = rest.substr(space + 1);
+    space = rest.find(' ');
+    if (space == std::string_view::npos) {
+      return Status::ParseError("bad manifest line: " + raw);
     }
+    std::optional<int64_t> gen = ParseInt64(rest.substr(0, space));
+    if (!gen || *gen <= 0) {
+      return Status::ParseError("bad generation in manifest: " + raw);
+    }
+    stored->generation = static_cast<uint64_t>(*gen);
+    max_generation = std::max(max_generation, stored->generation);
+    rest = rest.substr(space + 1);
     Result<Pattern> pattern = ParsePattern(rest);
     if (!pattern.ok()) return pattern.status();
     stored->def.pattern = std::move(*pattern);
 
-    // Version-1 stores used unsuffixed file names (generation 0 here, so a
-    // later Save migrates them to suffixed generations).
-    fs::path extent_path =
-        fs::path(dir_) / (version >= 2 ? ExtentFileName(*stored)
-                                       : stored->def.name + ".extent");
-    // A v2 (columnar) file loads without materializing rows — the extent
-    // stays cold until something scans it; a v1 (row-major) file decoded
-    // its rows during parsing, so they install resident for free.
-    Result<ColumnarLoad> load = ReadExtentFileColumnar(extent_path.string(),
-                                                       doc);
+    // The extent loads without materializing rows: it stays cold until
+    // something scans it.
+    Result<ColumnarLoad> load = ReadExtentFileColumnar(
+        (fs::path(dir_) / ExtentFileName(*stored)).string());
     if (!load.ok()) return load.status();
     stored->columnar = std::move(load->columnar);
     stored->extent_bytes = load->uncompressed_bytes;
@@ -828,9 +819,8 @@ Status ViewCatalog::LoadImpl(const Document* doc,
         return Status::InvalidArgument(
             "extent has content references but no document was supplied");
       }
-      // Validate every reference off the chunks (a v1 load already did so
-      // by decoding); a cold columnar extent must never fail its lazy
-      // decode later.
+      // Validate every reference off the chunks: a cold columnar extent
+      // must never fail its lazy decode later.
       SVX_RETURN_IF_ERROR(
           stored->columnar->ForEachContentId([&](const OrdPath& id) {
             if (doc->FindByOrdPath(id) == kInvalidNode) {
@@ -843,12 +833,9 @@ Status ViewCatalog::LoadImpl(const Document* doc,
     }
     stored->residency = std::make_shared<ExtentResidency>(budget_);
     stored->residency->SetCompressedBytes(stored->compressed_bytes);
-    if (load->decoded != nullptr) stored->InstallResident(load->decoded);
 
-    fs::path stats_path =
-        fs::path(dir_) / (version >= 2 ? StatsFileName(*stored)
-                                       : stored->def.name + ".stats");
-    Result<std::string> stats_text = ReadFileBytes(stats_path.string());
+    Result<std::string> stats_text =
+        ReadFileBytes((fs::path(dir_) / StatsFileName(*stored)).string());
     if (!stats_text.ok()) return stats_text.status();
     Result<ViewStats> stats = ParseViewStats(*stats_text);
     if (!stats.ok()) return stats.status();
@@ -856,19 +843,15 @@ Status ViewCatalog::LoadImpl(const Document* doc,
 
     loaded.push_back(std::move(stored));
   }
-  if (version == 0) return Status::ParseError("empty manifest");
+  if (!header_seen) return Status::ParseError("empty manifest");
   next_generation_ = std::max(next_generation_, max_generation + 1);
   // Sweep generations an interrupted save (or a pre-crash manifest flip)
   // left behind — everything the manifest we just loaded does not name.
   // After the sweep the manifest's max generation is the directory's, so
-  // the counter is fully seeded (a v1 store keeps the lazy directory scan
-  // in PersistLocked, since it never swept suffixed orphans). The sweep
-  // runs before WAL replay marks views dirty, while every generation still
-  // names its live on-disk file.
-  if (version >= 2) {
-    SweepUnreferenced(dir_, LiveFileSet(loaded));
-    generation_seeded_ = true;
-  }
+  // the counter is fully seeded. The sweep runs before WAL replay marks
+  // views dirty, while every generation still names its live on-disk file.
+  SweepUnreferenced(dir_, LiveFileSet(loaded));
+  generation_seeded_ = true;
   // WAL recovery: replay every record past the persisted epoch from
   // segments at or above the manifest's floor, and sweep orphaned segments
   // a completed checkpoint retired. Replayed views drop to generation 0 so
@@ -935,7 +918,10 @@ Status ViewCatalog::LoadImpl(const Document* doc,
           rows.resize(out);
         }
         if (!wd.inserts_bytes.empty()) {
-          Result<Table> inserts = DeserializeExtent(wd.inserts_bytes, doc);
+          Result<ColumnarLoad> payload =
+              DeserializeExtentColumnar(wd.inserts_bytes);
+          if (!payload.ok()) return payload.status();
+          Result<Table> inserts = payload->columnar->Decode(doc);
           if (!inserts.ok()) return inserts.status();
           for (Tuple& row : inserts->mutable_rows()) {
             (*working)->mutable_rows().push_back(std::move(row));

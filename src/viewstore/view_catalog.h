@@ -32,8 +32,9 @@
 // crash at any point leaves the previous manifest referencing complete,
 // unmixed files of the previous generations. Unreferenced generations (and
 // WAL segments below the manifest's floor) are swept after a successful
-// save and on Load(). Version-1 ("view <name> <pattern>" over unsuffixed
-// files) and version-2 manifests still load.
+// save and on Load(). Load() reads only this layout: any other manifest
+// header, extent version or WAL payload version fails with the version it
+// found, and such a store is rebuilt from the document.
 //
 // Delta-log durability (ViewCatalogOptions::enable_delta_log): instead of
 // rewriting changed extents on every maintenance pass, ApplyUpdate appends

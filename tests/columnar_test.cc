@@ -1,5 +1,6 @@
 // Columnar extent representation: randomized round-trip determinism,
-// row-major (v1) store back-compat, dictionary-driven statistics parity,
+// type-mixed raw chunks, rejection of older store formats, dictionary-driven
+// statistics parity,
 // column-selective decoding, memory-budget eviction/reload, and epoch
 // chunk sharing.
 #include "src/algebra/columnar.h"
@@ -9,7 +10,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +17,10 @@
 #include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/view.h"
+#include "src/util/fileio.h"
 #include "src/util/rng.h"
+#include "src/util/strings.h"
+#include "src/viewstore/delta_log.h"
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/statistics.h"
 #include "src/viewstore/view_catalog.h"
@@ -87,7 +90,7 @@ TEST(Columnar, RandomizedRoundTripIsByteDeterministic) {
                 static_cast<int64_t>(b.SerializedByteSize()));
 
       // Parse -> re-serialize round-trips to the same bytes.
-      Result<ColumnarLoad> load = DeserializeExtentColumnar(bytes_a, doc.get());
+      Result<ColumnarLoad> load = DeserializeExtentColumnar(bytes_a);
       ASSERT_TRUE(load.ok()) << load.status().ToString();
       EXPECT_EQ(load->uncompressed_bytes, v1_bytes);
       EXPECT_TRUE(*load->columnar == a) << def.name << " seed " << seed;
@@ -142,48 +145,138 @@ TEST(Columnar, SelectiveDecodeMatchesFullDecodeOnUsedColumns) {
   }
 }
 
+TEST(Columnar, TypeMixedColumnRoundTripsThroughRawChunk) {
+  std::unique_ptr<Document> doc = Doc("a(b=1 b=2)");
+  const OrdPath first_b = OrdPath::Root().Child(1);
+  auto inner = std::make_shared<const Schema>(
+      Schema({{"g", ColumnKind::kValue, nullptr}}));
+  Table group(*inner);
+  group.AddRow({Value(std::string("g"))});
+  Table table(Schema({{"mixed", ColumnKind::kNested, inner}}));
+  table.AddRow({Value(std::string("s"))});
+  table.AddRow({Value(OrdPath::Root().Child(2))});
+  table.AddRow({Value(NodeRef{doc.get(), doc->FindByOrdPath(first_b)})});
+  table.AddRow({Value()});
+  table.AddRow({Value(std::make_shared<const Table>(std::move(group)))});
+
+  ColumnarExtent extent = ColumnarExtent::Encode(table);
+  ASSERT_EQ(extent.column(0)->encoding, ColumnChunk::kRaw);
+  EXPECT_TRUE(extent.has_content());
+  // A raw chunk is the column's EncodeValue cells back to back.
+  std::string cells;
+  for (const Tuple& row : table.rows()) EncodeValue(row[0], &cells);
+  EXPECT_EQ(extent.column(0)->raw_cells, cells);
+
+  std::string bytes = SerializeColumnarExtent(extent, ExtentByteSize(table));
+  Result<ColumnarLoad> load = DeserializeExtentColumnar(bytes);
+  ASSERT_TRUE(load.ok()) << load.status().ToString();
+  EXPECT_TRUE(*load->columnar == extent);
+  EXPECT_TRUE(load->columnar->has_content());
+  std::vector<std::string> refs;
+  ASSERT_TRUE(load->columnar
+                  ->ForEachContentId([&refs](const OrdPath& id) {
+                    refs.push_back(id.ToString());
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(refs, std::vector<std::string>{first_b.ToString()});
+
+  EXPECT_FALSE(load->columnar->Decode(nullptr).ok())
+      << "a content cell needs a document to rebind against";
+  Result<Table> back = load->columnar->Decode(doc.get());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(SerializeExtent(*back), SerializeExtent(table));
+}
+
 // ---------------------------------------------------------------------------
-// v-old (row-major) store back-compat
+// The store reads only the formats it writes
 // ---------------------------------------------------------------------------
 
-TEST(Columnar, RowMajorV1StoreStillLoads) {
-  const std::string dir = TempDir("v1");
+/// The value of the `key` line ("epoch <n>", "wal <n>") of a manifest.
+uint64_t ManifestNumber(const std::string& manifest, const std::string& key) {
+  const size_t at = manifest.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0;
+  return std::stoull(manifest.substr(at + key.size() + 2));
+}
+
+TEST(Columnar, OlderStoreFormatsFailLoadNamingTheVersion) {
+  const std::string dir = TempDir("formats");
   std::unique_ptr<Document> doc = RandomXmark(11);
-  ViewCatalog catalog(dir);
-  for (const ViewDef& def : CoveringViews()) {
-    ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
-  }
-  ASSERT_TRUE(catalog.Save().ok());
-
-  // Rewrite every extent file with the version-1 (row-major) bytes a
-  // pre-columnar build would have produced. The manifest is untouched.
-  for (const auto& v : catalog.views()) {
-    fs::path extent_path;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(v->def.name + ".", 0) == 0 &&
-          entry.path().extension() == ".extent") {
-        extent_path = entry.path();
-      }
+  ViewCatalogOptions options;
+  options.dir = dir;
+  options.enable_delta_log = true;
+  std::string extent_path;
+  Table plain;
+  {
+    ViewCatalog catalog(options);
+    for (const ViewDef& def : CoveringViews()) {
+      ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
     }
-    ASSERT_FALSE(extent_path.empty()) << v->def.name;
-    Result<TablePtr> table = v->table();
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    std::ofstream out(extent_path, std::ios::binary | std::ios::trunc);
-    out << SerializeExtent(**table);
+    ASSERT_TRUE(catalog.Save().ok());
+    const StoredView* v = catalog.Find("plain");
+    extent_path = (fs::path(dir) / StrFormat("plain.%llu.extent",
+                                             static_cast<unsigned long long>(
+                                                 v->generation)))
+                      .string();
+    plain = v->extent();
   }
+  const std::string manifest_path = (fs::path(dir) / "manifest.txt").string();
+  Result<std::string> manifest = ReadFileBytes(manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  Result<std::string> extent = ReadFileBytes(extent_path);
+  ASSERT_TRUE(extent.ok());
+  auto load = [&]() {
+    ViewCatalog reloaded(options);
+    return reloaded.Load(doc.get());
+  };
+  ASSERT_TRUE(load().ok()) << "the unmodified store must load";
 
-  ViewCatalog reloaded(dir);
-  ASSERT_TRUE(reloaded.Load(doc.get()).ok());
-  ASSERT_EQ(reloaded.size(), catalog.size());
-  for (const auto& v : catalog.views()) {
-    const StoredView* got = reloaded.Find(v->def.name);
-    ASSERT_NE(got, nullptr) << v->def.name;
-    EXPECT_EQ(SerializeExtent(got->extent()), SerializeExtent(v->extent()))
-        << v->def.name;
-    EXPECT_EQ(got->extent_bytes, v->extent_bytes) << v->def.name;
-    // A v1 parse decoded the rows anyway, so they install resident.
-    EXPECT_NE(got->TryResident(), nullptr) << v->def.name;
+  // A version-2 manifest.
+  std::string v2 = *manifest;
+  v2.replace(v2.find("svx-viewstore 3"), 15, "svx-viewstore 2");
+  ASSERT_TRUE(WriteFileBytes(manifest_path, v2).ok());
+  Status s = load();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("svx-viewstore 2"), std::string::npos)
+      << s.ToString();
+  ASSERT_TRUE(WriteFileBytes(manifest_path, *manifest).ok());
+
+  // A version-1 (row-major) extent file.
+  ASSERT_TRUE(WriteFileBytes(extent_path, SerializeExtent(plain)).ok());
+  s = load();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("extent version 1"), std::string::npos)
+      << s.ToString();
+  ASSERT_TRUE(WriteFileBytes(extent_path, *extent).ok());
+
+  // A WAL record past the checkpoint whose insert payload is version 1; the
+  // same record carrying a version-2 payload replays.
+  Table inserts(plain.schema());
+  inserts.AddRow(plain.row(0));
+  const uint64_t floor = ManifestNumber(*manifest, "wal");
+  for (bool row_major : {true, false}) {
+    WalRecord record;
+    record.epoch = ManifestNumber(*manifest, "epoch") + 1;
+    record.views.push_back(
+        {"plain", {},
+         row_major ? SerializeExtent(inserts)
+                   : SerializeColumnarExtent(ColumnarExtent::Encode(inserts),
+                                             ExtentByteSize(inserts))});
+    std::error_code ec;
+    fs::remove(fs::path(dir) / DeltaLog::SegmentFileName(floor), ec);
+    Result<std::unique_ptr<DeltaLog>> wal = DeltaLog::Open(dir, floor);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE((*wal)->Append(record).ok());
+    wal->reset();
+    s = load();
+    if (row_major) {
+      EXPECT_FALSE(s.ok());
+      EXPECT_NE(s.ToString().find("extent version 1"), std::string::npos)
+          << s.ToString();
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
   }
   fs::remove_all(dir);
 }

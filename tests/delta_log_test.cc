@@ -103,6 +103,17 @@ TEST(DeltaLog, PayloadRoundTrips) {
   for (size_t cut : {size_t{0}, size_t{4}, bytes.size() - 1}) {
     EXPECT_FALSE(DeltaLog::DecodePayload(bytes.substr(0, cut)).ok());
   }
+  // Counts beyond what the remaining bytes can hold fail to parse before
+  // anything is allocated for them.
+  std::string many_views(8, '\0');  // epoch 0
+  many_views.append(4, '\xFF');     // 2^32 - 1 views
+  EXPECT_FALSE(DeltaLog::DecodePayload(many_views).ok());
+  std::string many_keys(8, '\0');                    // epoch 0
+  many_keys.append(std::string("\x01\0\0\0", 4));     // one view
+  many_keys.append(std::string("\x01\0\0\0v", 5));    // named "v"
+  many_keys.append(4, '\xFF');                       // 2^32 - 1 delete keys
+  many_keys.append(8, '\0');
+  EXPECT_FALSE(DeltaLog::DecodePayload(many_keys).ok());
 }
 
 TEST(DeltaLog, AppendReadAndReopenAppend) {

@@ -310,8 +310,8 @@ TEST(ShardedCatalog, DifferentialAgainstSingleCatalog) {
       SerializeExtent((*sharded)->global_catalog()->Find("person_names")->extent()),
       SerializeExtent(single.Find("person_names")->extent()));
 
-  // Query results: scatter-gather (serial and parallel) and the global
-  // fallback all agree with the single catalog's rewrite+execute.
+  // Query results: scatter-gather and the global fallback agree with the
+  // single catalog's rewrite+execute.
   std::shared_ptr<const CatalogSnapshot> ssnap = single.Snapshot();
   ShardedSnapshot sharded_snap = (*sharded)->Snapshot();
   for (const char* q :
@@ -320,12 +320,9 @@ TEST(ShardedCatalog, DifferentialAgainstSingleCatalog) {
     Pattern query = MustParsePattern(q);
     Result<Table> expect = RewriteExecute(*ssnap, query);
     ASSERT_TRUE(expect.ok()) << q << ": " << expect.status().ToString();
-    for (bool parallel : {false, true}) {
-      Result<Table> got = sharded_snap.ExecuteQuery(query, parallel);
-      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
-      ExpectSameRows(*got, *expect,
-                     StrFormat("%s parallel=%d", q, parallel ? 1 : 0));
-    }
+    Result<Table> got = sharded_snap.ExecuteQuery(query);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    ExpectSameRows(*got, *expect, q);
   }
 }
 

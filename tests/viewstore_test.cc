@@ -4,7 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/rewriter.h"
@@ -16,6 +17,7 @@
 #include "src/viewstore/statistics.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
+#include "src/xml/update.h"
 
 namespace svx {
 namespace {
@@ -49,19 +51,32 @@ int TempDir::counter = 0;
 // Extent serialization
 // ---------------------------------------------------------------------------
 
+/// Writes `t` as a version-2 extent file image.
+std::string ExtentFileBytes(const Table& t) {
+  return SerializeColumnarExtent(ColumnarExtent::Encode(t), ExtentByteSize(t));
+}
+
+/// Parses a version-2 extent image and decodes its rows against `doc`.
+Result<Table> LoadExtent(std::string_view bytes, const Document* doc) {
+  Result<ColumnarLoad> load = DeserializeExtentColumnar(bytes);
+  if (!load.ok()) return load.status();
+  return load->columnar->Decode(doc);
+}
+
 TEST(ExtentIo, RoundTripScalarsAndNulls) {
   std::unique_ptr<Document> d = Doc("a(b=1 b(c=x) b)");
   Pattern p = MustParsePattern("a(/b{id,l,v})");
   Table t = MaterializeView(p, "V", *d);
   ASSERT_EQ(t.NumRows(), 3);
 
-  std::string bytes = SerializeExtent(t);
-  Result<Table> back = DeserializeExtent(bytes, nullptr);
+  std::string bytes = ExtentFileBytes(t);
+  Result<Table> back = LoadExtent(bytes, nullptr);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->schema() == t.schema());
   EXPECT_TRUE(back->EqualsIgnoringOrder(t));
   // Byte-identical re-serialization.
-  EXPECT_EQ(SerializeExtent(*back), bytes);
+  EXPECT_EQ(ExtentFileBytes(*back), bytes);
+  EXPECT_EQ(SerializeExtent(*back), SerializeExtent(t));
 }
 
 TEST(ExtentIo, RoundTripNestedTables) {
@@ -70,11 +85,12 @@ TEST(ExtentIo, RoundTripNestedTables) {
   Table t = MaterializeView(p, "V", *d);
   ASSERT_EQ(t.NumRows(), 2);
 
-  std::string bytes = SerializeExtent(t);
-  Result<Table> back = DeserializeExtent(bytes, nullptr);
+  std::string bytes = ExtentFileBytes(t);
+  Result<Table> back = LoadExtent(bytes, nullptr);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->EqualsIgnoringOrder(t));
-  EXPECT_EQ(SerializeExtent(*back), bytes);
+  EXPECT_EQ(ExtentFileBytes(*back), bytes);
+  EXPECT_EQ(SerializeExtent(*back), SerializeExtent(t));
 }
 
 TEST(ExtentIo, ContentReferencesRebindThroughDocument) {
@@ -82,36 +98,135 @@ TEST(ExtentIo, ContentReferencesRebindThroughDocument) {
   Pattern p = MustParsePattern("a(/b{id,c})");
   Table t = MaterializeView(p, "V", *d);
 
-  std::string bytes = SerializeExtent(t);
-  // Without a document, content cells cannot be rebound.
-  Result<Table> no_doc = DeserializeExtent(bytes, nullptr);
+  std::string bytes = ExtentFileBytes(t);
+  // The chunks parse without a document (references stay ORDPATHs), but
+  // decoding content cells needs one to rebind against.
+  ASSERT_TRUE(DeserializeExtentColumnar(bytes).ok());
+  Result<Table> no_doc = LoadExtent(bytes, nullptr);
   EXPECT_FALSE(no_doc.ok());
 
-  Result<Table> back = DeserializeExtent(bytes, d.get());
+  Result<Table> back = LoadExtent(bytes, d.get());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->EqualsIgnoringOrder(t));
 }
 
 TEST(ExtentIo, RejectsCorruptInput) {
-  EXPECT_FALSE(DeserializeExtent("not an extent", nullptr).ok());
+  EXPECT_FALSE(DeserializeExtentColumnar("not an extent").ok());
   std::unique_ptr<Document> d = Doc("a(b=1)");
   Table t = MaterializeView(MustParsePattern("a(/b{v})"), "V", *d);
-  std::string bytes = SerializeExtent(t);
-  EXPECT_FALSE(DeserializeExtent(bytes.substr(0, bytes.size() - 3),
-                                 nullptr)
+  std::string bytes = ExtentFileBytes(t);
+  EXPECT_FALSE(DeserializeExtentColumnar(bytes.substr(0, bytes.size() - 3))
                    .ok());
-  EXPECT_FALSE(DeserializeExtent(bytes + "x", nullptr).ok());
+  EXPECT_FALSE(DeserializeExtentColumnar(bytes + "x").ok());
 
-  // A corrupt header claiming 2^64-1 rows over an empty schema must fail
-  // with ParseError, not allocate unboundedly.
-  std::string corrupt("SVXT", 4);
-  const char version[4] = {1, 0, 0, 0};
-  corrupt.append(version, 4);
-  corrupt.append(4, '\0');   // ncols = 0
-  corrupt.append(8, '\xFF');  // nrows = 2^64 - 1
-  Result<Table> huge = DeserializeExtent(corrupt, nullptr);
+  // Hand-built payloads after the header and schema of `t` (one value
+  // column): a varint row count, then the column's chunk.
+  const std::string header =
+      bytes.substr(0, bytes.size() - static_cast<size_t>(
+                                         ColumnarExtent::Encode(t)
+                                             .SerializedByteSize()));
+  auto parse = [&](std::string_view payload) {
+    return LoadExtent(header + std::string(payload), nullptr);
+  };
+  // A row count of 2^64 - 1 fails with ParseError, not an unbounded
+  // allocation.
+  Result<Table> huge = parse("\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x01");
   ASSERT_FALSE(huge.ok());
   EXPECT_EQ(huge.status().code(), StatusCode::kParseError);
+  // One row; chunk encoding tag 9 does not exist.
+  EXPECT_EQ(parse(std::string("\x01\x09", 2)).status().code(),
+            StatusCode::kParseError);
+  // One row of a dictionary chunk {"x"} whose code 5 is out of range.
+  EXPECT_EQ(parse(std::string("\x01\x00\x01\x01x\x05", 6)).status().code(),
+            StatusCode::kParseError);
+  // One row of a raw chunk holding a single cell with tag 9.
+  EXPECT_EQ(parse(std::string("\x01\x04\x01\x09", 4)).status().code(),
+            StatusCode::kParseError);
+  // The same rows, well-formed, parse: the cases above fail on their bytes.
+  ASSERT_TRUE(parse(std::string("\x01\x00\x01\x01x\x01", 6)).ok());
+  ASSERT_TRUE(parse(std::string("\x01\x04\x01\x00", 4)).ok());
+
+  // A zero-column extent costs no bytes per row, so its row count is held
+  // to the input size.
+  std::string empty_schema = ExtentFileBytes(Table(Schema()));
+  empty_schema.back() = '\x7F';  // 127 rows in a 21-byte input
+  Result<Table> many = LoadExtent(empty_schema, nullptr);
+  ASSERT_FALSE(many.ok());
+  EXPECT_EQ(many.status().code(), StatusCode::kParseError);
+}
+
+/// One fixed small extent covering every chunk encoding: delta-coded ids,
+/// a dictionary, content references, a nested column, and a type-mixed
+/// column (string, id, content, ⊥) that falls back to raw cells.
+Table GoldenExtent(const Document& doc) {
+  Table base = MaterializeView(MustParsePattern("a(/b{id,v,c}(n/c{id,v}))"),
+                               "G", doc);
+  base.SortRowsCanonical();
+  Schema schema = base.schema();
+  schema.Append({"G.mixed", ColumnKind::kValue, nullptr});
+  Table out(schema);
+  for (int64_t i = 0; i < base.NumRows(); ++i) {
+    Tuple row = base.row(i);
+    const Value mixed[] = {Value(std::string("s")), row[0], row[2], Value()};
+    row.push_back(mixed[i % 4]);
+    out.AddRow(std::move(row));
+  }
+  return out;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+TEST(ExtentIo, GoldenBytes) {
+  // Both serializations are byte-identity oracles (maintained vs
+  // rematerialized extents) and ExtentByteSize is the memory-budget charge,
+  // so none may drift: the hex below was recorded before the extent, WAL
+  // and raw-chunk cell codecs were merged into one.
+  std::unique_ptr<Document> d = Doc("a(b=1(c=x c=y) b=2(c=x) b b=2)");
+  Table t = GoldenExtent(*d);
+  ColumnarExtent columnar = ColumnarExtent::Encode(t);
+  const ColumnChunk::Encoding want[] = {
+      ColumnChunk::kIds, ColumnChunk::kDict, ColumnChunk::kContent,
+      ColumnChunk::kNested, ColumnChunk::kRaw};
+  ASSERT_EQ(columnar.num_columns(), 5);
+  for (int32_t c = 0; c < 5; ++c) {
+    EXPECT_EQ(columnar.column(c)->encoding, want[c]) << "column " << c;
+  }
+  EXPECT_EQ(ExtentByteSize(t), 372);
+  EXPECT_EQ(
+      Hex(SerializeColumnarExtent(columnar, ExtentByteSize(t))),
+      "5356585402000000740100000000000005000000070000004"
+      "72e6e312e6964000006000000472e6e312e76020006000000472e6e312e630300060000"
+      "00472e6e322e6704010200000007000000472e6e322e6964000006000000472e6e322e"
+      "76020007000000472e6d69786564020004010d01020101020102020103020104000201"
+      "31013201020002020d01020101020102020103020104030002010000030"
+      "10c010301010103010202020201000201780179010201042101010000007302020000"
+      "0001000000020000000302000000010000000300000000");
+  EXPECT_EQ(
+      Hex(SerializeExtent(t)),
+      "535658540100000005000000070000004"
+      "72e6e312e6964000006000000472e6e312e76020006000000472e6e312e630300060000"
+      "00472e6e322e6704010200000007000000472e6e322e6964000006000000472e6e322e"
+      "76020007000000472e6d697865640200040000000000000002020000000100000001"
+      "0000000101000000310302000000010000000100000004020000000000000002030000"
+      "0001000000010000000100000001010000007802030000000100000001000000020000"
+      "0001010000007901010000007302020000000100000002000000010100000032030200"
+      "0000010000000200000004010000000000000002030000000100000002000000010000"
+      "0001010000007802020000000100000002000000020200000001000000030000000003"
+      "0200000001000000030000000400000000000000000302000000010000000300000002"
+      "0200000001000000040000000101000000320302000000010000000400000004000000"
+      "000000000000");
+  Result<Table> back =
+      LoadExtent(SerializeColumnarExtent(columnar, ExtentByteSize(t)), d.get());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(SerializeExtent(*back), SerializeExtent(t));
 }
 
 TEST(ExtentIo, ByteSizeMatchesSerialization) {
@@ -124,6 +239,14 @@ TEST(ExtentIo, ByteSizeMatchesSerialization) {
               static_cast<int64_t>(SerializeExtent(t).size()))
         << pattern;
   }
+  // A node inserted before its first sibling gets a careted ORDPATH, which
+  // has more components than its depth; content cells store every one.
+  std::unique_ptr<Document> sub = Doc("b(c=w)");
+  const OrdPath first = OrdPath::Root().Child(1);
+  Result<UpdateResult> up = InsertSubtree(*d, OrdPath::Root(), *sub, &first);
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  Table t = MaterializeView(MustParsePattern("a(/b{id,c})"), "V", *up->doc);
+  EXPECT_EQ(ExtentByteSize(t), static_cast<int64_t>(SerializeExtent(t).size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +477,26 @@ TEST(CostModel, NonNullSelectivityUsesOwningViewRowCount) {
 // Catalog persistence
 // ---------------------------------------------------------------------------
 
+/// The bytes of the extent file the manifest in `dir` names for each view.
+std::map<std::string, std::string> ManifestExtents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  Result<std::string> manifest =
+      ReadFileBytes((fs::path(dir) / "manifest.txt").string());
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  if (!manifest.ok()) return out;
+  std::istringstream lines(*manifest);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string word, name, generation;
+    if (!(fields >> word >> name >> generation) || word != "view") continue;
+    Result<std::string> bytes = ReadFileBytes(
+        (fs::path(dir) / (name + "." + generation + ".extent")).string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    if (bytes.ok()) out[name] = std::move(*bytes);
+  }
+  return out;
+}
+
 TEST(ViewCatalog, SaveLoadRoundTripIsByteIdentical) {
   std::unique_ptr<Document> d = Doc("a(b=1(c=x) b=2 b)");
   TempDir dir;
@@ -387,14 +530,13 @@ TEST(ViewCatalog, SaveLoadRoundTripIsByteIdentical) {
     ASSERT_TRUE(resave.Add(v->def, v->extent()).ok());
   }
   ASSERT_TRUE(resave.Save().ok());
-  for (const char* name : {"V1.extent", "V2.extent"}) {
-    std::ifstream f1(fs::path(dir.path) / name, std::ios::binary);
-    std::ifstream f2(fs::path(dir2.path) / name, std::ios::binary);
-    std::string b1((std::istreambuf_iterator<char>(f1)),
-                   std::istreambuf_iterator<char>());
-    std::string b2((std::istreambuf_iterator<char>(f2)),
-                   std::istreambuf_iterator<char>());
-    EXPECT_EQ(b1, b2) << name;
+  std::map<std::string, std::string> saved = ManifestExtents(dir.path);
+  std::map<std::string, std::string> resaved = ManifestExtents(dir2.path);
+  ASSERT_EQ(saved.size(), 2u);
+  ASSERT_EQ(resaved.size(), 2u);
+  for (const auto& [name, bytes] : saved) {
+    EXPECT_FALSE(bytes.empty()) << name;
+    EXPECT_EQ(bytes, resaved[name]) << name;
   }
 }
 
@@ -517,8 +659,8 @@ TEST(ViewCatalog, InterruptedSaveLeavesPreviousStateLoadable) {
   // different content), manifest untouched.
   std::unique_ptr<Document> d2 = Doc("a(b=9)");
   Table other = MaterializeView(MustParsePattern("a(/b{id,v})"), "V", *d2);
-  ASSERT_TRUE(WriteExtentFile((fs::path(dir.path) / "V.99.extent").string(),
-                              other)
+  ASSERT_TRUE(WriteFileBytes((fs::path(dir.path) / "V.99.extent").string(),
+                             ExtentFileBytes(other))
                   .ok());
   ASSERT_TRUE(WriteFileBytes((fs::path(dir.path) / "V.99.stats").string(),
                              ViewStatsToString(ComputeViewStats(other)))
