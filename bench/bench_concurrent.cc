@@ -1,7 +1,7 @@
-// Concurrent serving benchmark: N reader threads rewrite (through the
-// snapshot's rewrite cache and shared view index) and execute XMark query
-// patterns against catalog snapshots, first over an idle store, then while
-// one writer thread applies a stream of subtree updates through
+// Concurrent serving benchmark: N reader threads serve XMark query
+// patterns through CatalogSnapshot::Query (the snapshot's cached cheapest
+// rewriting, executed over its extents), first over an idle store, then
+// while one writer thread applies a stream of subtree updates through
 // ApplyUpdate (each publishing a successor epoch). Reports per-phase reader
 // latency percentiles and throughput plus writer progress, and writes
 // machine-readable BENCH_concurrent.json into the working directory.
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bench/bench_metrics.h"
-#include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
@@ -97,8 +96,8 @@ double Percentile(std::vector<double>* v, double p) {
   return (*v)[i];
 }
 
-/// One reader loop: acquire a snapshot per op, rewrite through its caches,
-/// execute the cheapest plan against its extents.
+/// One reader loop: acquire a snapshot per op and serve the query through
+/// its entry point (cached cheapest rewriting, executed over its extents).
 void ReaderLoop(const ViewCatalog& catalog,
                 const std::vector<Pattern>& queries,
                 const std::atomic<bool>& stop, size_t reader_id,
@@ -107,41 +106,18 @@ void ReaderLoop(const ViewCatalog& catalog,
   while (!stop.load(std::memory_order_relaxed)) {
     Timer op_timer;
     std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
-    RewriterOptions opts;
-    opts.max_results = 1;
-    opts.cost_model = &snap->cost_model();
-    opts.memo = snap->containment_memo();
-    std::shared_ptr<const ViewIndex> index =
-        snap->ViewIndexFor(*snap->summary(), opts.expansion);
-    opts.shared_view_index = index.get();
-    Rewriter rewriter(*snap->summary(), opts);
-    for (const auto& v : snap->views()) rewriter.AddView(v->def);
-    const Pattern& q = queries[at++ % queries.size()];
+    const size_t qi = at++ % queries.size();
     RewriteStats stats;
-    Result<std::vector<Rewriting>> rws =
-        CachedRewrite(snap->rewrite_cache(), &rewriter, q, &stats);
-    bool ok = rws.ok() && !rws->empty();
-    if (!ok) {
+    Result<Table> rows = snap->Query(queries[qi], nullptr, &stats);
+    if (!rows.ok()) {
       std::fprintf(stderr, "reader: epoch %llu query %zu: %s\n",
-                   static_cast<unsigned long long>(snap->epoch()),
-                   (at - 1) % queries.size(),
-                   rws.ok() ? "no rewriting" : rws.status().ToString().c_str());
-    }
-    if (ok) {
-      Result<Table> rows =
-          Execute(*rws->front().plan, snap->ExecutorCatalog());
-      ok = rows.ok();
-      if (!ok) {
-        std::fprintf(stderr, "reader: epoch %llu query %zu exec: %s\n",
-                     static_cast<unsigned long long>(snap->epoch()),
-                     (at - 1) % queries.size(),
-                     rows.status().ToString().c_str());
-      }
+                   static_cast<unsigned long long>(snap->epoch()), qi,
+                   rows.status().ToString().c_str());
     }
     out->latencies_ms.push_back(op_timer.ElapsedMillis());
     ++out->ops;
     if (stats.rewrite_cache_hits > 0) ++out->rewrite_cache_hits;
-    if (!ok) ++out->failures;
+    if (!rows.ok()) ++out->failures;
   }
 }
 

@@ -1,10 +1,8 @@
-// Rewriter fast-path benchmark: cold vs warm rewrite latency over the
-// 20-query XMark workload (the bench_viewstore workload), at one or more
-// document scales.
-//
-// Per query it measures
-//   * baseline_ms  — the rewriter with every PR-4 fast path disabled
-//                    (no view index, no containment memo, no rewrite cache),
+// Rewriter benchmark over the 20-query XMark workload, at one or more
+// document scales. The base tag views are materialized into a store-backed
+// ViewCatalog, and per query it measures
+//   * baseline_ms  — the rewriter with the view index, the containment memo
+//                    and the rewrite cache off,
 //   * cold_ms      — ViewIndex + coverage pruning + catalog-pinned
 //                    containment memo, first (cache-miss) call,
 //   * warm_ms      — the same query again, served from the catalog's
@@ -19,15 +17,24 @@
 //     returns exactly the query's direct evaluation over the document;
 //   * warm repeats hit the rewrite cache (except truncated searches, which
 //     are deliberately never cached).
+// Each query also reports whether the DP plan table filled
+// (plan_table_full). After the query loop — so the timings above see only
+// the freshly materialized catalog — the store is checkpointed (Save) and
+// reopened (Load), and the save/load times and the extents' row-major and
+// compressed byte totals are reported.
 //
-// Writes BENCH_rewriter.json into the working directory.
+// Writes BENCH_rewriter.json, BENCH_rewriter_metrics.prom and (first scale
+// only) the traced q13 span tree BENCH_rewriter_trace_q13.json into the
+// working directory.
 //
 //   $ ./bench_rewriter [scale ...] [--ceiling-ms N] [--min-cost-corr R]
+//                      [--min-compression X]
 //
 // With --ceiling-ms, exits non-zero when any cold rewrite exceeds N ms;
 // with --min-cost-corr, when the per-scale Spearman correlation between
-// estimated cost and measured execution time falls below R — the CI
-// regression guards.
+// estimated cost and measured execution time falls below R; with
+// --min-compression, when the compressed extents are less than X times
+// smaller than the row-major serialization — the CI regression guards.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -41,6 +48,7 @@
 
 #include "bench/base_views.h"
 #include "bench/bench_metrics.h"
+#include "bench/spearman.h"
 #include "src/algebra/executor.h"
 #include "src/observability/trace.h"
 #include "src/rewriting/rewriter.h"
@@ -71,6 +79,7 @@ struct QueryRow {
   double estimated_cost = -1;  // cheapest plan's model cost
   double exec_ms = -1;         // measured execution of that plan
   bool search_truncated = false;
+  bool plan_table_full = false;
   bool cache_hit_on_warm = false;
   /// The DP search discards dominated plans, so the optimized list is not a
   /// superset of the baseline's. The contract is: it finds a rewriting
@@ -90,52 +99,15 @@ struct ScaleReport {
   /// Spearman rank correlation between estimated_cost and exec_ms over the
   /// queries with a rewriting — the cost model's usefulness as a ranker.
   double cost_spearman = 0;
+  /// Store round trip of the materialized catalog.
+  bool store_ok = true;
+  double save_ms = 0;
+  double load_ms = 0;
+  int64_t total_bytes = 0;       // row-major serialization of all extents
+  int64_t compressed_bytes = 0;  // their columnar form
+  double compression_ratio = 0;
   std::vector<QueryRow> rows;
 };
-
-/// Spearman rank correlation (midranks for ties) of cost vs. time pairs.
-double Spearman(const std::vector<std::pair<double, double>>& pairs) {
-  size_t n = pairs.size();
-  if (n < 3) return 0;
-  auto ranks = [n](std::vector<double> v) {
-    std::vector<size_t> idx(n);
-    for (size_t i = 0; i < n; ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(),
-              [&](size_t a, size_t b) { return v[a] < v[b]; });
-    std::vector<double> r(n);
-    size_t i = 0;
-    while (i < n) {
-      size_t j = i;
-      while (j + 1 < n && v[idx[j + 1]] == v[idx[i]]) ++j;
-      double mid = (static_cast<double>(i) + static_cast<double>(j)) / 2 + 1;
-      for (size_t k = i; k <= j; ++k) r[idx[k]] = mid;
-      i = j + 1;
-    }
-    return r;
-  };
-  std::vector<double> c(n), t(n);
-  for (size_t i = 0; i < n; ++i) {
-    c[i] = pairs[i].first;
-    t[i] = pairs[i].second;
-  }
-  std::vector<double> rc = ranks(c);
-  std::vector<double> rt = ranks(t);
-  double mc = 0, mt = 0;
-  for (size_t i = 0; i < n; ++i) {
-    mc += rc[i];
-    mt += rt[i];
-  }
-  mc /= static_cast<double>(n);
-  mt /= static_cast<double>(n);
-  double num = 0, dc = 0, dt = 0;
-  for (size_t i = 0; i < n; ++i) {
-    num += (rc[i] - mc) * (rt[i] - mt);
-    dc += (rc[i] - mc) * (rc[i] - mc);
-    dt += (rt[i] - mt) * (rt[i] - mt);
-  }
-  if (dc <= 0 || dt <= 0) return 0;
-  return num / std::sqrt(dc * dt);
-}
 
 std::vector<std::string> Compacts(const std::vector<Rewriting>& rws) {
   std::vector<std::string> out;
@@ -187,6 +159,8 @@ ScaleReport RunScale(double scale, bool write_trace) {
 
   const std::string store_dir =
       (fs::temp_directory_path() / "svx_bench_rewriter").string();
+  std::error_code ec;
+  fs::remove_all(store_dir, ec);  // a cold store per scale
   ViewCatalog catalog(store_dir);
   for (const ViewDef& d : defs) {
     Status s = catalog.Materialize(d, *doc);
@@ -248,6 +222,7 @@ ScaleReport RunScale(double scale, bool write_trace) {
     row.plans_generated = cold_stats.plans_generated;
     row.plans_dominated = cold_stats.plans_dominated;
     row.search_truncated = cold_stats.search_truncated;
+    row.plan_table_full = cold_stats.plan_table_full;
     row.memo_hits = cold_stats.containment_memo_hits;
     row.memo_misses = cold_stats.containment_memo_misses;
     row.rewritings = cold_rws.ok() ? cold_rws->size() : 0;
@@ -305,20 +280,52 @@ ScaleReport RunScale(double scale, bool write_trace) {
   }
   report.geomean_speedup =
       std::exp(log_speedup_sum / static_cast<double>(report.rows.size()));
-  std::vector<std::pair<double, double>> cost_time;
+  std::vector<double> est_costs, exec_ms;
+  size_t table_full = 0;
   for (const QueryRow& q : report.rows) {
     if (q.estimated_cost >= 0 && q.exec_ms >= 0) {
-      cost_time.push_back({q.estimated_cost, q.exec_ms});
+      est_costs.push_back(q.estimated_cost);
+      exec_ms.push_back(q.exec_ms);
     }
+    if (q.plan_table_full) ++table_full;
   }
-  report.cost_spearman = Spearman(cost_time);
+  report.cost_spearman = SpearmanCorrelation(est_costs, exec_ms);
   std::printf(
       "geomean cold speedup vs in-process baseline: %.2fx; "
-      "Spearman(est cost, exec ms) = %.3f over %zu queries\n\n",
-      report.geomean_speedup, report.cost_spearman, cost_time.size());
+      "Spearman(est cost, exec ms) = %.3f over %zu queries\n"
+      "plan table full (max_plan_table %zu) on %zu of %zu queries\n",
+      report.geomean_speedup, report.cost_spearman, est_costs.size(),
+      fast_opts.max_plan_table, table_full, report.rows.size());
   if (write_trace) {
     WriteTraceQ13(catalog, *summary, fast_opts, exec_catalog);
   }
+
+  // Store round trip: checkpoint the materialized catalog and reopen it.
+  Timer t;
+  Status stored = catalog.Save();
+  report.save_ms = t.ElapsedMillis();
+  ViewCatalog reloaded(store_dir);
+  t.Reset();
+  if (stored.ok()) stored = reloaded.Load(doc.get());
+  report.load_ms = t.ElapsedMillis();
+  if (!stored.ok()) {
+    std::printf("store round trip: %s\n", stored.ToString().c_str());
+    report.store_ok = false;
+  }
+  report.total_bytes = reloaded.TotalBytes();
+  report.compressed_bytes = reloaded.TotalCompressedBytes();
+  report.compression_ratio =
+      report.compressed_bytes > 0
+          ? static_cast<double>(report.total_bytes) /
+                static_cast<double>(report.compressed_bytes)
+          : 0;
+  std::printf(
+      "store: save %.1f ms, load %.1f ms; extents %lld bytes row-major, "
+      "%lld compressed (%.2fx)\n\n",
+      report.save_ms, report.load_ms,
+      static_cast<long long>(report.total_bytes),
+      static_cast<long long>(report.compressed_bytes),
+      report.compression_ratio);
   // Refreshes the epoch gauges for the metrics snapshot main writes last.
   std::string debug = catalog.DebugMetrics();
   (void)debug;
@@ -339,6 +346,11 @@ void WriteJson(const std::vector<ScaleReport>& reports) {
     w.KV("geomean_speedup", r.geomean_speedup);
     w.KV("max_cold_ms", r.max_cold_ms);
     w.KV("cost_spearman", r.cost_spearman);
+    w.KV("save_ms", r.save_ms);
+    w.KV("load_ms", r.load_ms);
+    w.KV("total_bytes", r.total_bytes);
+    w.KV("total_compressed_bytes", r.compressed_bytes);
+    w.KV("compression_ratio", r.compression_ratio);
     w.Key("queries");
     w.BeginArray();
     for (const QueryRow& q : r.rows) {
@@ -355,6 +367,7 @@ void WriteJson(const std::vector<ScaleReport>& reports) {
       w.KV("estimated_cost", q.estimated_cost);
       w.KV("exec_ms", q.exec_ms);
       w.KV("search_truncated", q.search_truncated);
+      w.KV("plan_table_full", q.plan_table_full);
       w.KV("containment_memo_hits", static_cast<uint64_t>(q.memo_hits));
       w.KV("containment_memo_misses", static_cast<uint64_t>(q.memo_misses));
       w.KV("rewrite_cache_hit_on_warm", q.cache_hit_on_warm);
@@ -379,6 +392,7 @@ int main(int argc, char** argv) {
   std::vector<double> scales;
   double ceiling_ms = -1;
   double min_cost_corr = -2;
+  double min_compression = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ceiling-ms") == 0) {
       std::optional<double> v =
@@ -396,6 +410,14 @@ int main(int argc, char** argv) {
         return 2;
       }
       min_cost_corr = *v;
+    } else if (std::strcmp(argv[i], "--min-compression") == 0) {
+      std::optional<double> v =
+          i + 1 < argc ? svx::ParseDouble(argv[++i]) : std::nullopt;
+      if (!v.has_value() || *v <= 0) {
+        std::fprintf(stderr, "--min-compression needs a positive value\n");
+        return 2;
+      }
+      min_compression = *v;
     } else {
       std::optional<double> scale = svx::ParseDouble(argv[i]);
       if (!scale.has_value() || *scale <= 0) {
@@ -435,6 +457,12 @@ int main(int argc, char** argv) {
     if (min_cost_corr > -2 && r.cost_spearman < min_cost_corr) {
       std::printf("FAIL: scale %.1f cost/exec Spearman %.3f below %.3f\n",
                   r.scale, r.cost_spearman, min_cost_corr);
+      ok = false;
+    }
+    if (!r.store_ok) ok = false;
+    if (min_compression > 0 && r.compression_ratio < min_compression) {
+      std::printf("FAIL: scale %.1f compression ratio %.2fx below %.2fx\n",
+                  r.scale, r.compression_ratio, min_compression);
       ok = false;
     }
   }

@@ -1,5 +1,6 @@
 #include "src/containment/containment.h"
 #include "src/util/check.h"
+#include "src/util/strings.h"
 
 #include <algorithm>
 #include <limits>
@@ -233,6 +234,13 @@ bool CoversTarget(const Pattern& q, const CanonicalTree& te,
 }
 
 }  // namespace
+
+std::string ContainmentOptionsFingerprint(const ContainmentOptions& o) {
+  return StrFormat("%d:%d:%zu:%zu:%zu:%d", o.use_one_to_one_relaxation ? 1 : 0,
+                   o.model.use_strong_edges ? 1 : 0, o.model.max_embeddings,
+                   o.model.max_trees, o.max_grid_points,
+                   o.model.max_optional_edges);
+}
 
 Result<bool> IsContained(const Pattern& p, const Pattern& q,
                          const Summary& summary,

@@ -14,6 +14,7 @@
 #ifndef SVX_CONTAINMENT_CONTAINMENT_H_
 #define SVX_CONTAINMENT_CONTAINMENT_H_
 
+#include <string>
 #include <vector>
 
 #include "src/pattern/canonical.h"
@@ -32,6 +33,11 @@ struct ContainmentOptions {
   /// Abort the §4.2 condition-2 grid beyond this many evaluation points.
   size_t max_grid_points = 4u << 20;
 };
+
+/// Every option above (model options included) as a cache-key fragment:
+/// the containment memo and the rewrite cache key their entries with it, so
+/// a new field must be added here.
+std::string ContainmentOptionsFingerprint(const ContainmentOptions& options);
 
 /// Measurements reported by the decision procedures (used by the §5
 /// experiments).

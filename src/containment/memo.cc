@@ -8,18 +8,6 @@
 
 namespace svx {
 
-namespace {
-
-/// Every option that can change a containment decision.
-std::string OptionsFingerprint(const ContainmentOptions& o) {
-  return StrFormat("%d:%d:%zu:%zu:%zu:%d", o.use_one_to_one_relaxation ? 1 : 0,
-                   o.model.use_strong_edges ? 1 : 0, o.model.max_embeddings,
-                   o.model.max_trees, o.max_grid_points,
-                   o.model.max_optional_edges);
-}
-
-}  // namespace
-
 Result<bool> ContainmentMemo::LookupOrCompute(
     std::string key, const std::function<Result<bool>()>& compute) {
   {
@@ -47,7 +35,7 @@ Result<bool> ContainmentMemo::LookupOrCompute(
 Result<bool> ContainmentMemo::Contained(const Pattern& p, const Pattern& q,
                                         const Summary& summary,
                                         const ContainmentOptions& options) {
-  std::string key = "C\x1f" + OptionsFingerprint(options) + "\x1f" +
+  std::string key = "C\x1f" + ContainmentOptionsFingerprint(options) + "\x1f" +
                     PatternToString(p) + "\x1f" + PatternToString(q);
   return LookupOrCompute(std::move(key), [&]() {
     return IsContained(p, q, summary, options);
@@ -63,7 +51,7 @@ Result<bool> ContainmentMemo::ContainedInUnion(
   for (const Pattern* q : qs) members.push_back(PatternToString(*q));
   std::sort(members.begin(), members.end());
   members.erase(std::unique(members.begin(), members.end()), members.end());
-  std::string key = "U\x1f" + OptionsFingerprint(options) + "\x1f" +
+  std::string key = "U\x1f" + ContainmentOptionsFingerprint(options) + "\x1f" +
                     PatternToString(p) + "\x1f" + Join(members, "\x1e");
   return LookupOrCompute(std::move(key), [&]() {
     return IsContainedInUnion(p, qs, summary, options, nullptr, p_model);

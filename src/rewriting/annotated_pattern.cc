@@ -83,6 +83,12 @@ Candidate Candidate::CloneShallowPlan() const {
   return out;
 }
 
+std::string ExpansionOptionsFingerprint(const ExpansionOptions& e) {
+  return StrFormat("%zu.%zu.%d.%d.%d.%d", e.max_embeddings, e.max_pieces,
+                   e.max_strengthen_edges, e.unfold_content ? 1 : 0,
+                   e.add_virtual_ids ? 1 : 0, e.max_virtual_depth);
+}
+
 namespace {
 
 /// True if the subtree rooted at `n` carries no attribute anywhere.

@@ -97,6 +97,11 @@ struct ExpansionOptions {
   int32_t max_virtual_depth = 3;     // navfID steps added per ID column
 };
 
+/// Every option above as a cache-key fragment: the snapshot's shared
+/// ViewIndex and the rewrite cache key their entries with it, so a new field
+/// must be added here.
+std::string ExpansionOptionsFingerprint(const ExpansionOptions& options);
+
 /// Expands one view into candidates under `summary`:
 ///   * the base variant (optional edges kept optional, nested edges
 ///     flattened by outer unnest),

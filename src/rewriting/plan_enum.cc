@@ -335,7 +335,11 @@ PlanEnumerator::PlanEnumerator(const Summary& summary,
       options_(options) {}
 
 void PlanEnumerator::AddBase(Candidate cand, uint32_t serve_mask) {
-  if (stopped_ || plans_.size() >= options_.max_table) return;
+  if (stopped_) return;
+  if (plans_.size() >= options_.max_table) {
+    stats_.table_full = true;
+    return;
+  }
   EnumPlan plan;
   plan.serve_mask = serve_mask;
   CostEstimate est = cost_model_.Estimate(*cand.plan);
@@ -721,6 +725,7 @@ void PlanEnumerator::Run(const MatchFn& match, const DeadlineFn& deadline) {
                 }
                 if (plans_.size() >= options_.max_table) {
                   table_full = true;
+                  stats_.table_full = true;
                   break;
                 }
 

@@ -170,8 +170,9 @@ class PlanEnumerator {
  public:
   struct Options {
     int32_t max_plan_views = 3;
-    /// Global bound on retained plans (RewriterOptions::max_candidates).
-    /// Hitting it stops generation, like the legacy search's candidate cap.
+    /// Global bound on the plan table (RewriterOptions::max_plan_table):
+    /// reaching it stops generation — later bases are dropped and no more
+    /// joins are built — and sets Stats::table_full.
     size_t max_table = 2000;
     /// Per-level extension beam: at most this many cheapest extendable
     /// plans are joined further (RewriterOptions::max_pieces, repurposed
@@ -202,6 +203,10 @@ class PlanEnumerator {
     /// cache it. Beam/table cuts do not set this (bounded search, like the
     /// legacy max_candidates cap).
     bool truncated = false;
+    /// True when the plan table reached max_table: the search stopped
+    /// generating, so the result may depend on the cap. Reported apart from
+    /// `truncated` — the caller still caches such a result.
+    bool table_full = false;
   };
 
   /// Outcome of an equivalence-test callback: `stop` ends the search

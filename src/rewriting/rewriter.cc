@@ -739,6 +739,27 @@ class RewriteSession {
 // Rewriter
 // ---------------------------------------------------------------------------
 
+std::string RewriterOptionsFingerprint(const RewriterOptions& o) {
+  // Plan choice depends on the effective cost constants, so the fingerprint
+  // carries the model's constants, not just its presence.
+  const uint64_t model_fp =
+      o.cost_model != nullptr
+          ? CostConstantsFingerprint(o.cost_model->constants,
+                                     o.cost_model->default_rows)
+          : 0;
+  return StrFormat(
+      "r%zu.p%d.c%zu.t%zu.pc%zu.a%zu.u%zu.up%zu.%d%d%d%d.m%llx.dp%d|e%s|k%s",
+      o.max_results, o.max_plan_views, o.max_candidates, o.max_plan_table,
+      o.max_pieces, o.max_assignments, o.max_union_size,
+      o.max_union_partials, o.prune_views ? 1 : 0,
+      o.prune_same_pattern ? 1 : 0, o.stop_at_first ? 1 : 0,
+      o.use_view_index ? 1 : 0,
+      static_cast<unsigned long long>(model_fp),  // NOLINT(runtime/int)
+      o.use_dp_enumeration ? 1 : 0,
+      ExpansionOptionsFingerprint(o.expansion).c_str(),
+      ContainmentOptionsFingerprint(o.containment).c_str());
+}
+
 Rewriter::Rewriter(const Summary& summary, RewriterOptions options)
     : summary_(summary), options_(std::move(options)) {}
 
@@ -995,6 +1016,7 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
     stats->plans_retained += es.retained;
     stats->candidates_pruned += es.coverage_pruned + es.cost_pruned;
     stats->search_truncated = stats->search_truncated || es.truncated;
+    stats->plan_table_full = stats->plan_table_full || es.table_full;
     metrics::PlansGenerated()->Add(static_cast<int64_t>(es.generated));
     metrics::PlansDominated()->Add(static_cast<int64_t>(es.dominated));
     metrics::PlanEnumLatencyUs()->Observe(
@@ -1004,6 +1026,7 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
       phase->AddAttr("plans_dominated", es.dominated);
       phase->AddAttr("plans_retained", es.retained);
       phase->AddAttr("beam_skipped", es.beam_skipped);
+      phase->AddAttr("table_full", es.table_full ? "true" : "false");
       phase->AddAttr("results", results.size());
     }
   } else {

@@ -44,8 +44,9 @@ struct RewriterOptions {
   /// partial plans, but dominance pruning keeps it far denser than the
   /// legacy candidate list, so a smaller budget explores the same useful
   /// space; the main effect of a larger table is a longer futile search on
-  /// queries with no rewriting. Overflow stops enumeration silently (the
-  /// cheapest plans were generated first); it is not a truncation signal.
+  /// queries with no rewriting. Overflow stops enumeration and is reported
+  /// as RewriteStats::plan_table_full, not as search_truncated: such
+  /// results are still cached.
   size_t max_plan_table = 1000;
   /// DP extension beam: how many of the cheapest extendable partial plans
   /// per level the enumerator joins further. (Historically this was a
@@ -86,7 +87,8 @@ struct RewriterOptions {
   ContainmentMemo* memo = nullptr;
   /// Optional prebuilt snapshot-owned view index
   /// (CatalogSnapshot::ViewIndexFor), shared by concurrent readers so each
-  /// per-query Rewriter skips the per-view signature computation.
+  /// per-query Rewriter skips the per-view signature computation — how the
+  /// query entry point CatalogSnapshot::Rewrite / Query plans.
   /// Borrowed; must outlive the rewriter, and must have been built over
   /// the same summary and expansion options with exactly this rewriter's
   /// AddView sequence (signatures are addressed by registration order —
@@ -105,6 +107,15 @@ struct RewriterOptions {
   /// belongs to one query on one thread.
   TraceSpan* trace = nullptr;
 };
+
+/// Every option above that can change Rewrite()'s result list, as a
+/// cache-key fragment for CachedRewrite (so a new such field must be added
+/// here): the search bounds and switches, the containment and expansion
+/// fingerprints, and the cost model's constants. Left out: `memo`,
+/// `shared_view_index`, `trace` and `memoize_containment`, which never
+/// change a result, and `time_budget_ms` (a budget-cut search is never
+/// cached).
+std::string RewriterOptionsFingerprint(const RewriterOptions& options);
 
 /// One equivalent rewriting: a plan whose output columns are exactly the
 /// query's return-node attribute columns, in query preorder.
@@ -141,6 +152,11 @@ struct RewriteStats {
   /// missed rewritings, so CachedRewrite refuses to cache the result.
   /// (Before the DP enumerator these discards were silent.)
   bool search_truncated = false;
+  /// True when the DP plan table reached RewriterOptions::max_plan_table:
+  /// later bases and joins were never generated, so the result may depend
+  /// on the cap. Kept apart from search_truncated — CachedRewrite caches
+  /// such results like complete ones.
+  bool plan_table_full = false;
   /// Plan-enumeration accounting. The legacy exhaustive path reports
   /// generated = candidates_built + join_candidates and dominated = its
   /// canonical-duplicate discards, so the counters are comparable across

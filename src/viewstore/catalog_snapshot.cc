@@ -3,8 +3,8 @@
 #include <utility>
 
 #include "src/observability/metrics.h"
+#include "src/rewriting/rewriter.h"
 #include "src/util/check.h"
-#include "src/util/strings.h"
 #include "src/util/timer.h"
 
 namespace svx {
@@ -93,6 +93,38 @@ Catalog CatalogSnapshot::ExecutorCatalog() const {
   return catalog;
 }
 
+Result<Rewriting> CatalogSnapshot::Rewrite(const Pattern& query,
+                                           TraceSpan* trace,
+                                           RewriteStats* stats) const {
+  if (summary_ == nullptr) {
+    return Status::InvalidArgument(
+        "snapshot has no bound document/summary (use BindDocument or the "
+        "shared-pointer Load)");
+  }
+  RewriterOptions opts;
+  opts.max_results = 1;
+  opts.cost_model = &cost_model_;
+  opts.memo = memo_.get();
+  opts.trace = trace;
+  std::shared_ptr<const ViewIndex> index =
+      ViewIndexFor(*summary_, opts.expansion);
+  opts.shared_view_index = index.get();
+  Rewriter rewriter(*summary_, opts);
+  for (const auto& v : views_) rewriter.AddView(v->def);
+  Result<std::vector<Rewriting>> rws =
+      CachedRewrite(rewrite_cache_.get(), &rewriter, query, stats);
+  if (!rws.ok()) return rws.status();
+  if (rws->empty()) return Status::NotFound("no rewriting for query");
+  return std::move(rws->front());
+}
+
+Result<Table> CatalogSnapshot::Query(const Pattern& query, TraceSpan* trace,
+                                     RewriteStats* stats) const {
+  Result<Rewriting> rw = Rewrite(query, trace, stats);
+  if (!rw.ok()) return rw.status();
+  return Execute(*rw->plan, ExecutorCatalog(), trace);
+}
+
 std::shared_ptr<const ViewIndex> CatalogSnapshot::ViewIndexFor(
     const Summary& summary, const ExpansionOptions& e) const {
   auto build = [&]() {
@@ -106,10 +138,7 @@ std::shared_ptr<const ViewIndex> CatalogSnapshot::ViewIndexFor(
   // different summary while this snapshot lives (ABA), which would serve
   // an index over the wrong path-id space — build those fresh, uncached.
   if (&summary != summary_.get()) return build();
-  std::string key = StrFormat(
-      "%zu.%zu.%d.%d.%d.%d", e.max_embeddings, e.max_pieces,
-      e.max_strengthen_edges, e.unfold_content ? 1 : 0,
-      e.add_virtual_ids ? 1 : 0, e.max_virtual_depth);
+  std::string key = ExpansionOptionsFingerprint(e);
   MutexLock lock(&index_mu_);
   for (const auto& [k, index] : indexes_) {
     if (k == key) return index;

@@ -6,6 +6,10 @@
 // immutable world — view definitions, extents, statistics, a prebuilt cost
 // model, a lazily built shared ViewIndex, plus the snapshot's pinned
 // containment memo and rewrite cache (both internally synchronized).
+// Query() is the one query entry point over that world: it plans through
+// Rewrite() (rewrite cache, memo, shared ViewIndex and cost model) and
+// executes the cheapest plan over the epoch's extents, so a reader serves a
+// query with `catalog.Snapshot()->Query(pattern)`.
 // Writers (Materialize / Add / Drop / ApplyUpdate / Load) never mutate a
 // published snapshot: they build a successor off the read path under the
 // catalog's writer mutex and publish it with a single pointer swap. An old
@@ -155,6 +159,25 @@ class CatalogSnapshot {
   /// Cost model over this epoch's statistics, prebuilt at publication.
   const CostModel& cost_model() const { return cost_model_; }
 
+  /// The cheapest equivalent rewriting of `query` over this epoch's views,
+  /// found through the epoch's rewrite cache, containment memo, shared
+  /// ViewIndex and cost model (one result: RewriterOptions::max_results 1,
+  /// other options at their defaults). InvalidArgument when no summary is
+  /// bound (BindDocument / the shared-pointer Load); NotFound when no
+  /// rewriting exists. `trace` receives the cache-lookup span and, on a
+  /// miss, the rewrite phase spans; `stats` the search counters (replayed
+  /// from the cache on a hit).
+  [[nodiscard]] Result<Rewriting> Rewrite(const Pattern& query,
+                                          TraceSpan* trace = nullptr,
+                                          RewriteStats* stats = nullptr) const;
+
+  /// The query entry point: Rewrite(), then Execute the plan over
+  /// ExecutorCatalog() under the same trace. Same errors as Rewrite(), plus
+  /// any execution error.
+  [[nodiscard]] Result<Table> Query(const Pattern& query,
+                                    TraceSpan* trace = nullptr,
+                                    RewriteStats* stats = nullptr) const;
+
   /// This epoch's rewrite cache. Fresh per epoch (the successor of a
   /// mutation starts empty — that is the invalidation), thread-safe, and
   /// shared by every reader of the epoch.
@@ -166,9 +189,10 @@ class CatalogSnapshot {
   ContainmentMemo* containment_memo() const { return memo_.get(); }
 
   /// The shared, snapshot-owned ViewIndex over this epoch's views for
-  /// (summary, expansion) — pass as RewriterOptions::shared_view_index to a
-  /// Rewriter whose views were added in views() order. When `summary` is
-  /// this snapshot's own summary() (the serving path), the index is built
+  /// (summary, expansion) — what Rewrite() plans with; pass as
+  /// RewriterOptions::shared_view_index to a Rewriter whose views were added
+  /// in views() order. When `summary` is this snapshot's own summary() (the
+  /// serving path), the index is built
   /// once per expansion fingerprint under an internal mutex and shared by
   /// all readers of the epoch, living as long as the snapshot; for any
   /// other summary (whose lifetime the snapshot cannot pin) a fresh

@@ -5,7 +5,6 @@
 #include "src/pattern/pattern_printer.h"
 #include "src/util/strings.h"
 #include "src/util/timer.h"
-#include "src/viewstore/cost_model.h"
 
 namespace svx {
 
@@ -40,25 +39,15 @@ bool RewriteCache::Lookup(const std::string& key, std::vector<Rewriting>* out,
   *out = CloneRewritings(it->second.rewritings);
   if (stats != nullptr) {
     // Replay the search counters the entry cost when it was computed; the
-    // caller overwrites the timing fields with the (warm) lookup time.
-    const RewriteStats& s = it->second.stats;
-    stats->views_total = s.views_total;
-    stats->views_kept = s.views_kept;
-    stats->candidates_built = s.candidates_built;
-    stats->join_candidates = s.join_candidates;
-    stats->equivalence_tests = s.equivalence_tests;
-    stats->candidates_pruned = s.candidates_pruned;
-    stats->containment_memo_hits = s.containment_memo_hits;
-    stats->containment_memo_misses = s.containment_memo_misses;
-    stats->results = s.results;
-    stats->cheapest_cost = s.cheapest_cost;
-    stats->costliest_cost = s.costliest_cost;
-    stats->plans_generated = s.plans_generated;
-    stats->plans_dominated = s.plans_dominated;
-    stats->plans_retained = s.plans_retained;
-    // Truncated searches are never cached (see CachedRewrite), so a hit is
-    // always a complete search.
-    stats->search_truncated = false;
+    // timing fields and the hit count stay the caller's (CachedRewrite sets
+    // them for the warm lookup). Truncated searches are never cached (see
+    // CachedRewrite), so a hit is always a complete search.
+    RewriteStats replay = it->second.stats;
+    replay.rewrite_cache_hits = stats->rewrite_cache_hits;
+    replay.setup_ms = stats->setup_ms;
+    replay.first_ms = stats->first_ms;
+    replay.total_ms = stats->total_ms;
+    *stats = replay;
   }
   return true;
 }
@@ -121,32 +110,10 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
   // not serve each other mismatched plans. Distinct cost models or view
   // sets of equal size are not distinguished; don't share a catalog across
   // those.
-  const RewriterOptions& o = rewriter->options();
-  const ExpansionOptions& e = o.expansion;
-  const ContainmentOptions& c = o.containment;
-  // Plan choice depends on the effective cost constants, so the salt
-  // carries the model's fingerprint (not just its presence) plus the
-  // enumeration strategy.
-  const uint64_t model_fp =
-      o.cost_model != nullptr
-          ? CostConstantsFingerprint(o.cost_model->constants,
-                                     o.cost_model->default_rows)
-          : 0;
-  std::string key = StrFormat(
-      "%s|r%zu.v%d.p%d.c%zu.pc%zu.a%zu.u%zu.up%zu.%d%d%d%d.m%llx.dp%d"
-      "|e%zu.%zu.%d.%d.%d.%d|k%d.%d.%zu.%zu.%zu.%d",
-      RewriteCache::KeyFor(q).c_str(), o.max_results, rewriter->num_views(),
-      o.max_plan_views, o.max_candidates, o.max_pieces, o.max_assignments,
-      o.max_union_size, o.max_union_partials, o.prune_views ? 1 : 0,
-      o.prune_same_pattern ? 1 : 0, o.stop_at_first ? 1 : 0,
-      o.use_view_index ? 1 : 0,
-      static_cast<unsigned long long>(model_fp),  // NOLINT(runtime/int)
-      o.use_dp_enumeration ? 1 : 0,
-      e.max_embeddings, e.max_pieces, e.max_strengthen_edges,
-      e.unfold_content ? 1 : 0, e.add_virtual_ids ? 1 : 0,
-      e.max_virtual_depth, c.use_one_to_one_relaxation ? 1 : 0,
-      c.model.use_strong_edges ? 1 : 0, c.model.max_embeddings,
-      c.model.max_trees, c.max_grid_points, c.model.max_optional_edges);
+  const std::string key =
+      StrFormat("%s|v%d|", RewriteCache::KeyFor(q).c_str(),
+                rewriter->num_views()) +
+      RewriterOptionsFingerprint(rewriter->options());
   std::vector<Rewriting> cached;
   bool hit;
   {

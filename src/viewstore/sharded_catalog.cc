@@ -6,10 +6,8 @@
 
 #include "src/algebra/executor.h"
 #include "src/maintenance/delta_router.h"
-#include "src/rewriting/rewriter.h"
 #include "src/util/fileio.h"
 #include "src/util/strings.h"
-#include "src/viewstore/rewrite_cache.h"
 
 namespace svx {
 
@@ -47,40 +45,6 @@ class ShardPartition : public ExtentPartition {
   const int shard_;
 };
 
-/// Rewrites `query` through the snapshot's caches and shared view index,
-/// returning the cheapest rewriting. NotFound = no rewriting exists.
-Result<std::vector<Rewriting>> RewriteOn(const CatalogSnapshot& snap,
-                                         const Pattern& query) {
-  if (snap.summary() == nullptr) {
-    return Status::InvalidArgument(
-        "snapshot has no bound document/summary (use BindDocument or the "
-        "shared-pointer Load)");
-  }
-  RewriterOptions opts;
-  opts.max_results = 1;
-  opts.cost_model = &snap.cost_model();
-  opts.memo = snap.containment_memo();
-  std::shared_ptr<const ViewIndex> index =
-      snap.ViewIndexFor(*snap.summary(), opts.expansion);
-  opts.shared_view_index = index.get();
-  Rewriter rewriter(*snap.summary(), opts);
-  for (const auto& v : snap.views()) rewriter.AddView(v->def);
-  RewriteStats stats;
-  Result<std::vector<Rewriting>> rws =
-      CachedRewrite(snap.rewrite_cache(), &rewriter, query, &stats);
-  if (!rws.ok()) return rws.status();
-  if (rws->empty()) return Status::NotFound("no rewriting for query");
-  return rws;
-}
-
-/// The single-catalog serving path (cf. bench_concurrent's reader loop).
-Result<Table> RewriteAndExecute(const CatalogSnapshot& snap,
-                                const Pattern& query) {
-  Result<std::vector<Rewriting>> rws = RewriteOn(snap, query);
-  if (!rws.ok()) return rws.status();
-  return Execute(*rws->front().plan, snap.ExecutorCatalog());
-}
-
 /// Merges per-shard result slices into one table in canonical document
 /// order. Slices of an anchored query are disjoint (each row carries its
 /// anchor id, owned by exactly one shard), so concatenating and sorting
@@ -104,24 +68,22 @@ Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query) const {
   // result. Anything else (no anchoring return id, nodes off the spine —
   // e.g. a cross-subtree join) must see whole extents: the global catalog.
   ViewAnchor anchor = AnalyzeViewAnchor(query, "q");
-  if (!anchor.partitionable || shards_.empty()) {
-    return RewriteAndExecute(*global_, query);
-  }
+  if (!anchor.partitionable || shards_.empty()) return global_->Query(query);
   // Every shard stores the same view definitions, so a rewriting found on
   // one shard is valid on all of them: rewrite ONCE (through shard 0's
   // caches), then execute the plan against each shard's extents. A plan
   // references views by name; each shard's executor resolves its own
   // slice.
-  Result<std::vector<Rewriting>> rws = RewriteOn(*shards_[0], query);
-  if (!rws.ok()) {
-    if (rws.status().code() == StatusCode::kNotFound) {
+  Result<Rewriting> rw = shards_[0]->Rewrite(query);
+  if (!rw.ok()) {
+    if (rw.status().code() == StatusCode::kNotFound) {
       // No shard can serve the query from its views (identical view sets)
       // — fall back to the global catalog.
-      return RewriteAndExecute(*global_, query);
+      return global_->Query(query);
     }
-    return rws.status();
+    return rw.status();
   }
-  const PlanNode& plan = *rws->front().plan;
+  const PlanNode& plan = *rw->plan;
   std::vector<Table> parts;
   parts.reserve(shards_.size());
   for (const auto& shard : shards_) {

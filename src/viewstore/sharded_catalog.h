@@ -13,12 +13,14 @@
 // different shards never contend on a mutex.
 //
 // Reads: Snapshot() pins one CatalogSnapshot per shard (scatter);
-// ShardedSnapshot::ExecuteQuery rewrites the query once, through shard 0's
-// cache and view index (every shard holds the same view definitions),
-// executes that plan against each shard's extents in turn, and merges the
-// slices in document order by the anchor ORDPATH (gather). Queries that are
-// not shard-local (no anchoring return id, or nodes off the anchor spine)
-// are served by the global catalog instead.
+// ShardedSnapshot::ExecuteQuery plans the query once, through shard 0's
+// query entry point CatalogSnapshot::Rewrite (its cache and view index —
+// every shard holds the same view definitions), executes that plan against
+// each shard's extents in turn, and merges the slices in document order by
+// the anchor ORDPATH (gather). Queries that are not shard-local (no
+// anchoring return id, or nodes off the anchor spine), and anchored queries
+// no shard view can answer, are served by the global catalog's
+// CatalogSnapshot::Query instead.
 //
 // On-disk layout under the store directory:
 //   shards.txt     one boundary ORDPATH per line (N-1 lines)
@@ -78,9 +80,11 @@ class ShardedSnapshot {
 
   /// Scatter-gather query execution. Shard-local queries (the pattern has
   /// an anchoring return id and every node on its spine — the same test
-  /// that shards views) are rewritten once on shard 0, executed against
-  /// every shard's extents, and merged in document order; other queries are
-  /// served by the global catalog. Every pinned snapshot must carry a bound
+  /// that shards views) are rewritten once on shard 0
+  /// (CatalogSnapshot::Rewrite), executed against every shard's extents,
+  /// and merged in document order; other queries, and shard-local ones
+  /// shard 0 finds no rewriting for, are served by the global catalog
+  /// (CatalogSnapshot::Query). Every pinned snapshot must carry a bound
   /// document and summary (BindDocument / shared-pointer Load).
   [[nodiscard]] Result<Table> ExecuteQuery(const Pattern& query) const;
 

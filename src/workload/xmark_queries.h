@@ -30,8 +30,8 @@ Pattern GetXmarkQueryPattern(int number);
 
 /// Query `number` in conjunctive value form — C attributes become V,
 /// optional and nested edges become required — the shape answerable from
-/// the {id, v} base tag views (bench/base_views.h). Used by bench_viewstore
-/// and bench_rewriter so both measure exactly the same workload.
+/// the {id, v} base tag views (bench/base_views.h). The workload of
+/// bench_rewriter and tools/calibrate_costs.
 Pattern GetXmarkQueryPatternConjunctive(int number);
 
 }  // namespace svx

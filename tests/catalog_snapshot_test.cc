@@ -113,22 +113,22 @@ TEST(CatalogSnapshot, OldEpochKeepsRetiredDocumentAlive) {
 
 TEST(CatalogSnapshot, RewriteCacheIsFreshPerEpochWithContinuousCounters) {
   std::shared_ptr<Document> d = Doc("a(b=1 b=2 c=3)");
-  std::unique_ptr<Summary> summary = SummaryBuilder::Build(d.get());
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(d.get()));
   ViewCatalog catalog;
   ASSERT_TRUE(
       catalog.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  catalog.BindDocument(d, summary);
 
   std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
-  RewriterOptions opts;
-  opts.memo = snap->containment_memo();
-  Rewriter rw(*summary, opts);
-  for (const auto& v : snap->views()) rw.AddView(v->def);
   Pattern q = MustParsePattern("a(/b{v})");
-  Result<std::vector<Rewriting>> cold =
-      CachedRewrite(snap->rewrite_cache(), &rw, q);
-  ASSERT_TRUE(cold.ok());
+  Result<Table> cold = snap->Query(q);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_TRUE(cold->EqualsIgnoringOrder(MaterializeView(q, "q", *d)));
   EXPECT_EQ(snap->rewrite_cache()->size(), 1u);
   EXPECT_EQ(snap->rewrite_cache()->misses(), 1u);
+  RewriteStats warm;
+  ASSERT_TRUE(snap->Query(q, nullptr, &warm).ok());
+  EXPECT_EQ(warm.rewrite_cache_hits, 1u);
 
   // A view-set mutation: successor epoch starts cold (that IS the
   // invalidation) but the cumulative counters carry.
@@ -149,6 +149,32 @@ TEST(CatalogSnapshot, RewriteCacheIsFreshPerEpochWithContinuousCounters) {
   ASSERT_TRUE(up.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(up->delta).ok());
   EXPECT_NE(catalog.Snapshot()->containment_memo(), snap->containment_memo());
+}
+
+TEST(CatalogSnapshot, QueryErrorContracts) {
+  std::shared_ptr<Document> d = Doc("a(b=1 b=2 c=3)");
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(d.get()));
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  Pattern served = MustParsePattern("a(/b{v})");
+  Pattern unserved = MustParsePattern("a(/c{v})");
+
+  // No bound summary: nothing to plan against.
+  Result<Table> unbound = catalog.Snapshot()->Query(served);
+  ASSERT_FALSE(unbound.ok());
+  EXPECT_EQ(unbound.status().code(), StatusCode::kInvalidArgument);
+
+  // Bound, but no view stores c: no rewriting exists.
+  catalog.BindDocument(d, summary);
+  std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+  Result<Table> none = snap->Query(unserved);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
+  Result<Rewriting> no_plan = snap->Rewrite(unserved);
+  ASSERT_FALSE(no_plan.ok());
+  EXPECT_EQ(no_plan.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(snap->Query(served).ok());
 }
 
 TEST(CatalogSnapshot, SharedViewIndexMatchesPerRewriterIndex) {

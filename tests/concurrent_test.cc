@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
@@ -176,26 +175,14 @@ TEST(ConcurrentServing, ReadersAlwaysSeeAConsistentEpoch) {
         // Internal consistency: a rewriting executed against this epoch's
         // extents equals direct evaluation over this epoch's document.
         if (iter++ % 4 == 0) {
-          RewriterOptions opts;
-          opts.memo = snap->containment_memo();
-          opts.cost_model = &snap->cost_model();
-          std::shared_ptr<const ViewIndex> index =
-              snap->ViewIndexFor(*snap->summary(), opts.expansion);
-          opts.shared_view_index = index.get();
-          Rewriter rw(*snap->summary(), opts);
-          for (const auto& v : snap->views()) rw.AddView(v->def);
-          Result<std::vector<Rewriting>> rws =
-              CachedRewrite(snap->rewrite_cache(), &rw, q);
-          if (!rws.ok()) {
-            reader_errors[r] = rws.status().ToString();
+          Result<Table> got = snap->Query(q);
+          if (!got.ok() && got.status().code() != StatusCode::kNotFound) {
+            reader_errors[r] = got.status().ToString();
             return;
           }
-          if (!rws->empty()) {
-            Result<Table> got =
-                Execute(*rws->front().plan, snap->ExecutorCatalog());
+          if (got.ok()) {
             Table want = MaterializeView(q, "q", *snap->document());
-            if (!got.ok() ||
-                !got->EqualsIgnoringOrder(want)) {
+            if (!got->EqualsIgnoringOrder(want)) {
               reader_errors[r] = "epoch " +
                                  std::to_string(snap->epoch()) +
                                  ": rewriting disagrees with direct "
@@ -240,22 +227,8 @@ TEST(ConcurrentServing, SharedCachesStaySaneUnderContention) {
     threads.emplace_back([&]() {
       for (int i = 0; i < 40; ++i) {
         Pattern q = MustParsePattern(queries[i % std::size(queries)]);
-        RewriterOptions opts;
-        opts.memo = snap->containment_memo();
-        std::shared_ptr<const ViewIndex> index =
-            snap->ViewIndexFor(*snap->summary(), opts.expansion);
-        opts.shared_view_index = index.get();
-        Rewriter rw(*snap->summary(), opts);
-        for (const auto& v : snap->views()) rw.AddView(v->def);
-        Result<std::vector<Rewriting>> rws =
-            CachedRewrite(snap->rewrite_cache(), &rw, q);
-        if (!rws.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        for (const Rewriting& rw_result : *rws) {
-          if (rw_result.plan == nullptr) failures.fetch_add(1);
-        }
+        Result<Rewriting> rw = snap->Rewrite(q);
+        if (!rw.ok() || rw->plan == nullptr) failures.fetch_add(1);
       }
     });
   }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/algebra/executor.h"
+#include "src/observability/trace.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/pattern/pattern_printer.h"
 #include "src/rewriting/rewriter.h"
@@ -241,6 +242,39 @@ TEST(PlanEnum, TruncationIsReportedNotSilent) {
         rw.Rewrite(MustParsePattern("r(//a{id}(//b{id}))"), &stats);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(stats.search_truncated) << "use_dp=" << use_dp;
+  }
+}
+
+// A search that fills the DP plan table says so, apart from truncation: the
+// query needs the id-equality join of VB and VC, which a two-plan table
+// never builds, so the capped search finds nothing and reports
+// plan_table_full (on the stats and the plan-enum span); with the default
+// cap the same search completes and finds the join.
+TEST(PlanEnum, PlanTableFullIsReported) {
+  std::unique_ptr<Summary> s = Sum("r(a(b c))");
+  for (size_t cap : {size_t{2}, RewriterOptions{}.max_plan_table}) {
+    Trace trace("q");
+    RewriterOptions opts;
+    opts.max_plan_table = cap;
+    opts.trace = trace.root();
+    Rewriter rw(*s, opts);
+    rw.AddView({"VB", MustParsePattern("r(/a{id}(/b{v}))")});
+    rw.AddView({"VC", MustParsePattern("r(/a{id}(/c{v}))")});
+    RewriteStats stats;
+    Result<std::vector<Rewriting>> r =
+        rw.Rewrite(MustParsePattern("r(/a{id}(/b{v} /c{v}))"), &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const bool tiny = cap == 2;
+    EXPECT_EQ(stats.plan_table_full, tiny) << "cap " << cap;
+    EXPECT_EQ(r->empty(), tiny) << "cap " << cap;
+    EXPECT_FALSE(stats.search_truncated) << "cap " << cap;
+    if (tiny) {
+      EXPECT_GE(stats.plans_generated, cap);
+    }
+    EXPECT_NE(trace.RenderJson().find(tiny ? "\"table_full\": \"true\""
+                                           : "\"table_full\": \"false\""),
+              std::string::npos)
+        << "cap " << cap;
   }
 }
 

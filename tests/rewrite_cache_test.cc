@@ -33,8 +33,7 @@ class RewriteCacheTest : public ::testing::Test {
             .ok());
   }
 
-  Rewriter MakeRewriter() {
-    RewriterOptions opts;
+  Rewriter MakeRewriter(RewriterOptions opts = {}) {
     opts.memo = catalog_.containment_memo();
     Rewriter rw(*summary_, opts);
     for (const auto& v : catalog_.views()) rw.AddView(v->def);
@@ -172,6 +171,45 @@ TEST_F(RewriteCacheTest, WarmHitReplaysSearchCounters) {
   EXPECT_EQ(warm.results, cold.results);
   EXPECT_EQ(warm.cheapest_cost, cold.cheapest_cost);
   EXPECT_EQ(warm.costliest_cost, cold.costliest_cost);
+}
+
+// Rewriters that differ only in the DP plan-table cap must not share cache
+// entries: the query needs a join of VA and VC, which a one-plan table
+// never builds, so the capped rewriter finds nothing where the default one
+// finds a rewriting.
+TEST_F(RewriteCacheTest, PlanTableCapIsPartOfTheKey) {
+  ASSERT_TRUE(
+      catalog_.Materialize({"VA", MustParsePattern("a{id}(/b{v})")}, *doc_)
+          .ok());
+  ASSERT_TRUE(
+      catalog_.Materialize({"VC", MustParsePattern("a{id}(/c{v})")}, *doc_)
+          .ok());
+  const char* q = "a{id}(/b{v} /c{v})";
+  Rewriter wide = MakeRewriter();
+  ASSERT_FALSE(RewriteCached(&wide, q).empty());
+
+  RewriterOptions capped_opts;
+  capped_opts.max_plan_table = 1;
+  Rewriter capped = MakeRewriter(capped_opts);
+  RewriteStats uncached_stats;
+  Result<std::vector<Rewriting>> uncached =
+      capped.Rewrite(MustParsePattern(q), &uncached_stats);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_TRUE(uncached_stats.plan_table_full);
+
+  RewriteStats stats;
+  std::vector<Rewriting> served = RewriteCached(&capped, q, &stats);
+  EXPECT_EQ(stats.rewrite_cache_hits, 0u)
+      << "served the uncapped rewriter's entry";
+  EXPECT_EQ(Compacts(served), Compacts(*uncached));
+  EXPECT_EQ(catalog_.rewrite_cache()->size(), 2u);
+
+  // The capped result is cached under its own key, and a hit replays the
+  // table-full flag with the rest of the search counters.
+  RewriteStats warm;
+  EXPECT_EQ(Compacts(RewriteCached(&capped, q, &warm)), Compacts(*uncached));
+  EXPECT_EQ(warm.rewrite_cache_hits, 1u);
+  EXPECT_TRUE(warm.plan_table_full);
 }
 
 TEST(RewriteCacheUnit, EvictionClearsWhenFull) {

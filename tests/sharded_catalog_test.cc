@@ -18,7 +18,6 @@
 #include "src/util/check.h"
 #include "src/util/strings.h"
 #include "src/viewstore/extent_io.h"
-#include "src/viewstore/rewrite_cache.h"
 #include "src/viewstore/shard_router.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
@@ -85,26 +84,6 @@ Table MergeShardExtents(ShardedCatalog* catalog, const std::string& name) {
   }
   merged.SortRowsCanonical();
   return merged;
-}
-
-/// Single-catalog reference execution: rewrite through the snapshot's
-/// caches and execute the cheapest plan (the bench reader's idiom).
-Result<Table> RewriteExecute(const CatalogSnapshot& snap, const Pattern& q) {
-  RewriterOptions opts;
-  opts.max_results = 1;
-  opts.cost_model = &snap.cost_model();
-  opts.memo = snap.containment_memo();
-  std::shared_ptr<const ViewIndex> index =
-      snap.ViewIndexFor(*snap.summary(), opts.expansion);
-  opts.shared_view_index = index.get();
-  Rewriter rewriter(*snap.summary(), opts);
-  for (const auto& v : snap.views()) rewriter.AddView(v->def);
-  RewriteStats stats;
-  Result<std::vector<Rewriting>> rws =
-      CachedRewrite(snap.rewrite_cache(), &rewriter, q, &stats);
-  if (!rws.ok()) return rws.status();
-  if (rws->empty()) return Status::NotFound("no rewriting");
-  return Execute(*rws->front().plan, snap.ExecutorCatalog());
 }
 
 /// A chained random update stream off `base`: item inserts (appended and
@@ -311,19 +290,58 @@ TEST(ShardedCatalog, DifferentialAgainstSingleCatalog) {
       SerializeExtent(single.Find("person_names")->extent()));
 
   // Query results: scatter-gather and the global fallback agree with the
-  // single catalog's rewrite+execute.
+  // single catalog's query entry point, and both with direct evaluation
+  // over the final document.
   std::shared_ptr<const CatalogSnapshot> ssnap = single.Snapshot();
   ShardedSnapshot sharded_snap = (*sharded)->Snapshot();
   for (const char* q :
        {"site(//item{id}(/name{v}))", "site(//item{id}(?//keyword{v}))",
         "site{id}(//person(/name{v}))"}) {
     Pattern query = MustParsePattern(q);
-    Result<Table> expect = RewriteExecute(*ssnap, query);
+    Result<Table> expect = ssnap->Query(query);
     ASSERT_TRUE(expect.ok()) << q << ": " << expect.status().ToString();
     Result<Table> got = sharded_snap.ExecuteQuery(query);
     ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
     ExpectSameRows(*got, *expect, q);
+    ExpectSameRows(*got, MaterializeView(query, "q", *s.docs.back()),
+                   std::string(q) + " vs direct evaluation");
   }
+}
+
+/// An anchored query that no shard view can answer falls back to the
+/// global catalog: shard 0 finds no rewriting (NotFound), and the global
+/// catalog's root-anchored view with an optional person edge answers it.
+TEST(ShardedCatalog, AnchoredQueryWithoutShardRewritingUsesGlobalCatalog) {
+  Stream s = BuildStream(0, 1);
+  ShardedCatalogOptions options;
+  options.num_shards = 4;
+  Result<std::unique_ptr<ShardedCatalog>> catalog =
+      ShardedCatalog::Create(options, s.docs[0], s.summaries[0]);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  ASSERT_TRUE((*catalog)
+                  ->Materialize({"item_names", MustParsePattern(kItemNames)},
+                                *s.docs[0])
+                  .ok());
+  ASSERT_TRUE(
+      (*catalog)
+          ->Materialize({"persons_opt", MustParsePattern(
+                                            "site(?//person{id}(/name{v}))")},
+                        *s.docs[0])
+          .ok());
+  ASSERT_NE((*catalog)->global_catalog()->Find("persons_opt"), nullptr);
+
+  Pattern query = MustParsePattern("site(//person{id}(/name{v}))");
+  ASSERT_TRUE(AnalyzeViewAnchor(query, "q").partitionable);
+  ShardedSnapshot snap = (*catalog)->Snapshot();
+  Result<Rewriting> on_shard = snap.shard(0)->Rewrite(query);
+  ASSERT_FALSE(on_shard.ok());
+  EXPECT_EQ(on_shard.status().code(), StatusCode::kNotFound);
+
+  Result<Table> got = snap.ExecuteQuery(query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->NumRows(), 2);
+  ExpectSameRows(*got, MaterializeView(query, "q", *s.docs[0]),
+                 "global fallback vs direct evaluation");
 }
 
 /// Async writer lanes coalesce a queued burst into few maintenance passes:

@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
-#include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/json_writer.h"
-#include "src/viewstore/rewrite_cache.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
 
@@ -75,31 +72,23 @@ TEST(TraceSpanTest, RenderJsonEscapesAndShapes) {
 class ServingTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    doc_ = Doc("a(b=1 b=2 c=3)");
-    summary_ = SummaryBuilder::Build(doc_.get());
+    std::shared_ptr<Document> doc = Doc("a(b=1 b=2 c=3)");
+    std::shared_ptr<Summary> summary = SummaryBuilder::Build(doc.get());
     ASSERT_TRUE(
-        catalog_.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *doc_)
+        catalog_.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *doc)
             .ok());
+    catalog_.BindDocument(std::move(doc), std::move(summary));
   }
 
-  std::unique_ptr<Document> doc_;
-  std::unique_ptr<Summary> summary_;
   ViewCatalog catalog_;
 };
 
 TEST_F(ServingTraceTest, NestedRewriteProducesPhaseSpans) {
   Trace trace("query");
-  RewriterOptions opts;
-  opts.memo = catalog_.containment_memo();
-  opts.trace = trace.root();
-  Rewriter rw(*summary_, opts);
-  for (const auto& v : catalog_.views()) rw.AddView(v->def);
-
-  Result<std::vector<Rewriting>> rws =
-      CachedRewrite(catalog_.rewrite_cache(), &rw,
-                    MustParsePattern("a(/b{v})"), nullptr);
-  ASSERT_TRUE(rws.ok()) << rws.status().ToString();
-  ASSERT_FALSE(rws->empty());
+  Result<Table> out =
+      catalog_.Snapshot()->Query(MustParsePattern("a(/b{v})"), trace.root());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->NumRows(), 2);
 
   // cache-lookup (miss) and the rewrite span, as siblings under the root.
   EXPECT_NE(trace.root()->FindChild("cache-lookup"), nullptr);
@@ -113,34 +102,22 @@ TEST_F(ServingTraceTest, NestedRewriteProducesPhaseSpans) {
   EXPECT_NE(rewrite->FindChild("plan-enum"), nullptr);
   EXPECT_NE(rewrite->FindChild("rank-by-cost"), nullptr);
 
-  // The executor attaches a per-operator span tree under the same root.
-  const size_t before = trace.root()->children().size();
-  Result<Table> out =
-      Execute(*rws->front().plan, catalog_.ExecutorCatalog(), trace.root());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_GT(trace.root()->children().size(), before);
+  // The executor attaches a per-operator span tree under the same root,
+  // after the cache-lookup and rewrite spans.
+  EXPECT_GT(trace.root()->children().size(), 2u);
 
   std::string json = trace.RenderJson();
   EXPECT_NE(json.find("\"rewrite\""), std::string::npos);
+  EXPECT_NE(json.find("\"table_full\": \"false\""), std::string::npos);
   EXPECT_NE(json.find("out_rows"), std::string::npos);
 }
 
 TEST_F(ServingTraceTest, WarmLookupTracesTheHit) {
-  RewriterOptions opts;
-  opts.memo = catalog_.containment_memo();
-  Rewriter rw(*summary_, opts);
-  for (const auto& v : catalog_.views()) rw.AddView(v->def);
   Pattern q = MustParsePattern("a(/b{v})");
-  ASSERT_TRUE(CachedRewrite(catalog_.rewrite_cache(), &rw, q, nullptr).ok());
+  ASSERT_TRUE(catalog_.Snapshot()->Rewrite(q).ok());
 
   Trace trace("warm");
-  RewriterOptions topts = opts;
-  topts.trace = trace.root();
-  Rewriter traced(*summary_, topts);
-  for (const auto& v : catalog_.views()) traced.AddView(v->def);
-  Result<std::vector<Rewriting>> rws =
-      CachedRewrite(catalog_.rewrite_cache(), &traced, q, nullptr);
-  ASSERT_TRUE(rws.ok());
+  ASSERT_TRUE(catalog_.Snapshot()->Rewrite(q, trace.root()).ok());
 
   // Served warm: a cache-lookup span but no rewrite phases.
   EXPECT_NE(trace.root()->FindChild("cache-lookup"), nullptr);

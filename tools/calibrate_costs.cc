@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/base_views.h"
+#include "bench/spearman.h"
 #include "src/algebra/executor.h"
 #include "src/algebra/plan.h"
 #include "src/rewriting/rewriter.h"
@@ -66,52 +67,18 @@ double TimeExecute(const PlanNode& plan, const Catalog& catalog, int reps) {
 }
 
 /// Spearman rank correlation between per-sample model cost (constants ·
-/// units) and measured time. Ties get their midrank.
+/// units) and measured time.
 double SpearmanCorr(const std::vector<Sample>& samples,
                     const CostConstants& c) {
-  size_t n = samples.size();
-  if (n < 3) return 0;
-  auto ranks = [n](std::vector<double> v) {
-    std::vector<size_t> idx(n);
-    for (size_t i = 0; i < n; ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(),
-              [&](size_t a, size_t b) { return v[a] < v[b]; });
-    std::vector<double> r(n);
-    size_t i = 0;
-    while (i < n) {
-      size_t j = i;
-      while (j + 1 < n && v[idx[j + 1]] == v[idx[i]]) ++j;
-      double mid = (static_cast<double>(i) + static_cast<double>(j)) / 2 + 1;
-      for (size_t k = i; k <= j; ++k) r[idx[k]] = mid;
-      i = j + 1;
-    }
-    return r;
-  };
-  std::vector<double> cost(n), time(n);
   std::array<double, kTerms> ca = c.ToArray();
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<double> cost, time;
+  for (const Sample& s : samples) {
     double acc = 0;
-    for (size_t t = 0; t < kTerms; ++t) acc += ca[t] * samples[i].units[t];
-    cost[i] = acc;
-    time[i] = samples[i].measured_ms;
+    for (size_t t = 0; t < kTerms; ++t) acc += ca[t] * s.units[t];
+    cost.push_back(acc);
+    time.push_back(s.measured_ms);
   }
-  std::vector<double> rc = ranks(cost);
-  std::vector<double> rt = ranks(time);
-  double mc = 0, mt = 0;
-  for (size_t i = 0; i < n; ++i) {
-    mc += rc[i];
-    mt += rt[i];
-  }
-  mc /= static_cast<double>(n);
-  mt /= static_cast<double>(n);
-  double num = 0, dc = 0, dt = 0;
-  for (size_t i = 0; i < n; ++i) {
-    num += (rc[i] - mc) * (rt[i] - mt);
-    dc += (rc[i] - mc) * (rc[i] - mc);
-    dt += (rt[i] - mt) * (rt[i] - mt);
-  }
-  if (dc <= 0 || dt <= 0) return 0;
-  return num / std::sqrt(dc * dt);
+  return SpearmanCorrelation(cost, time);
 }
 
 /// Least squares on the free (unclamped) terms via normal equations with
