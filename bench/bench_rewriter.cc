@@ -326,9 +326,14 @@ ScaleReport RunScale(double scale, bool write_trace) {
       static_cast<long long>(report.total_bytes),
       static_cast<long long>(report.compressed_bytes),
       report.compression_ratio);
-  // Refreshes the epoch gauges for the metrics snapshot main writes last.
+  // The metrics snapshot is written while both catalogs are open, so the
+  // extent gauges count their live extents (svx_extent_compressed_bytes is
+  // twice the compressed total above); each scale rewrites it with the
+  // counters so far. DebugMetrics refreshes the queried catalog's epoch
+  // gauges first.
   std::string debug = catalog.DebugMetrics();
   (void)debug;
+  EmitMetricsSnapshot("BENCH_rewriter_metrics.prom");
   return report;
 }
 
@@ -436,7 +441,6 @@ int main(int argc, char** argv) {
   }
   svx::WriteJson(reports);
   std::printf("wrote BENCH_rewriter.json\n");
-  svx::EmitMetricsSnapshot("BENCH_rewriter_metrics.prom");
 
   bool ok = true;
   for (const svx::ScaleReport& r : reports) {

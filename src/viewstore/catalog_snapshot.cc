@@ -122,7 +122,13 @@ Result<Table> CatalogSnapshot::Query(const Pattern& query, TraceSpan* trace,
                                      RewriteStats* stats) const {
   Result<Rewriting> rw = Rewrite(query, trace, stats);
   if (!rw.ok()) return rw.status();
-  return Execute(*rw->plan, ExecutorCatalog(), trace);
+  Result<Table> out = Execute(*rw->plan, ExecutorCatalog(), trace);
+  // NotFound means "no rewriting" only: a plan over this epoch's views that
+  // names a view the epoch cannot scan is an inconsistency, not a miss.
+  if (!out.ok() && out.status().code() == StatusCode::kNotFound) {
+    return Status::Internal(out.status().message());
+  }
+  return out;
 }
 
 std::shared_ptr<const ViewIndex> CatalogSnapshot::ViewIndexFor(

@@ -173,7 +173,9 @@ class CatalogSnapshot {
 
   /// The query entry point: Rewrite(), then Execute the plan over
   /// ExecutorCatalog() under the same trace. Same errors as Rewrite(), plus
-  /// any execution error.
+  /// any execution error; an execution NotFound (the plan names a view the
+  /// epoch cannot scan) is reported as Internal, so NotFound always means
+  /// that no rewriting exists.
   [[nodiscard]] Result<Table> Query(const Pattern& query,
                                     TraceSpan* trace = nullptr,
                                     RewriteStats* stats = nullptr) const;

@@ -37,18 +37,10 @@ bool RewriteCache::Lookup(const std::string& key, std::vector<Rewriting>* out,
   ++hits_;
   metrics::RewriteCacheHits()->Add(1);
   *out = CloneRewritings(it->second.rewritings);
-  if (stats != nullptr) {
-    // Replay the search counters the entry cost when it was computed; the
-    // timing fields and the hit count stay the caller's (CachedRewrite sets
-    // them for the warm lookup). Truncated searches are never cached (see
-    // CachedRewrite), so a hit is always a complete search.
-    RewriteStats replay = it->second.stats;
-    replay.rewrite_cache_hits = stats->rewrite_cache_hits;
-    replay.setup_ms = stats->setup_ms;
-    replay.first_ms = stats->first_ms;
-    replay.total_ms = stats->total_ms;
-    *stats = replay;
-  }
+  // Replay the search counters the entry cost when it was computed.
+  // Truncated searches are never cached (see CachedRewrite), so a hit is
+  // always a complete search.
+  if (stats != nullptr) *stats = it->second.stats;
   return true;
 }
 
@@ -126,6 +118,7 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
       stats->rewrite_cache_hits = 1;
       stats->results = cached.size();  // authoritative even for entries
                                        // inserted without stats
+      stats->setup_ms = 0;
       stats->first_ms = timer.ElapsedMillis();
       stats->total_ms = timer.ElapsedMillis();
     }

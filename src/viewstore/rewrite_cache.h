@@ -43,7 +43,9 @@ class RewriteCache {
   /// `stats`, the search counters recorded at insert time (candidates
   /// built/pruned, equivalence tests, memo hits/misses, ...) are copied
   /// into it, so a warm hit reports the work its entry originally cost
-  /// instead of zeros; the timing fields are left to the caller.
+  /// instead of zeros. The whole recorded RewriteStats is copied, timing
+  /// fields and hit count included; CachedRewrite resets those for the
+  /// warm lookup.
   bool Lookup(const std::string& key, std::vector<Rewriting>* out,
               RewriteStats* stats = nullptr) const SVX_EXCLUDES(mu_);
 
