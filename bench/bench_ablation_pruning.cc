@@ -81,7 +81,6 @@ void Run() {
       RewriterOptions ropts;
       ropts.max_results = 50;
       ropts.max_plan_views = 2;
-      ropts.max_candidates = 2500;
       ropts.prune_views = cfg.prune_views;
       ropts.prune_same_pattern = cfg.prune_same_pattern;
       ropts.time_budget_ms = 5000;

@@ -162,7 +162,6 @@ void Run(double extent_scale, int64_t memory_budget_mb) {
     RewriterOptions ropts;
     ropts.max_results = 3;
     ropts.max_plan_views = 3;
-    ropts.max_candidates = 50000;
     ropts.time_budget_ms = 20000;
     if (store_status.ok()) ropts.cost_model = &model;
     Rewriter rewriter(*summary, ropts);

@@ -175,8 +175,8 @@ ScenarioRow RunScenario(const ViewSpec& spec, UpdateKind kind, double scale,
     doc = std::move(r->doc);
     if (i + 1 == updates) {
       row.identical =
-          SerializeExtent(catalog.Find(spec.name)->extent()) ==
-              SerializeExtent(fresh.Find(spec.name)->extent()) &&
+          SerializeExtent(*catalog.Find(spec.name)->table().value()) ==
+              SerializeExtent(*fresh.Find(spec.name)->table().value()) &&
           catalog.Find(spec.name)->stats == fresh.Find(spec.name)->stats;
     }
   }
@@ -222,13 +222,14 @@ ScenarioRow RunScenarioSharded(const ViewSpec& spec, UpdateKind kind,
 
   auto merged_extent = [&]() -> Table {
     if ((*catalog)->shard_catalog(0)->Find(spec.name) == nullptr) {
-      return (*catalog)->global_catalog()->Find(spec.name)->extent();
+      return *(*catalog)->global_catalog()->Find(spec.name)->table().value();
     }
     const StoredView* first = (*catalog)->shard_catalog(0)->Find(spec.name);
-    Table merged(first->extent().schema());
+    Table merged(first->table().value()->schema());
     for (int i = 0; i < (*catalog)->num_shards(); ++i) {
       const StoredView* v = (*catalog)->shard_catalog(i)->Find(spec.name);
-      for (const Tuple& t : v->extent().rows()) merged.AddRow(t);
+      TablePtr extent = v->table().value();
+      for (const Tuple& t : extent->rows()) merged.AddRow(t);
     }
     merged.SortRowsCanonical();
     return merged;
@@ -262,7 +263,7 @@ ScenarioRow RunScenarioSharded(const ViewSpec& spec, UpdateKind kind,
     doc = std::move(next);
     if (i + 1 == updates) {
       row.identical = SerializeExtent(merged_extent()) ==
-                      SerializeExtent(fresh.Find(spec.name)->extent());
+                      SerializeExtent(*fresh.Find(spec.name)->table().value());
     }
   }
   row.avg_region = updates > 0

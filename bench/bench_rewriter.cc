@@ -1,18 +1,20 @@
 // Rewriter benchmark over the 20-query XMark workload, at one or more
 // document scales. The base tag views are materialized into a store-backed
 // ViewCatalog, and per query it measures
-//   * baseline_ms  — the rewriter with the view index, the containment memo
-//                    and the rewrite cache off,
-//   * cold_ms      — ViewIndex + coverage pruning + catalog-pinned
-//                    containment memo, first (cache-miss) call,
+//   * baseline_ms  — the reference search, Rewriter::RewriteExhaustive (the
+//                    paper's Algorithm 1: no view index, containment memo,
+//                    DP or rewrite cache),
+//   * cold_ms      — Rewriter::Rewrite (ViewIndex, coverage pruning, DP
+//                    enumeration, catalog-pinned containment memo), first
+//                    (cache-miss) call,
 //   * warm_ms      — the same query again, served from the catalog's
 //                    RewriteCache,
 // and verifies that
-//   * whenever the exhaustive baseline finds a rewriting, the DP enumerator
-//     finds one too, and its cheapest plan's estimated cost is no worse
-//     than the baseline's cheapest — the DP search keeps the Pareto
-//     frontier, not the full rewriting list, so it may return fewer
-//     alternatives but never a worse best plan;
+//   * whenever the reference finds a rewriting, the DP enumerator finds one
+//     too, and its cheapest plan's estimated cost is no worse than the
+//     reference's cheapest — the DP search keeps the Pareto frontier, not
+//     the full rewriting list, so it may return fewer alternatives but
+//     never a worse best plan;
 //   * the optimized cheapest plan, executed over the stored extents,
 //     returns exactly the query's direct evaluation over the document;
 //   * warm repeats hit the rewrite cache (except truncated searches, which
@@ -173,27 +175,17 @@ ScaleReport RunScale(double scale, bool write_trace) {
   CostModel model = catalog.BuildCostModel();
   Catalog exec_catalog = catalog.ExecutorCatalog();
 
-  // One shared rewriter per configuration: the optimized one builds its
-  // ViewIndex once at first use (registration-time cost, amortized over
-  // the workload) and pins the catalog's containment memo.
-  RewriterOptions base_opts;
-  base_opts.max_results = 4;
-  base_opts.time_budget_ms = 30000;
-  base_opts.cost_model = &model;
-  base_opts.use_view_index = false;
-  base_opts.memoize_containment = false;
-  Rewriter baseline(*summary, base_opts);
-
-  RewriterOptions fast_opts = base_opts;
-  fast_opts.use_view_index = true;
-  fast_opts.memoize_containment = true;
+  // One shared rewriter for both searches: Rewrite builds its ViewIndex
+  // once at first use (registration-time cost, amortized over the
+  // workload) and pins the catalog's containment memo; RewriteExhaustive
+  // uses neither.
+  RewriterOptions fast_opts;
+  fast_opts.max_results = 4;
+  fast_opts.time_budget_ms = 30000;
+  fast_opts.cost_model = &model;
   fast_opts.memo = catalog.containment_memo();
-  Rewriter optimized(*summary, fast_opts);
-
-  for (const auto& v : catalog.views()) {
-    baseline.AddView(v->def);
-    optimized.AddView(v->def);
-  }
+  Rewriter rewriter(*summary, fast_opts);
+  for (const auto& v : catalog.views()) rewriter.AddView(v->def);
 
   std::printf(
       "scale %.1f: %d nodes, %d paths, %zu views\n"
@@ -209,14 +201,14 @@ ScaleReport RunScale(double scale, bool write_trace) {
     row.number = q.number;
 
     Timer t;
-    Result<std::vector<Rewriting>> base_rws = baseline.Rewrite(qp);
+    Result<std::vector<Rewriting>> base_rws = rewriter.RewriteExhaustive(qp);
     row.baseline_ms = t.ElapsedMillis();
     row.baseline_rewritings = base_rws.ok() ? base_rws->size() : 0;
 
     RewriteStats cold_stats;
     t.Reset();
     Result<std::vector<Rewriting>> cold_rws = CachedRewrite(
-        catalog.rewrite_cache(), &optimized, qp, &cold_stats);
+        catalog.rewrite_cache(), &rewriter, qp, &cold_stats);
     row.cold_ms = t.ElapsedMillis();
     row.candidates_pruned = cold_stats.candidates_pruned;
     row.plans_generated = cold_stats.plans_generated;
@@ -228,10 +220,10 @@ ScaleReport RunScale(double scale, bool write_trace) {
     row.rewritings = cold_rws.ok() ? cold_rws->size() : 0;
 
     // Plan verification: the optimized search must find a rewriting
-    // whenever the baseline does, at no greater estimated cost. (The DP
+    // whenever the reference does, at no greater estimated cost. (The DP
     // search discards dominated plans, so list equality against the
-    // exhaustive baseline is not the contract — cost parity is; the
-    // like-for-like list comparison lives in plan_enum_test.cc.)
+    // reference is not the contract — cost parity is; plan_enum_test.cc
+    // checks the same contract on hand-built and random worlds.)
     if (base_rws.ok() && cold_rws.ok()) {
       row.found_when_baseline_found =
           base_rws->empty() || !cold_rws->empty();
@@ -255,7 +247,7 @@ ScaleReport RunScale(double scale, bool write_trace) {
     RewriteStats warm_stats;
     t.Reset();
     Result<std::vector<Rewriting>> warm_rws = CachedRewrite(
-        catalog.rewrite_cache(), &optimized, qp, &warm_stats);
+        catalog.rewrite_cache(), &rewriter, qp, &warm_stats);
     row.warm_ms = t.ElapsedMillis();
     row.cache_hit_on_warm = warm_stats.rewrite_cache_hits > 0;
     bool warm_matches_cold = true;

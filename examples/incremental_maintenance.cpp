@@ -19,8 +19,8 @@ namespace {
 void PrintExtent(const ViewCatalog& catalog, const char* name) {
   const StoredView* v = catalog.Find(name);
   std::printf("%s (%lld rows):\n%s\n", name,
-              static_cast<long long>(v->extent().NumRows()),
-              v->extent().ToString().c_str());
+              static_cast<long long>(v->table().value()->NumRows()),
+              v->table().value()->ToString().c_str());
 }
 
 }  // namespace

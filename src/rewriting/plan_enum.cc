@@ -12,6 +12,11 @@ namespace svx {
 // Piece-merge primitives
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// True iff a piece pinned to `pa` can absorb a piece pinned to `pb` under
+/// `type` — the path-relation precondition of MergePieces, shared with the
+/// join enumeration's pre-passes so they cannot drift apart.
 bool PiecePathsJoin(const Summary& summary, PathId pa, PathId pb,
                     JoinType type) {
   switch (type) {
@@ -25,6 +30,7 @@ bool PiecePathsJoin(const Summary& summary, PathId pa, PathId pb,
   return false;
 }
 
+/// Root-to-node chain of pattern node ids (inclusive).
 std::vector<PatternNodeId> AncestorChain(const Pattern& p, PatternNodeId n) {
   std::vector<PatternNodeId> rev;
   for (PatternNodeId cur = n; cur >= 0; cur = p.node(cur).parent) {
@@ -34,6 +40,10 @@ std::vector<PatternNodeId> AncestorChain(const Pattern& p, PatternNodeId n) {
   return rev;
 }
 
+/// Merges piece `b` into piece `a` joined on (prefix_a, prefix_b) with `a`
+/// on the ancestor (or equal) side. Returns false when this piece pair is
+/// incompatible (contributes nothing to the join). `b_col_shift` relocates
+/// b's column indexes in the concatenated schema.
 bool MergePieces(const Summary& summary, const Piece& a,
                  const std::string& prefix_a, const Piece& b,
                  const std::string& prefix_b, JoinType type,
@@ -90,6 +100,50 @@ bool MergePieces(const Summary& summary, const Piece& a,
   return true;
 }
 
+}  // namespace
+
+bool MergePieceSets(const Summary& summary, const std::vector<Piece>& anc,
+                    const std::string& anc_prefix,
+                    const std::vector<PathId>& anc_paths,
+                    const std::vector<Piece>& desc,
+                    const std::string& desc_prefix,
+                    const std::vector<PathId>& desc_paths, JoinType type,
+                    int32_t desc_col_shift, size_t max_pieces,
+                    std::vector<Piece>* out) {
+  out->clear();
+  for (size_t x = 0; x < anc.size(); ++x) {
+    for (size_t y = 0; y < desc.size(); ++y) {
+      Piece merged;
+      if (PiecePathsJoin(summary, anc_paths[x], desc_paths[y], type) &&
+          MergePieces(summary, anc[x], anc_prefix, desc[y], desc_prefix,
+                      type, desc_col_shift, &merged)) {
+        out->push_back(std::move(merged));
+      }
+      if (out->size() > max_pieces) {
+        out->clear();
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+PlanPtr MakeJoinPlan(PlanPtr anc, PlanPtr desc, int32_t anc_col,
+                     int32_t desc_col, JoinType type) {
+  switch (type) {
+    case JoinType::kEq:
+      return MakeIdEqJoin(std::move(anc), std::move(desc), anc_col, desc_col);
+    case JoinType::kParent:
+      return MakeStructJoin(std::move(anc), std::move(desc), anc_col,
+                            desc_col, StructAxis::kParent);
+    case JoinType::kAncestor:
+      return MakeStructJoin(std::move(anc), std::move(desc), anc_col,
+                            desc_col, StructAxis::kAncestor);
+  }
+  SVX_CHECK(false);
+  return nullptr;
+}
+
 namespace {
 
 inline uint64_t HashCombine(uint64_t h, uint64_t v) {
@@ -138,8 +192,8 @@ bool PiecesCanonicalEqual(const Piece& a, const Piece& b) {
   return true;
 }
 
-}  // namespace
-
+/// Hash consistent with Piece::CanonicalString() equality: equal canonical
+/// strings imply equal hashes.
 uint64_t PieceCanonicalHash(const Piece& p) {
   std::hash<std::string> hs;
   uint64_t h = 0x5851f42d4c957f2dULL;
@@ -160,6 +214,8 @@ uint64_t PieceCanonicalHash(const Piece& p) {
   }
   return HashCombine(h, roles);
 }
+
+}  // namespace
 
 uint64_t CandidateCanonicalHash(const Candidate& c) {
   uint64_t sum = 0;
@@ -202,65 +258,6 @@ bool CandidatesCanonicalEqual(const Candidate& a, const Candidate& b) {
   return true;
 }
 
-bool PrefixSetsJoin(const PrefixPathSets& anc, const PrefixPathSets& desc,
-                    JoinType type) {
-  switch (type) {
-    case JoinType::kEq:
-      return PathBitsetsIntersect(anc.paths, desc.paths);
-    case JoinType::kParent:
-      return PathBitsetsIntersect(anc.paths, desc.parents);
-    case JoinType::kAncestor:
-      return PathBitsetsIntersect(anc.paths, desc.ancestors);
-  }
-  return false;
-}
-
-CandInfo BuildCandInfo(const Candidate& c,
-                       const std::vector<bool>& join_relevant,
-                       const Summary& summary, uint32_t serve_mask,
-                       uint64_t canon_hash) {
-  CandInfo info;
-  info.serve_mask = serve_mask;
-  info.canon_hash = canon_hash;
-  for (const Piece& piece : c.pieces) {
-    for (PatternNodeId n = 0; n < piece.pattern.size() && !info.has_preds;
-         ++n) {
-      info.has_preds = !piece.pattern.node(n).pred.IsTrue();
-    }
-    if (info.has_preds) break;
-  }
-  for (const std::string& prefix : c.JoinablePrefixes()) {
-    bool relevant = false;
-    std::vector<PathId> paths;
-    paths.reserve(c.pieces.size());
-    for (const Piece& piece : c.pieces) {
-      const ColumnBinding* b = piece.Find(prefix, kAttrId);
-      // JoinablePrefixes guarantees a skeleton ID binding in every piece.
-      paths.push_back(b->path);
-      relevant =
-          relevant || join_relevant[static_cast<size_t>(b->path)];
-    }
-    if (!relevant) continue;
-    PrefixPathSets sets;
-    sets.paths = MakePathBitset(summary.size());
-    sets.parents = MakePathBitset(summary.size());
-    sets.ancestors = MakePathBitset(summary.size());
-    for (PathId s : paths) {
-      PathBitsetSet(&sets.paths, s);
-      PathId p = summary.parent(s);
-      if (p != kInvalidPath) PathBitsetSet(&sets.parents, p);
-      for (PathId a = p; a != kInvalidPath; a = summary.parent(a)) {
-        PathBitsetSet(&sets.ancestors, a);
-      }
-    }
-    info.rel_prefixes.push_back(prefix);
-    info.prefix_id_cols.push_back(c.pieces[0].Find(prefix, kAttrId)->col);
-    info.prefix_paths.push_back(std::move(paths));
-    info.prefix_sets.push_back(std::move(sets));
-  }
-  return info;
-}
-
 // ---------------------------------------------------------------------------
 // CoverageAnalysis
 // ---------------------------------------------------------------------------
@@ -299,6 +296,7 @@ CoverageAnalysis::CoverageAnalysis(int32_t num_cols,
 
 bool CoverageAnalysis::Extendable(uint32_t mask, size_t used,
                                   int32_t max_views) const {
+  if (!enabled_) return static_cast<int32_t>(used) <= max_views;
   uint32_t rem = full_ & ~mask;
   int32_t need = mincover_[rem];
   if (need == std::numeric_limits<int32_t>::max()) return false;
@@ -464,25 +462,16 @@ bool PlanEnumerator::Materialize(int32_t id) {
     return false;
   };
 
-  int32_t shift = anc.cand.plan->schema.size();
   std::vector<Piece> merged;
-  for (size_t x = 0; x < anc.cand.pieces.size(); ++x) {
-    for (size_t y = 0; y < desc.cand.pieces.size(); ++y) {
-      Piece out;
-      if (PiecePathsJoin(summary_, plan.anc_paths[x], plan.desc_paths[y],
-                         plan.type) &&
-          MergePieces(summary_, anc.cand.pieces[x], plan.anc_prefix,
-                      desc.cand.pieces[y], plan.desc_prefix, plan.type,
-                      shift, &out)) {
-        merged.push_back(std::move(out));
-      }
-      if (merged.size() > options_.max_merged_pieces) {
-        // The discarded piece set could have carried a valid rewriting —
-        // report the cut instead of silently narrowing the search.
-        stats_.truncated = true;
-        return kill();
-      }
-    }
+  if (!MergePieceSets(summary_, anc.cand.pieces, plan.anc_prefix,
+                      plan.anc_paths, desc.cand.pieces, plan.desc_prefix,
+                      plan.desc_paths, plan.type,
+                      anc.cand.plan->schema.size(),
+                      options_.max_merged_pieces, &merged)) {
+    // The discarded piece set could have carried a valid rewriting —
+    // report the cut instead of silently narrowing the search.
+    stats_.truncated = true;
+    return kill();
   }
   if (merged.empty()) return kill();
   plan.cand.pieces = std::move(merged);
@@ -520,12 +509,62 @@ bool PlanEnumerator::Materialize(int32_t id) {
   return true;
 }
 
+bool PlanEnumerator::PrefixPathSets::Joins(const PrefixPathSets& desc,
+                                           JoinType type) const {
+  switch (type) {
+    case JoinType::kEq:
+      return PathBitsetsIntersect(paths, desc.paths);
+    case JoinType::kParent:
+      return PathBitsetsIntersect(paths, desc.parents);
+    case JoinType::kAncestor:
+      return PathBitsetsIntersect(paths, desc.ancestors);
+  }
+  return false;
+}
+
 bool PlanEnumerator::EnsureInfo(int32_t id) {
   EnumPlan& plan = plans_[static_cast<size_t>(id)];
   if (plan.info_built) return plan.alive;
   if (!Materialize(id)) return false;
-  plan.info = BuildCandInfo(plan.cand, join_relevant_, summary_,
-                            plan.serve_mask, plan.canon_hash);
+  const Candidate& c = plan.cand;
+  JoinInfo& info = plan.info;
+  info = JoinInfo{};
+  for (const Piece& piece : c.pieces) {
+    for (PatternNodeId n = 0; n < piece.pattern.size() && !info.has_preds;
+         ++n) {
+      info.has_preds = !piece.pattern.node(n).pred.IsTrue();
+    }
+    if (info.has_preds) break;
+  }
+  for (const std::string& prefix : c.JoinablePrefixes()) {
+    bool relevant = false;
+    std::vector<PathId> paths;
+    paths.reserve(c.pieces.size());
+    for (const Piece& piece : c.pieces) {
+      const ColumnBinding* b = piece.Find(prefix, kAttrId);
+      // JoinablePrefixes guarantees a skeleton ID binding in every piece.
+      paths.push_back(b->path);
+      relevant =
+          relevant || join_relevant_[static_cast<size_t>(b->path)];
+    }
+    if (!relevant) continue;
+    PrefixPathSets sets;
+    sets.paths = MakePathBitset(summary_.size());
+    sets.parents = MakePathBitset(summary_.size());
+    sets.ancestors = MakePathBitset(summary_.size());
+    for (PathId s : paths) {
+      PathBitsetSet(&sets.paths, s);
+      PathId p = summary_.parent(s);
+      if (p != kInvalidPath) PathBitsetSet(&sets.parents, p);
+      for (PathId a = p; a != kInvalidPath; a = summary_.parent(a)) {
+        PathBitsetSet(&sets.ancestors, a);
+      }
+    }
+    info.rel_prefixes.push_back(prefix);
+    info.prefix_id_cols.push_back(c.pieces[0].Find(prefix, kAttrId)->col);
+    info.prefix_paths.push_back(std::move(paths));
+    info.prefix_sets.push_back(std::move(sets));
+  }
   plan.info_built = true;
   return true;
 }
@@ -694,9 +733,8 @@ void PlanEnumerator::Run(const MatchFn& match, const DeadlineFn& deadline) {
                 size_t desc_pidx = f_is_ancestor ? bj : ai;
                 // Bitset pre-pass: a few word ANDs decide whether ANY
                 // piece pair is path-compatible under this join type.
-                if (!PrefixSetsJoin(anc.info.prefix_sets[anc_pidx],
-                                    desc.info.prefix_sets[desc_pidx],
-                                    type)) {
+                if (!anc.info.prefix_sets[anc_pidx].Joins(
+                        desc.info.prefix_sets[desc_pidx], type)) {
                   continue;
                 }
                 const std::vector<PathId>& anc_paths =
@@ -743,26 +781,10 @@ void PlanEnumerator::Run(const MatchFn& match, const DeadlineFn& deadline) {
                 jp.bases.push_back(bid);
                 std::sort(jp.bases.begin(), jp.bases.end());
 
-                int32_t anc_col = anc.info.prefix_id_cols[anc_pidx];
-                int32_t desc_col = desc.info.prefix_id_cols[desc_pidx];
-                PlanPtr left = anc.cand.plan->Clone();
-                PlanPtr right = desc.cand.plan->Clone();
-                switch (type) {
-                  case JoinType::kEq:
-                    jp.cand.plan = MakeIdEqJoin(
-                        std::move(left), std::move(right), anc_col, desc_col);
-                    break;
-                  case JoinType::kParent:
-                    jp.cand.plan = MakeStructJoin(
-                        std::move(left), std::move(right), anc_col, desc_col,
-                        StructAxis::kParent);
-                    break;
-                  case JoinType::kAncestor:
-                    jp.cand.plan = MakeStructJoin(
-                        std::move(left), std::move(right), anc_col, desc_col,
-                        StructAxis::kAncestor);
-                    break;
-                }
+                jp.cand.plan = MakeJoinPlan(
+                    anc.cand.plan->Clone(), desc.cand.plan->Clone(),
+                    anc.info.prefix_id_cols[anc_pidx],
+                    desc.info.prefix_id_cols[desc_pidx], type);
                 jp.cand.used_views = anc.cand.used_views;
                 jp.cand.used_views.insert(jp.cand.used_views.end(),
                                           desc.cand.used_views.begin(),

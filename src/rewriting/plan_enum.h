@@ -1,5 +1,6 @@
 // Dynamic-programming plan enumeration for view-based rewriting, plus the
-// candidate-join machinery it shares with the legacy exhaustive search.
+// piece-merge primitives it shares with the reference search
+// (Rewriter::RewriteExhaustive).
 //
 // The paper's Algorithm 1 enumerates left-deep piece-merge joins
 // exhaustively; the enumerator here reorganizes the same search space the
@@ -20,16 +21,16 @@
 //     interchangeable both as join operands and in equivalence testing.
 //   * piece sets are materialized *lazily*: a join is generated as a plan
 //     skeleton with a cost estimate, and its merged pieces (the expensive
-//     part of the legacy search) are only computed when the plan is
-//     actually selected for extension or equivalence testing. Dominated
-//     and coverage-hopeless plans never pay the merge.
+//     part of Algorithm 1) are only computed when the plan is actually
+//     selected for extension or equivalence testing. Dominated and
+//     coverage-hopeless plans never pay the merge.
 //
 // Dominance across distinct piece sets is a heuristic (two plans over the
 // same bases can compute different pattern sets), so covering plans that
 // lose the Pareto check are retained on a fallback list and equivalence-
 // tested whenever they could still beat the best found rewriting — which
-// keeps the enumerator's best-cost result no worse than the exhaustive
-// search's on budgets where the exhaustive search completes (see
+// keeps the enumerator's best-cost result no worse than the reference
+// search's on budgets where the reference completes (see
 // tests/plan_enum_test.cc for the differential check).
 #ifndef SVX_REWRITING_PLAN_ENUM_H_
 #define SVX_REWRITING_PLAN_ENUM_H_
@@ -49,32 +50,32 @@ namespace svx {
 class CostModel;  // src/viewstore/cost_model.h
 
 // ---------------------------------------------------------------------------
-// Piece-merge primitives (shared by the DP and the legacy enumeration)
+// Piece-merge primitives (shared with the reference search)
 // ---------------------------------------------------------------------------
 
 enum class JoinType { kEq, kParent, kAncestor };
 
-/// True iff a piece pinned to `pa` can absorb a piece pinned to `pb` under
-/// `type` — the path-relation precondition of MergePieces, shared with the
-/// join enumeration's pre-passes so they cannot drift apart.
-bool PiecePathsJoin(const Summary& summary, PathId pa, PathId pb,
-                    JoinType type);
+/// Algorithm 1's join step: merges every path-compatible pair of an `anc`
+/// piece (ancestor or equal side, joined on `anc_prefix`; `anc_paths[x]` is
+/// piece x's pinned path there) with a `desc` piece (likewise).
+/// `desc_col_shift` relocates desc's columns in the concatenated schema.
+/// Returns false when the merged set would exceed `max_pieces` — a
+/// truncation, since the discarded set may carry a rewriting. An empty
+/// `*out` means no pair merged.
+bool MergePieceSets(const Summary& summary, const std::vector<Piece>& anc,
+                    const std::string& anc_prefix,
+                    const std::vector<PathId>& anc_paths,
+                    const std::vector<Piece>& desc,
+                    const std::string& desc_prefix,
+                    const std::vector<PathId>& desc_paths, JoinType type,
+                    int32_t desc_col_shift, size_t max_pieces,
+                    std::vector<Piece>* out);
 
-/// Root-to-node chain of pattern node ids (inclusive).
-std::vector<PatternNodeId> AncestorChain(const Pattern& p, PatternNodeId n);
-
-/// Merges piece `b` into piece `a` joined on (prefix_a, prefix_b) with `a`
-/// on the ancestor (or equal) side. Returns false when this piece pair is
-/// incompatible (contributes nothing to the join). `b_col_shift` relocates
-/// b's column indexes in the concatenated schema.
-bool MergePieces(const Summary& summary, const Piece& a,
-                 const std::string& prefix_a, const Piece& b,
-                 const std::string& prefix_b, JoinType type,
-                 int32_t b_col_shift, Piece* out);
-
-/// Hash consistent with Piece::CanonicalString() equality: equal canonical
-/// strings imply equal hashes.
-uint64_t PieceCanonicalHash(const Piece& p);
+/// The plan of a join of `anc` (ancestor or equal side) with `desc` on
+/// their ID columns `anc_col` / `desc_col`: ⋈= as an ID equi-join, ⋈≺ and
+/// ⋈≺≺ as structural joins.
+PlanPtr MakeJoinPlan(PlanPtr anc, PlanPtr desc, int32_t anc_col,
+                     int32_t desc_col, JoinType type);
 
 /// Hash consistent with Candidate::CanonicalString() equality (commutative
 /// over the sorted piece multiset).
@@ -83,67 +84,25 @@ uint64_t CandidateCanonicalHash(const Candidate& c);
 /// Candidate::CanonicalString() equality without building any string.
 bool CandidatesCanonicalEqual(const Candidate& a, const Candidate& b);
 
-/// Pinned paths of one joinable prefix, in three bitset views so a whole
-/// (prefix, prefix, join type) combination is testable with a few word
-/// ANDs: anc ⋈= desc needs paths∩paths, ⋈≺ needs paths∩parents, ⋈≺≺ needs
-/// paths∩ancestors.
-struct PrefixPathSets {
-  PathBitset paths;
-  PathBitset parents;
-  PathBitset ancestors;  // strict-ancestor closure of paths
-};
-
-/// Per-candidate state cached for the join enumeration: the join-relevant
-/// joinable prefixes with their per-piece pinned paths (so a join attempt
-/// can be rejected with integer comparisons before any piece is merged),
-/// and the over-approximate column-serve mask of the candidate's views.
-struct CandInfo {
-  uint32_t serve_mask = 0;
-  /// True when any piece node carries a non-trivial value predicate. When
-  /// both join sides are predicate-free, every path-compatible piece pair
-  /// merges successfully, so the merged piece count is predictable.
-  bool has_preds = false;
-  uint64_t canon_hash = 0;
-  std::vector<std::string> rel_prefixes;
-  /// Aligned with rel_prefixes; the plan column of the prefix's ID binding.
-  std::vector<int32_t> prefix_id_cols;
-  /// Aligned with rel_prefixes; one pinned path per piece.
-  std::vector<std::vector<PathId>> prefix_paths;
-  /// Aligned with rel_prefixes.
-  std::vector<PrefixPathSets> prefix_sets;
-};
-
-bool PrefixSetsJoin(const PrefixPathSets& anc, const PrefixPathSets& desc,
-                    JoinType type);
-
-/// `join_relevant` marks summary paths that are associated paths of query
-/// nodes or their ancestors (joining elsewhere cannot tighten structural
-/// relationships between query nodes, §3.2).
-CandInfo BuildCandInfo(const Candidate& c,
-                       const std::vector<bool>& join_relevant,
-                       const Summary& summary, uint32_t serve_mask,
-                       uint64_t canon_hash);
-
 // ---------------------------------------------------------------------------
 // Query-column coverage (ViewIndex-driven pruning)
 // ---------------------------------------------------------------------------
 
 /// Which query columns each kept view can serve (over-approximate, from the
 /// ViewIndex signatures — the caller computes the masks), plus the minimal
-/// number of views needed to cover any remaining column set. Lets both
-/// enumerations skip single-view candidates and join combinations that
-/// provably cannot reach full coverage — and bail out of the whole query
-/// when no ≤ max_plan_views combination can.
+/// number of views needed to cover any remaining column set. Lets the
+/// enumerator skip single-view candidates and join combinations that
+/// provably cannot reach full coverage — and the rewriter bail out of the
+/// whole query when no ≤ max_plan_views combination can.
 class CoverageAnalysis {
  public:
   static constexpr int32_t kMaxCols = 16;  // DP is 2^cols
 
   /// `view_masks[k]` = serve mask of the k-th kept view over the query's
-  /// `num_cols` return columns. Disabled (all checks pass vacuously) when
-  /// num_cols is 0 or exceeds kMaxCols.
+  /// `num_cols` return columns. When num_cols is 0 or exceeds kMaxCols the
+  /// analysis is vacuous: the caller passes zero masks, every mask covers,
+  /// and a candidate is extendable while it uses at most max_views views.
   CoverageAnalysis(int32_t num_cols, std::vector<uint32_t> view_masks);
-
-  bool enabled() const { return enabled_; }
 
   /// Serve mask of the kept view at position `kept_pos`.
   uint32_t ViewMask(size_t kept_pos) const { return view_masks_[kept_pos]; }
@@ -156,7 +115,7 @@ class CoverageAnalysis {
   bool Extendable(uint32_t mask, size_t used, int32_t max_views) const;
 
  private:
-  bool enabled_ = false;
+  bool enabled_ = false;  // false: vacuous (see the constructor)
   uint32_t full_ = 0;
   std::vector<uint32_t> view_masks_;
   std::vector<int32_t> mincover_;
@@ -175,16 +134,14 @@ class PlanEnumerator {
     /// joins are built — and sets Stats::table_full.
     size_t max_table = 2000;
     /// Per-level extension beam: at most this many cheapest extendable
-    /// plans are joined further (RewriterOptions::max_pieces, repurposed
-    /// from the legacy per-join piece-product cutoff into the DP
-    /// table/frontier bound).
+    /// plans are joined further (RewriterOptions::max_pieces).
     size_t max_frontier = 128;
     /// Per-plan merged-piece bound (ExpansionOptions::max_pieces). A join
     /// whose piece set would exceed it is discarded — and reported as a
     /// truncation, because a discarded piece set can hide a valid
     /// rewriting. The beam and table caps above are *not* truncations:
-    /// they bound how much of the space is searched (like the legacy
-    /// max_candidates cap), not whether generated plans are dropped.
+    /// they bound how much of the space is searched, not whether generated
+    /// plans are dropped.
     size_t max_merged_pieces = 128;
     bool prune_same_pattern = true;  // Prop 3.5 at materialization
   };
@@ -200,8 +157,8 @@ class PlanEnumerator {
     /// True when a join's merged piece set exceeded max_merged_pieces and
     /// was discarded: a discarded piece set can hide a valid rewriting, so
     /// the search result may be incomplete and CachedRewrite refuses to
-    /// cache it. Beam/table cuts do not set this (bounded search, like the
-    /// legacy max_candidates cap).
+    /// cache it. Beam and table cuts do not set this (they bound the search;
+    /// the table cut sets `table_full`).
     bool truncated = false;
     /// True when the plan table reached max_table: the search stopped
     /// generating, so the result may depend on the cap. Reported apart from
@@ -241,6 +198,38 @@ class PlanEnumerator {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Pinned paths of one joinable prefix, in three bitset views so a whole
+  /// (prefix, prefix, join type) combination is testable with a few word
+  /// ANDs: anc ⋈= desc needs paths∩paths, ⋈≺ needs paths∩parents, ⋈≺≺ needs
+  /// paths∩ancestors.
+  struct PrefixPathSets {
+    PathBitset paths;
+    PathBitset parents;
+    PathBitset ancestors;  // strict-ancestor closure of paths
+
+    /// True when some piece pair of this (ancestor-side) prefix and
+    /// `desc`'s is path-compatible under `type`.
+    bool Joins(const PrefixPathSets& desc, JoinType type) const;
+  };
+
+  /// Join state of a materialized plan: the join-relevant joinable prefixes
+  /// (pinning some piece on a path of `join_relevant`) with their per-piece
+  /// pinned paths, so a join attempt can be rejected with integer
+  /// comparisons before any piece is merged.
+  struct JoinInfo {
+    /// True when any piece node carries a non-trivial value predicate. When
+    /// both join sides are predicate-free, every path-compatible piece pair
+    /// merges successfully, so the merged piece count is predictable.
+    bool has_preds = false;
+    std::vector<std::string> rel_prefixes;
+    /// Aligned with rel_prefixes; the plan column of the prefix's ID binding.
+    std::vector<int32_t> prefix_id_cols;
+    /// Aligned with rel_prefixes; one pinned path per piece.
+    std::vector<std::vector<PathId>> prefix_paths;
+    /// Aligned with rel_prefixes.
+    std::vector<PrefixPathSets> prefix_sets;
+  };
+
   struct EnumPlan {
     Candidate cand;  // plan + used_views always set; pieces lazy for joins
     std::vector<int32_t> bases;  // sorted base plan ids, with multiplicity
@@ -257,7 +246,7 @@ class PlanEnumerator {
     double cost = 0;
     double rows = 0;
     uint64_t canon_hash = 0;  // valid once materialized
-    CandInfo info;            // valid once info_built
+    JoinInfo info;            // valid once info_built
     bool materialized = false;
     bool info_built = false;
     bool alive = true;
@@ -273,6 +262,7 @@ class PlanEnumerator {
   /// child's pattern set (Prop 3.5), or duplicates an already-materialized
   /// plan of the same problem (then the cheaper of the two survives).
   bool Materialize(int32_t id);
+  /// Materializes the plan and builds its JoinInfo; false for a dead plan.
   bool EnsureInfo(int32_t id);
 
   /// Dominance bookkeeping for a fully-constructed plan skeleton; returns

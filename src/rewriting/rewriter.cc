@@ -177,16 +177,27 @@ struct Partial {
   std::vector<Pattern> test_patterns;
 };
 
+/// One search's equivalence tests and union phase, shared by Rewrite() and
+/// RewriteExhaustive(). `memo` may be null; `stats` may not.
 class RewriteSession {
  public:
   RewriteSession(const Summary& summary, const RewriterOptions& options,
                  const QueryInfo& qi, ContainmentMemo* memo,
-                 RewriteStats* stats)
+                 const Timer& timer, RewriteStats* stats)
       : summary_(summary),
         options_(options),
         qi_(qi),
         memo_(memo),
+        timer_(timer),
         stats_(stats) {}
+
+  /// True once the search has run past time_budget_ms (recorded as
+  /// time_budget_hit).
+  bool OverTimeBudget() {
+    if (timer_.ElapsedMillis() <= options_.time_budget_ms) return false;
+    stats_->time_budget_hit = true;
+    return true;
+  }
 
   /// Tests a candidate against the query; appends results and partial
   /// covers. Returns true if the result budget is exhausted.
@@ -194,7 +205,7 @@ class RewriteSession {
     std::vector<Assignment> assignments = EnumerateAssignments(cand);
     for (const Assignment& asg : assignments) {
       if (Exhausted(results)) return true;
-      if (stats_ != nullptr) ++stats_->equivalence_tests;
+      ++stats_->equivalence_tests;
       std::vector<PlanSelect> selects;
       std::vector<Pattern> tps;
       if (!BuildTestPatterns(cand, asg, &tps, &selects)) continue;
@@ -223,9 +234,7 @@ class RewriteSession {
         std::string compact = PlanToCompactString(*final_plan);
         if (result_compacts_.insert(compact).second) {
           results->push_back({std::move(final_plan), std::move(compact)});
-          if (stats_ != nullptr) {
-            ++stats_->results;
-          }
+          NoteResult();
         }
         if (Exhausted(results)) return true;
       } else if (partials_.size() < options_.max_union_partials &&
@@ -266,7 +275,7 @@ class RewriteSession {
               all.push_back(&tp);
             }
           }
-          if (stats_ != nullptr) ++stats_->equivalence_tests;
+          ++stats_->equivalence_tests;
           Result<bool> covered = ContainedInUnion(qi_.flat, all);
           if (covered.ok() && *covered) {
             found_subsets.push_back(idx);
@@ -278,7 +287,7 @@ class RewriteSession {
             PlanPtr final_plan = AdaptNesting(std::move(u));
             std::string compact = PlanToCompactString(*final_plan);
             results->push_back({std::move(final_plan), std::move(compact)});
-            if (stats_ != nullptr) ++stats_->results;
+            NoteResult();
           }
         }
         // Next combination.
@@ -298,8 +307,12 @@ class RewriteSession {
 
  private:
   bool Exhausted(const std::vector<Rewriting>* results) const {
-    return results->size() >= options_.max_results ||
-           (options_.stop_at_first && !results->empty());
+    return results->size() >= options_.max_results;
+  }
+
+  void NoteResult() {
+    ++stats_->results;
+    if (stats_->first_ms < 0) stats_->first_ms = timer_.ElapsedMillis();
   }
 
   /// Containment through the memo when one is configured.
@@ -724,6 +737,7 @@ class RewriteSession {
   const RewriterOptions& options_;
   const QueryInfo& qi_;
   ContainmentMemo* memo_;
+  const Timer& timer_;
   RewriteStats* stats_;
   std::vector<Partial> partials_;
   std::unordered_set<std::string> result_compacts_;  // dedup of *results
@@ -732,6 +746,110 @@ class RewriteSession {
   int q_model_state_ = 0;
   std::vector<CanonicalTree> q_model_;
 };
+
+// ---------------------------------------------------------------------------
+// Phases shared by both searches
+// ---------------------------------------------------------------------------
+
+/// The level-1 candidates of the kept views, each expansion tagged with its
+/// own instance prefix (views over the expansion budget are skipped), in
+/// search order: candidates whose attributed nodes sit on exact query paths
+/// first, so a budgeted join search reaches the useful combinations sooner.
+/// `kept_pos`, when non-null, receives each candidate's position in `kept`.
+std::vector<Candidate> ExpandViews(const std::vector<const ViewDef*>& kept,
+                                   const QueryInfo& qi, const Summary& summary,
+                                   const ExpansionOptions& expansion,
+                                   std::vector<size_t>* kept_pos) {
+  std::vector<Candidate> expanded_all;
+  std::vector<size_t> pos;
+  int instance = 0;
+  for (size_t k = 0; k < kept.size(); ++k) {
+    Result<std::vector<Candidate>> expanded =
+        ExpandView(*kept[k], summary, qi.labels, expansion);
+    if (!expanded.ok()) continue;
+    for (Candidate& c : *expanded) {
+      RetagPieces(&c.pieces, StrFormat("i%d.", instance++));
+      expanded_all.push_back(std::move(c));
+      pos.push_back(k);
+    }
+  }
+  auto exact = [&](const Candidate& c) {
+    for (const Piece& piece : c.pieces) {
+      for (const ColumnBinding& b : piece.bindings) {
+        if (b.skeleton && b.path != kInvalidPath &&
+            qi.assoc_exact[static_cast<size_t>(b.path)]) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  std::vector<size_t> order(expanded_all.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_partition(order.begin(), order.end(), [&](size_t i) {
+    return exact(expanded_all[i]);
+  });
+  std::vector<Candidate> out;
+  out.reserve(order.size());
+  if (kept_pos != nullptr) kept_pos->clear();
+  for (size_t i : order) {
+    out.push_back(std::move(expanded_all[i]));
+    if (kept_pos != nullptr) kept_pos->push_back(pos[i]);
+  }
+  return out;
+}
+
+/// Cost-based selection: ranks the rewritings cheapest first (ties by
+/// compact form) and records the cost spread. No-op without a cost model.
+void RankByCost(const CostModel* cost_model, std::vector<Rewriting>* results,
+                RewriteStats* stats) {
+  if (cost_model == nullptr || results->empty()) return;
+  for (Rewriting& r : *results) r.est_cost = cost_model->EstimateCost(*r.plan);
+  std::stable_sort(results->begin(), results->end(),
+                   [](const Rewriting& a, const Rewriting& b) {
+                     if (a.est_cost != b.est_cost) {
+                       return a.est_cost < b.est_cost;
+                     }
+                     return a.compact < b.compact;
+                   });
+  stats->cheapest_cost = results->front().est_cost;
+  stats->costliest_cost = results->back().est_cost;
+}
+
+// ---------------------------------------------------------------------------
+// Reference search state
+// ---------------------------------------------------------------------------
+
+/// A candidate of the reference search with its join state: the joinable
+/// prefixes that pin some piece on a join-relevant path, each with every
+/// piece's pinned ID path, and the canonical hash for duplicate pruning.
+struct RefCandidate {
+  Candidate cand;
+  uint64_t canon_hash = 0;
+  std::vector<std::string> prefixes;
+  std::vector<std::vector<PathId>> paths;  // aligned with prefixes
+};
+
+RefCandidate MakeRefCandidate(Candidate c,
+                              const std::vector<bool>& join_relevant) {
+  RefCandidate r;
+  r.canon_hash = CandidateCanonicalHash(c);
+  for (const std::string& prefix : c.JoinablePrefixes()) {
+    std::vector<PathId> paths;
+    bool relevant = false;
+    for (const Piece& piece : c.pieces) {
+      // JoinablePrefixes guarantees a skeleton ID binding in every piece.
+      PathId s = piece.Find(prefix, kAttrId)->path;
+      paths.push_back(s);
+      relevant = relevant || join_relevant[static_cast<size_t>(s)];
+    }
+    if (!relevant) continue;
+    r.prefixes.push_back(prefix);
+    r.paths.push_back(std::move(paths));
+  }
+  r.cand = std::move(c);
+  return r;
+}
 
 }  // namespace
 
@@ -748,14 +866,11 @@ std::string RewriterOptionsFingerprint(const RewriterOptions& o) {
                                      o.cost_model->default_rows)
           : 0;
   return StrFormat(
-      "r%zu.p%d.c%zu.t%zu.pc%zu.a%zu.u%zu.up%zu.%d%d%d%d.m%llx.dp%d|e%s|k%s",
-      o.max_results, o.max_plan_views, o.max_candidates, o.max_plan_table,
-      o.max_pieces, o.max_assignments, o.max_union_size,
-      o.max_union_partials, o.prune_views ? 1 : 0,
-      o.prune_same_pattern ? 1 : 0, o.stop_at_first ? 1 : 0,
-      o.use_view_index ? 1 : 0,
+      "r%zu.p%d.t%zu.pc%zu.a%zu.u%zu.up%zu.%d%d.m%llx|e%s|k%s",
+      o.max_results, o.max_plan_views, o.max_plan_table, o.max_pieces,
+      o.max_assignments, o.max_union_size, o.max_union_partials,
+      o.prune_views ? 1 : 0, o.prune_same_pattern ? 1 : 0,
       static_cast<unsigned long long>(model_fp),  // NOLINT(runtime/int)
-      o.use_dp_enumeration ? 1 : 0,
       ExpansionOptionsFingerprint(o.expansion).c_str(),
       ContainmentOptionsFingerprint(o.containment).c_str());
 }
@@ -817,39 +932,27 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   // ---- Setup: Prop 3.4 pruning + view expansion. ----
   begin_phase("prune-views");
   stats->views_total = views_.size();
-  const bool use_index = options_.use_view_index;
-  const ViewIndex* index = nullptr;
-  if (use_index) {
-    if (options_.shared_view_index != nullptr &&
-        options_.shared_view_index->size() ==
-            static_cast<int32_t>(views_.size())) {
-      index = options_.shared_view_index;
-    } else {
-      if (index_ == nullptr) {
-        index_ = std::make_unique<ViewIndex>(summary_, options_.expansion);
-      }
-      while (index_->size() < static_cast<int32_t>(views_.size())) {
-        index_->AddView(views_[static_cast<size_t>(index_->size())]);
-      }
-      index = index_.get();
+  const ViewIndex* index = options_.shared_view_index;
+  if (index == nullptr ||
+      index->size() != static_cast<int32_t>(views_.size())) {
+    if (index_ == nullptr) {
+      index_ = std::make_unique<ViewIndex>(summary_, options_.expansion);
     }
+    while (index_->size() < static_cast<int32_t>(views_.size())) {
+      index_->AddView(views_[static_cast<size_t>(index_->size())]);
+    }
+    index = index_.get();
   }
-  PathBitset related_bits;
-  if (use_index) {
-    related_bits = MakePathBitset(summary_.size());
-    for (PathId s = 0; s < summary_.size(); ++s) {
-      if (qi.related_path[static_cast<size_t>(s)]) {
-        PathBitsetSet(&related_bits, s);
-      }
+  PathBitset related_bits = MakePathBitset(summary_.size());
+  for (PathId s = 0; s < summary_.size(); ++s) {
+    if (qi.related_path[static_cast<size_t>(s)]) {
+      PathBitsetSet(&related_bits, s);
     }
   }
   std::vector<const ViewDef*> kept;
   std::vector<size_t> kept_idx;  // positions in views_
   for (size_t vi = 0; vi < views_.size(); ++vi) {
-    bool keep = !options_.prune_views ||
-                (use_index ? index->Related(vi, related_bits)
-                           : ViewRelated(views_[vi], qi, summary_));
-    if (keep) {
+    if (!options_.prune_views || index->Related(vi, related_bits)) {
       kept.push_back(&views_[vi]);
       kept_idx.push_back(vi);
     }
@@ -861,44 +964,39 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   }
 
   // ---- Column coverage: whole-query early-out. ----
-  std::unique_ptr<CoverageAnalysis> cover;
-  if (use_index) {
-    int32_t cols = static_cast<int32_t>(qi.cols.size());
-    if (cols > 0 && cols <= CoverageAnalysis::kMaxCols) {
-      // Per column: feasible paths as a bitset; a column inside an optional
-      // subtree may have none — then the assignment path check is skipped,
-      // so any path serves (all-ones).
-      std::vector<PathBitset> col_bits;
+  // One mask bit per return column; beyond kMaxCols every mask stays 0 and
+  // the analysis is vacuous.
+  const int32_t cols = static_cast<int32_t>(qi.cols.size());
+  std::vector<uint32_t> view_masks(kept_idx.size(), 0);
+  if (cols <= CoverageAnalysis::kMaxCols) {
+    // Per column: feasible paths as a bitset; a column inside an optional
+    // subtree may have none — then the assignment path check is skipped,
+    // so any path serves (all-ones).
+    std::vector<PathBitset> col_bits;
+    for (int32_t i = 0; i < cols; ++i) {
+      PathBitset b = MakePathBitset(summary_.size());
+      if (qi.col_paths[static_cast<size_t>(i)].empty()) {
+        for (uint64_t& w : b) w = ~uint64_t{0};
+      } else {
+        for (PathId s : qi.col_paths[static_cast<size_t>(i)]) {
+          PathBitsetSet(&b, s);
+        }
+      }
+      col_bits.push_back(std::move(b));
+    }
+    for (size_t k = 0; k < kept_idx.size(); ++k) {
       for (int32_t i = 0; i < cols; ++i) {
-        PathBitset b = MakePathBitset(summary_.size());
-        if (qi.col_paths[static_cast<size_t>(i)].empty()) {
-          for (uint64_t& w : b) w = ~uint64_t{0};
-        } else {
-          for (PathId s : qi.col_paths[static_cast<size_t>(i)]) {
-            PathBitsetSet(&b, s);
-          }
+        const Pattern::Node& qnode =
+            qi.flat.node(qi.cols[static_cast<size_t>(i)]);
+        if (index->CanServe(kept_idx[k], qi.col_attrs[static_cast<size_t>(i)],
+                            col_bits[static_cast<size_t>(i)], qnode)) {
+          view_masks[k] |= uint32_t{1} << i;
         }
-        col_bits.push_back(std::move(b));
       }
-      std::vector<uint32_t> view_masks;
-      view_masks.reserve(kept_idx.size());
-      for (size_t vi : kept_idx) {
-        uint32_t mask = 0;
-        for (int32_t i = 0; i < cols; ++i) {
-          const Pattern::Node& qnode =
-              qi.flat.node(qi.cols[static_cast<size_t>(i)]);
-          if (index->CanServe(vi, qi.col_attrs[static_cast<size_t>(i)],
-                              col_bits[static_cast<size_t>(i)], qnode)) {
-            mask |= uint32_t{1} << i;
-          }
-        }
-        view_masks.push_back(mask);
-      }
-      cover = std::make_unique<CoverageAnalysis>(cols, std::move(view_masks));
-      if (!cover->enabled()) cover.reset();
     }
   }
-  if (cover != nullptr && !cover->Extendable(0, 0, options_.max_plan_views)) {
+  const CoverageAnalysis cover(cols, std::move(view_masks));
+  if (!cover.Extendable(0, 0, options_.max_plan_views)) {
     // No combination of ≤ max_plan_views views can serve every return
     // column, so neither a candidate, a join, nor a union of partial
     // covers (each of which serves all columns) can exist.
@@ -911,41 +1009,9 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   }
 
   begin_phase("expand-views");
-  std::vector<Candidate> m0;
-  std::vector<uint32_t> m0_masks;  // aligned serve masks (0 without cover)
-  int instance = 0;
-  for (size_t k = 0; k < kept.size(); ++k) {
-    Result<std::vector<Candidate>> expanded =
-        ExpandView(*kept[k], summary_, qi.labels, options_.expansion);
-    if (!expanded.ok()) continue;  // over-budget views are skipped
-    for (Candidate& c : *expanded) {
-      RetagPieces(&c.pieces, StrFormat("i%d.", instance++));
-      m0.push_back(std::move(c));
-      m0_masks.push_back(cover != nullptr ? cover->ViewMask(k) : 0);
-      if (m0.size() >= options_.max_candidates) break;
-    }
-    if (m0.size() >= options_.max_candidates) break;
-  }
-  // Search-order heuristic: candidates whose attributed nodes sit on exact
-  // query paths first — the budgeted join enumeration reaches the useful
-  // combinations sooner.
-  auto exactness = [&](const Candidate& c) {
-    for (const Piece& piece : c.pieces) {
-      for (const ColumnBinding& b : piece.bindings) {
-        if (b.skeleton && b.path != kInvalidPath &&
-            qi.assoc_exact[static_cast<size_t>(b.path)]) {
-          return 0;
-        }
-      }
-    }
-    return 1;
-  };
-  std::vector<size_t> order(m0.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return exactness(m0[a]) < exactness(m0[b]);
-  });
-
+  std::vector<size_t> kept_pos;
+  std::vector<Candidate> m0 =
+      ExpandViews(kept, qi, summary_, options_.expansion, &kept_pos);
   stats->candidates_built = m0.size();
   stats->setup_ms = total_timer.ElapsedMillis();
   if (phase != nullptr) phase->AddAttr("candidates", m0.size());
@@ -953,369 +1019,207 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   std::vector<Rewriting> results;
   ContainmentMemo local_memo;
   ContainmentMemo* memo =
-      options_.memo != nullptr
-          ? options_.memo
-          : (options_.memoize_containment ? &local_memo : nullptr);
-  size_t memo_hits0 = memo != nullptr ? memo->hits() : 0;
-  size_t memo_misses0 = memo != nullptr ? memo->misses() : 0;
-  RewriteSession session(summary_, options_, qi, memo, stats);
-  auto note_first = [&]() {
-    if (stats != nullptr && stats->first_ms < 0 && !results.empty()) {
-      stats->first_ms = total_timer.ElapsedMillis();
+      options_.memo != nullptr ? options_.memo : &local_memo;
+  const size_t memo_hits0 = memo->hits();
+  const size_t memo_misses0 = memo->misses();
+  RewriteSession session(summary_, options_, qi, memo, total_timer, stats);
+
+  // ---- DP plan enumeration (Algorithm 1 lines 2-11). ----
+  begin_phase("plan-enum");
+  Timer enum_timer;
+  // Without a configured cost model the enumerator still needs a ranking
+  // signal; a default-constructed model (every view at default_rows) is
+  // deterministic and keeps the search reproducible.
+  CostModel fallback_model;
+  const CostModel* cm = options_.cost_model != nullptr ? options_.cost_model
+                                                       : &fallback_model;
+  PlanEnumerator::Options popts;
+  popts.max_plan_views = options_.max_plan_views;
+  popts.max_table = options_.max_plan_table;
+  popts.max_frontier = options_.max_pieces;
+  popts.max_merged_pieces = options_.expansion.max_pieces;
+  popts.prune_same_pattern = options_.prune_same_pattern;
+  PlanEnumerator enumerator(summary_, *cm, qi.join_relevant, cover, popts);
+  for (size_t i = 0; i < m0.size(); ++i) {
+    enumerator.AddBase(std::move(m0[i]), cover.ViewMask(kept_pos[i]));
+  }
+  // The branch-and-bound bound: cheapest estimated cost over the
+  // rewritings found so far. A final plan costs at least its candidate
+  // plan (adaptation operators only add cost), so candidates at or above
+  // this bound cannot improve the result set.
+  double best_found = std::numeric_limits<double>::infinity();
+  auto on_cover = [&](const Candidate& cand,
+                      double) -> PlanEnumerator::MatchOutcome {
+    size_t before = results.size();
+    bool stop = session.TryMatch(cand, &results);
+    for (size_t r = before; r < results.size(); ++r) {
+      best_found = std::min(best_found, cm->EstimateCost(*results[r].plan));
     }
+    return {stop, best_found};
   };
-  auto over_time_budget = [&]() {
-    if (total_timer.ElapsedMillis() <= options_.time_budget_ms) return false;
-    if (stats != nullptr) stats->time_budget_hit = true;
-    return true;
-  };
-
-  const bool use_dp = options_.use_dp_enumeration && cover != nullptr;
-  if (use_dp) {
-    // ---- DP plan enumeration (replaces phases A and B in one pass). ----
-    begin_phase("plan-enum");
-    Timer enum_timer;
-    // Without a configured cost model the enumerator still needs a ranking
-    // signal; a default-constructed model (every view at default_rows) is
-    // deterministic and keeps the search reproducible.
-    CostModel fallback_model;
-    const CostModel* cm = options_.cost_model != nullptr ? options_.cost_model
-                                                         : &fallback_model;
-    PlanEnumerator::Options popts;
-    popts.max_plan_views = options_.max_plan_views;
-    popts.max_table = options_.max_plan_table;
-    popts.max_frontier = options_.max_pieces;
-    popts.max_merged_pieces = options_.expansion.max_pieces;
-    popts.prune_same_pattern = options_.prune_same_pattern;
-    PlanEnumerator enumerator(summary_, *cm, qi.join_relevant, *cover,
-                              popts);
-    for (size_t i : order) {
-      enumerator.AddBase(std::move(m0[i]), m0_masks[i]);
-    }
-    // The branch-and-bound bound: cheapest estimated cost over the
-    // rewritings found so far. A final plan costs at least its candidate
-    // plan (adaptation operators only add cost), so candidates at or above
-    // this bound cannot improve the result set.
-    double best_found = std::numeric_limits<double>::infinity();
-    auto on_cover = [&](const Candidate& cand,
-                        double) -> PlanEnumerator::MatchOutcome {
-      size_t before = results.size();
-      bool stop = session.TryMatch(cand, &results);
-      note_first();
-      for (size_t r = before; r < results.size(); ++r) {
-        best_found =
-            std::min(best_found, cm->EstimateCost(*results[r].plan));
-      }
-      return {stop, best_found};
-    };
-    enumerator.Run(on_cover, over_time_budget);
-    const PlanEnumerator::Stats& es = enumerator.stats();
-    stats->join_candidates += es.joins;
-    stats->plans_generated += es.generated;
-    stats->plans_dominated += es.dominated;
-    stats->plans_retained += es.retained;
-    stats->candidates_pruned += es.coverage_pruned + es.cost_pruned;
-    stats->search_truncated = stats->search_truncated || es.truncated;
-    stats->plan_table_full = stats->plan_table_full || es.table_full;
-    metrics::PlansGenerated()->Add(static_cast<int64_t>(es.generated));
-    metrics::PlansDominated()->Add(static_cast<int64_t>(es.dominated));
-    metrics::PlanEnumLatencyUs()->Observe(
-        static_cast<int64_t>(enum_timer.ElapsedMicros()));
-    if (phase != nullptr) {
-      phase->AddAttr("plans_generated", es.generated);
-      phase->AddAttr("plans_dominated", es.dominated);
-      phase->AddAttr("plans_retained", es.retained);
-      phase->AddAttr("beam_skipped", es.beam_skipped);
-      phase->AddAttr("table_full", es.table_full ? "true" : "false");
-      phase->AddAttr("results", results.size());
-    }
-  } else {
-  // ---- Phase B state (built first so phase A shares the caches). ----
-  std::vector<Candidate> m;
-  std::vector<CandInfo> info;
-  size_t legacy_dominated = 0;
-  m.reserve(m0.size());
-  info.reserve(m0.size());
-  for (size_t i : order) {
-    info.push_back(BuildCandInfo(m0[i], qi.join_relevant, summary_,
-                                 m0_masks[i], CandidateCanonicalHash(m0[i])));
-    m.push_back(std::move(m0[i]));
-  }
-  // Candidate dedup, two-level: canonical hash buckets, with the (rarely
-  // needed) full canonical strings as the arbiter on hash collisions.
-  std::unordered_map<uint64_t, std::vector<size_t>> seen_patterns;
-  for (size_t i = 0; i < m.size(); ++i) {
-    seen_patterns[info[i].canon_hash].push_back(i);
-  }
-
-  // ---- Phase A: single-view candidates. ----
-  begin_phase("match-single-views");
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (cover != nullptr && !cover->Covers(info[i].serve_mask)) {
-      // The candidate's views provably cannot serve every column, so
-      // TryMatch would enumerate no assignment; skipping it is a no-op.
-      if (stats != nullptr) ++stats->candidates_pruned;
-      continue;
-    }
-    if (session.TryMatch(m[i], &results)) break;
-    note_first();
-    if (over_time_budget()) break;
-  }
-  note_first();
-  if (phase != nullptr) phase->AddAttr("results", results.size());
-
-  // ---- Phase B: left-deep join enumeration (Algorithm 1 lines 2-11). ----
-  begin_phase("enumerate-joins");
-  size_t frontier_begin = 0;
-  size_t total_candidates = m.size();
-  bool done = results.size() >= options_.max_results ||
-              (options_.stop_at_first && !results.empty());
-
-  while (!done && frontier_begin < m.size() && !over_time_budget()) {
-    size_t frontier_end = m.size();
-    for (size_t ci = frontier_begin; ci < frontier_end && !done; ++ci) {
-      for (size_t cj = 0; cj < frontier_end && !done; ++cj) {
-        // Right operand drawn from the initial set only (left-deep plans).
-        if (m[cj].used_views.size() != 1) continue;
-        size_t used_total =
-            m[ci].used_views.size() + m[cj].used_views.size();
-        if (static_cast<int32_t>(used_total) > options_.max_plan_views) {
-          continue;
-        }
-        // Coverage pruning: this pair — and hence every left-deep extension
-        // of it — can never serve all query columns, so neither results
-        // nor union partials can come out of it.
-        if (cover != nullptr &&
-            !cover->Extendable(info[ci].serve_mask | info[cj].serve_mask,
-                               used_total, options_.max_plan_views)) {
-          if (stats != nullptr) ++stats->candidates_pruned;
-          continue;
-        }
-        if (over_time_budget()) break;
-
-        // Note: m and info grow inside the loop body, so every reference
-        // into them is re-resolved per iteration (push_back may reallocate).
-        size_t num_pi = info[ci].rel_prefixes.size();
-        size_t num_pj = info[cj].rel_prefixes.size();
-        for (size_t ai = 0; ai < num_pi; ++ai) {
-          for (size_t bj = 0; bj < num_pj; ++bj) {
-            for (JoinType type :
-                 {JoinType::kEq, JoinType::kParent, JoinType::kAncestor}) {
-              for (bool i_is_ancestor : {true, false}) {
-                if (type == JoinType::kEq && !i_is_ancestor) continue;
-                if (done) break;
-                const Candidate& anc = i_is_ancestor ? m[ci] : m[cj];
-                const Candidate& desc = i_is_ancestor ? m[cj] : m[ci];
-                const CandInfo& anc_info = i_is_ancestor ? info[ci] : info[cj];
-                const CandInfo& desc_info = i_is_ancestor ? info[cj] : info[ci];
-                size_t anc_pidx = i_is_ancestor ? ai : bj;
-                size_t desc_pidx = i_is_ancestor ? bj : ai;
-                const std::string& anc_prefix =
-                    anc_info.rel_prefixes[anc_pidx];
-                const std::string& desc_prefix =
-                    desc_info.rel_prefixes[desc_pidx];
-                // Bitset pre-pass: a few word ANDs decide whether ANY piece
-                // pair is path-compatible under this join type.
-                if (!PrefixSetsJoin(anc_info.prefix_sets[anc_pidx],
-                                    desc_info.prefix_sets[desc_pidx], type)) {
-                  continue;
-                }
-                const std::vector<PathId>& anc_paths =
-                    anc_info.prefix_paths[anc_pidx];
-                const std::vector<PathId>& desc_paths =
-                    desc_info.prefix_paths[desc_pidx];
-
-                // Integer pre-pass over the pinned join paths: merging can
-                // only produce pieces for path-compatible piece pairs. When
-                // neither side has predicates, every compatible pair merges
-                // successfully, so a pair count beyond max_pieces discards
-                // the combination before any merge (the merge loop below
-                // would discard it after max_pieces wasted merges).
-                size_t compatible = 0;
-                for (size_t x = 0; x < anc_paths.size(); ++x) {
-                  for (size_t y = 0; y < desc_paths.size(); ++y) {
-                    compatible += PiecePathsJoin(summary_, anc_paths[x],
-                                                 desc_paths[y], type)
-                                      ? 1
-                                      : 0;
-                  }
-                }
-                if (compatible == 0) continue;
-                if (compatible > options_.expansion.max_pieces &&
-                    !anc_info.has_preds && !desc_info.has_preds) {
-                  // Certain piece overflow: the discarded combination may
-                  // hide a valid rewriting, so the search result is
-                  // incomplete (and must not be cached).
-                  if (stats != nullptr) stats->search_truncated = true;
-                  continue;
-                }
-
-                int32_t shift = anc.plan->schema.size();
-                std::vector<Piece> merged;
-                bool over_budget = false;
-                for (size_t x = 0; x < anc.pieces.size() && !over_budget;
-                     ++x) {
-                  for (size_t y = 0; y < desc.pieces.size(); ++y) {
-                    Piece out;
-                    if (PiecePathsJoin(summary_, anc_paths[x], desc_paths[y],
-                                       type) &&
-                        MergePieces(summary_, anc.pieces[x], anc_prefix,
-                                    desc.pieces[y], desc_prefix, type, shift,
-                                    &out)) {
-                      merged.push_back(std::move(out));
-                    }
-                    if (merged.size() > options_.expansion.max_pieces) {
-                      over_budget = true;
-                      break;
-                    }
-                  }
-                }
-                if (over_budget) {
-                  if (stats != nullptr) stats->search_truncated = true;
-                  continue;
-                }
-                if (merged.empty()) continue;
-
-                Candidate joined;
-                joined.pieces = std::move(merged);
-                joined.used_views = anc.used_views;
-                joined.used_views.insert(joined.used_views.end(),
-                                         desc.used_views.begin(),
-                                         desc.used_views.end());
-                // Prefixes are unique per instance and both sides came from
-                // distinct instances, so no retagging is needed here.
-
-                // Prop 3.5: skip when the joined pattern set coincides with
-                // a child's; global dedup otherwise. Hashes first — the
-                // full canonical strings are only built on a hash match.
-                uint64_t jhash = CandidateCanonicalHash(joined);
-                if (options_.prune_same_pattern &&
-                    ((jhash == anc_info.canon_hash &&
-                      CandidatesCanonicalEqual(joined, anc)) ||
-                     (jhash == desc_info.canon_hash &&
-                      CandidatesCanonicalEqual(joined, desc)))) {
-                  ++legacy_dominated;
-                  continue;
-                }
-                std::vector<size_t>& bucket = seen_patterns[jhash];
-                bool duplicate = false;
-                for (size_t idx : bucket) {
-                  if (CandidatesCanonicalEqual(m[idx], joined)) {
-                    duplicate = true;
-                    break;
-                  }
-                }
-                if (duplicate) {
-                  ++legacy_dominated;
-                  continue;
-                }
-                if (total_candidates >= options_.max_candidates) {
-                  done = true;
-                  break;
-                }
-                bucket.push_back(m.size());
-                ++total_candidates;
-                if (stats != nullptr) ++stats->join_candidates;
-
-                int32_t anc_col =
-                    anc.pieces[0].Find(anc_prefix, kAttrId)->col;
-                int32_t desc_col =
-                    desc.pieces[0].Find(desc_prefix, kAttrId)->col;
-                PlanPtr left = anc.plan->Clone();
-                PlanPtr right = desc.plan->Clone();
-                PlanPtr jplan;
-                switch (type) {
-                  case JoinType::kEq:
-                    jplan = MakeIdEqJoin(std::move(left), std::move(right),
-                                         anc_col, desc_col);
-                    break;
-                  case JoinType::kParent:
-                    jplan = MakeStructJoin(std::move(left), std::move(right),
-                                           anc_col, desc_col,
-                                           StructAxis::kParent);
-                    break;
-                  case JoinType::kAncestor:
-                    jplan = MakeStructJoin(std::move(left), std::move(right),
-                                           anc_col, desc_col,
-                                           StructAxis::kAncestor);
-                    break;
-                }
-                joined.plan = std::move(jplan);
-
-                uint32_t joined_mask =
-                    info[ci].serve_mask | info[cj].serve_mask;
-                if (cover != nullptr && !cover->Covers(joined_mask)) {
-                  // Useful only as a future join operand: TryMatch would
-                  // enumerate no assignment (see phase A).
-                  if (stats != nullptr) ++stats->candidates_pruned;
-                } else {
-                  done = session.TryMatch(joined, &results) || done;
-                  note_first();
-                }
-                info.push_back(BuildCandInfo(joined, qi.join_relevant,
-                                             summary_, joined_mask, jhash));
-                m.push_back(std::move(joined));
-              }
-              if (done) break;
-            }
-            if (done) break;
-          }
-          if (done) break;
-        }
-      }
-    }
-    frontier_begin = frontier_end;
-    done = done || results.size() >= options_.max_results ||
-           (options_.stop_at_first && !results.empty());
-  }
-
+  enumerator.Run(on_cover, [&]() { return session.OverTimeBudget(); });
+  const PlanEnumerator::Stats& es = enumerator.stats();
+  stats->join_candidates += es.joins;
+  stats->plans_generated += es.generated;
+  stats->plans_dominated += es.dominated;
+  stats->plans_retained += es.retained;
+  stats->candidates_pruned += es.coverage_pruned + es.cost_pruned;
+  stats->search_truncated = stats->search_truncated || es.truncated;
+  stats->plan_table_full = stats->plan_table_full || es.table_full;
+  metrics::PlansGenerated()->Add(static_cast<int64_t>(es.generated));
+  metrics::PlansDominated()->Add(static_cast<int64_t>(es.dominated));
+  metrics::PlanEnumLatencyUs()->Observe(
+      static_cast<int64_t>(enum_timer.ElapsedMicros()));
   if (phase != nullptr) {
-    phase->AddAttr("join_candidates", stats->join_candidates - jc0);
+    phase->AddAttr("plans_generated", es.generated);
+    phase->AddAttr("plans_dominated", es.dominated);
+    phase->AddAttr("plans_retained", es.retained);
+    phase->AddAttr("beam_skipped", es.beam_skipped);
+    phase->AddAttr("table_full", es.table_full ? "true" : "false");
+    phase->AddAttr("results", results.size());
   }
-  // Comparable plan accounting for the exhaustive path: every candidate
-  // (initial or joined) is a generated plan, canonical-duplicate and
-  // Prop 3.5 discards are the only dominance the path has, and the whole
-  // table is retained to the end.
-  stats->plans_generated += m.size() + legacy_dominated;
-  stats->plans_dominated += legacy_dominated;
-  stats->plans_retained += m.size();
-  metrics::PlansGenerated()->Add(
-      static_cast<int64_t>(m.size() + legacy_dominated));
-  metrics::PlansDominated()->Add(static_cast<int64_t>(legacy_dominated));
-  }  // use_dp
 
   // ---- Union phase (Algorithm 1 lines 13-14). ----
   begin_phase("union-partials");
-  if (!(options_.stop_at_first && !results.empty())) {
-    session.UnionPhase(&results);
-    note_first();
-  }
+  session.UnionPhase(&results);
 
-  // ---- Cost-based selection: rank the covers, cheapest plan first. ----
   begin_phase("rank-by-cost");
-  if (options_.cost_model != nullptr && !results.empty()) {
-    for (Rewriting& r : results) {
-      r.est_cost = options_.cost_model->EstimateCost(*r.plan);
-    }
-    std::stable_sort(results.begin(), results.end(),
-                     [](const Rewriting& a, const Rewriting& b) {
-                       if (a.est_cost != b.est_cost) {
-                         return a.est_cost < b.est_cost;
-                       }
-                       return a.compact < b.compact;
-                     });
-    stats->cheapest_cost = results.front().est_cost;
-    stats->costliest_cost = results.back().est_cost;
-  }
+  RankByCost(options_.cost_model, &results, stats);
 
   stats->results = results.size();
-  if (memo != nullptr) {
-    stats->containment_memo_hits += memo->hits() - memo_hits0;
-    stats->containment_memo_misses += memo->misses() - memo_misses0;
-  }
+  stats->containment_memo_hits += memo->hits() - memo_hits0;
+  stats->containment_memo_misses += memo->misses() - memo_misses0;
   stats->total_ms = total_timer.ElapsedMillis();
   end_phases();
   record_metrics(results.size());
+  return results;
+}
+
+Result<std::vector<Rewriting>> Rewriter::RewriteExhaustive(
+    const Pattern& q, RewriteStats* stats) const {
+  Timer timer;
+  if (q.size() == 0 || q.Arity() == 0) {
+    return Status::InvalidArgument("query must have return nodes");
+  }
+  RewriteStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  const QueryInfo qi = AnalyzeQuery(q, summary_);
+
+  std::vector<const ViewDef*> kept;
+  for (const ViewDef& v : views_) {
+    if (!options_.prune_views || ViewRelated(v, qi, summary_)) {
+      kept.push_back(&v);
+    }
+  }
+  stats->views_total = views_.size();
+  stats->views_kept = kept.size();
+  std::vector<RefCandidate> m;
+  for (Candidate& c :
+       ExpandViews(kept, qi, summary_, options_.expansion, nullptr)) {
+    m.push_back(MakeRefCandidate(std::move(c), qi.join_relevant));
+  }
+  stats->candidates_built = m.size();
+  stats->setup_ms = timer.ElapsedMillis();
+
+  std::vector<Rewriting> results;
+  RewriteSession session(summary_, options_, qi, /*memo=*/nullptr, timer,
+                         stats);
+  for (const RefCandidate& c : m) {
+    if (session.TryMatch(c.cand, &results) || session.OverTimeBudget()) {
+      break;
+    }
+  }
+
+  // Left-deep joins (Algorithm 1 lines 2-11): each level joins the previous
+  // level's candidates with every single-view candidate, on every pair of
+  // join-relevant prefixes, under ⋈= and under ⋈≺ / ⋈≺≺ in both directions.
+  constexpr std::pair<JoinType, bool> kShapes[] = {
+      {JoinType::kEq, true},        {JoinType::kParent, true},
+      {JoinType::kParent, false},   {JoinType::kAncestor, true},
+      {JoinType::kAncestor, false}};  // (type, left operand is ancestor)
+  std::unordered_map<uint64_t, std::vector<size_t>> seen;  // hash → m index
+  for (size_t i = 0; i < m.size(); ++i) seen[m[i].canon_hash].push_back(i);
+  bool done =
+      results.size() >= options_.max_results || session.OverTimeBudget();
+  for (size_t level_begin = 0; !done && level_begin < m.size();) {
+    const size_t level_end = m.size();
+    for (size_t ci = level_begin; ci < level_end && !done; ++ci) {
+      for (size_t cj = 0; cj < level_end && !done; ++cj) {
+        if (m[cj].cand.used_views.size() != 1 ||
+            static_cast<int32_t>(m[ci].cand.used_views.size()) + 1 >
+                options_.max_plan_views) {
+          continue;
+        }
+        done = session.OverTimeBudget();
+        // m grows below, so its elements are re-resolved per join.
+        for (size_t ai = 0; ai < m[ci].prefixes.size() && !done; ++ai) {
+          for (size_t bj = 0; bj < m[cj].prefixes.size() && !done; ++bj) {
+            for (const auto& [type, left_is_anc] : kShapes) {
+              const RefCandidate& anc = m[left_is_anc ? ci : cj];
+              const RefCandidate& desc = m[left_is_anc ? cj : ci];
+              const size_t ap = left_is_anc ? ai : bj;
+              const size_t dp = left_is_anc ? bj : ai;
+              Candidate joined;
+              if (!MergePieceSets(summary_, anc.cand.pieces, anc.prefixes[ap],
+                                  anc.paths[ap], desc.cand.pieces,
+                                  desc.prefixes[dp], desc.paths[dp], type,
+                                  anc.cand.plan->schema.size(),
+                                  options_.expansion.max_pieces,
+                                  &joined.pieces)) {
+                stats->search_truncated = true;
+                continue;
+              }
+              if (joined.pieces.empty()) continue;
+              // Prop 3.5: a join whose pattern set coincides with a
+              // child's adds nothing; nor does a duplicate of any earlier
+              // candidate.
+              const uint64_t h = CandidateCanonicalHash(joined);
+              if (options_.prune_same_pattern &&
+                  ((h == anc.canon_hash &&
+                    CandidatesCanonicalEqual(joined, anc.cand)) ||
+                   (h == desc.canon_hash &&
+                    CandidatesCanonicalEqual(joined, desc.cand)))) {
+                continue;
+              }
+              std::vector<size_t>& bucket = seen[h];
+              if (std::any_of(bucket.begin(), bucket.end(), [&](size_t i) {
+                    return CandidatesCanonicalEqual(m[i].cand, joined);
+                  })) {
+                continue;
+              }
+              if (m.size() >= kReferenceMaxCandidates) {
+                stats->plan_table_full = true;
+                done = true;
+                break;
+              }
+              joined.used_views = anc.cand.used_views;
+              joined.used_views.insert(joined.used_views.end(),
+                                       desc.cand.used_views.begin(),
+                                       desc.cand.used_views.end());
+              joined.plan = MakeJoinPlan(
+                  anc.cand.plan->Clone(), desc.cand.plan->Clone(),
+                  anc.cand.pieces[0].Find(anc.prefixes[ap], kAttrId)->col,
+                  desc.cand.pieces[0].Find(desc.prefixes[dp], kAttrId)->col,
+                  type);
+              bucket.push_back(m.size());
+              ++stats->join_candidates;
+              done = session.TryMatch(joined, &results);
+              m.push_back(MakeRefCandidate(std::move(joined),
+                                           qi.join_relevant));
+              if (done) break;
+            }
+          }
+        }
+      }
+    }
+    level_begin = level_end;
+    done = done || session.OverTimeBudget();
+  }
+
+  session.UnionPhase(&results);
+  RankByCost(options_.cost_model, &results, stats);
+  stats->results = results.size();
+  stats->total_ms = timer.ElapsedMillis();
   return results;
 }
 

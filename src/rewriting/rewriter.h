@@ -2,8 +2,10 @@
 // the §4.6 extensions:
 //   * plan-pattern pairs, where the pattern side is a union of pinned
 //     pieces (Prop 3.3), kept S-equivalent to the plan by construction;
-//   * left-deep join enumeration over ⋈=, ⋈≺, ⋈≺≺ on stored (or §4.6
-//     derived) structural IDs;
+//   * join enumeration over ⋈=, ⋈≺, ⋈≺≺ on stored (or §4.6 derived)
+//     structural IDs — by the DP enumerator (plan_enum.h) in Rewrite(), and
+//     by Algorithm 1's exhaustive left-deep search in RewriteExhaustive(),
+//     the reference the DP is checked against;
 //   * pruning: Prop 3.4 (unrelated views), Prop 3.5 (join result pattern
 //     coincides with a child's), Prop 3.7 (return-node path compatibility),
 //     S-unsatisfiable join pieces discarded (line 6 context of Algorithm 1);
@@ -38,21 +40,17 @@ struct RewriterOptions {
   ContainmentOptions containment;
   ExpansionOptions expansion;
   int32_t max_plan_views = 3;
-  size_t max_candidates = 2000;
-  /// DP plan-table cap (the DP analogue of `max_candidates`, which bounds
-  /// the legacy exhaustive search). The DP table also holds non-covering
-  /// partial plans, but dominance pruning keeps it far denser than the
-  /// legacy candidate list, so a smaller budget explores the same useful
-  /// space; the main effect of a larger table is a longer futile search on
-  /// queries with no rewriting. Overflow stops enumeration and is reported
-  /// as RewriteStats::plan_table_full, not as search_truncated: such
-  /// results are still cached.
+  /// DP plan-table cap: the table holds covering and non-covering partial
+  /// plans that survived dominance pruning. The main effect of a larger
+  /// table is a longer futile search on queries with no rewriting.
+  /// Overflow stops enumeration and is reported as
+  /// RewriteStats::plan_table_full, not as search_truncated: such results
+  /// are still cached.
   size_t max_plan_table = 1000;
   /// DP extension beam: how many of the cheapest extendable partial plans
-  /// per level the enumerator joins further. (Historically this was a
-  /// per-join piece-product cutoff; the per-candidate merged-piece bound is
-  /// ExpansionOptions::max_pieces now, and overruns of that bound are
-  /// reported via RewriteStats::search_truncated.)
+  /// per level the enumerator joins further. (The per-candidate
+  /// merged-piece bound is ExpansionOptions::max_pieces; overruns of that
+  /// bound are reported via RewriteStats::search_truncated.)
   size_t max_pieces = 128;
   size_t max_assignments = 64;  // return-node choices tested per candidate
   size_t max_results = 8;
@@ -60,30 +58,11 @@ struct RewriterOptions {
   size_t max_union_partials = 24;
   bool prune_views = true;       // Prop 3.4
   bool prune_same_pattern = true;  // Prop 3.5
-  bool stop_at_first = false;
   double time_budget_ms = 60000;
-  /// Use the precomputed ViewIndex signatures: Prop 3.4 by bitset
-  /// intersection, a whole-query early-out when no ≤ max_plan_views view
-  /// combination can serve every required column, and skipping of
-  /// join combinations (and equivalence tests) that provably cannot cover
-  /// the query. All skips are certified by over-approximate signatures, so
-  /// the found rewritings are unchanged; only dead search space is cut.
-  bool use_view_index = true;
-  /// Enumerate join plans with the DP enumerator (src/rewriting/plan_enum.h):
-  /// problems keyed by view-instance multisets, Pareto dominance between
-  /// partial plans, lazy piece materialization, cheapest-first matching, and
-  /// branch-and-bound against the best found rewriting. Requires the
-  /// ViewIndex coverage signatures (use_view_index with ≤ 16 return
-  /// columns); falls back to the exhaustive left-deep search otherwise.
-  /// The flag exists so tests can differentially compare the two paths.
-  bool use_dp_enumeration = true;
-  /// Memoize containment decisions within (and, via `memo`, across)
-  /// Rewrite() calls.
-  bool memoize_containment = true;
-  /// Optional cross-call memo (e.g. CatalogSnapshot::containment_memo()),
-  /// pinned by the caller. Borrowed; must outlive the rewriter and must be
-  /// cleared when the summary changes. When null and memoize_containment is
-  /// set, a per-call memo is used instead.
+  /// Optional cross-call containment memo (e.g.
+  /// CatalogSnapshot::containment_memo()), pinned by the caller. Borrowed;
+  /// must outlive the rewriter and must be cleared when the summary
+  /// changes. When null, Rewrite() memoizes within the call.
   ContainmentMemo* memo = nullptr;
   /// Optional prebuilt snapshot-owned view index
   /// (CatalogSnapshot::ViewIndexFor), shared by concurrent readers so each
@@ -112,9 +91,8 @@ struct RewriterOptions {
 /// cache-key fragment for CachedRewrite (so a new such field must be added
 /// here): the search bounds and switches, the containment and expansion
 /// fingerprints, and the cost model's constants. Left out: `memo`,
-/// `shared_view_index`, `trace` and `memoize_containment`, which never
-/// change a result, and `time_budget_ms` (a budget-cut search is never
-/// cached).
+/// `shared_view_index` and `trace`, which never change a result, and
+/// `time_budget_ms` (a budget-cut search is never cached).
 std::string RewriterOptionsFingerprint(const RewriterOptions& options);
 
 /// One equivalent rewriting: a plan whose output columns are exactly the
@@ -152,15 +130,14 @@ struct RewriteStats {
   /// missed rewritings, so CachedRewrite refuses to cache the result.
   /// (Before the DP enumerator these discards were silent.)
   bool search_truncated = false;
-  /// True when the DP plan table reached RewriterOptions::max_plan_table:
-  /// later bases and joins were never generated, so the result may depend
-  /// on the cap. Kept apart from search_truncated — CachedRewrite caches
-  /// such results like complete ones.
+  /// True when the DP plan table reached RewriterOptions::max_plan_table,
+  /// or the reference search's candidate list reached its cap
+  /// (Rewriter::kReferenceMaxCandidates): later bases or joins were never
+  /// generated, so the result may depend on the cap. Kept apart from
+  /// search_truncated — CachedRewrite caches such results like complete
+  /// ones.
   bool plan_table_full = false;
-  /// Plan-enumeration accounting. The legacy exhaustive path reports
-  /// generated = candidates_built + join_candidates and dominated = its
-  /// canonical-duplicate discards, so the counters are comparable across
-  /// both paths.
+  /// DP plan-enumeration accounting (the reference search leaves these 0).
   size_t plans_generated = 0;
   size_t plans_dominated = 0;
   size_t plans_retained = 0;
@@ -191,6 +168,24 @@ class Rewriter {
   /// Returns an empty vector when none exists within the budgets.
   [[nodiscard]] Result<std::vector<Rewriting>> Rewrite(
       const Pattern& q, RewriteStats* stats = nullptr);
+
+  /// Candidate-list cap of RewriteExhaustive: once the list holds this many
+  /// candidates no join is added, and plan_table_full is set.
+  static constexpr size_t kReferenceMaxCandidates = 2000;
+
+  /// The paper's Algorithm 1 as a reference search: the oracle Rewrite()'s
+  /// DP enumeration is checked against (tests/plan_enum_test.cc and
+  /// bench_rewriter's baseline). No serving path calls it. Prop 3.4 pruning
+  /// by associated paths (no view index), then left-deep joins of every
+  /// candidate with every single-view candidate on join-relevant prefixes,
+  /// with Prop 3.5 and duplicate pruning, then the union phase and cost
+  /// ranking shared with Rewrite(). No containment memo, coverage pruning,
+  /// DP or cache: `memo`, `shared_view_index`, `max_plan_table`,
+  /// `max_pieces` and `trace` are ignored, and no process metric is
+  /// recorded. Stops on max_results and time_budget_ms; a merged-piece
+  /// overflow sets search_truncated, the candidate cap plan_table_full.
+  [[nodiscard]] Result<std::vector<Rewriting>> RewriteExhaustive(
+      const Pattern& q, RewriteStats* stats = nullptr) const;
 
  private:
   const Summary& summary_;

@@ -9,15 +9,6 @@
 
 namespace svx {
 
-const Table& StoredView::extent() const {
-  Result<TablePtr> t = table();
-  SVX_CHECK_MSG(t.ok(), "cannot decode extent of view " + def.name + ": " +
-                            t.status().message());
-  // The slot holds its own reference; the returned reference lives until
-  // the budget evicts the table (see header contract).
-  return *t.value();
-}
-
 Result<TablePtr> StoredView::table() const {
   SVX_DCHECK(columnar != nullptr && residency != nullptr);
   TablePtr t = residency->Get();

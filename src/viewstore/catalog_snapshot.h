@@ -49,15 +49,15 @@ namespace svx {
 /// The extent's truth is `columnar` (columnar.h): dictionary/delta
 /// compressed, always resident, sharing untouched column chunks with the
 /// previous epoch. The decoded row-major table is a cache managed by the
-/// catalog's MemoryBudget — `extent()` / `table()` decode on demand and the
-/// budget may evict the decoded form again under memory pressure (the
-/// compressed truth never leaves).
+/// catalog's MemoryBudget — `table()` decodes on demand and the budget may
+/// evict the decoded form again under memory pressure (the compressed truth
+/// never leaves).
 struct StoredView {
   ViewDef def;
   ViewStats stats;
-  /// Row-major serialized size (ExtentByteSize): the advisor/cost-model
-  /// byte currency, maintained incrementally by maintenance, and the bytes
-  /// the decoded table charges against the memory budget.
+  /// Row-major serialized size (ExtentByteSize), maintained incrementally
+  /// by maintenance: the bytes the decoded table charges against the
+  /// memory budget.
   int64_t extent_bytes = 0;
   /// Columnar payload size (ColumnarExtent::SerializedByteSize) — what the
   /// compressed extent actually costs to keep resident.
@@ -71,14 +71,6 @@ struct StoredView {
   const Document* decode_doc = nullptr;
   /// This view's decoded-table slot in the catalog's MemoryBudget.
   std::shared_ptr<ExtentResidency> residency;
-
-  /// The decoded row-major extent, decoding (and installing it resident)
-  /// if the budget evicted it. The reference stays valid while the decoded
-  /// table is resident — fine single-threaded and under an unlimited
-  /// budget; concurrent readers under a real budget must pin via table().
-  /// CHECK-fails if decoding fails (cannot happen for catalog-built views
-  /// whose content references were validated against decode_doc).
-  const Table& extent() const;
 
   /// The decoded extent, pinned: the returned shared_ptr keeps the table
   /// alive across evictions. Decodes on a miss (counted as a reload).

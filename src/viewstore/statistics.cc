@@ -100,8 +100,9 @@ Table DecodeOneColumn(const ColumnarExtent& extent, int32_t c,
   std::vector<bool> used(static_cast<size_t>(extent.num_columns()), false);
   used[static_cast<size_t>(c)] = true;
   Result<Table> decoded = extent.DecodeColumns(used, doc);
-  SVX_CHECK_MSG(decoded.ok(), "stats decode of a columnar extent failed: " +
-                                  decoded.status().message());
+  SVX_CHECK_MSG(decoded.ok(), ("stats decode of a columnar extent failed: " +
+                                decoded.status().message())
+                                   .c_str());
   return std::move(decoded).value();
 }
 

@@ -225,7 +225,7 @@ class ViewCatalog {
     return Current()->Find(name);
   }
 
-  /// Total serialized size of all extents — the advisor's budget currency.
+  /// Total row-major serialized size of all extents.
   int64_t TotalBytes() const { return Current()->TotalBytes(); }
 
   /// Total compressed (columnar) size of all extents — what the store

@@ -44,7 +44,7 @@ TEST(CatalogSnapshot, EpochsAreImmutableAndMonotonic) {
   EXPECT_EQ(two->Find("V")->stats.num_rows, 3);
   // The old epoch still executes against its own extents.
   Result<Table> rows =
-      Execute(*MakeViewScan("V", one->Find("V")->extent().schema()),
+      Execute(*MakeViewScan("V", one->Find("V")->table().value()->schema()),
               one->ExecutorCatalog());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->NumRows(), 2);
@@ -99,7 +99,8 @@ TEST(CatalogSnapshot, OldEpochKeepsRetiredDocumentAlive) {
   const StoredView* v = old_epoch->Find("V");
   ASSERT_NE(v, nullptr);
   ASSERT_EQ(v->stats.num_rows, 2);
-  for (const Tuple& row : v->extent().rows()) {
+  TablePtr extent = v->table().value();
+  for (const Tuple& row : extent->rows()) {
     const Value& content = row[1];
     ASSERT_TRUE(content.IsContent());
     EXPECT_EQ(content.AsContent().doc, old_epoch->document());

@@ -219,7 +219,7 @@ TEST(Columnar, OlderStoreFormatsFailLoadNamingTheVersion) {
                                              static_cast<unsigned long long>(
                                                  v->generation)))
                       .string();
-    plain = v->extent();
+    plain = *v->table().value();
   }
   const std::string manifest_path = (fs::path(dir) / "manifest.txt").string();
   Result<std::string> manifest = ReadFileBytes(manifest_path);
@@ -422,8 +422,8 @@ TEST(Columnar, UntouchedViewsShareColumnarAcrossEpochs) {
   EXPECT_EQ(catalog.Find("VX")->columnar.get(), vx_before.get())
       << "untouched content view must share the compressed extent object";
   EXPECT_NE(catalog.Find("VB")->columnar.get(), vb_before.get());
-  EXPECT_EQ(catalog.Find("VB")->extent().NumRows(), 3);
-  EXPECT_EQ(catalog.Find("VX")->extent().NumRows(), 1);
+  EXPECT_EQ(catalog.Find("VB")->table().value()->NumRows(), 3);
+  EXPECT_EQ(catalog.Find("VX")->table().value()->NumRows(), 1);
 }
 
 TEST(Columnar, MaintenanceSharesUnchangedChunksAcrossEpochs) {
@@ -441,7 +441,7 @@ TEST(Columnar, MaintenanceSharesUnchangedChunksAcrossEpochs) {
   // Re-encoding an equal table against the previous epoch's extent must
   // reuse the previous chunk objects, not just produce equal bytes — that
   // pointer identity is what lets epochs share untouched columns.
-  Table same = catalog.Find("V")->extent();
+  Table same = *catalog.Find("V")->table().value();
   ColumnarExtent shared = ColumnarExtent::EncodeSharing(same, *before);
   for (int32_t c = 0; c < shared.num_columns(); ++c) {
     EXPECT_EQ(shared.column(c).get(), before->column(c).get())

@@ -61,7 +61,7 @@ std::string ChecksumExtents(const CatalogSnapshot& snap) {
   std::string all;
   for (const auto& v : snap.views()) {
     all += v->def.name;
-    all += SerializeExtent(v->extent());
+    all += SerializeExtent(*v->table().value());
   }
   return all;
 }

@@ -299,7 +299,7 @@ TEST(DeltaLogCatalog, MaintenanceAppendsAndRecoveryReplays) {
   ASSERT_NE(v, nullptr);
   Table fresh = MaterializeView(v->def.pattern, "names", *final_doc);
   fresh.SortRowsCanonical();
-  EXPECT_EQ(SerializeExtent(v->extent()), SerializeExtent(fresh));
+  EXPECT_EQ(SerializeExtent(*v->table().value()), SerializeExtent(fresh));
   // Recovery keeps the log; only a checkpoint truncates it.
   EXPECT_EQ(recovered.wal_depth(), 3);
   ASSERT_TRUE(recovered.Save().ok());
@@ -308,7 +308,7 @@ TEST(DeltaLogCatalog, MaintenanceAppendsAndRecoveryReplays) {
   ViewCatalog clean(WalOptions(dir.path));
   ASSERT_TRUE(clean.Load(final_doc).ok());
   EXPECT_EQ(clean.wal_depth(), 0);
-  EXPECT_EQ(SerializeExtent(clean.Find("names")->extent()),
+  EXPECT_EQ(SerializeExtent(*clean.Find("names")->table().value()),
             SerializeExtent(fresh));
 }
 
@@ -353,7 +353,7 @@ TEST(DeltaLogCatalog, LoadSweepsOrphanSegmentsAndToleratesTornTail) {
   Table fresh = MaterializeView(recovered.Find("names")->def.pattern, "names",
                                 *final_doc);
   fresh.SortRowsCanonical();
-  EXPECT_EQ(SerializeExtent(recovered.Find("names")->extent()),
+  EXPECT_EQ(SerializeExtent(*recovered.Find("names")->table().value()),
             SerializeExtent(fresh));
 }
 
@@ -394,8 +394,8 @@ TEST(DeltaLogCatalog, BatchPublishesOneEpochAndMatchesSerial) {
   EXPECT_EQ(batched.Snapshot()->epoch(), epoch_before + 1);  // ONE epoch
   EXPECT_EQ(ms.deltas_applied, 3);
 
-  EXPECT_EQ(SerializeExtent(batched.Find("names")->extent()),
-            SerializeExtent(serial.Find("names")->extent()));
+  EXPECT_EQ(SerializeExtent(*batched.Find("names")->table().value()),
+            SerializeExtent(*serial.Find("names")->table().value()));
 }
 
 }  // namespace

@@ -173,7 +173,8 @@ void ExpectMaintainedEqualsRemat(const ViewCatalog& catalog,
     ASSERT_TRUE(fresh.Materialize(v->def, new_doc).ok());
     const StoredView* want = fresh.Find(v->def.name);
     ASSERT_NE(want, nullptr);
-    EXPECT_EQ(SerializeExtent(v->extent()), SerializeExtent(want->extent()))
+    EXPECT_EQ(SerializeExtent(*v->table().value()),
+              SerializeExtent(*want->table().value()))
         << v->def.name << " extent diverged from rematerialization";
     EXPECT_TRUE(v->stats == want->stats)
         << v->def.name << " stats diverged from rematerialization";
@@ -189,8 +190,9 @@ TEST(Maintenance, InsertEmitsOnlyNewTuples) {
   Result<UpdateResult> r = InsertSubtree(*d, OrdPath::Root(), *Doc("b=3"));
   ASSERT_TRUE(r.ok());
 
-  TableDelta td = ComputeViewDelta(MustParsePattern("a(/b{id,v})"), "V",
-                                   catalog.Find("V")->extent(), r->delta);
+  TableDelta td =
+      ComputeViewDelta(MustParsePattern("a(/b{id,v})"), "V",
+                       *catalog.Find("V")->table().value(), r->delta);
   EXPECT_FALSE(td.full_rebuild);
   EXPECT_TRUE(td.deletes.empty());
   ASSERT_EQ(td.inserts.size(), 1u);
@@ -209,12 +211,12 @@ TEST(Maintenance, DeleteKeepsMultiplyJustifiedTuples) {
   ViewCatalog catalog;
   ASSERT_TRUE(
       catalog.Materialize({"L", MustParsePattern("a(//b{l})")}, *d).ok());
-  ASSERT_EQ(catalog.Find("L")->extent().NumRows(), 1);
+  ASSERT_EQ(catalog.Find("L")->table().value()->NumRows(), 1);
 
   Result<UpdateResult> r = DeleteSubtree(*d, OrdPath::FromString("1.2"));
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(r->delta).ok());
-  EXPECT_EQ(catalog.Find("L")->extent().NumRows(), 1);
+  EXPECT_EQ(catalog.Find("L")->table().value()->NumRows(), 1);
   ExpectMaintainedEqualsRemat(catalog, *r->doc);
 
   // Deleting the second occurrence removes the tuple for good.
@@ -222,7 +224,7 @@ TEST(Maintenance, DeleteKeepsMultiplyJustifiedTuples) {
   Result<UpdateResult> r2 = DeleteSubtree(*d2, OrdPath::FromString("1.1"));
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(r2->delta).ok());
-  EXPECT_EQ(catalog.Find("L")->extent().NumRows(), 0);
+  EXPECT_EQ(catalog.Find("L")->table().value()->NumRows(), 0);
   ExpectMaintainedEqualsRemat(catalog, *r2->doc);
 }
 
@@ -236,8 +238,8 @@ TEST(Maintenance, OptionalEdgePaddingFlipsBothWays) {
   Result<UpdateResult> r = DeleteSubtree(*d, OrdPath::FromString("1.1.1"));
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(r->delta).ok());
-  ASSERT_EQ(catalog.Find("O")->extent().NumRows(), 1);
-  EXPECT_TRUE(catalog.Find("O")->extent().row(0)[1].IsNull());
+  ASSERT_EQ(catalog.Find("O")->table().value()->NumRows(), 1);
+  EXPECT_TRUE(catalog.Find("O")->table().value()->row(0)[1].IsNull());
   ExpectMaintainedEqualsRemat(catalog, *r->doc);
 
   // Insert a c again: the padded tuple must flip back to a value.
@@ -246,8 +248,8 @@ TEST(Maintenance, OptionalEdgePaddingFlipsBothWays) {
       InsertSubtree(*d2, OrdPath::FromString("1.1"), *Doc("c=9"));
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(r2->delta).ok());
-  ASSERT_EQ(catalog.Find("O")->extent().NumRows(), 1);
-  EXPECT_EQ(catalog.Find("O")->extent().row(0)[1].AsString(), "9");
+  ASSERT_EQ(catalog.Find("O")->table().value()->NumRows(), 1);
+  EXPECT_EQ(catalog.Find("O")->table().value()->row(0)[1].AsString(), "9");
   ExpectMaintainedEqualsRemat(catalog, *r2->doc);
 }
 
@@ -265,11 +267,11 @@ TEST(Maintenance, NestedGroupsReaggregate) {
   EXPECT_EQ(ms.views_rebuilt, 0);
   ExpectMaintainedEqualsRemat(catalog, *r->doc);
   // The affected b row's group now has two inner rows.
-  const Table& t = catalog.Find("N")->extent();
-  ASSERT_EQ(t.NumRows(), 2);
+  TablePtr t = catalog.Find("N")->table().value();
+  ASSERT_EQ(t->NumRows(), 2);
   bool saw_two = false;
-  for (int64_t i = 0; i < t.NumRows(); ++i) {
-    if (t.row(i)[1].AsTable().NumRows() == 2) saw_two = true;
+  for (int64_t i = 0; i < t->NumRows(); ++i) {
+    if (t->row(i)[1].AsTable().NumRows() == 2) saw_two = true;
   }
   EXPECT_TRUE(saw_two);
 }
@@ -284,7 +286,8 @@ TEST(Maintenance, ContentReferencesRebindToNewDocument) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(r->delta).ok());
   // Every surviving content cell now points into the new document.
-  for (const Tuple& row : catalog.Find("C")->extent().rows()) {
+  TablePtr extent = catalog.Find("C")->table().value();
+  for (const Tuple& row : extent->rows()) {
     ASSERT_TRUE(row[1].IsContent());
     EXPECT_EQ(row[1].AsContent().doc, r->doc.get());
   }
@@ -310,8 +313,8 @@ TEST(Maintenance, StoreBackedUpdatePersistsAndReloads) {
   ViewCatalog reloaded(dir);
   ASSERT_TRUE(reloaded.Load(r->doc.get()).ok());
   ASSERT_EQ(reloaded.size(), 1);
-  EXPECT_EQ(SerializeExtent(reloaded.Find("V")->extent()),
-            SerializeExtent(catalog.Find("V")->extent()));
+  EXPECT_EQ(SerializeExtent(*reloaded.Find("V")->table().value()),
+            SerializeExtent(*catalog.Find("V")->table().value()));
   EXPECT_TRUE(reloaded.Find("V")->stats == catalog.Find("V")->stats);
   std::error_code ec;
   fs::remove_all(dir, ec);
@@ -340,8 +343,8 @@ TEST(Maintenance, NeverSavedCatalogPersistsEveryViewOnUpdate) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_EQ(reloaded.size(), 2);
   for (const char* name : {"V1", "V2"}) {
-    EXPECT_EQ(SerializeExtent(reloaded.Find(name)->extent()),
-              SerializeExtent(catalog.Find(name)->extent()))
+    EXPECT_EQ(SerializeExtent(*reloaded.Find(name)->table().value()),
+              SerializeExtent(*catalog.Find(name)->table().value()))
         << name;
   }
   std::error_code ec;
@@ -358,12 +361,13 @@ TEST(Maintenance, InvalidDeltaFallsBackToRebuild) {
   DocumentDelta delta;  // invalid region → rematerialize over new_doc
   delta.old_doc = d.get();
   delta.new_doc = d2.get();
-  TableDelta td = ComputeViewDelta(p, "V", catalog.Find("V")->extent(), delta);
+  TableDelta td =
+      ComputeViewDelta(p, "V", *catalog.Find("V")->table().value(), delta);
   EXPECT_TRUE(td.full_rebuild);
   MaintenanceStats ms;
   ASSERT_TRUE(catalog.ApplyUpdate(delta, &ms).ok());
   EXPECT_EQ(ms.views_rebuilt, 1);
-  EXPECT_EQ(catalog.Find("V")->extent().NumRows(), 2);
+  EXPECT_EQ(catalog.Find("V")->table().value()->NumRows(), 2);
   ExpectMaintainedEqualsRemat(catalog, *d2);
 }
 

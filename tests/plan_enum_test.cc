@@ -1,12 +1,15 @@
 // Differential tests for the DP plan enumerator (src/rewriting/plan_enum.h)
-// against the exhaustive left-deep search it replaced:
+// behind Rewriter::Rewrite against the reference search,
+// Rewriter::RewriteExhaustive (the paper's exhaustive left-deep Algorithm 1,
+// with no view index, memo or coverage pruning):
 //   * on randomized worlds (random conforming document, random views, random
 //     query), every DP-chosen plan must execute to exactly the direct
 //     evaluation of the query — the PR-4 equivalence invariant;
-//   * whenever neither search was truncated, the DP search's cheapest
-//     rewriting must cost no more than the exhaustive search's cheapest
-//     (dominance and branch-and-bound may only discard non-optimal plans);
-//   * both searches agree on rewritability (found vs. not found).
+//   * whenever the reference search completed (no merged-piece truncation,
+//     no candidate cap), both searches agree on rewritability (found vs.
+//     not found), and the DP search's cheapest rewriting costs no more than
+//     the reference's cheapest (dominance and branch-and-bound may only
+//     discard non-optimal plans).
 #include "src/rewriting/plan_enum.h"
 
 #include <gtest/gtest.h>
@@ -22,8 +25,10 @@
 #include "src/pattern/pattern_printer.h"
 #include "src/rewriting/rewriter.h"
 #include "src/rewriting/view.h"
+#include "src/summary/summary_builder.h"
 #include "src/summary/summary_io.h"
 #include "src/util/rng.h"
+#include "src/util/strings.h"
 #include "src/viewstore/cost_model.h"
 #include "src/workload/pattern_generator.h"
 #include "src/xml/builder.h"
@@ -72,19 +77,25 @@ struct SearchResult {
   RewriteStats stats;
 };
 
+/// Runs Rewrite (the DP search) or, with `reference`, RewriteExhaustive.
 SearchResult RunSearch(const Summary& s, const std::vector<ViewDef>& views,
-                       const Pattern& q, const CostModel& cm, bool use_dp) {
+                       const Pattern& q, const CostModel& cm, bool reference) {
   RewriterOptions opts;
-  opts.use_view_index = true;
-  opts.use_dp_enumeration = use_dp;
   opts.cost_model = &cm;
   Rewriter rw(s, opts);
   for (const ViewDef& v : views) rw.AddView(v);
   SearchResult out;
-  Result<std::vector<Rewriting>> r = rw.Rewrite(q, &out.stats);
+  Result<std::vector<Rewriting>> r = reference
+                                         ? rw.RewriteExhaustive(q, &out.stats)
+                                         : rw.Rewrite(q, &out.stats);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (r.ok()) out.rewritings = std::move(r).value();
   return out;
+}
+
+/// True when the reference search explored its whole space.
+bool Complete(const SearchResult& r) {
+  return !r.stats.search_truncated && !r.stats.plan_table_full;
 }
 
 /// The cheapest estimated cost in a cost-ranked result list.
@@ -93,9 +104,11 @@ double CheapestCost(const SearchResult& r) {
   return r.rewritings.front().est_cost;
 }
 
-// The hand-built worlds of rewriter_test's FastPathsPreserveResults, plus
-// the Fig. 5/6 join-and-union scenarios: both search strategies must agree
-// on rewritability, and the DP search must rank a plan at least as cheap.
+// Hand-built worlds, including the Fig. 5/6 join-and-union scenarios: the
+// DP search and the reference must agree on rewritability, and the DP
+// search must rank a plan at least as cheap. The reference uses no view
+// index, so a ViewIndex signature that wrongly prunes a view shows up as a
+// rewriting only the reference finds.
 TEST(PlanEnumDifferential, HandBuiltWorldsMatchExhaustive) {
   struct World {
     std::string summary;
@@ -121,6 +134,14 @@ TEST(PlanEnumDifferential, HandBuiltWorldsMatchExhaustive) {
       {"a(i(x))",
        {{"V", "a(/i{id}(?/x{id}))"}},
        {"a(/i{id}(/x{id}))", "a(/i{id}(?/x{id}))"}},
+      // Regression: the wildcard node's associated paths on the STRICT
+      // pattern exclude r/a (no b below), but the base expansion variant
+      // erases the optional subtree and pins the wildcard at r/a too — the
+      // view signature must not narrow serviceability to strict-pattern
+      // paths, or the a{id} rewriting is wrongly pruned away.
+      {"r(a e(b))",
+       {{"V", "r(/*{id,l}(?/b{id}))"}},
+       {"r(/a{id})", "r(/e{id})"}},
   };
   CostModel cm;
   for (const World& w : worlds) {
@@ -131,8 +152,9 @@ TEST(PlanEnumDifferential, HandBuiltWorldsMatchExhaustive) {
     }
     for (const std::string& q_text : w.queries) {
       Pattern q = MustParsePattern(q_text);
-      SearchResult dp = RunSearch(*s, views, q, cm, /*use_dp=*/true);
-      SearchResult ex = RunSearch(*s, views, q, cm, /*use_dp=*/false);
+      SearchResult dp = RunSearch(*s, views, q, cm, /*reference=*/false);
+      SearchResult ex = RunSearch(*s, views, q, cm, /*reference=*/true);
+      ASSERT_TRUE(Complete(ex)) << w.summary << " | " << q_text;
       ASSERT_EQ(dp.rewritings.empty(), ex.rewritings.empty())
           << w.summary << " | " << q_text;
       if (dp.rewritings.empty()) continue;
@@ -149,8 +171,9 @@ TEST(PlanEnumDifferential, HandBuiltWorldsMatchExhaustive) {
 
 // Randomized differential: random views and queries over a recursive-ish
 // summary. Every DP plan must reproduce the direct evaluation on a random
-// conforming document, and the DP cheapest cost must not exceed the
-// exhaustive cheapest.
+// conforming document; against a complete reference search, the DP search
+// agrees on rewritability and its cheapest cost does not exceed the
+// reference's.
 class PlanEnumRandomDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(PlanEnumRandomDifferential, PlansExecuteIdenticallyAndCostNoWorse) {
@@ -179,19 +202,17 @@ TEST_P(PlanEnumRandomDifferential, PlansExecuteIdenticallyAndCostNoWorse) {
   if (views.empty()) GTEST_SKIP();
 
   CostModel cm;
-  SearchResult dp = RunSearch(*s, views, *q, cm, /*use_dp=*/true);
-  SearchResult ex = RunSearch(*s, views, *q, cm, /*use_dp=*/false);
+  SearchResult dp = RunSearch(*s, views, *q, cm, /*reference=*/false);
+  SearchResult ex = RunSearch(*s, views, *q, cm, /*reference=*/true);
 
-  // Rewritability agreement (both complete searches of the same space).
-  if (!dp.stats.search_truncated && !ex.stats.search_truncated) {
+  if (Complete(ex)) {
     EXPECT_EQ(dp.rewritings.empty(), ex.rewritings.empty())
         << PatternToString(*q);
-  }
-  if (!dp.rewritings.empty() && !ex.rewritings.empty() &&
-      !dp.stats.search_truncated && !ex.stats.search_truncated) {
-    EXPECT_LE(CheapestCost(dp), CheapestCost(ex) + 1e-9)
-        << "dp: " << dp.rewritings.front().compact
-        << "\nex: " << ex.rewritings.front().compact;
+    if (!dp.rewritings.empty() && !ex.rewritings.empty()) {
+      EXPECT_LE(CheapestCost(dp), CheapestCost(ex) + 1e-9)
+          << "dp: " << dp.rewritings.front().compact
+          << "\nex: " << ex.rewritings.front().compact;
+    }
   }
 
   // Execution equivalence: every DP plan computes the direct evaluation.
@@ -218,9 +239,9 @@ TEST_P(PlanEnumRandomDifferential, PlansExecuteIdenticallyAndCostNoWorse) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PlanEnumRandomDifferential,
                          ::testing::Range(0, 24));
 
-// The satellite-1 contract: a merged-piece overflow during join enumeration
-// must surface in RewriteStats::search_truncated instead of being silently
-// swallowed — in both search strategies. The recursive summary gives the
+// A merged-piece overflow during join enumeration must surface in
+// RewriteStats::search_truncated instead of being silently swallowed — in
+// the DP search and in the reference. The recursive summary gives the
 // ancestor view 2 pieces (r/a, r/a/a) and the descendant view 2 pieces
 // (r/a/b, r/a/a/b); their ⋈≺≺ has 3 compatible piece pairs, which overflows
 // an expansion budget of 2 that both base candidates individually respect.
@@ -228,20 +249,20 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PlanEnumRandomDifferential,
 // otherwise cheapest-first branch-and-bound would (correctly) never reach
 // the join and the overflow would be unreachable rather than unreported.
 TEST(PlanEnum, TruncationIsReportedNotSilent) {
-  for (bool use_dp : {true, false}) {
-    std::unique_ptr<Summary> s = Sum("r(a(b a(b)))");
-    RewriterOptions opts;
-    opts.use_view_index = true;
-    opts.use_dp_enumeration = use_dp;
-    opts.expansion.max_pieces = 2;
-    Rewriter rw(*s, opts);
-    rw.AddView({"P1", MustParsePattern("r(//b{id})")});
-    rw.AddView({"P2", MustParsePattern("r(//a{id})")});
+  std::unique_ptr<Summary> s = Sum("r(a(b a(b)))");
+  RewriterOptions opts;
+  opts.expansion.max_pieces = 2;
+  Rewriter rw(*s, opts);
+  rw.AddView({"P1", MustParsePattern("r(//b{id})")});
+  rw.AddView({"P2", MustParsePattern("r(//a{id})")});
+  const Pattern q = MustParsePattern("r(//a{id}(//b{id}))");
+  for (bool reference : {false, true}) {
     RewriteStats stats;
-    Result<std::vector<Rewriting>> r =
-        rw.Rewrite(MustParsePattern("r(//a{id}(//b{id}))"), &stats);
+    Result<std::vector<Rewriting>> r = reference
+                                           ? rw.RewriteExhaustive(q, &stats)
+                                           : rw.Rewrite(q, &stats);
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(stats.search_truncated) << "use_dp=" << use_dp;
+    EXPECT_TRUE(stats.search_truncated) << "reference=" << reference;
   }
 }
 
@@ -276,6 +297,74 @@ TEST(PlanEnum, PlanTableFullIsReported) {
               std::string::npos)
         << "cap " << cap;
   }
+}
+
+// A query with more return columns than CoverageAnalysis::kMaxCols gets no
+// coverage masks, so the DP search runs with vacuous coverage (every plan
+// covers). It still finds the single-view rewriting, and every rewriting
+// executes to the direct evaluation.
+TEST(PlanEnum, WideQueryRunsWithoutCoverageMasks) {
+  std::string doc_text = "r(";
+  for (int row = 0; row < 2; ++row) {
+    doc_text += "a(";
+    for (int i = 0; i <= CoverageAnalysis::kMaxCols; ++i) {
+      doc_text += StrFormat(" c%d=%d", i, row * 100 + i);
+    }
+    doc_text += ") ";
+  }
+  doc_text += ")";
+  std::string q_text = "r(/a(";
+  for (int i = 0; i <= CoverageAnalysis::kMaxCols; ++i) {
+    q_text += StrFormat(" /c%d{v}", i);
+  }
+  q_text += "))";
+  Result<std::unique_ptr<Document>> doc = ParseTreeNotation(doc_text);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  std::unique_ptr<Summary> s = SummaryBuilder::Build(doc->get());
+  const Pattern q = MustParsePattern(q_text);
+  ASSERT_EQ(q.ReturnNodes().size(),
+            static_cast<size_t>(CoverageAnalysis::kMaxCols) + 1);
+
+  Rewriter rw(*s);
+  rw.AddView({"V", q.Clone()});
+  RewriteStats stats;
+  Result<std::vector<Rewriting>> rws = rw.Rewrite(q, &stats);
+  ASSERT_TRUE(rws.ok()) << rws.status().ToString();
+  ASSERT_FALSE(rws->empty());
+  EXPECT_EQ(rws->front().compact.find("⋈"), std::string::npos)
+      << rws->front().compact;
+  EXPECT_FALSE(stats.search_truncated);
+
+  Table extent = MaterializeView(q, "V", **doc);
+  Catalog catalog;
+  catalog.Register("V", &extent);
+  Table reference = MaterializeView(q, "Q", **doc);
+  for (const Rewriting& r : *rws) {
+    Result<Table> t = Execute(*r.plan, catalog);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_TRUE(t->EqualsIgnoringOrder(reference)) << r.compact;
+  }
+}
+
+// The reference search stops adding joins at its candidate cap and says so:
+// fifty id-only views of r/a join pairwise on ⋈= into far more than
+// kReferenceMaxCandidates candidates, none of which can serve the query's
+// value column, so only the cap ends the search.
+TEST(PlanEnum, ReferenceCandidateCapIsReported) {
+  std::unique_ptr<Summary> s = Sum("r(a)");
+  Rewriter rw(*s);
+  for (int i = 0; i < 50; ++i) {
+    rw.AddView({StrFormat("V%d", i), MustParsePattern("r(/a{id})")});
+  }
+  RewriteStats stats;
+  Result<std::vector<Rewriting>> r =
+      rw.RewriteExhaustive(MustParsePattern("r(/a{v})"), &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->empty());
+  EXPECT_TRUE(stats.plan_table_full);
+  EXPECT_FALSE(stats.search_truncated);
+  EXPECT_EQ(stats.candidates_built + stats.join_candidates,
+            Rewriter::kReferenceMaxCandidates);
 }
 
 }  // namespace

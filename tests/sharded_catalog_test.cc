@@ -76,11 +76,12 @@ void ExpectSameRows(Table a, Table b, const std::string& what) {
 Table MergeShardExtents(ShardedCatalog* catalog, const std::string& name) {
   const StoredView* first = catalog->shard_catalog(0)->Find(name);
   EXPECT_NE(first, nullptr);
-  Table merged(first->extent().schema());
+  Table merged(first->table().value()->schema());
   for (int i = 0; i < catalog->num_shards(); ++i) {
     const StoredView* v = catalog->shard_catalog(i)->Find(name);
     EXPECT_NE(v, nullptr);
-    for (const Tuple& t : v->extent().rows()) merged.AddRow(t);
+    TablePtr extent = v->table().value();
+    for (const Tuple& t : extent->rows()) merged.AddRow(t);
   }
   merged.SortRowsCanonical();
   return merged;
@@ -236,7 +237,7 @@ TEST(ShardedCatalog, PartitionablePlacementAndGlobalFallback) {
   for (int i = 0; i < (*catalog)->num_shards(); ++i) {
     const StoredView* v = (*catalog)->shard_catalog(i)->Find("item_names");
     ASSERT_NE(v, nullptr);
-    total_rows += static_cast<int>(v->extent().rows().size());
+    total_rows += static_cast<int>(v->table().value()->rows().size());
   }
   EXPECT_EQ(total_rows, 4);  // one row per item in kBaseDoc
   // The root-anchored view lives only in the global catalog.
@@ -282,12 +283,16 @@ TEST(ShardedCatalog, DifferentialAgainstSingleCatalog) {
   for (const char* name : {"item_names", "item_keywords"}) {
     Table merged = MergeShardExtents(sharded->get(), name);
     EXPECT_EQ(SerializeExtent(merged),
-              SerializeExtent(single.Find(name)->extent()))
+              SerializeExtent(*single.Find(name)->table().value()))
         << name;
   }
   EXPECT_EQ(
-      SerializeExtent((*sharded)->global_catalog()->Find("person_names")->extent()),
-      SerializeExtent(single.Find("person_names")->extent()));
+      SerializeExtent(*(*sharded)
+                           ->global_catalog()
+                           ->Find("person_names")
+                           ->table()
+                           .value()),
+      SerializeExtent(*single.Find("person_names")->table().value()));
 
   // Query results: scatter-gather and the global fallback agree with the
   // single catalog's query entry point, and both with direct evaluation
@@ -434,8 +439,11 @@ TEST(ShardedCatalog, CrashRecoveryReplaysPerShardLogs) {
                                         "person_names", *s.docs.back());
   fresh_persons.SortRowsCanonical();
   EXPECT_EQ(
-      SerializeExtent(
-          (*recovered)->global_catalog()->Find("person_names")->extent()),
+      SerializeExtent(*(*recovered)
+                           ->global_catalog()
+                           ->Find("person_names")
+                           ->table()
+                           .value()),
       SerializeExtent(fresh_persons));
 
   // The recovered store serves scatter-gather queries.

@@ -98,7 +98,7 @@ TEST_F(ServingTraceTest, NestedRewriteProducesPhaseSpans) {
   EXPECT_NE(rewrite->FindChild("analyze"), nullptr);
   EXPECT_NE(rewrite->FindChild("prune-views"), nullptr);
   // The DP enumerator folds single-view matching and join enumeration into
-  // one plan-enum phase (the legacy path would emit match-single-views).
+  // one plan-enum phase.
   EXPECT_NE(rewrite->FindChild("plan-enum"), nullptr);
   EXPECT_NE(rewrite->FindChild("rank-by-cost"), nullptr);
 

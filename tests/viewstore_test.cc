@@ -11,7 +11,6 @@
 #include "src/rewriting/rewriter.h"
 #include "src/util/fileio.h"
 #include "src/summary/summary_builder.h"
-#include "src/viewstore/advisor.h"
 #include "src/viewstore/cost_model.h"
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/statistics.h"
@@ -517,17 +516,19 @@ TEST(ViewCatalog, SaveLoadRoundTripIsByteIdentical) {
     const StoredView* orig = catalog.Find(name);
     const StoredView* back = reloaded.Find(name);
     ASSERT_NE(back, nullptr);
-    EXPECT_TRUE(back->extent().EqualsIgnoringOrder(orig->extent()));
+    EXPECT_TRUE(
+        back->table().value()->EqualsIgnoringOrder(*orig->table().value()));
     EXPECT_TRUE(back->stats == orig->stats);
     // Byte-identical: re-serializing the reloaded extent reproduces the
     // stored bytes exactly.
-    EXPECT_EQ(SerializeExtent(back->extent()), SerializeExtent(orig->extent()));
+    EXPECT_EQ(SerializeExtent(*back->table().value()),
+              SerializeExtent(*orig->table().value()));
   }
   // Saving the reloaded catalog reproduces identical extent files.
   TempDir dir2;
   ViewCatalog resave(dir2.path);
   for (const auto& v : reloaded.views()) {
-    ASSERT_TRUE(resave.Add(v->def, v->extent()).ok());
+    ASSERT_TRUE(resave.Add(v->def, *v->table().value()).ok());
   }
   ASSERT_TRUE(resave.Save().ok());
   std::map<std::string, std::string> saved = ManifestExtents(dir.path);
@@ -615,8 +616,8 @@ TEST(ViewCatalog, ResaveSweepsOrphanedFilesAndSizesMatch) {
   ViewCatalog reloaded(dir.path);
   ASSERT_TRUE(reloaded.Load(d2.get()).ok());
   ASSERT_EQ(reloaded.size(), 1);
-  EXPECT_TRUE(reloaded.Find("V1")->extent().EqualsIgnoringOrder(
-      replaced.Find("V1")->extent()));
+  EXPECT_TRUE(reloaded.Find("V1")->table().value()->EqualsIgnoringOrder(
+      *replaced.Find("V1")->table().value()));
 }
 
 TEST(ViewCatalog, LoadFailsOnManifestPointingAtMissingExtent) {
@@ -653,7 +654,7 @@ TEST(ViewCatalog, InterruptedSaveLeavesPreviousStateLoadable) {
   ASSERT_TRUE(
       catalog.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *d).ok());
   ASSERT_TRUE(catalog.Save().ok());
-  const Table& saved_extent = catalog.Find("V")->extent();
+  TablePtr saved_extent = catalog.Find("V")->table().value();
 
   // Simulate the crash: a newer generation of V exists on disk (with
   // different content), manifest untouched.
@@ -669,8 +670,8 @@ TEST(ViewCatalog, InterruptedSaveLeavesPreviousStateLoadable) {
   ViewCatalog reloaded(dir.path);
   ASSERT_TRUE(reloaded.Load(d.get()).ok());
   ASSERT_EQ(reloaded.size(), 1);
-  EXPECT_EQ(SerializeExtent(reloaded.Find("V")->extent()),
-            SerializeExtent(saved_extent))
+  EXPECT_EQ(SerializeExtent(*reloaded.Find("V")->table().value()),
+            SerializeExtent(*saved_extent))
       << "load mixed in a generation the manifest never referenced";
   // The orphaned generation is swept, so later saves can never collide
   // with it.
@@ -751,8 +752,8 @@ TEST(ViewCatalog, ApplyUpdatePersistsChangedViewsUnderFreshGenerations) {
   ASSERT_TRUE(reloaded.Load(up->doc.get()).ok());
   for (const char* name : {"VB", "VC"}) {
     ASSERT_NE(reloaded.Find(name), nullptr);
-    EXPECT_EQ(SerializeExtent(reloaded.Find(name)->extent()),
-              SerializeExtent(catalog.Find(name)->extent()))
+    EXPECT_EQ(SerializeExtent(*reloaded.Find(name)->table().value()),
+              SerializeExtent(*catalog.Find(name)->table().value()))
         << name;
   }
 }
@@ -834,45 +835,6 @@ TEST(CostBasedRewriting, WithoutModelKeepsDiscoveryOrder) {
   ASSERT_TRUE(rws.ok());
   ASSERT_FALSE(rws->empty());
   EXPECT_EQ(rws->front().est_cost, -1);
-}
-
-// ---------------------------------------------------------------------------
-// Advisor
-// ---------------------------------------------------------------------------
-
-TEST(Advisor, PicksCoveringViewsUnderBudget) {
-  std::unique_ptr<Document> d =
-      Doc("a(b=1 b=2 b=3 c=x c=y d(e=1) d(e=2))");
-  std::unique_ptr<Summary> summary = SummaryBuilder::Build(d.get());
-  std::vector<Pattern> workload = {
-      MustParsePattern("a(/b{id,v})"),
-      MustParsePattern("a(/c{id,v})"),
-  };
-  AdvisorOptions opts;
-  opts.size_budget_bytes = 1 << 20;
-  AdvisorProposal proposal = AdviseViews(workload, *summary, *d, opts);
-
-  ASSERT_FALSE(proposal.chosen.empty());
-  EXPECT_GT(proposal.total_benefit, 0);
-  EXPECT_LE(proposal.total_bytes, opts.size_budget_bytes);
-  // Every workload query is improved by some chosen view.
-  std::vector<bool> covered(workload.size(), false);
-  for (const AdvisedView& v : proposal.chosen) {
-    for (size_t q : v.queries) covered[q] = true;
-  }
-  EXPECT_TRUE(covered[0]);
-  EXPECT_TRUE(covered[1]);
-}
-
-TEST(Advisor, RespectsTightBudget) {
-  std::unique_ptr<Document> d = Doc("a(b=1 b=2 c=x)");
-  std::unique_ptr<Summary> summary = SummaryBuilder::Build(d.get());
-  std::vector<Pattern> workload = {MustParsePattern("a(/b{id,v})")};
-  AdvisorOptions opts;
-  opts.size_budget_bytes = 0;  // nothing fits
-  AdvisorProposal proposal = AdviseViews(workload, *summary, *d, opts);
-  EXPECT_TRUE(proposal.chosen.empty());
-  EXPECT_GT(proposal.candidates_considered, 0u);
 }
 
 }  // namespace

@@ -180,7 +180,7 @@ int Run(double scale, int reps, const std::string& write_dir) {
   std::vector<Sample> samples;
   // Raw extent scans anchor the scan term (and the ms-per-row scale).
   for (const auto& v : catalog.views()) {
-    PlanPtr scan = MakeViewScan(v->def.name, v->extent().schema());
+    PlanPtr scan = MakeViewScan(v->def.name, v->table().value()->schema());
     Sample s;
     s.label = "scan:" + v->def.name;
     CostEstimate est = model.Estimate(*scan, &s.units);
