@@ -493,18 +493,8 @@ ColumnarExtent ColumnarExtent::EncodeSharing(const Table& table,
 }
 
 Result<Table> ColumnarExtent::Decode(const Document* doc) const {
-  std::vector<bool> all(static_cast<size_t>(schema_.size()), true);
-  return DecodeColumns(all, doc);
-}
-
-Result<Table> ColumnarExtent::DecodeColumns(const std::vector<bool>& used,
-                                            const Document* doc) const {
-  if (used.size() != static_cast<size_t>(schema_.size())) {
-    return Status::InvalidArgument("column-use mask arity mismatch");
-  }
   std::vector<std::vector<Value>> cols(static_cast<size_t>(schema_.size()));
   for (int32_t c = 0; c < schema_.size(); ++c) {
-    if (!used[static_cast<size_t>(c)]) continue;
     const ColumnChunkPtr& chunk = columns_[static_cast<size_t>(c)];
     if (chunk == nullptr || chunk->num_rows != num_rows_) {
       return Status::ParseError("column chunk row count mismatch");
@@ -515,14 +505,9 @@ Result<Table> ColumnarExtent::DecodeColumns(const std::vector<bool>& used,
   Table table(schema_);
   for (int64_t i = 0; i < num_rows_; ++i) {
     Tuple row;
-    row.reserve(static_cast<size_t>(schema_.size()));
-    for (int32_t c = 0; c < schema_.size(); ++c) {
-      if (used[static_cast<size_t>(c)]) {
-        row.push_back(std::move(cols[static_cast<size_t>(c)]
-                                    [static_cast<size_t>(i)]));
-      } else {
-        row.emplace_back();
-      }
+    row.reserve(cols.size());
+    for (std::vector<Value>& col : cols) {
+      row.push_back(std::move(col[static_cast<size_t>(i)]));
     }
     table.AddRow(std::move(row));
   }

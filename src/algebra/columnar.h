@@ -17,8 +17,8 @@
 // Chunks are held by shared_ptr and never mutated, so maintenance can share
 // every untouched column between epochs (EncodeSharing) and a decoded table
 // can be dropped under memory pressure while the compressed truth stays
-// resident. The executor decodes only the columns a plan references
-// (DecodeColumns); unreferenced columns come back as ⊥ at full arity.
+// resident. A cold extent is decoded whole (Decode) and the decoded table is
+// cached by the view store until evicted.
 //
 // Encoding is deterministic: equal tables (same schema, same row order)
 // produce byte-identical serialized chunks — the property the view store's
@@ -110,12 +110,6 @@ class ColumnarExtent {
   /// content cell with `doc == nullptr` or an ORDPATH absent from `doc` is
   /// an error.
   [[nodiscard]] Result<Table> Decode(const Document* doc) const;
-
-  /// Decodes only the columns with `used[c]` true; the rest are ⊥ at full
-  /// arity (same schema, same row count). `used` must have one entry per
-  /// column. A used nested column decodes its whole subtree.
-  [[nodiscard]] Result<Table> DecodeColumns(const std::vector<bool>& used,
-                                            const Document* doc) const;
 
   const Schema& schema() const { return schema_; }
   int64_t num_rows() const { return num_rows_; }

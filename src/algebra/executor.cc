@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/algebra/columnar.h"
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
 #include "src/util/timer.h"
@@ -12,128 +11,6 @@
 namespace svx {
 
 namespace {
-
-// ---- Referenced-column analysis for columnar scans -------------------------
-//
-// A top-down pass over the plan marks, per view scan, which output columns
-// any operator above actually reads; the scan then decodes only those
-// chunks. The analysis is conservative about multiplicity: every column
-// that drives row counts or matching (join keys, selection columns, unnest
-// groups, navigation/derivation inputs, group keys feeding a needed nested
-// column) stays needed. A column can only become unneeded below an operator
-// that deduplicates its output on the remaining visible columns (π, ∪, the
-// unused nested side of ⋈ⁿ/GroupBy), so rows that collapse because a hidden
-// column was ⊥-filled are exactly duplicates the reference execution also
-// collapses before any result the root can observe — the root itself is
-// always all-needed.
-
-using ScanUseMap = std::unordered_map<const PlanNode*, std::vector<bool>>;
-
-void MarkScanUse(const PlanNode& p, std::vector<bool> needed,
-                 ScanUseMap* out) {
-  SVX_DCHECK(static_cast<int32_t>(needed.size()) == p.schema.size());
-  switch (p.kind) {
-    case PlanKind::kViewScan: {
-      auto [it, inserted] = out->emplace(&p, std::move(needed));
-      if (!inserted) {
-        for (size_t c = 0; c < it->second.size(); ++c) {
-          it->second[c] = it->second[c] || needed[c];
-        }
-      }
-      return;
-    }
-    case PlanKind::kIdEqJoin:
-    case PlanKind::kStructJoin: {
-      const PlanNode& l = *p.children[0];
-      const PlanNode& r = *p.children[1];
-      size_t nl = static_cast<size_t>(l.schema.size());
-      std::vector<bool> ln(needed.begin(),
-                           needed.begin() + static_cast<ptrdiff_t>(nl));
-      ln[static_cast<size_t>(p.left_col)] = true;
-      if (p.kind == PlanKind::kStructJoin && p.nested_join) {
-        // Output = left columns + one nested column of right rows. The right
-        // side's values only surface through that nested column; its key is
-        // still needed to size the groups the left rows carry.
-        std::vector<bool> rn(static_cast<size_t>(r.schema.size()),
-                             needed[nl]);
-        rn[static_cast<size_t>(p.right_col)] = true;
-        MarkScanUse(l, std::move(ln), out);
-        MarkScanUse(r, std::move(rn), out);
-        return;
-      }
-      std::vector<bool> rn(needed.begin() + static_cast<ptrdiff_t>(nl),
-                           needed.end());
-      rn[static_cast<size_t>(p.right_col)] = true;
-      MarkScanUse(l, std::move(ln), out);
-      MarkScanUse(r, std::move(rn), out);
-      return;
-    }
-    case PlanKind::kSelect:
-      needed[static_cast<size_t>(p.select_col)] = true;
-      MarkScanUse(*p.children[0], std::move(needed), out);
-      return;
-    case PlanKind::kProject: {
-      std::vector<bool> in(
-          static_cast<size_t>(p.children[0]->schema.size()), false);
-      for (size_t k = 0; k < p.project_cols.size(); ++k) {
-        if (needed[k]) in[static_cast<size_t>(p.project_cols[k])] = true;
-      }
-      MarkScanUse(*p.children[0], std::move(in), out);
-      return;
-    }
-    case PlanKind::kUnion:
-      for (const PlanPtr& c : p.children) MarkScanUse(*c, needed, out);
-      return;
-    case PlanKind::kUnnest: {
-      const PlanNode& c = *p.children[0];
-      int32_t n_in = c.schema.size();
-      int32_t gw = p.schema.size() - n_in + 1;  // columns replacing the col
-      std::vector<bool> in(static_cast<size_t>(n_in), false);
-      for (int32_t ci = 0; ci < n_in; ++ci) {
-        if (ci < p.unnest_col) {
-          in[static_cast<size_t>(ci)] = needed[static_cast<size_t>(ci)];
-        } else if (ci == p.unnest_col) {
-          in[static_cast<size_t>(ci)] = true;  // group sizes = multiplicity
-        } else {
-          in[static_cast<size_t>(ci)] =
-              needed[static_cast<size_t>(ci + gw - 1)];
-        }
-      }
-      MarkScanUse(c, std::move(in), out);
-      return;
-    }
-    case PlanKind::kGroupBy: {
-      const PlanNode& c = *p.children[0];
-      // When the nested column is read, every input column feeds it (group
-      // contents are the non-key columns); otherwise only the needed keys.
-      std::vector<bool> in(static_cast<size_t>(c.schema.size()),
-                           needed.back());
-      for (size_t k = 0; k < p.group_key_cols.size(); ++k) {
-        if (needed[k]) in[static_cast<size_t>(p.group_key_cols[k])] = true;
-      }
-      MarkScanUse(c, std::move(in), out);
-      return;
-    }
-    case PlanKind::kNavigate: {
-      const PlanNode& c = *p.children[0];
-      std::vector<bool> in(
-          needed.begin(),
-          needed.begin() + static_cast<ptrdiff_t>(c.schema.size()));
-      in[static_cast<size_t>(p.navigate_col)] = true;
-      MarkScanUse(c, std::move(in), out);
-      return;
-    }
-    case PlanKind::kDeriveParent: {
-      const PlanNode& c = *p.children[0];
-      std::vector<bool> in(
-          needed.begin(),
-          needed.begin() + static_cast<ptrdiff_t>(c.schema.size()));
-      in[static_cast<size_t>(p.derive_col)] = true;
-      MarkScanUse(c, std::move(in), out);
-      return;
-    }
-  }
-}
 
 Tuple Concat(const Tuple& a, const Tuple& b) {
   Tuple out = a;
@@ -415,90 +292,53 @@ Result<Table> ExecNavigate(const PlanNode& p, Table in) {
   return out;
 }
 
-Result<Table> ExecScan(const PlanNode& plan, const Catalog::Entry& entry,
-                       const ScanUseMap& scan_use, int64_t* rows_scanned) {
-  if (entry.table != nullptr) {
-    *rows_scanned += entry.table->NumRows();
-    Table out(plan.schema);
-    for (const Tuple& row : entry.table->rows()) out.AddRow(row);
-    return out;
-  }
-  const ColumnarSource& src = entry.columnar;
-  if (src.extent == nullptr) {
-    return Status::NotFound("view not materialized: " + plan.view_name);
-  }
-  if (src.resident != nullptr) {
-    if (TablePtr t = src.resident()) {
-      *rows_scanned += t->NumRows();
-      Table out(plan.schema);
-      for (const Tuple& row : t->rows()) out.AddRow(row);
-      return out;
-    }
-  }
-  // Cold scan: decode only the columns the plan references.
-  auto it = scan_use.find(&plan);
-  bool full = it == scan_use.end();
-  if (!full) {
-    full = true;
-    for (bool used : it->second) full = full && used;
-  }
-  Timer timer;
-  Result<Table> out = full ? src.extent->Decode(src.doc)
-                           : src.extent->DecodeColumns(it->second, src.doc);
-  if (!out.ok()) return out;
-  int64_t us = static_cast<int64_t>(timer.ElapsedMicros());
-  *rows_scanned += out->NumRows();
-  TablePtr cacheable;
-  if (full) {
-    // A fully decoded table is worth caching; the owner (the residency
-    // slot) decides and first-wins keeps earlier references stable.
-    auto shared = std::make_shared<const Table>(std::move(*out));
-    if (src.loaded != nullptr) src.loaded(shared, us);
-    Table copy(plan.schema);
-    for (const Tuple& row : shared->rows()) copy.AddRow(row);
-    return copy;
-  }
-  if (src.loaded != nullptr) src.loaded(nullptr, us);
+Result<Table> ExecScan(const PlanNode& plan, const TableSource& source,
+                       int64_t* rows_scanned) {
+  Result<TablePtr> extent = source();  // pinned for the copy below
+  if (!extent.ok()) return extent.status();
+  const Table& in = **extent;
+  *rows_scanned += in.NumRows();
+  Table out(plan.schema);
+  for (const Tuple& row : in.rows()) out.AddRow(row);
   return out;
 }
 
 Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
-                       const ScanUseMap& scan_use, TraceSpan* parent,
-                       int64_t* rows_scanned) {
+                       TraceSpan* parent, int64_t* rows_scanned) {
   // Span names reuse the plan printer's operator vocabulary (plan.h), so a
   // trace tree reads like the compact plan form.
   ScopedSpan span(parent, PlanKindName(plan.kind));
   auto exec = [&]() -> Result<Table> {
     switch (plan.kind) {
       case PlanKind::kViewScan: {
-        const Catalog::Entry* entry = catalog.FindEntry(plan.view_name);
-        if (entry == nullptr) {
+        const TableSource* source = catalog.Find(plan.view_name);
+        if (source == nullptr) {
           return Status::NotFound("view not materialized: " + plan.view_name);
         }
         span.Attr("view", plan.view_name);
-        return ExecScan(plan, *entry, scan_use, rows_scanned);
+        return ExecScan(plan, *source, rows_scanned);
       }
       case PlanKind::kIdEqJoin: {
         Result<Table> l =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!l.ok()) return l;
         Result<Table> r =
-            ExecNode(*plan.children[1], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[1], catalog, span.get(), rows_scanned);
         if (!r.ok()) return r;
         return ExecIdEqJoin(plan, std::move(*l), std::move(*r));
       }
       case PlanKind::kStructJoin: {
         Result<Table> l =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!l.ok()) return l;
         Result<Table> r =
-            ExecNode(*plan.children[1], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[1], catalog, span.get(), rows_scanned);
         if (!r.ok()) return r;
         return ExecStructJoin(plan, std::move(*l), std::move(*r));
       }
       case PlanKind::kSelect: {
         Result<Table> in =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
         Table out(plan.schema);
         for (const Tuple& row : in->rows()) {
@@ -508,7 +348,7 @@ Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
       }
       case PlanKind::kProject: {
         Result<Table> in =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
         Table out(plan.schema);
         for (const Tuple& row : in->rows()) {
@@ -525,7 +365,7 @@ Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
       case PlanKind::kUnion: {
         Table out(plan.schema);
         for (const PlanPtr& c : plan.children) {
-          Result<Table> in = ExecNode(*c, catalog, scan_use, span.get(), rows_scanned);
+          Result<Table> in = ExecNode(*c, catalog, span.get(), rows_scanned);
           if (!in.ok()) return in;
           for (const Tuple& row : in->rows()) out.AddRow(row);
         }
@@ -534,25 +374,25 @@ Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
       }
       case PlanKind::kUnnest: {
         Result<Table> in =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
         return ExecUnnest(plan, std::move(*in));
       }
       case PlanKind::kGroupBy: {
         Result<Table> in =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
         return ExecGroupBy(plan, std::move(*in));
       }
       case PlanKind::kNavigate: {
         Result<Table> in =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
         return ExecNavigate(plan, std::move(*in));
       }
       case PlanKind::kDeriveParent: {
         Result<Table> in =
-            ExecNode(*plan.children[0], catalog, scan_use, span.get(), rows_scanned);
+            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
         Table out(plan.schema);
         for (const Tuple& row : in->rows()) {
@@ -586,11 +426,7 @@ Result<Table> Execute(const PlanNode& plan, const Catalog& catalog,
                       TraceSpan* trace) {
   Timer timer;
   int64_t rows_scanned = 0;
-  ScanUseMap scan_use;
-  MarkScanUse(plan,
-              std::vector<bool>(static_cast<size_t>(plan.schema.size()), true),
-              &scan_use);
-  Result<Table> out = ExecNode(plan, catalog, scan_use, trace, &rows_scanned);
+  Result<Table> out = ExecNode(plan, catalog, trace, &rows_scanned);
   metrics::ExecutorRuns()->Add(1);
   metrics::ExecutorRowsScanned()->Add(rows_scanned);
   if (out.ok()) metrics::ExecutorRowsEmitted()->Add(out->NumRows());

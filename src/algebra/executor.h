@@ -1,14 +1,17 @@
 // Physical evaluation of logical plans over a catalog of materialized view
-// extents. Structural joins exploit the ORDPATH prefix property (an
-// ancestor's id is a prefix of its descendants' ids, [1][21][25]): the
-// ancestor join probes a hash table of left ids with the right ids'
-// prefixes, giving O(|R| x depth) instead of a nested loop.
+// extents. A view scan pins its extent through the catalog's TableSource and
+// copies the rows; a store-backed catalog (CatalogSnapshot::ExecutorCatalog)
+// decodes a cold extent whole and installs it. Structural joins exploit the
+// ORDPATH prefix property (an ancestor's id is a prefix of its descendants'
+// ids, [1][21][25]): the ancestor join probes a hash table of left ids with
+// the right ids' prefixes, giving O(|R| x depth) instead of a nested loop.
 #ifndef SVX_ALGEBRA_EXECUTOR_H_
 #define SVX_ALGEBRA_EXECUTOR_H_
 
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "src/algebra/plan.h"
 #include "src/algebra/relation.h"
@@ -16,56 +19,34 @@
 
 namespace svx {
 
-class TraceSpan;       // src/observability/trace.h
-class ColumnarExtent;  // src/algebra/columnar.h
+class TraceSpan;  // src/observability/trace.h
 
-/// A compressed extent binding for view scans. The scan first consults
-/// `resident` for an already-decoded table; on a miss it decodes only the
-/// columns the plan references straight from the chunks (unreferenced
-/// columns come back ⊥) and reports the decode through `loaded`.
-struct ColumnarSource {
-  const ColumnarExtent* extent = nullptr;
-  /// Document content references rebind against at decode; may be null for
-  /// content-free extents.
-  const Document* doc = nullptr;
-  /// Optional cache probe: a decoded table pinned by the returned
-  /// shared_ptr, or null when evicted / never decoded.
-  std::function<TablePtr()> resident;
-  /// Optional decode report: `full` carries the decoded table when every
-  /// column was materialized (so the owner may cache it), null for a
-  /// partial decode; `decode_us` is the decode latency.
-  std::function<void(TablePtr full, int64_t decode_us)> loaded;
-};
+/// A view binding: returns the view's extent, pinned by the shared_ptr for
+/// the duration of the scan. A store-backed source decodes a cold extent
+/// before returning it (StoredView::table()).
+using TableSource = std::function<Result<TablePtr>()>;
 
-/// Name -> extent mapping used by view scans. Either an eager row-major
-/// table (borrowed) or a columnar source; at most one per name.
+/// Name -> extent mapping used by view scans: one TableSource per name.
 class Catalog {
  public:
-  struct Entry {
-    const Table* table = nullptr;  // eager binding, if any
-    ColumnarSource columnar;       // else columnar binding
-  };
-
+  /// Binds `name` to `source`, replacing any earlier binding.
+  void Register(const std::string& name, TableSource source) {
+    views_[name] = std::move(source);
+  }
+  /// Binds `name` to a borrowed table, which must outlive every Execute
+  /// over this catalog.
   void Register(const std::string& name, const Table* table) {
-    views_[name].table = table;
-    views_[name].columnar = ColumnarSource{};
+    TablePtr borrowed(TablePtr(), table);  // aliasing: owns nothing
+    Register(name, [borrowed]() -> Result<TablePtr> { return borrowed; });
   }
-  void RegisterColumnar(const std::string& name, ColumnarSource source) {
-    views_[name].table = nullptr;
-    views_[name].columnar = std::move(source);
-  }
-  /// The eager table, or null for columnar (or unknown) bindings.
-  const Table* Find(const std::string& name) const {
-    const Entry* e = FindEntry(name);
-    return e == nullptr ? nullptr : e->table;
-  }
-  const Entry* FindEntry(const std::string& name) const {
+  /// The source bound to `name`, or null.
+  const TableSource* Find(const std::string& name) const {
     auto it = views_.find(name);
     return it == views_.end() ? nullptr : &it->second;
   }
 
  private:
-  std::unordered_map<std::string, Entry> views_;
+  std::unordered_map<std::string, TableSource> views_;
 };
 
 /// Executes `plan` against `catalog`; returns the materialized result.

@@ -134,7 +134,7 @@ class PlanEnumerator {
     /// joins are built — and sets Stats::table_full.
     size_t max_table = 2000;
     /// Per-level extension beam: at most this many cheapest extendable
-    /// plans are joined further (RewriterOptions::max_pieces).
+    /// plans are joined further (Rewriter::Rewrite keeps the default).
     size_t max_frontier = 128;
     /// Per-plan merged-piece bound (ExpansionOptions::max_pieces). A join
     /// whose piece set would exceed it is discarded — and reported as a

@@ -19,6 +19,11 @@ namespace svx {
 
 namespace {
 
+// Search bounds shared by Rewrite() and RewriteExhaustive().
+constexpr size_t kMaxAssignments = 64;    // return-node choices per candidate
+constexpr size_t kMaxUnionSize = 3;       // views in one union rewriting
+constexpr size_t kMaxUnionPartials = 24;  // partial covers kept for unions
+
 // ---------------------------------------------------------------------------
 // Query analysis
 // ---------------------------------------------------------------------------
@@ -237,7 +242,7 @@ class RewriteSession {
           NoteResult();
         }
         if (Exhausted(results)) return true;
-      } else if (partials_.size() < options_.max_union_partials &&
+      } else if (partials_.size() < kMaxUnionPartials &&
                  partial_keys_.insert(cand.CanonicalString()).second) {
         Partial p;
         p.projected_plan = std::move(projected);
@@ -254,8 +259,7 @@ class RewriteSession {
     if (n < 2) return;
     std::vector<std::vector<size_t>> found_subsets;
     // Enumerate subsets by increasing size so minimality is by construction.
-    for (size_t size = 2; size <= options_.max_union_size && size <= n;
-         ++size) {
+    for (size_t size = 2; size <= kMaxUnionSize && size <= n; ++size) {
       std::vector<size_t> idx(size);
       // Initialize combination 0,1,...,size-1.
       for (size_t i = 0; i < size; ++i) idx[i] = i;
@@ -429,7 +433,7 @@ class RewriteSession {
                     const std::vector<std::vector<std::string>>& choices,
                     size_t i, std::vector<std::string>* current,
                     std::vector<Assignment>* out) const {
-    if (out->size() >= options_.max_assignments) return;
+    if (out->size() >= kMaxAssignments) return;
     if (i == choices.size()) {
       if (OrderConsistent(cand, *current)) out->push_back({*current});
       return;
@@ -437,7 +441,7 @@ class RewriteSession {
     for (const std::string& prefix : choices[i]) {
       (*current)[i] = prefix;
       EnumerateRec(cand, choices, i + 1, current, out);
-      if (out->size() >= options_.max_assignments) return;
+      if (out->size() >= kMaxAssignments) return;
     }
   }
 
@@ -866,10 +870,8 @@ std::string RewriterOptionsFingerprint(const RewriterOptions& o) {
                                      o.cost_model->default_rows)
           : 0;
   return StrFormat(
-      "r%zu.p%d.t%zu.pc%zu.a%zu.u%zu.up%zu.%d%d.m%llx|e%s|k%s",
-      o.max_results, o.max_plan_views, o.max_plan_table, o.max_pieces,
-      o.max_assignments, o.max_union_size, o.max_union_partials,
-      o.prune_views ? 1 : 0, o.prune_same_pattern ? 1 : 0,
+      "r%zu.p%d.t%zu.%d%d.m%llx|e%s|k%s", o.max_results, o.max_plan_views,
+      o.max_plan_table, o.prune_views ? 1 : 0, o.prune_same_pattern ? 1 : 0,
       static_cast<unsigned long long>(model_fp),  // NOLINT(runtime/int)
       ExpansionOptionsFingerprint(o.expansion).c_str(),
       ContainmentOptionsFingerprint(o.containment).c_str());
@@ -1036,7 +1038,6 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   PlanEnumerator::Options popts;
   popts.max_plan_views = options_.max_plan_views;
   popts.max_table = options_.max_plan_table;
-  popts.max_frontier = options_.max_pieces;
   popts.max_merged_pieces = options_.expansion.max_pieces;
   popts.prune_same_pattern = options_.prune_same_pattern;
   PlanEnumerator enumerator(summary_, *cm, qi.join_relevant, cover, popts);

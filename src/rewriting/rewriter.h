@@ -47,15 +47,7 @@ struct RewriterOptions {
   /// RewriteStats::plan_table_full, not as search_truncated: such results
   /// are still cached.
   size_t max_plan_table = 1000;
-  /// DP extension beam: how many of the cheapest extendable partial plans
-  /// per level the enumerator joins further. (The per-candidate
-  /// merged-piece bound is ExpansionOptions::max_pieces; overruns of that
-  /// bound are reported via RewriteStats::search_truncated.)
-  size_t max_pieces = 128;
-  size_t max_assignments = 64;  // return-node choices tested per candidate
   size_t max_results = 8;
-  size_t max_union_size = 3;
-  size_t max_union_partials = 24;
   bool prune_views = true;       // Prop 3.4
   bool prune_same_pattern = true;  // Prop 3.5
   double time_budget_ms = 60000;
@@ -180,10 +172,10 @@ class Rewriter {
   /// candidate with every single-view candidate on join-relevant prefixes,
   /// with Prop 3.5 and duplicate pruning, then the union phase and cost
   /// ranking shared with Rewrite(). No containment memo, coverage pruning,
-  /// DP or cache: `memo`, `shared_view_index`, `max_plan_table`,
-  /// `max_pieces` and `trace` are ignored, and no process metric is
-  /// recorded. Stops on max_results and time_budget_ms; a merged-piece
-  /// overflow sets search_truncated, the candidate cap plan_table_full.
+  /// DP or cache: `memo`, `shared_view_index`, `max_plan_table` and `trace`
+  /// are ignored, and no process metric is recorded. Stops on max_results
+  /// and time_budget_ms; a merged-piece overflow sets search_truncated, the
+  /// candidate cap plan_table_full.
   [[nodiscard]] Result<std::vector<Rewriting>> RewriteExhaustive(
       const Pattern& q, RewriteStats* stats = nullptr) const;
 

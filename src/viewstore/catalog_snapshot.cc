@@ -66,20 +66,9 @@ int64_t CatalogSnapshot::TotalCompressedBytes() const {
 Catalog CatalogSnapshot::ExecutorCatalog() const {
   Catalog catalog;
   for (const auto& v : views_) {
-    // Borrowed pointers into the snapshot (valid while the caller holds
-    // it). Scans probe the resident decoded table first; a cold scan
-    // decodes only the columns the plan references, and a full decode is
-    // handed back to the view's residency so the next scan hits.
+    // Borrowed pointer into the snapshot (valid while the caller holds it).
     const StoredView* raw = v.get();
-    ColumnarSource src;
-    src.extent = raw->columnar.get();
-    src.doc = raw->decode_doc;
-    src.resident = [raw]() { return raw->TryResident(); };
-    src.loaded = [raw](TablePtr full, int64_t decode_us) {
-      raw->residency->budget()->NoteReload(decode_us);
-      if (full != nullptr) raw->InstallResident(std::move(full));
-    };
-    catalog.RegisterColumnar(v->def.name, std::move(src));
+    catalog.Register(v->def.name, [raw] { return raw->table(); });
   }
   return catalog;
 }

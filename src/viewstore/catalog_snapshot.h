@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/algebra/columnar.h"
 #include "src/algebra/executor.h"
 #include "src/containment/memo.h"
 #include "src/rewriting/view.h"
@@ -144,8 +145,11 @@ class CatalogSnapshot {
   /// The summary of document(), when bound; nullptr otherwise.
   const Summary* summary() const { return summary_.get(); }
 
-  /// Executor bindings for this epoch's extents. Borrowed pointers into the
-  /// snapshot: valid while the caller holds the snapshot shared_ptr.
+  /// Executor bindings for this epoch's extents: each view scans through
+  /// StoredView::table(), so a scan pins the resident decoded table, and a
+  /// cold scan decodes the whole extent once and installs it under the
+  /// memory budget. Borrowed pointers into the snapshot: valid while the
+  /// caller holds the snapshot shared_ptr.
   Catalog ExecutorCatalog() const;
 
   /// Cost model over this epoch's statistics, prebuilt at publication.

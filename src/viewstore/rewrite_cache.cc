@@ -57,12 +57,6 @@ void RewriteCache::Insert(const std::string& key,
   entries_[key] = std::move(entry);
 }
 
-void RewriteCache::Invalidate() {
-  MutexLock lock(&mu_);
-  if (!entries_.empty()) ++invalidations_;
-  entries_.clear();
-}
-
 void RewriteCache::CarryCountersFrom(const RewriteCache& prior) {
   TwoMutexLock lock(&mu_, &prior.mu_);
   hits_ = prior.hits_;

@@ -57,10 +57,6 @@ class RewriteCache {
   void Insert(const std::string& key, const std::vector<Rewriting>& rewritings,
               const RewriteStats* stats = nullptr) SVX_EXCLUDES(mu_);
 
-  /// Drops every entry. Called when the snapshot's world is replaced (the
-  /// catalog normally swaps in a fresh cache instead).
-  void Invalidate() SVX_EXCLUDES(mu_);
-
   /// Seeds the cumulative counters from a predecessor cache, counting one
   /// invalidation when the predecessor held entries — how a successor
   /// snapshot's fresh cache keeps hit/miss observability continuous.

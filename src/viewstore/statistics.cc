@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "src/algebra/columnar.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
 #include "src/viewstore/extent_io.h"
@@ -89,145 +90,6 @@ ViewStats ComputeViewStats(const Table& extent) {
   ViewStats stats;
   stats.num_rows = extent.NumRows();
   ComputeColumns(extent.schema(), {&extent}, &stats);
-  return stats;
-}
-
-namespace {
-
-/// Decodes column `c` of `extent` alone (other columns come back ⊥).
-Table DecodeOneColumn(const ColumnarExtent& extent, int32_t c,
-                      const Document* doc) {
-  std::vector<bool> used(static_cast<size_t>(extent.num_columns()), false);
-  used[static_cast<size_t>(c)] = true;
-  Result<Table> decoded = extent.DecodeColumns(used, doc);
-  SVX_CHECK_MSG(decoded.ok(), ("stats decode of a columnar extent failed: " +
-                                decoded.status().message())
-                                   .c_str());
-  return std::move(decoded).value();
-}
-
-/// ComputeColumns over one decoded column: the fallback for chunks whose
-/// stats cannot be read off the encoding (id/content streams, raw cells,
-/// nested group distincts).
-void ScanColumnValues(const Table& decoded, int32_t c, ColumnStats* col) {
-  std::unordered_set<std::string> seen;
-  bool any = false;
-  for (const Tuple& row : decoded.rows()) {
-    const Value& v = row[static_cast<size_t>(c)];
-    if (v.IsNull()) continue;
-    ++col->non_null;
-    int64_t len = ValueLength(v);
-    if (!any) {
-      col->min_len = col->max_len = len;
-      any = true;
-    } else {
-      col->min_len = std::min(col->min_len, len);
-      col->max_len = std::max(col->max_len, len);
-    }
-    if (v.IsTable()) col->nested_rows += v.AsTable().NumRows();
-    std::string key;
-    EncodeValue(v, &key);
-    seen.insert(std::move(key));
-  }
-  col->distinct = static_cast<int64_t>(seen.size());
-}
-
-/// The columnar mirror of ComputeColumns: emits the same stats entries in
-/// the same order, reading what it can off the chunk encodings.
-void ComputeColumnarStats(const ColumnarExtent& extent, const Document* doc,
-                          ViewStats* stats) {
-  const Schema& schema = extent.schema();
-  for (int32_t c = 0; c < schema.size(); ++c) {
-    const ColumnChunkPtr& chunk = extent.column(c);
-    ColumnStats col;
-    col.name = schema.column(c).name;
-    switch (chunk->encoding) {
-      case ColumnChunk::kDict: {
-        // The dictionary is exactly the column's distinct non-null values,
-        // so distinct and the length bounds need no row scan at all.
-        for (uint32_t code : chunk->codes) {
-          if (code != ColumnChunk::kNullCode) ++col.non_null;
-        }
-        col.distinct = static_cast<int64_t>(chunk->dict.size());
-        bool any = false;
-        for (const std::string& s : chunk->dict) {
-          int64_t len = static_cast<int64_t>(s.size());
-          if (!any) {
-            col.min_len = col.max_len = len;
-            any = true;
-          } else {
-            col.min_len = std::min(col.min_len, len);
-            col.max_len = std::max(col.max_len, len);
-          }
-        }
-        break;
-      }
-      case ColumnChunk::kNested: {
-        // Group counts come straight off the offset index; only the exact
-        // distinct count needs the decoded groups (deep value encoding).
-        bool any = false;
-        for (int64_t i = 0; i < chunk->num_rows; ++i) {
-          if (chunk->nulls[static_cast<size_t>(i)] != 0) continue;
-          ++col.non_null;
-          int64_t len = chunk->offsets[static_cast<size_t>(i) + 1] -
-                        chunk->offsets[static_cast<size_t>(i)];
-          if (!any) {
-            col.min_len = col.max_len = len;
-            any = true;
-          } else {
-            col.min_len = std::min(col.min_len, len);
-            col.max_len = std::max(col.max_len, len);
-          }
-          col.nested_rows += len;
-        }
-        std::unordered_set<std::string> seen;
-        Table decoded = DecodeOneColumn(extent, c, doc);
-        for (const Tuple& row : decoded.rows()) {
-          const Value& v = row[static_cast<size_t>(c)];
-          if (v.IsNull()) continue;
-          std::string key;
-          EncodeValue(v, &key);
-          seen.insert(std::move(key));
-        }
-        col.distinct = static_cast<int64_t>(seen.size());
-        break;
-      }
-      case ColumnChunk::kIds:
-      case ColumnChunk::kContent:
-      case ColumnChunk::kRaw: {
-        Table decoded = DecodeOneColumn(extent, c, doc);
-        ScanColumnValues(decoded, c, &col);
-        break;
-      }
-    }
-    stats->columns.push_back(std::move(col));
-
-    if (schema.column(c).nested != nullptr) {
-      if (chunk->encoding == ColumnChunk::kNested && chunk->child != nullptr) {
-        // The child extent is all groups' rows back to back — exactly the
-        // cross-group aggregate ComputeColumns builds, dictionaries intact.
-        ComputeColumnarStats(*chunk->child, doc, stats);
-      } else {
-        // Raw fallback chunk under a nested schema: gather the decoded
-        // groups and aggregate them row-major.
-        Table decoded = DecodeOneColumn(extent, c, doc);
-        std::vector<const Table*> groups;
-        for (const Tuple& row : decoded.rows()) {
-          const Value& v = row[static_cast<size_t>(c)];
-          if (v.IsTable()) groups.push_back(&v.AsTable());
-        }
-        ComputeColumns(*schema.column(c).nested, groups, stats);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-ViewStats ComputeViewStats(const ColumnarExtent& extent, const Document* doc) {
-  ViewStats stats;
-  stats.num_rows = extent.num_rows();
-  ComputeColumnarStats(extent, doc, &stats);
   return stats;
 }
 

@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/algebra/columnar.h"
 #include "src/algebra/relation.h"
 #include "src/util/status.h"
 
@@ -45,19 +44,11 @@ struct ViewStats {
   bool operator==(const ViewStats&) const = default;
 };
 
-/// Scans `extent` once and computes exact statistics.
+/// Scans `extent` once and computes exact statistics. The only way stats are
+/// computed from scratch: the catalog calls it on the row-major table it is
+/// about to encode (materialization, maintenance rebuild, WAL replay), and
+/// incremental maintenance refreshes the result (RefreshViewStatsCached).
 ViewStats ComputeViewStats(const Table& extent);
-
-/// Computes the same statistics straight from a compressed columnar extent:
-/// dictionary columns read distinct/length bounds off the dictionary and
-/// never touch row values; nested columns take group counts from the offset
-/// index and recurse into the shared child extent; only id, content, raw
-/// and nested-group-distinct passes decode their one column. `doc` is
-/// needed only when a raw chunk holds content references (columnar.h); a
-/// content reference that does not resolve in `doc` is a programming error
-/// (callers validate resolution first, ForEachContentId). Result is exactly
-/// ComputeViewStats(decoded table).
-ViewStats ComputeViewStats(const ColumnarExtent& extent, const Document* doc);
 
 /// Per-column multiset indexes over one extent: for every stats column
 /// (ComputeViewStats emission order, nested columns flattened) the exact

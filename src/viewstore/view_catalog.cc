@@ -260,11 +260,9 @@ Status ViewCatalog::Add(ViewDef def, Table extent) {
   }
   auto stored = std::make_shared<StoredView>();
   stored->def = std::move(def);
+  stored->stats = ComputeViewStats(extent);
   const int64_t bytes = ExtentByteSize(extent);
   SetExtent(stored.get(), std::move(extent), bytes, prev, budget_);
-  // Statistics come off the compressed chunks (dictionaries carry the
-  // distinct counts and length bounds), not a row rescan.
-  stored->stats = ComputeViewStats(*stored->columnar, stored->decode_doc);
 
   bool replaced = false;
   for (auto& v : next) {
@@ -644,10 +642,10 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
     if (rebuilt) {
       // generation 0: persisted fresh. Chunk sharing with the old columnar
       // still applies — a rebuild often reproduces most columns unchanged.
+      nv->stats = ComputeViewStats(working);
       const int64_t bytes = nv->extent_bytes;
       SetExtent(nv.get(), std::move(working), bytes, v->columnar.get(),
                 budget_);
-      nv->stats = ComputeViewStats(*nv->columnar, nv->decode_doc);
       next.push_back(std::move(nv));
       continue;
     }

@@ -1,8 +1,7 @@
 // Columnar extent representation: randomized round-trip determinism,
-// type-mixed raw chunks, rejection of older store formats, dictionary-driven
-// statistics parity,
-// column-selective decoding, memory-budget eviction/reload, and epoch
-// chunk sharing.
+// type-mixed raw chunks, rejection of older store formats, cold scans that
+// decode a whole extent once and install it, memory-budget eviction/reload,
+// and epoch chunk sharing.
 #include "src/algebra/columnar.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "src/util/strings.h"
 #include "src/viewstore/delta_log.h"
 #include "src/viewstore/extent_io.h"
-#include "src/viewstore/statistics.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/workload/xmark.h"
 #include "src/xml/builder.h"
@@ -119,30 +117,6 @@ TEST(Columnar, CompressedSmallerThanRowMajorOnRealExtents) {
   }
   EXPECT_LT(compressed * 2, row_major)
       << "columnar extents must be at least 2x smaller than row-major";
-}
-
-TEST(Columnar, SelectiveDecodeMatchesFullDecodeOnUsedColumns) {
-  std::unique_ptr<Document> doc = RandomXmark(29);
-  for (const ViewDef& def : CoveringViews()) {
-    Table table = MaterializeView(def.pattern, def.name, *doc);
-    table.SortRowsCanonical();
-    ColumnarExtent extent = ColumnarExtent::Encode(table);
-    const size_t ncols = table.schema().size();
-    for (size_t keep = 0; keep < ncols; ++keep) {
-      std::vector<bool> used(ncols, false);
-      used[keep] = true;
-      Result<Table> partial = extent.DecodeColumns(used, doc.get());
-      ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-      ASSERT_EQ(partial->NumRows(), table.NumRows());
-      for (int64_t r = 0; r < table.NumRows(); ++r) {
-        std::string want;
-        EncodeValue(table.row(r)[keep], &want);
-        std::string got;
-        EncodeValue(partial->row(r)[keep], &got);
-        EXPECT_EQ(got, want) << def.name << " col " << keep << " row " << r;
-      }
-    }
-  }
 }
 
 TEST(Columnar, TypeMixedColumnRoundTripsThroughRawChunk) {
@@ -282,59 +256,57 @@ TEST(Columnar, OlderStoreFormatsFailLoadNamingTheVersion) {
 }
 
 // ---------------------------------------------------------------------------
-// Statistics parity: dictionaries vs row rescans
+// Executor: a cold scan decodes the whole extent once and installs it
 // ---------------------------------------------------------------------------
 
-TEST(Columnar, StatsFromDictionariesMatchRowScan) {
-  for (uint64_t seed : {5u, 23u}) {
-    std::unique_ptr<Document> doc = RandomXmark(seed);
-    for (const ViewDef& def : CoveringViews()) {
-      Table table = MaterializeView(def.pattern, def.name, *doc);
-      table.SortRowsCanonical();
-      ColumnarExtent extent = ColumnarExtent::Encode(table);
-      ViewStats want = ComputeViewStats(table);
-      ViewStats got = ComputeViewStats(extent, doc.get());
-      EXPECT_TRUE(got == want) << def.name << " seed " << seed;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Executor: columnar bindings match eager tables
-// ---------------------------------------------------------------------------
-
-TEST(Columnar, ColumnarScanMatchesEagerScan) {
+TEST(Columnar, ColdScanDecodesWholeExtentOnceAndInstallsIt) {
+  const std::string dir = TempDir("coldscan");
   std::unique_ptr<Document> doc = RandomXmark(13);
+  ViewCatalogOptions options;
+  options.dir = dir;
+  {
+    ViewCatalog catalog(options);
+    for (const ViewDef& def : CoveringViews()) {
+      ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
+    }
+    ASSERT_TRUE(catalog.Save().ok());
+  }
+  // A loaded store starts with every extent cold.
+  ViewCatalog loaded(options);
+  ASSERT_TRUE(loaded.Load(doc.get()).ok());
+  std::shared_ptr<const CatalogSnapshot> snap = loaded.Snapshot();
+  const Catalog exec = snap->ExecutorCatalog();
+  const MemoryBudget& budget = *loaded.memory_budget();
   for (const ViewDef& def : CoveringViews()) {
+    const StoredView* v = snap->Find(def.name);
+    ASSERT_NE(v, nullptr) << def.name;
+    ASSERT_EQ(v->TryResident(), nullptr) << def.name;
     Table table = MaterializeView(def.pattern, def.name, *doc);
     table.SortRowsCanonical();
-    ColumnarExtent extent = ColumnarExtent::Encode(table);
-
+    // π₀ reads one column of a wider extent.
+    ASSERT_GT(table.schema().size(), 1) << def.name;
+    PlanPtr plan = MakeProject(MakeViewScan(def.name, table.schema()), {0});
     Catalog eager;
     eager.Register(def.name, &table);
-    Result<Table> want =
-        Execute(*MakeViewScan(def.name, table.schema()), eager);
+    Result<Table> want = Execute(*plan, eager);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-    // Cold columnar binding: no resident table, so the scan decodes from
-    // the chunks and reports the decode through `loaded`.
-    int loads = 0;
-    Catalog cold;
-    ColumnarSource src;
-    src.extent = &extent;
-    src.doc = doc.get();
-    src.resident = []() { return TablePtr(); };
-    src.loaded = [&loads](TablePtr, int64_t decode_us) {
-      ++loads;
-      EXPECT_GE(decode_us, 0);
-    };
-    cold.RegisterColumnar(def.name, std::move(src));
-    Result<Table> got =
-        Execute(*MakeViewScan(def.name, table.schema()), cold);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->EqualsIgnoringOrder(*want)) << def.name;
-    EXPECT_EQ(loads, 1) << def.name;
+    const int64_t reloads = budget.reloads();
+    for (int run = 0; run < 2; ++run) {
+      Result<Table> got = Execute(*plan, exec);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got->EqualsIgnoringOrder(*want))
+          << def.name << " run " << run;
+    }
+    EXPECT_EQ(budget.reloads(), reloads + 1)
+        << def.name << ": only the first scan may decode";
+    TablePtr resident = v->TryResident();
+    ASSERT_NE(resident, nullptr)
+        << def.name << ": the cold scan must install its decode";
+    EXPECT_EQ(SerializeExtent(*resident), SerializeExtent(table))
+        << def.name << ": the installed decode is the whole extent";
   }
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
