@@ -4,11 +4,9 @@
 // Figure 15 workload (a subset of queries, to keep the ablation fast).
 #include <cstdio>
 
-#include "src/pattern/pattern_parser.h"
+#include "bench/base_views.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
-#include "src/util/strings.h"
-#include "src/workload/pattern_generator.h"
 #include "src/workload/xmark.h"
 #include "src/workload/xmark_queries.h"
 
@@ -28,34 +26,8 @@ void Run() {
   std::unique_ptr<Summary> summary = SummaryBuilder::Build(doc.get());
 
   // The Figure 15 view mix, reduced (per-tag base views + 40 random views).
-  std::vector<ViewDef> views;
-  std::vector<std::string> tags;
-  for (PathId s = 1; s < summary->size(); ++s) {
-    tags.push_back(summary->label(s));
-  }
-  std::sort(tags.begin(), tags.end());
-  tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
-  int base = 0;
-  for (const std::string& tag : tags) {
-    views.push_back(
-        {StrFormat("B%d_%s", base++, tag.c_str()),
-         MustParsePattern(StrFormat("site(//%s{id,v})", tag.c_str()))});
-  }
-  Rng rng(99);
-  PatternGenOptions gen;
-  gen.num_nodes = 3;
-  gen.num_return = 1;
-  gen.p_pred = 0;
-  for (int i = 0; i < 40; ++i) {
-    Result<Pattern> p = GeneratePattern(*summary, gen, &rng);
-    if (!p.ok()) continue;
-    for (PatternNodeId n = 1; n < p->size(); ++n) {
-      p->mutable_node(n).attrs =
-          rng.Bernoulli(0.75) ? (kAttrId | kAttrValue) : 0;
-    }
-    if (p->Arity() == 0) continue;
-    views.push_back({StrFormat("R%d", i), std::move(*p)});
-  }
+  std::vector<ViewDef> views = BuildBaseTagViews(*summary);
+  AddRandomViews(*summary, 40, &views);
 
   const Config configs[] = {
       {"all pruning on", true, true},

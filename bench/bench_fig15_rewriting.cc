@@ -23,26 +23,17 @@
 // tables beyond the budget are evicted LRU and re-decoded lazily — which is
 // what makes full-scale materialization of the 183-view set feasible.
 // Writes BENCH_fig15_rewriting.json and BENCH_fig15_metrics.prom.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "bench/base_views.h"
-#include "bench/bench_metrics.h"
-#include "src/pattern/pattern_parser.h"
-#include "src/pattern/pattern_printer.h"
+#include "bench/bench_common.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/json_writer.h"
-#include "src/util/strings.h"
 #include "src/util/timer.h"
 #include "src/viewstore/view_catalog.h"
-#include "src/workload/pattern_generator.h"
 #include "src/workload/xmark.h"
 #include "src/workload/xmark_queries.h"
 
@@ -61,37 +52,14 @@ struct QueryRow {
   double cheapest_cost = -1;
 };
 
-std::vector<ViewDef> BuildViews(const Summary& summary) {
-  // Base views: one per distinct tag (2-node patterns storing ID, V).
-  std::vector<ViewDef> views = BuildBaseTagViews(summary);
-  // 100 random 3-node views, 50% optional edges, attrs ID,V w.p. 0.75.
-  Rng rng(99);
-  PatternGenOptions gen;
-  gen.num_nodes = 3;
-  gen.num_return = 1;
-  gen.p_optional = 0.5;
-  gen.p_pred = 0.0;  // "random value predicates had the same effect"
-  gen.return_labels = {};
-  for (int i = 0; i < 100; ++i) {
-    Result<Pattern> p = GeneratePattern(summary, gen, &rng);
-    if (!p.ok()) continue;
-    // Store ID,V on each non-root node with probability 0.75.
-    for (PatternNodeId n = 1; n < p->size(); ++n) {
-      p->mutable_node(n).attrs =
-          rng.Bernoulli(0.75) ? (kAttrId | kAttrValue) : 0;
-    }
-    if (p->Arity() == 0) continue;
-    views.push_back({StrFormat("R%d", i), std::move(*p)});
-  }
-  return views;
-}
-
 void Run(double extent_scale, int64_t memory_budget_mb) {
   XmarkOptions opts;
   opts.scale = 21.0;  // the paper rewrites against the XMark233 summary
   std::unique_ptr<Document> doc = GenerateXmark(opts);
   std::unique_ptr<Summary> summary = SummaryBuilder::Build(doc.get());
-  std::vector<ViewDef> views = BuildViews(*summary);
+  // One base view per distinct tag plus 100 random 3-node views.
+  std::vector<ViewDef> views = BuildBaseTagViews(*summary);
+  AddRandomViews(*summary, 100, &views);
 
   std::printf("=== Figure 15: XMark query rewriting ===\n");
   std::printf("summary: %d nodes; views: %zu (paper: 183)\n",
@@ -253,10 +221,7 @@ void Run(double extent_scale, int64_t memory_budget_mb) {
   }
   w.EndArray();
   w.EndObject();
-  std::ofstream json_out("BENCH_fig15_rewriting.json", std::ios::trunc);
-  json_out << w.str() << "\n";
-  json_out.close();
-  std::printf("\nwrote BENCH_fig15_rewriting.json\n");
+  WriteBenchFile("BENCH_fig15_rewriting.json", w.str());
   std::printf("catalog: %s\n", reloaded.DebugMetrics().c_str());
   EmitMetricsSnapshot("BENCH_fig15_metrics.prom");
 }
@@ -265,38 +230,14 @@ void Run(double extent_scale, int64_t memory_budget_mb) {
 }  // namespace svx
 
 int main(int argc, char** argv) {
-  double extent_scale = 1.0;
-  int64_t memory_budget_mb = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    auto value_of =
-        [&](std::string_view prefix) -> std::optional<std::string_view> {
-      if (arg.size() > prefix.size() && arg.substr(0, prefix.size()) == prefix)
-        return arg.substr(prefix.size());
-      return std::nullopt;
-    };
-    if (auto v = value_of("--extent-scale=")) {
-      std::optional<double> parsed = svx::ParseDouble(*v);
-      if (!parsed.has_value() || *parsed <= 0) {
-        std::fprintf(stderr, "bad --extent-scale: %s\n", argv[i]);
-        return 2;
-      }
-      extent_scale = *parsed;
-    } else if (auto v = value_of("--memory-budget-mb=")) {
-      std::optional<int64_t> parsed = svx::ParseInt64(*v);
-      if (!parsed.has_value() || *parsed < 0) {
-        std::fprintf(stderr, "bad --memory-budget-mb: %s\n", argv[i]);
-        return 2;
-      }
-      memory_budget_mb = *parsed;
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument: %s\nusage: bench_fig15_rewriting "
-                   "[--extent-scale=X] [--memory-budget-mb=N]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  svx::BenchArgs args(argc, argv,
+                      "bench_fig15_rewriting [--extent-scale=X] "
+                      "[--memory-budget-mb=N]");
+  const double extent_scale =
+      args.Flag("--extent-scale", 1.0, svx::kPositive);
+  const int64_t memory_budget_mb =
+      args.Flag("--memory-budget-mb", int64_t{0}, svx::kNonNegative);
+  args.Finish();
   svx::Run(extent_scale, memory_budget_mb);
   return 0;
 }

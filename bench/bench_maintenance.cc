@@ -1,35 +1,31 @@
 // Incremental maintenance benchmark: apply randomized subtree updates to an
-// XMark document and maintain a view catalog through ApplyUpdate, versus
+// XMark document and maintain a view catalog incrementally, versus
 // rematerializing every extent from scratch after each update. Reports
 // per-(view, update-kind) scenario timings and writes machine-readable
 // BENCH_maintenance.json into the working directory. Every scenario also
 // verifies the maintained extent is byte-identical to rematerialization.
 //
 // With --shards=N (N > 1) the stream maintains a sync ShardedCatalog
-// instead, and verification merges the per-shard extent slices.
+// instead: verification merges the per-shard extent slices, and the
+// maintenance counters stay zero (the sharded API does not surface them).
 //
-//   $ ./build/bench_maintenance [scale] [updates-per-scenario] [--shards=N]
+//   $ ./build/bench_maintenance [scale] [updates-per-scenario] [--shards N]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_metrics.h"
+#include "bench/bench_common.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/json_writer.h"
 #include "src/util/rng.h"
-#include "src/util/strings.h"
 #include "src/util/timer.h"
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/sharded_catalog.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/workload/xmark.h"
-#include "src/xml/builder.h"
 #include "src/xml/update.h"
 
 namespace svx {
@@ -60,15 +56,6 @@ const char* UpdateKindName(UpdateKind k) {
       return "subtree-delete";
   }
   return "?";
-}
-
-std::unique_ptr<Document> MustParseTree(const char* text) {
-  Result<std::unique_ptr<Document>> r = ParseTreeNotation(text);
-  if (!r.ok()) {
-    std::fprintf(stderr, "bad tree: %s\n", r.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
 }
 
 /// Picks an update of the given kind against `doc`; deterministic per rng.
@@ -121,8 +108,75 @@ struct ScenarioRow {
   bool identical = false;
 };
 
+/// The catalog a scenario maintains: one ViewCatalog or, with shards > 1, a
+/// sync ShardedCatalog. Its three methods are the scenario's only per-kind
+/// code.
+class ScenarioCatalog {
+ public:
+  ScenarioCatalog(ViewDef def, int shards)
+      : def_(std::move(def)), shards_(shards) {}
+
+  /// Builds the catalog over `doc` and materializes the view in it.
+  Status Materialize(std::shared_ptr<const Document> doc,
+                     std::shared_ptr<const Summary> summary) {
+    if (shards_ <= 1) {
+      single_ = std::make_unique<ViewCatalog>();  // in-memory maintenance
+      return single_->Materialize(def_, *doc);
+    }
+    ShardedCatalogOptions copts;
+    copts.num_shards = shards_;
+    SVX_ASSIGN_OR_RETURN(
+        sharded_, ShardedCatalog::Create(copts, doc, std::move(summary)));
+    return sharded_->Materialize(def_, *doc);
+  }
+
+  /// Maintains the view under `delta`; `next` is delta.new_doc.
+  Status Apply(const DocumentDelta& delta,
+               std::shared_ptr<const Document> next,
+               std::shared_ptr<const Summary> next_summary,
+               MaintenanceStats* ms) {
+    if (single_ != nullptr) {
+      return single_->ApplyUpdateBatch({delta}, std::move(next),
+                                       std::move(next_summary), ms);
+    }
+    return sharded_->ApplyUpdate(delta, std::move(next),
+                                 std::move(next_summary));
+  }
+
+  /// True when the maintained extent serializes like `fresh`'s and, in the
+  /// single catalog, its incrementally refreshed statistics equal `fresh`'s.
+  /// A sharded view is read back by merging its per-shard slices (or from
+  /// the global catalog, which holds the views that cannot be partitioned).
+  bool Matches(const StoredView& fresh) {
+    const std::string want = SerializeExtent(*fresh.table().value());
+    if (single_ != nullptr) {
+      const StoredView* v = single_->Find(def_.name);
+      return SerializeExtent(*v->table().value()) == want &&
+             v->stats == fresh.stats;
+    }
+    if (const StoredView* v = sharded_->global_catalog()->Find(def_.name)) {
+      return SerializeExtent(*v->table().value()) == want;
+    }
+    Table merged;
+    for (int i = 0; i < sharded_->num_shards(); ++i) {
+      TablePtr slice =
+          sharded_->shard_catalog(i)->Find(def_.name)->table().value();
+      if (i == 0) merged = Table(slice->schema());
+      for (const Tuple& t : slice->rows()) merged.AddRow(t);
+    }
+    merged.SortRowsCanonical();
+    return SerializeExtent(merged) == want;
+  }
+
+ private:
+  ViewDef def_;
+  int shards_;
+  std::unique_ptr<ViewCatalog> single_;
+  std::unique_ptr<ShardedCatalog> sharded_;
+};
+
 ScenarioRow RunScenario(const ViewSpec& spec, UpdateKind kind, double scale,
-                        int updates) {
+                        int updates, int shards) {
   ScenarioRow row;
   row.view = spec.name;
   row.update = UpdateKindName(kind);
@@ -130,12 +184,13 @@ ScenarioRow RunScenario(const ViewSpec& spec, UpdateKind kind, double scale,
 
   XmarkOptions opts;
   opts.scale = scale;
-  std::unique_ptr<Document> doc = GenerateXmark(opts);
+  std::shared_ptr<Document> doc(GenerateXmark(opts));
+  std::shared_ptr<const Summary> summary(SummaryBuilder::Build(doc.get()));
   row.doc_nodes = doc->size();
 
   ViewDef def{spec.name, MustParsePattern(spec.pattern)};
-  ViewCatalog catalog;  // no store dir: time pure in-memory maintenance
-  Status s = catalog.Materialize(def, *doc);
+  ScenarioCatalog catalog(def, shards);
+  Status s = catalog.Materialize(doc, summary);
   if (!s.ok()) {
     std::fprintf(stderr, "materialize: %s\n", s.ToString().c_str());
     return row;
@@ -148,11 +203,14 @@ ScenarioRow RunScenario(const ViewSpec& spec, UpdateKind kind, double scale,
     Result<UpdateResult> r = MakeUpdate(*doc, kind, &rng);
     if (!r.ok()) continue;
     region_total += r->delta.region_size;
+    std::shared_ptr<Document> next(std::move(r->doc));
+    std::shared_ptr<const Summary> next_summary(
+        SummaryBuilder::Build(next.get()));
 
     // Maintenance path.
     MaintenanceStats ms;
     t.Reset();
-    Status apply = catalog.ApplyUpdate(r->delta, &ms);
+    Status apply = catalog.Apply(r->delta, next, next_summary, &ms);
     row.maintain_ms += t.ElapsedMillis();
     if (!apply.ok()) {
       std::fprintf(stderr, "apply: %s\n", apply.ToString().c_str());
@@ -168,107 +226,16 @@ ScenarioRow RunScenario(const ViewSpec& spec, UpdateKind kind, double scale,
     // (materialize + canonicalize + statistics, as the fallback path does).
     t.Reset();
     ViewCatalog fresh;
-    Status remat = fresh.Materialize(def, *r->doc);
-    row.remat_ms += t.ElapsedMillis();
-    if (!remat.ok()) return row;
-
-    doc = std::move(r->doc);
-    if (i + 1 == updates) {
-      row.identical =
-          SerializeExtent(*catalog.Find(spec.name)->table().value()) ==
-              SerializeExtent(*fresh.Find(spec.name)->table().value()) &&
-          catalog.Find(spec.name)->stats == fresh.Find(spec.name)->stats;
-    }
-  }
-  row.avg_region = updates > 0
-                       ? static_cast<double>(region_total) / updates
-                       : 0;
-  row.speedup = row.maintain_ms > 0 ? row.remat_ms / row.maintain_ms : 0;
-  return row;
-}
-
-/// The sharded variant of RunScenario: the same update stream maintained
-/// through a sync ShardedCatalog, verified by merging the per-shard slices
-/// (or reading the global extent for unpartitionable views) against
-/// rematerialization. Maintenance stats stay zero — the sharded API does
-/// not surface them per update.
-ScenarioRow RunScenarioSharded(const ViewSpec& spec, UpdateKind kind,
-                               double scale, int updates, int shards) {
-  ScenarioRow row;
-  row.view = spec.name;
-  row.update = UpdateKindName(kind);
-  row.updates = updates;
-
-  XmarkOptions opts;
-  opts.scale = scale;
-  std::shared_ptr<Document> doc(GenerateXmark(opts));
-  std::shared_ptr<Summary> summary(SummaryBuilder::Build(doc.get()));
-  row.doc_nodes = doc->size();
-
-  ViewDef def{spec.name, MustParsePattern(spec.pattern)};
-  ShardedCatalogOptions copts;
-  copts.num_shards = shards;
-  Result<std::unique_ptr<ShardedCatalog>> catalog =
-      ShardedCatalog::Create(copts, doc, summary);
-  if (!catalog.ok()) {
-    std::fprintf(stderr, "create: %s\n", catalog.status().ToString().c_str());
-    return row;
-  }
-  Status s = (*catalog)->Materialize(def, *doc);
-  if (!s.ok()) {
-    std::fprintf(stderr, "materialize: %s\n", s.ToString().c_str());
-    return row;
-  }
-
-  auto merged_extent = [&]() -> Table {
-    if ((*catalog)->shard_catalog(0)->Find(spec.name) == nullptr) {
-      return *(*catalog)->global_catalog()->Find(spec.name)->table().value();
-    }
-    const StoredView* first = (*catalog)->shard_catalog(0)->Find(spec.name);
-    Table merged(first->table().value()->schema());
-    for (int i = 0; i < (*catalog)->num_shards(); ++i) {
-      const StoredView* v = (*catalog)->shard_catalog(i)->Find(spec.name);
-      TablePtr extent = v->table().value();
-      for (const Tuple& t : extent->rows()) merged.AddRow(t);
-    }
-    merged.SortRowsCanonical();
-    return merged;
-  };
-
-  Rng rng(1234);
-  Timer t;
-  int64_t region_total = 0;
-  for (int i = 0; i < updates; ++i) {
-    Result<UpdateResult> r = MakeUpdate(*doc, kind, &rng);
-    if (!r.ok()) continue;
-    region_total += r->delta.region_size;
-
-    std::shared_ptr<Document> next(std::move(r->doc));
-    std::shared_ptr<Summary> next_summary(
-        SummaryBuilder::Build(next.get()));
-    t.Reset();
-    Status apply = (*catalog)->ApplyUpdate(r->delta, next, next_summary);
-    row.maintain_ms += t.ElapsedMillis();
-    if (!apply.ok()) {
-      std::fprintf(stderr, "apply: %s\n", apply.ToString().c_str());
-      return row;
-    }
-
-    t.Reset();
-    ViewCatalog fresh;
     Status remat = fresh.Materialize(def, *next);
     row.remat_ms += t.ElapsedMillis();
     if (!remat.ok()) return row;
 
     doc = std::move(next);
     if (i + 1 == updates) {
-      row.identical = SerializeExtent(merged_extent()) ==
-                      SerializeExtent(*fresh.Find(spec.name)->table().value());
+      row.identical = catalog.Matches(*fresh.Find(spec.name));
     }
   }
-  row.avg_region = updates > 0
-                       ? static_cast<double>(region_total) / updates
-                       : 0;
+  row.avg_region = static_cast<double>(region_total) / updates;  // updates >= 1
   row.speedup = row.maintain_ms > 0 ? row.remat_ms / row.maintain_ms : 0;
   return row;
 }
@@ -284,9 +251,7 @@ void Run(double scale, int updates, int shards) {
     for (UpdateKind kind :
          {UpdateKind::kLeafInsert, UpdateKind::kSubtreeInsert,
           UpdateKind::kSubtreeDelete}) {
-      ScenarioRow row =
-          shards > 1 ? RunScenarioSharded(spec, kind, scale, updates, shards)
-                     : RunScenario(spec, kind, scale, updates);
+      ScenarioRow row = RunScenario(spec, kind, scale, updates, shards);
       std::printf("%-22s %-15s %7d %9.1f %12.2f %12.2f %7.1fx %6s %5d\n",
                   row.view.c_str(), row.update.c_str(), row.doc_nodes,
                   row.avg_region, row.maintain_ms, row.remat_ms, row.speedup,
@@ -333,10 +298,7 @@ void Run(double scale, int updates, int shards) {
   }
   w.EndArray();
   w.EndObject();
-  std::ofstream out("BENCH_maintenance.json", std::ios::trunc);
-  out << w.str() << "\n";
-  out.close();
-  std::printf("wrote BENCH_maintenance.json\n");
+  WriteBenchFile("BENCH_maintenance.json", w.str());
   EmitMetricsSnapshot("BENCH_maintenance_metrics.prom");
 }
 
@@ -344,45 +306,13 @@ void Run(double scale, int updates, int shards) {
 }  // namespace svx
 
 int main(int argc, char** argv) {
-  double scale = 1.0;
-  int64_t updates = 20;
-  int shards = 1;
-  int pos = 0;
-  auto parse_shards = [&shards](const char* arg) {
-    std::optional<int64_t> v = svx::ParseInt64(arg);
-    if (!v.has_value() || *v < 1 || *v > 256) {
-      std::fprintf(stderr, "bad shard count: %s\n", arg);
-      return false;
-    }
-    shards = static_cast<int>(*v);
-    return true;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      if (!parse_shards(argv[i] + 9)) return 2;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      if (!parse_shards(argv[++i])) return 2;
-    } else if (pos == 0) {
-      std::optional<double> v = svx::ParseDouble(argv[i]);
-      if (!v.has_value()) {
-        std::fprintf(stderr, "bad scale: %s\n", argv[i]);
-        return 2;
-      }
-      scale = *v;
-      ++pos;
-    } else if (pos == 1) {
-      std::optional<int64_t> v = svx::ParseInt64(argv[i]);
-      if (!v.has_value()) {
-        std::fprintf(stderr, "bad update count: %s\n", argv[i]);
-        return 2;
-      }
-      updates = *v;
-      ++pos;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
-  svx::Run(scale, static_cast<int>(updates), shards);
+  svx::BenchArgs args(argc, argv,
+                      "bench_maintenance [scale] [updates-per-scenario] "
+                      "[--shards N]");
+  const double scale = args.Positional(0, "scale", 1.0, svx::kPositive);
+  const int updates = args.Positional(1, "updates-per-scenario", 20, {1});
+  const int shards = args.Flag("--shards", 1, {1, 256});
+  args.Finish();
+  svx::Run(scale, updates, shards);
   return 0;
 }

@@ -40,23 +40,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/base_views.h"
-#include "bench/bench_metrics.h"
+#include "bench/bench_common.h"
 #include "bench/spearman.h"
 #include "src/algebra/executor.h"
 #include "src/observability/trace.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/json_writer.h"
-#include "src/util/strings.h"
 #include "src/util/timer.h"
 #include "src/viewstore/rewrite_cache.h"
 #include "src/viewstore/view_catalog.h"
@@ -140,9 +135,7 @@ void WriteTraceQ13(const ViewCatalog& catalog, const Summary& summary,
         Execute(*rws->front().plan, exec_catalog, trace.root());
     (void)out;
   }
-  std::ofstream out("BENCH_rewriter_trace_q13.json", std::ios::trunc);
-  out << trace.RenderJson();
-  std::printf("wrote BENCH_rewriter_trace_q13.json\n");
+  WriteBenchFile("BENCH_rewriter_trace_q13.json", trace.RenderJson());
 }
 
 ScaleReport RunScale(double scale, bool write_trace) {
@@ -378,52 +371,22 @@ void WriteJson(const std::vector<ScaleReport>& reports) {
   }
   w.EndArray();
   w.EndObject();
-  std::ofstream out("BENCH_rewriter.json", std::ios::trunc);
-  out << w.str() << "\n";
+  WriteBenchFile("BENCH_rewriter.json", w.str());
 }
 
 }  // namespace
 }  // namespace svx
 
 int main(int argc, char** argv) {
-  std::vector<double> scales;
-  double ceiling_ms = -1;
-  double min_cost_corr = -2;
-  double min_compression = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ceiling-ms") == 0) {
-      std::optional<double> v =
-          i + 1 < argc ? svx::ParseDouble(argv[++i]) : std::nullopt;
-      if (!v.has_value() || *v <= 0) {
-        std::fprintf(stderr, "--ceiling-ms needs a positive value\n");
-        return 2;
-      }
-      ceiling_ms = *v;
-    } else if (std::strcmp(argv[i], "--min-cost-corr") == 0) {
-      std::optional<double> v =
-          i + 1 < argc ? svx::ParseDouble(argv[++i]) : std::nullopt;
-      if (!v.has_value() || *v < -1 || *v > 1) {
-        std::fprintf(stderr, "--min-cost-corr needs a value in [-1, 1]\n");
-        return 2;
-      }
-      min_cost_corr = *v;
-    } else if (std::strcmp(argv[i], "--min-compression") == 0) {
-      std::optional<double> v =
-          i + 1 < argc ? svx::ParseDouble(argv[++i]) : std::nullopt;
-      if (!v.has_value() || *v <= 0) {
-        std::fprintf(stderr, "--min-compression needs a positive value\n");
-        return 2;
-      }
-      min_compression = *v;
-    } else {
-      std::optional<double> scale = svx::ParseDouble(argv[i]);
-      if (!scale.has_value() || *scale <= 0) {
-        std::fprintf(stderr, "bad argument: %s\n", argv[i]);
-        return 2;
-      }
-      scales.push_back(*scale);
-    }
-  }
+  svx::BenchArgs args(argc, argv,
+                      "bench_rewriter [scale ...] [--ceiling-ms N] "
+                      "[--min-cost-corr R] [--min-compression X]");
+  std::vector<double> scales = args.Numbers(0, "scale", svx::kPositive);
+  const double ceiling_ms = args.Flag("--ceiling-ms", -1.0, svx::kPositive);
+  const double min_cost_corr = args.Flag("--min-cost-corr", -2.0, {-1, 1});
+  const double min_compression =
+      args.Flag("--min-compression", 0.0, svx::kPositive);
+  args.Finish();
   if (scales.empty()) scales = {0.5, 1.0};
   svx::metrics::RegisterStandardMetrics();
 
@@ -432,7 +395,6 @@ int main(int argc, char** argv) {
     reports.push_back(svx::RunScale(scales[i], /*write_trace=*/i == 0));
   }
   svx::WriteJson(reports);
-  std::printf("wrote BENCH_rewriter.json\n");
 
   bool ok = true;
   for (const svx::ScaleReport& r : reports) {

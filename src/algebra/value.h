@@ -54,7 +54,6 @@ class Value {
   const OrdPath& AsId() const { return std::get<OrdPath>(v_); }
   const NodeRef& AsContent() const { return std::get<NodeRef>(v_); }
   const Table& AsTable() const { return *std::get<TablePtr>(v_); }
-  TablePtr AsTablePtr() const { return std::get<TablePtr>(v_); }
 
   /// Deep equality (nested tables compare row sets in order).
   bool operator==(const Value& other) const;

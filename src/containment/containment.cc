@@ -11,6 +11,9 @@ namespace svx {
 
 namespace {
 
+/// Cap on the §4.2 condition-2 grid's evaluation points.
+constexpr size_t kMaxGridPoints = 4u << 20;
+
 /// Prop 4.1 condition 1 + Prop 4.2 condition 2(a): same arity, same
 /// attribute annotation and same nesting depth per return-node position.
 bool StaticallyCompatible(const Pattern& p, const Pattern& q) {
@@ -104,10 +107,11 @@ struct FormulaConj {
 /// §4.2 condition 2, decided exactly on a finite grid: every grid point
 /// satisfying `lhs` must satisfy some member of `rhs`. The grid takes, per
 /// variable, {c-1, c, c+1} for every constant c mentioned — enough to hit
-/// every region of the interval arrangement.
+/// every region of the interval arrangement. A grid beyond kMaxGridPoints
+/// is ResourceExhausted.
 Result<bool> ImpliesDisjunction(const FormulaConj& lhs,
                                 const std::vector<FormulaConj>& rhs,
-                                size_t max_points, size_t* points_used) {
+                                size_t* points_used) {
   std::unordered_map<PathId, std::vector<int64_t>> candidates;
   auto add_formula = [&](const FormulaConj& f) {
     for (const auto& [path, pred] : f.terms) {
@@ -134,7 +138,7 @@ Result<bool> ImpliesDisjunction(const FormulaConj& lhs,
   size_t total = 1;
   for (PathId v : vars) {
     size_t n = candidates[v].size();
-    if (total > max_points / std::max<size_t>(n, 1)) {
+    if (total > kMaxGridPoints / std::max<size_t>(n, 1)) {
       return Status::ResourceExhausted("condition-2 grid too large");
     }
     total *= n;
@@ -236,10 +240,9 @@ bool CoversTarget(const Pattern& q, const CanonicalTree& te,
 }  // namespace
 
 std::string ContainmentOptionsFingerprint(const ContainmentOptions& o) {
-  return StrFormat("%d:%d:%zu:%zu:%zu:%d", o.use_one_to_one_relaxation ? 1 : 0,
+  return StrFormat("%d:%d:%zu:%zu", o.use_one_to_one_relaxation ? 1 : 0,
                    o.model.use_strong_edges ? 1 : 0, o.model.max_embeddings,
-                   o.model.max_trees, o.max_grid_points,
-                   o.model.max_optional_edges);
+                   o.model.max_trees);
 }
 
 Result<bool> IsContained(const Pattern& p, const Pattern& q,
@@ -330,8 +333,7 @@ Result<bool> IsContainedInUnion(const Pattern& p,
         }
         size_t points = 0;
         Result<bool> implied =
-            ImpliesDisjunction(FormulaConj::Of(te), disjuncts,
-                               options.max_grid_points, &points);
+            ImpliesDisjunction(FormulaConj::Of(te), disjuncts, &points);
         if (stats != nullptr) stats->grid_points += points;
         if (!implied.ok()) {
           grid_status = implied.status();

@@ -10,7 +10,8 @@
 //       unions, the §4.2 two-part condition, whose value implication
 //       phi_te => OR phi_t'e is decided exactly on a finite grid of
 //       representative points (the paper's N^{|S|} bound, restricted to the
-//       variables actually mentioned).
+//       variables actually mentioned; a grid beyond 4M points aborts with
+//       ResourceExhausted).
 #ifndef SVX_CONTAINMENT_CONTAINMENT_H_
 #define SVX_CONTAINMENT_CONTAINMENT_H_
 
@@ -30,8 +31,6 @@ struct ContainmentOptions {
   /// Apply the §4.5 relaxation: nesting-sequence elements may differ when
   /// connected by one-to-one edges only.
   bool use_one_to_one_relaxation = true;
-  /// Abort the §4.2 condition-2 grid beyond this many evaluation points.
-  size_t max_grid_points = 4u << 20;
 };
 
 /// Every option above (model options included) as a cache-key fragment:

@@ -8,6 +8,13 @@
 
 namespace svx {
 
+namespace {
+
+/// Table size at which an insert drops the table whole (see memo.h).
+constexpr size_t kMaxEntries = 1u << 16;
+
+}  // namespace
+
 Result<bool> ContainmentMemo::LookupOrCompute(
     std::string key, const std::function<Result<bool>()>& compute) {
   {
@@ -26,7 +33,7 @@ Result<bool> ContainmentMemo::LookupOrCompute(
   Result<bool> r = compute();
   if (r.ok()) {
     MutexLock lock(&mu_);
-    if (table_.size() >= max_entries) table_.clear();
+    if (table_.size() >= kMaxEntries) table_.clear();
     table_.emplace(std::move(key), *r);
   }
   return r;

@@ -25,6 +25,9 @@
 // compute the same miss — both get the right answer, one insert wins).
 //
 // Only ok() results are memoized; resource-exhausted decisions are retried.
+// The table holds at most 65536 decisions: an insert into a full table drops
+// it whole (constant-time eviction, like RewriteCache), which bounds the
+// memory of a snapshot-pinned memo serving an unbounded ad-hoc query stream.
 #ifndef SVX_CONTAINMENT_MEMO_H_
 #define SVX_CONTAINMENT_MEMO_H_
 
@@ -64,12 +67,6 @@ class ContainmentMemo {
   size_t hits() const SVX_EXCLUDES(mu_);
   size_t misses() const SVX_EXCLUDES(mu_);
   size_t size() const SVX_EXCLUDES(mu_);
-
-  /// When the table is full a new insert drops it whole (constant-time
-  /// eviction, like RewriteCache) — bounds memory for long-lived
-  /// snapshot-pinned memos serving unbounded ad-hoc query streams. Set
-  /// before the memo is shared across threads.
-  size_t max_entries = 1u << 16;
 
  private:
   Result<bool> LookupOrCompute(std::string key,

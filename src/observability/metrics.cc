@@ -1,10 +1,8 @@
 #include "src/observability/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/util/check.h"
-#include "src/util/json_writer.h"
 #include "src/util/strings.h"
 
 namespace svx {
@@ -31,34 +29,6 @@ int64_t Histogram::Count() const {
 double Histogram::BucketUpperBound(size_t b) {
   if (b == 0) return 0;
   return std::ldexp(1.0, static_cast<int>(b)) - 1;  // 2^b - 1
-}
-
-double Histogram::Quantile(double p) const {
-  int64_t counts[kBuckets];
-  int64_t total = 0;
-  for (size_t b = 0; b < kBuckets; ++b) {
-    counts[b] = BucketCount(b);
-    total += counts[b];
-  }
-  if (total == 0) return 0;
-  p = std::clamp(p, 0.0, 1.0);
-  // Rank of the requested sample, 1-based; the bucket whose cumulative
-  // count reaches it holds the quantile.
-  double rank = std::max(1.0, p * static_cast<double>(total));
-  int64_t cum = 0;
-  for (size_t b = 0; b < kBuckets; ++b) {
-    if (counts[b] == 0) continue;
-    if (static_cast<double>(cum + counts[b]) >= rank) {
-      if (b == 0) return 0;
-      double lower = std::ldexp(1.0, static_cast<int>(b) - 1);  // 2^(b-1)
-      double width = lower;  // bucket spans [2^(b-1), 2^b)
-      double within = (rank - static_cast<double>(cum)) /
-                      static_cast<double>(counts[b]);
-      return lower + within * width;
-    }
-    cum += counts[b];
-  }
-  return BucketUpperBound(kBuckets - 1);
 }
 
 MetricRegistry& MetricRegistry::Global() {
@@ -179,37 +149,6 @@ std::string MetricRegistry::RenderPrometheusText() const {
     }
   }
   return out;
-}
-
-std::string MetricRegistry::RenderJson() const {
-  MutexLock lock(&mu_);
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters").BeginObject();
-  for (const auto& [name, e] : entries_) {
-    if (e.kind == Kind::kCounter) w.KV(name, e.counter->Value());
-  }
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const auto& [name, e] : entries_) {
-    if (e.kind == Kind::kGauge) w.KV(name, e.gauge->Value());
-  }
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const auto& [name, e] : entries_) {
-    if (e.kind != Kind::kHistogram) continue;
-    const Histogram& h = *e.histogram;
-    w.Key(name).BeginObject();
-    w.KV("count", h.Count());
-    w.KV("sum", h.Sum());
-    w.KV("p50", h.Quantile(0.50));
-    w.KV("p90", h.Quantile(0.90));
-    w.KV("p99", h.Quantile(0.99));
-    w.EndObject();
-  }
-  w.EndObject();
-  w.EndObject();
-  return w.str();
 }
 
 namespace metrics {

@@ -1,5 +1,5 @@
 // Process-wide metric registry: striped atomic counters, gauges, and
-// log-bucketed latency histograms, with Prometheus-text and JSON exposition.
+// log-bucketed latency histograms, with Prometheus-text exposition.
 //
 // Design constraints, in order:
 //   1. Cheap enough to leave on in Release. Counter::Add is one relaxed
@@ -14,7 +14,7 @@
 //      SVX_DISABLE_METRICS) turns every update into an inline no-op, which is
 //      what the CI overhead gate compares against.
 //
-// Reads (Value(), Quantile(), renders) are racy-by-design snapshots: relaxed
+// Reads (Value(), Count(), renders) are racy-by-design snapshots: relaxed
 // loads summed across stripes/buckets. That is the standard contract for
 // monitoring counters — a render concurrent with updates sees some recent
 // value, not a linearizable cut.
@@ -36,8 +36,6 @@
 #include "src/util/timer.h"
 
 namespace svx {
-
-class JsonWriter;
 
 namespace internal {
 /// Index of this thread's counter stripe: threads are assigned round-robin
@@ -103,10 +101,8 @@ class Gauge {
 
 /// Log2-bucketed histogram of non-negative integer samples (latencies are
 /// recorded in microseconds, sizes in their natural unit). Bucket 0 holds
-/// exact zeros; bucket i ≥ 1 holds [2^(i-1), 2^i). Quantiles interpolate
-/// linearly inside the hit bucket, so p50/p90/p99 carry at worst one octave
-/// of error — plenty for lag gating, and it keeps Observe at two relaxed
-/// atomic increments.
+/// exact zeros; bucket i ≥ 1 holds [2^(i-1), 2^i), which keeps Observe at two
+/// relaxed atomic increments.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 64;
@@ -125,9 +121,6 @@ class Histogram {
 
   int64_t Count() const;
   int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
-
-  /// Interpolated quantile, p in [0, 1]. Returns 0 on an empty histogram.
-  double Quantile(double p) const;
 
   /// Inclusive upper bound of bucket b (0, 1, 3, 7, 15, ...).
   static double BucketUpperBound(size_t b);
@@ -184,10 +177,6 @@ class MetricRegistry {
   /// render cumulative _bucket{le=...} lines up to the last non-empty
   /// bucket, then +Inf, _sum and _count.
   std::string RenderPrometheusText() const SVX_EXCLUDES(mu_);
-
-  /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
-  /// p50, p90, p99}}}, names sorted.
-  std::string RenderJson() const SVX_EXCLUDES(mu_);
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -112,6 +112,9 @@ bool CanonicalTreeView::Matches(const Pattern::Node& pn, int32_t n,
 
 namespace {
 
+/// Cap on a pattern's optional edges: the model enumerates 2^|E| subsets.
+constexpr size_t kMaxOptionalEdges = 20;
+
 struct TreeHasher {
   size_t operator()(const CanonicalTree& t) const { return t.Hash(); }
 };
@@ -133,8 +136,7 @@ class ModelBuilder {
 
   Result<std::vector<CanonicalTree>> Build() {
     std::vector<PatternNodeId> optional_edges = p_.OptionalEdges();
-    if (static_cast<int32_t>(optional_edges.size()) >
-        options_.max_optional_edges) {
+    if (optional_edges.size() > kMaxOptionalEdges) {
       return Status::ResourceExhausted("too many optional edges");
     }
     return_nodes_ = p_.ReturnNodes();

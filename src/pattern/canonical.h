@@ -95,11 +95,11 @@ struct CanonicalModelOptions {
   size_t max_embeddings = 1 << 20;
   /// Abort beyond this many distinct canonical trees.
   size_t max_trees = 1 << 18;
-  /// Abort beyond this many optional edges (2^|E| subsets are enumerated).
-  int32_t max_optional_edges = 20;
 };
 
-/// Builds modS(p). Deduplicated; deterministic order.
+/// Builds modS(p). Deduplicated; deterministic order. A pattern with more
+/// than 20 optional edges is refused with ResourceExhausted (its 2^|E| edge
+/// subsets are enumerated).
 Result<std::vector<CanonicalTree>> BuildCanonicalModel(
     const Pattern& p, const Summary& summary,
     const CanonicalModelOptions& options = {});

@@ -74,15 +74,6 @@ const std::string& Candidate::CanonicalString() const {
   return canonical_;
 }
 
-Candidate Candidate::CloneShallowPlan() const {
-  Candidate out;
-  out.plan = plan->Clone();
-  out.pieces = pieces;
-  out.used_views = used_views;
-  out.canonical_ = canonical_;
-  return out;
-}
-
 std::string ExpansionOptionsFingerprint(const ExpansionOptions& e) {
   return StrFormat("%zu.%zu.%d.%d.%d.%d", e.max_embeddings, e.max_pieces,
                    e.max_strengthen_edges, e.unfold_content ? 1 : 0,

@@ -81,8 +81,6 @@ struct Candidate {
   /// has entered the search.
   const std::string& CanonicalString() const;
 
-  Candidate CloneShallowPlan() const;
-
  private:
   mutable std::string canonical_;  // empty = not yet computed
 };

@@ -319,6 +319,11 @@ uint64_t BasesKey(const std::vector<int32_t>& bases) {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Per-level extension beam: at most this many cheapest extendable plans
+/// are joined further. Like the table cap, the beam bounds how much of the
+/// space is searched; it is not a truncation.
+constexpr size_t kMaxFrontier = 128;
+
 }  // namespace
 
 PlanEnumerator::PlanEnumerator(const Summary& summary,
@@ -682,9 +687,9 @@ void PlanEnumerator::Run(const MatchFn& match, const DeadlineFn& deadline) {
       if (x.cost != y.cost) return x.cost < y.cost;
       return a < b;
     });
-    if (frontier.size() > options_.max_frontier) {
-      stats_.beam_skipped += frontier.size() - options_.max_frontier;
-      frontier.resize(options_.max_frontier);
+    if (frontier.size() > kMaxFrontier) {
+      stats_.beam_skipped += frontier.size() - kMaxFrontier;
+      frontier.resize(kMaxFrontier);
     }
 
     level_begin = plans_.size();

@@ -133,13 +133,11 @@ class PlanEnumerator {
     /// reaching it stops generation — later bases are dropped and no more
     /// joins are built — and sets Stats::table_full.
     size_t max_table = 2000;
-    /// Per-level extension beam: at most this many cheapest extendable
-    /// plans are joined further (Rewriter::Rewrite keeps the default).
-    size_t max_frontier = 128;
     /// Per-plan merged-piece bound (ExpansionOptions::max_pieces). A join
     /// whose piece set would exceed it is discarded — and reported as a
     /// truncation, because a discarded piece set can hide a valid
-    /// rewriting. The beam and table caps above are *not* truncations:
+    /// rewriting. The table cap above and the per-level extension beam
+    /// (plan_enum.cc's kMaxFrontier, 128 plans) are *not* truncations:
     /// they bound how much of the space is searched, not whether generated
     /// plans are dropped.
     size_t max_merged_pieces = 128;
@@ -153,7 +151,7 @@ class PlanEnumerator {
     size_t retained = 0;    // alive plans when Run() returns
     size_t coverage_pruned = 0;  // mask-certified fruitless combinations
     size_t cost_pruned = 0;      // branch-and-bound frontier skips
-    size_t beam_skipped = 0;     // extendable plans beyond max_frontier
+    size_t beam_skipped = 0;     // extendable plans beyond the beam
     /// True when a join's merged piece set exceeded max_merged_pieces and
     /// was discarded: a discarded piece set can hide a valid rewriting, so
     /// the search result may be incomplete and CachedRewrite refuses to
@@ -191,7 +189,7 @@ class PlanEnumerator {
 
   /// Runs the level-by-level enumeration: each level's covering plans are
   /// equivalence-tested cheapest-first via `match`, then the surviving
-  /// extendable plans (cheapest `max_frontier`) are joined with the base
+  /// extendable plans (the cheapest 128) are joined with the base
   /// candidates to form the next level. `deadline()` true aborts.
   void Run(const MatchFn& match, const DeadlineFn& deadline);
 

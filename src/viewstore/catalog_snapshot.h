@@ -135,8 +135,8 @@ class CatalogSnapshot {
   int64_t TotalCompressedBytes() const;
 
   /// The document this epoch's extents reference, when the catalog serves
-  /// with shared ownership (ViewCatalog::BindDocument / the shared-pointer
-  /// ApplyUpdate overload); nullptr when document lifetime is managed by
+  /// with shared ownership (ViewCatalog::BindDocument / ApplyUpdateBatch
+  /// with a shared new_doc); nullptr when document lifetime is managed by
   /// the caller. Holding the snapshot keeps the document alive — what lets
   /// a maintenance pass retire the old document while old-epoch readers
   /// still resolve content references into it.

@@ -36,10 +36,6 @@ class CostModel {
   /// statistics — nothing stale survives a re-registration).
   void AddViewStats(const std::string& view_name, const ViewStats& stats);
 
-  bool HasView(const std::string& view_name) const {
-    return views_.count(view_name) != 0;
-  }
-
   /// Bottom-up estimate for `plan`. Unknown views scan `default_rows`.
   CostEstimate Estimate(const PlanNode& plan) const {
     return Estimate(plan, nullptr);

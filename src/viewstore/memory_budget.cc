@@ -63,19 +63,6 @@ TablePtr MemoryBudget::Install(Slot* slot, TablePtr table, int64_t bytes,
   return slot->table;
 }
 
-void MemoryBudget::Drop(Slot* slot) {
-  MutexLock lock(&mu_);
-  if (slot->table == nullptr) return;
-  resident_ -= slot->bytes;
-  metrics::ExtentResidentBytes()->Add(-slot->bytes);
-  if (slot->linked) {
-    lru_.erase(slot->lru_pos);
-    slot->linked = false;
-  }
-  slot->table.reset();
-  slot->bytes = 0;
-}
-
 void MemoryBudget::Detach(Slot* slot) {
   TablePtr release;  // freed outside the lock
   {
@@ -130,8 +117,6 @@ TablePtr ExtentResidency::Install(TablePtr table, int64_t bytes,
                                   bool evictable) const {
   return budget_->Install(slot_.get(), std::move(table), bytes, evictable);
 }
-
-void ExtentResidency::Drop() const { budget_->Drop(slot_.get()); }
 
 void ExtentResidency::SetCompressedBytes(int64_t bytes) const {
   metrics::ExtentCompressedBytes()->Add(bytes - slot_->compressed_bytes);

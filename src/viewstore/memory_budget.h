@@ -57,7 +57,6 @@ class MemoryBudget {
   TablePtr Lookup(Slot* slot) SVX_EXCLUDES(mu_);
   TablePtr Install(Slot* slot, TablePtr table, int64_t bytes, bool evictable)
       SVX_EXCLUDES(mu_);
-  void Drop(Slot* slot) SVX_EXCLUDES(mu_);
   void Detach(Slot* slot) SVX_EXCLUDES(mu_);
   void EnforceLocked(const Slot* exempt) SVX_REQUIRES(mu_);
 
@@ -90,10 +89,6 @@ class ExtentResidency {
   /// the decoded (row-major serialized) size charged against the budget;
   /// `evictable` is false for extents that cannot be re-decoded.
   TablePtr Install(TablePtr table, int64_t bytes, bool evictable) const;
-
-  /// Drops the cached table without counting an eviction (the view is being
-  /// replaced, not squeezed out).
-  void Drop() const;
 
   /// Declares this extent's compressed payload size, maintaining the global
   /// svx_extent_compressed_bytes gauge across the residency's lifetime.

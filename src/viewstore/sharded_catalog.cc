@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/algebra/executor.h"
-#include "src/maintenance/delta_router.h"
 #include "src/util/fileio.h"
 #include "src/util/strings.h"
 
@@ -270,7 +269,10 @@ Status ShardedCatalog::ApplyUpdate(const DocumentDelta& delta,
     return Status::InvalidArgument(
         "shared document must be the delta's new_doc");
   }
-  const int target = RouteDelta(*router_, delta);
+  // A delta's region has depth >= 2 (the root is never inserted or
+  // deleted) and the router cuts only at top-level subtree boundaries, so
+  // the region lies in exactly one shard: routing is a lookup, not a split.
+  const int target = router_->Route(delta.region);
   // The global catalog sees every delta (its views span all shards); skip
   // it while it holds none so empty passes don't dilute the batching.
   const bool global_active = global_->size() > 0;

@@ -6,7 +6,7 @@
 // attributed to a single range (AnalyzeViewAnchor).
 //
 // Writes: ApplyUpdate routes each DocumentDelta to the shard owning its
-// region (delta_router.h). In async mode every shard has a writer lane — a
+// region (ShardRouter::Route). In async mode every shard has a writer lane — a
 // queue drained by a background thread that coalesces everything queued
 // into ONE ApplyUpdateBatch pass publishing ONE epoch — so a burst of K
 // deltas against one shard costs one maintenance pass, and writers against

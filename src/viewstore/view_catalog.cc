@@ -411,18 +411,6 @@ Status ViewCatalog::ApplyUpdate(const DocumentDelta& delta,
   return ApplyUpdateBatchImpl({delta}, nullptr, nullptr, out_stats, nullptr);
 }
 
-Status ViewCatalog::ApplyUpdate(const DocumentDelta& delta,
-                                std::shared_ptr<const Document> new_doc,
-                                std::shared_ptr<const Summary> new_summary,
-                                MaintenanceStats* out_stats) {
-  if (new_doc == nullptr || new_doc.get() != delta.new_doc) {
-    return Status::InvalidArgument(
-        "shared document must be the delta's new_doc");
-  }
-  return ApplyUpdateBatchImpl({delta}, std::move(new_doc),
-                              std::move(new_summary), out_stats, nullptr);
-}
-
 Status ViewCatalog::ApplyUpdateBatch(const std::vector<DocumentDelta>& deltas,
                                      std::shared_ptr<const Document> new_doc,
                                      std::shared_ptr<const Summary> new_summary,

@@ -146,8 +146,8 @@ class ViewCatalog {
 
   /// Publishes a successor epoch that pins `doc` (and its `summary`) with
   /// shared ownership, so readers of that epoch keep the document alive.
-  /// Use once at startup; afterwards the shared-pointer ApplyUpdate
-  /// overload keeps successive epochs bound to successive documents.
+  /// Use once at startup; afterwards ApplyUpdateBatch with a shared
+  /// `new_doc` keeps successive epochs bound to successive documents.
   void BindDocument(std::shared_ptr<const Document> doc,
                     std::shared_ptr<const Summary> summary)
       SVX_EXCLUDES(writer_mu_);
@@ -179,25 +179,19 @@ class ViewCatalog {
                                    MaintenanceStats* out_stats = nullptr)
       SVX_EXCLUDES(writer_mu_);
 
-  /// ApplyUpdate for concurrent serving: the successor epoch takes shared
-  /// ownership of `new_doc` (which must be delta.new_doc) and
-  /// `new_summary`, so the writer may drop the old document right after —
-  /// old-epoch readers keep it alive through their snapshot.
-  [[nodiscard]] Status ApplyUpdate(const DocumentDelta& delta,
-                                   std::shared_ptr<const Document> new_doc,
-                                   std::shared_ptr<const Summary> new_summary,
-                                   MaintenanceStats* out_stats = nullptr)
-      SVX_EXCLUDES(writer_mu_);
-
   /// Coalesced maintenance: applies an in-order run of deltas from one
   /// document's update history as ONE maintenance pass publishing ONE epoch
   /// — the multi-writer batching the sharded catalog's writer queues drain
   /// into. The run may be gapped (a shard's subsequence of the full
   /// stream), provided the omitted updates touch no rows of any stored
   /// view — the sharded catalog's region routing guarantees exactly this.
-  /// `new_doc`, when given, must be the last delta's new_doc. Per view, the
-  /// tuple deltas of the steps are folded over a private working extent;
-  /// content references rebind once against the final document. `span`
+  /// `new_doc`, when given, must be the last delta's new_doc: the successor
+  /// epoch then takes shared ownership of it and `new_summary`, so the
+  /// writer may drop the old document right after — old-epoch readers keep
+  /// it alive through their snapshot (concurrent serving uses this, also
+  /// for a batch of one). Per view, the tuple deltas of the steps are folded
+  /// over a private working extent; content references rebind once against
+  /// the final document. `span`
   /// (optional) gets a "maintenance_pass" child span carrying
   /// deltas/epoch/views_touched attrs (and the shard label when set).
   [[nodiscard]] Status ApplyUpdateBatch(

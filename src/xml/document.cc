@@ -32,14 +32,4 @@ const std::vector<NodeIndex>& Document::nodes_on_path(int32_t path) const {
   return nodes_by_path_[static_cast<size_t>(path)];
 }
 
-std::vector<NodeIndex> Document::NodesOnPathWithin(int32_t path,
-                                                   NodeIndex context) const {
-  const std::vector<NodeIndex>& all = nodes_on_path(path);
-  NodeIndex lo = context;
-  NodeIndex hi = subtree_end(context);
-  auto begin = std::lower_bound(all.begin(), all.end(), lo);
-  auto end = std::lower_bound(all.begin(), all.end(), hi);
-  return std::vector<NodeIndex>(begin, end);
-}
-
 }  // namespace svx

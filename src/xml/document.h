@@ -97,11 +97,6 @@ class Document {
   /// All nodes on summary path `path`, in document (preorder) order.
   const std::vector<NodeIndex>& nodes_on_path(int32_t path) const;
 
-  /// Nodes on `path` inside the subtree of `context` (inclusive bounds via
-  /// preorder interval), returned in document order.
-  std::vector<NodeIndex> NodesOnPathWithin(int32_t path,
-                                           NodeIndex context) const;
-
  private:
   friend class DocumentBuilder;
   friend class DocumentUpdater;

@@ -2,7 +2,7 @@
 #include "src/xml/parser.h"
 
 #include <cctype>
-#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "src/util/strings.h"
@@ -243,17 +243,6 @@ class XmlParserImpl {
 
 Result<std::unique_ptr<Document>> ParseXml(std::string_view text) {
   return XmlParserImpl(text).Parse();
-}
-
-Result<std::unique_ptr<Document>> ParseXmlFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::string data;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-  return ParseXml(data);
 }
 
 }  // namespace svx

@@ -17,9 +17,6 @@ namespace svx {
 /// Parses an XML document from `text`.
 Result<std::unique_ptr<Document>> ParseXml(std::string_view text);
 
-/// Parses an XML document from the file at `path`.
-Result<std::unique_ptr<Document>> ParseXmlFile(const std::string& path);
-
 }  // namespace svx
 
 #endif  // SVX_XML_PARSER_H_

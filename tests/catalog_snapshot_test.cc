@@ -88,7 +88,7 @@ TEST(CatalogSnapshot, OldEpochKeepsRetiredDocumentAlive) {
   ASSERT_TRUE(up.ok());
   std::shared_ptr<Document> d2(std::move(up->doc));
   std::shared_ptr<Summary> summary2(SummaryBuilder::Build(d2.get()));
-  ASSERT_TRUE(catalog.ApplyUpdate(up->delta, d2, summary2).ok());
+  ASSERT_TRUE(catalog.ApplyUpdateBatch({up->delta}, d2, summary2).ok());
 
   // The writer drops every reference to the old document; the held epoch
   // keeps it alive and its content references stay valid.

@@ -109,7 +109,7 @@ std::map<uint64_t, std::string> DriveWriter(ViewCatalog* catalog,
     std::shared_ptr<Document> next_doc(std::move(up->doc));
     std::shared_ptr<Summary> next_summary(
         SummaryBuilder::Build(next_doc.get()));
-    Status s = catalog->ApplyUpdate(up->delta, next_doc, next_summary);
+    Status s = catalog->ApplyUpdateBatch({up->delta}, next_doc, next_summary);
     EXPECT_TRUE(s.ok()) << s.ToString();
     if (!s.ok()) break;
     doc = std::move(next_doc);

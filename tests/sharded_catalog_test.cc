@@ -269,9 +269,10 @@ TEST(ShardedCatalog, DifferentialAgainstSingleCatalog) {
   ASSERT_TRUE(MaterializeAll(sharded->get(), *s.docs[0]).ok());
 
   for (size_t i = 0; i < s.deltas.size(); ++i) {
-    ASSERT_TRUE(
-        single.ApplyUpdate(s.deltas[i], s.docs[i + 1], s.summaries[i + 1])
-            .ok());
+    ASSERT_TRUE(single
+                    .ApplyUpdateBatch({s.deltas[i]}, s.docs[i + 1],
+                                      s.summaries[i + 1])
+                    .ok());
     ASSERT_TRUE((*sharded)
                     ->ApplyUpdate(s.deltas[i], s.docs[i + 1],
                                   s.summaries[i + 1])

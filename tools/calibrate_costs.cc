@@ -19,15 +19,14 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/base_views.h"
+#include "bench/bench_common.h"
 #include "bench/spearman.h"
 #include "src/algebra/executor.h"
 #include "src/algebra/plan.h"
@@ -265,26 +264,11 @@ int Run(double scale, int reps, const std::string& write_dir) {
 }  // namespace svx
 
 int main(int argc, char** argv) {
-  double scale = 0.5;
-  int reps = 3;
-  std::string write_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write") == 0 && i + 1 < argc) {
-      write_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-      if (reps <= 0) {
-        std::fprintf(stderr, "--reps needs a positive integer\n");
-        return 2;
-      }
-    } else {
-      std::optional<double> v = svx::ParseDouble(argv[i]);
-      if (!v.has_value() || *v <= 0) {
-        std::fprintf(stderr, "bad argument: %s\n", argv[i]);
-        return 2;
-      }
-      scale = *v;
-    }
-  }
+  svx::BenchArgs args(
+      argc, argv, "calibrate_costs [scale] [--reps N] [--write <store_dir>]");
+  const double scale = args.Positional(0, "scale", 0.5, svx::kPositive);
+  const int reps = args.Flag("--reps", 3, {1});
+  const std::string write_dir = args.Flag("--write", std::string());
+  args.Finish();
   return svx::Run(scale, reps, write_dir);
 }
