@@ -479,19 +479,6 @@ ColumnarExtent ColumnarExtent::Encode(const Table& table) {
   return out;
 }
 
-ColumnarExtent ColumnarExtent::EncodeSharing(const Table& table,
-                                             const ColumnarExtent& prev) {
-  ColumnarExtent out = Encode(table);
-  if (!(out.schema_ == prev.schema_)) return out;
-  for (size_t c = 0; c < out.columns_.size(); ++c) {
-    if (c < prev.columns_.size() && prev.columns_[c] != nullptr &&
-        *out.columns_[c] == *prev.columns_[c]) {
-      out.columns_[c] = prev.columns_[c];
-    }
-  }
-  return out;
-}
-
 Result<Table> ColumnarExtent::Decode(const Document* doc) const {
   std::vector<std::vector<Value>> cols(static_cast<size_t>(schema_.size()));
   for (int32_t c = 0; c < schema_.size(); ++c) {

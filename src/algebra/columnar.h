@@ -14,11 +14,10 @@
 //                             offsets and a ⊥ bitmap,
 //   * anything type-mixed  -> a raw fallback chunk of EncodeValue cells.
 //
-// Chunks are held by shared_ptr and never mutated, so maintenance can share
-// every untouched column between epochs (EncodeSharing) and a decoded table
-// can be dropped under memory pressure while the compressed truth stays
-// resident. A cold extent is decoded whole (Decode) and the decoded table is
-// cached by the view store until evicted.
+// Chunks are held by shared_ptr and never mutated, so a decoded table can be
+// dropped under memory pressure while the compressed truth stays resident.
+// A cold extent is decoded whole (Decode) and the decoded table is cached by
+// the view store until evicted.
 //
 // Encoding is deterministic: equal tables (same schema, same row order)
 // produce byte-identical serialized chunks — the property the view store's
@@ -83,10 +82,8 @@ struct ColumnChunk {
   // kRaw: one EncodeValue cell per row, back to back.
   std::string raw_cells;
 
-  /// Deep structural equality (child extents compare recursively). Used by
-  /// EncodeSharing to reuse the previous epoch's chunk objects.
+  /// Deep structural equality (child extents compare recursively).
   bool operator==(const ColumnChunk& other) const;
-  bool operator!=(const ColumnChunk& other) const { return !(*this == other); }
 };
 
 using ColumnChunkPtr = std::shared_ptr<const ColumnChunk>;
@@ -98,12 +95,6 @@ class ColumnarExtent {
 
   /// Encodes `table` column by column. Deterministic.
   static ColumnarExtent Encode(const Table& table);
-
-  /// Like Encode, but any column whose freshly encoded chunk equals the
-  /// corresponding chunk of `prev` (same schema position) shares `prev`'s
-  /// chunk object instead — untouched columns stay shared across epochs.
-  static ColumnarExtent EncodeSharing(const Table& table,
-                                      const ColumnarExtent& prev);
 
   /// Decodes every column back to a row-major table (exact inverse of
   /// Encode, preserving row order). Content cells rebind against `doc`; a

@@ -73,40 +73,12 @@ void ForEachAncestorMatch(const IdIndex& left_index, const OrdPath& id,
 Result<Table> ExecStructJoin(const PlanNode& p, Table left, Table right) {
   Table out(p.schema);
   IdIndex left_index = BuildIdIndex(left, p.left_col);
-
-  if (!p.nested_join) {
-    for (int64_t j = 0; j < right.NumRows(); ++j) {
-      const Value& v = right.row(j)[static_cast<size_t>(p.right_col)];
-      if (v.IsNull()) continue;
-      ForEachAncestorMatch(left_index, v.AsId(), p.struct_axis,
-                           [&](int64_t i) {
-                             out.AddRow(Concat(left.row(i), right.row(j)));
-                           });
-    }
-    return out;
-  }
-
-  // Nested structural join (§4.6): group right matches per left row; empty
-  // groups are kept (Figure 12 shows empty tables).
-  std::vector<std::vector<int64_t>> groups(
-      static_cast<size_t>(left.NumRows()));
   for (int64_t j = 0; j < right.NumRows(); ++j) {
     const Value& v = right.row(j)[static_cast<size_t>(p.right_col)];
     if (v.IsNull()) continue;
     ForEachAncestorMatch(left_index, v.AsId(), p.struct_axis, [&](int64_t i) {
-      groups[static_cast<size_t>(i)].push_back(j);
+      out.AddRow(Concat(left.row(i), right.row(j)));
     });
-  }
-  std::shared_ptr<const Schema> nested_schema =
-      p.schema.column(p.schema.size() - 1).nested;
-  for (int64_t i = 0; i < left.NumRows(); ++i) {
-    auto nested = std::make_shared<Table>(*nested_schema);
-    for (int64_t j : groups[static_cast<size_t>(i)]) {
-      nested->AddRow(right.row(j));
-    }
-    Tuple row = left.row(i);
-    row.emplace_back(TablePtr(nested));
-    out.AddRow(std::move(row));
   }
   return out;
 }
@@ -116,8 +88,6 @@ bool SelectAccepts(const PlanNode& p, const Tuple& row) {
   switch (p.select_kind) {
     case SelectKind::kNonNull:
       return !v.IsNull();
-    case SelectKind::kIsNull:
-      return v.IsNull();
     case SelectKind::kLabelEq:
       return !v.IsNull() && v.IsString() && v.AsString() == p.select_label;
     case SelectKind::kValuePred:
@@ -136,8 +106,7 @@ Result<Table> ExecUnnest(const PlanNode& p, Table in) {
     const Tuple& row = in.row(i);
     const Value& nested = row[static_cast<size_t>(p.unnest_col)];
     bool empty = nested.IsNull() || nested.AsTable().NumRows() == 0;
-    if (empty) {
-      if (!p.unnest_outer) continue;  // NRA unnest drops the tuple
+    if (empty) {  // outer unnest: one ⊥-padded row keeps the tuple
       Tuple padded;
       padded.reserve(static_cast<size_t>(p.schema.size()));
       for (size_t c = 0; c < row.size(); ++c) {

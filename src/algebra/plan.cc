@@ -28,13 +28,6 @@ const char* PlanKindName(PlanKind kind) {
   return "?";
 }
 
-int32_t PlanNode::NumLeaves() const {
-  if (kind == PlanKind::kViewScan) return 1;
-  int32_t n = 0;
-  for (const PlanPtr& c : children) n += c->NumLeaves();
-  return n;
-}
-
 std::unique_ptr<PlanNode> PlanNode::Clone() const {
   auto out = std::make_unique<PlanNode>();
   *out = PlanNode{};  // value-init scalars
@@ -44,15 +37,12 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   out->left_col = left_col;
   out->right_col = right_col;
   out->struct_axis = struct_axis;
-  out->nested_join = nested_join;
-  out->nested_col_name = nested_col_name;
   out->select_kind = select_kind;
   out->select_col = select_col;
   out->select_label = select_label;
   out->select_pred = select_pred;
   out->project_cols = project_cols;
   out->unnest_col = unnest_col;
-  out->unnest_outer = unnest_outer;
   out->group_key_cols = group_key_cols;
   out->group_col_name = group_col_name;
   out->navigate_col = navigate_col;
@@ -129,26 +119,6 @@ PlanPtr MakeStructJoin(PlanPtr left, PlanPtr right, int32_t left_col,
   return p;
 }
 
-PlanPtr MakeNestedStructJoin(PlanPtr left, PlanPtr right, int32_t left_col,
-                             int32_t right_col, StructAxis axis,
-                             const std::string& nested_col_name) {
-  SVX_CHECK(left->schema.column(left_col).kind == ColumnKind::kId);
-  SVX_CHECK(right->schema.column(right_col).kind == ColumnKind::kId);
-  auto p = std::make_unique<PlanNode>();
-  p->kind = PlanKind::kStructJoin;
-  p->nested_join = true;
-  p->nested_col_name = nested_col_name;
-  p->schema = left->schema;
-  p->schema.Append({nested_col_name, ColumnKind::kNested,
-                    std::make_shared<Schema>(right->schema)});
-  p->left_col = left_col;
-  p->right_col = right_col;
-  p->struct_axis = axis;
-  p->children.push_back(std::move(left));
-  p->children.push_back(std::move(right));
-  return p;
-}
-
 namespace {
 PlanPtr MakeSelect(PlanPtr input, SelectKind kind, int32_t col,
                    std::string label, Predicate pred) {
@@ -167,11 +137,6 @@ PlanPtr MakeSelect(PlanPtr input, SelectKind kind, int32_t col,
 
 PlanPtr MakeSelectNonNull(PlanPtr input, int32_t col) {
   return MakeSelect(std::move(input), SelectKind::kNonNull, col, "",
-                    Predicate::True());
-}
-
-PlanPtr MakeSelectIsNull(PlanPtr input, int32_t col) {
-  return MakeSelect(std::move(input), SelectKind::kIsNull, col, "",
                     Predicate::True());
 }
 
@@ -208,8 +173,7 @@ PlanPtr MakeUnion(std::vector<PlanPtr> inputs) {
   return p;
 }
 
-namespace {
-PlanPtr MakeUnnestImpl(PlanPtr input, int32_t col, bool outer) {
+PlanPtr MakeOuterUnnest(PlanPtr input, int32_t col) {
   SVX_CHECK(input->schema.column(col).kind == ColumnKind::kNested);
   auto p = std::make_unique<PlanNode>();
   p->kind = PlanKind::kUnnest;
@@ -224,18 +188,8 @@ PlanPtr MakeUnnestImpl(PlanPtr input, int32_t col, bool outer) {
     }
   }
   p->unnest_col = col;
-  p->unnest_outer = outer;
   p->children.push_back(std::move(input));
   return p;
-}
-}  // namespace
-
-PlanPtr MakeUnnest(PlanPtr input, int32_t col) {
-  return MakeUnnestImpl(std::move(input), col, false);
-}
-
-PlanPtr MakeOuterUnnest(PlanPtr input, int32_t col) {
-  return MakeUnnestImpl(std::move(input), col, true);
 }
 
 PlanPtr MakeGroupBy(PlanPtr input, std::vector<int32_t> key_cols,

@@ -1,8 +1,8 @@
 // Logical algebraic plans over materialized views (paper §3.2): view scans
-// combined with ⋈= (ID equality), ⋈≺ / ⋈≺≺ (structural joins, optionally
-// nested per §4.6), σ, π, ∪, plus the §4.6 adaptation operators: unnest,
-// group-by (re-nesting), XPath navigation inside stored content (navC) and
-// parent-ID derivation (navfID).
+// combined with ⋈= (ID equality), ⋈≺ / ⋈≺≺ (structural joins), σ, π, ∪,
+// plus the §4.6 adaptation operators: outer unnest (flattening), group-by
+// (re-nesting), XPath navigation inside stored content (navC) and parent-ID
+// derivation (navfID).
 #ifndef SVX_ALGEBRA_PLAN_H_
 #define SVX_ALGEBRA_PLAN_H_
 
@@ -24,7 +24,7 @@ enum class PlanKind {
   kSelect,        // σ
   kProject,       // π
   kUnion,         // ∪ (set semantics)
-  kUnnest,        // flattens one nested column
+  kUnnest,        // flattens one nested column (outer: keeps empty groups)
   kGroupBy,       // re-nests non-key columns under a new nested column
   kNavigate,      // navC: XPath step navigation inside a content column
   kDeriveParent,  // navfID: parent-ID derivation from a stored ID (§4.6)
@@ -36,7 +36,7 @@ const char* PlanKindName(PlanKind kind);
 enum class StructAxis { kParent, kAncestor };
 
 /// Selection predicate kinds (§4.6 adds label and value selections).
-enum class SelectKind { kNonNull, kIsNull, kLabelEq, kValuePred };
+enum class SelectKind { kNonNull, kLabelEq, kValuePred };
 
 /// One navigation step inside stored content.
 struct NavStep {
@@ -59,10 +59,6 @@ struct PlanNode {
   int32_t left_col = -1;
   int32_t right_col = -1;
   StructAxis struct_axis = StructAxis::kAncestor;
-  /// Nested structural join (§4.6): groups the right side under one nested
-  /// column instead of multiplying rows.
-  bool nested_join = false;
-  std::string nested_col_name;
 
   // kSelect
   SelectKind select_kind = SelectKind::kNonNull;
@@ -73,12 +69,10 @@ struct PlanNode {
   // kProject
   std::vector<int32_t> project_cols;
 
-  // kUnnest
+  // kUnnest (always outer: an empty or ⊥ group yields one ⊥-padded row
+  // instead of dropping the tuple — the inverse of the empty-group-preserving
+  // group-by, Figure 12)
   int32_t unnest_col = -1;
-  /// Outer unnest: an empty (or ⊥) group yields one ⊥-padded row instead of
-  /// dropping the tuple — the inverse of the empty-group-preserving group-by
-  /// (Figure 12).
-  bool unnest_outer = false;
 
   // kGroupBy
   std::vector<int32_t> group_key_cols;
@@ -95,9 +89,6 @@ struct PlanNode {
   int32_t derive_steps = 1;
   std::string derive_name;
 
-  /// Number of view occurrences in the plan — the plan size |P| of §3.2.
-  int32_t NumLeaves() const;
-
   /// Deep copy.
   std::unique_ptr<PlanNode> Clone() const;
 };
@@ -111,18 +102,11 @@ PlanPtr MakeIdEqJoin(PlanPtr left, PlanPtr right, int32_t left_col,
                      int32_t right_col);
 PlanPtr MakeStructJoin(PlanPtr left, PlanPtr right, int32_t left_col,
                        int32_t right_col, StructAxis axis);
-/// Nested structural join: right-side columns are grouped per left row under
-/// a nested column `nested_col_name`.
-PlanPtr MakeNestedStructJoin(PlanPtr left, PlanPtr right, int32_t left_col,
-                             int32_t right_col, StructAxis axis,
-                             const std::string& nested_col_name);
 PlanPtr MakeSelectNonNull(PlanPtr input, int32_t col);
-PlanPtr MakeSelectIsNull(PlanPtr input, int32_t col);
 PlanPtr MakeSelectLabel(PlanPtr input, int32_t col, const std::string& label);
 PlanPtr MakeSelectValue(PlanPtr input, int32_t col, Predicate pred);
 PlanPtr MakeProject(PlanPtr input, std::vector<int32_t> cols);
 PlanPtr MakeUnion(std::vector<PlanPtr> inputs);
-PlanPtr MakeUnnest(PlanPtr input, int32_t col);
 PlanPtr MakeOuterUnnest(PlanPtr input, int32_t col);
 PlanPtr MakeGroupBy(PlanPtr input, std::vector<int32_t> key_cols,
                     const std::string& group_col_name);

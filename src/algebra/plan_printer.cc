@@ -16,9 +16,7 @@ std::string NodeLabel(const PlanNode& p) {
                        p.children[1]->schema.column(p.right_col).name.c_str());
     case PlanKind::kStructJoin: {
       const char* axis = p.struct_axis == StructAxis::kParent ? "≺" : "≺≺";
-      std::string op = p.nested_join ? StrFormat("⋈n%s", axis)
-                                     : StrFormat("⋈%s", axis);
-      return StrFormat("%s [%s, %s]", op.c_str(),
+      return StrFormat("⋈%s [%s, %s]", axis,
                        p.children[0]->schema.column(p.left_col).name.c_str(),
                        p.children[1]->schema.column(p.right_col).name.c_str());
     }
@@ -26,9 +24,6 @@ std::string NodeLabel(const PlanNode& p) {
       switch (p.select_kind) {
         case SelectKind::kNonNull:
           return StrFormat("σ [%s ≠ ⊥]",
-                           p.schema.column(p.select_col).name.c_str());
-        case SelectKind::kIsNull:
-          return StrFormat("σ [%s = ⊥]",
                            p.schema.column(p.select_col).name.c_str());
         case SelectKind::kLabelEq:
           return StrFormat("σ [%s = '%s']",
@@ -94,8 +89,7 @@ void RenderCompact(const PlanNode& p, std::string* out) {
       if (p.kind == PlanKind::kIdEqJoin) {
         out->append(" ⋈= ");
       } else {
-        out->append(p.nested_join ? " ⋈n" : " ⋈");
-        out->append(p.struct_axis == StructAxis::kParent ? "≺ " : "≺≺ ");
+        out->append(p.struct_axis == StructAxis::kParent ? " ⋈≺ " : " ⋈≺≺ ");
       }
       RenderCompact(*p.children[1], out);
       out->push_back(')');

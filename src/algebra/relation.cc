@@ -84,18 +84,6 @@ void Table::Deduplicate() {
   rows_ = std::move(kept);
 }
 
-void Table::SortByIdColumn(int32_t col) {
-  SVX_CHECK(col >= 0 && col < schema_.size());
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [col](const Tuple& a, const Tuple& b) {
-                     const Value& va = a[static_cast<size_t>(col)];
-                     const Value& vb = b[static_cast<size_t>(col)];
-                     if (va.IsNull()) return false;
-                     if (vb.IsNull()) return true;
-                     return va.AsId() < vb.AsId();
-                   });
-}
-
 namespace {
 
 int VariantRank(const Value& v) {

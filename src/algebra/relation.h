@@ -92,9 +92,6 @@ class Table {
   /// Removes duplicate rows (set semantics), preserving first occurrences.
   void Deduplicate();
 
-  /// Sorts rows by the given ID column in document order (nulls last).
-  void SortByIdColumn(int32_t col);
-
   /// Sorts rows into the canonical deterministic order (CompareTuples).
   /// Assumes nested-table cells are already canonical (MaterializeView and
   /// the delta evaluator build them sorted); the view store relies on this

@@ -365,16 +365,4 @@ Result<bool> AreEquivalent(const Pattern& p, const Pattern& q,
   return IsContained(q, p, summary, options, stats);
 }
 
-Result<bool> IsUnionContainedInUnion(const std::vector<const Pattern*>& ps,
-                                     const std::vector<const Pattern*>& qs,
-                                     const Summary& summary,
-                                     const ContainmentOptions& options,
-                                     ContainmentStats* stats) {
-  for (const Pattern* p : ps) {
-    Result<bool> r = IsContainedInUnion(*p, qs, summary, options, stats);
-    if (!r.ok() || !*r) return r;
-  }
-  return true;
-}
-
 }  // namespace svx

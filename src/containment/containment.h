@@ -72,14 +72,6 @@ struct ContainmentStats {
                            const ContainmentOptions& options = {},
                            ContainmentStats* stats = nullptr);
 
-/// Decides (p1 ∪ ... ∪ pn) ⊆S (q1 ∪ ... ∪ qm): every pi must be contained
-/// in the union.
-[[nodiscard]] Result<bool> IsUnionContainedInUnion(const std::vector<const Pattern*>& ps,
-                                     const std::vector<const Pattern*>& qs,
-                                     const Summary& summary,
-                                     const ContainmentOptions& options = {},
-                                     ContainmentStats* stats = nullptr);
-
 }  // namespace svx
 
 #endif  // SVX_CONTAINMENT_CONTAINMENT_H_

@@ -33,7 +33,6 @@
 
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
-#include "src/util/timer.h"
 
 namespace svx {
 
@@ -132,24 +131,6 @@ class Histogram {
  private:
   std::atomic<int64_t> buckets_[kBuckets] = {};
   std::atomic<int64_t> sum_{0};
-};
-
-/// Observes the scope's duration in microseconds into a histogram on
-/// destruction. Null histogram pointers are tolerated (no-op) so call sites
-/// need no branching.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram* h) : h_(h) {}
-  ~ScopedLatency() {
-    if (h_ != nullptr) h_->Observe(static_cast<int64_t>(timer_.ElapsedMicros()));
-  }
-
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  Histogram* const h_;
-  Timer timer_;
 };
 
 /// Name → metric table with exposition. One process-wide instance

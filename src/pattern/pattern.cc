@@ -103,51 +103,6 @@ Pattern Pattern::Strict() const {
   return p;
 }
 
-Pattern Pattern::WithReturnNodes(
-    const std::vector<PatternNodeId>& keep) const {
-  Pattern p = *this;
-  for (PatternNodeId n = 0; n < p.size(); ++n) {
-    p.mutable_node(n).attrs = 0;
-  }
-  for (PatternNodeId n : keep) {
-    p.mutable_node(n).attrs = kAttrId;
-  }
-  return p;
-}
-
-Pattern Pattern::Canonicalize() const {
-  Pattern out;
-  if (nodes_.empty()) return out;
-  // Map old -> new while walking preorder.
-  std::vector<PatternNodeId> old_to_new(nodes_.size(), -1);
-  struct Item {
-    PatternNodeId old_id;
-    PatternNodeId new_parent;
-  };
-  std::vector<Item> stack{{root(), -1}};
-  while (!stack.empty()) {
-    Item it = stack.back();
-    stack.pop_back();
-    const Node& n = node(it.old_id);
-    PatternNodeId nid;
-    if (it.new_parent < 0) {
-      nid = out.SetRoot(n.label, n.attrs, n.pred);
-    } else {
-      nid = out.AddChild(it.new_parent, n.label, n.axis, n.attrs, n.pred,
-                         n.optional, n.nested);
-    }
-    old_to_new[static_cast<size_t>(it.old_id)] = nid;
-    for (auto c = n.children.rbegin(); c != n.children.rend(); ++c) {
-      stack.push_back({*c, nid});
-    }
-  }
-  // Reorder children vectors to match original child order (stack reversal
-  // already preserved it because we pushed children reversed and the new ids
-  // were assigned in preorder, but the children lists were appended in
-  // traversal order — verify order is original).
-  return out;
-}
-
 Pattern Pattern::EraseSubtrees(const std::vector<PatternNodeId>& roots,
                                std::vector<PatternNodeId>* old_to_new) const {
   std::vector<bool> erased(nodes_.size(), false);

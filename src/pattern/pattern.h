@@ -63,7 +63,7 @@ class Pattern {
 
   /// Appends a child; `parent` must already exist. Children are attached
   /// in call order (preorder construction is the caller's responsibility if
-  /// node-id order matters; use Canonicalize() otherwise).
+  /// node-id order matters).
   PatternNodeId AddChild(PatternNodeId parent, std::string_view label,
                          Axis axis, uint8_t attrs = 0,
                          Predicate pred = Predicate::True(),
@@ -111,15 +111,6 @@ class Pattern {
 
   /// Copy with every edge made non-optional (the paper's p0, §4.3).
   Pattern Strict() const;
-
-  /// Copy with all attributes erased except on the given nodes, where they
-  /// are replaced by kAttrId — used to "choose k return nodes" before a
-  /// containment test (§3.3).
-  Pattern WithReturnNodes(const std::vector<PatternNodeId>& keep) const;
-
-  /// Copy where node ids are renumbered in preorder (stable child order).
-  /// Guarantees node(0) == root and parents precede children.
-  Pattern Canonicalize() const;
 
   /// Copy with the subtrees rooted at the given nodes removed (each id must
   /// not be the root). Node ids are renumbered; the returned mapping gives

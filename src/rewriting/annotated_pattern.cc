@@ -75,12 +75,13 @@ const std::string& Candidate::CanonicalString() const {
 }
 
 std::string ExpansionOptionsFingerprint(const ExpansionOptions& e) {
-  return StrFormat("%zu.%zu.%d.%d.%d.%d", e.max_embeddings, e.max_pieces,
-                   e.max_strengthen_edges, e.unfold_content ? 1 : 0,
-                   e.add_virtual_ids ? 1 : 0, e.max_virtual_depth);
+  return StrFormat("%zu", e.max_pieces);
 }
 
 namespace {
+
+constexpr size_t kMaxEmbeddings = 512;     // skeleton embeddings per variant
+constexpr size_t kMaxStrengthenEdges = 4;  // optional edges tried for σ≠⊥
 
 /// True if the subtree rooted at `n` carries no attribute anywhere.
 bool SubtreeAttrLess(const Pattern& p, PatternNodeId n) {
@@ -311,10 +312,7 @@ Result<std::vector<Candidate>> ExpandView(
     uint8_t a;
     if (FindStrengthenWitness(flattened, n, &w, &a)) {
       strengthenable.push_back({n, w, a});
-      if (static_cast<int32_t>(strengthenable.size()) >=
-          options.max_strengthen_edges) {
-        break;
-      }
+      if (strengthenable.size() >= kMaxStrengthenEdges) break;
     }
   }
 
@@ -363,7 +361,7 @@ Result<std::vector<Candidate>> ExpandView(
     // Enumerate skeleton embeddings.
     std::vector<SummaryEmbedding> embeddings;
     Status st = EnumerateEmbeddings(
-        skeleton, summary, options.max_embeddings,
+        skeleton, summary, kMaxEmbeddings,
         [&](const SummaryEmbedding& e) {
           embeddings.push_back(e);
           return embeddings.size() <= options.max_pieces;
@@ -386,96 +384,90 @@ Result<std::vector<Candidate>> ExpandView(
     }
 
     // ---- §4.6: unfold C attributes toward relevant labels. ----
-    if (options.unfold_content) {
-      // Collect (prefix, label) pairs where some piece has a descendant path
-      // with that label below the C node.
-      struct Unfold {
-        std::string prefix;
-        std::string label;
-      };
-      std::vector<Unfold> unfolds;
-      if (!cand.pieces.empty()) {
-        for (const ColumnBinding& b : cand.pieces[0].bindings) {
-          if (b.attr != kAttrContent || !b.skeleton) continue;
-          for (const std::string& label : relevant_labels) {
-            bool any = false;
-            for (const Piece& piece : cand.pieces) {
-              const ColumnBinding* cb = piece.Find(b.prefix, kAttrContent);
-              if (cb == nullptr || !cb->skeleton) continue;
-              for (PathId d : summary.Descendants(cb->path)) {
-                if (summary.label(d) == label) {
-                  any = true;
-                  break;
-                }
-              }
-              if (any) break;
+    // Collect (prefix, label) pairs where some piece has a descendant path
+    // with that label below the C node.
+    struct Unfold {
+      std::string prefix;
+      std::string label;
+    };
+    std::vector<Unfold> unfolds;
+    for (const ColumnBinding& b : cand.pieces[0].bindings) {
+      if (b.attr != kAttrContent || !b.skeleton) continue;
+      for (const std::string& label : relevant_labels) {
+        bool any = false;
+        for (const Piece& piece : cand.pieces) {
+          const ColumnBinding* cb = piece.Find(b.prefix, kAttrContent);
+          if (cb == nullptr || !cb->skeleton) continue;
+          for (PathId d : summary.Descendants(cb->path)) {
+            if (summary.label(d) == label) {
+              any = true;
+              break;
             }
-            if (any) unfolds.push_back({b.prefix, label});
           }
+          if (any) break;
         }
+        if (any) unfolds.push_back({b.prefix, label});
       }
-      for (const Unfold& u : unfolds) {
-        std::string name = u.prefix + "@" + u.label;
-        int32_t src = plan->schema.Find(u.prefix + ".c");
-        SVX_CHECK(src >= 0);
-        plan = MakeNavigate(std::move(plan), src,
-                            {{Axis::kDescendant, u.label}},
-                            kAttrValue | kAttrContent, name);
-        for (Piece& piece : cand.pieces) {
-          const ColumnBinding* cb = piece.Find(u.prefix, kAttrContent);
-          SVX_CHECK(cb != nullptr);
-          PatternNodeId un = piece.pattern.AddChild(
-              cb->node, u.label, Axis::kDescendant, kAttrValue | kAttrContent,
-              Predicate::True(), /*optional=*/true, /*nested=*/false);
-          piece.node_paths.push_back(kInvalidPath);
-          piece.bindings.push_back({un, kAttrValue, name, name + ".v", -1,
-                                    /*skeleton=*/false, kInvalidPath});
-          piece.bindings.push_back({un, kAttrContent, name, name + ".c", -1,
-                                    /*skeleton=*/false, kInvalidPath});
-        }
+    }
+    for (const Unfold& u : unfolds) {
+      std::string name = u.prefix + "@" + u.label;
+      int32_t src = plan->schema.Find(u.prefix + ".c");
+      SVX_CHECK(src >= 0);
+      plan = MakeNavigate(std::move(plan), src,
+                          {{Axis::kDescendant, u.label}},
+                          kAttrValue | kAttrContent, name);
+      for (Piece& piece : cand.pieces) {
+        const ColumnBinding* cb = piece.Find(u.prefix, kAttrContent);
+        SVX_CHECK(cb != nullptr);
+        PatternNodeId un = piece.pattern.AddChild(
+            cb->node, u.label, Axis::kDescendant, kAttrValue | kAttrContent,
+            Predicate::True(), /*optional=*/true, /*nested=*/false);
+        piece.node_paths.push_back(kInvalidPath);
+        piece.bindings.push_back({un, kAttrValue, name, name + ".v", -1,
+                                  /*skeleton=*/false, kInvalidPath});
+        piece.bindings.push_back({un, kAttrContent, name, name + ".c", -1,
+                                  /*skeleton=*/false, kInvalidPath});
       }
     }
 
     // ---- §4.6: virtual parent IDs (navfID). ----
-    if (options.add_virtual_ids && !cand.pieces.empty()) {
-      // For every skeleton ID prefix, derive ancestors up to
-      // max_virtual_depth steps; a piece participates when its chain is deep
-      // enough (otherwise the prefix is simply absent from that piece).
-      std::vector<std::string> id_prefixes;
-      for (const ColumnBinding& b : cand.pieces[0].bindings) {
-        if (b.attr == kAttrId && b.skeleton) id_prefixes.push_back(b.prefix);
-      }
-      for (const std::string& prefix : id_prefixes) {
-        for (int32_t steps = 1; steps <= options.max_virtual_depth; ++steps) {
-          // Some piece must have the chain node, and the derived node must
-          // not collide with an existing id binding role.
-          bool any = false;
-          for (Piece& piece : cand.pieces) {
-            const ColumnBinding* b = piece.Find(prefix, kAttrId);
-            if (b == nullptr) continue;
-            PatternNodeId u = b->node;
-            for (int32_t s = 0; s < steps && u >= 0; ++s) {
-              u = piece.pattern.node(u).parent;
-            }
-            if (u >= 0) any = true;
+    // For every skeleton ID prefix, derive ancestors up to
+    // kMaxVirtualDepth steps; a piece participates when its chain is deep
+    // enough (otherwise the prefix is simply absent from that piece).
+    std::vector<std::string> id_prefixes;
+    for (const ColumnBinding& b : cand.pieces[0].bindings) {
+      if (b.attr == kAttrId && b.skeleton) id_prefixes.push_back(b.prefix);
+    }
+    for (const std::string& prefix : id_prefixes) {
+      for (int32_t steps = 1; steps <= kMaxVirtualDepth; ++steps) {
+        // Some piece must have the chain node, and the derived node must
+        // not collide with an existing id binding role.
+        bool any = false;
+        for (Piece& piece : cand.pieces) {
+          const ColumnBinding* b = piece.Find(prefix, kAttrId);
+          if (b == nullptr) continue;
+          PatternNodeId u = b->node;
+          for (int32_t s = 0; s < steps && u >= 0; ++s) {
+            u = piece.pattern.node(u).parent;
           }
-          if (!any) break;
-          std::string name = StrFormat("%s.up%d", prefix.c_str(), steps);
-          int32_t src = plan->schema.Find(prefix + ".id");
-          SVX_CHECK_MSG(src >= 0, prefix.c_str());
-          plan = MakeDeriveParent(std::move(plan), src, steps, name + ".id");
-          for (Piece& piece : cand.pieces) {
-            const ColumnBinding* b = piece.Find(prefix, kAttrId);
-            if (b == nullptr) continue;
-            PatternNodeId u = b->node;
-            for (int32_t s = 0; s < steps && u >= 0; ++s) {
-              u = piece.pattern.node(u).parent;
-            }
-            if (u < 0) continue;
-            piece.bindings.push_back(
-                {u, kAttrId, name, name + ".id", -1, /*skeleton=*/true,
-                 piece.node_paths[static_cast<size_t>(u)]});
+          if (u >= 0) any = true;
+        }
+        if (!any) break;
+        std::string name = StrFormat("%s.up%d", prefix.c_str(), steps);
+        int32_t src = plan->schema.Find(prefix + ".id");
+        SVX_CHECK_MSG(src >= 0, prefix.c_str());
+        plan = MakeDeriveParent(std::move(plan), src, steps, name + ".id");
+        for (Piece& piece : cand.pieces) {
+          const ColumnBinding* b = piece.Find(prefix, kAttrId);
+          if (b == nullptr) continue;
+          PatternNodeId u = b->node;
+          for (int32_t s = 0; s < steps && u >= 0; ++s) {
+            u = piece.pattern.node(u).parent;
           }
+          if (u < 0) continue;
+          piece.bindings.push_back(
+              {u, kAttrId, name, name + ".id", -1, /*skeleton=*/true,
+               piece.node_paths[static_cast<size_t>(u)]});
         }
       }
     }

@@ -85,28 +85,27 @@ struct Candidate {
   mutable std::string canonical_;  // empty = not yet computed
 };
 
-/// Knobs for view expansion.
+/// navfID steps ExpandView derives per skeleton ID column (§4.6 virtual
+/// parent IDs). ViewIndex signatures over-approximate expansion with it.
+inline constexpr int32_t kMaxVirtualDepth = 3;
+
+/// The one tunable of view expansion; every other limit is fixed.
 struct ExpansionOptions {
-  size_t max_embeddings = 512;       // skeleton embeddings per variant
-  size_t max_pieces = 128;           // pieces per candidate
-  int32_t max_strengthen_edges = 4;  // optional edges considered for σ≠⊥
-  bool unfold_content = true;        // §4.6 C unfolding
-  bool add_virtual_ids = true;       // §4.6 parent-ID derivation
-  int32_t max_virtual_depth = 3;     // navfID steps added per ID column
+  size_t max_pieces = 128;  // pieces per candidate
 };
 
-/// Every option above as a cache-key fragment: the snapshot's shared
-/// ViewIndex and the rewrite cache key their entries with it, so a new field
-/// must be added here.
+/// The options above as a cache-key fragment: the rewrite cache keys its
+/// entries with it, so a new field must be added here.
 std::string ExpansionOptionsFingerprint(const ExpansionOptions& options);
 
 /// Expands one view into candidates under `summary`:
 ///   * the base variant (optional edges kept optional, nested edges
 ///     flattened by outer unnest),
-///   * strengthened variants (subsets of optional edges made required via
-///     σ non-null),
-/// each with per-embedding pieces, §4.6 content unfolding toward the labels
-/// in `relevant_labels`, and §4.6 virtual parent IDs.
+///   * strengthened variants (up to four optional edges made required via
+///     σ non-null, in every combination),
+/// each with per-embedding pieces (at most 512 skeleton embeddings per
+/// variant), §4.6 content unfolding toward the labels in `relevant_labels`,
+/// and §4.6 virtual parent IDs up to kMaxVirtualDepth steps.
 Result<std::vector<Candidate>> ExpandView(
     const ViewDef& view, const Summary& summary,
     const std::vector<std::string>& relevant_labels,

@@ -938,7 +938,7 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   if (index == nullptr ||
       index->size() != static_cast<int32_t>(views_.size())) {
     if (index_ == nullptr) {
-      index_ = std::make_unique<ViewIndex>(summary_, options_.expansion);
+      index_ = std::make_unique<ViewIndex>(summary_);
     }
     while (index_->size() < static_cast<int32_t>(views_.size())) {
       index_->AddView(views_[static_cast<size_t>(index_->size())]);

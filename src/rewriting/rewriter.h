@@ -61,9 +61,9 @@ struct RewriterOptions {
   /// per-query Rewriter skips the per-view signature computation — how the
   /// query entry point CatalogSnapshot::Rewrite / Query plans.
   /// Borrowed; must outlive the rewriter, and must have been built over
-  /// the same summary and expansion options with exactly this rewriter's
-  /// AddView sequence (signatures are addressed by registration order —
-  /// on a view-count mismatch the rewriter falls back to its own index).
+  /// the same summary with exactly this rewriter's AddView sequence
+  /// (signatures are addressed by registration order — on a view-count
+  /// mismatch the rewriter falls back to its own index).
   const ViewIndex* shared_view_index = nullptr;
   /// When set, found rewritings are ranked by estimated cost (cheapest
   /// first, ties broken by compact form) instead of discovery order.

@@ -6,8 +6,7 @@
 
 namespace svx {
 
-ViewIndex::ViewIndex(const Summary& summary, const ExpansionOptions& expansion)
-    : summary_(summary), expansion_(expansion) {}
+ViewIndex::ViewIndex(const Summary& summary) : summary_(summary) {}
 
 void ViewIndex::AddView(const ViewDef& def) {
   ViewSignature sig;
@@ -99,17 +98,16 @@ void ViewIndex::AddView(const ViewDef& def) {
         sig.attr_paths[bit][w] |= feasible[w];
       }
     }
-    if ((node.attrs & kAttrId) && expansion_.add_virtual_ids) {
+    if (node.attrs & kAttrId) {
       for_each_feasible([&](PathId s) {
         PathId a = summary_.parent(s);
-        for (int32_t step = 1;
-             step <= expansion_.max_virtual_depth && a != kInvalidPath;
+        for (int32_t step = 1; step <= kMaxVirtualDepth && a != kInvalidPath;
              ++step, a = summary_.parent(a)) {
           PathBitsetSet(&sig.attr_paths[0], a);
         }
       });
     }
-    if ((node.attrs & kAttrContent) && expansion_.unfold_content) {
+    if (node.attrs & kAttrContent) {
       sig.has_content = true;
       for_each_feasible([&](PathId s) {
         for (PathId d : summary_.Descendants(s)) {

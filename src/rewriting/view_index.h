@@ -11,8 +11,8 @@
 //                      intersection against the query's relevance closure);
 //   * `attr_paths[a]`— the paths on which the view can expose attribute `a`
 //                      through a *skeleton* (path-pinned) column, including
-//                      §4.6 virtual parent IDs within the configured
-//                      navfID depth;
+//                      §4.6 virtual parent IDs within kMaxVirtualDepth
+//                      navfID steps;
 //   * `anypath_attrs`— attributes carried by nodes under optional/nested
 //                      edges, whose bindings are fragment (non-pinned)
 //                      columns and therefore serve a query column with no
@@ -74,12 +74,12 @@ struct ViewSignature {
   bool has_content = false;
 };
 
-/// Index over the views registered with one Rewriter. Signatures depend on
-/// the expansion options (virtual-ID depth, content unfolding), so the index
-/// is built against a fixed `ExpansionOptions`.
+/// Index over the views registered with one Rewriter. Signatures depend
+/// only on the summary and the views: the expansion limits they
+/// over-approximate are fixed (kMaxVirtualDepth).
 class ViewIndex {
  public:
-  ViewIndex(const Summary& summary, const ExpansionOptions& expansion);
+  explicit ViewIndex(const Summary& summary);
 
   /// Computes and stores the signature of `def` (call in registration
   /// order; signatures are addressed by that order).
@@ -102,7 +102,6 @@ class ViewIndex {
 
  private:
   const Summary& summary_;
-  ExpansionOptions expansion_;
   std::vector<ViewSignature> signatures_;
 };
 

@@ -1,6 +1,9 @@
 #include "src/util/fileio.h"
 
+#include <filesystem>
 #include <fstream>
+
+#include "src/util/check.h"
 
 namespace svx {
 
@@ -10,6 +13,17 @@ Status WriteFileBytes(const std::string& path, std::string_view bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
   if (!out) return Status::Internal("short write: " + path);
+  return Status::OK();
+}
+
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  SVX_RETURN_IF_ERROR(WriteFileBytes(tmp, bytes));
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::Internal("cannot rename " + tmp + ": " + ec.message());
+  }
   return Status::OK();
 }
 

@@ -13,6 +13,11 @@ namespace svx {
 [[nodiscard]] Status WriteFileBytes(const std::string& path,
                                     std::string_view bytes);
 
+/// Writes `bytes` to `path` via `path`.tmp and a rename, so readers (and
+/// crash recovery) never observe a half-written file.
+[[nodiscard]] Status WriteFileAtomic(const std::string& path,
+                                     std::string_view bytes);
+
 /// Reads all of `path`. Binary-safe.
 [[nodiscard]] Result<std::string> ReadFileBytes(const std::string& path);
 

@@ -30,24 +30,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates the scope's wall-clock duration into *out_ms on destruction.
-/// Replaces the Reset()/ElapsedMillis() pairs the benches used to hand-roll
-/// around every measured region:
-///
-///   { ScopedTimer t(&row.maintain_ms); catalog.ApplyUpdate(update); }
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* out_ms) : out_ms_(out_ms) {}
-  ~ScopedTimer() { *out_ms_ += timer_.ElapsedMillis(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* const out_ms_;
-  Timer timer_;
-};
-
 }  // namespace svx
 
 #endif  // SVX_UTIL_TIMER_H_

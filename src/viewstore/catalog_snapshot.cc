@@ -112,9 +112,9 @@ Result<Table> CatalogSnapshot::Query(const Pattern& query, TraceSpan* trace,
 }
 
 std::shared_ptr<const ViewIndex> CatalogSnapshot::ViewIndexFor(
-    const Summary& summary, const ExpansionOptions& e) const {
+    const Summary& summary, const ExpansionOptions& /*expansion*/) const {
   auto build = [&]() {
-    auto index = std::make_shared<ViewIndex>(summary, e);
+    auto index = std::make_shared<ViewIndex>(summary);
     for (const auto& v : views_) index->AddView(v->def);
     return index;
   };
@@ -124,16 +124,11 @@ std::shared_ptr<const ViewIndex> CatalogSnapshot::ViewIndexFor(
   // different summary while this snapshot lives (ABA), which would serve
   // an index over the wrong path-id space — build those fresh, uncached.
   if (&summary != summary_.get()) return build();
-  std::string key = ExpansionOptionsFingerprint(e);
   MutexLock lock(&index_mu_);
-  for (const auto& [k, index] : indexes_) {
-    if (k == key) return index;
-  }
   // Built under the lock: concurrent first readers wait instead of
   // duplicating the per-view signature computation.
-  auto index = build();
-  indexes_.emplace_back(std::move(key), index);
-  return index;
+  if (index_ == nullptr) index_ = build();
+  return index_;
 }
 
 }  // namespace svx

@@ -48,11 +48,11 @@ namespace svx {
 /// place, so readers of older epochs keep a consistent extent.
 ///
 /// The extent's truth is `columnar` (columnar.h): dictionary/delta
-/// compressed, always resident, sharing untouched column chunks with the
-/// previous epoch. The decoded row-major table is a cache managed by the
-/// catalog's MemoryBudget — `table()` decodes on demand and the budget may
-/// evict the decoded form again under memory pressure (the compressed truth
-/// never leaves).
+/// compressed and always resident. A view that an epoch does not touch
+/// carries its whole StoredView into the next epoch. The decoded row-major
+/// table is a cache managed by the catalog's MemoryBudget — `table()`
+/// decodes on demand and the budget may evict the decoded form again under
+/// memory pressure (the compressed truth never leaves).
 struct StoredView {
   ViewDef def;
   ViewStats stats;
@@ -187,14 +187,15 @@ class CatalogSnapshot {
   ContainmentMemo* containment_memo() const { return memo_.get(); }
 
   /// The shared, snapshot-owned ViewIndex over this epoch's views for
-  /// (summary, expansion) — what Rewrite() plans with; pass as
+  /// `summary` — what Rewrite() plans with; pass as
   /// RewriterOptions::shared_view_index to a Rewriter whose views were added
   /// in views() order. When `summary` is this snapshot's own summary() (the
-  /// serving path), the index is built
-  /// once per expansion fingerprint under an internal mutex and shared by
-  /// all readers of the epoch, living as long as the snapshot; for any
-  /// other summary (whose lifetime the snapshot cannot pin) a fresh
+  /// serving path), the index is built once under an internal mutex and
+  /// shared by all readers of the epoch, living as long as the snapshot;
+  /// for any other summary (whose lifetime the snapshot cannot pin) a fresh
   /// uncached index is returned, owned by the caller's shared_ptr.
+  /// `expansion` does not select an index: signatures depend on no
+  /// expansion option (ViewIndex).
   std::shared_ptr<const ViewIndex> ViewIndexFor(
       const Summary& summary, const ExpansionOptions& expansion) const
       SVX_EXCLUDES(index_mu_);
@@ -213,9 +214,8 @@ class CatalogSnapshot {
   CostModel cost_model_;
 
   mutable Mutex index_mu_;
-  mutable std::vector<std::pair<std::string, std::shared_ptr<const ViewIndex>>>
-      indexes_ SVX_GUARDED_BY(index_mu_);  // over summary_, keyed by
-                                           // expansion fingerprint
+  mutable std::shared_ptr<const ViewIndex> index_
+      SVX_GUARDED_BY(index_mu_);  // over summary_, built on first request
 };
 
 }  // namespace svx

@@ -1,5 +1,4 @@
-// Per-operator cost constants for the CostModel, versioned so fitted
-// profiles age out when the model's term structure changes.
+// Per-operator cost constants for the CostModel.
 //
 // The model's cost is *linear* in these constants: every operator
 // contributes (constant × work-unit count), where the unit counts depend
@@ -10,27 +9,23 @@
 // of scanning one view row (scan stays at 1.0 by convention, so "cost 500"
 // keeps meaning "about as expensive as scanning 500 rows").
 //
-// Three layers, later wins:
-//   1. DefaultCostConstants(): the paper-era uncalibrated guesses; the
-//      unit tests pin today's estimate values through these.
+// Two sets of values:
+//   1. CostConstants{}: the paper-era uncalibrated guesses; the unit tests
+//      pin today's estimate values through these.
 //   2. CalibratedCostConstants(): the baked-in fit from the last
-//      tools/calibrate_costs run (see the table below). Used by
-//      ViewCatalog for every published snapshot's cost model.
-//   3. A store-local cost_profile.txt in the catalog directory, written by
-//      tools/calibrate_costs --write <store_dir>, loaded at catalog open.
+//      tools/calibrate_costs run (see below). Every snapshot a ViewCatalog
+//      publishes estimates with these; the tool prints a paste-ready block
+//      to refresh them.
 #ifndef SVX_VIEWSTORE_COST_CONSTANTS_H_
 #define SVX_VIEWSTORE_COST_CONSTANTS_H_
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 namespace svx {
 
-/// Bumped whenever the CostModel's term structure changes meaning (new
-/// operators, redefined units). Profiles with another version are ignored.
-inline constexpr int32_t kCostProfileVersion = 1;
-
+/// Default member values are the uncalibrated guesses (every term 1.0
+/// except the cheap projection).
 struct CostConstants {
   static constexpr size_t kNumTerms = 9;
 
@@ -61,13 +56,9 @@ struct CostConstants {
     c.nav = a[8];
     return c;
   }
-  /// Term names in ToArray() order (profile keys, calibration output).
+  /// Term names in ToArray() order (calibration output).
   static const char* TermName(size_t i);
 };
-
-/// The uncalibrated defaults (every term 1.0 except the cheap projection);
-/// reproduce the pre-calibration estimates bit-exactly.
-inline CostConstants DefaultCostConstants() { return CostConstants{}; }
 
 /// The constants fitted by the last `tools/calibrate_costs` run against
 /// measured executor times (XMark scale 0.5: 161 samples over per-view
@@ -92,18 +83,10 @@ inline CostConstants CalibratedCostConstants() {
   return c;
 }
 
-/// FNV-1a over the profile version, default-rows assumption, and the bit
-/// patterns of every term, so any change to the effective cost model is
-/// visible to cache keys (plan choice depends on the constants).
+/// FNV-1a over the default-rows assumption and the bit patterns of every
+/// term, so any change to the effective cost model is visible to cache keys
+/// (plan choice depends on the constants).
 uint64_t CostConstantsFingerprint(const CostConstants& c, double default_rows);
-
-/// Reads `path` (a "key value" per-line text profile, '#' comments). On a
-/// missing file, a version mismatch, or a parse error returns false and
-/// leaves *out untouched.
-bool LoadCostProfile(const std::string& path, CostConstants* out);
-
-/// Writes a loadable profile to `path`. Returns false on I/O failure.
-bool SaveCostProfile(const std::string& path, const CostConstants& c);
 
 }  // namespace svx
 

@@ -1,10 +1,7 @@
 #include "src/viewstore/cost_model.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 namespace svx {
 
@@ -53,7 +50,6 @@ uint64_t CostConstantsFingerprint(const CostConstants& c,
     h ^= v;
     h *= 0x100000001b3ULL;
   };
-  mix(static_cast<uint64_t>(kCostProfileVersion));
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(double), "double must be 64-bit");
   std::memcpy(&bits, &default_rows, sizeof(bits));
@@ -63,57 +59,6 @@ uint64_t CostConstantsFingerprint(const CostConstants& c,
     mix(bits);
   }
   return h;
-}
-
-bool LoadCostProfile(const std::string& path, CostConstants* out) {
-  std::ifstream in(path);
-  if (!in.is_open()) return false;
-  CostConstants c;
-  auto arr = c.ToArray();
-  bool version_ok = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue;
-    if (key == "version") {
-      int32_t v = -1;
-      if (!(ls >> v) || v != kCostProfileVersion) return false;
-      version_ok = true;
-      continue;
-    }
-    double value = 0;
-    if (!(ls >> value) || !(value >= 0)) return false;
-    bool known = false;
-    for (size_t i = 0; i < CostConstants::kNumTerms; ++i) {
-      if (key == CostConstants::TermName(i)) {
-        arr[i] = value;
-        known = true;
-        break;
-      }
-    }
-    // Unknown keys are tolerated (forward compatibility within a version).
-    (void)known;
-  }
-  if (!version_ok) return false;
-  *out = CostConstants::FromArray(arr);
-  return true;
-}
-
-bool SaveCostProfile(const std::string& path, const CostConstants& c) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) return false;
-  out << "# svx cost profile (tools/calibrate_costs); units relative to\n"
-         "# scanning one view row. Loaded by ViewCatalog at open.\n";
-  out << "version " << kCostProfileVersion << "\n";
-  auto arr = c.ToArray();
-  for (size_t i = 0; i < CostConstants::kNumTerms; ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", arr[i]);
-    out << CostConstants::TermName(i) << " " << buf << "\n";
-  }
-  return out.good();
 }
 
 void CostModel::AddViewStats(const std::string& view_name,
@@ -143,7 +88,6 @@ CostModel::Origin CostModel::ResolveColumn(const PlanNode& plan,
     case PlanKind::kStructJoin: {
       int32_t nl = plan.children[0]->schema.size();
       if (col < nl) return ResolveColumn(*plan.children[0], col);
-      if (plan.nested_join) return {};  // the synthesized nested column
       return ResolveColumn(*plan.children[1], col - nl);
     }
     case PlanKind::kSelect:
@@ -244,7 +188,6 @@ CostEstimate CostModel::Estimate(
         AddUnits(units, kUAncestorJoin, probe);
       }
       rows = std::min(rows, l.rows * r.rows);
-      if (plan.nested_join) rows = std::min(rows, l.rows);
       AddUnits(units, kUEmit, rows);
       return {rows, l.cost + r.cost + probe_constant * probe +
                         constants.emit * rows};
@@ -264,8 +207,7 @@ CostEstimate CostModel::Estimate(
         case SelectKind::kValuePred:
           sel = kValueSelectivity;
           break;
-        case SelectKind::kNonNull:
-        case SelectKind::kIsNull: {
+        case SelectKind::kNonNull: {
           double nn = kNonNullSelectivity;
           if (c != nullptr && origin.view != nullptr &&
               origin.view->num_rows > 0) {
@@ -278,7 +220,7 @@ CostEstimate CostModel::Estimate(
                  static_cast<double>(origin.view->num_rows);
             nn = std::min(std::max(nn, 0.0), 1.0);
           }
-          sel = plan.select_kind == SelectKind::kNonNull ? nn : 1.0 - nn;
+          sel = nn;
           break;
         }
         default:

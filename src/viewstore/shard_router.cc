@@ -40,11 +40,6 @@ ShardRouter ShardRouter::Partition(const Document& doc, int num_shards) {
   return ShardRouter(std::move(boundaries));
 }
 
-ShardRouter ShardRouter::FromBoundaries(std::vector<OrdPath> boundaries) {
-  std::sort(boundaries.begin(), boundaries.end());
-  return ShardRouter(std::move(boundaries));
-}
-
 int ShardRouter::Route(const OrdPath& id) const {
   // Boundaries are sorted in document order; the owning shard is the count
   // of boundaries at or before `id`. std::upper_bound would need operator<
@@ -66,15 +61,22 @@ std::string ShardRouter::Serialize() const {
   return out;
 }
 
-ShardRouter ShardRouter::Deserialize(const std::string& text) {
+Result<ShardRouter> ShardRouter::Deserialize(const std::string& text) {
   std::vector<OrdPath> boundaries;
   for (const std::string& line : Split(text, '\n')) {
     std::string_view trimmed = Trim(line);
     if (trimmed.empty()) continue;
     OrdPath id = OrdPath::FromString(std::string(trimmed));
-    if (id.IsValid()) boundaries.push_back(std::move(id));
+    if (!id.IsValid() || id.Depth() != 2) {
+      return Status::ParseError("bad shard boundary: " + std::string(trimmed));
+    }
+    if (!boundaries.empty() && !(boundaries.back() < id)) {
+      return Status::ParseError("shard boundaries not strictly increasing at " +
+                                std::string(trimmed));
+    }
+    boundaries.push_back(std::move(id));
   }
-  return FromBoundaries(std::move(boundaries));
+  return ShardRouter(std::move(boundaries));
 }
 
 ViewAnchor AnalyzeViewAnchor(const Pattern& pattern,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/pattern/pattern.h"
+#include "src/util/status.h"
 #include "src/xml/document.h"
 #include "src/xml/node_id.h"
 
@@ -33,9 +34,6 @@ class ShardRouter {
   /// min(num_shards, number of top-level children), never less than 1.
   static ShardRouter Partition(const Document& doc, int num_shards);
 
-  /// Rebuilds a router from persisted boundaries (recovery path).
-  static ShardRouter FromBoundaries(std::vector<OrdPath> boundaries);
-
   int num_shards() const {
     return static_cast<int>(boundaries_.size()) + 1;
   }
@@ -49,7 +47,11 @@ class ShardRouter {
 
   /// One line per boundary, for the shards.txt manifest.
   std::string Serialize() const;
-  static ShardRouter Deserialize(const std::string& text);
+  /// Rebuilds a router from Serialize() output (recovery path). A line that
+  /// is not an ORDPATH, a boundary whose depth is not 2, or boundaries that
+  /// are not strictly increasing are a ParseError: a damaged file must not
+  /// open as a store with fewer shards.
+  [[nodiscard]] static Result<ShardRouter> Deserialize(const std::string& text);
 
  private:
   explicit ShardRouter(std::vector<OrdPath> boundaries)

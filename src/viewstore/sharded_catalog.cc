@@ -162,8 +162,8 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Create(
                               ec.message());
     }
     SVX_RETURN_IF_ERROR(
-        WriteFileBytes((fs::path(options.dir) / "shards.txt").string(),
-                       router->Serialize()));
+        WriteFileAtomic((fs::path(options.dir) / "shards.txt").string(),
+                        router->Serialize()));
   }
   std::unique_ptr<ShardedCatalog> catalog(
       new ShardedCatalog(options, std::move(router)));
@@ -185,8 +185,23 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Open(
   Result<std::string> boundaries =
       ReadFileBytes((fs::path(options.dir) / "shards.txt").string());
   if (!boundaries.ok()) return boundaries.status();
-  auto router =
-      std::make_shared<ShardRouter>(ShardRouter::Deserialize(*boundaries));
+  Result<ShardRouter> parsed = ShardRouter::Deserialize(*boundaries);
+  if (!parsed.ok()) return parsed.status();
+  auto router = std::make_shared<ShardRouter>(std::move(*parsed));
+  // A shard directory past the router's count means shards.txt lost lines:
+  // opening would silently drop that shard's views.
+  std::error_code ec;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(options.dir, ec)) {
+    const std::string name = e.path().filename().string();
+    if (!e.is_directory() || !name.starts_with("shard-")) continue;
+    std::optional<int64_t> k = ParseInt64(name.substr(6));
+    if (k.has_value() && *k >= router->num_shards()) {
+      return Status::ParseError(
+          StrFormat("shards.txt names %d shards but the store has %s/",
+                    router->num_shards(), name.c_str()));
+    }
+  }
   std::unique_ptr<ShardedCatalog> catalog(
       new ShardedCatalog(options, std::move(router)));
   auto recover = [&](ViewCatalog* c) -> Status {

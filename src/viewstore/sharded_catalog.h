@@ -27,7 +27,9 @@
 //   shard-<i>/     per-shard ViewCatalog store (manifest, extents, WAL)
 //   global/        the global catalog's store
 // Open() re-creates the router from shards.txt and Load()s every catalog,
-// which replays each shard's delta log independently.
+// which replays each shard's delta log independently. A damaged shards.txt
+// (see ShardRouter::Deserialize), or a shard-<k>/ directory at or past the
+// router's shard count, fails Open instead of opening fewer shards.
 #ifndef SVX_VIEWSTORE_SHARDED_CATALOG_H_
 #define SVX_VIEWSTORE_SHARDED_CATALOG_H_
 

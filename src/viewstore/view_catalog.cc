@@ -39,21 +39,6 @@ bool SafeName(const std::string& name) {
   return name[0] != '.';
 }
 
-/// Writes `bytes` to `path` via a temp file + rename, so readers (and
-/// crash recovery) never observe a half-written file.
-Status WriteFileAtomic(const fs::path& path, std::string_view bytes) {
-  fs::path tmp = path;
-  tmp += ".tmp";
-  SVX_RETURN_IF_ERROR(WriteFileBytes(tmp.string(), bytes));
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot rename " + tmp.string() + ": " +
-                            ec.message());
-  }
-  return Status::OK();
-}
-
 std::string ExtentFileName(const StoredView& v) {
   return StrFormat("%s.%llu.extent", v.def.name.c_str(),
                    static_cast<unsigned long long>(v.generation));
@@ -108,18 +93,16 @@ const Document* FindContentDoc(const Table& table) {
 }
 
 /// Installs `extent` as `sv`'s stored representation: encodes the columnar
-/// truth (sharing chunks unchanged since `prev`, when given), installs the
-/// decoded table resident against `budget`, and records the byte sizes.
+/// truth, installs the decoded table resident against `budget`, and records
+/// the byte sizes.
 /// `extent_bytes` is the row-major serialized size — callers either track
 /// it incrementally or pass ExtentByteSize(extent).
 void SetExtent(StoredView* sv, Table extent, int64_t extent_bytes,
-               const ColumnarExtent* prev,
                const std::shared_ptr<MemoryBudget>& budget) {
   sv->extent_bytes = extent_bytes;
   sv->decode_doc = FindContentDoc(extent);
-  auto columnar = std::make_shared<ColumnarExtent>(
-      prev != nullptr ? ColumnarExtent::EncodeSharing(extent, *prev)
-                      : ColumnarExtent::Encode(extent));
+  auto columnar =
+      std::make_shared<ColumnarExtent>(ColumnarExtent::Encode(extent));
   sv->compressed_bytes = columnar->SerializedByteSize();
   sv->columnar = std::move(columnar);
   sv->residency = std::make_shared<ExtentResidency>(budget);
@@ -145,11 +128,6 @@ ViewCatalog::ViewCatalog(ViewCatalogOptions options)
                   ? std::move(options.memory_budget)
                   : std::make_shared<MemoryBudget>(
                         options.memory_budget_bytes)) {
-  if (!dir_.empty()) {
-    // Best effort: a missing or stale profile just keeps the baked fit.
-    LoadCostProfile((fs::path(dir_) / "cost_profile.txt").string(),
-                    &cost_constants_);
-  }
   // NOLINTNEXTLINE(modernize-make-shared): private ctor, friend-only access.
   auto initial = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
   initial->epoch_ = next_epoch_++;
@@ -207,7 +185,7 @@ void ViewCatalog::PublishLocked(
   // memo, document changes replace it.
   snap->memo_ =
       doc_changed ? std::make_shared<ContainmentMemo>() : old->memo_;
-  snap->cost_model_.constants = cost_constants_;
+  snap->cost_model_.constants = CalibratedCostConstants();
   for (const auto& v : snap->views_) {
     snap->cost_model_.AddViewStats(v->def.name, v->stats);
   }
@@ -252,17 +230,11 @@ Status ViewCatalog::Add(ViewDef def, Table extent) {
   if (partition_ != nullptr) partition_->Filter(def, &extent);
   extent.SortRowsCanonical();
   std::vector<std::shared_ptr<const StoredView>> next = Current()->views();
-  // A replaced view's columnar extent seeds chunk sharing: re-adding an
-  // equal extent keeps every column chunk (and its bytes) shared.
-  const ColumnarExtent* prev = nullptr;
-  for (const auto& v : next) {
-    if (v->def.name == def.name) prev = v->columnar.get();
-  }
   auto stored = std::make_shared<StoredView>();
   stored->def = std::move(def);
   stored->stats = ComputeViewStats(extent);
   const int64_t bytes = ExtentByteSize(extent);
-  SetExtent(stored.get(), std::move(extent), bytes, prev, budget_);
+  SetExtent(stored.get(), std::move(extent), bytes, budget_);
 
   bool replaced = false;
   for (auto& v : next) {
@@ -374,9 +346,11 @@ Status ViewCatalog::PersistLocked(
           SerializeColumnarExtent(*v->columnar, v->extent_bytes);
       std::string stats_bytes = ViewStatsToString(v->stats);
       SVX_RETURN_IF_ERROR(
-          WriteFileAtomic(fs::path(dir_) / ExtentFileName(*v), extent_bytes));
+          WriteFileAtomic((fs::path(dir_) / ExtentFileName(*v)).string(),
+                          extent_bytes));
       SVX_RETURN_IF_ERROR(
-          WriteFileAtomic(fs::path(dir_) / StatsFileName(*v), stats_bytes));
+          WriteFileAtomic((fs::path(dir_) / StatsFileName(*v)).string(),
+                          stats_bytes));
       metrics::PersistBytesWritten()->Add(
           static_cast<int64_t>(extent_bytes.size() + stats_bytes.size()));
       metrics::PersistFilesWritten()->Add(2);
@@ -386,7 +360,7 @@ Status ViewCatalog::PersistLocked(
                           PatternToString(v->def.pattern).c_str());
   }
   SVX_RETURN_IF_ERROR(
-      WriteFileAtomic(fs::path(dir_) / "manifest.txt", manifest));
+      WriteFileAtomic((fs::path(dir_) / "manifest.txt").string(), manifest));
   metrics::PersistBytesWritten()->Add(static_cast<int64_t>(manifest.size()));
   metrics::PersistFilesWritten()->Add(1);
   SweepUnreferenced(dir_, LiveFileSet(views));
@@ -628,12 +602,10 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       if (!rebound) rebuild();
     }
     if (rebuilt) {
-      // generation 0: persisted fresh. Chunk sharing with the old columnar
-      // still applies — a rebuild often reproduces most columns unchanged.
+      // generation 0: persisted fresh.
       nv->stats = ComputeViewStats(working);
       const int64_t bytes = nv->extent_bytes;
-      SetExtent(nv.get(), std::move(working), bytes, v->columnar.get(),
-                budget_);
+      SetExtent(nv.get(), std::move(working), bytes, budget_);
       next.push_back(std::move(nv));
       continue;
     }
@@ -655,8 +627,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       // The incremental byte accounting (TupleByteSize adds/removes above)
       // keeps extent_bytes exact without a recount.
       const int64_t bytes = nv->extent_bytes;
-      SetExtent(nv.get(), std::move(working), bytes, v->columnar.get(),
-                budget_);
+      SetExtent(nv.get(), std::move(working), bytes, budget_);
     }
     next.push_back(std::move(nv));
   }
@@ -728,6 +699,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
 
   MutexLock lock(&writer_mu_);
   std::vector<std::shared_ptr<const StoredView>> loaded;
+  std::set<std::string> names;  // a view named twice is a damaged manifest
   uint64_t max_generation = 0;
   uint64_t persisted_epoch = 0;  // epoch the manifest's extents capture
   uint64_t wal_floor = 0;        // first WAL segment generation to replay
@@ -775,6 +747,9 @@ Status ViewCatalog::LoadImpl(const Document* doc,
     stored->def.name = std::string(rest.substr(0, space));
     if (!SafeName(stored->def.name)) {
       return Status::ParseError("unsafe view name in manifest: " + raw);
+    }
+    if (!names.insert(stored->def.name).second) {
+      return Status::ParseError("view named twice in manifest: " + raw);
     }
     rest = rest.substr(space + 1);
     space = rest.find(' ');
@@ -919,7 +894,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
       table.SortRowsCanonical();
       sv->stats = ComputeViewStats(table);
       const int64_t bytes = ExtentByteSize(table);
-      SetExtent(sv, std::move(table), bytes, sv->columnar.get(), budget_);
+      SetExtent(sv, std::move(table), bytes, budget_);
       sv->generation = 0;
     }
   }

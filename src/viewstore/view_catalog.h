@@ -252,7 +252,8 @@ class ViewCatalog {
   [[nodiscard]] Status Save() const SVX_EXCLUDES(writer_mu_);
 
   /// Replaces the catalog contents with the store at dir(). `doc` rebinds
-  /// content references (may be nullptr when no view stores content).
+  /// content references (may be nullptr when no view stores content). A
+  /// manifest that names a view twice is a ParseError.
   [[nodiscard]] Status Load(const Document* doc) SVX_EXCLUDES(writer_mu_);
 
   /// Load for concurrent serving: the loaded epoch pins `doc`/`summary`.
@@ -331,11 +332,6 @@ class ViewCatalog {
   /// Decoded-extent accounting; every StoredView's residency slot is
   /// charged here. Set in the ctor, immutable afterwards.
   std::shared_ptr<MemoryBudget> budget_;
-  /// Per-operator cost constants baked into every published snapshot's cost
-  /// model. Starts from the last tools/calibrate_costs fit; a store-local
-  /// cost_profile.txt (written with --write) overrides it at open. Set in
-  /// the ctor before any publish and immutable afterwards.
-  CostConstants cost_constants_ = CalibratedCostConstants();
   /// Serializes every mutator (and Save). Readers never take it.
   mutable Mutex writer_mu_;
   /// Guards only snapshot_ itself: shared for the reader pointer copy,

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/containment/satisfiability.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/summary/summary_io.h"
 
@@ -251,32 +250,16 @@ TEST(Containment, UnionInUnion) {
   Pattern p1 = MustParsePattern("a(/b{id})");
   Pattern p2 = MustParsePattern("a(/d(/b{id}))");
   Pattern q = MustParsePattern("a(//b{id})");
-  Result<bool> r = IsUnionContainedInUnion({&p1, &p2}, {&q}, *s);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(*r);
-  Result<bool> r2 = IsUnionContainedInUnion({&q}, {&p1, &p2}, *s);
+  // p1 ∪ p2 ⊆S q: each side member is contained in the other union.
+  for (const Pattern* p : {&p1, &p2}) {
+    Result<bool> r = IsContainedInUnion(*p, {&q}, *s);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(*r);
+  }
+  // q ⊆S p1 ∪ p2.
+  Result<bool> r2 = IsContainedInUnion(q, {&p1, &p2}, *s);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(*r2);
-}
-
-// ---- Satisfiability helpers ----
-
-TEST(Satisfiability, TriviallyUnsatisfiable) {
-  std::unique_ptr<Summary> s = Sum("a(b)");
-  EXPECT_TRUE(TriviallyUnsatisfiable(MustParsePattern("a(/z{id})"), *s));
-  EXPECT_FALSE(TriviallyUnsatisfiable(MustParsePattern("a(/b{id})"), *s));
-  // Optional subtrees do not make the pattern unsatisfiable.
-  EXPECT_FALSE(TriviallyUnsatisfiable(MustParsePattern("a(/b{id}(?/z))"), *s));
-}
-
-TEST(Satisfiability, FilterSatisfiable) {
-  std::unique_ptr<Summary> s = Sum("a(b)");
-  std::vector<Pattern> ps;
-  ps.push_back(MustParsePattern("a(/b{id})"));
-  ps.push_back(MustParsePattern("a(/z{id})"));
-  ps.push_back(MustParsePattern("a(//b{id})"));
-  std::vector<Pattern> kept = FilterSatisfiable(ps, *s);
-  EXPECT_EQ(kept.size(), 2u);
 }
 
 // Parameterized sweep: containment decision is consistent with evaluation

@@ -16,6 +16,7 @@
 #include "src/rewriting/view.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/check.h"
+#include "src/util/fileio.h"
 #include "src/util/strings.h"
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/shard_router.h"
@@ -195,10 +196,11 @@ TEST(ShardRouter, RoutesTotallyAndByContainingSubtree) {
 TEST(ShardRouter, SerializeRoundTrips) {
   std::unique_ptr<Document> doc = Doc(kBaseDoc);
   ShardRouter router = ShardRouter::Partition(*doc, 3);
-  ShardRouter back = ShardRouter::Deserialize(router.Serialize());
-  ASSERT_EQ(back.num_shards(), router.num_shards());
+  Result<ShardRouter> back = ShardRouter::Deserialize(router.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_shards(), router.num_shards());
   for (size_t i = 0; i < router.boundaries().size(); ++i) {
-    EXPECT_EQ(back.boundaries()[i].Compare(router.boundaries()[i]), 0);
+    EXPECT_EQ(back->boundaries()[i].Compare(router.boundaries()[i]), 0);
   }
 }
 
@@ -461,6 +463,53 @@ TEST(ShardedCatalog, CrashRecoveryReplaysPerShardLogs) {
   for (int i = 0; i < (*recovered)->num_shards(); ++i) {
     EXPECT_EQ((*recovered)->shard_catalog(i)->wal_depth(), 0);
   }
+}
+
+/// A damaged shards.txt must not open as a store with fewer shards: that
+/// would silently drop every view row of the lost shards.
+TEST(ShardedCatalog, OpenRejectsDamagedShardsFile) {
+  TempDir dir;
+  Stream s = BuildStream(0, 1);
+  ShardedCatalogOptions options;
+  options.num_shards = 4;
+  options.dir = dir.path;
+  std::string saved_extent;
+  {
+    Result<std::unique_ptr<ShardedCatalog>> catalog =
+        ShardedCatalog::Create(options, s.docs[0], s.summaries[0]);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    ASSERT_EQ((*catalog)->num_shards(), 4);
+    ASSERT_TRUE(MaterializeAll(catalog->get(), *s.docs[0]).ok());
+    ASSERT_TRUE((*catalog)->Save().ok());
+    TablePtr last =
+        (*catalog)->shard_catalog(3)->Find("item_names")->table().value();
+    ASSERT_GT(last->NumRows(), 0);
+    saved_extent = SerializeExtent(*last);
+  }
+  const std::string shards_file = (fs::path(dir.path) / "shards.txt").string();
+  Result<std::string> intact = ReadFileBytes(shards_file);
+  ASSERT_TRUE(intact.ok());
+  std::vector<std::string> lines = Split(Trim(*intact), '\n');
+  ASSERT_EQ(lines.size(), 3u);
+
+  auto open_with = [&](const std::vector<std::string>& ls) {
+    EXPECT_TRUE(WriteFileBytes(shards_file, Join(ls, "\n")).ok());
+    return ShardedCatalog::Open(options, s.docs[0], s.summaries[0]);
+  };
+  for (const std::vector<std::string>& damaged :
+       std::vector<std::vector<std::string>>{
+           {lines[0], "1.", lines[2]},        // torn line
+           {lines[0], lines[1]},              // last line dropped
+           {"x", lines[1], lines[2]},         // not an ORDPATH
+           {lines[2], lines[1], lines[0]}}) {  // out of order
+    EXPECT_FALSE(open_with(damaged).ok()) << Join(damaged, " | ");
+  }
+  Result<std::unique_ptr<ShardedCatalog>> reopened = open_with(lines);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ((*reopened)->num_shards(), 4);
+  const StoredView* last = (*reopened)->shard_catalog(3)->Find("item_names");
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(SerializeExtent(*last->table().value()), saved_extent);
 }
 
 TEST(ShardedCatalog, DebugMetricsAggregates) {

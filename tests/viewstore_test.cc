@@ -467,9 +467,67 @@ TEST(CostModel, NonNullSelectivityUsesOwningViewRowCount) {
   PlanPtr non_null = MakeSelectNonNull(
       MakeSelectValue(MakeViewScan("V", schema), 1, Predicate::True()), 1);
   EXPECT_NEAR(model.Estimate(*non_null).rows, in_rows * 0.4, 1e-9);
-  PlanPtr is_null = MakeSelectIsNull(
-      MakeSelectValue(MakeViewScan("V", schema), 1, Predicate::True()), 1);
-  EXPECT_NEAR(model.Estimate(*is_null).rows, in_rows * 0.6, 1e-9);
+}
+
+TEST(CostModel, CostIsLinearInConstants) {
+  // tools/calibrate_costs fits the constants by least squares, which is sound
+  // only while Estimate(plan, &units).cost == constants · units. One plan
+  // holds every operator the rewriter emits.
+  Schema a({{"A.n1.id", ColumnKind::kId, nullptr},
+            {"A.n1.l", ColumnKind::kLabel, nullptr},
+            {"A.n1.v", ColumnKind::kValue, nullptr},
+            {"A.n1.c", ColumnKind::kContent, nullptr}});
+  auto inner = std::make_shared<Schema>(
+      Schema({{"B.n2.id", ColumnKind::kId, nullptr},
+              {"B.n2.v", ColumnKind::kValue, nullptr}}));
+  Schema b({{"B.n1.id", ColumnKind::kId, nullptr},
+            {"B.n2", ColumnKind::kNested, inner}});
+  Schema c({{"C.n1.id", ColumnKind::kId, nullptr}});
+  auto branch = [&]() {
+    PlanPtr p = MakeSelectLabel(MakeViewScan("A", a), 1, "item");
+    p = MakeSelectValue(std::move(p), 2, Predicate::Gt(3));
+    p = MakeNavigate(std::move(p), 3, {{Axis::kDescendant, "name"}},
+                     kAttrValue | kAttrContent, "A.n1@name");  // cols 4, 5
+    p = MakeDeriveParent(std::move(p), 0, 1, "A.n1.up1.id");   // col 6
+    PlanPtr flat = MakeSelectNonNull(MakeOuterUnnest(MakeViewScan("B", b), 1),
+                                     2);  // B.n1.id, B.n2.id, B.n2.v
+    p = MakeIdEqJoin(std::move(p), std::move(flat), 6, 0);
+    p = MakeStructJoin(std::move(p), MakeViewScan("C", c), 0, 0,
+                       StructAxis::kParent);
+    p = MakeStructJoin(std::move(p), MakeViewScan("C", c), 7, 0,
+                       StructAxis::kAncestor);
+    return MakeProject(std::move(p), {0, 2, 8});
+  };
+  std::vector<PlanPtr> branches;
+  branches.push_back(branch());
+  branches.push_back(branch());
+  PlanPtr plan = MakeGroupBy(MakeUnion(std::move(branches)), {0}, "g");
+
+  const std::vector<std::pair<std::string, ViewStats>> stats = {
+      {"A", {40, {{"A.n1.id", 40, 40, 3, 3, 0}, {"A.n1.l", 40, 2, 4, 5, 0}}}},
+      {"B", {25, {{"B.n1.id", 25, 25, 2, 2, 0}, {"B.n2", 20, 20, 0, 4, 55},
+                  {"B.n2.v", 50, 9, 1, 2, 0}}}},
+      {"C", {70, {{"C.n1.id", 70, 70, 3, 6, 0}}}}};
+  for (bool with_stats : {true, false}) {
+    for (const CostConstants& constants :
+         {CostConstants{}, CalibratedCostConstants()}) {
+      CostModel model;
+      model.constants = constants;
+      for (const auto& [view, view_stats] : stats) {
+        if (with_stats) model.AddViewStats(view, view_stats);
+      }
+      std::array<double, CostConstants::kNumTerms> units{};
+      const double cost = model.Estimate(*plan, &units).cost;
+      EXPECT_EQ(model.Estimate(*plan).cost, cost);
+      double dot = 0;
+      const auto k = constants.ToArray();
+      for (size_t t = 0; t < CostConstants::kNumTerms; ++t) {
+        EXPECT_GT(units[t], 0) << CostConstants::TermName(t);
+        dot += k[t] * units[t];
+      }
+      EXPECT_NEAR(cost, dot, 1e-9 * cost) << "with_stats " << with_stats;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -640,6 +698,35 @@ TEST(ViewCatalog, LoadFailsOnManifestPointingAtMissingExtent) {
   EXPECT_FALSE(s.ok());
   // A failed load leaves the catalog reusable (no partial state observed
   // through the public API).
+  EXPECT_EQ(reloaded.size(), 0);
+}
+
+TEST(ViewCatalog, LoadRejectsDuplicateManifestView) {
+  std::unique_ptr<Document> d = Doc("a(b=1 c=2)");
+  TempDir dir;
+  {
+    ViewCatalog catalog(dir.path);
+    ASSERT_TRUE(
+        catalog.Materialize({"VB", MustParsePattern("a(/b{id,v})")}, *d).ok());
+    ASSERT_TRUE(
+        catalog.Materialize({"VC", MustParsePattern("a(/c{id,v})")}, *d).ok());
+    ASSERT_TRUE(catalog.Save().ok());
+  }
+  // Name VB a second time: Find() would serve the first entry while the
+  // executor catalog and the cost model kept the last.
+  const std::string path = (fs::path(dir.path) / "manifest.txt").string();
+  Result<std::string> manifest = ReadFileBytes(path);
+  ASSERT_TRUE(manifest.ok());
+  std::istringstream lines(*manifest);
+  std::string vb_line;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("view VB ")) vb_line = line;
+  }
+  ASSERT_FALSE(vb_line.empty());
+  ASSERT_TRUE(WriteFileBytes(path, *manifest + vb_line + "\n").ok());
+  ViewCatalog reloaded(dir.path);
+  Status s = reloaded.Load(d.get());
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
   EXPECT_EQ(reloaded.size(), 0);
 }
 

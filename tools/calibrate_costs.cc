@@ -7,19 +7,16 @@
 // ms): generate an XMark document, materialize the base-tag views, rewrite
 // the 20-query workload, and time every produced plan plus a raw scan of
 // every view extent. The fitted milliseconds-per-unit vector is normalized
-// so scan = 1.0 (costs stay in "rows scanned" units), printed as a
-// paste-ready CalibratedCostConstants() block, and optionally written as a
-// store-loadable profile.
+// so scan = 1.0 (costs stay in "rows scanned" units) and printed as a
+// paste-ready CalibratedCostConstants() block: pasting it into
+// cost_constants.h is how the constants every ViewCatalog snapshot uses are
+// refreshed.
 //
-//   $ ./calibrate_costs [scale] [--reps N] [--write <store_dir>]
-//
-// --write saves <store_dir>/cost_profile.txt, which ViewCatalog loads at
-// open, overriding the baked-in constants for every published snapshot.
+//   $ ./calibrate_costs [scale] [--reps N]
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -154,7 +151,7 @@ bool FitNonNegative(const std::vector<Sample>& samples,
   return true;
 }
 
-int Run(double scale, int reps, const std::string& write_dir) {
+int Run(double scale, int reps) {
   XmarkOptions opts;
   opts.scale = scale;
   std::unique_ptr<Document> doc = GenerateXmark(opts);
@@ -171,7 +168,7 @@ int Run(double scale, int reps, const std::string& write_dir) {
     }
   }
   CostModel model = catalog.BuildCostModel();
-  model.constants = DefaultCostConstants();  // units, not the current fit
+  model.constants = CostConstants{};  // units, not the current fit
   Catalog exec_catalog = catalog.ExecutorCatalog();
   std::printf("scale %.2f: %d nodes, %zu views, %d reps per plan\n", scale,
               doc->size(), defs.size(), reps);
@@ -235,7 +232,7 @@ int Run(double scale, int reps, const std::string& write_dir) {
     std::printf("%-14s %14.6g %14.6g\n", CostConstants::TermName(t), fit[t],
                 rel[t]);
   }
-  double before = SpearmanCorr(samples, DefaultCostConstants());
+  double before = SpearmanCorr(samples, CostConstants{});
   double after = SpearmanCorr(samples, fitted);
   std::printf("\nSpearman(cost, measured ms): default %.3f -> fitted %.3f\n",
               before, after);
@@ -247,16 +244,6 @@ int Run(double scale, int reps, const std::string& write_dir) {
     std::printf("  c.%s = %.6g;\n", CostConstants::TermName(t), rel[t]);
   }
 
-  if (!write_dir.empty()) {
-    std::filesystem::create_directories(write_dir);
-    std::string path =
-        (std::filesystem::path(write_dir) / "cost_profile.txt").string();
-    if (!SaveCostProfile(path, fitted)) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
   return 0;
 }
 
@@ -264,11 +251,9 @@ int Run(double scale, int reps, const std::string& write_dir) {
 }  // namespace svx
 
 int main(int argc, char** argv) {
-  svx::BenchArgs args(
-      argc, argv, "calibrate_costs [scale] [--reps N] [--write <store_dir>]");
+  svx::BenchArgs args(argc, argv, "calibrate_costs [scale] [--reps N]");
   const double scale = args.Positional(0, "scale", 0.5, svx::kPositive);
   const int reps = args.Flag("--reps", 3, {1});
-  const std::string write_dir = args.Flag("--write", std::string());
   args.Finish();
-  return svx::Run(scale, reps, write_dir);
+  return svx::Run(scale, reps);
 }

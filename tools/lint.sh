@@ -97,7 +97,6 @@ void Touch() {
   svx::metrics::RewriteCalls()->Add(1);
   svx::metrics::EpochCurrent()->Set(3);
   svx::metrics::RewriteLatencyUs()->Observe(42);
-  svx::ScopedLatency timed(svx::metrics::ExecutorLatencyUs());
   svx::metrics::RegisterStandardMetrics();
 }
 EOF
