@@ -103,6 +103,18 @@ Pattern Pattern::Strict() const {
   return p;
 }
 
+Pattern Pattern::WithReturnNodes(
+    const std::vector<PatternNodeId>& keep) const {
+  Pattern p = *this;
+  for (PatternNodeId n = 0; n < p.size(); ++n) {
+    p.mutable_node(n).attrs = 0;
+  }
+  for (PatternNodeId n : keep) {
+    p.mutable_node(n).attrs = kAttrId;
+  }
+  return p;
+}
+
 Pattern Pattern::EraseSubtrees(const std::vector<PatternNodeId>& roots,
                                std::vector<PatternNodeId>* old_to_new) const {
   std::vector<bool> erased(nodes_.size(), false);

@@ -112,6 +112,11 @@ class Pattern {
   /// Copy with every edge made non-optional (the paper's p0, §4.3).
   Pattern Strict() const;
 
+  /// Copy with all attributes erased except on the given nodes, where they
+  /// are replaced by kAttrId — used to "choose k return nodes" before a
+  /// containment test (§3.3).
+  Pattern WithReturnNodes(const std::vector<PatternNodeId>& keep) const;
+
   /// Copy with the subtrees rooted at the given nodes removed (each id must
   /// not be the root). Node ids are renumbered; the returned mapping gives
   /// old-id -> new-id (-1 if erased).

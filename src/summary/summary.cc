@@ -85,6 +85,32 @@ std::vector<PathId> Summary::Descendants(PathId s) const {
   return out;
 }
 
+std::vector<PathId> Summary::StrongClosure(std::vector<PathId> seed) const {
+  std::vector<bool> in(static_cast<size_t>(size()), false);
+  std::vector<PathId> stack;
+  for (PathId s : seed) {
+    if (!in[Check(s)]) {
+      in[Check(s)] = true;
+      stack.push_back(s);
+    }
+  }
+  while (!stack.empty()) {
+    PathId cur = stack.back();
+    stack.pop_back();
+    for (PathId c : children(cur)) {
+      if (strong_edge(c) && !in[Check(c)]) {
+        in[Check(c)] = true;
+        stack.push_back(c);
+      }
+    }
+  }
+  std::vector<PathId> out;
+  for (PathId s = 0; s < size(); ++s) {
+    if (in[Check(s)]) out.push_back(s);
+  }
+  return out;
+}
+
 bool Summary::StructurallyEquals(const Summary& other) const {
   if (size() != other.size()) return false;
   for (PathId s = 0; s < size(); ++s) {

@@ -346,11 +346,9 @@ Status ViewCatalog::PersistLocked(
           SerializeColumnarExtent(*v->columnar, v->extent_bytes);
       std::string stats_bytes = ViewStatsToString(v->stats);
       SVX_RETURN_IF_ERROR(
-          WriteFileAtomic((fs::path(dir_) / ExtentFileName(*v)).string(),
-                          extent_bytes));
+          WriteFileAtomic(fs::path(dir_) / ExtentFileName(*v), extent_bytes));
       SVX_RETURN_IF_ERROR(
-          WriteFileAtomic((fs::path(dir_) / StatsFileName(*v)).string(),
-                          stats_bytes));
+          WriteFileAtomic(fs::path(dir_) / StatsFileName(*v), stats_bytes));
       metrics::PersistBytesWritten()->Add(
           static_cast<int64_t>(extent_bytes.size() + stats_bytes.size()));
       metrics::PersistFilesWritten()->Add(2);
@@ -360,7 +358,7 @@ Status ViewCatalog::PersistLocked(
                           PatternToString(v->def.pattern).c_str());
   }
   SVX_RETURN_IF_ERROR(
-      WriteFileAtomic((fs::path(dir_) / "manifest.txt").string(), manifest));
+      WriteFileAtomic(fs::path(dir_) / "manifest.txt", manifest));
   metrics::PersistBytesWritten()->Add(static_cast<int64_t>(manifest.size()));
   metrics::PersistFilesWritten()->Add(1);
   SweepUnreferenced(dir_, LiveFileSet(views));

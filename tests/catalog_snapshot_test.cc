@@ -194,8 +194,8 @@ TEST(CatalogSnapshot, SharedViewIndexMatchesPerRewriterIndex) {
       snap->ViewIndexFor(*snap->summary(), opts.expansion);
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->size(), 2);
-  // One build per expansion fingerprint for the pinned summary: same
-  // object on re-request.
+  // The pinned summary's index is built once per snapshot; every later
+  // request returns the same object.
   EXPECT_EQ(snap->ViewIndexFor(*snap->summary(), opts.expansion).get(),
             index.get());
   // A caller-owned summary (lifetime not pinned by the snapshot) gets a

@@ -109,6 +109,14 @@ TEST(Pattern, StrictClearsOptional) {
   EXPECT_TRUE(p.HasOptionalEdges());  // original untouched
 }
 
+TEST(Pattern, WithReturnNodesMasksAttrs) {
+  Pattern p = MustParsePattern("a(//b{id} /c{v})");
+  Pattern q = p.WithReturnNodes({2});
+  EXPECT_EQ(q.Arity(), 1);
+  EXPECT_EQ(q.node(2).attrs, kAttrId);
+  EXPECT_EQ(q.node(1).attrs, 0);
+}
+
 TEST(Pattern, EraseSubtrees) {
   Pattern p = MustParsePattern("a(/b(/c /d) //e)");
   std::vector<PatternNodeId> old_to_new;

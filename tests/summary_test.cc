@@ -140,6 +140,20 @@ TEST(SummaryIo, RejectsDuplicatesAndBadRoot) {
   EXPECT_FALSE(ParseSummary("a(b").ok());
 }
 
+TEST(SummaryIo, StrongClosure) {
+  Result<std::unique_ptr<Summary>> sr = ParseSummary("a(b!(c!) d(e!) f)");
+  ASSERT_TRUE(sr.ok());
+  const Summary& s = **sr;
+  // Closure of {a}: follows a->b (strong), b->c (strong); not a->d, a->f.
+  std::vector<PathId> cl = s.StrongClosure({s.root()});
+  std::vector<std::string> paths;
+  for (PathId p : cl) paths.push_back(s.PathString(p));
+  EXPECT_EQ(paths, (std::vector<std::string>{"/a", "/a/b", "/a/b/c"}));
+  // Closure of {d}: adds e.
+  cl = s.StrongClosure({s.Resolve("/a/d")});
+  EXPECT_EQ(cl.size(), 2u);
+}
+
 TEST(Conformance, ExactConformance) {
   std::unique_ptr<Document> d = Doc("a(b(e) b(e) c)");
   std::unique_ptr<Summary> s = SummaryBuilder::Build(d.get());
