@@ -28,34 +28,6 @@ const char* PlanKindName(PlanKind kind) {
   return "?";
 }
 
-std::unique_ptr<PlanNode> PlanNode::Clone() const {
-  auto out = std::make_unique<PlanNode>();
-  *out = PlanNode{};  // value-init scalars
-  out->kind = kind;
-  out->schema = schema;
-  out->view_name = view_name;
-  out->left_col = left_col;
-  out->right_col = right_col;
-  out->struct_axis = struct_axis;
-  out->select_kind = select_kind;
-  out->select_col = select_col;
-  out->select_label = select_label;
-  out->select_pred = select_pred;
-  out->project_cols = project_cols;
-  out->unnest_col = unnest_col;
-  out->group_key_cols = group_key_cols;
-  out->group_col_name = group_col_name;
-  out->navigate_col = navigate_col;
-  out->navigate_steps = navigate_steps;
-  out->navigate_attrs = navigate_attrs;
-  out->navigate_name = navigate_name;
-  out->derive_col = derive_col;
-  out->derive_steps = derive_steps;
-  out->derive_name = derive_name;
-  for (const PlanPtr& c : children) out->children.push_back(c->Clone());
-  return out;
-}
-
 namespace {
 
 Schema ConcatSchemas(const Schema& a, const Schema& b) {
@@ -83,7 +55,7 @@ void AppendAttrColumns(Schema* schema, const std::string& prefix,
 }  // namespace
 
 PlanPtr MakeViewScan(const std::string& view_name, Schema schema) {
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kViewScan;
   p->view_name = view_name;
   p->schema = std::move(schema);
@@ -94,7 +66,7 @@ PlanPtr MakeIdEqJoin(PlanPtr left, PlanPtr right, int32_t left_col,
                      int32_t right_col) {
   SVX_CHECK(left->schema.column(left_col).kind == ColumnKind::kId);
   SVX_CHECK(right->schema.column(right_col).kind == ColumnKind::kId);
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kIdEqJoin;
   p->schema = ConcatSchemas(left->schema, right->schema);
   p->left_col = left_col;
@@ -108,7 +80,7 @@ PlanPtr MakeStructJoin(PlanPtr left, PlanPtr right, int32_t left_col,
                        int32_t right_col, StructAxis axis) {
   SVX_CHECK(left->schema.column(left_col).kind == ColumnKind::kId);
   SVX_CHECK(right->schema.column(right_col).kind == ColumnKind::kId);
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kStructJoin;
   p->schema = ConcatSchemas(left->schema, right->schema);
   p->left_col = left_col;
@@ -123,7 +95,7 @@ namespace {
 PlanPtr MakeSelect(PlanPtr input, SelectKind kind, int32_t col,
                    std::string label, Predicate pred) {
   SVX_CHECK(col >= 0 && col < input->schema.size());
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kSelect;
   p->schema = input->schema;
   p->select_kind = kind;
@@ -152,7 +124,7 @@ PlanPtr MakeSelectValue(PlanPtr input, int32_t col, Predicate pred) {
 }
 
 PlanPtr MakeProject(PlanPtr input, std::vector<int32_t> cols) {
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kProject;
   for (int32_t c : cols) p->schema.Append(input->schema.column(c));
   p->project_cols = std::move(cols);
@@ -162,20 +134,20 @@ PlanPtr MakeProject(PlanPtr input, std::vector<int32_t> cols) {
 
 PlanPtr MakeUnion(std::vector<PlanPtr> inputs) {
   SVX_CHECK(!inputs.empty());
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kUnion;
   p->schema = inputs[0]->schema;
   for (size_t i = 1; i < inputs.size(); ++i) {
     SVX_CHECK_MSG(inputs[i]->schema.size() == p->schema.size(),
                   "union inputs must have equal arity");
   }
-  for (PlanPtr& in : inputs) p->children.push_back(std::move(in));
+  p->children = std::move(inputs);
   return p;
 }
 
 PlanPtr MakeOuterUnnest(PlanPtr input, int32_t col) {
   SVX_CHECK(input->schema.column(col).kind == ColumnKind::kNested);
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kUnnest;
   const Schema& in = input->schema;
   for (int32_t i = 0; i < in.size(); ++i) {
@@ -194,7 +166,7 @@ PlanPtr MakeOuterUnnest(PlanPtr input, int32_t col) {
 
 PlanPtr MakeGroupBy(PlanPtr input, std::vector<int32_t> key_cols,
                     const std::string& group_col_name) {
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kGroupBy;
   const Schema& in = input->schema;
   auto nested = std::make_shared<Schema>();
@@ -216,7 +188,7 @@ PlanPtr MakeNavigate(PlanPtr input, int32_t content_col,
                      const std::string& name) {
   SVX_CHECK(input->schema.column(content_col).kind == ColumnKind::kContent);
   SVX_CHECK(attrs != 0);
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kNavigate;
   p->schema = input->schema;
   AppendAttrColumns(&p->schema, name, attrs);
@@ -232,7 +204,7 @@ PlanPtr MakeDeriveParent(PlanPtr input, int32_t id_col, int32_t steps,
                          const std::string& name) {
   SVX_CHECK(input->schema.column(id_col).kind == ColumnKind::kId);
   SVX_CHECK(steps >= 1);
-  auto p = std::make_unique<PlanNode>();
+  auto p = std::make_shared<PlanNode>();
   p->kind = PlanKind::kDeriveParent;
   p->schema = input->schema;
   p->schema.Append({name, ColumnKind::kId, nullptr});

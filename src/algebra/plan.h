@@ -44,11 +44,13 @@ struct NavStep {
   std::string label;  // "*" allowed
 };
 
-/// A logical plan node. Children are owned; `schema` is the output schema,
-/// computed at construction.
+/// A logical plan node. `schema` is the output schema, computed at
+/// construction. A node is immutable once its factory has returned it, so
+/// plans share subplans: a join holds its operands, a union its branches and
+/// a cache hit the cached plan, all by pointer.
 struct PlanNode {
   PlanKind kind;
-  std::vector<std::unique_ptr<PlanNode>> children;
+  std::vector<std::shared_ptr<const PlanNode>> children;
   Schema schema;
 
   // kViewScan
@@ -88,12 +90,9 @@ struct PlanNode {
   int32_t derive_col = -1;
   int32_t derive_steps = 1;
   std::string derive_name;
-
-  /// Deep copy.
-  std::unique_ptr<PlanNode> Clone() const;
 };
 
-using PlanPtr = std::unique_ptr<PlanNode>;
+using PlanPtr = std::shared_ptr<const PlanNode>;
 
 // ---- Factories (each computes the output schema) ----
 

@@ -106,16 +106,8 @@ class Pattern {
   /// u on the root path such that the edge entering u is nested.
   std::vector<PatternNodeId> NestingAncestors(PatternNodeId n) const;
 
-  /// Deep copy.
-  Pattern Clone() const { return *this; }
-
   /// Copy with every edge made non-optional (the paper's p0, §4.3).
   Pattern Strict() const;
-
-  /// Copy with all attributes erased except on the given nodes, where they
-  /// are replaced by kAttrId — used to "choose k return nodes" before a
-  /// containment test (§3.3).
-  Pattern WithReturnNodes(const std::vector<PatternNodeId>& keep) const;
 
   /// Copy with the subtrees rooted at the given nodes removed (each id must
   /// not be the root). Node ids are renumbered; the returned mapping gives

@@ -267,26 +267,24 @@ Result<std::vector<Candidate>> ExpandView(
   }
   if (pruned.size() == 0) return out;
 
-  // ---- Base plan: scan + outer-unnest of every nested group column. ----
-  Schema scan_schema = ViewSchema(view.pattern, view.name);
-  auto base_plan_factory = [&]() -> PlanPtr {
-    PlanPtr plan = MakeViewScan(view.name, scan_schema);
-    // Repeatedly flatten nested columns (outer unnest keeps ⊥ groups as ⊥
-    // rows, matching the optional edge the flattening leaves behind).
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int32_t i = 0; i < plan->schema.size(); ++i) {
-        const ColumnSpec& c = plan->schema.column(i);
-        if (c.kind == ColumnKind::kNested && c.nested->size() > 0) {
-          plan = MakeOuterUnnest(std::move(plan), i);
-          changed = true;
-          break;
-        }
+  // ---- Base plan, shared by every variant: scan + outer-unnest of every
+  // nested group column. ----
+  PlanPtr base_plan =
+      MakeViewScan(view.name, ViewSchema(view.pattern, view.name));
+  // Repeatedly flatten nested columns (outer unnest keeps ⊥ groups as ⊥
+  // rows, matching the optional edge the flattening leaves behind).
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int32_t i = 0; i < base_plan->schema.size(); ++i) {
+      const ColumnSpec& c = base_plan->schema.column(i);
+      if (c.kind == ColumnKind::kNested && c.nested->size() > 0) {
+        base_plan = MakeOuterUnnest(std::move(base_plan), i);
+        changed = true;
+        break;
       }
     }
-    return plan;
-  };
+  }
 
   // Flatten the pattern: nested edges become optional (outer-unnest
   // semantics: groups with no binding surface as ⊥ rows).
@@ -320,7 +318,7 @@ Result<std::vector<Candidate>> ExpandView(
   std::unordered_set<std::string> variant_keys;
   for (size_t mask = 0; mask < num_variants; ++mask) {
     Pattern variant = flattened;
-    PlanPtr plan = base_plan_factory();
+    PlanPtr plan = base_plan;
     for (size_t i = 0; i < strengthenable.size(); ++i) {
       if ((mask & (static_cast<size_t>(1) << i)) == 0) continue;
       const Strengthenable& st = strengthenable[i];

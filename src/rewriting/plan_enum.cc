@@ -787,7 +787,7 @@ void PlanEnumerator::Run(const MatchFn& match, const DeadlineFn& deadline) {
                 std::sort(jp.bases.begin(), jp.bases.end());
 
                 jp.cand.plan = MakeJoinPlan(
-                    anc.cand.plan->Clone(), desc.cand.plan->Clone(),
+                    anc.cand.plan, desc.cand.plan,
                     anc.info.prefix_id_cols[anc_pidx],
                     desc.info.prefix_id_cols[desc_pidx], type);
                 jp.cand.used_views = anc.cand.used_views;

@@ -235,7 +235,7 @@ class RewriteSession {
 
       PlanPtr projected = BuildProjectedPlan(cand, asg, selects);
       if (*covered) {
-        PlanPtr final_plan = AdaptNesting(projected->Clone());
+        PlanPtr final_plan = AdaptNesting(projected);
         std::string compact = PlanToCompactString(*final_plan);
         if (result_compacts_.insert(compact).second) {
           results->push_back({std::move(final_plan), std::move(compact)});
@@ -284,9 +284,7 @@ class RewriteSession {
           if (covered.ok() && *covered) {
             found_subsets.push_back(idx);
             std::vector<PlanPtr> plans;
-            for (size_t i : idx) {
-              plans.push_back(partials_[i].projected_plan->Clone());
-            }
+            for (size_t i : idx) plans.push_back(partials_[i].projected_plan);
             PlanPtr u = MakeUnion(std::move(plans));
             PlanPtr final_plan = AdaptNesting(std::move(u));
             std::string compact = PlanToCompactString(*final_plan);
@@ -543,7 +541,31 @@ class RewriteSession {
 
   PlanPtr BuildProjectedPlan(const Candidate& cand, const Assignment& asg,
                              const std::vector<PlanSelect>& selects) const {
-    PlanPtr plan = cand.plan->Clone();
+    // Projection: query columns in preorder, attrs in (id, l, v, c) order —
+    // the ViewSchema layout.
+    std::vector<int32_t> cols;
+    for (size_t i = 0; i < asg.prefixes.size(); ++i) {
+      for (uint8_t attr : {kAttrId, kAttrLabel, kAttrValue, kAttrContent}) {
+        if ((qi_.col_attrs[i] & attr) == 0) continue;
+        const ColumnBinding* b = cand.pieces[0].Find(asg.prefixes[i], attr);
+        SVX_CHECK(b != nullptr);
+        cols.push_back(b->col);
+      }
+    }
+    // navfID / navC append their columns after their input's, and
+    // ExpandView stacks them on top of a base candidate's plan: skip the
+    // top ones whose columns no selection or projection reads.
+    int32_t read_width = 0;
+    for (int32_t c : cols) read_width = std::max(read_width, c + 1);
+    for (const PlanSelect& s : selects) {
+      read_width = std::max(read_width, s.col + 1);
+    }
+    PlanPtr plan = cand.plan;
+    while ((plan->kind == PlanKind::kDeriveParent ||
+            plan->kind == PlanKind::kNavigate) &&
+           plan->children[0]->schema.size() >= read_width) {
+      plan = plan->children[0];
+    }
     for (const PlanSelect& s : selects) {
       switch (s.kind) {
         case SelectKind::kLabelEq:
@@ -559,118 +581,7 @@ class RewriteSession {
           SVX_CHECK(false);
       }
     }
-    // Projection: query columns in preorder, attrs in (id, l, v, c) order —
-    // the ViewSchema layout.
-    std::vector<int32_t> cols;
-    for (size_t i = 0; i < asg.prefixes.size(); ++i) {
-      for (uint8_t attr : {kAttrId, kAttrLabel, kAttrValue, kAttrContent}) {
-        if ((qi_.col_attrs[i] & attr) == 0) continue;
-        const ColumnBinding* b = cand.pieces[0].Find(asg.prefixes[i], attr);
-        SVX_CHECK(b != nullptr);
-        cols.push_back(b->col);
-      }
-    }
-    PlanPtr projected = MakeProject(std::move(plan), cols);
-    PruneUnusedAppendOps(projected.get());
-    return projected;
-  }
-
-  /// Removes navfID / navC operators on the unary chain under `root` whose
-  /// appended (suffix) columns no selection or projection above consumes.
-  /// Splicing such an operator never shifts a retained index: its columns
-  /// are the last ones of its output and nothing above references at or
-  /// beyond them.
-  static void PruneUnusedAppendOps(PlanNode* root) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      // Collect consumed column indexes along the unary chain.
-      std::vector<int32_t> used;
-      for (PlanNode* node = root;
-           node->children.size() == 1 &&
-           (node->kind == PlanKind::kProject ||
-            node->kind == PlanKind::kSelect ||
-            node->kind == PlanKind::kDeriveParent ||
-            node->kind == PlanKind::kNavigate);
-           node = node->children[0].get()) {
-        if (node->kind == PlanKind::kProject) {
-          for (int32_t c : node->project_cols) used.push_back(c);
-        } else if (node->kind == PlanKind::kSelect) {
-          used.push_back(node->select_col);
-        }
-      }
-      // Splice the topmost removable operator.
-      for (PlanNode* parent = root;
-           parent->children.size() == 1 && !changed;
-           parent = parent->children[0].get()) {
-        PlanNode* child = parent->children[0].get();
-        if (child->kind != PlanKind::kDeriveParent &&
-            child->kind != PlanKind::kNavigate) {
-          continue;
-        }
-        int32_t lo = child->children[0]->schema.size();
-        bool safe = true;
-        for (int32_t c : used) safe = safe && c < lo;
-        if (safe) {
-          PlanPtr grandchild = std::move(child->children[0]);
-          parent->children[0] = std::move(grandchild);
-          changed = true;
-        }
-      }
-      if (changed) RecomputeChainSchemas(root);
-    }
-  }
-
-  /// Refreshes the cached output schemas of the unary chain after a splice
-  /// (selects are width-preserving; derive/navigate re-append their suffix
-  /// columns onto the new child schema).
-  static void RecomputeChainSchemas(PlanNode* root) {
-    std::vector<PlanNode*> chain;
-    for (PlanNode* node = root;; node = node->children[0].get()) {
-      chain.push_back(node);
-      if (node->children.size() != 1 ||
-          (node->kind != PlanKind::kProject &&
-           node->kind != PlanKind::kSelect &&
-           node->kind != PlanKind::kDeriveParent &&
-           node->kind != PlanKind::kNavigate)) {
-        break;
-      }
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      PlanNode* node = *it;
-      if (node->children.size() != 1) continue;
-      const Schema& child = node->children[0]->schema;
-      switch (node->kind) {
-        case PlanKind::kSelect: {
-          node->schema = child;
-          break;
-        }
-        case PlanKind::kDeriveParent:
-        case PlanKind::kNavigate: {
-          int32_t appended =
-              node->kind == PlanKind::kDeriveParent
-                  ? 1
-                  : __builtin_popcount(node->navigate_attrs);
-          Schema fresh = child;
-          for (int32_t k = node->schema.size() - appended;
-               k < node->schema.size(); ++k) {
-            fresh.Append(node->schema.column(k));
-          }
-          node->schema = std::move(fresh);
-          break;
-        }
-        case PlanKind::kProject: {
-          Schema fresh;
-          for (int32_t c : node->project_cols) {
-            fresh.Append(child.column(c));
-          }
-          node->schema = std::move(fresh);
-          break;
-        }
-        default:
-          break;
-      }
-    }
+    return MakeProject(std::move(plan), std::move(cols));
   }
 
   /// §4.6: re-nests the flat projected plan per the query's nested edges
@@ -1198,7 +1109,7 @@ Result<std::vector<Rewriting>> Rewriter::RewriteExhaustive(
                                        desc.cand.used_views.begin(),
                                        desc.cand.used_views.end());
               joined.plan = MakeJoinPlan(
-                  anc.cand.plan->Clone(), desc.cand.plan->Clone(),
+                  anc.cand.plan, desc.cand.plan,
                   anc.cand.pieces[0].Find(anc.prefixes[ap], kAttrId)->col,
                   desc.cand.pieces[0].Find(desc.prefixes[dp], kAttrId)->col,
                   type);

@@ -81,11 +81,6 @@ class Summary {
   /// All descendants of `s` (strict), in preorder.
   std::vector<PathId> Descendants(PathId s) const;
 
-  /// Downward closure of `seed` through strong edges only (enhanced
-  /// canonical model, §4.1): repeatedly adds every strong-edge child of a
-  /// member. Returns the closure including the seed, sorted.
-  std::vector<PathId> StrongClosure(std::vector<PathId> seed) const;
-
   /// The label vocabulary.
   const StringInterner& labels() const { return label_interner_; }
 

@@ -8,19 +8,6 @@
 
 namespace svx {
 
-namespace {
-
-std::vector<Rewriting> CloneRewritings(const std::vector<Rewriting>& rws) {
-  std::vector<Rewriting> out;
-  out.reserve(rws.size());
-  for (const Rewriting& r : rws) {
-    out.push_back({r.plan->Clone(), r.compact, r.est_cost});
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string RewriteCache::KeyFor(const Pattern& q) {
   return PatternToString(q);
 }
@@ -36,7 +23,7 @@ bool RewriteCache::Lookup(const std::string& key, std::vector<Rewriting>* out,
   }
   ++hits_;
   metrics::RewriteCacheHits()->Add(1);
-  *out = CloneRewritings(it->second.rewritings);
+  *out = it->second.rewritings;
   // Replay the search counters the entry cost when it was computed.
   // Truncated searches are never cached (see CachedRewrite), so a hit is
   // always a complete search.
@@ -48,10 +35,10 @@ void RewriteCache::Insert(const std::string& key,
                           const std::vector<Rewriting>& rewritings,
                           const RewriteStats* stats) {
   Entry entry;
-  entry.rewritings = CloneRewritings(rewritings);
+  entry.rewritings = rewritings;
   if (stats != nullptr) entry.stats = *stats;
   MutexLock lock(&mu_);
-  if (entries_.size() >= max_entries && entries_.find(key) == entries_.end()) {
+  if (entries_.size() >= kMaxEntries && entries_.find(key) == entries_.end()) {
     entries_.clear();
   }
   entries_[key] = std::move(entry);

@@ -14,8 +14,9 @@
 // Thread-safe: an internal mutex guards the table, so concurrent readers
 // of one snapshot share warm entries.
 //
-// Entries store plans by value; Lookup returns deep clones, so callers own
-// their plans and cache entries stay immutable.
+// Entries hold immutable plans (PlanPtr points to a const PlanNode); a hit
+// copies the rewriting list, which shares the cached plans with every other
+// reader of the entry.
 #ifndef SVX_VIEWSTORE_REWRITE_CACHE_H_
 #define SVX_VIEWSTORE_REWRITE_CACHE_H_
 
@@ -37,22 +38,22 @@ class RewriteCache {
   /// Cache key of a query pattern (its round-trippable text form).
   static std::string KeyFor(const Pattern& q);
 
-  /// Returns true and fills `out` with cloned rewritings (ranked order
-  /// preserved) when `key` is cached. An entry may hold zero rewritings —
-  /// "no rewriting exists" is equally worth caching. With a non-null
-  /// `stats`, the search counters recorded at insert time (candidates
-  /// built/pruned, equivalence tests, memo hits/misses, ...) are copied
-  /// into it, so a warm hit reports the work its entry originally cost
-  /// instead of zeros. The whole recorded RewriteStats is copied, timing
-  /// fields and hit count included; CachedRewrite resets those for the
-  /// warm lookup.
+  /// Returns true and fills `out` with the cached rewritings (ranked order
+  /// preserved, plans shared) when `key` is cached. An entry may hold zero
+  /// rewritings — "no rewriting exists" is equally worth caching. With a
+  /// non-null `stats`, the search counters recorded at insert time
+  /// (candidates built/pruned, equivalence tests, memo hits/misses, ...) are
+  /// copied into it, so a warm hit reports the work its entry originally
+  /// cost instead of zeros. The whole recorded RewriteStats is copied,
+  /// timing fields and hit count included; CachedRewrite resets those for
+  /// the warm lookup.
   bool Lookup(const std::string& key, std::vector<Rewriting>* out,
               RewriteStats* stats = nullptr) const SVX_EXCLUDES(mu_);
 
-  /// Caches `rewritings` (cloned) under `key`, replacing any previous
+  /// Caches `rewritings` (plans shared) under `key`, replacing any previous
   /// entry, together with the search stats that produced them (replayed on
   /// hits — see Lookup). When the cache is full, the whole table is dropped
-  /// first — a crude but constant-time eviction; `max_entries` is high
+  /// first — a crude but constant-time eviction; `kMaxEntries` is high
   /// enough that this only guards against unbounded ad-hoc query streams.
   void Insert(const std::string& key, const std::vector<Rewriting>& rewritings,
               const RewriteStats* stats = nullptr) SVX_EXCLUDES(mu_);
@@ -67,8 +68,8 @@ class RewriteCache {
   size_t misses() const SVX_EXCLUDES(mu_);
   size_t invalidations() const SVX_EXCLUDES(mu_);
 
-  /// Set before the cache is shared across threads.
-  size_t max_entries = 4096;
+  /// Entries held before an insert of a new key drops the table.
+  static constexpr size_t kMaxEntries = 4096;
 
  private:
   struct Entry {

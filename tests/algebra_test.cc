@@ -262,22 +262,5 @@ TEST(PlanPrinter, RendersOperators) {
   EXPECT_NE(full.find("scan(V1)"), std::string::npos);
 }
 
-TEST(PlanClone, DeepCopyExecutesIdentically) {
-  Schema s;
-  s.Append({"v.id", ColumnKind::kId, nullptr});
-  s.Append({"v.v", ColumnKind::kValue, nullptr});
-  Table t(s);
-  t.AddRow({Value{OrdPath::FromString("1.1")}, Value{std::string("5")}});
-  Catalog c;
-  c.Register("V", &t);
-  PlanPtr plan = MakeSelectValue(MakeViewScan("V", s), 1, Predicate::Eq(5));
-  PlanPtr clone = plan->Clone();
-  Result<Table> a = Execute(*plan, c);
-  Result<Table> b = Execute(*clone, c);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->EqualsIgnoringOrder(*b));
-}
-
 }  // namespace
 }  // namespace svx

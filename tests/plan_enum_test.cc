@@ -198,7 +198,7 @@ TEST_P(PlanEnumRandomDifferential, PlansExecuteIdenticallyAndCostNoWorse) {
     Result<Pattern> v = GeneratePattern(*s, gen, &rng);
     if (v.ok()) views.push_back({"V" + std::to_string(i), std::move(*v)});
   }
-  if (rng.Bernoulli(0.5)) views.push_back({"VQ", q->Clone()});
+  if (rng.Bernoulli(0.5)) views.push_back({"VQ", *q});
   if (views.empty()) GTEST_SKIP();
 
   CostModel cm;
@@ -326,7 +326,7 @@ TEST(PlanEnum, WideQueryRunsWithoutCoverageMasks) {
             static_cast<size_t>(CoverageAnalysis::kMaxCols) + 1);
 
   Rewriter rw(*s);
-  rw.AddView({"V", q.Clone()});
+  rw.AddView({"V", q});
   RewriteStats stats;
   Result<std::vector<Rewriting>> rws = rw.Rewrite(q, &stats);
   ASSERT_TRUE(rws.ok()) << rws.status().ToString();

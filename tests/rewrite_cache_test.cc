@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/pattern/pattern_parser.h"
 #include "src/summary/summary_builder.h"
 #include "src/viewstore/view_catalog.h"
@@ -66,10 +68,10 @@ TEST_F(RewriteCacheTest, HitServesIdenticalPlans) {
   EXPECT_EQ(warm.rewrite_cache_hits, 1u);
   EXPECT_EQ(catalog_.rewrite_cache()->hits(), 1u);
   EXPECT_EQ(Compacts(first), Compacts(second));
-  // Served plans are clones: executing/mutating one call's plans must not
-  // affect the cache (pointer inequality is enough here).
+  // A hit shares the cached plan; PlanNode is const through PlanPtr, so no
+  // caller can change what the next hit serves.
   ASSERT_FALSE(second.empty());
-  EXPECT_NE(first[0].plan.get(), second[0].plan.get());
+  EXPECT_EQ(first[0].plan.get(), second[0].plan.get());
 }
 
 TEST_F(RewriteCacheTest, EmptyResultIsCachedToo) {
@@ -214,16 +216,18 @@ TEST_F(RewriteCacheTest, PlanTableCapIsPartOfTheKey) {
 
 TEST(RewriteCacheUnit, EvictionClearsWhenFull) {
   RewriteCache cache;
-  cache.max_entries = 2;
   std::vector<Rewriting> empty;
-  cache.Insert("q1", empty);
-  cache.Insert("q2", empty);
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Insert("q3", empty);  // full: table dropped, then q3 inserted
+  for (size_t i = 0; i < RewriteCache::kMaxEntries; ++i) {
+    cache.Insert("q" + std::to_string(i), empty);
+  }
+  EXPECT_EQ(cache.size(), RewriteCache::kMaxEntries);
+  // Full: the table is dropped, then the new key inserted.
+  const std::string last = "q" + std::to_string(RewriteCache::kMaxEntries);
+  cache.Insert(last, empty);
   EXPECT_EQ(cache.size(), 1u);
   std::vector<Rewriting> out;
-  EXPECT_TRUE(cache.Lookup("q3", &out));
-  EXPECT_FALSE(cache.Lookup("q1", &out));
+  EXPECT_TRUE(cache.Lookup(last, &out));
+  EXPECT_FALSE(cache.Lookup("q0", &out));
 }
 
 }  // namespace

@@ -173,6 +173,28 @@ TEST(Rewriter, VirtualParentIdJoin) {
   ASSERT_FALSE(out.empty());
 }
 
+TEST(Rewriter, ProjectedPlanDropsUnreadAppendOperators) {
+  // V's base plan derives c's parent and grandparent ids (navfID ↑1 under
+  // ↑2); a rewriting keeps only the derives whose columns it reads.
+  Result<std::unique_ptr<Document>> doc =
+      ParseTreeNotation("a(b(c=1) b(c=2))");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  std::unique_ptr<Summary> s = SummaryBuilder::Build(doc->get());
+  Rewriter rw(*s);
+  rw.AddView({"V", MustParsePattern("a(//c{id,v})")});
+
+  std::vector<Rewriting> values = RunRewrite(&rw, "a(//c{v})");
+  ASSERT_EQ(values.size(), 1u);
+  EXPECT_EQ(values[0].compact, "project(V)");
+
+  std::vector<Rewriting> parents = RunRewrite(&rw, "a(//b{id})");
+  ASSERT_EQ(parents.size(), 1u);
+  EXPECT_EQ(parents[0].compact, "project(navfID(V))");
+  const PlanNode& derive = *parents[0].plan->children[0];
+  ASSERT_EQ(derive.kind, PlanKind::kDeriveParent);
+  EXPECT_EQ(derive.derive_steps, 1);
+}
+
 TEST(Rewriter, ContentUnfoldingNavigation) {
   // §1/§4.6: keyword data is reachable only by navigating inside stored
   // content (the A.C attribute of V1 in the intro example).
