@@ -145,60 +145,30 @@ Result<Value> GetCell(ByteReader* r, const ColumnSpec& col,
   }
 }
 
-/// Decodes a raw chunk: one cell per row, filling the chunk exactly.
-Status GetRawCells(const ColumnChunk& chunk, const ColumnSpec& spec,
-                   const ContentFn& content, std::vector<Value>* out) {
-  ByteReader r(chunk.raw_cells);
-  out->reserve(static_cast<size_t>(chunk.num_rows));
-  for (int64_t i = 0; i < chunk.num_rows; ++i) {
-    Result<Value> v = GetCell(&r, spec, content, 0);
-    if (!v.ok()) return v.status();
-    out->push_back(std::move(*v));
-  }
-  if (!r.AtEnd()) {
-    return Status::ParseError("trailing bytes in raw column chunk");
-  }
-  return Status::OK();
-}
-
-/// Walks a kIds/kContent chunk's delta-coded ORDPATHs in row order, calling
-/// `fn(nullptr)` for ⊥ and `fn(&components)` otherwise.
-template <typename Fn>
-Status ForEachDeltaId(const ColumnChunk& chunk, const ColumnSpec& spec,
-                      Fn&& fn) {
-  std::vector<int32_t> comps;
-  ByteReader r(chunk.id_bytes);
-  for (int64_t i = 0; i < chunk.num_rows; ++i) {
-    uint64_t head = 0;
-    if (!r.GetVarint(&head)) return Truncated(r);
-    if (head == 0) {
-      SVX_RETURN_IF_ERROR(fn(nullptr));
-      continue;
-    }
-    uint64_t prefix = head - 1;
-    uint64_t suffix = 0;
-    if (!r.GetVarint(&suffix)) return Truncated(r);
-    if (prefix > comps.size() || suffix > kMaxOrdPathComponents - prefix) {
-      return Status::ParseError(
-          StrFormat("bad ORDPATH delta in column %s", spec.name.c_str()));
-    }
-    comps.resize(static_cast<size_t>(prefix));
-    for (uint64_t k = 0; k < suffix; ++k) {
-      uint64_t comp = 0;
-      if (!r.GetVarint(&comp)) return Truncated(r);
-      comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
-    }
-    SVX_RETURN_IF_ERROR(fn(&comps));
-  }
-  if (r.Remaining() != 0) {
-    return Status::ParseError("trailing bytes in ORDPATH column chunk");
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
-// Per-column encoding.
+// The writer: Encode's payload (layout in columnar.h).
 // ---------------------------------------------------------------------------
+
+/// A chunk's tag byte.
+enum ColumnEncoding : uint8_t {
+  kDict = 0,
+  kIds = 1,
+  kContent = 2,
+  kNested = 3,
+  kRaw = 4,
+};
+
+/// Whether any cell of `v`, however deeply nested, is a content reference.
+bool HasContent(const Value& v) {
+  if (v.IsContent()) return true;
+  if (!v.IsTable()) return false;
+  for (const Tuple& row : v.AsTable().rows()) {
+    for (const Value& cell : row) {
+      if (HasContent(cell)) return true;
+    }
+  }
+  return false;
+}
 
 void AppendDeltaId(const OrdPath& id, std::vector<int32_t>* prev,
                    std::string* out) {
@@ -217,11 +187,18 @@ void AppendDeltaId(const OrdPath& id, std::vector<int32_t>* prev,
   *prev = comps;
 }
 
-ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
-                            const ColumnSpec& spec) {
-  auto chunk = std::make_shared<ColumnChunk>();
-  chunk->num_rows = table.NumRows();
+/// A varint length, then `bytes`.
+void PutRun(const std::string& bytes, std::string* out) {
+  PutVarint(bytes.size(), out);
+  out->append(bytes);
+}
 
+bool EncodePayload(const Table& table, std::string* out);
+
+/// Appends column `c`'s tagged chunk; returns whether it holds a content
+/// reference.
+bool EncodeColumn(const Table& table, int32_t c, const ColumnSpec& spec,
+                  std::string* out) {
   bool all_string = true, all_id = true, all_content = true, all_nested = true;
   for (const Tuple& row : table.rows()) {
     const Value& v = row[static_cast<size_t>(c)];
@@ -236,181 +213,311 @@ ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
   }
 
   if (all_string) {
-    chunk->encoding = ColumnChunk::kDict;
-    std::vector<std::string> values;
+    PutU8(kDict, out);
+    std::vector<std::string_view> dict;
     for (const Tuple& row : table.rows()) {
       const Value& v = row[static_cast<size_t>(c)];
-      if (!v.IsNull()) values.push_back(v.AsString());
+      if (!v.IsNull()) dict.push_back(v.AsString());
     }
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    std::unordered_map<std::string_view, uint32_t> index;
-    index.reserve(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      index.emplace(values[i], static_cast<uint32_t>(i));
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    std::unordered_map<std::string_view, uint64_t> code;
+    code.reserve(dict.size());
+    PutVarint(dict.size(), out);
+    for (std::string_view s : dict) {
+      code.emplace(s, code.size() + 1);
+      PutVarint(s.size(), out);
+      out->append(s);
     }
-    chunk->dict = std::move(values);
-    chunk->codes.reserve(static_cast<size_t>(table.NumRows()));
     for (const Tuple& row : table.rows()) {
       const Value& v = row[static_cast<size_t>(c)];
-      chunk->codes.push_back(v.IsNull() ? ColumnChunk::kNullCode
-                                        : index.at(v.AsString()));
+      PutVarint(v.IsNull() ? 0 : code.at(v.AsString()), out);
     }
-    return chunk;
+    return false;
   }
 
   if (all_id || all_content) {
-    chunk->encoding = all_id ? ColumnChunk::kIds : ColumnChunk::kContent;
+    // Not all ⊥ (that column is a dictionary), so a content chunk holds at
+    // least one reference.
+    PutU8(all_id ? kIds : kContent, out);
+    std::string ids;
     std::vector<int32_t> prev;
     for (const Tuple& row : table.rows()) {
       const Value& v = row[static_cast<size_t>(c)];
       if (v.IsNull()) {
-        PutVarint(0, &chunk->id_bytes);
+        PutVarint(0, &ids);
       } else {
-        AppendDeltaId(CellOrdPath(v), &prev, &chunk->id_bytes);
+        AppendDeltaId(CellOrdPath(v), &prev, &ids);
       }
     }
-    return chunk;
+    PutRun(ids, out);
+    return !all_id;
   }
 
   if (all_nested) {
-    chunk->encoding = ColumnChunk::kNested;
+    PutU8(kNested, out);
     Table concat(*spec.nested);
-    chunk->offsets.reserve(static_cast<size_t>(table.NumRows()) + 1);
-    chunk->nulls.reserve(static_cast<size_t>(table.NumRows()));
-    chunk->offsets.push_back(0);
-    for (const Tuple& row : table.rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
+    std::string bitmap(static_cast<size_t>((table.NumRows() + 7) / 8), '\0');
+    std::string sizes;
+    for (int64_t i = 0; i < table.NumRows(); ++i) {
+      const Value& v = table.row(i)[static_cast<size_t>(c)];
       if (v.IsNull()) {
-        chunk->nulls.push_back(1);
-      } else {
-        chunk->nulls.push_back(0);
-        for (const Tuple& inner : v.AsTable().rows()) {
-          concat.AddRow(inner);
-        }
+        bitmap[static_cast<size_t>(i / 8)] |= static_cast<char>(1 << (i % 8));
+        continue;
       }
-      chunk->offsets.push_back(concat.NumRows());
+      PutVarint(static_cast<uint64_t>(v.AsTable().NumRows()), &sizes);
+      for (const Tuple& inner : v.AsTable().rows()) concat.AddRow(inner);
     }
-    chunk->child = std::make_shared<const ColumnarExtent>(
-        ColumnarExtent::Encode(concat));
-    return chunk;
+    out->append(bitmap);
+    out->append(sizes);
+    return EncodePayload(concat, out);
   }
 
-  chunk->encoding = ColumnChunk::kRaw;
+  PutU8(kRaw, out);
+  std::string cells;
+  bool has_content = false;
   for (const Tuple& row : table.rows()) {
-    EncodeValue(row[static_cast<size_t>(c)], &chunk->raw_cells);
+    const Value& v = row[static_cast<size_t>(c)];
+    EncodeValue(v, &cells);
+    has_content = has_content || HasContent(v);
   }
-  return chunk;
+  PutRun(cells, out);
+  return has_content;
 }
 
-bool ChunkHasContent(const ColumnChunk& chunk, const ColumnSpec& spec) {
-  switch (chunk.encoding) {
-    case ColumnChunk::kContent:
-      return !chunk.id_bytes.empty();
-    case ColumnChunk::kNested:
-      return chunk.child != nullptr && chunk.child->has_content();
-    case ColumnChunk::kRaw: {
-      bool found = false;
-      std::vector<Value> ignored;
-      // A corrupt chunk fails later, at decode (or at load, through
-      // ForEachContentId, once a content cell was found before the damage).
-      (void)GetRawCells(chunk, spec,
-                        [&found](const OrdPath&) -> Result<Value> {
-                          found = true;
-                          return Value();
-                        },
-                        &ignored);
-      return found;
-    }
-    default:
-      return false;
+/// Appends `table`'s payload; returns whether any cell is a content
+/// reference.
+bool EncodePayload(const Table& table, std::string* out) {
+  PutVarint(static_cast<uint64_t>(table.NumRows()), out);
+  bool has_content = false;
+  for (int32_t c = 0; c < table.schema().size(); ++c) {
+    has_content =
+        EncodeColumn(table, c, table.schema().column(c), out) || has_content;
   }
+  return has_content;
 }
 
 // ---------------------------------------------------------------------------
-// Per-column decoding.
+// The reader: the one walk over a payload, in three modes.
 // ---------------------------------------------------------------------------
 
-Status DecodeIdColumn(const ColumnChunk& chunk, const ColumnSpec& spec,
-                      const Document* doc, std::vector<Value>* out) {
-  const bool content = chunk.encoding == ColumnChunk::kContent;
-  out->reserve(static_cast<size_t>(chunk.num_rows));
-  return ForEachDeltaId(
-      chunk, spec, [&](const std::vector<int32_t>* comps) -> Status {
-        if (comps == nullptr) {
-          out->push_back(Value());
-          return Status::OK();
-        }
-        OrdPath id(*comps);
-        if (!content) {
-          out->push_back(Value(std::move(id)));
-          return Status::OK();
-        }
-        Result<Value> ref = BindContent(doc, id);
-        if (!ref.ok()) return ref.status();
-        out->push_back(std::move(*ref));
-        return Status::OK();
-      });
-}
+/// Walks a payload column by column, checking every byte. With `rows` set it
+/// decodes: it appends each column's value to each row. With `rows` null it
+/// only checks, and builds no OrdPath or Value except for content
+/// references, which it hands to `content` when one is given.
+class PayloadReader {
+ public:
+  PayloadReader(ByteReader* r, ContentFn content)
+      : r_(r), content_(std::move(content)) {}
 
-Status DecodeColumnValues(const ColumnChunk& chunk, const ColumnSpec& spec,
-                          const Document* doc, std::vector<Value>* out) {
-  switch (chunk.encoding) {
-    case ColumnChunk::kDict: {
-      if (chunk.codes.size() != static_cast<size_t>(chunk.num_rows)) {
-        return Status::ParseError("dictionary code count mismatch");
-      }
-      out->reserve(chunk.codes.size());
-      for (uint32_t code : chunk.codes) {
-        if (code == ColumnChunk::kNullCode) {
-          out->push_back(Value());
-        } else if (code < chunk.dict.size()) {
-          out->push_back(Value(chunk.dict[code]));
-        } else {
-          return Status::ParseError(
-              StrFormat("dictionary code out of range in column %s",
-                        spec.name.c_str()));
-        }
-      }
-      return Status::OK();
+  /// Reads one extent's payload for `schema` into *out (null: check only)
+  /// and sets *num_rows.
+  Status ReadExtent(const Schema& schema, Table* out, int64_t* num_rows) {
+    uint64_t nrows = 0;
+    if (!r_->GetVarint(&nrows)) return Truncated(*r_);
+    // Every non-empty column costs at least one byte per row downstream, so
+    // a row count beyond the remaining input is corrupt, not just large; a
+    // zero-column table costs no bytes per row and is held to the input
+    // size.
+    if (nrows > (schema.size() > 0 ? r_->Remaining() + 1 : r_->size())) {
+      return Status::ParseError("columnar row count exceeds input size");
     }
-    case ColumnChunk::kIds:
-    case ColumnChunk::kContent:
-      return DecodeIdColumn(chunk, spec, doc, out);
-    case ColumnChunk::kNested: {
-      if (chunk.child == nullptr || spec.nested == nullptr ||
-          chunk.offsets.size() != static_cast<size_t>(chunk.num_rows) + 1 ||
-          chunk.nulls.size() != static_cast<size_t>(chunk.num_rows)) {
-        return Status::ParseError("malformed nested column chunk");
-      }
-      Result<Table> child = chunk.child->Decode(doc);
-      if (!child.ok()) return child.status();
-      out->reserve(static_cast<size_t>(chunk.num_rows));
-      for (int64_t i = 0; i < chunk.num_rows; ++i) {
-        if (chunk.nulls[static_cast<size_t>(i)] != 0) {
-          out->push_back(Value());
-          continue;
-        }
-        int64_t lo = chunk.offsets[static_cast<size_t>(i)];
-        int64_t hi = chunk.offsets[static_cast<size_t>(i) + 1];
-        if (lo < 0 || hi < lo || hi > child->NumRows()) {
-          return Status::ParseError("nested column offsets out of range");
-        }
-        Table group(*spec.nested);
-        for (int64_t k = lo; k < hi; ++k) {
-          group.AddRow(child->row(k));
-        }
-        out->push_back(Value(std::make_shared<const Table>(std::move(group))));
-      }
-      return Status::OK();
+    *num_rows = static_cast<int64_t>(nrows);
+    std::vector<Tuple>* rows = nullptr;
+    if (out != nullptr) {
+      *out = Table(schema);
+      rows = &out->mutable_rows();
+      rows->resize(static_cast<size_t>(nrows));
+      for (Tuple& row : *rows) row.reserve(static_cast<size_t>(schema.size()));
     }
-    case ColumnChunk::kRaw:
-      return GetRawCells(
-          chunk, spec,
-          [doc](const OrdPath& id) { return BindContent(doc, id); }, out);
+    for (int32_t c = 0; c < schema.size(); ++c) {
+      SVX_RETURN_IF_ERROR(ReadColumn(schema.column(c), nrows, rows));
+    }
+    return Status::OK();
   }
-  return Status::ParseError("bad column chunk encoding");
-}
+
+  /// Whether a content reference was read.
+  bool has_content() const { return has_content_; }
+
+ private:
+  Status ReadColumn(const ColumnSpec& spec, uint64_t nrows,
+                    std::vector<Tuple>* rows) {
+    uint8_t encoding = 0;
+    if (!r_->GetU8(&encoding)) return Truncated(*r_);
+    switch (encoding) {
+      case kDict:
+        return ReadDict(spec, nrows, rows);
+      case kIds:
+      case kContent:
+        return ReadIds(spec, encoding == kContent, nrows, rows);
+      case kNested:
+        return ReadNested(spec, nrows, rows);
+      case kRaw:
+        return ReadRaw(spec, nrows, rows);
+      default:
+        return Status::ParseError(StrFormat("bad column encoding %u",
+                                            static_cast<unsigned>(encoding)));
+    }
+  }
+
+  Status ReadDict(const ColumnSpec& spec, uint64_t nrows,
+                  std::vector<Tuple>* rows) {
+    uint64_t ndict = 0;
+    if (!r_->GetVarint(&ndict) || ndict > r_->Remaining()) {
+      return Truncated(*r_);
+    }
+    std::vector<std::string_view> dict;
+    if (rows != nullptr) dict.reserve(static_cast<size_t>(ndict));
+    for (uint64_t i = 0; i < ndict; ++i) {
+      uint64_t len = 0;
+      std::string_view s;
+      if (!r_->GetVarint(&len) || !r_->GetView(static_cast<size_t>(len), &s)) {
+        return Truncated(*r_);
+      }
+      if (rows != nullptr) dict.push_back(s);
+    }
+    for (uint64_t i = 0; i < nrows; ++i) {
+      uint64_t code = 0;
+      if (!r_->GetVarint(&code)) return Truncated(*r_);
+      if (code > ndict) {
+        return Status::ParseError(StrFormat(
+            "dictionary code out of range in column %s", spec.name.c_str()));
+      }
+      if (rows == nullptr) continue;
+      if (code == 0) {
+        (*rows)[i].emplace_back();
+      } else {
+        (*rows)[i].emplace_back(std::string(dict[code - 1]));
+      }
+    }
+    return Status::OK();
+  }
+
+  Status ReadIds(const ColumnSpec& spec, bool is_content, uint64_t nrows,
+                 std::vector<Tuple>* rows) {
+    std::string_view run;
+    SVX_RETURN_IF_ERROR(GetRun(&run));
+    ByteReader ids(run);
+    std::vector<int32_t> comps;
+    for (uint64_t i = 0; i < nrows; ++i) {
+      uint64_t head = 0;
+      if (!ids.GetVarint(&head)) return Truncated(ids);
+      if (head == 0) {
+        if (rows != nullptr) (*rows)[i].emplace_back();
+        continue;
+      }
+      uint64_t prefix = head - 1;
+      uint64_t suffix = 0;
+      if (!ids.GetVarint(&suffix)) return Truncated(ids);
+      if (prefix > comps.size() || suffix > kMaxOrdPathComponents - prefix) {
+        return Status::ParseError(
+            StrFormat("bad ORDPATH delta in column %s", spec.name.c_str()));
+      }
+      comps.resize(static_cast<size_t>(prefix));
+      for (uint64_t k = 0; k < suffix; ++k) {
+        uint64_t comp = 0;
+        if (!ids.GetVarint(&comp)) return Truncated(ids);
+        comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
+      }
+      if (!is_content && rows == nullptr) continue;  // checked only
+      Result<Value> v = is_content ? Content(OrdPath(comps))
+                                   : Result<Value>(Value(OrdPath(comps)));
+      if (!v.ok()) return v.status();
+      if (rows != nullptr) (*rows)[i].push_back(std::move(*v));
+    }
+    if (!ids.AtEnd()) {
+      return Status::ParseError("trailing bytes in ORDPATH column chunk");
+    }
+    return Status::OK();
+  }
+
+  Status ReadNested(const ColumnSpec& spec, uint64_t nrows,
+                    std::vector<Tuple>* rows) {
+    if (spec.nested == nullptr) {
+      return Status::ParseError("nested chunk in a non-nested column");
+    }
+    std::string_view bitmap;
+    if (!r_->GetView(static_cast<size_t>((nrows + 7) / 8), &bitmap)) {
+      return Truncated(*r_);
+    }
+    auto is_null = [&bitmap](uint64_t i) {
+      return ((static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1) != 0;
+    };
+    std::vector<uint64_t> sizes;
+    uint64_t total = 0;
+    for (uint64_t i = 0; i < nrows; ++i) {
+      if (is_null(i)) continue;
+      uint64_t size = 0;
+      if (!r_->GetVarint(&size)) return Truncated(*r_);
+      // The groups partition the child's rows, whose count the child header
+      // holds to the input size.
+      if (size > r_->size() - total) {
+        return Status::ParseError("nested group sizes exceed input size");
+      }
+      total += size;
+      sizes.push_back(size);
+    }
+    Table child;
+    int64_t child_rows = 0;
+    SVX_RETURN_IF_ERROR(ReadExtent(*spec.nested,
+                                   rows != nullptr ? &child : nullptr,
+                                   &child_rows));
+    if (static_cast<uint64_t>(child_rows) != total) {
+      return Status::ParseError("nested child row count mismatch");
+    }
+    if (rows == nullptr) return Status::OK();
+    auto next = child.mutable_rows().begin();
+    auto size = sizes.begin();
+    for (uint64_t i = 0; i < nrows; ++i) {
+      if (is_null(i)) {
+        (*rows)[i].emplace_back();
+        continue;
+      }
+      Table group(*spec.nested);
+      for (uint64_t k = 0; k < *size; ++k) group.AddRow(std::move(*next++));
+      ++size;
+      (*rows)[i].push_back(
+          Value(std::make_shared<const Table>(std::move(group))));
+    }
+    return Status::OK();
+  }
+
+  Status ReadRaw(const ColumnSpec& spec, uint64_t nrows,
+                 std::vector<Tuple>* rows) {
+    std::string_view run;
+    SVX_RETURN_IF_ERROR(GetRun(&run));
+    ByteReader cells(run);
+    const ContentFn content = [this](const OrdPath& id) { return Content(id); };
+    for (uint64_t i = 0; i < nrows; ++i) {
+      Result<Value> v = GetCell(&cells, spec, content, 0);
+      if (!v.ok()) return v.status();
+      if (rows != nullptr) (*rows)[i].push_back(std::move(*v));
+    }
+    if (!cells.AtEnd()) {
+      return Status::ParseError("trailing bytes in raw column chunk");
+    }
+    return Status::OK();
+  }
+
+  /// A content reference: noted, then handed to `content_` (⊥ without one).
+  Result<Value> Content(const OrdPath& id) {
+    has_content_ = true;
+    return content_ ? content_(id) : Value();
+  }
+
+  /// The bytes of a PutRun run.
+  Status GetRun(std::string_view* run) {
+    uint64_t len = 0;
+    if (!r_->GetVarint(&len) || !r_->GetView(static_cast<size_t>(len), run)) {
+      return Truncated(*r_);
+    }
+    return Status::OK();
+  }
+
+  ByteReader* r_;
+  const ContentFn content_;
+  bool has_content_ = false;
+};
 
 }  // namespace
 
@@ -446,283 +553,45 @@ int64_t EncodedValueSize(const Value& v) {
   return size;
 }
 
-bool ColumnChunk::operator==(const ColumnChunk& other) const {
-  if (encoding != other.encoding || num_rows != other.num_rows) return false;
-  switch (encoding) {
-    case kDict:
-      return dict == other.dict && codes == other.codes;
-    case kIds:
-    case kContent:
-      return id_bytes == other.id_bytes;
-    case kNested:
-      if (offsets != other.offsets || nulls != other.nulls) return false;
-      if (child == other.child) return true;
-      return child != nullptr && other.child != nullptr &&
-             *child == *other.child;
-    case kRaw:
-      return raw_cells == other.raw_cells;
-  }
-  return false;
-}
-
 ColumnarExtent ColumnarExtent::Encode(const Table& table) {
   ColumnarExtent out;
   out.schema_ = table.schema();
   out.num_rows_ = table.NumRows();
-  out.columns_.reserve(static_cast<size_t>(out.schema_.size()));
-  for (int32_t c = 0; c < out.schema_.size(); ++c) {
-    const ColumnSpec& spec = out.schema_.column(c);
-    ColumnChunkPtr chunk = EncodeColumn(table, c, spec);
-    out.has_content_ = out.has_content_ || ChunkHasContent(*chunk, spec);
-    out.columns_.push_back(std::move(chunk));
-  }
+  out.has_content_ = EncodePayload(table, &out.payload_);
+  return out;
+}
+
+Result<ColumnarExtent> ColumnarExtent::FromBytes(ByteReader* r,
+                                                 Schema schema) {
+  const size_t start = r->pos();
+  PayloadReader reader(r, ContentFn());
+  ColumnarExtent out;
+  SVX_RETURN_IF_ERROR(reader.ReadExtent(schema, nullptr, &out.num_rows_));
+  out.schema_ = std::move(schema);
+  out.has_content_ = reader.has_content();
+  out.payload_ = std::string(r->ConsumedSince(start));
   return out;
 }
 
 Result<Table> ColumnarExtent::Decode(const Document* doc) const {
-  std::vector<std::vector<Value>> cols(static_cast<size_t>(schema_.size()));
-  for (int32_t c = 0; c < schema_.size(); ++c) {
-    const ColumnChunkPtr& chunk = columns_[static_cast<size_t>(c)];
-    if (chunk == nullptr || chunk->num_rows != num_rows_) {
-      return Status::ParseError("column chunk row count mismatch");
-    }
-    SVX_RETURN_IF_ERROR(DecodeColumnValues(*chunk, schema_.column(c), doc,
-                                           &cols[static_cast<size_t>(c)]));
-  }
-  Table table(schema_);
-  for (int64_t i = 0; i < num_rows_; ++i) {
-    Tuple row;
-    row.reserve(cols.size());
-    for (std::vector<Value>& col : cols) {
-      row.push_back(std::move(col[static_cast<size_t>(i)]));
-    }
-    table.AddRow(std::move(row));
-  }
+  ByteReader r(payload_);
+  PayloadReader reader(
+      &r, [doc](const OrdPath& id) { return BindContent(doc, id); });
+  Table table;
+  int64_t num_rows = 0;
+  SVX_RETURN_IF_ERROR(reader.ReadExtent(schema_, &table, &num_rows));
   return table;
-}
-
-int64_t ColumnarExtent::SerializedByteSize() const {
-  std::string bytes;
-  AppendBytes(&bytes);
-  return static_cast<int64_t>(bytes.size());
-}
-
-void ColumnarExtent::AppendBytes(std::string* out) const {
-  PutVarint(static_cast<uint64_t>(num_rows_), out);
-  for (const ColumnChunkPtr& chunk : columns_) {
-    out->push_back(static_cast<char>(chunk->encoding));
-    switch (chunk->encoding) {
-      case ColumnChunk::kDict: {
-        PutVarint(chunk->dict.size(), out);
-        for (const std::string& s : chunk->dict) {
-          PutVarint(s.size(), out);
-          out->append(s);
-        }
-        for (uint32_t code : chunk->codes) {
-          PutVarint(code == ColumnChunk::kNullCode
-                        ? 0
-                        : static_cast<uint64_t>(code) + 1,
-                    out);
-        }
-        break;
-      }
-      case ColumnChunk::kIds:
-      case ColumnChunk::kContent:
-        PutVarint(chunk->id_bytes.size(), out);
-        out->append(chunk->id_bytes);
-        break;
-      case ColumnChunk::kNested: {
-        std::string bitmap(static_cast<size_t>((chunk->num_rows + 7) / 8),
-                           '\0');
-        for (int64_t i = 0; i < chunk->num_rows; ++i) {
-          if (chunk->nulls[static_cast<size_t>(i)] != 0) {
-            bitmap[static_cast<size_t>(i / 8)] |=
-                static_cast<char>(1 << (i % 8));
-          }
-        }
-        out->append(bitmap);
-        for (int64_t i = 0; i < chunk->num_rows; ++i) {
-          if (chunk->nulls[static_cast<size_t>(i)] == 0) {
-            PutVarint(static_cast<uint64_t>(
-                          chunk->offsets[static_cast<size_t>(i) + 1] -
-                          chunk->offsets[static_cast<size_t>(i)]),
-                      out);
-          }
-        }
-        chunk->child->AppendBytes(out);
-        break;
-      }
-      case ColumnChunk::kRaw:
-        PutVarint(chunk->raw_cells.size(), out);
-        out->append(chunk->raw_cells);
-        break;
-    }
-  }
-}
-
-Result<ColumnarExtent> ColumnarExtent::FromBytes(ByteReader* reader,
-                                                 Schema schema) {
-  ByteReader& r = *reader;
-  uint64_t nrows = 0;
-  if (!r.GetVarint(&nrows)) return Truncated(r);
-  // Every non-empty column costs at least one byte per row downstream, so a
-  // row count beyond the remaining input is corrupt, not just large; a
-  // zero-column table costs no bytes per row and is held to the input size.
-  if (nrows > (schema.size() > 0 ? r.Remaining() + 1 : r.size())) {
-    return Status::ParseError("columnar row count exceeds input size");
-  }
-  ColumnarExtent out;
-  out.num_rows_ = static_cast<int64_t>(nrows);
-  out.schema_ = std::move(schema);
-  out.columns_.reserve(static_cast<size_t>(out.schema_.size()));
-  for (int32_t c = 0; c < out.schema_.size(); ++c) {
-    const ColumnSpec& spec = out.schema_.column(c);
-    auto chunk = std::make_shared<ColumnChunk>();
-    chunk->num_rows = out.num_rows_;
-    uint8_t encoding = 0;
-    if (!r.GetU8(&encoding)) return Truncated(r);
-    if (encoding > ColumnChunk::kRaw) {
-      return Status::ParseError(
-          StrFormat("bad column encoding %u", static_cast<unsigned>(encoding)));
-    }
-    chunk->encoding = static_cast<ColumnChunk::Encoding>(encoding);
-    switch (chunk->encoding) {
-      case ColumnChunk::kDict: {
-        uint64_t ndict = 0;
-        if (!r.GetVarint(&ndict) || ndict > r.Remaining()) return Truncated(r);
-        chunk->dict.reserve(static_cast<size_t>(ndict));
-        for (uint64_t i = 0; i < ndict; ++i) {
-          uint64_t len = 0;
-          std::string s;
-          if (!r.GetVarint(&len) || !r.GetBytes(static_cast<size_t>(len), &s)) {
-            return Truncated(r);
-          }
-          chunk->dict.push_back(std::move(s));
-        }
-        chunk->codes.reserve(static_cast<size_t>(nrows));
-        for (uint64_t i = 0; i < nrows; ++i) {
-          uint64_t code = 0;
-          if (!r.GetVarint(&code)) return Truncated(r);
-          if (code == 0) {
-            chunk->codes.push_back(ColumnChunk::kNullCode);
-          } else if (code <= ndict) {
-            chunk->codes.push_back(static_cast<uint32_t>(code - 1));
-          } else {
-            return Status::ParseError("dictionary code out of range");
-          }
-        }
-        break;
-      }
-      case ColumnChunk::kIds:
-      case ColumnChunk::kContent: {
-        uint64_t len = 0;
-        if (!r.GetVarint(&len) ||
-            !r.GetBytes(static_cast<size_t>(len), &chunk->id_bytes)) {
-          return Truncated(r);
-        }
-        break;
-      }
-      case ColumnChunk::kNested: {
-        if (spec.nested == nullptr) {
-          return Status::ParseError("nested chunk in a non-nested column");
-        }
-        size_t nbitmap = static_cast<size_t>((nrows + 7) / 8);
-        std::string bitmap;
-        if (!r.GetBytes(nbitmap, &bitmap)) return Truncated(r);
-        chunk->nulls.reserve(static_cast<size_t>(nrows));
-        for (uint64_t i = 0; i < nrows; ++i) {
-          chunk->nulls.push_back(
-              (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1);
-        }
-        chunk->offsets.reserve(static_cast<size_t>(nrows) + 1);
-        chunk->offsets.push_back(0);
-        for (uint64_t i = 0; i < nrows; ++i) {
-          int64_t group = 0;
-          if (chunk->nulls[static_cast<size_t>(i)] == 0) {
-            uint64_t size = 0;
-            if (!r.GetVarint(&size)) return Truncated(r);
-            // The groups partition the child's rows, whose count the child
-            // header holds to the input size.
-            const auto used = static_cast<uint64_t>(chunk->offsets.back());
-            if (size > r.size() - used) {
-              return Status::ParseError("nested group sizes exceed input size");
-            }
-            group = static_cast<int64_t>(size);
-          }
-          chunk->offsets.push_back(chunk->offsets.back() + group);
-        }
-        Result<ColumnarExtent> child = FromBytes(&r, *spec.nested);
-        if (!child.ok()) return child.status();
-        if (child->num_rows() != chunk->offsets.back()) {
-          return Status::ParseError("nested child row count mismatch");
-        }
-        chunk->child = std::make_shared<const ColumnarExtent>(
-            std::move(*child));
-        break;
-      }
-      case ColumnChunk::kRaw: {
-        uint64_t len = 0;
-        if (!r.GetVarint(&len) ||
-            !r.GetBytes(static_cast<size_t>(len), &chunk->raw_cells)) {
-          return Truncated(r);
-        }
-        break;
-      }
-    }
-    out.has_content_ = out.has_content_ || ChunkHasContent(*chunk, spec);
-    out.columns_.push_back(std::move(chunk));
-  }
-  return out;
 }
 
 Status ColumnarExtent::ForEachContentId(
     const std::function<Status(const OrdPath&)>& fn) const {
-  for (int32_t c = 0; c < schema_.size(); ++c) {
-    const ColumnChunk& chunk = *columns_[static_cast<size_t>(c)];
-    const ColumnSpec& spec = schema_.column(c);
-    switch (chunk.encoding) {
-      case ColumnChunk::kContent:
-        SVX_RETURN_IF_ERROR(ForEachDeltaId(
-            chunk, spec, [&fn](const std::vector<int32_t>* comps) {
-              return comps == nullptr ? Status::OK() : fn(OrdPath(*comps));
-            }));
-        break;
-      case ColumnChunk::kNested:
-        if (chunk.child != nullptr) {
-          SVX_RETURN_IF_ERROR(chunk.child->ForEachContentId(fn));
-        }
-        break;
-      case ColumnChunk::kRaw: {
-        std::vector<Value> ignored;
-        SVX_RETURN_IF_ERROR(GetRawCells(
-            chunk, spec,
-            [&fn](const OrdPath& id) -> Result<Value> {
-              SVX_RETURN_IF_ERROR(fn(id));
-              return Value();
-            },
-            &ignored));
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return Status::OK();
-}
-
-bool ColumnarExtent::operator==(const ColumnarExtent& other) const {
-  if (!(schema_ == other.schema_) || num_rows_ != other.num_rows_ ||
-      columns_.size() != other.columns_.size()) {
-    return false;
-  }
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (columns_[c] == other.columns_[c]) continue;
-    if (columns_[c] == nullptr || other.columns_[c] == nullptr ||
-        !(*columns_[c] == *other.columns_[c])) {
-      return false;
-    }
-  }
-  return true;
+  ByteReader r(payload_);
+  PayloadReader reader(&r, [&fn](const OrdPath& id) -> Result<Value> {
+    SVX_RETURN_IF_ERROR(fn(id));
+    return Value();
+  });
+  int64_t num_rows = 0;
+  return reader.ReadExtent(schema_, nullptr, &num_rows);
 }
 
 }  // namespace svx

@@ -1,9 +1,9 @@
 // Compressed columnar extents. A materialized view's extent is stored as
-// one immutable compressed chunk per schema column instead of a row-major
+// one compressed chunk per schema column instead of a row-major
 // std::vector<Tuple> blob:
 //
 //   * label/value columns  -> dictionary encoding (sorted distinct strings
-//                             plus one small per-row code),
+//                             plus one varint code per row),
 //   * id/content columns   -> delta-encoded ORDPATHs (varint components,
 //                             common prefix shared with the previous row;
 //                             content cells store the referenced node's
@@ -11,16 +11,31 @@
 //                             and rebinding happens at decode),
 //   * nested columns       -> one recursively columnar child extent holding
 //                             all group rows back to back, plus per-row
-//                             offsets and a ⊥ bitmap,
+//                             group sizes and a ⊥ bitmap,
 //   * anything type-mixed  -> a raw fallback chunk of EncodeValue cells.
 //
-// Chunks are held by shared_ptr and never mutated, so a decoded table can be
-// dropped under memory pressure while the compressed truth stays resident.
-// A cold extent is decoded whole (Decode) and the decoded table is cached by
-// the view store until evicted.
+// A ColumnarExtent holds exactly the payload bytes the store writes and
+// never mutates them, so a decoded table can be dropped under memory
+// pressure while the compressed truth stays resident. The payload is a
+// varint row count, then per column a u8 encoding tag and its chunk:
+//
+//   0 dictionary  varint ndict, ndict x (varint length, bytes), then per row
+//                 varint code (0 = ⊥, k = the k-th dictionary string)
+//   1 ids         varint run length, then per row varint(0) for ⊥, else
+//   2 content     varint(1 + prefix shared with the previous id),
+//                 varint(suffix length) and the suffix's varint components
+//   3 nested      ⊥ bitmap (one bit per row, low bit first), a varint group
+//                 size per non-⊥ row, then the child payload (its own row
+//                 count equals the sum of the group sizes)
+//   4 raw         varint run length, then one EncodeValue cell per row
+//
+// Every malformed-input check is made at load (FromBytes), so an extent
+// that loads also decodes unless a content reference fails to rebind. A
+// cold extent is decoded whole and the decoded table is cached by the view
+// store until evicted.
 //
 // Encoding is deterministic: equal tables (same schema, same row order)
-// produce byte-identical serialized chunks — the property the view store's
+// produce byte-identical payloads — the property the view store's
 // maintained-vs-rematerialized byte-identity checks rely on.
 //
 // This file also owns the one encoding of a single cell (EncodeValue and
@@ -34,8 +49,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "src/algebra/relation.h"
 #include "src/util/bytes.h"
@@ -47,54 +60,16 @@ namespace svx {
 class ColumnarExtent;
 using ColumnarExtentPtr = std::shared_ptr<const ColumnarExtent>;
 
-/// One immutable encoded column. Which members are populated depends on
-/// `encoding`; the others stay empty.
-struct ColumnChunk {
-  enum Encoding : uint8_t {
-    kDict = 0,     // strings: dictionary + per-row codes
-    kIds = 1,      // ORDPATH ids, delta-encoded
-    kContent = 2,  // content refs as ORDPATHs, delta-encoded
-    kNested = 3,   // nested tables: child extent + offsets + ⊥ bitmap
-    kRaw = 4,      // fallback: EncodeValue cell stream (type-mixed columns)
-  };
-  static constexpr uint32_t kNullCode = 0xFFFFFFFFu;
-
-  Encoding encoding = kRaw;
-  int64_t num_rows = 0;
-
-  // kDict: sorted distinct non-null strings; codes[row] indexes dict or is
-  // kNullCode for ⊥.
-  std::vector<std::string> dict;
-  std::vector<uint32_t> codes;
-
-  // kIds / kContent: per row `varint(0)` for ⊥, else
-  // `varint(1 + shared_prefix_len) varint(suffix_len) suffix components`
-  // where the prefix is shared with the previous non-null row's ORDPATH.
-  std::string id_bytes;
-
-  // kNested: child holds every non-null group's rows concatenated in row
-  // order; group i spans child rows [offsets[i], offsets[i+1]);
-  // nulls[i] != 0 marks a ⊥ cell (distinct from an empty group).
-  ColumnarExtentPtr child;
-  std::vector<int64_t> offsets;  // size num_rows + 1
-  std::vector<uint8_t> nulls;    // size num_rows
-
-  // kRaw: one EncodeValue cell per row, back to back.
-  std::string raw_cells;
-
-  /// Deep structural equality (child extents compare recursively).
-  bool operator==(const ColumnChunk& other) const;
-};
-
-using ColumnChunkPtr = std::shared_ptr<const ColumnChunk>;
-
 /// A compressed, immutable, column-major extent (see file comment).
 class ColumnarExtent {
  public:
-  ColumnarExtent() = default;
-
   /// Encodes `table` column by column. Deterministic.
   static ColumnarExtent Encode(const Table& table);
+
+  /// Checks a payload produced by Encode for `schema` without building
+  /// rows, advancing `r` past it, and keeps the bytes it checked.
+  [[nodiscard]] static Result<ColumnarExtent> FromBytes(ByteReader* r,
+                                                        Schema schema);
 
   /// Decodes every column back to a row-major table (exact inverse of
   /// Encode, preserving row order). Content cells rebind against `doc`; a
@@ -104,28 +79,20 @@ class ColumnarExtent {
 
   const Schema& schema() const { return schema_; }
   int64_t num_rows() const { return num_rows_; }
-  int32_t num_columns() const { return schema_.size(); }
-  const ColumnChunkPtr& column(int32_t i) const {
-    SVX_DCHECK(i >= 0 && i < static_cast<int32_t>(columns_.size()));
-    return columns_[static_cast<size_t>(i)];
-  }
 
   /// True if any cell anywhere (including nested and raw chunks) is a
   /// content reference — such an extent needs a Document to decode.
   bool has_content() const { return has_content_; }
 
-  /// Serialized size of the columnar payload in bytes (AppendBytes length):
-  /// the "compressed bytes" the memory budget and benches account.
-  int64_t SerializedByteSize() const;
+  /// The serialized payload (row count + chunks; the schema is *not*
+  /// included — extent_io writes it in the file header).
+  const std::string& payload() const { return payload_; }
 
-  /// Appends the deterministic serialized payload (row count + chunks; the
-  /// schema is *not* included — extent_io writes it in the file header).
-  void AppendBytes(std::string* out) const;
-
-  /// Parses a payload produced by AppendBytes for `schema`, advancing `r`
-  /// past it.
-  [[nodiscard]] static Result<ColumnarExtent> FromBytes(ByteReader* r,
-                                                        Schema schema);
+  /// Size of the payload in bytes: the "compressed bytes" the memory
+  /// budget and benches account.
+  int64_t SerializedByteSize() const {
+    return static_cast<int64_t>(payload_.size());
+  }
 
   /// Calls `fn` for every content reference's ORDPATH, in storage order,
   /// including nested children and raw chunks — the cheap way to validate
@@ -133,14 +100,13 @@ class ColumnarExtent {
   [[nodiscard]] Status ForEachContentId(
       const std::function<Status(const OrdPath&)>& fn) const;
 
-  /// Deep chunk equality (same schema, same encoded bytes).
-  bool operator==(const ColumnarExtent& other) const;
-
  private:
+  ColumnarExtent() = default;
+
   Schema schema_;
   int64_t num_rows_ = 0;
-  std::vector<ColumnChunkPtr> columns_;  // one per schema column
   bool has_content_ = false;
+  std::string payload_;
 };
 
 /// Encodes one cell: a u8 tag (0 ⊥, 1 string, 2 id, 3 content, 4 nested)

@@ -1,5 +1,5 @@
 // Byte primitives shared by every binary format the view store writes
-// (extent files and their columnar chunks, WAL segments): little-endian
+// (extent files and their columnar payloads, WAL segments): little-endian
 // fixed-width integers, u32-length-prefixed strings, LEB128 varints, and the
 // one bounds-checked reader that parses them back. The writers are inline
 // because the cell encoder runs on every maintenance pass.
@@ -79,19 +79,27 @@ class ByteReader {
     }
     return false;
   }
-  bool GetBytes(size_t n, std::string* out) {
+  /// The next `n` bytes, in place: the view points into the reader's input.
+  bool GetView(size_t n, std::string_view* out) {
     if (n > Remaining()) return false;
-    out->assign(bytes_.data() + pos_, n);
+    *out = bytes_.substr(pos_, n);
     pos_ += n;
     return true;
   }
   /// A PutString string: u32 length + bytes.
   bool GetString(std::string* s) {
     uint32_t len = 0;
-    return GetU32(&len) && GetBytes(len, s);
+    std::string_view view;
+    if (!GetU32(&len) || !GetView(len, &view)) return false;
+    s->assign(view);
+    return true;
   }
 
   size_t pos() const { return pos_; }
+  /// The bytes read since position `start`, in place.
+  std::string_view ConsumedSince(size_t start) const {
+    return bytes_.substr(start, pos_ - start);
+  }
   /// Total input length, consumed or not.
   size_t size() const { return bytes_.size(); }
   size_t Remaining() const { return bytes_.size() - pos_; }

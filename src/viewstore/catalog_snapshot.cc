@@ -59,7 +59,7 @@ int64_t CatalogSnapshot::TotalBytes() const {
 
 int64_t CatalogSnapshot::TotalCompressedBytes() const {
   int64_t total = 0;
-  for (const auto& v : views_) total += v->compressed_bytes;
+  for (const auto& v : views_) total += v->columnar->SerializedByteSize();
   return total;
 }
 

@@ -60,10 +60,8 @@ struct StoredView {
   /// by maintenance: the bytes the decoded table charges against the
   /// memory budget.
   int64_t extent_bytes = 0;
-  /// Columnar payload size (ColumnarExtent::SerializedByteSize) — what the
-  /// compressed extent actually costs to keep resident.
-  int64_t compressed_bytes = 0;
-  /// The compressed extent. Never null on a published view.
+  /// The compressed extent. Never null on a published view. Its
+  /// SerializedByteSize is what it costs to keep resident.
   ColumnarExtentPtr columnar;
   /// Document the extent's content references decode against; null for
   /// content-free extents. Borrowed with the same lifetime rules as the

@@ -59,6 +59,9 @@ bool DeltaLog::ParseSegmentFileName(std::string_view name,
     if (c < '0' || c > '9') return false;
     gen = gen * 10 + static_cast<uint64_t>(c - '0');
   }
+  // Only SegmentFileName's own spelling names a generation: an overflowing
+  // or zero-padded name would alias a live segment.
+  if (SegmentFileName(gen) != name) return false;
   *generation = gen;
   return true;
 }

@@ -85,7 +85,8 @@ class DeltaLog {
 
   // ---- Segment naming ----
   static std::string SegmentFileName(uint64_t generation);
-  /// Parses "wal.<generation>.log"; returns false for any other name.
+  /// Parses a name SegmentFileName(generation) produces; returns false for
+  /// any other name, zero-padded or overflowing generations included.
   static bool ParseSegmentFileName(std::string_view name,
                                    uint64_t* generation);
 

@@ -97,7 +97,7 @@ std::string SerializeColumnarExtent(const ColumnarExtent& extent,
   PutU32(kVersion, &out);
   PutU64(static_cast<uint64_t>(uncompressed_bytes), &out);
   PutSchema(extent.schema(), &out);
-  extent.AppendBytes(&out);
+  out.append(extent.payload());
   return out;
 }
 

@@ -9,7 +9,8 @@
 //   "SVXT" u32(2) u64(uncompressed_bytes = ExtentByteSize of the rows)
 //   schema:   u32 ncols { str name, u8 kind, u8 has_nested, [schema] }
 //   then the ColumnarExtent payload (columnar.h): a varint row count plus
-//   one tagged compressed chunk per column.
+//   one tagged compressed chunk per column. The store keeps exactly these
+//   payload bytes resident for every extent, checked once at load.
 //   str = u32 length + bytes; integers are little-endian (src/util/bytes.h).
 // Any other version is rejected with Unsupported: a store written by an
 // older build is rebuilt from the document.
@@ -51,14 +52,17 @@ int64_t TupleByteSize(const Tuple& tuple);
 std::string SerializeColumnarExtent(const ColumnarExtent& extent,
                                     int64_t uncompressed_bytes);
 
-/// A parsed version-2 extent: its chunks (content stays as ORDPATHs until
-/// ColumnarExtent::Decode binds it) and the header's uncompressed size.
+/// A loaded version-2 extent: its checked payload (content stays as
+/// ORDPATHs until ColumnarExtent::Decode binds it) and the header's
+/// uncompressed size.
 struct ColumnarLoad {
   ColumnarExtentPtr columnar;
   int64_t uncompressed_bytes = 0;
 };
 
-/// Parses a version-2 extent without materializing rows.
+/// Parses and checks a version-2 extent without materializing rows: an
+/// extent that loads also decodes, unless a content reference fails to
+/// rebind.
 [[nodiscard]] Result<ColumnarLoad> DeserializeExtentColumnar(
     std::string_view bytes);
 

@@ -101,12 +101,10 @@ void SetExtent(StoredView* sv, Table extent, int64_t extent_bytes,
                const std::shared_ptr<MemoryBudget>& budget) {
   sv->extent_bytes = extent_bytes;
   sv->decode_doc = FindContentDoc(extent);
-  auto columnar =
+  sv->columnar =
       std::make_shared<ColumnarExtent>(ColumnarExtent::Encode(extent));
-  sv->compressed_bytes = columnar->SerializedByteSize();
-  sv->columnar = std::move(columnar);
   sv->residency = std::make_shared<ExtentResidency>(budget);
-  sv->residency->SetCompressedBytes(sv->compressed_bytes);
+  sv->residency->SetCompressedBytes(sv->columnar->SerializedByteSize());
   sv->InstallResident(std::make_shared<Table>(std::move(extent)));
 }
 
@@ -559,12 +557,12 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
         carried->def = v->def;
         carried->stats = v->stats;
         carried->extent_bytes = v->extent_bytes;
-        carried->compressed_bytes = v->compressed_bytes;
         carried->columnar = v->columnar;
         carried->decode_doc = &final_doc;
         carried->generation = v->generation;  // on-disk bytes unchanged
         carried->residency = std::make_shared<ExtentResidency>(budget_);
-        carried->residency->SetCompressedBytes(carried->compressed_bytes);
+        carried->residency->SetCompressedBytes(
+            carried->columnar->SerializedByteSize());
         // Rebind the resident decoded copy if there is one (a pure ORDPATH
         // re-lookup); a cold view stays cold and the next access decodes
         // against the final document directly.
@@ -772,7 +770,6 @@ Status ViewCatalog::LoadImpl(const Document* doc,
     if (!load.ok()) return load.status();
     stored->columnar = std::move(load->columnar);
     stored->extent_bytes = load->uncompressed_bytes;
-    stored->compressed_bytes = stored->columnar->SerializedByteSize();
     if (stored->columnar->has_content()) {
       if (doc == nullptr) {
         return Status::InvalidArgument(
@@ -791,7 +788,8 @@ Status ViewCatalog::LoadImpl(const Document* doc,
       stored->decode_doc = doc;
     }
     stored->residency = std::make_shared<ExtentResidency>(budget_);
-    stored->residency->SetCompressedBytes(stored->compressed_bytes);
+    stored->residency->SetCompressedBytes(
+        stored->columnar->SerializedByteSize());
 
     Result<std::string> stats_text =
         ReadFileBytes((fs::path(dir_) / StatsFileName(*stored)).string());

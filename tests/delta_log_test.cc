@@ -91,6 +91,16 @@ TEST(DeltaLog, SegmentNamingRoundTrips) {
   EXPECT_FALSE(DeltaLog::ParseSegmentFileName("wal.x.log", &gen));
   EXPECT_FALSE(DeltaLog::ParseSegmentFileName("manifest.txt", &gen));
   EXPECT_FALSE(DeltaLog::ParseSegmentFileName("wal.1.extent", &gen));
+  // Only SegmentFileName's spelling: a name that overflows 64 bits or pads
+  // with zeros would alias generation 1 or 7.
+  EXPECT_FALSE(
+      DeltaLog::ParseSegmentFileName("wal.18446744073709551617.log", &gen));
+  EXPECT_FALSE(DeltaLog::ParseSegmentFileName("wal.007.log", &gen));
+  EXPECT_TRUE(DeltaLog::ParseSegmentFileName("wal.0.log", &gen));
+  EXPECT_EQ(gen, 0u);
+  EXPECT_TRUE(
+      DeltaLog::ParseSegmentFileName("wal.18446744073709551615.log", &gen));
+  EXPECT_EQ(gen, 18446744073709551615u);
 }
 
 TEST(DeltaLog, PayloadRoundTrips) {
