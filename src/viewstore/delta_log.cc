@@ -16,9 +16,15 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'S', 'V', 'X', 'W'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderSize = 8;   // magic + version
 constexpr size_t kFrameSize = 8;    // payload_len + crc32
+
+std::string SegmentHeader() {
+  std::string header(kMagic, sizeof(kMagic));
+  PutU32(kVersion, &header);
+  return header;
+}
 
 }  // namespace
 
@@ -72,9 +78,8 @@ std::string DeltaLog::EncodePayload(const WalRecord& record) {
   PutU32(static_cast<uint32_t>(record.views.size()), &out);
   for (const WalViewDelta& v : record.views) {
     PutString(v.view, &out);
-    PutU32(static_cast<uint32_t>(v.delete_keys.size()), &out);
-    for (const std::string& key : v.delete_keys) PutString(key, &out);
-    PutString(v.inserts_bytes, &out);
+    PutString(v.extent, &out);
+    PutString(v.stats, &out);
   }
   return out;
 }
@@ -83,30 +88,18 @@ Result<WalRecord> DeltaLog::DecodePayload(std::string_view bytes) {
   ByteReader r(bytes);
   WalRecord record;
   uint32_t nviews = 0;
-  // Counts are held to the remaining input before anything is allocated for
-  // them: a view entry takes at least 12 bytes, a delete key at least 4.
+  // The count is held to the remaining input before anything is allocated
+  // for it: a view entry takes at least 12 bytes.
   if (!r.GetU64(&record.epoch) || !r.GetU32(&nviews) ||
       nviews > r.Remaining() / 12) {
     return Status::ParseError("WAL record payload truncated");
   }
-  record.views.reserve(nviews);
-  for (uint32_t i = 0; i < nviews; ++i) {
-    WalViewDelta v;
-    uint32_t ndeletes = 0;
-    if (!r.GetString(&v.view) || !r.GetU32(&ndeletes) ||
-        ndeletes > r.Remaining() / 4) {
+  record.views.resize(nviews);
+  for (WalViewDelta& v : record.views) {
+    if (!r.GetString(&v.view) || !r.GetString(&v.extent) ||
+        !r.GetString(&v.stats)) {
       return Status::ParseError("WAL record payload truncated");
     }
-    v.delete_keys.resize(ndeletes);
-    for (uint32_t d = 0; d < ndeletes; ++d) {
-      if (!r.GetString(&v.delete_keys[d])) {
-        return Status::ParseError("WAL record payload truncated");
-      }
-    }
-    if (!r.GetString(&v.inserts_bytes)) {
-      return Status::ParseError("WAL record payload truncated");
-    }
-    record.views.push_back(std::move(v));
   }
   if (!r.AtEnd()) {
     return Status::ParseError("trailing bytes in WAL record payload");
@@ -142,9 +135,7 @@ Result<std::unique_ptr<DeltaLog>> DeltaLog::Open(const std::string& dir,
   }
   long size = std::ftell(f);
   if (size == 0) {
-    std::string header;
-    header.append(kMagic, sizeof(kMagic));
-    PutU32(kVersion, &header);
+    const std::string header = SegmentHeader();
     if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
         std::fflush(f) != 0) {
       std::fclose(f);
@@ -181,21 +172,27 @@ Result<std::vector<WalRecord>> DeltaLog::ReadSegment(const std::string& path,
   Result<std::string> bytes_or = ReadFileBytes(path);
   if (!bytes_or.ok()) return bytes_or.status();
   const std::string& bytes = bytes_or.value();
-  if (bytes.size() < kHeaderSize ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::ParseError(
-        StrFormat("%s is not a WAL segment", path.c_str()));
-  }
-  ByteReader header(bytes, sizeof(kMagic));
-  uint32_t version = 0;
-  (void)header.GetU32(&version);
-  if (version != kVersion) {
-    return Status::ParseError(
-        StrFormat("unsupported WAL version %u in %s", version, path.c_str()));
-  }
-
   std::vector<WalRecord> records;
   size_t pos = kHeaderSize;
+  if (truncate_torn_tail && bytes.size() < kHeaderSize &&
+      SegmentHeader().compare(0, bytes.size(), bytes) == 0) {
+    // A crash while Open creates the segment leaves a prefix of its header:
+    // a torn write like a partial record (Open rewrites the header).
+    pos = 0;
+  } else {
+    if (bytes.size() < kHeaderSize ||
+        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+      return Status::ParseError(
+          StrFormat("%s is not a WAL segment", path.c_str()));
+    }
+    ByteReader header(bytes, sizeof(kMagic));
+    uint32_t version = 0;
+    (void)header.GetU32(&version);
+    if (version != kVersion) {
+      return Status::ParseError(StrFormat("unsupported WAL version %u in %s",
+                                          version, path.c_str()));
+    }
+  }
   while (pos < bytes.size()) {
     // A record is valid iff the frame fits, the checksum matches and the
     // payload parses; anything else from `pos` onward is the torn tail.

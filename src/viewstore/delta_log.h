@@ -1,34 +1,38 @@
 // Per-shard write-ahead delta log: the durability half of the sharded
-// catalog. A maintenance pass appends one checksummed record describing the
-// tuple-level view deltas it is about to publish; crash recovery replays the
-// log on top of the last persisted extents instead of re-materializing.
+// catalog. A maintenance pass appends one checksummed record holding, for
+// every view it re-encoded, the bytes a checkpoint would write for that
+// view's files; crash recovery installs the last logged entry of each view
+// on top of the last persisted extents instead of re-materializing.
 //
-// On-disk format (little-endian), reusing the PR-5 crash-safe conventions
+// On-disk format (little-endian), with the store's crash-safe conventions
 // (generation-suffixed immutable names, sweep of unreferenced files):
 //
 //   segment file:  wal.<generation>.log
-//     header:      "SVXW" u32(version = 1)
+//     header:      "SVXW" u32(version = 2)
 //     record*:     u32 payload_len, u32 crc32(payload), payload
 //   payload:       u64 epoch, u32 nviews, per view:
 //                    str view_name
-//                    u32 ndeletes, ndeletes x str delete_key (EncodeTupleKey)
-//                    str inserts_bytes (SerializeColumnarExtent of the
-//                                       inserted rows, extent_io.h; empty
-//                                       when the view had no inserts)
+//                    str extent (SerializeColumnarExtent, extent_io.h: the
+//                                view's .extent file bytes)
+//                    str stats  (ViewStatsToString, statistics.h: the
+//                                view's .stats file text)
 //   str = u32 length + bytes (src/util/bytes.h).
 //
-// Insert payloads use the one extent format the store reads, so a segment
-// written before it (version-1 row-major inserts) fails replay with the
-// payload's extent-version error; such a store is rebuilt from the document
-// unless a Save has emptied its log.
+// Replay decodes, sorts and re-encodes nothing: the catalog installs each
+// view's last logged entry through the same function that installs a
+// manifest's .extent/.stats files, and the view stays cold until scanned.
+// A segment of any other version (version 1 held tuple deltas) fails replay
+// naming its version; such a store is rebuilt from the document.
 //
 // Torn-write contract: a record is visible iff its length prefix, checksum
-// and payload all parse. A torn tail (partial final record after a crash
-// mid-append) is tolerated only in the newest segment, where ReadSegment
-// truncates the file back to the last valid record; torn bytes in any older
-// segment are corruption and fail recovery. Rotation on successful Save
-// bumps the generation and the manifest's WAL floor, so stale segments are
-// never replayed even if a crash leaves them on disk until the next sweep.
+// and payload all parse. A torn tail (partial final record, or a partial
+// header of a segment being created, after a crash) is tolerated only in
+// the newest segment, where ReadSegment truncates the file back to the last
+// valid record (to zero bytes for a torn header; Open rewrites it); torn
+// bytes in any older segment are corruption and fail recovery. Rotation on
+// successful Save bumps the generation and the manifest's WAL floor, so
+// stale segments are never replayed even if a crash leaves them on disk
+// until the next sweep.
 #ifndef SVX_VIEWSTORE_DELTA_LOG_H_
 #define SVX_VIEWSTORE_DELTA_LOG_H_
 
@@ -43,17 +47,16 @@
 
 namespace svx {
 
-/// Tuple-level delta for one view inside one WAL record. Delete keys are
-/// EncodeTupleKey encodings (rebind-invariant), inserts are a version-2
-/// extent holding only the inserted rows.
+/// One view's entry in a WAL record: its state after the pass, as the bytes
+/// a checkpoint would write for its .extent and .stats files.
 struct WalViewDelta {
   std::string view;
-  std::vector<std::string> delete_keys;
-  std::string inserts_bytes;
+  std::string extent;
+  std::string stats;
 };
 
-/// One maintenance pass's durable delta: the epoch it published and the
-/// per-view tuple changes relative to the previous epoch.
+/// One maintenance pass's durable delta: the epoch it published and every
+/// view the pass re-encoded.
 struct WalRecord {
   uint64_t epoch = 0;
   std::vector<WalViewDelta> views;
@@ -93,10 +96,10 @@ class DeltaLog {
   // ---- Recovery-side static helpers ----
 
   /// Reads every valid record of one segment. With `truncate_torn_tail`,
-  /// unparseable bytes at the end are treated as a torn final record: the
-  /// file is truncated back to the last valid record (counted in
-  /// svx_wal_torn_truncations_total) and the call succeeds; without it the
-  /// same condition is a ParseError.
+  /// unparseable bytes at the end, or a file holding only a prefix of the
+  /// header, are treated as a torn write: the file is truncated back to the
+  /// last valid record (counted in svx_wal_torn_truncations_total) and the
+  /// call succeeds; without it the same condition is a ParseError.
   [[nodiscard]] static Result<std::vector<WalRecord>> ReadSegment(
       const std::string& path, bool truncate_torn_tail);
 

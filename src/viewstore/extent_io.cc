@@ -5,7 +5,6 @@
 
 #include "src/util/bytes.h"
 #include "src/util/check.h"
-#include "src/util/fileio.h"
 #include "src/util/strings.h"
 
 namespace svx {
@@ -128,12 +127,6 @@ Result<ColumnarLoad> DeserializeExtentColumnar(std::string_view bytes) {
   load.columnar = std::make_shared<const ColumnarExtent>(std::move(*columnar));
   load.uncompressed_bytes = static_cast<int64_t>(uncompressed);
   return load;
-}
-
-Result<ColumnarLoad> ReadExtentFileColumnar(const std::string& path) {
-  Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return DeserializeExtentColumnar(*bytes);
 }
 
 std::string EncodeTupleKey(const Tuple& tuple) {

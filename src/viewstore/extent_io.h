@@ -5,7 +5,7 @@
 // repository, not copies — §4.4 "stored ... as a reference").
 //
 // Extent file, version 2 — the one format the store writes and reads (extent
-// files and WAL insert payloads alike):
+// files and WAL entries alike):
 //   "SVXT" u32(2) u64(uncompressed_bytes = ExtentByteSize of the rows)
 //   schema:   u32 ncols { str name, u8 kind, u8 has_nested, [schema] }
 //   then the ColumnarExtent payload (columnar.h): a varint row count plus
@@ -65,10 +65,6 @@ struct ColumnarLoad {
 /// rebind.
 [[nodiscard]] Result<ColumnarLoad> DeserializeExtentColumnar(
     std::string_view bytes);
-
-/// DeserializeExtentColumnar over a file's bytes.
-[[nodiscard]] Result<ColumnarLoad> ReadExtentFileColumnar(
-    const std::string& path);
 
 /// EncodeValue (columnar.h) folded over a whole row — the stable tuple
 /// identity used by incremental maintenance to match deltas against stored

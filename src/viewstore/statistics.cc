@@ -155,6 +155,24 @@ void FoldRowsIntoCounts(const Schema& schema,
   }
 }
 
+/// Whether the stats columns from `*cursor` on name `schema`'s columns in
+/// ComputeColumns emission order; advances `cursor` past them.
+bool StatsColumnsMatch(const Schema& schema,
+                       const std::vector<ColumnStats>& columns,
+                       size_t* cursor) {
+  for (int32_t c = 0; c < schema.size(); ++c) {
+    if (*cursor >= columns.size() ||
+        columns[(*cursor)++].name != schema.column(c).name) {
+      return false;
+    }
+    if (schema.column(c).nested != nullptr &&
+        !StatsColumnsMatch(*schema.column(c).nested, columns, cursor)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<const Tuple*> RowPointers(const std::vector<Tuple>& rows) {
   std::vector<const Tuple*> out;
   out.reserve(rows.size());
@@ -191,6 +209,30 @@ ViewStats RefreshViewStatsCached(const ViewStats& stats, const Schema& schema,
   cursor = 0;
   FoldRowsIntoCounts(schema, RowPointers(inserted), &cursor, cache, +1, &out);
   return out;
+}
+
+Status CheckViewStatsFit(const ViewStats& stats, const Schema& schema,
+                         int64_t num_rows) {
+  if (stats.num_rows != num_rows) {
+    return Status::ParseError(
+        StrFormat("statistics count %lld rows, the extent holds %lld",
+                  static_cast<long long>(stats.num_rows),
+                  static_cast<long long>(num_rows)));
+  }
+  size_t cursor = 0;
+  if (!StatsColumnsMatch(schema, stats.columns, &cursor) ||
+      cursor != stats.columns.size()) {
+    return Status::ParseError(
+        "statistics columns do not match the extent schema");
+  }
+  for (const ColumnStats& c : stats.columns) {
+    if (c.non_null < 0 || c.distinct < 0 || c.min_len < 0 || c.max_len < 0 ||
+        c.nested_rows < 0) {
+      return Status::ParseError("negative count in statistics column " +
+                                c.name);
+    }
+  }
+  return Status::OK();
 }
 
 std::string ViewStatsToString(const ViewStats& stats) {

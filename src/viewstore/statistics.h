@@ -46,7 +46,7 @@ struct ViewStats {
 
 /// Scans `extent` once and computes exact statistics. The only way stats are
 /// computed from scratch: the catalog calls it on the row-major table it is
-/// about to encode (materialization, maintenance rebuild, WAL replay), and
+/// about to encode (materialization, maintenance rebuild), and
 /// incremental maintenance refreshes the result (RefreshViewStatsCached).
 ViewStats ComputeViewStats(const Table& extent);
 
@@ -83,6 +83,13 @@ ViewStats RefreshViewStatsCached(const ViewStats& stats, const Schema& schema,
                                  ValueCountCache* cache,
                                  const std::vector<Tuple>& deleted,
                                  const std::vector<Tuple>& inserted);
+
+/// OK iff `stats` can describe an extent of `num_rows` rows over `schema`:
+/// the row count matches, the columns are the ones ComputeViewStats emits
+/// for `schema` (same names, same order, nested inner columns included),
+/// and no count is negative. ParseError otherwise.
+[[nodiscard]] Status CheckViewStatsFit(const ViewStats& stats,
+                                       const Schema& schema, int64_t num_rows);
 
 /// Line-based text serialization, round-trippable:
 ///   rows <n>

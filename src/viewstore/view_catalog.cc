@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -106,6 +104,45 @@ void SetExtent(StoredView* sv, Table extent, int64_t extent_bytes,
   sv->residency = std::make_shared<ExtentResidency>(budget);
   sv->residency->SetCompressedBytes(sv->columnar->SerializedByteSize());
   sv->InstallResident(std::make_shared<Table>(std::move(extent)));
+}
+
+/// Installs persisted bytes as `sv`'s stored representation: a manifest
+/// entry's .extent/.stats files, or a WAL entry holding the same bytes. The
+/// extent loads without materializing rows and stays cold until something
+/// scans it; every content reference must resolve in `doc`, and the
+/// statistics must describe the extent.
+Status InstallPersisted(StoredView* sv, std::string_view extent_file,
+                        std::string_view stats_text, const Document* doc,
+                        const std::shared_ptr<MemoryBudget>& budget) {
+  Result<ColumnarLoad> load = DeserializeExtentColumnar(extent_file);
+  if (!load.ok()) return load.status();
+  const ColumnarExtent& columnar = *load->columnar;
+  if (columnar.has_content()) {
+    if (doc == nullptr) {
+      return Status::InvalidArgument(
+          "extent has content references but no document was supplied");
+    }
+    // Validate every reference off the chunks: a cold columnar extent must
+    // never fail its lazy decode later.
+    SVX_RETURN_IF_ERROR(columnar.ForEachContentId([&](const OrdPath& id) {
+      if (doc->FindByOrdPath(id) == kInvalidNode) {
+        return Status::NotFound("content reference " + id.ToString() +
+                                " not in the document");
+      }
+      return Status::OK();
+    }));
+  }
+  Result<ViewStats> stats = ParseViewStats(stats_text);
+  if (!stats.ok()) return stats.status();
+  SVX_RETURN_IF_ERROR(
+      CheckViewStatsFit(*stats, columnar.schema(), columnar.num_rows()));
+  sv->stats = std::move(*stats);
+  sv->extent_bytes = load->uncompressed_bytes;
+  sv->decode_doc = columnar.has_content() ? doc : nullptr;
+  sv->residency = std::make_shared<ExtentResidency>(budget);
+  sv->residency->SetCompressedBytes(columnar.SerializedByteSize());
+  sv->columnar = std::move(load->columnar);
+  return Status::OK();
 }
 
 }  // namespace
@@ -363,8 +400,9 @@ Status ViewCatalog::PersistLocked(
   // Rotate and truncate the delta log: the manifest (already flipped) names
   // `new_floor`, so records in the old segments can never replay again —
   // close the old segment, open the fresh one, sweep the rest. A crash
-  // between the flip and the fresh segment's creation is safe: replay from
-  // a floor with no segments is empty, and the extents are complete.
+  // between the flip and the end of the fresh segment's header is safe:
+  // replay from a floor with no segments, or from a torn header, is empty,
+  // and the extents are complete.
   wal_generation_ = new_floor;
   wal_floor_ = new_floor;
   wal_depth_.store(0, std::memory_order_relaxed);
@@ -415,10 +453,8 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   std::shared_ptr<const CatalogSnapshot> cur = Current();
   MaintenanceStats ms;
   ms.deltas_applied = static_cast<int32_t>(deltas.size());
-  // WAL eligibility: the whole pass logs as one record of net tuple changes
-  // — unless any view rebuilds, which is not expressible as a tuple delta
-  // and forces a full checkpoint instead.
-  bool wal_eligible = enable_delta_log_;
+  // In delta-log mode the whole pass logs as one record holding every view
+  // it re-encodes.
   std::vector<WalViewDelta> wal_views;
   std::vector<std::shared_ptr<const StoredView>> next;
   next.reserve(cur->views().size());
@@ -449,11 +485,6 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       extent = &working;
     };
     bool rebuilt = false;
-    // Net tuple changes across the batch, keyed by stable tuple encoding —
-    // a delete cancels a pending insert of the same row and vice versa, so
-    // the WAL record captures only what replay must actually change.
-    std::map<std::string, Tuple> net_inserts;
-    std::set<std::string> net_deletes;
     auto rebuild = [&]() {
       ensure_copy();
       Table fresh = MaterializeView(v->def.pattern, v->def.name, final_doc);
@@ -463,7 +494,6 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       nv->extent_bytes = ExtentByteSize(working);
       cache = nullptr;  // counts describe the discarded extent
       rebuilt = true;
-      wal_eligible = false;
       ++ms.views_rebuilt;
       ++ms.views_touched;
     };
@@ -515,18 +545,6 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       working.SortRowsCanonical();
       ms.tuples_deleted += deleted;
       ms.tuples_inserted += static_cast<int64_t>(td.inserts.size());
-      if (wal_eligible) {
-        for (const Tuple& t : td.deletes) {
-          std::string key = EncodeTupleKey(t);
-          if (net_inserts.erase(key) == 0) net_deletes.insert(std::move(key));
-        }
-        for (const Tuple& t : td.inserts) {
-          std::string key = EncodeTupleKey(t);
-          if (net_deletes.erase(key) == 0) {
-            net_inserts.insert_or_assign(std::move(key), t);
-          }
-        }
-      }
     }
     if (!rebuilt && nv == nullptr && !has_content) {
       // Nothing in the extent references any document version in the
@@ -598,32 +616,22 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       if (!rebound) rebuild();
     }
     if (rebuilt) {
-      // generation 0: persisted fresh.
       nv->stats = ComputeViewStats(working);
-      const int64_t bytes = nv->extent_bytes;
-      SetExtent(nv.get(), std::move(working), bytes, budget_);
-      next.push_back(std::move(nv));
-      continue;
+    } else {
+      // Only tuple-changed views reach here (rebind-only content views were
+      // carried above).
+      ++ms.views_touched;
+      nv->value_counts = std::move(cache);
     }
-    // Only tuple-changed views reach here (rebind-only content views were
-    // carried above); generation stays 0 so the extent persists fresh.
-    ++ms.views_touched;
-    nv->value_counts = std::move(cache);
-    if (wal_eligible && (!net_deletes.empty() || !net_inserts.empty())) {
-      WalViewDelta wd;
-      wd.view = v->def.name;
-      wd.delete_keys.assign(net_deletes.begin(), net_deletes.end());
-      Table inserts(working.schema());
-      for (const auto& [key, row] : net_inserts) inserts.AddRow(row);
-      wd.inserts_bytes = SerializeColumnarExtent(
-          ColumnarExtent::Encode(inserts), ExtentByteSize(inserts));
-      wal_views.push_back(std::move(wd));
-    }
-    {
-      // The incremental byte accounting (TupleByteSize adds/removes above)
-      // keeps extent_bytes exact without a recount.
-      const int64_t bytes = nv->extent_bytes;
-      SetExtent(nv.get(), std::move(working), bytes, budget_);
+    // generation 0: persisted fresh. extent_bytes is exact: a rebuild
+    // recounts it, and the incremental accounting (TupleByteSize
+    // adds/removes above) tracks it without a recount.
+    const int64_t bytes = nv->extent_bytes;
+    SetExtent(nv.get(), std::move(working), bytes, budget_);
+    if (enable_delta_log_) {
+      wal_views.push_back({v->def.name,
+                           SerializeColumnarExtent(*nv->columnar, bytes),
+                           ViewStatsToString(nv->stats)});
     }
     next.push_back(std::move(nv));
   }
@@ -637,7 +645,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   pass_span.Attr("epoch", publish_epoch);
   pass_span.Attr("views_touched", static_cast<int64_t>(ms.views_touched));
   pass_span.Attr("views_rebuilt", static_cast<int64_t>(ms.views_rebuilt));
-  if (wal_eligible) {
+  if (enable_delta_log_) {
     if (!wal_views.empty()) {
       ScopedSpan wal_span(pass_span.get(), "wal_append");
       SVX_RETURN_IF_ERROR(EnsureWalLocked());
@@ -648,8 +656,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       wal_depth_.fetch_add(1, std::memory_order_relaxed);
     }
   } else if (!dir_.empty()) {
-    // Per-pass extent persistence without a WAL, or the checkpoint a
-    // rebuild forces in WAL mode.
+    // Per-pass extent persistence without a WAL.
     ScopedSpan persist_span(pass_span.get(), "persist");
     SVX_RETURN_IF_ERROR(PersistLocked(next, publish_epoch));
   }
@@ -694,7 +701,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
   if (!manifest.ok()) return manifest.status();
 
   MutexLock lock(&writer_mu_);
-  std::vector<std::shared_ptr<const StoredView>> loaded;
+  std::vector<std::shared_ptr<StoredView>> loaded;
   std::set<std::string> names;  // a view named twice is a damaged manifest
   uint64_t max_generation = 0;
   uint64_t persisted_epoch = 0;  // epoch the manifest's extents capture
@@ -762,59 +769,33 @@ Status ViewCatalog::LoadImpl(const Document* doc,
     Result<Pattern> pattern = ParsePattern(rest);
     if (!pattern.ok()) return pattern.status();
     stored->def.pattern = std::move(*pattern);
-
-    // The extent loads without materializing rows: it stays cold until
-    // something scans it.
-    Result<ColumnarLoad> load = ReadExtentFileColumnar(
-        (fs::path(dir_) / ExtentFileName(*stored)).string());
-    if (!load.ok()) return load.status();
-    stored->columnar = std::move(load->columnar);
-    stored->extent_bytes = load->uncompressed_bytes;
-    if (stored->columnar->has_content()) {
-      if (doc == nullptr) {
-        return Status::InvalidArgument(
-            "extent has content references but no document was supplied");
-      }
-      // Validate every reference off the chunks: a cold columnar extent
-      // must never fail its lazy decode later.
-      SVX_RETURN_IF_ERROR(
-          stored->columnar->ForEachContentId([&](const OrdPath& id) {
-            if (doc->FindByOrdPath(id) == kInvalidNode) {
-              return Status::NotFound("content reference " + id.ToString() +
-                                      " not in the document");
-            }
-            return Status::OK();
-          }));
-      stored->decode_doc = doc;
-    }
-    stored->residency = std::make_shared<ExtentResidency>(budget_);
-    stored->residency->SetCompressedBytes(
-        stored->columnar->SerializedByteSize());
-
-    Result<std::string> stats_text =
+    Result<std::string> extent =
+        ReadFileBytes((fs::path(dir_) / ExtentFileName(*stored)).string());
+    if (!extent.ok()) return extent.status();
+    Result<std::string> stats =
         ReadFileBytes((fs::path(dir_) / StatsFileName(*stored)).string());
-    if (!stats_text.ok()) return stats_text.status();
-    Result<ViewStats> stats = ParseViewStats(*stats_text);
     if (!stats.ok()) return stats.status();
-    stored->stats = std::move(*stats);
-
+    SVX_RETURN_IF_ERROR(
+        InstallPersisted(stored.get(), *extent, *stats, doc, budget_));
     loaded.push_back(std::move(stored));
   }
   if (!header_seen) return Status::ParseError("empty manifest");
   next_generation_ = std::max(next_generation_, max_generation + 1);
+  std::vector<std::shared_ptr<const StoredView>> views(loaded.begin(),
+                                                       loaded.end());
   // Sweep generations an interrupted save (or a pre-crash manifest flip)
   // left behind — everything the manifest we just loaded does not name.
   // After the sweep the manifest's max generation is the directory's, so
   // the counter is fully seeded. The sweep runs before WAL replay marks
   // views dirty, while every generation still names its live on-disk file.
-  SweepUnreferenced(dir_, LiveFileSet(loaded));
+  SweepUnreferenced(dir_, LiveFileSet(views));
   generation_seeded_ = true;
-  // WAL recovery: replay every record past the persisted epoch from
-  // segments at or above the manifest's floor, and sweep orphaned segments
-  // a completed checkpoint retired. Replayed views drop to generation 0 so
-  // the next checkpoint persists them fresh; until then the disk keeps the
-  // old extents *and* the segments, so a crash mid-recovery just replays
-  // again.
+  // WAL recovery: replay the records past the persisted epoch from segments
+  // at or above the manifest's floor, and sweep orphaned segments a
+  // completed checkpoint retired. Each view named in a record installs its
+  // last logged entry and drops to generation 0 so the next checkpoint
+  // persists it fresh; until then the disk keeps the old extents *and* the
+  // segments, so a crash mid-recovery just replays again.
   uint64_t max_segment = 0;
   {
     std::error_code ec;
@@ -833,66 +814,28 @@ Status ViewCatalog::LoadImpl(const Document* doc,
       DeltaLog::Replay(dir_, wal_floor, persisted_epoch);
   if (!records.ok()) return records.status();
   uint64_t max_epoch = persisted_epoch;
-  if (!records->empty()) {
-    std::unordered_map<std::string, StoredView*> by_name;
-    for (const auto& v : loaded) {
-      by_name[v->def.name] = const_cast<StoredView*>(v.get());
-    }
-    // Replay mutates rows, so each touched view decodes into a private
-    // working table once, and re-encodes when every record is folded.
-    std::map<StoredView*, Table> dirty;
-    auto working_rows = [&](StoredView* sv) -> Result<Table*> {
-      auto it = dirty.find(sv);
-      if (it == dirty.end()) {
-        Result<Table> decoded = sv->columnar->Decode(sv->decode_doc);
-        if (!decoded.ok()) return decoded.status();
-        it = dirty.emplace(sv, std::move(decoded).value()).first;
+  // A view's last logged entry is its state at the newest replayed epoch.
+  std::vector<const WalViewDelta*> last(loaded.size(), nullptr);
+  for (const WalRecord& rec : *records) {
+    max_epoch = std::max(max_epoch, rec.epoch);
+    for (const WalViewDelta& wd : rec.views) {
+      auto it = std::find_if(loaded.begin(), loaded.end(), [&](const auto& v) {
+        return v->def.name == wd.view;
+      });
+      if (it == loaded.end()) {
+        // Checkpoints are forced on every view-set mutation, so a record
+        // naming an unknown view means the store is corrupt.
+        return Status::ParseError("WAL record references unknown view: " +
+                                  wd.view);
       }
-      return &it->second;
-    };
-    for (const WalRecord& rec : *records) {
-      max_epoch = std::max(max_epoch, rec.epoch);
-      for (const WalViewDelta& wd : rec.views) {
-        auto it = by_name.find(wd.view);
-        if (it == by_name.end()) {
-          // Checkpoints are forced on every view-set mutation, so a record
-          // naming an unknown view means the store is corrupt.
-          return Status::ParseError("WAL record references unknown view: " +
-                                    wd.view);
-        }
-        Result<Table*> working = working_rows(it->second);
-        if (!working.ok()) return working.status();
-        if (!wd.delete_keys.empty()) {
-          std::set<std::string> keys(wd.delete_keys.begin(),
-                                     wd.delete_keys.end());
-          std::vector<Tuple>& rows = (*working)->mutable_rows();
-          size_t out = 0;
-          for (size_t i = 0; i < rows.size(); ++i) {
-            if (keys.count(EncodeTupleKey(rows[i])) != 0) continue;
-            if (out != i) rows[out] = std::move(rows[i]);
-            ++out;
-          }
-          rows.resize(out);
-        }
-        if (!wd.inserts_bytes.empty()) {
-          Result<ColumnarLoad> payload =
-              DeserializeExtentColumnar(wd.inserts_bytes);
-          if (!payload.ok()) return payload.status();
-          Result<Table> inserts = payload->columnar->Decode(doc);
-          if (!inserts.ok()) return inserts.status();
-          for (Tuple& row : inserts->mutable_rows()) {
-            (*working)->mutable_rows().push_back(std::move(row));
-          }
-        }
-      }
+      last[static_cast<size_t>(it - loaded.begin())] = &wd;
     }
-    for (auto& [sv, table] : dirty) {
-      table.SortRowsCanonical();
-      sv->stats = ComputeViewStats(table);
-      const int64_t bytes = ExtentByteSize(table);
-      SetExtent(sv, std::move(table), bytes, budget_);
-      sv->generation = 0;
-    }
+  }
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    if (last[i] == nullptr) continue;
+    SVX_RETURN_IF_ERROR(InstallPersisted(loaded[i].get(), last[i]->extent,
+                                         last[i]->stats, doc, budget_));
+    loaded[i]->generation = 0;
   }
   // Seed the WAL counters: appends continue into the newest segment on
   // disk; the epoch counter resumes past everything ever published so
@@ -902,7 +845,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
   wal_depth_.store(static_cast<int64_t>(records->size()),
                    std::memory_order_relaxed);
   next_epoch_ = std::max(next_epoch_, max_epoch + 1);
-  PublishLocked(std::move(loaded), std::move(shared), std::move(summary),
+  PublishLocked(std::move(views), std::move(shared), std::move(summary),
                 /*doc_changed=*/true);
   return Status::OK();
 }

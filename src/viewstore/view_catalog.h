@@ -33,18 +33,21 @@
 // unmixed files of the previous generations. Unreferenced generations (and
 // WAL segments below the manifest's floor) are swept after a successful
 // save and on Load(). Load() reads only this layout: any other manifest
-// header, extent version or WAL payload version fails with the version it
+// header, extent version or WAL segment version fails with the version it
 // found, and such a store is rebuilt from the document.
 //
 // Delta-log durability (ViewCatalogOptions::enable_delta_log): instead of
 // rewriting changed extents on every maintenance pass, ApplyUpdate appends
-// one checksummed record of the pass's tuple-level deltas to the current
-// WAL segment before publishing. The manifest records the epoch E its
-// extents capture and the segment-generation floor G; recovery loads the
-// extents, replays records with epoch > E from segments >= G (tolerating a
-// torn final record in the newest segment), and resumes. A successful
-// Save() checkpoints: extents are persisted, the manifest advances E and G,
-// the log rotates to a fresh segment and stale segments are swept.
+// one checksummed record to the current WAL segment before publishing. It
+// holds, for every view the pass re-encoded (touched or rebuilt), the bytes
+// a checkpoint would write for its .extent and .stats files. The manifest
+// records the epoch E its extents capture and the segment-generation floor
+// G; recovery loads the extents, reads records with epoch > E from segments
+// >= G (tolerating a torn final record or header in the newest segment),
+// installs each logged view's last entry the way the manifest's files are
+// installed, and resumes. A successful Save() checkpoints: extents are
+// persisted, the manifest advances E and G, the log rotates to a fresh
+// segment and stale segments are swept.
 #ifndef SVX_VIEWSTORE_VIEW_CATALOG_H_
 #define SVX_VIEWSTORE_VIEW_CATALOG_H_
 
@@ -170,8 +173,8 @@ class ViewCatalog {
   /// not apply — rebinds stored content references to delta.new_doc,
   /// refreshes statistics in O(|delta|) through per-view value-count
   /// caches, persists changed extents under fresh generations when the
-  /// catalog has a store directory, and publishes the successor with one
-  /// pointer swap. Afterwards every extent is byte-identical to a fresh
+  /// catalog has a store directory (in delta-log mode, logs them to the
+  /// WAL instead), and publishes the successor with one pointer swap. Afterwards every extent is byte-identical to a fresh
   /// materialization over delta.new_doc. Readers of older epochs are
   /// undisturbed (but with this overload the caller owns both documents'
   /// lifetimes, as with delta itself).
@@ -253,7 +256,8 @@ class ViewCatalog {
 
   /// Replaces the catalog contents with the store at dir(). `doc` rebinds
   /// content references (may be nullptr when no view stores content). A
-  /// manifest that names a view twice is a ParseError.
+  /// manifest that names a view twice, or statistics that do not fit their
+  /// extent (CheckViewStatsFit), are a ParseError.
   [[nodiscard]] Status Load(const Document* doc) SVX_EXCLUDES(writer_mu_);
 
   /// Load for concurrent serving: the loaded epoch pins `doc`/`summary`.

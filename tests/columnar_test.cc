@@ -229,21 +229,24 @@ TEST(Columnar, OlderStoreFormatsFailLoadNamingTheVersion) {
       << s.ToString();
   ASSERT_TRUE(WriteFileBytes(extent_path, *extent).ok());
 
-  // A WAL record past the checkpoint whose insert payload is version 1; the
-  // same record carrying a version-2 payload replays.
-  Table inserts(plain.schema());
-  inserts.AddRow(plain.row(0));
+  // A WAL entry past the checkpoint whose extent is version 1 fails replay
+  // naming that version; the same entry holding a version-2 extent replays.
+  Table head(plain.schema());
+  head.AddRow(plain.row(0));
   const uint64_t floor = ManifestNumber(*manifest, "wal");
+  const std::string segment =
+      (fs::path(dir) / DeltaLog::SegmentFileName(floor)).string();
   for (bool row_major : {true, false}) {
     WalRecord record;
     record.epoch = ManifestNumber(*manifest, "epoch") + 1;
     record.views.push_back(
-        {"plain", {},
-         row_major ? SerializeExtent(inserts)
-                   : SerializeColumnarExtent(ColumnarExtent::Encode(inserts),
-                                             ExtentByteSize(inserts))});
+        {"plain",
+         row_major ? SerializeExtent(head)
+                   : SerializeColumnarExtent(ColumnarExtent::Encode(head),
+                                             ExtentByteSize(head)),
+         ViewStatsToString(ComputeViewStats(head))});
     std::error_code ec;
-    fs::remove(fs::path(dir) / DeltaLog::SegmentFileName(floor), ec);
+    fs::remove(segment, ec);
     Result<std::unique_ptr<DeltaLog>> wal = DeltaLog::Open(dir, floor);
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     ASSERT_TRUE((*wal)->Append(record).ok());
@@ -257,6 +260,18 @@ TEST(Columnar, OlderStoreFormatsFailLoadNamingTheVersion) {
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
   }
+
+  // The same segment under a version-1 header (version 1 logged tuple
+  // deltas).
+  Result<std::string> wal_bytes = ReadFileBytes(segment);
+  ASSERT_TRUE(wal_bytes.ok());
+  std::string v1_wal = *wal_bytes;
+  v1_wal[4] = '\x01';  // the low byte of the u32 version after "SVXW"
+  ASSERT_TRUE(WriteFileBytes(segment, v1_wal).ok());
+  s = load();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("WAL version 1"), std::string::npos)
+      << s.ToString();
   fs::remove_all(dir);
 }
 

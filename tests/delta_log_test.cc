@@ -4,10 +4,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,10 +64,10 @@ WalRecord MakeRecord(uint64_t epoch) {
   r.epoch = epoch;
   WalViewDelta d;
   d.view = "V" + std::to_string(epoch);
-  d.delete_keys = {"key-a", std::string("bin\0key", 7)};
-  d.inserts_bytes = "opaque-extent-bytes-" + std::to_string(epoch);
+  d.extent = "opaque-extent-bytes-" + std::to_string(epoch);
+  d.stats = std::string("rows 1\n\0bin", 11);
   r.views.push_back(d);
-  r.views.push_back(WalViewDelta{"W", {}, ""});
+  r.views.push_back(WalViewDelta{"W", "", ""});
   return r;
 }
 
@@ -73,8 +76,8 @@ void ExpectRecordsEqual(const WalRecord& a, const WalRecord& b) {
   ASSERT_EQ(a.views.size(), b.views.size());
   for (size_t i = 0; i < a.views.size(); ++i) {
     EXPECT_EQ(a.views[i].view, b.views[i].view);
-    EXPECT_EQ(a.views[i].delete_keys, b.views[i].delete_keys);
-    EXPECT_EQ(a.views[i].inserts_bytes, b.views[i].inserts_bytes);
+    EXPECT_EQ(a.views[i].extent, b.views[i].extent);
+    EXPECT_EQ(a.views[i].stats, b.views[i].stats);
   }
 }
 
@@ -113,17 +116,11 @@ TEST(DeltaLog, PayloadRoundTrips) {
   for (size_t cut : {size_t{0}, size_t{4}, bytes.size() - 1}) {
     EXPECT_FALSE(DeltaLog::DecodePayload(bytes.substr(0, cut)).ok());
   }
-  // Counts beyond what the remaining bytes can hold fail to parse before
-  // anything is allocated for them.
+  // A view count beyond what the remaining bytes can hold fails to parse
+  // before anything is allocated for it.
   std::string many_views(8, '\0');  // epoch 0
   many_views.append(4, '\xFF');     // 2^32 - 1 views
   EXPECT_FALSE(DeltaLog::DecodePayload(many_views).ok());
-  std::string many_keys(8, '\0');                    // epoch 0
-  many_keys.append(std::string("\x01\0\0\0", 4));     // one view
-  many_keys.append(std::string("\x01\0\0\0v", 5));    // named "v"
-  many_keys.append(4, '\xFF');                       // 2^32 - 1 delete keys
-  many_keys.append(8, '\0');
-  EXPECT_FALSE(DeltaLog::DecodePayload(many_keys).ok());
 }
 
 TEST(DeltaLog, AppendReadAndReopenAppend) {
@@ -406,6 +403,204 @@ TEST(DeltaLogCatalog, BatchPublishesOneEpochAndMatchesSerial) {
 
   EXPECT_EQ(SerializeExtent(*batched.Find("names")->table().value()),
             SerializeExtent(*serial.Find("names")->table().value()));
+}
+
+/// The newest WAL segment in `dir`: the one appends go to.
+fs::path LiveSegment(const std::string& dir) {
+  fs::path live;
+  uint64_t newest = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    uint64_t gen = 0;
+    if (DeltaLog::ParseSegmentFileName(entry.path().filename().string(),
+                                       &gen) &&
+        gen >= newest) {
+      newest = gen;
+      live = entry.path();
+    }
+  }
+  return live;
+}
+
+/// Every view's row-major bytes by name: the state a catalog serves.
+std::map<std::string, std::string> ViewState(const ViewCatalog& catalog) {
+  std::map<std::string, std::string> out;
+  for (const auto& v : catalog.views()) {
+    out[v->def.name] = SerializeExtent(*v->table().value());
+  }
+  return out;
+}
+
+TEST(DeltaLogCatalog, RebuildIsLoggedAndReplayed) {
+  // A rebuild logs the rebuilt view's bytes like any re-encoded view: one
+  // record, no checkpoint, and recovery installs the view cold.
+  TempDir dir;
+  std::unique_ptr<Document> d = Doc("a(b=1)");
+  std::unique_ptr<Document> d2 = Doc("a(b=1 b=2)");
+  Pattern p = MustParsePattern("a(/b{id,v})");
+  const std::string manifest_path =
+      (fs::path(dir.path) / "manifest.txt").string();
+  auto extent_files = [&]() {
+    std::vector<std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      if (entry.path().extension() == ".extent") {
+        out.push_back(entry.path().filename().string());
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  {
+    ViewCatalog catalog(WalOptions(dir.path));
+    ASSERT_TRUE(catalog.Materialize({"V", p}, *d).ok());
+    Result<std::string> manifest_before = ReadFileBytes(manifest_path);
+    ASSERT_TRUE(manifest_before.ok());
+    std::vector<std::string> extents_before = extent_files();
+    DocumentDelta delta;  // invalid region → rematerialize over new_doc
+    delta.old_doc = d.get();
+    delta.new_doc = d2.get();
+    MaintenanceStats ms;
+    ASSERT_TRUE(catalog.ApplyUpdate(delta, &ms).ok());
+    EXPECT_EQ(ms.views_rebuilt, 1);
+    EXPECT_EQ(catalog.wal_depth(), 1);
+    Result<std::string> manifest_after = ReadFileBytes(manifest_path);
+    ASSERT_TRUE(manifest_after.ok());
+    EXPECT_EQ(*manifest_after, *manifest_before) << "the rebuild checkpointed";
+    EXPECT_EQ(extent_files(), extents_before);
+    // No Save(): destruction is the crash.
+  }
+  ViewCatalog recovered(WalOptions(dir.path));
+  ASSERT_TRUE(recovered.Load(d2.get()).ok());
+  const StoredView* v = recovered.Find("V");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->TryResident(), nullptr) << "replay decoded the extent";
+  Table fresh = MaterializeView(p, "V", *d2);
+  fresh.SortRowsCanonical();
+  EXPECT_EQ(SerializeExtent(*v->table().value()), SerializeExtent(fresh));
+}
+
+TEST(DeltaLogCatalog, ContentViewReplaysAgainstTheFinalDocument) {
+  // The first pass logs a content reference to an x that the second pass
+  // deletes, so the reference resolves in no later document. The third pass
+  // leaves X's rows alone: X carries with a rebind and logs nothing. Replay
+  // must resolve every reference of X in the final document.
+  TempDir dir;
+  std::unique_ptr<Document> base = Doc("a(x=1 b(x=2))");
+  Pattern px = MustParsePattern("a(//x{id,c})");
+  Pattern py = MustParsePattern("a(//y{id})");
+  std::vector<std::unique_ptr<Document>> history;
+  {
+    ViewCatalog catalog(WalOptions(dir.path));
+    ASSERT_TRUE(catalog.Materialize({"X", px}, *base).ok());
+    ASSERT_TRUE(catalog.Materialize({"Y", py}, *base).ok());
+    Result<UpdateResult> ins =
+        InsertSubtree(*base, OrdPath::Root(), *Doc("x=3"));
+    ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+    ASSERT_TRUE(catalog.ApplyUpdate(ins->delta).ok());
+    history.push_back(std::move(ins->doc));
+    Result<UpdateResult> del =
+        DeleteSubtree(*history.back(), ins->delta.region);
+    ASSERT_TRUE(del.ok()) << del.status().ToString();
+    ASSERT_TRUE(catalog.ApplyUpdate(del->delta).ok());
+    history.push_back(std::move(del->doc));
+    const Document& cur = *history.back();
+    const OrdPath b = cur.ord_path(cur.children(cur.root())[1]);
+    Result<UpdateResult> other = InsertSubtree(cur, b, *Doc("y"));
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    MaintenanceStats ms;
+    ASSERT_TRUE(catalog.ApplyUpdate(other->delta, &ms).ok());
+    EXPECT_EQ(ms.views_touched, 1);  // Y only: X carries
+    history.push_back(std::move(other->doc));
+    EXPECT_EQ(catalog.wal_depth(), 3);
+  }
+  const Document* final_doc = history.back().get();
+  ViewCatalog recovered(WalOptions(dir.path));
+  Status loaded = recovered.Load(final_doc);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  TablePtr x = recovered.Find("X")->table().value();
+  ASSERT_EQ(x->NumRows(), 2);
+  for (const Tuple& row : x->rows()) {
+    for (const Value& cell : row) {
+      if (cell.IsContent()) {
+        EXPECT_EQ(cell.AsContent().doc, final_doc);
+      }
+    }
+  }
+  for (const auto& [name, pattern] :
+       {std::pair<std::string, Pattern>{"X", px}, {"Y", py}}) {
+    Table fresh = MaterializeView(pattern, name, *final_doc);
+    fresh.SortRowsCanonical();
+    EXPECT_EQ(SerializeExtent(*recovered.Find(name)->table().value()),
+              SerializeExtent(fresh))
+        << name;
+  }
+}
+
+TEST(DeltaLogCatalog, EveryCutOfTheLiveSegmentRecoversAPrefix) {
+  // A crash at any point of the live segment's life leaves a prefix of its
+  // bytes, from an empty file on: the store must reopen to the state after
+  // some prefix of the logged passes. A damaged byte may also fail the
+  // load, but never yields a state no prefix produced.
+  TempDir dir;
+  std::unique_ptr<Document> base = Doc("site(item(name=a) item(name=b))");
+  std::vector<std::map<std::string, std::string>> prefixes;
+  std::vector<std::unique_ptr<Document>> history;
+  {
+    ViewCatalog catalog(WalOptions(dir.path));
+    ASSERT_TRUE(catalog
+                    .Materialize({"names",
+                                  MustParsePattern("site(/item{id}(/name{id,v}))")},
+                                 *base)
+                    .ok());
+    ASSERT_TRUE(
+        catalog.Materialize({"items", MustParsePattern("site(/item{id,c})")},
+                            *base)
+            .ok());
+    prefixes.push_back(ViewState(catalog));
+    for (int i = 0; i < 3; ++i) {
+      const Document* cur = history.empty() ? base.get() : history.back().get();
+      std::vector<std::unique_ptr<Document>> step =
+          ApplyInserts(&catalog, cur, 1);
+      history.push_back(std::move(step.front()));
+      prefixes.push_back(ViewState(catalog));
+    }
+    EXPECT_EQ(catalog.wal_depth(), 3);
+  }
+  const fs::path live = LiveSegment(dir.path);
+  ASSERT_FALSE(live.empty());
+  Result<std::string> intact = ReadFileBytes(live.string());
+  ASSERT_TRUE(intact.ok());
+  const Document* final_doc = history.back().get();
+  // Loads the store with `segment` as the live segment's bytes.
+  auto load = [&](const std::string& segment)
+      -> std::optional<std::map<std::string, std::string>> {
+    EXPECT_TRUE(WriteFileBytes(live.string(), segment).ok());
+    ViewCatalog catalog(WalOptions(dir.path));
+    if (!catalog.Load(final_doc).ok()) return std::nullopt;
+    return ViewState(catalog);
+  };
+  auto is_prefix = [&](const std::map<std::string, std::string>& state) {
+    return std::find(prefixes.begin(), prefixes.end(), state) !=
+           prefixes.end();
+  };
+  for (size_t cut = 0; cut <= intact->size(); ++cut) {
+    std::optional<std::map<std::string, std::string>> state =
+        load(intact->substr(0, cut));
+    ASSERT_TRUE(state.has_value()) << "cut at byte " << cut;
+    EXPECT_TRUE(is_prefix(*state)) << "cut at byte " << cut;
+  }
+  for (size_t i = 0; i < intact->size(); ++i) {
+    for (unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+      std::string flipped = *intact;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^
+                                     mask);
+      std::optional<std::map<std::string, std::string>> state = load(flipped);
+      if (state.has_value()) {
+        EXPECT_TRUE(is_prefix(*state)) << "byte " << i << " ^ " << mask;
+      }
+    }
+  }
+  // The intact segment recovers every pass.
+  EXPECT_EQ(load(*intact), prefixes.back());
 }
 
 }  // namespace

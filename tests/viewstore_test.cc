@@ -765,6 +765,64 @@ TEST(ViewCatalog, LoadRejectsDuplicateManifestView) {
   EXPECT_EQ(reloaded.size(), 0);
 }
 
+TEST(ViewCatalog, LoadRejectsStatsThatDoNotFitTheExtent) {
+  // Statistics that parse but do not describe their extent must fail the
+  // load: the first maintenance pass refreshing them would abort.
+  std::unique_ptr<Document> d = Doc("a(b=1(c=x c=y) b=2)");
+  TempDir dir;
+  {
+    ViewCatalog catalog(dir.path);
+    ASSERT_TRUE(catalog
+                    .Materialize({"V", MustParsePattern("a(/b{id}(n/c{id,v}))")},
+                                 *d)
+                    .ok());
+    ASSERT_TRUE(catalog.Save().ok());
+  }
+  std::string stats_path;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    if (entry.path().extension() == ".stats") stats_path = entry.path();
+  }
+  ASSERT_FALSE(stats_path.empty());
+  Result<std::string> intact = ReadFileBytes(stats_path);
+  ASSERT_TRUE(intact.ok());
+  // "rows 2", then the b id, the nested c group and its inner id and value.
+  std::vector<std::string> lines;
+  std::istringstream in(*intact);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 5u) << *intact;
+  auto join = [](const std::vector<std::string>& ls) {
+    std::string out;
+    for (const std::string& l : ls) out += l + "\n";
+    return out;
+  };
+  auto with_line = [&](size_t i, std::string line) {
+    std::vector<std::string> ls = lines;
+    ls[i] = std::move(line);
+    return join(ls);
+  };
+  std::string renamed = lines[1];
+  renamed.replace(4, renamed.find(' ', 4) - 4, "renamed");
+  std::string negative = lines[2];
+  negative.replace(negative.rfind(' ') + 1, std::string::npos, "-1");
+  const std::vector<std::string> damaged = {
+      join({lines.begin(), lines.end() - 1}),       // last col line dropped
+      join(lines) + "col extra 0 0 0 0 0\n",        // extra col line
+      with_line(1, renamed),                        // renamed column
+      with_line(0, "rows 3"),                       // rows off by one
+      with_line(2, negative),                       // negative count
+  };
+  for (const std::string& stats : damaged) {
+    ASSERT_TRUE(WriteFileBytes(stats_path, stats).ok());
+    ViewCatalog reloaded(dir.path);
+    Status s = reloaded.Load(d.get());
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << stats << s.ToString();
+    EXPECT_EQ(reloaded.size(), 0);
+  }
+  ASSERT_TRUE(WriteFileBytes(stats_path, *intact).ok());
+  ViewCatalog reloaded(dir.path);
+  EXPECT_TRUE(reloaded.Load(d.get()).ok());
+}
+
 TEST(ViewCatalog, InterruptedSaveLeavesPreviousStateLoadable) {
   // The crash window the generation scheme closes: a save that wrote some
   // new extent files but never flipped the manifest must leave the
