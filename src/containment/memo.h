@@ -14,10 +14,11 @@
 //
 // A memo is bound to ONE summary: the key deliberately omits it, so share a
 // memo only across calls that use the same summary, and Clear() it whenever
-// the underlying document (and hence the summary) changes. Each
-// CatalogSnapshot pins a memo with exactly this lifecycle: shared across
-// Rewrite() calls against that snapshot, replaced when a maintenance pass
-// publishes a snapshot with a new document.
+// the summary changes. Each CatalogSnapshot pins a memo with exactly this
+// lifecycle: shared across Rewrite() calls against that snapshot, and
+// carried into the successor while the successor keeps the summary object
+// (view-set mutations, and updates whose summary StructurallyEquals the
+// bound one); any other document change publishes a fresh memo.
 //
 // Thread-safe: the table is guarded by an internal mutex so concurrent
 // readers of one snapshot can share the memo. Lookups and inserts lock;

@@ -714,23 +714,6 @@ std::vector<Candidate> ExpandViews(const std::vector<const ViewDef*>& kept,
   return out;
 }
 
-/// Cost-based selection: ranks the rewritings cheapest first (ties by
-/// compact form) and records the cost spread. No-op without a cost model.
-void RankByCost(const CostModel* cost_model, std::vector<Rewriting>* results,
-                RewriteStats* stats) {
-  if (cost_model == nullptr || results->empty()) return;
-  for (Rewriting& r : *results) r.est_cost = cost_model->EstimateCost(*r.plan);
-  std::stable_sort(results->begin(), results->end(),
-                   [](const Rewriting& a, const Rewriting& b) {
-                     if (a.est_cost != b.est_cost) {
-                       return a.est_cost < b.est_cost;
-                     }
-                     return a.compact < b.compact;
-                   });
-  stats->cheapest_cost = results->front().est_cost;
-  stats->costliest_cost = results->back().est_cost;
-}
-
 // ---------------------------------------------------------------------------
 // Reference search state
 // ---------------------------------------------------------------------------
@@ -767,6 +750,22 @@ RefCandidate MakeRefCandidate(Candidate c,
 }
 
 }  // namespace
+
+void RankByCost(const CostModel* cost_model, std::vector<Rewriting>* results,
+                RewriteStats* stats) {
+  if (cost_model == nullptr || results->empty()) return;
+  for (Rewriting& r : *results) r.est_cost = cost_model->EstimateCost(*r.plan);
+  std::stable_sort(results->begin(), results->end(),
+                   [](const Rewriting& a, const Rewriting& b) {
+                     if (a.est_cost != b.est_cost) {
+                       return a.est_cost < b.est_cost;
+                     }
+                     return a.compact < b.compact;
+                   });
+  if (stats == nullptr) return;
+  stats->cheapest_cost = results->front().est_cost;
+  stats->costliest_cost = results->back().est_cost;
+}
 
 // ---------------------------------------------------------------------------
 // Rewriter

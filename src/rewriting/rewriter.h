@@ -143,6 +143,14 @@ struct RewriteStats {
   double total_ms = 0;
 };
 
+/// Cost-based selection: estimates every rewriting's cost under
+/// `cost_model`, ranks them cheapest first (ties by compact form) and
+/// records the cost spread in `stats` (may be null). No-op without a cost
+/// model. Rewrite() ranks its results with it, and CachedRewrite re-ranks a
+/// hit against the reader's statistics.
+void RankByCost(const CostModel* cost_model, std::vector<Rewriting>* results,
+                RewriteStats* stats);
+
 /// Rewrites queries over a fixed summary and view set.
 class Rewriter {
  public:

@@ -1,7 +1,9 @@
 #include "src/summary/summary.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "src/util/bytes.h"
 #include "src/util/strings.h"
 
 namespace svx {
@@ -95,6 +97,35 @@ bool Summary::StructurallyEquals(const Summary& other) const {
     if (children(s).size() != other.children(s).size()) return false;
   }
   return true;
+}
+
+const std::string& Summary::StructureKey() const {
+  std::call_once(structure_key_once_, [this] {
+    // Preorder with every path's children in label order. A path writes its
+    // length-prefixed label, its edge flags and its child count, so the
+    // bytes decode into exactly one labeled tree.
+    std::string key;
+    std::vector<PathId> stack;
+    if (size() > 0) stack.push_back(root());
+    while (!stack.empty()) {
+      const PathId s = stack.back();
+      stack.pop_back();
+      const std::string& l = label(s);
+      PutVarint(l.size(), &key);
+      key += l;
+      PutU8(static_cast<uint8_t>((strong_edge(s) ? 1 : 0) |
+                                 (one_to_one(s) ? 2 : 0)),
+            &key);
+      PutVarint(children(s).size(), &key);
+      // Pushed in descending label order, so popped in ascending order.
+      const auto first = stack.insert(stack.end(), children(s).begin(),
+                                      children(s).end());
+      std::sort(first, stack.end(),
+                [this](PathId a, PathId b) { return label(a) > label(b); });
+    }
+    structure_key_ = std::move(key);
+  });
+  return structure_key_;
 }
 
 PathId Summary::AppendNode(PathId parent, std::string_view label, bool strong,

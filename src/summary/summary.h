@@ -10,6 +10,7 @@
 #define SVX_SUMMARY_SUMMARY_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -84,8 +85,17 @@ class Summary {
   /// The label vocabulary.
   const StringInterner& labels() const { return label_interner_; }
 
-  /// Structural equality (labels + shape + constraint flags).
+  /// Structural equality (labels + shape + constraint flags) under the same
+  /// path numbering: equal summaries assign every document node the same
+  /// path id.
   bool StructurallyEquals(const Summary& other) const;
+
+  /// Canonical text of the labeled tree and its strong / one-to-one flags,
+  /// with children ordered by label, not by path id. Two summaries have
+  /// equal keys iff they admit the same documents, however their paths are
+  /// numbered. Computed on first use, at most once per object
+  /// (thread-safe); call only on a sealed summary that no longer changes.
+  const std::string& StructureKey() const;
 
   // ---- Construction API (SummaryBuilder / ParseSummary) ----
 
@@ -119,6 +129,9 @@ class Summary {
   // Preorder numbering for O(1) ancestor tests.
   std::vector<int32_t> preorder_;
   std::vector<int32_t> subtree_end_;
+
+  mutable std::once_flag structure_key_once_;
+  mutable std::string structure_key_;
 };
 
 }  // namespace svx

@@ -1,8 +1,9 @@
 // Byte primitives shared by every binary format the view store writes
-// (extent files and their columnar payloads, WAL segments): little-endian
-// fixed-width integers, u32-length-prefixed strings, LEB128 varints, and the
-// one bounds-checked reader that parses them back. The writers are inline
-// because the cell encoder runs on every maintenance pass.
+// (extent files and their columnar payloads, WAL segments) and by
+// Summary::StructureKey: little-endian fixed-width integers,
+// u32-length-prefixed strings, LEB128 varints, and the one bounds-checked
+// reader that parses them back. The writers are inline because the cell
+// encoder runs on every maintenance pass.
 #ifndef SVX_UTIL_BYTES_H_
 #define SVX_UTIL_BYTES_H_
 

@@ -5,7 +5,11 @@
 // atomic load (ViewCatalog::Snapshot()) and then work entirely against its
 // immutable world — view definitions, extents, statistics, a prebuilt cost
 // model, a lazily built shared ViewIndex, plus the snapshot's pinned
-// containment memo and rewrite cache (both internally synchronized).
+// containment memo and rewrite cache (both internally synchronized). The
+// memo, cache and index may be shared with neighbouring epochs: epochs of
+// one summary object share all three, and epochs of one summary structure
+// (with the same view set) share the rewrite cache, whose plans hold on
+// every document of that structure.
 // Query() is the one query entry point over that world: it plans through
 // Rewrite() (rewrite cache, memo, shared ViewIndex and cost model) and
 // executes the cheapest plan over the epoch's extents, so a reader serves a
@@ -140,7 +144,10 @@ class CatalogSnapshot {
   /// still resolve content references into it.
   const Document* document() const { return doc_.get(); }
 
-  /// The summary of document(), when bound; nullptr otherwise.
+  /// The summary of document(), when bound; nullptr otherwise. An update
+  /// whose summary StructurallyEquals the bound one keeps the bound object
+  /// (same numbering, so document()'s path ids agree with it): successive
+  /// epochs may return the same summary for different documents.
   const Summary* summary() const { return summary_.get(); }
 
   /// Executor bindings for this epoch's extents: each view scans through
@@ -174,22 +181,26 @@ class CatalogSnapshot {
                                     TraceSpan* trace = nullptr,
                                     RewriteStats* stats = nullptr) const;
 
-  /// This epoch's rewrite cache. Fresh per epoch (the successor of a
-  /// mutation starts empty — that is the invalidation), thread-safe, and
-  /// shared by every reader of the epoch.
+  /// This epoch's rewrite cache: the catalog's cache for its summary's
+  /// structure and view set (ViewCatalog::rewrite_cache). Thread-safe and
+  /// shared by every reader of every epoch that serves it; a view-set
+  /// mutation or a load publishes an epoch with an empty one (that is the
+  /// invalidation).
   RewriteCache* rewrite_cache() const { return rewrite_cache_.get(); }
 
   /// This epoch's pinned containment memo (pass as RewriterOptions::memo).
-  /// Thread-safe; replaced whenever a published document change makes the
-  /// summary stale, shared across view-set-only mutations.
+  /// Thread-safe; bound to summary(): shared across view-set-only
+  /// mutations and across updates that keep the summary object, replaced
+  /// by every other document change.
   ContainmentMemo* containment_memo() const { return memo_.get(); }
 
   /// The shared, snapshot-owned ViewIndex over this epoch's views for
   /// `summary` — what Rewrite() plans with; pass as
   /// RewriterOptions::shared_view_index to a Rewriter whose views were added
   /// in views() order. When `summary` is this snapshot's own summary() (the
-  /// serving path), the index is built once under an internal mutex and
-  /// shared by all readers of the epoch, living as long as the snapshot;
+  /// serving path), the index is built once under an internal mutex, or
+  /// carried from a predecessor epoch with the same summary object and
+  /// view definitions, and shared by all readers of the epoch;
   /// for any other summary (whose lifetime the snapshot cannot pin) a fresh
   /// uncached index is returned, owned by the caller's shared_ptr.
   /// `expansion` does not select an index: signatures depend on no
@@ -213,7 +224,7 @@ class CatalogSnapshot {
 
   mutable Mutex index_mu_;
   mutable std::shared_ptr<const ViewIndex> index_
-      SVX_GUARDED_BY(index_mu_);  // over summary_, built on first request
+      SVX_GUARDED_BY(index_mu_);  // over summary_: carried or built lazily
 };
 
 }  // namespace svx

@@ -1,5 +1,7 @@
 #include "src/viewstore/rewrite_cache.h"
 
+#include <utility>
+
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
 #include "src/pattern/pattern_printer.h"
@@ -7,6 +9,10 @@
 #include "src/util/timer.h"
 
 namespace svx {
+
+RewriteCache::RewriteCache(std::shared_ptr<Counters> counters)
+    : counters_(counters != nullptr ? std::move(counters)
+                                    : std::make_shared<Counters>()) {}
 
 std::string RewriteCache::KeyFor(const Pattern& q) {
   return PatternToString(q);
@@ -17,11 +23,11 @@ bool RewriteCache::Lookup(const std::string& key, std::vector<Rewriting>* out,
   MutexLock lock(&mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    ++misses_;
+    counters_->misses.fetch_add(1, std::memory_order_relaxed);
     metrics::RewriteCacheMisses()->Add(1);
     return false;
   }
-  ++hits_;
+  counters_->hits.fetch_add(1, std::memory_order_relaxed);
   metrics::RewriteCacheHits()->Add(1);
   *out = it->second.rewritings;
   // Replay the search counters the entry cost when it was computed.
@@ -44,31 +50,21 @@ void RewriteCache::Insert(const std::string& key,
   entries_[key] = std::move(entry);
 }
 
-void RewriteCache::CarryCountersFrom(const RewriteCache& prior) {
-  TwoMutexLock lock(&mu_, &prior.mu_);
-  hits_ = prior.hits_;
-  misses_ = prior.misses_;
-  invalidations_ = prior.invalidations_ + (prior.entries_.empty() ? 0 : 1);
-}
-
 size_t RewriteCache::size() const {
   MutexLock lock(&mu_);
   return entries_.size();
 }
 
 size_t RewriteCache::hits() const {
-  MutexLock lock(&mu_);
-  return hits_;
+  return counters_->hits.load(std::memory_order_relaxed);
 }
 
 size_t RewriteCache::misses() const {
-  MutexLock lock(&mu_);
-  return misses_;
+  return counters_->misses.load(std::memory_order_relaxed);
 }
 
 size_t RewriteCache::invalidations() const {
-  MutexLock lock(&mu_);
-  return invalidations_;
+  return counters_->invalidations.load(std::memory_order_relaxed);
 }
 
 Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
@@ -95,6 +91,9 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
     span.Attr("hit", hit ? "true" : "false");
   }
   if (hit) {
+    // The entry may have been ranked under another epoch's statistics: one
+    // cache serves every epoch of a summary structure.
+    RankByCost(rewriter->options().cost_model, &cached, stats);
     if (stats != nullptr) {
       stats->rewrite_cache_hits = 1;
       stats->results = cached.size();  // authoritative even for entries

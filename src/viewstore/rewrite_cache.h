@@ -1,18 +1,27 @@
 // Catalog-level cache of rewrite results.
 //
 // Million-user traffic is dominated by repeat queries, and a Rewrite() call
-// is pure given (query, view set, summary, rewriter options): the ranked
-// rewriting list can be cached under the query's canonical pattern text
-// (salted by CachedRewrite with the rewriter's configuration) and served in
-// microseconds.
-// Each CatalogSnapshot owns one cache: a catalog mutation (Materialize /
-// Add / Drop / ApplyUpdate / Load) publishes a successor snapshot with a
-// fresh cache (carrying the cumulative hit/miss/invalidation counters), so
-// a hit is always as fresh as a recomputation against that snapshot's view
-// set and document.
+// is pure given (query, view set, summary structure, rewriter options): the
+// ranked rewriting list can be cached under the query's canonical pattern
+// text (salted by CachedRewrite with the rewriter's configuration) and
+// served in microseconds.
+//
+// A rewriting found under summary S is equivalent to its query on every
+// document that conforms to S (the paper's summary-constrained
+// containment), and a plan names views, columns, labels and predicates,
+// never a path id. So a ViewCatalog keeps one cache per summary *structure*
+// (Summary::StructureKey) for its current view set, and each
+// CatalogSnapshot serves the cache of its summary's structure: a document
+// update whose summary keeps its structure (or returns to an earlier one)
+// serves the plans cached before it, while a view-set mutation (Add / Drop
+// / Load) drops every cache. Statistics do drift between the epochs that
+// share a cache, so a hit re-ranks its rewritings with the reader's cost
+// model. All of a catalog's caches count into one set of cumulative
+// hit/miss/invalidation counters.
 //
 // Thread-safe: an internal mutex guards the table, so concurrent readers
-// of one snapshot share warm entries.
+// — of one epoch or of several epochs sharing the cache — share warm
+// entries.
 //
 // Entries hold immutable plans (PlanPtr points to a const PlanNode); a hit
 // copies the rewriting list, which shares the cached plans with every other
@@ -20,7 +29,9 @@
 #ifndef SVX_VIEWSTORE_REWRITE_CACHE_H_
 #define SVX_VIEWSTORE_REWRITE_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +46,18 @@ namespace svx {
 
 class RewriteCache {
  public:
+  /// Cumulative lookup counters. A catalog's caches share one set, so the
+  /// counts never go backwards when the catalog moves between caches.
+  struct Counters {
+    std::atomic<size_t> hits{0};
+    std::atomic<size_t> misses{0};
+    /// Publishes that discarded cached plans (ViewCatalog).
+    std::atomic<size_t> invalidations{0};
+  };
+
+  /// A cache counting into `counters`, or into a set of its own when null.
+  explicit RewriteCache(std::shared_ptr<Counters> counters = nullptr);
+
   /// Cache key of a query pattern (its round-trippable text form).
   static std::string KeyFor(const Pattern& q);
 
@@ -58,15 +81,10 @@ class RewriteCache {
   void Insert(const std::string& key, const std::vector<Rewriting>& rewritings,
               const RewriteStats* stats = nullptr) SVX_EXCLUDES(mu_);
 
-  /// Seeds the cumulative counters from a predecessor cache, counting one
-  /// invalidation when the predecessor held entries — how a successor
-  /// snapshot's fresh cache keeps hit/miss observability continuous.
-  void CarryCountersFrom(const RewriteCache& prior) SVX_EXCLUDES(mu_);
-
   size_t size() const SVX_EXCLUDES(mu_);
-  size_t hits() const SVX_EXCLUDES(mu_);
-  size_t misses() const SVX_EXCLUDES(mu_);
-  size_t invalidations() const SVX_EXCLUDES(mu_);
+  size_t hits() const;
+  size_t misses() const;
+  size_t invalidations() const;
 
   /// Entries held before an insert of a new key drops the table.
   static constexpr size_t kMaxEntries = 4096;
@@ -79,15 +97,15 @@ class RewriteCache {
 
   mutable Mutex mu_;
   std::unordered_map<std::string, Entry> entries_ SVX_GUARDED_BY(mu_);
-  mutable size_t hits_ SVX_GUARDED_BY(mu_) = 0;
-  mutable size_t misses_ SVX_GUARDED_BY(mu_) = 0;
-  size_t invalidations_ SVX_GUARDED_BY(mu_) = 0;
+  const std::shared_ptr<Counters> counters_;
 };
 
 /// Rewrites `q` through `cache`: serves a hit (setting
 /// stats->rewrite_cache_hits and the timing fields), otherwise calls
-/// rewriter->Rewrite(q, stats) and caches the ok() result. With a null
-/// cache this is exactly rewriter->Rewrite.
+/// rewriter->Rewrite(q, stats) and caches the ok() result. A hit is
+/// re-ranked with the rewriter's cost model (RankByCost), so its est_cost
+/// reflects the reader's statistics, not those of the epoch that cached
+/// it. With a null cache this is exactly rewriter->Rewrite.
 [[nodiscard]] Result<std::vector<Rewriting>> CachedRewrite(
     RewriteCache* cache, Rewriter* rewriter, const Pattern& q,
     RewriteStats* stats = nullptr);

@@ -166,7 +166,7 @@ ViewCatalog::ViewCatalog(ViewCatalogOptions options)
   // NOLINTNEXTLINE(modernize-make-shared): private ctor, friend-only access.
   auto initial = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
   initial->epoch_ = next_epoch_++;
-  initial->rewrite_cache_ = std::make_shared<RewriteCache>();
+  initial->rewrite_cache_ = std::make_shared<RewriteCache>(cache_counters_);
   initial->memo_ = std::make_shared<ContainmentMemo>();
   snapshot_ = std::move(initial);
 }
@@ -202,24 +202,58 @@ void ViewCatalog::SetShardLabel(int shard) {
 void ViewCatalog::PublishLocked(
     std::vector<std::shared_ptr<const StoredView>> views,
     std::shared_ptr<const Document> doc,
-    std::shared_ptr<const Summary> summary, bool doc_changed) {
+    std::shared_ptr<const Summary> summary, Change change) {
   std::shared_ptr<const CatalogSnapshot> old = Current();
   // NOLINTNEXTLINE(modernize-make-shared): private ctor, friend-only access.
   auto snap = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
   snap->epoch_ = next_epoch_++;
   snap->views_ = std::move(views);
-  // A document change rebinds (even to null: the caller owns lifetimes
-  // then); view-set-only mutations keep serving the same document.
-  snap->doc_ = doc_changed ? std::move(doc) : old->doc_;
-  snap->summary_ = doc_changed ? std::move(summary) : old->summary_;
-  // A fresh cache per epoch is the invalidation: the successor can never
-  // serve a plan ranked against the old view set or document.
-  snap->rewrite_cache_ = std::make_shared<RewriteCache>();
-  snap->rewrite_cache_->CarryCountersFrom(*old->rewrite_cache_);
-  // Containment only depends on the summary: view-set mutations share the
-  // memo, document changes replace it.
-  snap->memo_ =
-      doc_changed ? std::make_shared<ContainmentMemo>() : old->memo_;
+  if (change == Change::kViews) {
+    // Same document: the bindings and the summary-bound memo carry; cached
+    // plans may name a dropped view or miss a cheaper one over a new view.
+    snap->doc_ = old->doc_;
+    snap->summary_ = old->summary_;
+    snap->memo_ = old->memo_;
+    DropRewriteCachesLocked(old->rewrite_cache_.get());
+    snap->rewrite_cache_ = std::make_shared<RewriteCache>(cache_counters_);
+  } else if (change == Change::kStore || summary == nullptr ||
+             old->summary_ == nullptr) {
+    // A loaded store, or no structure to match on either side: start over.
+    snap->doc_ = std::move(doc);
+    snap->summary_ = std::move(summary);
+    snap->memo_ = std::make_shared<ContainmentMemo>();
+    DropRewriteCachesLocked(old->rewrite_cache_.get());
+    snap->rewrite_cache_ = std::make_shared<RewriteCache>(cache_counters_);
+  } else if (summary == old->summary_ ||
+             summary->StructurallyEquals(*old->summary_)) {
+    // Same structure under the same numbering: the new document's path ids
+    // agree with the bound summary, so the epoch keeps that object and with
+    // it the memo, the cache and the view index over the same view defs.
+    snap->doc_ = std::move(doc);
+    snap->summary_ = old->summary_;
+    snap->memo_ = old->memo_;
+    snap->rewrite_cache_ = old->rewrite_cache_;
+    std::shared_ptr<const ViewIndex> index;
+    {
+      MutexLock lock(&old->index_mu_);
+      index = old->index_;
+    }
+    MutexLock lock(&snap->index_mu_);
+    snap->index_ = std::move(index);
+  } else {
+    // Another structure, or the same one renumbered: plans carry (they name
+    // no path id) but the memo and view index do not. File the bound cache
+    // under its structure and serve the new structure's.
+    snap->doc_ = std::move(doc);
+    snap->summary_ = std::move(summary);
+    snap->memo_ = std::make_shared<ContainmentMemo>();
+    RewriteCacheSlotLocked(old->summary_->StructureKey()) =
+        old->rewrite_cache_;
+    std::shared_ptr<RewriteCache>& slot =
+        RewriteCacheSlotLocked(snap->summary_->StructureKey());
+    if (slot == nullptr) slot = std::make_shared<RewriteCache>(cache_counters_);
+    snap->rewrite_cache_ = slot;
+  }
   snap->cost_model_.constants = CalibratedCostConstants();
   for (const auto& v : snap->views_) {
     snap->cost_model_.AddViewStats(v->def.name, v->stats);
@@ -240,11 +274,31 @@ void ViewCatalog::PublishLocked(
   metrics::EpochPublishes()->Add(1);
 }
 
+void ViewCatalog::DropRewriteCachesLocked(const RewriteCache* bound) {
+  bool held = bound != nullptr && bound->size() > 0;
+  for (const auto& entry : rewrite_caches_) {
+    held = held || entry.second->size() > 0;
+  }
+  if (held) {
+    cache_counters_->invalidations.fetch_add(1, std::memory_order_relaxed);
+  }
+  rewrite_caches_.clear();
+}
+
+std::shared_ptr<RewriteCache>& ViewCatalog::RewriteCacheSlotLocked(
+    const std::string& key) {
+  if (rewrite_caches_.size() >= kMaxRewriteCaches &&
+      rewrite_caches_.find(key) == rewrite_caches_.end()) {
+    DropRewriteCachesLocked(nullptr);
+  }
+  return rewrite_caches_[key];
+}
+
 void ViewCatalog::BindDocument(std::shared_ptr<const Document> doc,
                                std::shared_ptr<const Summary> summary) {
   MutexLock lock(&writer_mu_);
   PublishLocked(Current()->views(), std::move(doc), std::move(summary),
-                /*doc_changed=*/true);
+                Change::kDocument);
 }
 
 Status ViewCatalog::Materialize(const ViewDef& def, const Document& doc) {
@@ -280,7 +334,7 @@ Status ViewCatalog::Add(ViewDef def, Table extent) {
     }
   }
   if (!replaced) next.push_back(std::move(stored));
-  PublishLocked(std::move(next), nullptr, nullptr, /*doc_changed=*/false);
+  PublishLocked(std::move(next), nullptr, nullptr, Change::kViews);
   if (enable_delta_log_) {
     // A view-set mutation changes what WAL replay must resolve by name;
     // checkpoint immediately so no log record can ever reference a view
@@ -298,7 +352,7 @@ Status ViewCatalog::Drop(const std::string& name) {
                          [&](const auto& v) { return v->def.name == name; });
   if (it == next.end()) return Status::NotFound("no such view: " + name);
   next.erase(it);
-  PublishLocked(std::move(next), nullptr, nullptr, /*doc_changed=*/false);
+  PublishLocked(std::move(next), nullptr, nullptr, Change::kViews);
   if (enable_delta_log_) {
     std::shared_ptr<const CatalogSnapshot> cur = Current();
     return PersistLocked(cur->views(), cur->epoch());
@@ -336,13 +390,22 @@ Status ViewCatalog::PersistLocked(
   // Never-reuse is a cross-process property: a fresh catalog saving into a
   // directory another instance populated (without Load()ing it) must not
   // re-mint generations already on disk — overwriting "<name>.<gen>.extent"
-  // in place would reopen the crash window the generations close. Seed the
-  // counter past everything present, once per catalog.
+  // in place would reopen the crash window the generations close. Nor may
+  // it append to that instance's WAL segment, whose records would replay
+  // over this catalog's state. Seed both counters past everything present,
+  // once per catalog: this save's floor then retires every segment there.
   if (!generation_seeded_) {
     uint64_t max_gen = 0;
+    uint64_t max_segment = 0;
     for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
       if (ec) break;
       if (!entry.is_regular_file()) continue;
+      uint64_t segment = 0;
+      if (DeltaLog::ParseSegmentFileName(entry.path().filename().string(),
+                                         &segment)) {
+        max_segment = std::max(max_segment, segment);
+        continue;
+      }
       std::string ext = entry.path().extension().string();
       if (ext != ".extent" && ext != ".stats") continue;
       std::string stem = entry.path().stem().string();  // "<name>.<gen>"
@@ -354,6 +417,7 @@ Status ViewCatalog::PersistLocked(
       }
     }
     next_generation_ = std::max(next_generation_, max_gen + 1);
+    wal_generation_ = std::max(wal_generation_, max_segment + 1);
     generation_seeded_ = true;
   }
   // Extents and stats first, each under a generation-suffixed name that no
@@ -661,7 +725,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
     SVX_RETURN_IF_ERROR(PersistLocked(next, publish_epoch));
   }
   PublishLocked(std::move(next), std::move(new_doc), std::move(new_summary),
-                /*doc_changed=*/true);
+                Change::kDocument);
   const int64_t total_us = static_cast<int64_t>(timer.ElapsedMicros());
   metrics::MaintenancePasses()->Add(1);
   metrics::MaintenanceViewsTouched()->Add(ms.views_touched);
@@ -846,7 +910,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
                    std::memory_order_relaxed);
   next_epoch_ = std::max(next_epoch_, max_epoch + 1);
   PublishLocked(std::move(views), std::move(shared), std::move(summary),
-                /*doc_changed=*/true);
+                Change::kStore);
   return Status::OK();
 }
 

@@ -54,6 +54,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/algebra/executor.h"
@@ -232,16 +233,26 @@ class ViewCatalog {
     return Current()->TotalCompressedBytes();
   }
 
-  /// The current epoch's rewrite cache (src/viewstore/rewrite_cache.h).
-  /// Every catalog mutation publishes a successor epoch with a fresh cache
-  /// — the successor serves no stale plans — carrying the cumulative
-  /// hit/miss/invalidation counters.
+  /// The current epoch's rewrite cache (src/viewstore/rewrite_cache.h):
+  /// the cache of its summary's structure for the current view set. Add,
+  /// Drop and Load drop every cache and start an empty one. A document
+  /// change with a summary (ApplyUpdateBatch / BindDocument) keeps the
+  /// cache when the summary StructurallyEquals the bound one, and otherwise
+  /// serves the cache of the new summary's structure, created the first
+  /// time that structure appears (up to kMaxRewriteCaches structures; the
+  /// table is dropped whole when full). A document change without a
+  /// summary, or with none bound before, starts empty. All of the catalog's
+  /// caches share one set of cumulative hit/miss/invalidation counters.
   RewriteCache* rewrite_cache() const { return Current()->rewrite_cache(); }
 
+  /// Structures whose rewrite caches the catalog keeps at once.
+  static constexpr size_t kMaxRewriteCaches = 256;
+
   /// The current epoch's pinned containment memo (pass as
-  /// RewriterOptions::memo). Replaced whenever the document — and hence
-  /// the summary — may change (ApplyUpdate / Load / BindDocument); shared
-  /// across view-set-only mutations, whose decisions it does not affect.
+  /// RewriterOptions::memo). Shared across view-set-only mutations, whose
+  /// decisions it does not affect, and across document changes whose
+  /// summary StructurallyEquals the bound one; every other document change
+  /// (ApplyUpdate / Load / BindDocument) starts a fresh one.
   ContainmentMemo* containment_memo() const {
     return Current()->containment_memo();
   }
@@ -300,14 +311,34 @@ class ViewCatalog {
   /// holds that epoch (i.e. until the next mutation).
   std::shared_ptr<const CatalogSnapshot> Current() const { return Snapshot(); }
 
-  /// Builds and publishes the successor epoch (writer mutex held).
-  /// `doc_changed` replaces the containment memo and rebinds the epoch's
-  /// document/summary to the given values (possibly null — the caller
-  /// manages lifetimes then); otherwise the current bindings carry over
-  /// and doc/summary must be null.
+  /// What a published epoch replaces; decides what it carries over.
+  enum class Change {
+    kViews,     // Add / Drop: a new view set over the same document
+    kStore,     // Load: a new view set and document
+    kDocument,  // ApplyUpdate / BindDocument: a new document, same views
+  };
+
+  /// Builds and publishes the successor epoch (writer mutex held). kStore
+  /// and kDocument rebind the epoch's document/summary to the given values
+  /// (possibly null — the caller manages lifetimes then), except that a
+  /// kDocument summary that StructurallyEquals the bound one keeps the
+  /// bound object; kViews keeps the current bindings, and doc/summary must
+  /// be null. The rewrite cache, memo and view index follow the rules of
+  /// rewrite_cache() and containment_memo().
   void PublishLocked(std::vector<std::shared_ptr<const StoredView>> views,
                      std::shared_ptr<const Document> doc,
-                     std::shared_ptr<const Summary> summary, bool doc_changed)
+                     std::shared_ptr<const Summary> summary, Change change)
+      SVX_REQUIRES(writer_mu_);
+
+  /// Drops every structure's rewrite cache, counting one invalidation when
+  /// any of them, or `bound` (the epoch's cache, possibly not in the
+  /// table), held plans.
+  void DropRewriteCachesLocked(const RewriteCache* bound)
+      SVX_REQUIRES(writer_mu_);
+
+  /// The rewrite-cache table's slot for a structure key (null when new);
+  /// adding a key to a full table drops the table first.
+  std::shared_ptr<RewriteCache>& RewriteCacheSlotLocked(const std::string& key)
       SVX_REQUIRES(writer_mu_);
 
   /// Writes every not-yet-persisted view under a fresh generation, flips
@@ -344,10 +375,20 @@ class ViewCatalog {
   std::shared_ptr<const CatalogSnapshot> snapshot_ SVX_GUARDED_BY(snapshot_mu_);
   uint64_t next_epoch_ SVX_GUARDED_BY(writer_mu_) = 1;
   mutable uint64_t next_generation_ SVX_GUARDED_BY(writer_mu_) = 1;
-  /// True once next_generation_ is known to exceed every generation in
-  /// dir_ (set by a v2+ Load or by PersistLocked's directory scan) — the
-  /// cross-process never-reuse guard.
+  /// True once the generation counters are seeded from dir_ (by Load or
+  /// by PersistLocked's directory scan): next_generation_ exceeds every
+  /// extent generation there, and wal_generation_ names a segment of this
+  /// catalog's own log — the cross-process never-reuse guard.
   mutable bool generation_seeded_ SVX_GUARDED_BY(writer_mu_) = false;
+
+  /// The cumulative counters every rewrite cache of this catalog shares.
+  const std::shared_ptr<RewriteCache::Counters> cache_counters_ =
+      std::make_shared<RewriteCache::Counters>();
+  /// Rewrite caches of the current view set by Summary::StructureKey. The
+  /// bound summary's cache enters the table when an update moves to another
+  /// structure, so the key is computed only for summaries that differ.
+  std::unordered_map<std::string, std::shared_ptr<RewriteCache>>
+      rewrite_caches_ SVX_GUARDED_BY(writer_mu_);
 
   /// Shard row filter (null = whole extents); writer-side only.
   std::shared_ptr<const ExtentPartition> partition_ SVX_GUARDED_BY(writer_mu_);

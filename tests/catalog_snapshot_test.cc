@@ -8,6 +8,7 @@
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
+#include "src/util/strings.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
 #include "src/xml/update.h"
@@ -20,6 +21,51 @@ std::shared_ptr<Document> Doc(std::string_view s) {
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::shared_ptr<Document>(std::move(r).value());
 }
+
+/// The first node labeled `label`, in document order.
+OrdPath FirstNode(const Document& d, const std::string& label) {
+  for (NodeIndex n = 0; n < d.size(); ++n) {
+    if (d.label(n) == label) return d.ord_path(n);
+  }
+  ADD_FAILURE() << "no " << label << " node";
+  return OrdPath::Root();
+}
+
+/// Publishes `up`'s document with a freshly built summary, as a server
+/// does after every update, and returns that document (null on failure).
+std::shared_ptr<Document> Publish(ViewCatalog* catalog,
+                                  Result<UpdateResult> up) {
+  if (!up.ok()) {
+    ADD_FAILURE() << up.status().ToString();
+    return nullptr;
+  }
+  std::shared_ptr<Document> next(std::move(up->doc));
+  std::shared_ptr<const Summary> summary(SummaryBuilder::Build(next.get()));
+  Status s = catalog->ApplyUpdateBatch({up->delta}, next, summary);
+  if (!s.ok()) {
+    ADD_FAILURE() << s.ToString();
+    return nullptr;
+  }
+  return next;
+}
+
+/// Serves `q` from the current epoch, reporting whether the rewrite cache
+/// answered it.
+Result<Table> Serve(const ViewCatalog& catalog, const Pattern& q,
+                    bool* hit = nullptr) {
+  RewriteStats stats;
+  Result<Table> out = catalog.Snapshot()->Query(q, nullptr, &stats);
+  if (hit != nullptr) *hit = stats.rewrite_cache_hits == 1;
+  return out;
+}
+
+/// Every item under asia has a description, so the edge item->description
+/// is strong and the view, which keeps every element under regions that
+/// has a description child, holds exactly the items.
+constexpr char kDescribedItems[] =
+    "site(regions(asia(item(description(text=x) name=a) "
+    "item(description(text=y) name=b))))";
+constexpr char kDescribedView[] = "site(//regions(//*{id}(/description)))";
 
 TEST(CatalogSnapshot, EpochsAreImmutableAndMonotonic) {
   std::shared_ptr<Document> d = Doc("a(b=1 b=2)");
@@ -150,6 +196,174 @@ TEST(CatalogSnapshot, RewriteCacheIsFreshPerEpochWithContinuousCounters) {
   ASSERT_TRUE(up.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(up->delta).ok());
   EXPECT_NE(catalog.Snapshot()->containment_memo(), snap->containment_memo());
+}
+
+TEST(CatalogSnapshot, FlagFlipMissesAndTheReturningStructureHits) {
+  std::shared_ptr<Document> d0 = Doc(kDescribedItems);
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern(kDescribedView)}, *d0).ok());
+  catalog.BindDocument(d0, SummaryBuilder::Build(d0.get()));
+  const Pattern q = MustParsePattern("site(//item{id})");
+  bool hit = true;
+  Result<Table> first = Serve(catalog, q, &hit);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->NumRows(), 2);
+  EXPECT_FALSE(hit);
+
+  // An item without a description: item->description stops being strong,
+  // the view no longer holds every item, and no rewriting exists.
+  Result<UpdateResult> ins =
+      InsertSubtree(*d0, FirstNode(*d0, "asia"), *Doc("item(name=c)"));
+  ASSERT_TRUE(ins.ok());
+  const OrdPath inserted = ins->delta.region;
+  std::shared_ptr<Document> d1 = Publish(&catalog, std::move(ins));
+  ASSERT_NE(d1, nullptr);
+  EXPECT_EQ(MaterializeView(q, "q", *d1).NumRows(), 3);
+  Result<Table> flipped = Serve(catalog, q);
+  ASSERT_FALSE(flipped.ok()) << "served " << flipped->NumRows()
+                             << " rows planned under the old flags";
+  EXPECT_EQ(flipped.status().code(), StatusCode::kNotFound);
+
+  // Deleting it restores the first structure, whose cached plan serves.
+  std::shared_ptr<Document> d2 =
+      Publish(&catalog, DeleteSubtree(*d1, inserted));
+  ASSERT_NE(d2, nullptr);
+  Result<Table> back = Serve(catalog, q, &hit);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(back->EqualsIgnoringOrder(MaterializeView(q, "q", *d2)));
+}
+
+TEST(CatalogSnapshot, RenumberedSummaryServesTheCachedPlan) {
+  std::shared_ptr<Document> d0 = Doc("r(a(b=1 c=2) a(b=3 c=4))");
+  std::shared_ptr<const Summary> s0(SummaryBuilder::Build(d0.get()));
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern("r(//b{id,v})")}, *d0).ok());
+  catalog.BindDocument(d0, s0);
+  const Pattern q = MustParsePattern("r(/a(/b{v}))");
+  bool hit = true;
+  ASSERT_TRUE(Serve(catalog, q, &hit).ok());
+  EXPECT_FALSE(hit);
+
+  // A first `a` listing c before b numbers /r/a/c before /r/a/b.
+  const OrdPath first_a = FirstNode(*d0, "a");
+  std::shared_ptr<Document> d1 =
+      Publish(&catalog, InsertSubtree(*d0, OrdPath::Root(),
+                                      *Doc("a(c=5 b=6)"), &first_a));
+  ASSERT_NE(d1, nullptr);
+  const Summary& s1 = *catalog.Snapshot()->summary();
+  EXPECT_NE(s1.Resolve("/r/a/b"), s0->Resolve("/r/a/b"));
+  EXPECT_FALSE(s1.StructurallyEquals(*s0));
+  EXPECT_EQ(s1.StructureKey(), s0->StructureKey());
+
+  Result<Table> rows = Serve(catalog, q, &hit);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(rows->EqualsIgnoringOrder(MaterializeView(q, "q", *d1)));
+}
+
+TEST(CatalogSnapshot, HitIsRankedWithTheServingEpochsStatistics) {
+  std::shared_ptr<Document> d0 = Doc("a(b=1 b=2 c=3)");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *d0).ok());
+  catalog.BindDocument(d0, SummaryBuilder::Build(d0.get()));
+  const Pattern q = MustParsePattern("a(/b{v})");
+  Result<Rewriting> cold = catalog.Snapshot()->Rewrite(q);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  // Two more b rows: same summary, different statistics.
+  std::shared_ptr<Document> d1 =
+      Publish(&catalog, InsertSubtree(*d0, OrdPath::Root(), *Doc("b=4")));
+  ASSERT_NE(d1, nullptr);
+  std::shared_ptr<Document> d2 =
+      Publish(&catalog, InsertSubtree(*d1, OrdPath::Root(), *Doc("b=5")));
+  ASSERT_NE(d2, nullptr);
+  std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+  RewriteStats stats;
+  Result<Rewriting> warm = snap->Rewrite(q, nullptr, &stats);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(stats.rewrite_cache_hits, 1u);
+  EXPECT_NE(warm->est_cost, cold->est_cost);
+  EXPECT_DOUBLE_EQ(warm->est_cost,
+                   snap->cost_model().EstimateCost(*warm->plan));
+  EXPECT_DOUBLE_EQ(stats.cheapest_cost, warm->est_cost);
+}
+
+TEST(CatalogSnapshot, CacheCountersNeverDecreaseAcrossStructures) {
+  std::shared_ptr<Document> d0 = Doc(kDescribedItems);
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern(kDescribedView)}, *d0).ok());
+  catalog.BindDocument(d0, SummaryBuilder::Build(d0.get()));
+  const Pattern q = MustParsePattern("site(//item{id})");
+  struct Counts {
+    size_t hits, misses, invalidations;
+  };
+  std::vector<Counts> seen;
+  auto serve_twice = [&]() {
+    (void)Serve(catalog, q);
+    (void)Serve(catalog, q);
+    const RewriteCache* c = catalog.rewrite_cache();
+    seen.push_back({c->hits(), c->misses(), c->invalidations()});
+  };
+  serve_twice();  // structure A
+  Result<UpdateResult> ins =
+      InsertSubtree(*d0, FirstNode(*d0, "asia"), *Doc("item(name=c)"));
+  ASSERT_TRUE(ins.ok());
+  const OrdPath inserted = ins->delta.region;
+  std::shared_ptr<Document> d1 = Publish(&catalog, std::move(ins));
+  ASSERT_NE(d1, nullptr);
+  serve_twice();  // structure B
+  std::shared_ptr<Document> d2 =
+      Publish(&catalog, DeleteSubtree(*d1, inserted));
+  ASSERT_NE(d2, nullptr);
+  serve_twice();  // A again: its cache, with the counters it shares
+
+  ASSERT_EQ(seen.size(), 3u);
+  for (size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_GE(seen[i].hits, seen[i - 1].hits) << i;
+    EXPECT_GE(seen[i].misses, seen[i - 1].misses) << i;
+    EXPECT_GE(seen[i].invalidations, seen[i - 1].invalidations) << i;
+  }
+  EXPECT_EQ(seen.back().hits, 4u);    // A's second serve, B's, A's two
+  EXPECT_EQ(seen.back().misses, 2u);  // A's and B's first serve
+  // Moving between structures discards no cached plan.
+  EXPECT_EQ(seen.back().invalidations, 0u);
+}
+
+TEST(CatalogSnapshot, FullStructureTableIsDroppedWhole) {
+  // Each round inserts a child with a label of its own and deletes it
+  // again: a new structure, then back to the first one, whose cache hits.
+  std::shared_ptr<Document> d = Doc("a(b=1)");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  catalog.BindDocument(d, SummaryBuilder::Build(d.get()));
+  const Pattern q = MustParsePattern("a(/b{v})");
+  ASSERT_TRUE(Serve(catalog, q).ok());
+  bool hit = false;
+  for (size_t i = 0; i < ViewCatalog::kMaxRewriteCaches; ++i) {
+    Result<UpdateResult> ins = InsertSubtree(
+        *d, OrdPath::Root(), *Doc(StrFormat("c%zu=1", i)));
+    ASSERT_TRUE(ins.ok());
+    const OrdPath region = ins->delta.region;
+    std::shared_ptr<Document> with = Publish(&catalog, std::move(ins));
+    ASSERT_NE(with, nullptr);
+    ASSERT_TRUE(Serve(catalog, q).ok());  // fills the new structure's cache
+    d = Publish(&catalog, DeleteSubtree(*with, region));
+    ASSERT_NE(d, nullptr);
+    ASSERT_TRUE(Serve(catalog, q, &hit).ok());
+    if (i + 1 < ViewCatalog::kMaxRewriteCaches) {
+      ASSERT_TRUE(hit) << i;
+    }
+  }
+  // The last new structure met a full table (the first structure and 255
+  // others) and dropped it whole, first structure included.
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(catalog.rewrite_cache()->invalidations(), 1u);
 }
 
 TEST(CatalogSnapshot, QueryErrorContracts) {

@@ -20,6 +20,7 @@
 
 #include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
+#include "src/pattern/pattern_printer.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/rng.h"
@@ -212,6 +213,113 @@ TEST(ConcurrentServing, ReadersAlwaysSeeAConsistentEpoch) {
   EXPECT_EQ(live, expected) << "concurrent run diverged from replay";
   for (const std::string& err : reader_errors) EXPECT_EQ(err, "");
   EXPECT_GT(consistency_checks.load(), 0);
+}
+
+TEST(ConcurrentServing, OldEpochReadersFillCachesThatNewEpochsServe) {
+  // Epochs of one summary structure share a rewrite cache, so readers still
+  // pinned to old epochs insert plans that new epochs serve. The writer
+  // cycles through four updates: two keep the summary (an item with both
+  // name and keyword, inserted and later deleted) and two flip the strong
+  // and one-to-one flags of item->keyword (an item without a keyword,
+  // inserted and deleted again).
+  std::shared_ptr<Document> doc =
+      Doc("site(item(name=alpha keyword=k1) item(name=beta keyword=k2))");
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(doc.get()));
+  ViewCatalog catalog;
+  for (const ViewDef& def : StressViews()) {
+    ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
+  }
+  // Holds every item only while item->keyword is strong.
+  ASSERT_TRUE(catalog
+                  .Materialize({"keyed", MustParsePattern(
+                                             "site(/item{id}(/keyword))")},
+                               *doc)
+                  .ok());
+  catalog.BindDocument(doc, summary);
+
+  const char* queries[] = {"site(/item{id})", "site(/item{id}(/name{v}))",
+                           "site(//keyword{v})", "site(/item(/keyword{v}))"};
+  std::atomic<bool> stop{false};
+  std::atomic<int> answers{0};
+  std::vector<std::string> reader_errors(3);
+  std::atomic<int> readers_running{static_cast<int>(reader_errors.size())};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < reader_errors.size(); ++r) {
+    readers.emplace_back([&, r]() {
+      struct Done {
+        std::atomic<int>* running;
+        ~Done() { running->fetch_sub(1); }
+      } done{&readers_running};
+      int iter = 0;
+      do {
+        // Pinned across several queries while the writer moves on.
+        std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+        for (int k = 0; k < 6; ++k, ++iter) {
+          const Pattern q = MustParsePattern(
+              queries[static_cast<size_t>(iter) % std::size(queries)]);
+          Result<Table> got = snap->Query(q);
+          if (!got.ok()) {
+            if (got.status().code() == StatusCode::kNotFound) continue;
+            reader_errors[r] = got.status().ToString();
+            return;
+          }
+          if (!got->EqualsIgnoringOrder(
+                  MaterializeView(q, "q", *snap->document()))) {
+            reader_errors[r] = "epoch " + std::to_string(snap->epoch()) +
+                               ": " + PatternToString(q) +
+                               " disagrees with direct evaluation";
+            return;
+          }
+          answers.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (!stop.load(std::memory_order_relaxed));
+    });
+  }
+
+  OrdPath kept;
+  OrdPath flipped;
+  for (int i = 0; i < 24; ++i) {
+    // Let the readers serve a few queries from the current epoch first, so
+    // that some of them are still pinned to it after the update.
+    const int target = answers.load() + 3;
+    while (answers.load() < target && readers_running.load() > 0) {
+      std::this_thread::yield();
+    }
+    Result<UpdateResult> up = Status::Internal("no update");
+    switch (i % 4) {
+      case 0:
+        up = InsertSubtree(*doc, OrdPath::Root(),
+                           *Doc("item(name=gamma keyword=k3)"));
+        if (up.ok()) kept = up->delta.region;
+        break;
+      case 1:
+        up = InsertSubtree(*doc, OrdPath::Root(), *Doc("item(name=delta)"));
+        if (up.ok()) flipped = up->delta.region;
+        break;
+      case 2:
+        up = DeleteSubtree(*doc, flipped);
+        break;
+      default:
+        up = DeleteSubtree(*doc, kept);
+        break;
+    }
+    ASSERT_TRUE(up.ok()) << up.status().ToString();
+    std::shared_ptr<Document> next(std::move(up->doc));
+    std::shared_ptr<Summary> next_summary(SummaryBuilder::Build(next.get()));
+    EXPECT_EQ(next_summary->StructurallyEquals(*summary),
+              i % 4 == 0 || i % 4 == 3)
+        << "update " << i;
+    ASSERT_TRUE(
+        catalog.ApplyUpdateBatch({up->delta}, next, next_summary).ok());
+    doc = std::move(next);
+    summary = std::move(next_summary);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+
+  for (const std::string& err : reader_errors) EXPECT_EQ(err, "");
+  EXPECT_GT(answers.load(), 0);
+  EXPECT_GT(catalog.rewrite_cache()->hits(), 0u);
 }
 
 TEST(ConcurrentServing, SharedCachesStaySaneUnderContention) {

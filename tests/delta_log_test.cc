@@ -405,6 +405,35 @@ TEST(DeltaLogCatalog, BatchPublishesOneEpochAndMatchesSerial) {
             SerializeExtent(*serial.Find("names")->table().value()));
 }
 
+TEST(DeltaLogCatalog, FreshCatalogSavingOverAnotherStoreDropsItsLog) {
+  // A catalog that never loaded must not adopt the log another instance
+  // left in its directory: that log's records would replay over its state.
+  TempDir dir;
+  const Pattern p = MustParsePattern("site(/item{id}(/name{id,v}))");
+  std::unique_ptr<Document> base = Doc("site(item(name=a))");
+  std::vector<std::unique_ptr<Document>> history;
+  {
+    ViewCatalog a(WalOptions(dir.path));
+    ASSERT_TRUE(a.Materialize({"V", p}, *base).ok());
+    history = ApplyInserts(&a, base.get(), 3);
+    EXPECT_EQ(a.wal_depth(), 3);
+    EXPECT_EQ(a.Find("V")->stats.num_rows, 4);
+  }
+  std::unique_ptr<Document> other = Doc("site(item(name=z))");
+  {
+    ViewCatalog b(WalOptions(dir.path));
+    ASSERT_TRUE(b.Materialize({"V", p}, *other).ok());  // checkpoints
+  }
+  ViewCatalog reopened(WalOptions(dir.path));
+  ASSERT_TRUE(reopened.Load(other.get()).ok());
+  EXPECT_EQ(reopened.wal_depth(), 0);
+  ASSERT_NE(reopened.Find("V"), nullptr);
+  Table fresh = MaterializeView(p, "V", *other);
+  fresh.SortRowsCanonical();
+  EXPECT_EQ(SerializeExtent(*reopened.Find("V")->table().value()),
+            SerializeExtent(fresh));
+}
+
 /// The newest WAL segment in `dir`: the one appends go to.
 fs::path LiveSegment(const std::string& dir) {
   fs::path live;

@@ -8,19 +8,28 @@
 //     materializer agree on result cardinality for ID-only patterns.
 //   * Canonical-model witnesses: every canonical tree weakly conforms to
 //     the summary and reproduces its own return tuple.
+//   * Carried plans: under a random stream of item inserts and deletes,
+//     which flips strong / one-to-one edges and renumbers summary paths,
+//     every query a catalog serves (plans cached under earlier epochs
+//     included) equals direct evaluation over the epoch's document.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "src/containment/containment.h"
 #include "src/pattern/canonical.h"
 #include "src/pattern/evaluator.h"
+#include "src/pattern/pattern_parser.h"
 #include "src/pattern/pattern_printer.h"
 #include "src/rewriting/view.h"
 #include "src/summary/summary_builder.h"
 #include "src/summary/summary_io.h"
 #include "src/util/rng.h"
+#include "src/viewstore/view_catalog.h"
 #include "src/workload/pattern_generator.h"
 #include "src/xml/builder.h"
 #include "src/xml/serializer.h"
+#include "src/xml/update.h"
 
 namespace svx {
 namespace {
@@ -208,6 +217,116 @@ TEST_P(CanonicalWitness, TreesReproduceTheirReturnTuples) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CanonicalWitness, ::testing::Range(0, 30));
+
+TEST(CarriedPlans, EveryServedQueryEqualsDirectEvaluation) {
+  std::shared_ptr<Document> doc(
+      ParseTreeNotation(
+          "site(regions(asia(item(name=a keyword=k1 description(text=x)) "
+          "item(name=b keyword=k2 description(text=y))) "
+          "europe(item(name=c keyword=k3 description(text=z)))))")
+          .value());
+  std::shared_ptr<const Summary> summary(SummaryBuilder::Build(doc.get()));
+  ViewCatalog catalog;
+  for (const char* tag : {"name", "keyword", "description", "text", "asia",
+                          "europe"}) {
+    const std::string text = std::string("site(//") + tag + "{id,v})";
+    ASSERT_TRUE(
+        catalog.Materialize({std::string("B_") + tag, MustParsePattern(text)},
+                            *doc)
+            .ok());
+  }
+  // The only view storing item ids. It holds every item only while
+  // item->description is strong, and a plan deriving item ids from a
+  // child's id (a virtual parent id, §4.6) holds only while that child's
+  // edge is strong: queries needing item ids have a rewriting in some
+  // epochs and none in others.
+  ASSERT_TRUE(catalog
+                  .Materialize({"described", MustParsePattern(
+                                                 "site(//regions(//*{id}"
+                                                 "(/description)))")},
+                               *doc)
+                  .ok());
+  catalog.BindDocument(doc, summary);
+  const std::vector<Pattern> queries = {
+      MustParsePattern("site(//item{id})"),
+      MustParsePattern("site(//item{id}(/name{v}))"),
+      MustParsePattern("site(//asia(/item{id}(/keyword{v})))"),
+      MustParsePattern("site(//item(/description(/text{v})))"),
+  };
+  // Item shapes: complete, missing children (flag flips: every child edge
+  // of item, from which a plan could derive item ids, stops being strong in
+  // some epochs), and children in another order (renumbering when the item
+  // becomes a region's first).
+  const char* shapes[] = {
+      "item(name=n keyword=k description(text=t))",
+      "item(name=n)",
+      "item(keyword=k description(text=t))",
+      "item(description(text=t) name=n keyword=k)",
+      "item(keyword=k name=n)",
+  };
+  Rng rng(20231);
+  std::vector<OrdPath> inserted;
+  std::set<std::string> structures{summary->StructureKey()};
+  int renumbered = 0;
+  size_t hits = 0;
+  size_t answered = 0;
+  size_t unanswered = 0;
+  for (int step = 0; step < 60; ++step) {
+    Result<UpdateResult> up = Status::Internal("no update");
+    if (rng.Bernoulli(static_cast<double>(inserted.size()) / 8)) {
+      const size_t i = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(inserted.size()) - 1));
+      up = DeleteSubtree(*doc, inserted[i]);
+      inserted.erase(inserted.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      const std::string label = rng.Bernoulli(0.5) ? "asia" : "europe";
+      NodeIndex region = 0;
+      while (doc->label(region) != label) ++region;
+      std::unique_ptr<Document> item =
+          ParseTreeNotation(shapes[rng.Uniform(0, 4)]).value();
+      const OrdPath first = doc->ord_path(doc->children(region).front());
+      up = rng.Bernoulli(0.5) ? InsertSubtree(*doc, doc->ord_path(region),
+                                              *item, &first)
+                              : InsertSubtree(*doc, doc->ord_path(region),
+                                              *item);
+      if (up.ok()) inserted.push_back(up->delta.region);
+    }
+    ASSERT_TRUE(up.ok()) << up.status().ToString();
+    std::shared_ptr<Document> next(std::move(up->doc));
+    std::shared_ptr<const Summary> next_summary(
+        SummaryBuilder::Build(next.get()));
+    if (!next_summary->StructurallyEquals(*summary) &&
+        next_summary->StructureKey() == summary->StructureKey()) {
+      ++renumbered;
+    }
+    structures.insert(next_summary->StructureKey());
+    ASSERT_TRUE(
+        catalog.ApplyUpdateBatch({up->delta}, next, next_summary).ok());
+    doc = std::move(next);
+    summary = std::move(next_summary);
+    std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+    for (const Pattern& q : queries) {
+      RewriteStats stats;
+      Result<Table> got = snap->Query(q, nullptr, &stats);
+      hits += stats.rewrite_cache_hits;
+      if (!got.ok()) {
+        ASSERT_EQ(got.status().code(), StatusCode::kNotFound)
+            << "step " << step << " " << PatternToString(q) << ": "
+            << got.status().ToString();
+        ++unanswered;
+        continue;
+      }
+      ++answered;
+      EXPECT_TRUE(got->EqualsIgnoringOrder(MaterializeView(q, "q", *doc)))
+          << "step " << step << " " << PatternToString(q);
+    }
+  }
+  EXPECT_GE(structures.size(), 3u);
+  EXPECT_GT(renumbered, 0);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(unanswered, 0u);
+}
 
 }  // namespace
 }  // namespace svx

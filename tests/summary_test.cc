@@ -190,6 +190,24 @@ TEST(Summary, StructurallyEquals) {
   EXPECT_FALSE(s1->StructurallyEquals(*s4));
 }
 
+TEST(Summary, StructureKeyIgnoresNumberingButNotFlags) {
+  std::unique_ptr<Document> d1 = Doc("a(b(x y) c(z))");
+  std::unique_ptr<Summary> s1 = SummaryBuilder::Build(d1.get());
+  // The same labeled tree met in another order: numbered differently.
+  std::unique_ptr<Document> d2 = Doc("a(c(z) b(y x))");
+  std::unique_ptr<Summary> s2 = SummaryBuilder::Build(d2.get());
+  EXPECT_FALSE(s1->StructurallyEquals(*s2));
+  EXPECT_EQ(s1->StructureKey(), s2->StructureKey());
+  // Same paths, but /a/b is no longer one-to-one.
+  std::unique_ptr<Document> d3 = Doc("a(b(x y) b(x y) c(z))");
+  std::unique_ptr<Summary> s3 = SummaryBuilder::Build(d3.get());
+  EXPECT_NE(s1->StructureKey(), s3->StructureKey());
+  // A label moved to another parent.
+  std::unique_ptr<Document> d4 = Doc("a(b(x) c(y z))");
+  std::unique_ptr<Summary> s4 = SummaryBuilder::Build(d4.get());
+  EXPECT_NE(s1->StructureKey(), s4->StructureKey());
+}
+
 TEST(Summary, ResolveEdgeCases) {
   Result<std::unique_ptr<Summary>> s = ParseSummary("a(b(c))");
   ASSERT_TRUE(s.ok());
