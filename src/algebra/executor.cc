@@ -261,9 +261,10 @@ Result<Table> ExecNavigate(const PlanNode& p, Table in) {
   return out;
 }
 
-Result<Table> ExecScan(const PlanNode& plan, const TableSource& source,
+Result<Table> ExecScan(const PlanNode& plan, const Catalog& catalog,
                        int64_t* rows_scanned) {
-  Result<TablePtr> extent = source();  // pinned for the copy below
+  Result<TablePtr> extent =
+      catalog.Scan(plan.view_name);  // pinned for the copy below
   if (!extent.ok()) return extent.status();
   const Table& in = **extent;
   *rows_scanned += in.NumRows();
@@ -280,12 +281,8 @@ Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
   auto exec = [&]() -> Result<Table> {
     switch (plan.kind) {
       case PlanKind::kViewScan: {
-        const TableSource* source = catalog.Find(plan.view_name);
-        if (source == nullptr) {
-          return Status::NotFound("view not materialized: " + plan.view_name);
-        }
         span.Attr("view", plan.view_name);
-        return ExecScan(plan, *source, rows_scanned);
+        return ExecScan(plan, catalog, rows_scanned);
       }
       case PlanKind::kIdEqJoin: {
         Result<Table> l =

@@ -1,10 +1,11 @@
 // Physical evaluation of logical plans over a catalog of materialized view
-// extents. A view scan pins its extent through the catalog's TableSource and
-// copies the rows; a store-backed catalog (CatalogSnapshot::ExecutorCatalog)
-// decodes a cold extent whole and installs it. Structural joins exploit the
-// ORDPATH prefix property (an ancestor's id is a prefix of its descendants'
-// ids, [1][21][25]): the ancestor join probes a hash table of left ids with
-// the right ids' prefixes, giving O(|R| x depth) instead of a nested loop.
+// extents. A view scan pins its extent through the catalog (a TableSource
+// or the catalog's resolver) and copies the rows; a store-backed catalog
+// (CatalogSnapshot::ExecutorCatalog) decodes a cold extent whole and
+// installs it. Structural joins exploit the ORDPATH prefix property (an
+// ancestor's id is a prefix of its descendants' ids, [1][21][25]): the
+// ancestor join probes a hash table of left ids with the right ids'
+// prefixes, giving O(|R| x depth) instead of a nested loop.
 #ifndef SVX_ALGEBRA_EXECUTOR_H_
 #define SVX_ALGEBRA_EXECUTOR_H_
 
@@ -26,9 +27,19 @@ class TraceSpan;  // src/observability/trace.h
 /// before returning it (StoredView::table()).
 using TableSource = std::function<Result<TablePtr>()>;
 
-/// Name -> extent mapping used by view scans: one TableSource per name.
+/// Name -> extent mapping used by view scans: one TableSource per
+/// registered name, and optionally a resolver for every other name.
 class Catalog {
  public:
+  /// Finds the extent of a name no Register call bound; NotFound when it
+  /// knows no such view.
+  using Resolver = std::function<Result<TablePtr>(const std::string& name)>;
+
+  Catalog() = default;
+  /// A catalog that looks up unregistered names through `resolve`, so a
+  /// store can serve its views without binding each one.
+  explicit Catalog(Resolver resolve) : resolve_(std::move(resolve)) {}
+
   /// Binds `name` to `source`, replacing any earlier binding.
   void Register(const std::string& name, TableSource source) {
     views_[name] = std::move(source);
@@ -39,14 +50,18 @@ class Catalog {
     TablePtr borrowed(TablePtr(), table);  // aliasing: owns nothing
     Register(name, [borrowed]() -> Result<TablePtr> { return borrowed; });
   }
-  /// The source bound to `name`, or null.
-  const TableSource* Find(const std::string& name) const {
+  /// The extent bound to `name`, pinned by the shared_ptr for the caller's
+  /// scan; NotFound when neither a binding nor the resolver knows it.
+  Result<TablePtr> Scan(const std::string& name) const {
     auto it = views_.find(name);
-    return it == views_.end() ? nullptr : &it->second;
+    if (it != views_.end()) return it->second();
+    if (resolve_) return resolve_(name);
+    return Status::NotFound("view not materialized: " + name);
   }
 
  private:
   std::unordered_map<std::string, TableSource> views_;
+  Resolver resolve_;
 };
 
 /// Executes `plan` against `catalog`; returns the materialized result.

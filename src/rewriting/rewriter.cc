@@ -749,6 +749,38 @@ RefCandidate MakeRefCandidate(Candidate c,
   return r;
 }
 
+/// Adds a plain scan of every kept view whose pattern is the query itself,
+/// ranks, and keeps the `max_results` cheapest. Such a view's extent is the
+/// query's result on every document, under any summary, so the scan needs
+/// neither an equivalence test nor adaptation. The search reaches it only
+/// through the flattened query: a nesting query gets unnest, projection and
+/// re-grouping (§4.6), which cost a pass over every nested row per read.
+void AddViewScansAndRank(const Pattern& q,
+                         const std::vector<const ViewDef*>& kept,
+                         const RewriterOptions& options,
+                         std::vector<Rewriting>* results,
+                         RewriteStats* stats) {
+  std::string text;
+  for (const ViewDef* v : kept) {
+    if (v->pattern.size() != q.size()) continue;
+    if (text.empty()) text = PatternToString(q);
+    if (PatternToString(v->pattern) != text) continue;
+    PlanPtr plan = MakeViewScan(v->name, ViewSchema(v->pattern, v->name));
+    std::string compact = PlanToCompactString(*plan);
+    auto same = [&](const Rewriting& r) { return r.compact == compact; };
+    if (std::none_of(results->begin(), results->end(), same)) {
+      results->push_back({std::move(plan), std::move(compact)});
+    }
+  }
+  RankByCost(options.cost_model, results, stats);
+  if (results->size() > options.max_results) {
+    results->resize(options.max_results);
+    if (stats != nullptr && !results->empty()) {
+      stats->costliest_cost = results->back().est_cost;
+    }
+  }
+}
+
 }  // namespace
 
 void RankByCost(const CostModel* cost_model, std::vector<Rewriting>* results,
@@ -995,7 +1027,7 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   session.UnionPhase(&results);
 
   begin_phase("rank-by-cost");
-  RankByCost(options_.cost_model, &results, stats);
+  AddViewScansAndRank(q, kept, options_, &results, stats);
 
   stats->results = results.size();
   stats->containment_memo_hits += memo->hits() - memo_hits0;
@@ -1128,7 +1160,7 @@ Result<std::vector<Rewriting>> Rewriter::RewriteExhaustive(
   }
 
   session.UnionPhase(&results);
-  RankByCost(options_.cost_model, &results, stats);
+  AddViewScansAndRank(q, kept, options_, &results, stats);
   stats->results = results.size();
   stats->total_ms = timer.ElapsedMillis();
   return results;

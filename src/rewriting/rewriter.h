@@ -164,8 +164,10 @@ class Rewriter {
 
   const RewriterOptions& options() const { return options_; }
 
-  /// Finds equivalent rewritings of `q` (up to options.max_results).
-  /// Returns an empty vector when none exists within the budgets.
+  /// Finds equivalent rewritings of `q` (up to options.max_results). A view
+  /// whose pattern is `q` itself is always offered as its plain scan, which
+  /// needs neither an equivalence test nor adaptation. Returns an empty
+  /// vector when none exists within the budgets.
   [[nodiscard]] Result<std::vector<Rewriting>> Rewrite(
       const Pattern& q, RewriteStats* stats = nullptr);
 
@@ -178,12 +180,12 @@ class Rewriter {
   /// bench_rewriter's baseline). No serving path calls it. Prop 3.4 pruning
   /// by associated paths (no view index), then left-deep joins of every
   /// candidate with every single-view candidate on join-relevant prefixes,
-  /// with Prop 3.5 and duplicate pruning, then the union phase and cost
-  /// ranking shared with Rewrite(). No containment memo, coverage pruning,
-  /// DP or cache: `memo`, `shared_view_index`, `max_plan_table` and `trace`
-  /// are ignored, and no process metric is recorded. Stops on max_results
-  /// and time_budget_ms; a merged-piece overflow sets search_truncated, the
-  /// candidate cap plan_table_full.
+  /// with Prop 3.5 and duplicate pruning, then the union phase, view scans
+  /// and cost ranking shared with Rewrite(). No containment memo, coverage
+  /// pruning, DP or cache: `memo`, `shared_view_index`, `max_plan_table`
+  /// and `trace` are ignored, and no process metric is recorded. Stops on
+  /// max_results and time_budget_ms; a merged-piece overflow sets
+  /// search_truncated, the candidate cap plan_table_full.
   [[nodiscard]] Result<std::vector<Rewriting>> RewriteExhaustive(
       const Pattern& q, RewriteStats* stats = nullptr) const;
 

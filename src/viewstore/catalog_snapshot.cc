@@ -6,6 +6,7 @@
 #include "src/rewriting/rewriter.h"
 #include "src/util/check.h"
 #include "src/util/timer.h"
+#include "src/viewstore/cost_constants.h"
 
 namespace svx {
 
@@ -32,7 +33,14 @@ void StoredView::InstallResident(TablePtr t) const {
 }
 
 CatalogSnapshot::CatalogSnapshot()
-    : birth_(std::chrono::steady_clock::now()) {
+    : birth_(std::chrono::steady_clock::now()),
+      executor_catalog_([this](const std::string& name) -> Result<TablePtr> {
+        const StoredView* v = Find(name);
+        if (v == nullptr) {
+          return Status::NotFound("view not materialized: " + name);
+        }
+        return v->table();
+      }) {
   metrics::EpochsLive()->Add(1);
 }
 
@@ -63,14 +71,50 @@ int64_t CatalogSnapshot::TotalCompressedBytes() const {
   return total;
 }
 
-Catalog CatalogSnapshot::ExecutorCatalog() const {
-  Catalog catalog;
-  for (const auto& v : views_) {
-    // Borrowed pointer into the snapshot (valid while the caller holds it).
-    const StoredView* raw = v.get();
-    catalog.Register(v->def.name, [raw] { return raw->table(); });
+namespace {
+
+/// RewriterOptionsFingerprint of a snapshot's serving options. Those differ
+/// between snapshots only in their cost model's constants, which every
+/// snapshot a ViewCatalog publishes takes from CalibratedCostConstants():
+/// the first fingerprint is kept for the process and reused while the
+/// constants match, so an epoch's first read formats no fingerprint.
+std::string ServingFingerprint(const RewriterOptions& serving) {
+  const uint64_t model = CostConstantsFingerprint(
+      serving.cost_model->constants, serving.cost_model->default_rows);
+  static const std::pair<uint64_t, std::string> first{
+      model, RewriterOptionsFingerprint(serving)};
+  return model == first.first ? first.second
+                              : RewriterOptionsFingerprint(serving);
+}
+
+}  // namespace
+
+const std::string& CatalogSnapshot::KeySalt() const {
+  // Double-checked rather than std::call_once, whose first call ends in a
+  // futex wake-up system call even when no reader waits: an epoch's first
+  // read would pay it.
+  if (const std::string* salt = key_salt_.load(std::memory_order_acquire)) {
+    return *salt;
   }
-  return catalog;
+  MutexLock lock(&key_salt_mu_);
+  if (key_salt_.load(std::memory_order_relaxed) == nullptr) {
+    key_salt_storage_ =
+        RewriteCache::KeySalt(size(), ServingFingerprint(ServingOptions()));
+    key_salt_.store(&key_salt_storage_, std::memory_order_release);
+  }
+  return key_salt_storage_;
+}
+
+RewriterOptions CatalogSnapshot::ServingOptions() const {
+  RewriterOptions opts;
+  opts.max_results = 1;
+  opts.cost_model = &cost_model_;
+  opts.memo = memo_.get();
+  return opts;
+}
+
+const Catalog& CatalogSnapshot::ExecutorCatalog() const {
+  return executor_catalog_;
 }
 
 Result<Rewriting> CatalogSnapshot::Rewrite(const Pattern& query,
@@ -81,18 +125,18 @@ Result<Rewriting> CatalogSnapshot::Rewrite(const Pattern& query,
         "snapshot has no bound document/summary (use BindDocument or the "
         "shared-pointer Load)");
   }
-  RewriterOptions opts;
-  opts.max_results = 1;
-  opts.cost_model = &cost_model_;
-  opts.memo = memo_.get();
-  opts.trace = trace;
-  std::shared_ptr<const ViewIndex> index =
-      ViewIndexFor(*summary_, opts.expansion);
-  opts.shared_view_index = index.get();
-  Rewriter rewriter(*summary_, opts);
-  for (const auto& v : views_) rewriter.AddView(v->def);
-  Result<std::vector<Rewriting>> rws =
-      CachedRewrite(rewrite_cache_.get(), &rewriter, query, stats);
+  Result<std::vector<Rewriting>> rws = CachedRewrite(
+      rewrite_cache_.get(), KeySalt(), query, &cost_model_, trace,
+      stats, [this, trace](const Pattern& q, RewriteStats* search_stats) {
+        RewriterOptions opts = ServingOptions();
+        opts.trace = trace;
+        std::shared_ptr<const ViewIndex> index =
+            ViewIndexFor(*summary_, opts.expansion);
+        opts.shared_view_index = index.get();
+        Rewriter rewriter(*summary_, opts);
+        for (const auto& v : views_) rewriter.AddView(v->def);
+        return rewriter.Rewrite(q, search_stats);
+      });
   if (!rws.ok()) return rws.status();
   if (rws->empty()) return Status::NotFound("no rewriting for query");
   return std::move(rws->front());

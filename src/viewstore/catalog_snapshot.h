@@ -4,7 +4,8 @@
 // serving): readers acquire the current CatalogSnapshot with one lock-free
 // atomic load (ViewCatalog::Snapshot()) and then work entirely against its
 // immutable world — view definitions, extents, statistics, a prebuilt cost
-// model, a lazily built shared ViewIndex, plus the snapshot's pinned
+// model, a lazily built shared ViewIndex, an executor catalog that resolves
+// view names against the epoch's views, plus the snapshot's pinned
 // containment memo and rewrite cache (both internally synchronized). The
 // memo, cache and index may be shared with neighbouring epochs: epochs of
 // one summary object share all three, and epochs of one summary structure
@@ -23,6 +24,7 @@
 #ifndef SVX_VIEWSTORE_CATALOG_SNAPSHOT_H_
 #define SVX_VIEWSTORE_CATALOG_SNAPSHOT_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -114,6 +116,9 @@ class CatalogSnapshot {
   /// last holder (reader or catalog) drops the epoch — live minus one is
   /// the number of retired epochs still pinned by readers.
   ~CatalogSnapshot();
+  // ExecutorCatalog() resolves names through a callback that holds `this`.
+  CatalogSnapshot(const CatalogSnapshot&) = delete;
+  CatalogSnapshot& operator=(const CatalogSnapshot&) = delete;
 
   /// Monotonically increasing epoch number (1 = the catalog's initial
   /// empty snapshot).
@@ -150,21 +155,25 @@ class CatalogSnapshot {
   /// epochs may return the same summary for different documents.
   const Summary* summary() const { return summary_.get(); }
 
-  /// Executor bindings for this epoch's extents: each view scans through
-  /// StoredView::table(), so a scan pins the resident decoded table, and a
-  /// cold scan decodes the whole extent once and installs it under the
-  /// memory budget. Borrowed pointers into the snapshot: valid while the
-  /// caller holds the snapshot shared_ptr.
-  Catalog ExecutorCatalog() const;
+  /// Executor bindings for this epoch's extents: a scan resolves its view
+  /// name against views() and reads through StoredView::table(), so it pins
+  /// the resident decoded table, and a cold scan decodes the whole extent
+  /// once and installs it under the memory budget. Nothing is bound per
+  /// view, so neither a read nor a publish builds a catalog. The reference
+  /// is owned by the epoch and valid while the caller holds the snapshot
+  /// shared_ptr.
+  const Catalog& ExecutorCatalog() const;
 
   /// Cost model over this epoch's statistics, prebuilt at publication.
   const CostModel& cost_model() const { return cost_model_; }
 
-  /// The cheapest equivalent rewriting of `query` over this epoch's views,
-  /// found through the epoch's rewrite cache, containment memo, shared
-  /// ViewIndex and cost model (one result: RewriterOptions::max_results 1,
-  /// other options at their defaults). InvalidArgument when no summary is
-  /// bound (BindDocument / the shared-pointer Load); NotFound when no
+  /// The cheapest equivalent rewriting of `query` over this epoch's views
+  /// (one result: RewriterOptions::max_results 1, other options at their
+  /// defaults). Probes the epoch's rewrite cache first, under a key salt
+  /// computed once per epoch on first use, so a hit builds no Rewriter and
+  /// copies no view definition; only a miss plans, through the containment
+  /// memo, shared ViewIndex and cost model. InvalidArgument when no summary
+  /// is bound (BindDocument / the shared-pointer Load); NotFound when no
   /// rewriting exists. `trace` receives the cache-lookup span and, on a
   /// miss, the rewrite phase spans; `stats` the search counters (replayed
   /// from the cache on a hit).
@@ -213,6 +222,14 @@ class CatalogSnapshot {
   friend class ViewCatalog;
   CatalogSnapshot();
 
+  /// RewriteCache::KeySalt of ServingOptions(), computed on first use
+  /// (never at publish).
+  const std::string& KeySalt() const;
+
+  /// The options Rewrite() plans with, less the per-call trace and view
+  /// index.
+  RewriterOptions ServingOptions() const;
+
   uint64_t epoch_ = 0;
   std::chrono::steady_clock::time_point birth_;
   std::vector<std::shared_ptr<const StoredView>> views_;
@@ -225,6 +242,14 @@ class CatalogSnapshot {
   mutable Mutex index_mu_;
   mutable std::shared_ptr<const ViewIndex> index_
       SVX_GUARDED_BY(index_mu_);  // over summary_: carried or built lazily
+
+  // Resolves each view name against views_ when a scan asks for it.
+  const Catalog executor_catalog_;
+
+  mutable Mutex key_salt_mu_;  // serializes KeySalt()'s first computation
+  mutable std::string key_salt_storage_ SVX_GUARDED_BY(key_salt_mu_);
+  /// &key_salt_storage_ once written, published with release order.
+  mutable std::atomic<const std::string*> key_salt_{nullptr};
 };
 
 }  // namespace svx

@@ -5,7 +5,6 @@
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
 #include "src/pattern/pattern_printer.h"
-#include "src/util/strings.h"
 #include "src/util/timer.h"
 
 namespace svx {
@@ -16,6 +15,17 @@ RewriteCache::RewriteCache(std::shared_ptr<Counters> counters)
 
 std::string RewriteCache::KeyFor(const Pattern& q) {
   return PatternToString(q);
+}
+
+std::string RewriteCache::KeySalt(int32_t num_views,
+                                  std::string_view options_fingerprint) {
+  // No printf: a snapshot computes this on its first read, when printf's
+  // code is rarely in cache.
+  std::string salt = "|v";
+  salt += std::to_string(num_views);
+  salt += "|";
+  salt += options_fingerprint;
+  return salt;
 }
 
 bool RewriteCache::Lookup(const std::string& key, std::vector<Rewriting>* out,
@@ -67,33 +77,24 @@ size_t RewriteCache::invalidations() const {
   return counters_->invalidations.load(std::memory_order_relaxed);
 }
 
-Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
-                                             Rewriter* rewriter,
-                                             const Pattern& q,
-                                             RewriteStats* stats) {
-  if (cache == nullptr) return rewriter->Rewrite(q, stats);
+Result<std::vector<Rewriting>> CachedRewrite(
+    RewriteCache* cache, std::string_view key_salt, const Pattern& q,
+    const CostModel* cost_model, TraceSpan* trace, RewriteStats* stats,
+    const RewriteSearch& search) {
   Timer timer;
-  // The ranked list depends on the rewriter's configuration and view set,
-  // not just the query — salt the key with every result-affecting option so
-  // rewriters with different configurations sharing one catalog cache do
-  // not serve each other mismatched plans. Distinct cost models or view
-  // sets of equal size are not distinguished; don't share a catalog across
-  // those.
-  const std::string key =
-      StrFormat("%s|v%d|", RewriteCache::KeyFor(q).c_str(),
-                rewriter->num_views()) +
-      RewriterOptionsFingerprint(rewriter->options());
+  std::string key = RewriteCache::KeyFor(q);
+  key += key_salt;
   std::vector<Rewriting> cached;
   bool hit;
   {
-    ScopedSpan span(rewriter->options().trace, "cache-lookup");
+    ScopedSpan span(trace, "cache-lookup");
     hit = cache->Lookup(key, &cached, stats);
     span.Attr("hit", hit ? "true" : "false");
   }
   if (hit) {
     // The entry may have been ranked under another epoch's statistics: one
     // cache serves every epoch of a summary structure.
-    RankByCost(rewriter->options().cost_model, &cached, stats);
+    RankByCost(cost_model, &cached, stats);
     if (stats != nullptr) {
       stats->rewrite_cache_hits = 1;
       stats->results = cached.size();  // authoritative even for entries
@@ -106,7 +107,7 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
   }
   RewriteStats local_stats;
   RewriteStats* effective = stats != nullptr ? stats : &local_stats;
-  Result<std::vector<Rewriting>> fresh = rewriter->Rewrite(q, effective);
+  Result<std::vector<Rewriting>> fresh = search(q, effective);
   // A time-budget-truncated search is load-dependent, and a budget-truncated
   // search (search_truncated: a candidate overflowed the merged-piece cap)
   // dropped plans it never examined; caching either would pin a transiently
@@ -116,6 +117,21 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
     cache->Insert(key, *fresh, effective);
   }
   return fresh;
+}
+
+Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
+                                             Rewriter* rewriter,
+                                             const Pattern& q,
+                                             RewriteStats* stats) {
+  if (cache == nullptr) return rewriter->Rewrite(q, stats);
+  const RewriterOptions& options = rewriter->options();
+  const std::string salt = RewriteCache::KeySalt(
+      rewriter->num_views(), RewriterOptionsFingerprint(options));
+  return CachedRewrite(
+      cache, salt, q, options.cost_model, options.trace, stats,
+      [rewriter](const Pattern& query, RewriteStats* search_stats) {
+        return rewriter->Rewrite(query, search_stats);
+      });
 }
 
 }  // namespace svx

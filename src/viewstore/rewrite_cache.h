@@ -3,8 +3,8 @@
 // Million-user traffic is dominated by repeat queries, and a Rewrite() call
 // is pure given (query, view set, summary structure, rewriter options): the
 // ranked rewriting list can be cached under the query's canonical pattern
-// text (salted by CachedRewrite with the rewriter's configuration) and
-// served in microseconds.
+// text (salted with the rewriter's configuration, RewriteCache::KeySalt)
+// and served in microseconds.
 //
 // A rewriting found under summary S is equivalent to its query on every
 // document that conforms to S (the paper's summary-constrained
@@ -31,8 +31,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -60,6 +62,16 @@ class RewriteCache {
 
   /// Cache key of a query pattern (its round-trippable text form).
   static std::string KeyFor(const Pattern& q);
+
+  /// What a lookup appends to KeyFor(q): the configuration of a rewriter
+  /// over `num_views` views whose options have `options_fingerprint`
+  /// (RewriterOptionsFingerprint). The ranked list depends on it, not just
+  /// on the query, so rewriters with different configurations sharing one
+  /// cache do not serve each other mismatched plans. Distinct cost models
+  /// or view sets of equal size are not distinguished; don't share a cache
+  /// across those.
+  static std::string KeySalt(int32_t num_views,
+                             std::string_view options_fingerprint);
 
   /// Returns true and fills `out` with the cached rewritings (ranked order
   /// preserved, plans shared) when `key` is cached. An entry may hold zero
@@ -100,12 +112,34 @@ class RewriteCache {
   const std::shared_ptr<Counters> counters_;
 };
 
-/// Rewrites `q` through `cache`: serves a hit (setting
-/// stats->rewrite_cache_hits and the timing fields), otherwise calls
-/// rewriter->Rewrite(q, stats) and caches the ok() result. A hit is
-/// re-ranked with the rewriter's cost model (RankByCost), so its est_cost
-/// reflects the reader's statistics, not those of the epoch that cached
-/// it. With a null cache this is exactly rewriter->Rewrite.
+/// The search a cached rewrite runs on a miss: finds the ranked
+/// rewritings of `q`, filling `stats` (never null). The query is an
+/// argument, not a capture, so a caller's lambda stays small enough for
+/// std::function to hold without allocating.
+using RewriteSearch = std::function<Result<std::vector<Rewriting>>(
+    const Pattern& q, RewriteStats* stats)>;
+
+/// The cache policy, in two forms. This one probes `cache` (non-null) under
+/// KeyFor(q) + `key_salt`, in a cache-lookup span under `trace`, before any
+/// search state exists. A hit is re-ranked with `cost_model` (RankByCost),
+/// so its est_cost reflects the reader's statistics, not those of the epoch
+/// that cached it; `stats` receives the counters recorded at insert time,
+/// with rewrite_cache_hits and the timing fields set for the warm lookup. A
+/// miss runs `search` and caches its ok() result unless the search was cut
+/// short (time_budget_hit or search_truncated). CatalogSnapshot::Rewrite
+/// serves through this form with a salt it computes once per epoch.
+[[nodiscard]] Result<std::vector<Rewriting>> CachedRewrite(
+    RewriteCache* cache, std::string_view key_salt, const Pattern& q,
+    const CostModel* cost_model, TraceSpan* trace, RewriteStats* stats,
+    const RewriteSearch& search);
+
+/// The same policy for a caller that built its own rewriter: salts the key
+/// with KeySalt(its view count, its options' fingerprint), re-ranks a hit
+/// with the rewriter's cost model, traces under its options' trace, and
+/// searches with rewriter->Rewrite(q). A rewriter configured like the query
+/// entry point (max_results 1, the snapshot's cost model, views added in
+/// views() order) shares cache entries with CatalogSnapshot::Rewrite. With
+/// a null cache this is exactly rewriter->Rewrite.
 [[nodiscard]] Result<std::vector<Rewriting>> CachedRewrite(
     RewriteCache* cache, Rewriter* rewriter, const Pattern& q,
     RewriteStats* stats = nullptr);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/algebra/executor.h"
+#include "src/observability/trace.h"
 #include "src/util/fileio.h"
 #include "src/util/strings.h"
 
@@ -61,35 +62,42 @@ Table MergeSlices(std::vector<Table> parts) {
 
 }  // namespace
 
-Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query) const {
+Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query,
+                                            TraceSpan* trace) const {
   // The same locality test that shards views: an anchored query's result
   // rows each live in exactly one shard, so shard slices partition the full
   // result. Anything else (no anchoring return id, nodes off the spine —
   // e.g. a cross-subtree join) must see whole extents: the global catalog.
   ViewAnchor anchor = AnalyzeViewAnchor(query, "q");
-  if (!anchor.partitionable || shards_.empty()) return global_->Query(query);
+  if (!anchor.partitionable || shards_.empty()) {
+    return global_->Query(query, trace);
+  }
   // Every shard stores the same view definitions, so a rewriting found on
   // one shard is valid on all of them: rewrite ONCE (through shard 0's
   // caches), then execute the plan against each shard's extents. A plan
   // references views by name; each shard's executor resolves its own
   // slice.
-  Result<Rewriting> rw = shards_[0]->Rewrite(query);
+  Result<Rewriting> rw = shards_[0]->Rewrite(query, trace);
   if (!rw.ok()) {
     if (rw.status().code() == StatusCode::kNotFound) {
       // No shard can serve the query from its views (identical view sets)
       // — fall back to the global catalog.
-      return global_->Query(query);
+      return global_->Query(query, trace);
     }
     return rw.status();
   }
   const PlanNode& plan = *rw->plan;
   std::vector<Table> parts;
   parts.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    Result<Table> part = Execute(plan, shard->ExecutorCatalog());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    ScopedSpan span(trace, "shard-execute");
+    span.Attr("shard", static_cast<int64_t>(i));
+    Result<Table> part = Execute(plan, shards_[i]->ExecutorCatalog(),
+                                 span.get());
     if (!part.ok()) return part.status();
     parts.push_back(std::move(*part));
   }
+  ScopedSpan merge(trace, "merge");
   return MergeSlices(std::move(parts));
 }
 

@@ -87,8 +87,13 @@ class ShardedSnapshot {
   /// and merged in document order; other queries, and shard-local ones
   /// shard 0 finds no rewriting for, are served by the global catalog
   /// (CatalogSnapshot::Query). Every pinned snapshot must carry a bound
-  /// document and summary (BindDocument / shared-pointer Load).
-  [[nodiscard]] Result<Table> ExecuteQuery(const Pattern& query) const;
+  /// document and summary (BindDocument / shared-pointer Load). `trace`
+  /// receives shard 0's rewrite spans (cache-lookup, and the rewrite phases
+  /// on a miss), one shard-execute span per shard (attribute `shard`, the
+  /// executor's operator spans under it) and a merge span, or the global
+  /// catalog's Query spans on a fallback.
+  [[nodiscard]] Result<Table> ExecuteQuery(const Pattern& query,
+                                           TraceSpan* trace = nullptr) const;
 
   /// Sum of the pinned epochs across shards and global — the monotone
   /// counter benchmarks diff to count epochs published.

@@ -108,6 +108,28 @@ TEST_F(ExecutorTest, ViewScan) {
   EXPECT_FALSE(Execute(*missing, catalog_).ok());
 }
 
+TEST_F(ExecutorTest, ResolverServesUnregisteredNames) {
+  // Registered names win; every other name goes to the resolver, whose
+  // NotFound reaches the caller.
+  Catalog resolving([this](const std::string& name) -> Result<TablePtr> {
+    if (name == "items") return TablePtr(TablePtr(), &items_);
+    return Status::NotFound("no view " + name);
+  });
+  resolving.Register("names", &names_);
+  Result<Table> items =
+      Execute(*MakeViewScan("items", items_.schema()), resolving);
+  ASSERT_TRUE(items.ok()) << items.status().ToString();
+  EXPECT_EQ(items->NumRows(), 3);
+  Result<Table> names =
+      Execute(*MakeViewScan("names", names_.schema()), resolving);
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  EXPECT_EQ(names->NumRows(), 3);
+  Result<Table> missing =
+      Execute(*MakeViewScan("nope", items_.schema()), resolving);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(ExecutorTest, IdEqJoin) {
   Table other(IdValueSchema("o"));
   other.AddRow(Row("1.2", "twenty"));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
@@ -390,6 +393,97 @@ TEST(CatalogSnapshot, QueryErrorContracts) {
   ASSERT_FALSE(no_plan.ok());
   EXPECT_EQ(no_plan.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(snap->Query(served).ok());
+}
+
+TEST(CatalogSnapshot, EntryPointAndExplicitRewriterShareCacheEntries) {
+  std::shared_ptr<Document> d = Doc("a(b=1 b=2 c(e=3))");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"VB", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  ASSERT_TRUE(
+      catalog.Materialize({"VE", MustParsePattern("a(//e{id,v})")}, *d).ok());
+  catalog.BindDocument(d, SummaryBuilder::Build(d.get()));
+  std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+
+  // A rewriter built the way a server that plans by hand builds one: one
+  // result, the epoch's cost model, memo and shared index, views in
+  // views() order.
+  RewriterOptions opts;
+  opts.max_results = 1;
+  opts.cost_model = &snap->cost_model();
+  opts.memo = snap->containment_memo();
+  std::shared_ptr<const ViewIndex> index =
+      snap->ViewIndexFor(*snap->summary(), opts.expansion);
+  opts.shared_view_index = index.get();
+  Rewriter rewriter(*snap->summary(), opts);
+  for (const auto& v : snap->views()) rewriter.AddView(v->def);
+
+  // Cached by the entry point, served to the explicit rewriter...
+  const Pattern qb = MustParsePattern("a(/b{v})");
+  Result<Rewriting> by_entry = snap->Rewrite(qb);
+  ASSERT_TRUE(by_entry.ok()) << by_entry.status().ToString();
+  RewriteStats stats;
+  Result<std::vector<Rewriting>> served =
+      CachedRewrite(snap->rewrite_cache(), &rewriter, qb, &stats);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(stats.rewrite_cache_hits, 1u);
+  ASSERT_EQ(served->size(), 1u);
+  EXPECT_EQ(served->front().plan.get(), by_entry->plan.get());
+
+  // ...and the reverse.
+  const Pattern qe = MustParsePattern("a(//e{v})");
+  Result<std::vector<Rewriting>> by_rewriter =
+      CachedRewrite(snap->rewrite_cache(), &rewriter, qe);
+  ASSERT_TRUE(by_rewriter.ok()) << by_rewriter.status().ToString();
+  ASSERT_EQ(by_rewriter->size(), 1u);
+  stats = RewriteStats();
+  Result<Rewriting> hit = snap->Rewrite(qe, nullptr, &stats);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(stats.rewrite_cache_hits, 1u);
+  EXPECT_EQ(hit->plan.get(), by_rewriter->front().plan.get());
+}
+
+TEST(CatalogSnapshot, ConcurrentFirstReadersShareOneCatalog) {
+  std::shared_ptr<Document> d0 = Doc("a(b=1 b=2 c=3)");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"V", MustParsePattern("a(/b{id,v})")}, *d0).ok());
+  catalog.BindDocument(d0, SummaryBuilder::Build(d0.get()));
+  std::shared_ptr<Document> d1 =
+      Publish(&catalog, InsertSubtree(*d0, OrdPath::Root(), *Doc("b=4")));
+  ASSERT_NE(d1, nullptr);
+
+  // Every reader takes the freshly published epoch, then all of them ask
+  // it for its catalog and a query at once, racing to compute the epoch's
+  // cache-key salt: half query first, half take the catalog first.
+  std::shared_ptr<const CatalogSnapshot> published = catalog.Snapshot();
+  const Pattern q = MustParsePattern("a(/b{v})");
+  const Table want = MaterializeView(q, "q", *d1);
+  constexpr int kReaders = 4;
+  std::latch start(kReaders);
+  std::vector<const Catalog*> seen(kReaders, nullptr);
+  std::vector<std::string> errors(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r]() {
+      std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+      start.arrive_and_wait();
+      Result<Table> got = Status::Internal("not queried");
+      if (r % 2 == 0) got = snap->Query(q);
+      seen[r] = &snap->ExecutorCatalog();
+      if (r % 2 == 1) got = snap->Query(q);
+      if (!got.ok()) {
+        errors[r] = got.status().ToString();
+      } else if (!got->EqualsIgnoringOrder(want)) {
+        errors[r] = "answer differs from direct evaluation";
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(errors[r], "") << r;
+    EXPECT_EQ(seen[r], &published->ExecutorCatalog()) << r;
+  }
 }
 
 TEST(CatalogSnapshot, SharedViewIndexMatchesPerRewriterIndex) {

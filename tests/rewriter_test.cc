@@ -7,6 +7,7 @@
 #include "src/pattern/pattern_parser.h"
 #include "src/summary/summary_builder.h"
 #include "src/summary/summary_io.h"
+#include "src/viewstore/cost_model.h"
 #include "src/xml/builder.h"
 
 namespace svx {
@@ -442,6 +443,27 @@ TEST_F(RewriteExecuteTest, NestedViewWithIdAnswersRequiredQuery) {
   SetUpWorld("a(i(k=1 k=2) i(k=3) i)", {{"V", "a(/i{id}(n/k{id,v}))"}});
   CheckAll("a(/i{id}(/k{id,v}))");
   CheckAll("a(/i{id}(n/k{id,v}))");
+}
+
+TEST(Rewriter, ViewEqualToTheQueryIsTheCheapestPlan) {
+  std::unique_ptr<Summary> s = Sum("a(i(k))");
+  CostModel model;
+  RewriterOptions opts;
+  opts.max_results = 1;
+  opts.cost_model = &model;
+  Rewriter rw(*s, opts);
+  rw.AddView({"V", MustParsePattern("a(/i{id}(n/k{id,v}))")});
+  std::vector<Rewriting> out = RunRewrite(&rw, "a(/i{id}(n/k{id,v}))");
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].compact, "V");
+  EXPECT_EQ(out[0].plan->kind, PlanKind::kViewScan);
+  // NestedViewWithIdAnswersRequiredQuery executes this scan against direct
+  // evaluation. The reference search offers it too.
+  Result<std::vector<Rewriting>> ref =
+      rw.RewriteExhaustive(MustParsePattern("a(/i{id}(n/k{id,v}))"));
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_EQ(ref->size(), 1u);
+  EXPECT_EQ(ref->front().compact, "V");
 }
 
 TEST_F(RewriteExecuteTest, ValueSelectionPlan) {

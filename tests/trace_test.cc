@@ -5,6 +5,7 @@
 #include "src/pattern/pattern_parser.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/json_writer.h"
+#include "src/viewstore/sharded_catalog.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
 
@@ -123,6 +124,53 @@ TEST_F(ServingTraceTest, WarmLookupTracesTheHit) {
   EXPECT_NE(trace.root()->FindChild("cache-lookup"), nullptr);
   EXPECT_EQ(trace.root()->FindChild("rewrite"), nullptr);
   EXPECT_NE(trace.RenderJson().find("\"hit\": \"true\""), std::string::npos);
+}
+
+TEST(ShardedTraceTest, CachedAnchoredReadTracesEveryShardAndTheMerge) {
+  std::shared_ptr<Document> doc(
+      Doc("site(item(name=i0) item(name=i1) item(name=i2) item(name=i3))"));
+  std::shared_ptr<const Summary> summary(SummaryBuilder::Build(doc.get()));
+  ShardedCatalogOptions options;
+  options.num_shards = 2;
+  Result<std::unique_ptr<ShardedCatalog>> catalog =
+      ShardedCatalog::Create(options, doc, summary);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const ViewDef view{"item_names",
+                     MustParsePattern("site(//item{id}(/name{id,v}))")};
+  ASSERT_TRUE((*catalog)->Materialize(view, *doc).ok());
+  const Pattern q = MustParsePattern("site(//item{id}(/name{v}))");
+  ShardedSnapshot snap = (*catalog)->Snapshot();
+  ASSERT_GE(snap.num_shards(), 2);
+  ASSERT_TRUE(snap.ExecuteQuery(q).ok());  // caches the plan
+
+  Trace trace("sharded");
+  Result<Table> out = snap.ExecuteQuery(q, trace.root());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->NumRows(), 4);
+
+  // Shard 0's rewrite is a cache hit: a cache-lookup span, no phases.
+  EXPECT_NE(trace.root()->FindChild("cache-lookup"), nullptr);
+  EXPECT_EQ(trace.root()->FindChild("rewrite"), nullptr);
+  // One shard-execute span per shard, each over the executor's operator
+  // spans, then one merge span.
+  int executes = 0;
+  int merges = 0;
+  for (const auto& child : trace.root()->children()) {
+    if (child->name() == "shard-execute") {
+      ++executes;
+      EXPECT_FALSE(child->children().empty()) << executes;
+    }
+    if (child->name() == "merge") ++merges;
+  }
+  EXPECT_EQ(executes, snap.num_shards());
+  EXPECT_EQ(merges, 1);
+  const std::string json = trace.RenderJson();
+  EXPECT_NE(json.find("\"hit\": \"true\""), std::string::npos);
+  for (int i = 0; i < snap.num_shards(); ++i) {
+    EXPECT_NE(json.find("\"shard\": " + std::to_string(i)),
+              std::string::npos)
+        << i;
+  }
 }
 
 }  // namespace
