@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the operations the experiments
-// compose: summary construction, canonical model building, containment,
-// satisfiability, view materialization and plan execution.
+// compose: summary construction, subtree insert and delete, canonical model
+// building, containment, satisfiability, view materialization and plan
+// execution.
 #include <benchmark/benchmark.h>
 
 #include "src/algebra/executor.h"
@@ -11,6 +12,8 @@
 #include "src/summary/summary_builder.h"
 #include "src/workload/xmark.h"
 #include "src/workload/xmark_queries.h"
+#include "src/xml/builder.h"
+#include "src/xml/update.h"
 
 namespace svx {
 namespace {
@@ -31,19 +34,63 @@ World& TheWorld() {
   return *world;
 }
 
-void BM_SummaryBuild(benchmark::State& state) {
+/// XMark at scale range(0) / 10.
+std::unique_ptr<Document> XmarkAtArg(const benchmark::State& state) {
   XmarkOptions opts;
-  opts.scale = 2.0;
-  std::unique_ptr<Document> doc = GenerateXmark(opts);
+  opts.scale = static_cast<double>(state.range(0)) / 10;
+  return GenerateXmark(opts);
+}
+
+/// The document's middle item: where the update benchmarks insert and
+/// delete.
+NodeIndex MiddleItem(const Document& doc) {
+  std::vector<NodeIndex> items;
+  for (NodeIndex n = 0; n < doc.size(); ++n) {
+    if (doc.label(n) == "item") items.push_back(n);
+  }
+  return items[items.size() / 2];
+}
+
+void BM_SummaryBuild(benchmark::State& state) {
+  std::unique_ptr<Document> doc = XmarkAtArg(state);
   for (auto _ : state) {
-    // Rebuild the annotation from scratch each iteration.
-    std::unique_ptr<Document> copy = GenerateXmark(opts);
-    std::unique_ptr<Summary> s = SummaryBuilder::Build(copy.get());
+    // Building rewrites every path id of the document's annotation, so the
+    // same document serves every iteration.
+    std::unique_ptr<Summary> s = SummaryBuilder::Build(doc.get());
     benchmark::DoNotOptimize(s->size());
   }
   state.SetItemsProcessed(state.iterations() * doc->size());
 }
-BENCHMARK(BM_SummaryBuild);
+BENCHMARK(BM_SummaryBuild)->Arg(10)->Arg(20)->Arg(80);
+
+/// Appends one item (the shape servebench's update stream inserts) next to
+/// the middle item; each iteration builds a new version of the same input.
+void BM_InsertSubtree(benchmark::State& state) {
+  std::unique_ptr<Document> doc = XmarkAtArg(state);
+  const OrdPath parent = doc->ord_path(doc->parent(MiddleItem(*doc)));
+  Result<std::unique_ptr<Document>> item = ParseTreeNotation(
+      "item(location=Chad quantity=3 name='gold ring' payment=Cash "
+      "shipping='Will ship internationally')");
+  SVX_CHECK(item.ok());
+  for (auto _ : state) {
+    Result<UpdateResult> up = InsertSubtree(*doc, parent, **item);
+    benchmark::DoNotOptimize(up->doc->size());
+  }
+  state.SetItemsProcessed(state.iterations() * doc->size());
+}
+BENCHMARK(BM_InsertSubtree)->Arg(10)->Arg(80);
+
+/// Deletes the middle item.
+void BM_DeleteSubtree(benchmark::State& state) {
+  std::unique_ptr<Document> doc = XmarkAtArg(state);
+  const OrdPath target = doc->ord_path(MiddleItem(*doc));
+  for (auto _ : state) {
+    Result<UpdateResult> up = DeleteSubtree(*doc, target);
+    benchmark::DoNotOptimize(up->doc->size());
+  }
+  state.SetItemsProcessed(state.iterations() * doc->size());
+}
+BENCHMARK(BM_DeleteSubtree)->Arg(10)->Arg(80);
 
 void BM_CanonicalModel(benchmark::State& state) {
   World& w = TheWorld();

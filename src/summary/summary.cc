@@ -130,14 +130,20 @@ const std::string& Summary::StructureKey() const {
 
 PathId Summary::AppendNode(PathId parent, std::string_view label, bool strong,
                            bool one_to_one) {
+  const PathId id = AppendPath(parent, label_interner_.Intern(label));
+  SetEdgeFlags(id, strong, one_to_one);
+  return id;
+}
+
+PathId Summary::AppendPath(PathId parent, int32_t label_id) {
   SVX_CHECK_MSG(parent != kInvalidPath || size() == 0,
                 "summary already has a root");
   PathId id = size();
-  labels_.push_back(label_interner_.Intern(label));
+  labels_.push_back(label_id);
   parents_.push_back(parent);
   children_.emplace_back();
-  strong_.push_back(strong);
-  one_to_one_.push_back(one_to_one);
+  strong_.push_back(false);
+  one_to_one_.push_back(false);
   if (parent == kInvalidPath) {
     depths_.push_back(1);
   } else {

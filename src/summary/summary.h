@@ -113,10 +113,15 @@ class Summary {
   void Seal();
 
  private:
+  friend class SummaryBuilder;
+
   size_t Check(PathId s) const {
     SVX_DCHECK(s >= 0 && s < size());
     return static_cast<size_t>(s);
   }
+
+  /// AppendNode for a label already in label_interner_; both flags unset.
+  PathId AppendPath(PathId parent, int32_t label_id);
 
   StringInterner label_interner_;
   std::vector<int32_t> labels_;

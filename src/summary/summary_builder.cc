@@ -21,8 +21,8 @@ void SummaryBuilder::Add(Document* doc) {
   SVX_CHECK(doc != nullptr && doc->size() > 0);
   Summary& s = *summary_;
 
-  auto new_path = [&](PathId parent, std::string_view label) -> PathId {
-    PathId id = s.AppendNode(parent, label, false, false);
+  auto new_path = [&](PathId parent, int32_t label) -> PathId {
+    PathId id = s.AppendPath(parent, label);
     // A path first observed after its parent path already had occurrences
     // cannot be strong unless those occurrences are revisited — but within a
     // single Add() pass statistics are computed afterwards, so only earlier
@@ -35,29 +35,42 @@ void SummaryBuilder::Add(Document* doc) {
                                 ? 0
                                 : kNoObservation);
     max_children_.push_back(0);
-    path_occurrences_.push_back(0);
     if (parent_occurrences_.size() < static_cast<size_t>(s.size())) {
       parent_occurrences_.resize(static_cast<size_t>(s.size()), 0);
     }
     return id;
   };
 
+  // Document label id -> summary label id, interned on first use: in
+  // preorder a label new to the summary first appears on a new path, so
+  // the summary's label ids come out in path-creation order as before.
+  std::vector<int32_t> label_ids(static_cast<size_t>(doc->labels().size()),
+                                 StringInterner::kNone);
   // Pass A: extend the summary and annotate the document with path ids.
   for (NodeIndex n = 0; n < doc->size(); ++n) {
-    const std::string& label = doc->label(n);
-    NodeIndex par = doc->parent(n);
-    PathId path;
+    int32_t& label = label_ids[static_cast<size_t>(doc->labels_[
+        static_cast<size_t>(n)])];
+    if (label == StringInterner::kNone) {
+      label = s.label_interner_.Intern(doc->label(n));
+    }
+    const NodeIndex par = doc->parents_[static_cast<size_t>(n)];
+    PathId path = kInvalidPath;
     if (par == kInvalidNode) {
       if (s.size() == 0) {
         path = new_path(kInvalidPath, label);
       } else {
-        SVX_CHECK_MSG(s.label(s.root()) == label,
+        SVX_CHECK_MSG(s.label_id(s.root()) == label,
                       "documents added to one summary must share a root label");
         path = s.root();
       }
     } else {
-      PathId ppath = doc->path_ids_[static_cast<size_t>(par)];
-      path = s.FindChild(ppath, label);
+      const PathId ppath = doc->path_ids_[static_cast<size_t>(par)];
+      for (PathId c : s.children(ppath)) {
+        if (s.label_id(c) == label) {
+          path = c;
+          break;
+        }
+      }
       if (path == kInvalidPath) path = new_path(ppath, label);
     }
     doc->path_ids_[static_cast<size_t>(n)] = path;
@@ -71,20 +84,21 @@ void SummaryBuilder::Add(Document* doc) {
   }
 
   // Pass B: per-edge child-count statistics for strong / one-to-one edges.
-  std::unordered_map<PathId, int64_t> counts;
+  // `counts` is indexed by path; every child of a node on path p lies on a
+  // child path of p, so zeroing those entries resets it for the next node.
+  std::vector<int64_t> counts(static_cast<size_t>(s.size()), 0);
   for (NodeIndex n = 0; n < doc->size(); ++n) {
-    PathId p = doc->path_ids_[static_cast<size_t>(n)];
+    const PathId p = doc->path_ids_[static_cast<size_t>(n)];
     parent_occurrences_[static_cast<size_t>(p)] += 1;
-    path_occurrences_[static_cast<size_t>(p)] += 1;
-    counts.clear();
-    for (NodeIndex c = doc->first_child(n); c != kInvalidNode;
-         c = doc->next_sibling(c)) {
-      counts[doc->path_ids_[static_cast<size_t>(c)]] += 1;
+    for (NodeIndex c = doc->first_children_[static_cast<size_t>(n)];
+         c != kInvalidNode; c = doc->next_siblings_[static_cast<size_t>(c)]) {
+      counts[static_cast<size_t>(doc->path_ids_[static_cast<size_t>(c)])] +=
+          1;
     }
     for (PathId cpath : s.children(p)) {
-      auto it = counts.find(cpath);
-      int64_t cnt = it == counts.end() ? 0 : it->second;
-      size_t ci = static_cast<size_t>(cpath);
+      const size_t ci = static_cast<size_t>(cpath);
+      const int64_t cnt = counts[ci];
+      counts[ci] = 0;
       if (min_children_[ci] == kNoObservation || cnt < min_children_[ci]) {
         min_children_[ci] = cnt;
       }

@@ -2,7 +2,13 @@
 // can be built and maintained in linear time out of tree-structured data").
 // Building also annotates the document with per-node path ids and computes
 // the enhanced-summary integrity constraints (strong / one-to-one edges) by
-// counting children during the single pass (§4.1).
+// counting children during the single pass (§4.1). The pass compares label
+// ids, not strings: each document label is interned into the summary once,
+// through a table indexed by the document's label id, and children are
+// counted per path in a flat array reset per parent. Paths are numbered in
+// order of first occurrence, so a document and the same tree parsed afresh
+// get the same summary. Rebuilding after an update is still linear in the
+// document; maintaining the summary from a delta alone is open work.
 #ifndef SVX_SUMMARY_SUMMARY_BUILDER_H_
 #define SVX_SUMMARY_SUMMARY_BUILDER_H_
 
@@ -33,7 +39,6 @@ class SummaryBuilder {
   std::vector<int64_t> parent_occurrences_;  // nodes on parent path
   std::vector<int64_t> min_children_;        // min #children on this path
   std::vector<int64_t> max_children_;        // max #children on this path
-  std::vector<int64_t> path_occurrences_;    // nodes on this path
 };
 
 /// True iff S(doc) equals `summary` (paper: S1 |= d iff S(d) = S1),

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <set>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -143,6 +145,51 @@ Status InstallPersisted(StoredView* sv, std::string_view extent_file,
   sv->residency->SetCompressedBytes(columnar.SerializedByteSize());
   sv->columnar = std::move(load->columnar);
   return Status::OK();
+}
+
+/// The distinct labels of the nodes `deltas` add or remove, or nullopt when
+/// some delta's region does not resolve to a non-root node of the document
+/// it lives in (delta evaluation then decides, and rebuilds).
+std::optional<std::vector<std::string_view>> RegionLabels(
+    const std::vector<DocumentDelta>& deltas) {
+  std::vector<std::string_view> labels;
+  for (const DocumentDelta& delta : deltas) {
+    const Document& doc = delta.kind == DocumentDelta::Kind::kInsert
+                              ? *delta.new_doc
+                              : *delta.old_doc;
+    const NodeIndex root = doc.FindByOrdPath(delta.region);
+    if (root == kInvalidNode || root == doc.root()) return std::nullopt;
+    std::vector<bool> seen(static_cast<size_t>(doc.labels().size()), false);
+    for (NodeIndex n = root; n < doc.subtree_end(root); ++n) {
+      const auto id = static_cast<size_t>(doc.label_id(n));
+      if (seen[id]) continue;
+      seen[id] = true;
+      const std::string& label = doc.label(n);
+      if (std::find(labels.begin(), labels.end(), label) == labels.end()) {
+        labels.push_back(label);
+      }
+    }
+  }
+  return labels;
+}
+
+/// False when a batch whose added and removed nodes carry only `labels`
+/// leaves `pattern`'s extent as it is: no node of the pattern is a
+/// wildcard, returns content, or carries one of the labels. Every
+/// embedding then avoids the added and removed nodes, and such an
+/// embedding exists in both versions with the same cells, since surviving
+/// nodes keep their ids, labels, values and structural relations; so every
+/// optional edge pads and every nested group aggregates as before.
+bool MayTouch(const Pattern& pattern,
+              const std::vector<std::string_view>& labels) {
+  for (PatternNodeId i = 0; i < pattern.size(); ++i) {
+    const Pattern::Node& node = pattern.node(i);
+    if (node.IsWildcard() || (node.attrs & kAttrContent) != 0 ||
+        std::find(labels.begin(), labels.end(), node.label) != labels.end()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -522,7 +569,17 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   std::vector<WalViewDelta> wal_views;
   std::vector<std::shared_ptr<const StoredView>> next;
   next.reserve(cur->views().size());
+  // Route the batch before decoding anything: a view no added or removed
+  // node can match keeps its stored view, cold or not.
+  const std::optional<std::vector<std::string_view>> region_labels =
+      RegionLabels(deltas);
   for (const std::shared_ptr<const StoredView>& v : cur->views()) {
+    if (region_labels.has_value() &&
+        !MayTouch(v->def.pattern, *region_labels)) {
+      next.push_back(v);
+      ++ms.views_shared;
+      continue;
+    }
     const bool has_content = v->columnar->has_content();
     // The view's value-count cache, built from the pre-batch extent on
     // first use and folded step by step (writer-private, see StoredView).

@@ -79,7 +79,7 @@ namespace svx {
 struct MaintenanceStats {
   int32_t views_touched = 0;    // views whose extent changed
   int32_t views_rebuilt = 0;    // fell back to full rematerialization
-  int32_t views_shared = 0;     // carried into the new epoch untouched
+  int32_t views_shared = 0;     // carried into the new epoch unchanged
   int64_t tuples_inserted = 0;  // across all incremental deltas
   int64_t tuples_deleted = 0;
   int32_t deltas_applied = 0;   // batch size of the pass
@@ -167,18 +167,25 @@ class ViewCatalog {
   [[nodiscard]] Status Add(ViewDef def, Table extent)
       SVX_EXCLUDES(writer_mu_);
 
-  /// Maintains every stored extent under a document update: computes a
-  /// tuple-level delta per view (src/maintenance/), builds a successor
-  /// epoch applying it — sharing untouched extents with the current epoch,
-  /// falling back to rematerialization when incremental evaluation does
-  /// not apply — rebinds stored content references to delta.new_doc,
+  /// Maintains every stored extent under a document update. The pass first
+  /// routes the delta: a view whose pattern has no content column, no
+  /// wildcard and none of the labels of the nodes the delta adds or removes
+  /// carries its StoredView into the successor epoch without being decoded
+  /// (counted in views_shared), since every embedding avoids those nodes
+  /// and so exists in both versions. Every other view is decoded and gets a
+  /// tuple-level delta (src/maintenance/); the pass builds a successor
+  /// epoch applying them — sharing untouched extents with the current
+  /// epoch, falling back to rematerialization when incremental evaluation
+  /// does not apply — rebinds stored content references to delta.new_doc,
   /// refreshes statistics in O(|delta|) through per-view value-count
   /// caches, persists changed extents under fresh generations when the
   /// catalog has a store directory (in delta-log mode, logs them to the
-  /// WAL instead), and publishes the successor with one pointer swap. Afterwards every extent is byte-identical to a fresh
-  /// materialization over delta.new_doc. Readers of older epochs are
-  /// undisturbed (but with this overload the caller owns both documents'
-  /// lifetimes, as with delta itself).
+  /// WAL instead), and publishes the successor with one pointer swap.
+  /// Afterwards every extent is byte-identical to a fresh materialization
+  /// over delta.new_doc. Readers of older epochs are undisturbed (but with
+  /// this overload the caller owns both documents' lifetimes, as with delta
+  /// itself). A delta whose region does not name a non-root node of its
+  /// document skips no view.
   [[nodiscard]] Status ApplyUpdate(const DocumentDelta& delta,
                                    MaintenanceStats* out_stats = nullptr)
       SVX_EXCLUDES(writer_mu_);
@@ -193,9 +200,10 @@ class ViewCatalog {
   /// epoch then takes shared ownership of it and `new_summary`, so the
   /// writer may drop the old document right after — old-epoch readers keep
   /// it alive through their snapshot (concurrent serving uses this, also
-  /// for a batch of one). Per view, the tuple deltas of the steps are folded
-  /// over a private working extent; content references rebind once against
-  /// the final document. `span`
+  /// for a batch of one). The batch is routed as one delta whose added and
+  /// removed nodes are every step's. Per view, the tuple deltas of the
+  /// steps are folded over a private working extent; content references
+  /// rebind once against the final document. `span`
   /// (optional) gets a "maintenance_pass" child span carrying
   /// deltas/epoch/views_touched attrs (and the shard label when set).
   [[nodiscard]] Status ApplyUpdateBatch(

@@ -51,6 +51,10 @@ class Document {
     return values_[static_cast<size_t>(v)];
   }
 
+  /// Number of stored atomic values: one per node that has one, since an
+  /// update keeps no value of a node it removes.
+  int32_t num_values() const { return static_cast<int32_t>(values_.size()); }
+
   /// Parent node, kInvalidNode for the root.
   NodeIndex parent(NodeIndex n) const { return parents_[Check(n)]; }
 
@@ -99,7 +103,7 @@ class Document {
 
  private:
   friend class DocumentBuilder;
-  friend class DocumentUpdater;
+  friend class SubtreeSplice;
   friend class SummaryBuilder;
 
   size_t Check(NodeIndex n) const {

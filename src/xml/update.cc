@@ -1,103 +1,206 @@
 #include "src/xml/update.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 namespace svx {
 
-/// Rebuilds a Document from a preorder list of (label, value, ordpath)
-/// descriptors. ORDPATHs are taken verbatim — this is what keeps surviving
-/// ids stable across updates (DocumentBuilder would renumber ordinals).
-class DocumentUpdater {
+/// Builds the next document version by splicing the previous version's
+/// per-node arrays: surviving nodes keep their label ids (under a copy of
+/// the old interner), depths and ORDPATHs, and node indexes past the splice
+/// point shift by the region size. Each surviving ORDPATH and value is
+/// copied once. Value ids are reassigned in preorder, so a deleted
+/// subtree's values are dropped rather than kept.
+class SubtreeSplice {
  public:
-  struct NodeSpec {
-    const std::string* label = nullptr;
-    const std::string* value = nullptr;  // nullptr = no atomic value
-    OrdPath ord_path;
-  };
+  /// Inserts `sub` as a child of `parent` at preorder position `at`: the
+  /// position of the sibling it precedes, or the end of parent's subtree.
+  static std::unique_ptr<Document> Insert(const Document& d, NodeIndex parent,
+                                          NodeIndex at, const OrdPath& region,
+                                          const Document& sub);
 
-  static std::unique_ptr<Document> Build(const std::vector<NodeSpec>& nodes) {
-    auto doc = std::make_unique<Document>();
-    Document& d = *doc;
-    size_t n = nodes.size();
-    d.labels_.reserve(n);
-    d.value_ids_.reserve(n);
-    d.parents_.reserve(n);
-    d.first_children_.reserve(n);
-    d.next_siblings_.reserve(n);
-    d.subtree_ends_.reserve(n);
-    d.depths_.reserve(n);
-    d.ord_paths_.reserve(n);
-    d.path_ids_.assign(n, -1);
+  /// Removes the subtree rooted at `target` (not the root).
+  static std::unique_ptr<Document> Delete(const Document& d, NodeIndex target);
 
-    // Stack of open ancestors: (node index, last child seen).
-    struct Open {
-      NodeIndex node;
-      NodeIndex last_child = kInvalidNode;
-    };
-    std::vector<Open> stack;
-    for (size_t i = 0; i < n; ++i) {
-      const NodeSpec& spec = nodes[i];
-      NodeIndex idx = static_cast<NodeIndex>(i);
-      int32_t depth = spec.ord_path.Depth();
-      SVX_CHECK_MSG(depth >= 1, "invalid ordpath in update");
-      // Close finished subtrees: the preorder invariant says the parent of
-      // node i is the nearest preceding node with depth(i) - 1.
-      while (static_cast<int32_t>(stack.size()) >= depth) {
-        d.subtree_ends_[static_cast<size_t>(stack.back().node)] = idx;
-        stack.pop_back();
-      }
-      SVX_CHECK_MSG(static_cast<int32_t>(stack.size()) == depth - 1,
-                    "non-preorder node list in update");
-
-      d.labels_.push_back(d.label_interner_.Intern(*spec.label));
-      if (spec.value != nullptr) {
-        d.value_ids_.push_back(static_cast<int32_t>(d.values_.size()));
-        d.values_.push_back(*spec.value);
-      } else {
-        d.value_ids_.push_back(-1);
-      }
-      d.first_children_.push_back(kInvalidNode);
-      d.next_siblings_.push_back(kInvalidNode);
-      d.subtree_ends_.push_back(kInvalidNode);
-      d.depths_.push_back(depth);
-      d.ord_paths_.push_back(spec.ord_path);
-      if (stack.empty()) {
-        d.parents_.push_back(kInvalidNode);
-      } else {
-        Open& top = stack.back();
-        d.parents_.push_back(top.node);
-        if (top.last_child == kInvalidNode) {
-          d.first_children_[static_cast<size_t>(top.node)] = idx;
-        } else {
-          d.next_siblings_[static_cast<size_t>(top.last_child)] = idx;
-        }
-        top.last_child = idx;
-      }
-      stack.push_back(Open{idx, kInvalidNode});
+ private:
+  /// Copies node `n`'s value (if any) into `o`, giving it the next id.
+  static void CopyValue(const Document& from, NodeIndex n, Document* o) {
+    const int32_t v = from.value_ids_[static_cast<size_t>(n)];
+    if (v < 0) {
+      o->value_ids_.push_back(-1);
+      return;
     }
-    while (!stack.empty()) {
-      d.subtree_ends_[static_cast<size_t>(stack.back().node)] =
-          static_cast<NodeIndex>(n);
-      stack.pop_back();
-    }
-    return doc;
+    o->value_ids_.push_back(static_cast<int32_t>(o->values_.size()));
+    o->values_.push_back(from.values_[static_cast<size_t>(v)]);
   }
 };
 
 namespace {
 
-using NodeSpec = DocumentUpdater::NodeSpec;
-
-NodeSpec SpecOf(const Document& doc, NodeIndex n, OrdPath id) {
-  NodeSpec spec;
-  spec.label = &doc.label(n);
-  spec.value = doc.has_value(n) ? &doc.value(n) : nullptr;
-  spec.ord_path = std::move(id);
-  return spec;
+/// The last child of `parent` before preorder position `at` (a child's
+/// position or the end of parent's subtree), or kInvalidNode: the child
+/// whose subtree holds node at - 1.
+NodeIndex ChildBefore(const Document& doc, NodeIndex parent, NodeIndex at) {
+  if (at == parent + 1) return kInvalidNode;
+  NodeIndex n = at - 1;
+  while (doc.parent(n) != parent) n = doc.parent(n);
+  return n;
 }
 
 }  // namespace
+
+std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
+                                                NodeIndex parent, NodeIndex at,
+                                                const OrdPath& region,
+                                                const Document& sub) {
+  auto out = std::make_unique<Document>();
+  Document& o = *out;
+  const NodeIndex k = sub.size();
+  const auto head = static_cast<std::ptrdiff_t>(at);
+  const size_t total = static_cast<size_t>(d.size() + k);
+  o.label_interner_ = d.label_interner_;
+  std::vector<int32_t> sub_labels(static_cast<size_t>(sub.labels().size()));
+  for (int32_t l = 0; l < sub.labels().size(); ++l) {
+    sub_labels[static_cast<size_t>(l)] =
+        o.label_interner_.Intern(sub.labels().Get(l));
+  }
+
+  o.labels_.reserve(total);
+  o.labels_.assign(d.labels_.begin(), d.labels_.begin() + head);
+  for (int32_t l : sub.labels_) {
+    o.labels_.push_back(sub_labels[static_cast<size_t>(l)]);
+  }
+  o.labels_.insert(o.labels_.end(), d.labels_.begin() + head, d.labels_.end());
+
+  const int32_t base_depth = d.depths_[static_cast<size_t>(parent)];
+  o.depths_.reserve(total);
+  o.depths_.assign(d.depths_.begin(), d.depths_.begin() + head);
+  for (int32_t depth : sub.depths_) o.depths_.push_back(base_depth + depth);
+  o.depths_.insert(o.depths_.end(), d.depths_.begin() + head, d.depths_.end());
+
+  // Old indexes past `last_kept` move k places right (for node links that
+  // is every index at or past the splice point); the subtree's own indexes
+  // move to `at`. kInvalidNode (-1) stays put.
+  auto splice = [&](const std::vector<NodeIndex>& old,
+                    const std::vector<NodeIndex>& in_sub, NodeIndex last_kept,
+                    std::vector<NodeIndex>* dst) {
+    dst->reserve(total);
+    for (NodeIndex i = 0; i < at; ++i) {
+      const NodeIndex x = old[static_cast<size_t>(i)];
+      dst->push_back(x <= last_kept ? x : x + k);
+    }
+    for (NodeIndex x : in_sub) dst->push_back(x == kInvalidNode ? x : x + at);
+    for (NodeIndex i = at; i < d.size(); ++i) {
+      const NodeIndex x = old[static_cast<size_t>(i)];
+      dst->push_back(x <= last_kept ? x : x + k);
+    }
+  };
+  splice(d.parents_, sub.parents_, at - 1, &o.parents_);
+  splice(d.first_children_, sub.first_children_, at - 1, &o.first_children_);
+  splice(d.next_siblings_, sub.next_siblings_, at - 1, &o.next_siblings_);
+  // A subtree ending exactly at the splice point ends before the new one,
+  // unless it encloses it: `parent` and its ancestors grow by k.
+  splice(d.subtree_ends_, sub.subtree_ends_, at, &o.subtree_ends_);
+  for (NodeIndex a = parent; a != kInvalidNode; a = d.parent(a)) {
+    o.subtree_ends_[static_cast<size_t>(a)] = d.subtree_end(a) + k;
+  }
+  // Link the new root between its siblings.
+  const NodeIndex left = ChildBefore(d, parent, at);
+  const bool before = at < d.size() && d.parent(at) == parent;
+  o.parents_[static_cast<size_t>(at)] = parent;
+  o.next_siblings_[static_cast<size_t>(at)] = before ? at + k : kInvalidNode;
+  if (left == kInvalidNode) {
+    o.first_children_[static_cast<size_t>(parent)] = at;
+  } else {
+    o.next_siblings_[static_cast<size_t>(left)] = at;
+  }
+
+  o.value_ids_.reserve(total);
+  o.values_.reserve(d.values_.size() + sub.values_.size());
+  for (NodeIndex n = 0; n < at; ++n) CopyValue(d, n, &o);
+  for (NodeIndex n = 0; n < k; ++n) CopyValue(sub, n, &o);
+  for (NodeIndex n = at; n < d.size(); ++n) CopyValue(d, n, &o);
+
+  // The subtree's ids are re-rooted under `region`: its root's "1" becomes
+  // the region id.
+  o.ord_paths_.reserve(total);
+  o.ord_paths_.assign(d.ord_paths_.begin(), d.ord_paths_.begin() + head);
+  const std::vector<int32_t>& prefix = region.components();
+  for (const OrdPath& id : sub.ord_paths_) {
+    std::vector<int32_t> comps;
+    comps.reserve(prefix.size() + id.components().size() - 1);
+    comps.insert(comps.end(), prefix.begin(), prefix.end());
+    comps.insert(comps.end(), id.components().begin() + 1,
+                 id.components().end());
+    o.ord_paths_.emplace_back(std::move(comps));
+  }
+  o.ord_paths_.insert(o.ord_paths_.end(), d.ord_paths_.begin() + head,
+                      d.ord_paths_.end());
+  o.path_ids_.assign(total, -1);
+  return out;
+}
+
+std::unique_ptr<Document> SubtreeSplice::Delete(const Document& d,
+                                                NodeIndex target) {
+  auto out = std::make_unique<Document>();
+  Document& o = *out;
+  const NodeIndex end = d.subtree_end(target);
+  const NodeIndex k = end - target;
+  const auto head = static_cast<std::ptrdiff_t>(target);
+  const auto tail = static_cast<std::ptrdiff_t>(end);
+  const size_t total = static_cast<size_t>(d.size() - k);
+  o.label_interner_ = d.label_interner_;
+
+  auto keep = [&](const std::vector<int32_t>& old, std::vector<int32_t>* dst) {
+    dst->reserve(total);
+    dst->assign(old.begin(), old.begin() + head);
+    dst->insert(dst->end(), old.begin() + tail, old.end());
+  };
+  keep(d.labels_, &o.labels_);
+  keep(d.depths_, &o.depths_);
+
+  // Old indexes past the removed subtree move k places left. Survivors
+  // reference a removed node only as the removed root's parent's first
+  // child or its preceding sibling's next sibling, both relinked below.
+  auto splice = [&](const std::vector<NodeIndex>& old,
+                    std::vector<NodeIndex>* dst) {
+    dst->reserve(total);
+    for (NodeIndex i = 0; i < target; ++i) {
+      const NodeIndex x = old[static_cast<size_t>(i)];
+      dst->push_back(x < end ? x : x - k);
+    }
+    for (NodeIndex i = end; i < d.size(); ++i) {
+      const NodeIndex x = old[static_cast<size_t>(i)];
+      dst->push_back(x < end ? x : x - k);
+    }
+  };
+  splice(d.parents_, &o.parents_);
+  splice(d.first_children_, &o.first_children_);
+  splice(d.next_siblings_, &o.next_siblings_);
+  splice(d.subtree_ends_, &o.subtree_ends_);
+  const NodeIndex parent = d.parent(target);
+  const NodeIndex left = ChildBefore(d, parent, target);
+  const NodeIndex next = d.next_sibling(target);
+  const NodeIndex next_moved = next == kInvalidNode ? next : next - k;
+  if (left == kInvalidNode) {
+    o.first_children_[static_cast<size_t>(parent)] = next_moved;
+  } else {
+    o.next_siblings_[static_cast<size_t>(left)] = next_moved;
+  }
+
+  o.value_ids_.reserve(total);
+  o.values_.reserve(d.values_.size());
+  for (NodeIndex n = 0; n < target; ++n) CopyValue(d, n, &o);
+  for (NodeIndex n = end; n < d.size(); ++n) CopyValue(d, n, &o);
+
+  o.ord_paths_.reserve(total);
+  o.ord_paths_.assign(d.ord_paths_.begin(), d.ord_paths_.begin() + head);
+  o.ord_paths_.insert(o.ord_paths_.end(), d.ord_paths_.begin() + tail,
+                      d.ord_paths_.end());
+  o.path_ids_.assign(total, -1);
+  return out;
+}
 
 Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
                                    const Document& subtree,
@@ -112,7 +215,7 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
   }
 
   OrdPath region;
-  NodeIndex splice_at = kInvalidNode;  // preorder position of the new root
+  NodeIndex at = kInvalidNode;  // preorder position of the new root
   if (insert_before != nullptr) {
     NodeIndex before_idx = doc.FindByOrdPath(*insert_before);
     if (before_idx == kInvalidNode ||
@@ -122,13 +225,11 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
     }
     // The caret id needs `before`'s immediate preceding sibling (invalid
     // when `before` is the first child).
-    OrdPath left;
-    for (NodeIndex c = doc.first_child(parent_idx); c != before_idx;
-         c = doc.next_sibling(c)) {
-      left = doc.ord_path(c);
-    }
-    region = OrdPath::CaretBefore(parent, left, doc.ord_path(before_idx));
-    splice_at = before_idx;
+    const NodeIndex left = ChildBefore(doc, parent_idx, before_idx);
+    region = OrdPath::CaretBefore(
+        parent, left == kInvalidNode ? OrdPath() : doc.ord_path(left),
+        doc.ord_path(before_idx));
+    at = before_idx;
   } else {
     // Append: one past the largest *surviving* child ordinal. A child id
     // extends the parent's components, so the child's ordering key at this
@@ -144,28 +245,11 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
       max_ordinal = std::max(max_ordinal, doc.ord_path(c).components()[level]);
     }
     region = parent.Child(max_ordinal + 1);
-    splice_at = doc.subtree_end(parent_idx);
-  }
-
-  std::vector<NodeSpec> nodes;
-  nodes.reserve(static_cast<size_t>(doc.size() + subtree.size()));
-  for (NodeIndex n = 0; n < splice_at; ++n) {
-    nodes.push_back(SpecOf(doc, n, doc.ord_path(n)));
-  }
-  // The inserted subtree in preorder; ordpaths are re-rooted under `region`
-  // by replacing the subtree-root prefix.
-  for (NodeIndex n = 0; n < subtree.size(); ++n) {
-    const auto& comps = subtree.ord_path(n).components();
-    std::vector<int32_t> rebased = region.components();
-    rebased.insert(rebased.end(), comps.begin() + 1, comps.end());
-    nodes.push_back(SpecOf(subtree, n, OrdPath(std::move(rebased))));
-  }
-  for (NodeIndex n = splice_at; n < doc.size(); ++n) {
-    nodes.push_back(SpecOf(doc, n, doc.ord_path(n)));
+    at = doc.subtree_end(parent_idx);
   }
 
   UpdateResult out;
-  out.doc = DocumentUpdater::Build(nodes);
+  out.doc = SubtreeSplice::Insert(doc, parent_idx, at, region, subtree);
   out.delta.kind = DocumentDelta::Kind::kInsert;
   out.delta.old_doc = &doc;
   out.delta.new_doc = out.doc.get();
@@ -185,24 +269,13 @@ Result<UpdateResult> DeleteSubtree(const Document& doc,
     return Status::InvalidArgument("cannot delete the document root");
   }
 
-  NodeIndex skip_end = doc.subtree_end(target_idx);
-  std::vector<NodeSpec> nodes;
-  nodes.reserve(static_cast<size_t>(doc.size() - (skip_end - target_idx)));
-  for (NodeIndex n = 0; n < doc.size(); ++n) {
-    if (n == target_idx) {
-      n = skip_end - 1;  // skip the removed subtree
-      continue;
-    }
-    nodes.push_back(SpecOf(doc, n, doc.ord_path(n)));
-  }
-
   UpdateResult out;
-  out.doc = DocumentUpdater::Build(nodes);
+  out.doc = SubtreeSplice::Delete(doc, target_idx);
   out.delta.kind = DocumentDelta::Kind::kDelete;
   out.delta.old_doc = &doc;
   out.delta.new_doc = out.doc.get();
   out.delta.region = target;
-  out.delta.region_size = skip_end - target_idx;
+  out.delta.region_size = doc.subtree_end(target_idx) - target_idx;
   return out;
 }
 

@@ -1,7 +1,12 @@
 // Document updates with stable structural identifiers (the ID-based storage
 // design of paper §1 "Exploiting ID properties"): a subtree insert or delete
-// produces a brand-new Document plus a DocumentDelta naming the affected
-// ORDPATH region. Surviving nodes keep their ORDPATH ids bit-for-bit:
+// produces a new Document plus a DocumentDelta naming the affected ORDPATH
+// region. The new version splices the old one's per-node arrays: label ids
+// (under a copy of the old label interner), values, depths and ORDPATHs of
+// surviving nodes are copied once, node indexes past the splice point shift
+// by the region size, and a deleted subtree's values are not kept, so an
+// update costs one pass over flat arrays and no per-node string lookups.
+// Surviving nodes keep their ORDPATH ids bit-for-bit:
 //   * DeleteSubtree leaves sibling ordinals untouched (ordinal gaps are
 //     legal Dewey ids, document order is preserved),
 //   * InsertSubtree without an `insert_before` sibling appends the new
@@ -62,7 +67,7 @@ struct UpdateResult {
 /// root's id is careted between its neighbors), as the last child
 /// otherwise. Fails if `parent` is not in `doc`, or if `insert_before` does
 /// not name a child of `parent`. Summary path annotation is not carried
-/// over — re-annotate with SummaryBuilder if needed.
+/// over (both functions) — re-annotate with SummaryBuilder if needed.
 [[nodiscard]] Result<UpdateResult> InsertSubtree(
     const Document& doc, const OrdPath& parent, const Document& subtree,
     const OrdPath* insert_before = nullptr);

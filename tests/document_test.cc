@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/summary/summary_builder.h"
+#include "src/util/rng.h"
+#include "src/workload/xmark.h"
 #include "src/xml/builder.h"
+#include "src/xml/parser.h"
 #include "src/xml/serializer.h"
+#include "src/xml/update.h"
 
 namespace svx {
 namespace {
@@ -119,6 +127,291 @@ TEST(Document, NodesOnPathBeforeAnnotationIsEmpty) {
   EXPECT_FALSE(d->has_path_annotation());
   EXPECT_TRUE(d->nodes_on_path(0).empty());
   EXPECT_EQ(d->path_id(0), -1);
+}
+
+// ---------------------------------------------------------------------------
+// Document versions: a seeded insert/delete stream over XMark
+// ---------------------------------------------------------------------------
+
+/// Item subtrees the stream inserts.
+const char* kItems[] = {
+    "item(location=Chad quantity=2 name='gold ring' payment=Cash "
+    "shipping='Will ship internationally')",
+    "item(name=lamp description(text(keyword=brass)) incategory=c1)",
+    "item(location=Peru)",
+};
+/// Inserted once, at VersionStream::kNewLabelStep: `novelty` and `sticker`
+/// are labels XMark lacks.
+constexpr const char* kNewLabelItem = "item(name=kite novelty(sticker=yes))";
+
+/// A seeded update stream over XMark: items inserted into a continent
+/// (careted before one of its children or appended), leaves appended under
+/// any element (leaves included), and deletes of inserted items and of
+/// small original subtrees below the continents.
+class VersionStream {
+ public:
+  static constexpr int kNewLabelStep = 250;
+
+  explicit VersionStream(uint64_t seed) : rng_(seed) {
+    XmarkOptions opts;
+    opts.scale = 0.2;
+    opts.seed = seed;
+    first_ = GenerateXmark(opts);
+    initial_size_ = first_->size();
+  }
+
+  /// The generated document; call once, before the first Next().
+  std::unique_ptr<Document> TakeFirst() { return std::move(first_); }
+
+  /// The next update of `doc`; `*subtree` holds what an insert inserted
+  /// (null after a delete).
+  Result<UpdateResult> Next(const Document& doc,
+                            std::unique_ptr<Document>* subtree) {
+    subtree->reset();
+    const int step = step_++;
+    if (step != kNewLabelStep) {
+      if (!inserted_.empty() && rng_.Bernoulli(0.3)) {
+        const auto i = static_cast<size_t>(
+            rng_.Uniform(0, static_cast<int64_t>(inserted_.size()) - 1));
+        const OrdPath target = inserted_[i];
+        inserted_.erase(inserted_.begin() + static_cast<std::ptrdiff_t>(i));
+        // An original delete may have taken it with an enclosing subtree.
+        if (doc.FindByOrdPath(target) != kInvalidNode) {
+          return DeleteSubtree(doc, target);
+        }
+      }
+      if (doc.size() > initial_size_ / 2 && rng_.Bernoulli(0.25)) {
+        for (int tries = 0; tries < 20; ++tries) {
+          const auto n = static_cast<NodeIndex>(rng_.Uniform(1, doc.size() - 1));
+          if (doc.depth(n) >= 4 && doc.subtree_end(n) - n <= 12) {
+            return DeleteSubtree(doc, doc.ord_path(n));
+          }
+        }
+      }
+      if (rng_.Bernoulli(0.15)) {
+        // Not under an attribute, which XML could not serialize.
+        NodeIndex n = kInvalidNode;
+        do {
+          n = static_cast<NodeIndex>(rng_.Uniform(0, doc.size() - 1));
+        } while (doc.label(n)[0] == '@');
+        *subtree = MustParse("keyword=fresh");
+        return InsertSubtree(doc, doc.ord_path(n), **subtree);
+      }
+    }
+    std::vector<NodeIndex> continents;
+    for (NodeIndex n = 0; n < doc.size(); ++n) {
+      if (doc.depth(n) == 3 && doc.label(doc.parent(n)) == "regions") {
+        continents.push_back(n);
+      }
+    }
+    const NodeIndex continent = rng_.Pick(continents);
+    const OrdPath parent = doc.ord_path(continent);
+    *subtree = MustParse(step == kNewLabelStep
+                             ? kNewLabelItem
+                             : kItems[rng_.Uniform(0, std::size(kItems) - 1)]);
+    const std::vector<NodeIndex> kids = doc.children(continent);
+    Result<UpdateResult> r = Status::Internal("unset");
+    if (!kids.empty() && rng_.Bernoulli(0.5)) {
+      const OrdPath before = doc.ord_path(rng_.Pick(kids));
+      r = InsertSubtree(doc, parent, **subtree, &before);
+    } else {
+      r = InsertSubtree(doc, parent, **subtree);
+    }
+    if (r.ok()) inserted_.push_back(r->delta.region);
+    return r;
+  }
+
+ private:
+  Rng rng_;
+  std::unique_ptr<Document> first_;
+  int32_t initial_size_ = 0;
+  int step_ = 0;
+  std::vector<OrdPath> inserted_;
+};
+
+constexpr int kStreamSteps = 500;
+
+/// Checks every per-node array of `d` against what its ORDPATHs and
+/// preorder positions imply.
+void ExpectArraysFollowOrdPaths(const Document& d) {
+  std::vector<NodeIndex> open;  // ancestors of node n, by ORDPATH
+  std::vector<NodeIndex> last_child(static_cast<size_t>(d.size()),
+                                    kInvalidNode);
+  for (NodeIndex n = 0; n < d.size(); ++n) {
+    const OrdPath& id = d.ord_path(n);
+    if (n > 0) {
+      ASSERT_LT(d.ord_path(n - 1).Compare(id), 0) << n;
+    }
+    while (!open.empty() && !d.ord_path(open.back()).IsAncestorOf(id)) {
+      ASSERT_EQ(d.subtree_end(open.back()), n) << open.back();
+      open.pop_back();
+    }
+    const NodeIndex parent = open.empty() ? kInvalidNode : open.back();
+    ASSERT_EQ(d.parent(n), parent) << n;
+    ASSERT_EQ(d.depth(n), id.Depth()) << n;
+    ASSERT_EQ(d.depth(n), static_cast<int32_t>(open.size()) + 1) << n;
+    if (parent != kInvalidNode) {
+      ASSERT_TRUE(d.ord_path(parent).IsParentOf(id)) << n;
+      NodeIndex& left = last_child[static_cast<size_t>(parent)];
+      if (left == kInvalidNode) {
+        ASSERT_EQ(d.first_child(parent), n) << parent;
+      } else {
+        ASSERT_EQ(d.next_sibling(left), n) << left;
+      }
+      left = n;
+    }
+    open.push_back(n);
+  }
+  for (NodeIndex n : open) ASSERT_EQ(d.subtree_end(n), d.size()) << n;
+  for (NodeIndex n = 0; n < d.size(); ++n) {
+    const NodeIndex last = last_child[static_cast<size_t>(n)];
+    if (last == kInvalidNode) {
+      ASSERT_EQ(d.first_child(n), kInvalidNode) << n;
+    } else {
+      ASSERT_EQ(d.next_sibling(last), kInvalidNode) << last;
+    }
+  }
+  ASSERT_EQ(d.next_sibling(d.root()), kInvalidNode);
+}
+
+/// Checks that `up` kept every node of `prev` outside its region at the
+/// same id with the same label and value, and that an insert's region
+/// holds `subtree`'s nodes in preorder.
+void ExpectSpliced(const Document& prev, const UpdateResult& up,
+                   const Document* subtree) {
+  const Document& next = *up.doc;
+  const bool insert = up.delta.kind == DocumentDelta::Kind::kInsert;
+  ASSERT_EQ(insert, subtree != nullptr);
+  const Document& region_doc = insert ? next : prev;
+  const NodeIndex root = region_doc.FindByOrdPath(up.delta.region);
+  ASSERT_NE(root, kInvalidNode);
+  const NodeIndex k = region_doc.subtree_end(root) - root;
+  ASSERT_EQ(k, up.delta.region_size);
+  ASSERT_EQ(next.size(), prev.size() + (insert ? k : -k));
+  // Surviving node i of `prev` sits at i, or k places later (insert) or
+  // earlier (delete) past the region.
+  for (NodeIndex i = 0; i < prev.size(); ++i) {
+    if (!insert && i >= root && i < root + k) {
+      ASSERT_EQ(next.FindByOrdPath(prev.ord_path(i)), kInvalidNode) << i;
+      continue;
+    }
+    const NodeIndex j = i < root ? i : (insert ? i + k : i - k);
+    ASSERT_EQ(next.ord_path(j), prev.ord_path(i)) << i;
+    ASSERT_EQ(next.label(j), prev.label(i)) << i;
+    ASSERT_EQ(next.has_value(j), prev.has_value(i)) << i;
+    if (prev.has_value(i)) {
+      ASSERT_EQ(next.value(j), prev.value(i)) << i;
+    }
+  }
+  if (!insert) return;
+  ASSERT_EQ(k, subtree->size());
+  for (NodeIndex j = 0; j < k; ++j) {
+    const NodeIndex n = root + j;
+    ASSERT_EQ(next.label(n), subtree->label(j)) << j;
+    ASSERT_EQ(next.has_value(n), subtree->has_value(j)) << j;
+    if (subtree->has_value(j)) {
+      ASSERT_EQ(next.value(n), subtree->value(j)) << j;
+    }
+    std::vector<int32_t> id = up.delta.region.components();
+    const std::vector<int32_t>& rest = subtree->ord_path(j).components();
+    id.insert(id.end(), rest.begin() + 1, rest.end());
+    ASSERT_EQ(next.ord_path(n), OrdPath(id)) << j;
+  }
+}
+
+/// Values stored for nodes that have one; an update keeps no others.
+int32_t ValuedNodes(const Document& d) {
+  int32_t n = 0;
+  for (NodeIndex i = 0; i < d.size(); ++i) n += d.has_value(i) ? 1 : 0;
+  return n;
+}
+
+TEST(DocumentVersions, SplicedVersionsStayWellFormed) {
+  VersionStream stream(17);
+  std::unique_ptr<Document> doc = stream.TakeFirst();
+  ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(*doc));
+  int inserts = 0;
+  int deletes = 0;
+  bool new_label_seen = false;
+  for (int step = 0; step < kStreamSteps; ++step) {
+    std::unique_ptr<Document> subtree;
+    Result<UpdateResult> up = stream.Next(*doc, &subtree);
+    ASSERT_TRUE(up.ok()) << step << ": " << up.status().ToString();
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_NO_FATAL_FAILURE(ExpectSpliced(*doc, *up, subtree.get()));
+    ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(*up->doc));
+    ASSERT_EQ(up->doc->num_values(), ValuedNodes(*up->doc));
+    (subtree != nullptr ? inserts : deletes) += 1;
+    if (step == VersionStream::kNewLabelStep) {
+      ASSERT_EQ(doc->labels().Find("novelty"), StringInterner::kNone);
+      const NodeIndex item = up->doc->FindByOrdPath(up->delta.region);
+      EXPECT_EQ(up->doc->label(item + 2), "novelty");
+      new_label_seen = true;
+    }
+    doc = std::move(up->doc);
+  }
+  EXPECT_TRUE(new_label_seen);
+  EXPECT_GT(inserts, kStreamSteps / 4);
+  EXPECT_GT(deletes, kStreamSteps / 4);
+
+  // Repeated insert/delete cycles leave value storage where it started.
+  const int32_t values = doc->num_values();
+  const NodeIndex continent = doc->parent(doc->FindByOrdPath(
+      OrdPath::FromString("1.1.1.1")));
+  ASSERT_NE(continent, kInvalidNode);
+  std::unique_ptr<Document> item = MustParse(kItems[0]);
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    Result<UpdateResult> in =
+        InsertSubtree(*doc, doc->ord_path(continent), *item);
+    ASSERT_TRUE(in.ok());
+    Result<UpdateResult> out = DeleteSubtree(*in->doc, in->delta.region);
+    ASSERT_TRUE(out.ok());
+    doc = std::move(out->doc);
+    ASSERT_EQ(doc->num_values(), values) << cycle;
+  }
+}
+
+/// "/site/regions/..." for every node of `d`, from its labels alone.
+std::vector<std::string> LabelPaths(const Document& d) {
+  std::vector<std::string> paths(static_cast<size_t>(d.size()));
+  for (NodeIndex n = 0; n < d.size(); ++n) {
+    const NodeIndex p = d.parent(n);
+    paths[static_cast<size_t>(n)] =
+        (p == kInvalidNode ? "" : paths[static_cast<size_t>(p)]) + "/" +
+        d.label(n);
+  }
+  return paths;
+}
+
+TEST(DocumentVersions, SummaryOfEachVersionMatchesAParsedRebuild) {
+  VersionStream stream(17);
+  std::unique_ptr<Document> doc = stream.TakeFirst();
+  for (int step = 0; step < kStreamSteps; ++step) {
+    std::unique_ptr<Document> subtree;
+    Result<UpdateResult> up = stream.Next(*doc, &subtree);
+    ASSERT_TRUE(up.ok()) << step << ": " << up.status().ToString();
+    doc = std::move(up->doc);
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::unique_ptr<Summary> summary = SummaryBuilder::Build(doc.get());
+    // Conforms counts children by its own walk over label strings.
+    ASSERT_TRUE(Conforms(*doc, *summary));
+    const std::vector<std::string> paths = LabelPaths(*doc);
+    for (NodeIndex n = 0; n < doc->size(); ++n) {
+      ASSERT_EQ(summary->PathString(doc->path_id(n)),
+                paths[static_cast<size_t>(n)])
+          << n;
+    }
+    // The same tree through XML, whose parser interns labels afresh.
+    Result<std::unique_ptr<Document>> parsed = ParseXml(SerializeXml(*doc));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    std::unique_ptr<Summary> rebuilt = SummaryBuilder::Build(parsed->get());
+    ASSERT_EQ(summary->StructureKey(), rebuilt->StructureKey());
+    ASSERT_TRUE(summary->StructurallyEquals(*rebuilt));
+    ASSERT_EQ((*parsed)->size(), doc->size());
+    for (NodeIndex n = 0; n < doc->size(); ++n) {
+      ASSERT_EQ((*parsed)->path_id(n), doc->path_id(n)) << n;
+    }
+  }
 }
 
 }  // namespace

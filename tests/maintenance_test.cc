@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/maintenance/delta_evaluator.h"
@@ -397,6 +398,165 @@ TEST(Maintenance, MidSiblingInsertMaintainsInDocumentOrder) {
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   ASSERT_TRUE(catalog.ApplyUpdate(del->delta).ok());
   ExpectMaintainedEqualsRemat(catalog, *del->doc);
+}
+
+// ---------------------------------------------------------------------------
+// Routing: a pass skips only views no added or removed node can match
+// ---------------------------------------------------------------------------
+
+/// The first node labeled `label` in document order.
+NodeIndex FirstLabeled(const Document& doc, std::string_view label) {
+  for (NodeIndex n = 0; n < doc.size(); ++n) {
+    if (doc.label(n) == label) return n;
+  }
+  return kInvalidNode;
+}
+
+TEST(MaintenanceRouting, ViewsTheLabelTestMustNotSkipStayExact) {
+  XmarkOptions opts;
+  opts.scale = 0.2;
+  std::shared_ptr<const Document> doc = GenerateXmark(opts);
+  ASSERT_EQ(FirstLabeled(*doc, "zip"), kInvalidNode);
+  ViewCatalog catalog;
+  for (const ViewDef& def : std::vector<ViewDef>{
+           {"wild", MustParsePattern("site(//*{id})")},
+           {"opt", MustParsePattern("site(//item{id}(?/zip{v}))")},
+           {"nest", MustParsePattern("site(//item{id}(n//keyword{id,v}))")},
+           {"content", MustParsePattern("site(//person{id,c})")},
+           {"category", MustParsePattern("site(//category{id}(/name{v}))")},
+           {"initial", MustParsePattern("site(//initial{id,v})")},
+       }) {
+    ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
+  }
+  // Applies one batch, checks every extent against rematerialization and
+  // returns the pass's stats.
+  auto apply = [&](const std::vector<UpdateResult*>& ups) {
+    std::vector<DocumentDelta> deltas;
+    for (UpdateResult* up : ups) deltas.push_back(up->delta);
+    std::shared_ptr<const Document> next = std::move(ups.back()->doc);
+    MaintenanceStats ms;
+    EXPECT_TRUE(catalog.ApplyUpdateBatch(deltas, next, nullptr, &ms).ok());
+    ExpectMaintainedEqualsRemat(catalog, *next);
+    // Content cells encode as ORDPATHs, so the bytes above cannot tell
+    // which document they resolve against: the new one.
+    for (const Tuple& row : catalog.Find("content")->table().value()->rows()) {
+      for (const Value& cell : row) {
+        if (cell.IsContent()) {
+          EXPECT_EQ(cell.AsContent().doc, next.get());
+        }
+      }
+    }
+    doc = std::move(next);
+    return ms;
+  };
+  auto must = [](Result<UpdateResult> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::move(r).value();
+  };
+  const OrdPath item = doc->ord_path(FirstLabeled(*doc, "item"));
+
+  // Only the inserted zip carries `zip`, and the item's ⊥ row flips. Of
+  // the views the pattern labels admit, `nest` reads no zip: skipped, like
+  // `category` and `initial`; `content` takes the content path.
+  UpdateResult zip = must(InsertSubtree(*doc, item, *Doc("zip=75001")));
+  const OrdPath zip_id = zip.delta.region;
+  MaintenanceStats ms = apply({&zip});
+  EXPECT_EQ(ms.views_touched, 2);  // wild, opt
+  EXPECT_EQ(ms.views_shared, 4);
+
+  // A keyword below the item regroups its nested group.
+  UpdateResult keyword = must(InsertSubtree(*doc, item, *Doc("keyword=shiny")));
+  ms = apply({&keyword});
+  EXPECT_EQ(ms.views_touched, 2);  // wild, nest
+
+  // An insert inside a person changes that person's content.
+  const NodeIndex person = FirstLabeled(*doc, "person");
+  ASSERT_NE(person, kInvalidNode);
+  UpdateResult phone = must(InsertSubtree(*doc, doc->ord_path(person),
+                                          *Doc("phone=5550100")));
+  apply({&phone});
+
+  // Deleting the zip brings the ⊥ row back.
+  UpdateResult unzip = must(DeleteSubtree(*doc, zip_id));
+  ms = apply({&unzip});
+  EXPECT_EQ(ms.views_touched, 2);  // wild, opt
+
+  // A batch whose second delta deletes what its first inserted.
+  const std::shared_ptr<const Document> before = doc;
+  UpdateResult in = must(InsertSubtree(
+      *doc, doc->ord_path(doc->parent(FirstLabeled(*doc, "item"))),
+      *Doc("item(name=kite zip=1 description(keyword=red))")));
+  UpdateResult out = must(DeleteSubtree(*in.doc, in.delta.region));
+  ms = apply({&in, &out});
+  EXPECT_EQ(ms.deltas_applied, 2);
+  EXPECT_EQ(doc->size(), before->size());
+
+  // A batch whose deltas carry different labels: the second's keyword
+  // regroups `nest`, which the first's zip alone would not reach.
+  std::vector<NodeIndex> items;
+  for (NodeIndex n = 0; n < doc->size(); ++n) {
+    if (doc->label(n) == "item") items.push_back(n);
+  }
+  ASSERT_GE(items.size(), 2u);
+  UpdateResult zip2 =
+      must(InsertSubtree(*doc, doc->ord_path(items[0]), *Doc("zip=2")));
+  UpdateResult blue = must(InsertSubtree(
+      *zip2.doc, doc->ord_path(items[1]), *Doc("keyword=blue")));
+  ms = apply({&zip2, &blue});
+  EXPECT_EQ(ms.views_touched, 3);  // wild, opt, nest
+}
+
+TEST(MaintenanceRouting, ColdViewsTheRegionCannotTouchStayCold) {
+  XmarkOptions opts;
+  opts.scale = 0.2;
+  std::unique_ptr<Document> doc = GenerateXmark(opts);
+  ViewCatalogOptions copts;
+  copts.memory_budget_bytes = 1;  // every extent but the newest evicted
+  ViewCatalog catalog(copts);
+  const std::vector<std::string> tags = {
+      "item",    "location", "quantity", "name",     "payment", "shipping",
+      "person",  "category", "keyword",  "initial",  "bidder",  "increase",
+      "text",    "emailaddress", "city", "description"};
+  for (const std::string& tag : tags) {
+    ASSERT_TRUE(
+        catalog.Materialize({tag, MustParsePattern("site(//" + tag + "{id,v})")},
+                            *doc)
+            .ok());
+  }
+  // The newest extent stays resident: add one more view and drop it.
+  ASSERT_TRUE(
+      catalog.Materialize({"last", MustParsePattern("site(//zipcode{id})")},
+                          *doc)
+          .ok());
+  ASSERT_TRUE(catalog.Drop("last").ok());
+  std::unordered_map<std::string, const StoredView*> before;
+  for (const auto& v : catalog.views()) {
+    ASSERT_EQ(v->TryResident(), nullptr) << v->def.name;
+    before[v->def.name] = v.get();
+  }
+
+  // The item servebench's update stream inserts: its region carries the
+  // first six tags.
+  Result<UpdateResult> up = InsertSubtree(
+      *doc, doc->ord_path(doc->parent(FirstLabeled(*doc, "item"))),
+      *Doc("item(location=Chad quantity=2 name='gold ring' payment=Cash "
+           "shipping='Will ship internationally')"));
+  ASSERT_TRUE(up.ok());
+  const int64_t reloads = catalog.memory_budget()->reloads();
+  const int64_t reload_metric = metrics::ExtentReloads()->Value();
+  MaintenanceStats ms;
+  ASSERT_TRUE(catalog.ApplyUpdate(up->delta, &ms).ok());
+  EXPECT_EQ(catalog.memory_budget()->reloads() - reloads, 6);
+  EXPECT_EQ(metrics::ExtentReloads()->Value() - reload_metric, 6);
+  EXPECT_EQ(ms.views_touched, 6);
+  EXPECT_EQ(ms.views_shared, static_cast<int32_t>(tags.size()) - 6);
+  for (size_t i = 6; i < tags.size(); ++i) {
+    const StoredView* v = catalog.Find(tags[i]);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v, before[tags[i]]) << tags[i] << " was not carried forward";
+    EXPECT_EQ(v->TryResident(), nullptr) << tags[i] << " was decoded";
+  }
+  ExpectMaintainedEqualsRemat(catalog, *up->doc);
 }
 
 // ---------------------------------------------------------------------------
