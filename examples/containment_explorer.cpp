@@ -10,20 +10,29 @@
 
 namespace {
 
+/// Containment checks that failed (each printed with its status).
+int failures = 0;
+
 void Check(const svx::Summary& s, const char* p, const char* q,
            const char* comment) {
   using namespace svx;
   Result<bool> pq = IsContained(MustParsePattern(p), MustParsePattern(q), s);
   Result<bool> qp = IsContained(MustParsePattern(q), MustParsePattern(p), s);
-  const char* rel = "incomparable";
-  if (pq.ok() && qp.ok()) {
-    if (*pq && *qp) {
-      rel = "equivalent";
-    } else if (*pq) {
-      rel = "p ⊆S q";
-    } else if (*qp) {
-      rel = "q ⊆S p";
+  for (const Result<bool>* r : {&pq, &qp}) {
+    if (!r->ok()) {
+      std::printf("  p = %s q = %s: %s\n", p, q,
+                  r->status().ToString().c_str());
+      ++failures;
+      return;
     }
+  }
+  const char* rel = "incomparable";
+  if (*pq && *qp) {
+    rel = "equivalent";
+  } else if (*pq) {
+    rel = "p ⊆S q";
+  } else if (*qp) {
+    rel = "q ⊆S p";
   }
   std::printf("  p = %-38s q = %-38s -> %s\n     (%s)\n", p, q, rel, comment);
 }
@@ -76,9 +85,13 @@ int main() {
     Pattern q1 = MustParsePattern("a(/b{id})");
     Pattern q2 = MustParsePattern("a(/d(/b{id}))");
     Result<bool> in_union = IsContainedInUnion(p, {&q1, &q2}, **s);
+    if (!in_union.ok()) {
+      std::printf("  union check: %s\n", in_union.status().ToString().c_str());
+      return 1;
+    }
     std::printf(
         "  a(//b) ⊆S a(/b) ∪ a(/d/b): %s — neither member suffices alone\n",
-        in_union.ok() && *in_union ? "yes" : "no");
+        *in_union ? "yes" : "no");
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -16,11 +16,23 @@ using namespace svx;  // NOLINT — example brevity
 
 namespace {
 
-void PrintExtent(const ViewCatalog& catalog, const char* name) {
+/// Prints the extent of view `name`; false (after printing why) when the
+/// catalog cannot serve it.
+bool PrintExtent(const ViewCatalog& catalog, const char* name) {
   const StoredView* v = catalog.Find(name);
+  if (v == nullptr) {
+    std::printf("%s: no such view\n", name);
+    return false;
+  }
+  Result<TablePtr> t = v->table();
+  if (!t.ok()) {
+    std::printf("%s: %s\n", name, t.status().ToString().c_str());
+    return false;
+  }
   std::printf("%s (%lld rows):\n%s\n", name,
-              static_cast<long long>(v->table().value()->NumRows()),
-              v->table().value()->ToString().c_str());
+              static_cast<long long>((*t)->NumRows()),
+              (*t)->ToString().c_str());
+  return true;
 }
 
 }  // namespace
@@ -44,8 +56,9 @@ int main() {
     }
   }
   std::printf("== initial extents ==\n");
-  PrintExtent(catalog, "names");
-  PrintExtent(catalog, "keywords");
+  if (!PrintExtent(catalog, "names") || !PrintExtent(catalog, "keywords")) {
+    return 1;
+  }
 
   // Insert a new item under `items` (ORDPATH 1.1): appended as the last
   // child, every existing node keeps its id.
@@ -68,8 +81,9 @@ int main() {
               ins->delta.region.ToString().c_str(), ins->delta.region_size,
               static_cast<long long>(ms.tuples_inserted),
               static_cast<long long>(ms.tuples_deleted));
-  PrintExtent(catalog, "names");
-  PrintExtent(catalog, "keywords");
+  if (!PrintExtent(catalog, "names") || !PrintExtent(catalog, "keywords")) {
+    return 1;
+  }
   doc = std::move(ins->doc);
 
   // Delete the first item's keyword: the optional column flips back to ⊥.
@@ -88,6 +102,5 @@ int main() {
               del->delta.region.ToString().c_str(),
               static_cast<long long>(ms.tuples_inserted),
               static_cast<long long>(ms.tuples_deleted));
-  PrintExtent(catalog, "keywords");
-  return 0;
+  return PrintExtent(catalog, "keywords") ? 0 : 1;
 }

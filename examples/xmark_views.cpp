@@ -35,6 +35,8 @@ int main() {
   };
   std::vector<MaterializedView> views = MaterializeAll(defs, *doc);
   Catalog catalog;
+  // V1's content cells are ORDPATHs; navigating them reads this document.
+  catalog.set_document(doc.get());
   for (const MaterializedView& v : views) {
     std::printf("%s: %lld rows\n", v.def.name.c_str(),
                 static_cast<long long>(v.extent.NumRows()));
@@ -49,19 +51,22 @@ int main() {
     Pattern q =
         MustParsePattern("site(//item(/name{v} /description{c}))");
     Result<std::vector<Rewriting>> rws = rewriter.Rewrite(q);
-    if (rws.ok() && !rws->empty()) {
-      std::printf("\nquery 1 plan: %s\n", (*rws)[0].compact.c_str());
-      Result<Table> t = Execute(*(*rws)[0].plan, catalog);
-      if (t.ok()) {
-        std::printf("rows: %lld (sample below)\n",
-                    static_cast<long long>(t->NumRows()));
-        for (int64_t i = 0; i < t->NumRows() && i < 3; ++i) {
-          std::printf("  %s | %s\n", t->row(i)[0].ToString().c_str(),
-                      t->row(i)[1].ToString(false).c_str());
-        }
-      }
-    } else {
+    if (!rws.ok() || rws->empty()) {
       std::printf("\nquery 1: no rewriting found\n");
+      return 1;
+    }
+    std::printf("\nquery 1 plan: %s\n", (*rws)[0].compact.c_str());
+    Result<Table> t = Execute(*(*rws)[0].plan, catalog);
+    if (!t.ok()) {
+      std::printf("query 1 execution error: %s\n",
+                  t.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("rows: %lld (sample below)\n",
+                static_cast<long long>(t->NumRows()));
+    for (int64_t i = 0; i < t->NumRows() && i < 3; ++i) {
+      std::printf("  %s | %s\n", t->row(i)[0].ToString().c_str(),
+                  t->row(i)[1].ToString(false).c_str());
     }
   }
 
@@ -72,19 +77,22 @@ int main() {
     Pattern q =
         MustParsePattern("site(//item{id}(/description(//keyword{v})))");
     Result<std::vector<Rewriting>> rws = rewriter.Rewrite(q);
-    if (rws.ok() && !rws->empty()) {
-      std::printf("\nquery 2 plan: %s\n", (*rws)[0].compact.c_str());
-      Result<Table> t = Execute(*(*rws)[0].plan, catalog);
-      if (t.ok()) {
-        std::printf("rows: %lld (sample below)\n",
-                    static_cast<long long>(t->NumRows()));
-        for (int64_t i = 0; i < t->NumRows() && i < 3; ++i) {
-          std::printf("  %s | %s\n", t->row(i)[0].ToString().c_str(),
-                      t->row(i)[1].ToString().c_str());
-        }
-      }
-    } else {
+    if (!rws.ok() || rws->empty()) {
       std::printf("\nquery 2: no rewriting found\n");
+      return 1;
+    }
+    std::printf("\nquery 2 plan: %s\n", (*rws)[0].compact.c_str());
+    Result<Table> t = Execute(*(*rws)[0].plan, catalog);
+    if (!t.ok()) {
+      std::printf("query 2 execution error: %s\n",
+                  t.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("rows: %lld (sample below)\n",
+                static_cast<long long>(t->NumRows()));
+    for (int64_t i = 0; i < t->NumRows() && i < 3; ++i) {
+      std::printf("  %s | %s\n", t->row(i)[0].ToString().c_str(),
+                  t->row(i)[1].ToString().c_str());
     }
   }
   return 0;

@@ -113,14 +113,15 @@ int main() {
 
   // Compare against direct evaluation of the pattern on the document.
   Table reference = MaterializeView(*q, "Q", *doc);
+  const bool equal = result->EqualsIgnoringOrder(reference);
   std::printf("plan rows: %lld; direct evaluation rows: %lld; equal: %s\n",
               static_cast<long long>(result->NumRows()),
               static_cast<long long>(reference.NumRows()),
-              result->EqualsIgnoringOrder(reference) ? "yes" : "NO");
+              equal ? "yes" : "NO");
   for (int64_t i = 0; i < result->NumRows() && i < 3; ++i) {
     const Tuple& row = result->row(i);
     std::printf("  item %s name=%s groups=%s\n", row[0].ToString().c_str(),
                 row[1].ToString().c_str(), row[2].ToString(false).c_str());
   }
-  return 0;
+  return equal ? 0 : 1;
 }

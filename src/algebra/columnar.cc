@@ -33,10 +33,7 @@ constexpr int kMaxCellDepth = 16;
 constexpr uint64_t kMaxOrdPathComponents = 1u << 20;
 
 const OrdPath& CellOrdPath(const Value& v) {
-  if (v.IsId()) return v.AsId();
-  const NodeRef& ref = v.AsContent();
-  SVX_CHECK(ref.doc != nullptr && ref.node != kInvalidNode);
-  return ref.doc->ord_path(ref.node);
+  return v.IsId() ? v.AsId() : v.AsContent().id;
 }
 
 void PutOrdPath(const OrdPath& id, std::string* out) {
@@ -67,28 +64,13 @@ Status Truncated(const ByteReader& r) {
       StrFormat("truncated columnar extent at offset %zu", r.pos()));
 }
 
-/// Resolves a content reference against `doc` — what a content cell decodes
-/// to.
-Result<Value> BindContent(const Document* doc, const OrdPath& id) {
-  if (doc == nullptr) {
-    return Status::InvalidArgument(
-        "extent has content references but no document was supplied");
-  }
-  NodeIndex node = doc->FindByOrdPath(id);
-  if (node == kInvalidNode) {
-    return Status::NotFound("content reference " + id.ToString() +
-                            " not in the document");
-  }
-  return Value(NodeRef{doc, node});
-}
-
-/// What a decoded content cell becomes: BindContent when decoding rows, a
-/// ⊥ placeholder when a caller only visits the references.
-using ContentFn = std::function<Result<Value>(const OrdPath&)>;
+/// Called with every content reference a reader meets (ForEachContentId).
+using ContentVisitor = std::function<Status(const OrdPath&)>;
 
 /// The cell decoder: the inverse of EncodeValue for a cell of column `col`.
+/// Hands each content reference to `content` before returning it.
 Result<Value> GetCell(ByteReader* r, const ColumnSpec& col,
-                      const ContentFn& content, int depth) {
+                      const ContentVisitor& content, int depth) {
   if (depth > kMaxCellDepth) return Status::ParseError("cell nesting too deep");
   uint8_t tag = 0;
   if (!r->GetU8(&tag)) return Truncated(*r);
@@ -104,8 +86,9 @@ Result<Value> GetCell(ByteReader* r, const ColumnSpec& col,
     case kCellContent: {
       OrdPath id;
       if (!GetOrdPath(r, &id)) return Truncated(*r);
-      if (tag == kCellContent) return content(id);
-      return Value(std::move(id));
+      if (tag == kCellId) return Value(std::move(id));
+      SVX_RETURN_IF_ERROR(content(id));
+      return Value(NodeRef{std::move(id)});
     }
     case kCellNested: {
       if (col.nested == nullptr) {
@@ -307,7 +290,7 @@ bool EncodePayload(const Table& table, std::string* out) {
 /// references, which it hands to `content` when one is given.
 class PayloadReader {
  public:
-  PayloadReader(ByteReader* r, ContentFn content)
+  PayloadReader(ByteReader* r, ContentVisitor content)
       : r_(r), content_(std::move(content)) {}
 
   /// Reads one extent's payload for `schema` into *out (null: check only)
@@ -420,10 +403,11 @@ class PayloadReader {
         comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
       }
       if (!is_content && rows == nullptr) continue;  // checked only
-      Result<Value> v = is_content ? Content(OrdPath(comps))
-                                   : Result<Value>(Value(OrdPath(comps)));
-      if (!v.ok()) return v.status();
-      if (rows != nullptr) (*rows)[i].push_back(std::move(*v));
+      OrdPath id(comps);
+      if (is_content) SVX_RETURN_IF_ERROR(Content(id));
+      if (rows == nullptr) continue;
+      (*rows)[i].push_back(is_content ? Value(NodeRef{std::move(id)})
+                                      : Value(std::move(id)));
     }
     if (!ids.AtEnd()) {
       return Status::ParseError("trailing bytes in ORDPATH column chunk");
@@ -487,7 +471,9 @@ class PayloadReader {
     std::string_view run;
     SVX_RETURN_IF_ERROR(GetRun(&run));
     ByteReader cells(run);
-    const ContentFn content = [this](const OrdPath& id) { return Content(id); };
+    const ContentVisitor content = [this](const OrdPath& id) {
+      return Content(id);
+    };
     for (uint64_t i = 0; i < nrows; ++i) {
       Result<Value> v = GetCell(&cells, spec, content, 0);
       if (!v.ok()) return v.status();
@@ -499,10 +485,10 @@ class PayloadReader {
     return Status::OK();
   }
 
-  /// A content reference: noted, then handed to `content_` (⊥ without one).
-  Result<Value> Content(const OrdPath& id) {
+  /// A content reference: noted, then handed to `content_` when set.
+  Status Content(const OrdPath& id) {
     has_content_ = true;
-    return content_ ? content_(id) : Value();
+    return content_ ? content_(id) : Status::OK();
   }
 
   /// The bytes of a PutRun run.
@@ -515,7 +501,7 @@ class PayloadReader {
   }
 
   ByteReader* r_;
-  const ContentFn content_;
+  const ContentVisitor content_;
   bool has_content_ = false;
 };
 
@@ -564,7 +550,7 @@ ColumnarExtent ColumnarExtent::Encode(const Table& table) {
 Result<ColumnarExtent> ColumnarExtent::FromBytes(ByteReader* r,
                                                  Schema schema) {
   const size_t start = r->pos();
-  PayloadReader reader(r, ContentFn());
+  PayloadReader reader(r, ContentVisitor());
   ColumnarExtent out;
   SVX_RETURN_IF_ERROR(reader.ReadExtent(schema, nullptr, &out.num_rows_));
   out.schema_ = std::move(schema);
@@ -573,10 +559,9 @@ Result<ColumnarExtent> ColumnarExtent::FromBytes(ByteReader* r,
   return out;
 }
 
-Result<Table> ColumnarExtent::Decode(const Document* doc) const {
+Result<Table> ColumnarExtent::Decode() const {
   ByteReader r(payload_);
-  PayloadReader reader(
-      &r, [doc](const OrdPath& id) { return BindContent(doc, id); });
+  PayloadReader reader(&r, ContentVisitor());
   Table table;
   int64_t num_rows = 0;
   SVX_RETURN_IF_ERROR(reader.ReadExtent(schema_, &table, &num_rows));
@@ -586,10 +571,7 @@ Result<Table> ColumnarExtent::Decode(const Document* doc) const {
 Status ColumnarExtent::ForEachContentId(
     const std::function<Status(const OrdPath&)>& fn) const {
   ByteReader r(payload_);
-  PayloadReader reader(&r, [&fn](const OrdPath& id) -> Result<Value> {
-    SVX_RETURN_IF_ERROR(fn(id));
-    return Value();
-  });
+  PayloadReader reader(&r, fn);
   int64_t num_rows = 0;
   return reader.ReadExtent(schema_, nullptr, &num_rows);
 }

@@ -6,9 +6,8 @@
 //                             plus one varint code per row),
 //   * id/content columns   -> delta-encoded ORDPATHs (varint components,
 //                             common prefix shared with the previous row;
-//                             content cells store the referenced node's
-//                             ORDPATH, so the chunk is document-independent
-//                             and rebinding happens at decode),
+//                             a content cell is the referenced node's
+//                             ORDPATH, so the chunk is document-independent),
 //   * nested columns       -> one recursively columnar child extent holding
 //                             all group rows back to back, plus per-row
 //                             group sizes and a ⊥ bitmap,
@@ -30,9 +29,8 @@
 //   4 raw         varint run length, then one EncodeValue cell per row
 //
 // Every malformed-input check is made at load (FromBytes), so an extent
-// that loads also decodes unless a content reference fails to rebind. A
-// cold extent is decoded whole and the decoded table is cached by the view
-// store until evicted.
+// that loads also decodes. A cold extent is decoded whole and the decoded
+// table is cached by the view store until evicted.
 //
 // Encoding is deterministic: equal tables (same schema, same row order)
 // produce byte-identical payloads — the property the view store's
@@ -53,7 +51,6 @@
 #include "src/algebra/relation.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
-#include "src/xml/document.h"
 
 namespace svx {
 
@@ -72,16 +69,15 @@ class ColumnarExtent {
                                                         Schema schema);
 
   /// Decodes every column back to a row-major table (exact inverse of
-  /// Encode, preserving row order). Content cells rebind against `doc`; a
-  /// content cell with `doc == nullptr` or an ORDPATH absent from `doc` is
-  /// an error.
-  [[nodiscard]] Result<Table> Decode(const Document* doc) const;
+  /// Encode, preserving row order).
+  [[nodiscard]] Result<Table> Decode() const;
 
   const Schema& schema() const { return schema_; }
   int64_t num_rows() const { return num_rows_; }
 
   /// True if any cell anywhere (including nested and raw chunks) is a
-  /// content reference — such an extent needs a Document to decode.
+  /// content reference — whose node a loaded store must find in its
+  /// document.
   bool has_content() const { return has_content_; }
 
   /// The serialized payload (row count + chunks; the schema is *not*
@@ -112,10 +108,9 @@ class ColumnarExtent {
 /// Encodes one cell: a u8 tag (0 ⊥, 1 string, 2 id, 3 content, 4 nested)
 /// and its payload — string: u32 length + bytes; id and content: u32
 /// component count + u32 components; nested: u64 row count + every row's
-/// cells (the schema comes from the column). Integers are little-endian. A
-/// content cell stores the referenced node's ORDPATH, so the encoding is
-/// invariant under RebindTupleContent and doubles as a stable deep value
-/// identity (exact distinct counting, maintenance tuple keys).
+/// cells (the schema comes from the column). Integers are little-endian.
+/// The encoding doubles as a stable deep value identity (exact distinct
+/// counting, maintenance tuple keys).
 void EncodeValue(const Value& v, std::string* out);
 
 /// Length of EncodeValue(v) in bytes, without building them.

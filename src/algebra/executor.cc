@@ -7,6 +7,7 @@
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
 #include "src/util/timer.h"
+#include "src/xml/document.h"
 
 namespace svx {
 
@@ -228,21 +229,30 @@ void AppendAttrValues(const Document& doc, NodeIndex n, uint8_t attrs,
       row->emplace_back();
     }
   }
-  if (attrs & kAttrContent) row->emplace_back(NodeRef{&doc, n});
+  if (attrs & kAttrContent) row->emplace_back(NodeRef{doc.ord_path(n)});
 }
 
-Result<Table> ExecNavigate(const PlanNode& p, Table in) {
+/// Navigates inside each row's content: the reference's node is looked up
+/// in the catalog's document, which must hold it.
+Result<Table> ExecNavigate(const PlanNode& p, const Document* doc, Table in) {
   Table out(p.schema);
   int32_t extra = p.schema.size() - in.schema().size();
   for (int64_t i = 0; i < in.NumRows(); ++i) {
     const Tuple& row = in.row(i);
     const Value& v = row[static_cast<size_t>(p.navigate_col)];
     std::vector<NodeIndex> matches;
-    const Document* doc = nullptr;
     if (!v.IsNull()) {
-      const NodeRef& ref = v.AsContent();
-      doc = ref.doc;
-      CollectNavMatches(*doc, ref.node, p.navigate_steps, 0, &matches);
+      const OrdPath& id = v.AsContent().id;
+      if (doc == nullptr) {
+        return Status::InvalidArgument(
+            "content navigation over a catalog without a document");
+      }
+      const NodeIndex node = doc->FindByOrdPath(id);
+      if (node == kInvalidNode) {
+        return Status::NotFound("content reference " + id.ToString() +
+                                " not in the catalog's document");
+      }
+      CollectNavMatches(*doc, node, p.navigate_steps, 0, &matches);
     }
     if (matches.empty()) {
       // Optional navigation semantics: keep the row, pad with ⊥.
@@ -354,7 +364,7 @@ Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
         Result<Table> in =
             ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
         if (!in.ok()) return in;
-        return ExecNavigate(plan, std::move(*in));
+        return ExecNavigate(plan, catalog.document(), std::move(*in));
       }
       case PlanKind::kDeriveParent: {
         Result<Table> in =

@@ -2,10 +2,11 @@
 // extents. A view scan pins its extent through the catalog (a TableSource
 // or the catalog's resolver) and copies the rows; a store-backed catalog
 // (CatalogSnapshot::ExecutorCatalog) decodes a cold extent whole and
-// installs it. Structural joins exploit the ORDPATH prefix property (an
-// ancestor's id is a prefix of its descendants' ids, [1][21][25]): the
-// ancestor join probes a hash table of left ids with the right ids'
-// prefixes, giving O(|R| x depth) instead of a nested loop.
+// installs it. Content navigation resolves each content reference (an
+// ORDPATH) in the catalog's document. Structural joins exploit the ORDPATH
+// prefix property (an ancestor's id is a prefix of its descendants' ids,
+// [1][21][25]): the ancestor join probes a hash table of left ids with the
+// right ids' prefixes, giving O(|R| x depth) instead of a nested loop.
 #ifndef SVX_ALGEBRA_EXECUTOR_H_
 #define SVX_ALGEBRA_EXECUTOR_H_
 
@@ -20,6 +21,7 @@
 
 namespace svx {
 
+class Document;   // src/xml/document.h
 class TraceSpan;  // src/observability/trace.h
 
 /// A view binding: returns the view's extent, pinned by the shared_ptr for
@@ -59,9 +61,17 @@ class Catalog {
     return Status::NotFound("view not materialized: " + name);
   }
 
+  /// Sets the document content references resolve in: content navigation
+  /// looks each reference's node up there. Borrowed; it must outlive every
+  /// Execute over this catalog. Without one, navigating a content
+  /// reference is an error.
+  void set_document(const Document* doc) { doc_ = doc; }
+  const Document* document() const { return doc_; }
+
  private:
   std::unordered_map<std::string, TableSource> views_;
   Resolver resolve_;
+  const Document* doc_ = nullptr;
 };
 
 /// Executes `plan` against `catalog`; returns the materialized result.

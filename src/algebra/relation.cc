@@ -107,12 +107,8 @@ int CompareValues(const Value& a, const Value& b) {
       return a.AsString().compare(b.AsString());
     case 2:
       return a.AsId().Compare(b.AsId());
-    case 3: {
-      const NodeRef& na = a.AsContent();
-      const NodeRef& nb = b.AsContent();
-      SVX_CHECK(na.doc != nullptr && nb.doc != nullptr);
-      return na.doc->ord_path(na.node).Compare(nb.doc->ord_path(nb.node));
-    }
+    case 3:
+      return a.AsContent().id.Compare(b.AsContent().id);
     default: {
       const Table& ta = a.AsTable();
       const Table& tb = b.AsTable();

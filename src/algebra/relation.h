@@ -84,9 +84,8 @@ class Table {
     rows_.push_back(std::move(row));
   }
 
-  /// Direct row storage for in-place maintenance (delta application,
-  /// content-reference rebinding). Callers must keep every row at schema
-  /// arity.
+  /// Direct row storage for in-place building and maintenance (decoding,
+  /// delta application). Callers must keep every row at schema arity.
   std::vector<Tuple>& mutable_rows() { return rows_; }
 
   /// Removes duplicate rows (set semantics), preserving first occurrences.
@@ -115,8 +114,7 @@ size_t TupleHash(const Tuple& t);
 /// Deterministic total order over values: ⊥ < string < id < content <
 /// nested; strings lexicographic, ids in document order, content by the
 /// referenced node's ORDPATH, nested tables lexicographic by rows. Returns
-/// <0, 0, >0. Content cells compare equal iff their ORDPATHs are equal,
-/// independent of the owning Document — the order survives rebinding.
+/// <0, 0, >0.
 int CompareValues(const Value& a, const Value& b);
 
 /// Lexicographic tuple comparison via CompareValues.

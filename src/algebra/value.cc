@@ -21,10 +21,7 @@ size_t Value::Hash() const {
   if (IsNull()) return 0x5E5E5E5Eu;
   if (IsString()) return mix(1, std::hash<std::string>{}(AsString()));
   if (IsId()) return mix(2, AsId().Hash());
-  if (IsContent()) {
-    return mix(3, std::hash<const void*>{}(AsContent().doc) ^
-                      static_cast<size_t>(AsContent().node));
-  }
+  if (IsContent()) return mix(3, AsContent().id.Hash());
   // Nested tables: order-insensitive combination of row hashes.
   size_t h = 4;
   size_t acc = 0;
@@ -36,12 +33,7 @@ std::string Value::ToString(bool deep) const {
   if (IsNull()) return "⊥";
   if (IsString()) return AsString();
   if (IsId()) return AsId().ToString();
-  if (IsContent()) {
-    const NodeRef& r = AsContent();
-    if (r.doc == nullptr || r.node == kInvalidNode) return "content()";
-    return "content(" + r.doc->label(r.node) + "@" +
-           r.doc->ord_path(r.node).ToString() + ")";
-  }
+  if (IsContent()) return "content(" + AsContent().id.ToString() + ")";
   if (!deep) {
     return "[" + std::to_string(AsTable().NumRows()) + " rows]";
   }

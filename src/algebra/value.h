@@ -9,7 +9,6 @@
 #include <variant>
 
 #include "src/util/check.h"
-#include "src/xml/document.h"
 #include "src/xml/node_id.h"
 
 namespace svx {
@@ -17,15 +16,15 @@ namespace svx {
 class Table;
 using TablePtr = std::shared_ptr<const Table>;
 
-/// A reference to stored content: the subtree rooted at `node` (the paper's
-/// C attribute, "stored ... as a reference to some repository").
+/// A reference to stored content: the subtree rooted at the node whose
+/// ORDPATH is `id` (the paper's C attribute, "stored ... as a reference to
+/// some repository"). It names the node, not a document version: surviving
+/// nodes keep their ids across updates, and a reader resolves the id in the
+/// document it reads (Catalog::document()).
 struct NodeRef {
-  const Document* doc = nullptr;
-  NodeIndex node = kInvalidNode;
+  OrdPath id;
 
-  bool operator==(const NodeRef& other) const {
-    return doc == other.doc && node == other.node;
-  }
+  bool operator==(const NodeRef& other) const { return id == other.id; }
 };
 
 /// A single cell value.
@@ -38,7 +37,7 @@ class Value {
   /// Structural identifier.
   explicit Value(OrdPath id) : v_(std::move(id)) {}
   /// Content reference.
-  explicit Value(NodeRef ref) : v_(ref) {}
+  explicit Value(NodeRef ref) : v_(std::move(ref)) {}
   /// Nested table.
   explicit Value(TablePtr table) : v_(std::move(table)) {
     SVX_DCHECK(std::get<TablePtr>(v_) != nullptr);
@@ -62,8 +61,8 @@ class Value {
   /// Deep hash consistent with operator==.
   size_t Hash() const;
 
-  /// Human-readable rendering ("⊥", "1.3.2", "pen", "[2 rows]"-style for
-  /// tables unless `deep`).
+  /// Human-readable rendering ("⊥", "1.3.2", "pen", "content(1.3.2)",
+  /// "[2 rows]"-style for tables unless `deep`).
   std::string ToString(bool deep = true) const;
 
  private:

@@ -14,7 +14,7 @@ namespace svx {
 namespace {
 
 /// Stable deep cell encoding of a whole tuple: the multiset/set identity
-/// used throughout maintenance (invariant under content rebinding).
+/// used throughout maintenance.
 std::string TupleKey(const Tuple& t) { return EncodeTupleKey(t); }
 
 std::string ValueKey(const Value& v) {
@@ -476,17 +476,6 @@ TableDelta ComputeViewDelta(const Pattern& pattern,
     td.deletes.push_back(std::move(t));
   }
   std::sort(td.delete_rows.begin(), td.delete_rows.end());
-
-  // Inserted tuples enter the stored extent: bind their content references
-  // to the new document.
-  for (Tuple& t : td.inserts) {
-    Status s = RebindTupleContent(&t, *delta.new_doc);
-    if (!s.ok()) {
-      td = {};
-      td.full_rebuild = true;  // defensive; unreachable for exact diffs
-      return td;
-    }
-  }
   return td;
 }
 

@@ -20,7 +20,8 @@
 // match outside the region), so candidate deletes are verified with a
 // tuple-constrained derivability test against the new document before they
 // are emitted. Tuples are matched by their stable cell encoding
-// (EncodeValue), which is invariant under content-reference rebinding.
+// (EncodeValue); a content cell is its node's ORDPATH, which the node keeps
+// in both documents.
 #ifndef SVX_MAINTENANCE_DELTA_EVALUATOR_H_
 #define SVX_MAINTENANCE_DELTA_EVALUATOR_H_
 
@@ -35,14 +36,13 @@ namespace svx {
 
 /// Tuple-level delta against a stored view extent.
 struct TableDelta {
-  /// Rows to remove, matched against the extent by cell encoding (so the
-  /// tuples' content references need not share the extent's Document).
+  /// Rows to remove, matched against the extent by cell encoding.
   std::vector<Tuple> deletes;
   /// The same deletions as row indices into the extent the delta was
   /// computed against (ascending) — lets appliers drop rows without
   /// re-encoding the whole extent.
   std::vector<int64_t> delete_rows;
-  /// Rows to add; content references are bound to the delta's new_doc.
+  /// Rows to add.
   std::vector<Tuple> inserts;
   /// True when incremental evaluation does not apply (e.g. the update
   /// touches the pattern root's binding); the caller must rematerialize.

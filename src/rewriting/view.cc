@@ -87,7 +87,7 @@ Tuple PatternOwnValues(const Pattern& p, PatternNodeId pn,
       out.emplace_back();
     }
   }
-  if (node.attrs & kAttrContent) out.emplace_back(NodeRef{&doc, dn});
+  if (node.attrs & kAttrContent) out.emplace_back(NodeRef{doc.ord_path(dn)});
   return out;
 }
 

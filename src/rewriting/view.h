@@ -72,7 +72,8 @@ bool PatternSubtreeYieldsNothing(const Pattern& p, PatternNodeId pn,
                                  const Document& doc, NodeIndex dn);
 
 /// Evaluates `pattern` over `doc`, producing the extent. IDs are ORDPATHs,
-/// labels/values strings, content columns references into `doc`.
+/// labels/values strings, content columns references (ORDPATHs) to nodes
+/// of `doc`.
 Table MaterializeView(const Pattern& pattern, const std::string& view_name,
                       const Document& doc);
 

@@ -15,13 +15,12 @@ Result<TablePtr> StoredView::table() const {
   TablePtr t = residency->Get();
   if (t != nullptr) return t;
   Timer timer;
-  Result<Table> decoded = columnar->Decode(decode_doc);
+  Result<Table> decoded = columnar->Decode();
   if (!decoded.ok()) return decoded.status();
   residency->budget()->NoteReload(
       static_cast<int64_t>(timer.ElapsedMicros()));
   return residency->Install(
-      std::make_shared<Table>(std::move(decoded).value()), extent_bytes,
-      evictable());
+      std::make_shared<Table>(std::move(decoded).value()), extent_bytes);
 }
 
 TablePtr StoredView::TryResident() const {
@@ -29,7 +28,7 @@ TablePtr StoredView::TryResident() const {
 }
 
 void StoredView::InstallResident(TablePtr t) const {
-  residency->Install(std::move(t), extent_bytes, evictable());
+  residency->Install(std::move(t), extent_bytes);
 }
 
 CatalogSnapshot::CatalogSnapshot()

@@ -1,11 +1,12 @@
 // One immutable epoch of the view store, shared between concurrent readers.
 //
 // The read-mostly serving model (cf. LiquidXML-style redistribution while
-// serving): readers acquire the current CatalogSnapshot with one lock-free
-// atomic load (ViewCatalog::Snapshot()) and then work entirely against its
-// immutable world — view definitions, extents, statistics, a prebuilt cost
-// model, a lazily built shared ViewIndex, an executor catalog that resolves
-// view names against the epoch's views, plus the snapshot's pinned
+// serving): readers acquire the current CatalogSnapshot with a
+// shared-locked pointer copy (ViewCatalog::Snapshot()) and then work
+// entirely against its immutable world — view definitions, extents, the
+// document their content references resolve in, statistics, a prebuilt
+// cost model, a lazily built shared ViewIndex, an executor catalog that
+// resolves view names against the epoch's views, plus the snapshot's pinned
 // containment memo and rewrite cache (both internally synchronized). The
 // memo, cache and index may be shared with neighbouring epochs: epochs of
 // one summary object share all three, and epochs of one summary structure
@@ -69,11 +70,6 @@ struct StoredView {
   /// The compressed extent. Never null on a published view. Its
   /// SerializedByteSize is what it costs to keep resident.
   ColumnarExtentPtr columnar;
-  /// Document the extent's content references decode against; null for
-  /// content-free extents. Borrowed with the same lifetime rules as the
-  /// NodeRefs it produces (the snapshot pins the document when serving
-  /// with shared ownership).
-  const Document* decode_doc = nullptr;
   /// This view's decoded-table slot in the catalog's MemoryBudget.
   std::shared_ptr<ExtentResidency> residency;
 
@@ -87,13 +83,6 @@ struct StoredView {
   /// Installs `t` as the resident decoded table (charging extent_bytes to
   /// the budget); keeps the first installation on a race.
   void InstallResident(TablePtr t) const;
-
-  /// Whether the budget may evict the decoded table: it can always be
-  /// re-decoded unless content references lost their document.
-  bool evictable() const {
-    return columnar == nullptr || !columnar->has_content() ||
-           decode_doc != nullptr;
-  }
 
   /// Persistence generation of this extent's on-disk files
   /// ("<name>.<generation>.extent"/".stats"); 0 = not persisted yet.
@@ -141,12 +130,15 @@ class CatalogSnapshot {
   /// Total compressed columnar size of all extents.
   int64_t TotalCompressedBytes() const;
 
-  /// The document this epoch's extents reference, when the catalog serves
-  /// with shared ownership (ViewCatalog::BindDocument / ApplyUpdateBatch
-  /// with a shared new_doc); nullptr when document lifetime is managed by
-  /// the caller. Holding the snapshot keeps the document alive — what lets
-  /// a maintenance pass retire the old document while old-epoch readers
-  /// still resolve content references into it.
+  /// The document this epoch's content references resolve in (the
+  /// executor catalog's document), set by every bind, load and update.
+  /// The epoch owns it when the catalog serves with shared ownership
+  /// (ViewCatalog::BindDocument, ApplyUpdateBatch with a shared new_doc,
+  /// the shared-pointer Load): holding the snapshot then keeps the
+  /// document alive, which lets a maintenance pass retire the old document
+  /// while old-epoch readers still read it. In the caller-owned modes
+  /// (Load(const Document*), ApplyUpdate(delta)) the epoch borrows it and
+  /// the caller keeps it alive. Null before any document is bound.
   const Document* document() const { return doc_.get(); }
 
   /// The summary of document(), when bound; nullptr otherwise. An update
@@ -158,9 +150,10 @@ class CatalogSnapshot {
   /// Executor bindings for this epoch's extents: a scan resolves its view
   /// name against views() and reads through StoredView::table(), so it pins
   /// the resident decoded table, and a cold scan decodes the whole extent
-  /// once and installs it under the memory budget. Nothing is bound per
-  /// view, so neither a read nor a publish builds a catalog. The reference
-  /// is owned by the epoch and valid while the caller holds the snapshot
+  /// once and installs it under the memory budget. Content navigation
+  /// resolves references in document(). Nothing is bound per view, so
+  /// neither a read nor a publish builds a catalog. The reference is owned
+  /// by the epoch and valid while the caller holds the snapshot
   /// shared_ptr.
   const Catalog& ExecutorCatalog() const;
 
@@ -243,8 +236,9 @@ class CatalogSnapshot {
   mutable std::shared_ptr<const ViewIndex> index_
       SVX_GUARDED_BY(index_mu_);  // over summary_: carried or built lazily
 
-  // Resolves each view name against views_ when a scan asks for it.
-  const Catalog executor_catalog_;
+  // Resolves each view name against views_ when a scan asks for it; its
+  // document is doc_, set before publication.
+  Catalog executor_catalog_;
 
   mutable Mutex key_salt_mu_;  // serializes KeySalt()'s first computation
   mutable std::string key_salt_storage_ SVX_GUARDED_BY(key_salt_mu_);

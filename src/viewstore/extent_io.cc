@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "src/util/bytes.h"
-#include "src/util/check.h"
 #include "src/util/strings.h"
 
 namespace svx {
@@ -133,44 +132,6 @@ std::string EncodeTupleKey(const Tuple& tuple) {
   std::string key;
   for (const Value& v : tuple) EncodeValue(v, &key);
   return key;
-}
-
-Status RebindTupleContent(Tuple* tuple, const Document& doc) {
-  for (Value& v : *tuple) {
-    if (v.IsContent()) {
-      const NodeRef& ref = v.AsContent();
-      if (ref.doc == &doc) continue;
-      SVX_CHECK(ref.doc != nullptr && ref.node != kInvalidNode);
-      const OrdPath& id = ref.doc->ord_path(ref.node);
-      NodeIndex node = doc.FindByOrdPath(id);
-      if (node == kInvalidNode) {
-        return Status::NotFound("content reference " + id.ToString() +
-                                " not in the document");
-      }
-      v = Value(NodeRef{&doc, node});
-    } else if (v.IsTable()) {
-      const Table& nested = v.AsTable();
-      bool has_content = false;
-      for (const Tuple& row : nested.rows()) {
-        for (const Value& cell : row) {
-          if (cell.IsContent() || cell.IsTable()) {
-            has_content = true;
-            break;
-          }
-        }
-        if (has_content) break;
-      }
-      if (!has_content) continue;
-      Table copy(nested.schema());
-      for (const Tuple& row : nested.rows()) {
-        Tuple r = row;
-        SVX_RETURN_IF_ERROR(RebindTupleContent(&r, doc));
-        copy.AddRow(std::move(r));
-      }
-      v = Value(TablePtr(std::make_shared<const Table>(std::move(copy))));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace svx

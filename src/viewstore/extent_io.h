@@ -1,8 +1,9 @@
 // Binary serialization of materialized view extents (Schema + rows),
 // including nested tables, ⊥ values, ORDPATH ids and content references.
-// Content references are persisted as the referenced node's ORDPATH and
-// rebound against a Document on decode (the store keeps references into the
-// repository, not copies — §4.4 "stored ... as a reference").
+// A content reference is the referenced node's ORDPATH, in memory and on
+// disk alike (the store keeps references into the repository, not copies —
+// §4.4 "stored ... as a reference"); a reader resolves it in the document
+// it reads.
 //
 // Extent file, version 2 — the one format the store writes and reads (extent
 // files and WAL entries alike):
@@ -29,7 +30,6 @@
 #include "src/algebra/columnar.h"
 #include "src/algebra/relation.h"
 #include "src/util/status.h"
-#include "src/xml/document.h"
 
 namespace svx {
 
@@ -52,8 +52,7 @@ int64_t TupleByteSize(const Tuple& tuple);
 std::string SerializeColumnarExtent(const ColumnarExtent& extent,
                                     int64_t uncompressed_bytes);
 
-/// A loaded version-2 extent: its checked payload (content stays as
-/// ORDPATHs until ColumnarExtent::Decode binds it) and the header's
+/// A loaded version-2 extent: its checked payload and the header's
 /// uncompressed size.
 struct ColumnarLoad {
   ColumnarExtentPtr columnar;
@@ -61,8 +60,7 @@ struct ColumnarLoad {
 };
 
 /// Parses and checks a version-2 extent without materializing rows: an
-/// extent that loads also decodes, unless a content reference fails to
-/// rebind.
+/// extent that loads also decodes.
 [[nodiscard]] Result<ColumnarLoad> DeserializeExtentColumnar(
     std::string_view bytes);
 
@@ -70,12 +68,6 @@ struct ColumnarLoad {
 /// identity used by incremental maintenance to match deltas against stored
 /// extents.
 std::string EncodeTupleKey(const Tuple& tuple);
-
-/// Rebinds every content reference in the tuple (deep, including nested
-/// tables) to `doc` via its ORDPATH — the in-memory analogue of the
-/// serialize-then-rebind round trip, used after a document update. Fails
-/// with NotFound if a referenced ORDPATH is absent from `doc`.
-[[nodiscard]] Status RebindTupleContent(Tuple* tuple, const Document& doc);
 
 }  // namespace svx
 

@@ -13,7 +13,6 @@ struct MemoryBudget::Slot {
   TablePtr table;
   int64_t bytes = 0;
   int64_t compressed_bytes = 0;
-  bool evictable = true;
   bool linked = false;
   std::list<Slot*>::iterator lru_pos;
 };
@@ -38,8 +37,7 @@ TablePtr MemoryBudget::Lookup(Slot* slot) {
   return slot->table;
 }
 
-TablePtr MemoryBudget::Install(Slot* slot, TablePtr table, int64_t bytes,
-                               bool evictable) {
+TablePtr MemoryBudget::Install(Slot* slot, TablePtr table, int64_t bytes) {
   SVX_DCHECK(table != nullptr);
   MutexLock lock(&mu_);
   if (slot->table != nullptr) {
@@ -53,7 +51,6 @@ TablePtr MemoryBudget::Install(Slot* slot, TablePtr table, int64_t bytes,
   }
   slot->table = std::move(table);
   slot->bytes = bytes;
-  slot->evictable = evictable;
   lru_.push_front(slot);
   slot->lru_pos = lru_.begin();
   slot->linked = true;
@@ -85,14 +82,13 @@ void MemoryBudget::Detach(Slot* slot) {
 
 void MemoryBudget::EnforceLocked(const Slot* exempt) {
   if (limit_ <= 0) return;
-  // Walk cold-to-hot, skipping pins we must not break: the slot being
-  // installed right now (its caller may be about to hand out a reference)
-  // and anything non-evictable.
+  // Walk cold-to-hot, skipping the slot being installed right now (its
+  // caller may be about to hand out a reference).
   auto it = lru_.end();
   while (resident_ > limit_ && it != lru_.begin()) {
     --it;
     Slot* victim = *it;
-    if (victim == exempt || !victim->evictable) continue;
+    if (victim == exempt) continue;
     it = lru_.erase(it);
     victim->linked = false;
     resident_ -= victim->bytes;
@@ -113,9 +109,8 @@ ExtentResidency::~ExtentResidency() { budget_->Detach(slot_.get()); }
 
 TablePtr ExtentResidency::Get() const { return budget_->Lookup(slot_.get()); }
 
-TablePtr ExtentResidency::Install(TablePtr table, int64_t bytes,
-                                  bool evictable) const {
-  return budget_->Install(slot_.get(), std::move(table), bytes, evictable);
+TablePtr ExtentResidency::Install(TablePtr table, int64_t bytes) const {
+  return budget_->Install(slot_.get(), std::move(table), bytes);
 }
 
 void ExtentResidency::SetCompressedBytes(int64_t bytes) const {

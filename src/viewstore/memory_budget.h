@@ -6,8 +6,8 @@
 // Pinning is by shared_ptr: eviction only resets the budget's own TablePtr,
 // so a snapshot reader or in-flight plan holding the pointer keeps the
 // decoded table alive (and its bytes are freed only when the last pin
-// drops). Extents that cannot be re-decoded (content references with no
-// document to rebind against) are installed non-evictable.
+// drops). Every decoded table can be evicted: its compressed form decodes
+// it again.
 //
 // One MemoryBudget may be shared by several catalogs (ShardedCatalog gives
 // all shards one budget); a default-constructed budget is unlimited and
@@ -55,7 +55,7 @@ class MemoryBudget {
   struct Slot;
 
   TablePtr Lookup(Slot* slot) SVX_EXCLUDES(mu_);
-  TablePtr Install(Slot* slot, TablePtr table, int64_t bytes, bool evictable)
+  TablePtr Install(Slot* slot, TablePtr table, int64_t bytes)
       SVX_EXCLUDES(mu_);
   void Detach(Slot* slot) SVX_EXCLUDES(mu_);
   void EnforceLocked(const Slot* exempt) SVX_REQUIRES(mu_);
@@ -86,9 +86,8 @@ class ExtentResidency {
   /// Offers a decoded table. First wins: if a concurrent decode already
   /// installed one, that one is kept and returned (the caller's copy is
   /// discarded) so references handed out earlier stay stable. `bytes` is
-  /// the decoded (row-major serialized) size charged against the budget;
-  /// `evictable` is false for extents that cannot be re-decoded.
-  TablePtr Install(TablePtr table, int64_t bytes, bool evictable) const;
+  /// the decoded (row-major serialized) size charged against the budget.
+  TablePtr Install(TablePtr table, int64_t bytes) const;
 
   /// Declares this extent's compressed payload size, maintaining the global
   /// svx_extent_compressed_bytes gauge across the residency's lifetime.

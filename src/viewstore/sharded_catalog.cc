@@ -108,8 +108,13 @@ uint64_t ShardedSnapshot::EpochSum() const {
 }
 
 ShardedCatalog::ShardedCatalog(const ShardedCatalogOptions& options,
-                               std::shared_ptr<const ShardRouter> router)
-    : options_(options), router_(std::move(router)) {
+                               std::shared_ptr<const ShardRouter> router,
+                               std::shared_ptr<const Document> doc,
+                               std::shared_ptr<const Summary> summary)
+    : options_(options),
+      router_(std::move(router)),
+      doc_(std::move(doc)),
+      summary_(std::move(summary)) {
   const int n = router_->num_shards();
   // One budget across every catalog: a shard decoding an extent can evict
   // another shard's cold table, so the cap is global, not per shard.
@@ -174,7 +179,7 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Create(
                         router->Serialize()));
   }
   std::unique_ptr<ShardedCatalog> catalog(
-      new ShardedCatalog(options, std::move(router)));
+      new ShardedCatalog(options, std::move(router), doc, summary));
   for (auto& shard : catalog->shards_) shard->BindDocument(doc, summary);
   catalog->global_->BindDocument(std::move(doc), std::move(summary));
   catalog->StartLanes();
@@ -211,7 +216,7 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Open(
     }
   }
   std::unique_ptr<ShardedCatalog> catalog(
-      new ShardedCatalog(options, std::move(router)));
+      new ShardedCatalog(options, std::move(router), doc, summary));
   auto recover = [&](ViewCatalog* c) -> Status {
     // A catalog that never checkpointed has no manifest (it also has no
     // views — view-set mutations checkpoint immediately); start it empty.
@@ -298,22 +303,26 @@ Status ShardedCatalog::ApplyUpdate(const DocumentDelta& delta,
   const int target = router_->Route(delta.region);
   // The global catalog sees every delta (its views span all shards); skip
   // it while it holds none so empty passes don't dilute the batching.
+  // Materialize binds the catalogs skipped here to the latest document.
   const bool global_active = global_->size() > 0;
   if (!options_.async) {
     SVX_RETURN_IF_ERROR(shards_[static_cast<size_t>(target)]->ApplyUpdateBatch(
         {delta}, new_doc, new_summary, nullptr, span));
     if (global_active) {
       SVX_RETURN_IF_ERROR(global_->ApplyUpdateBatch(
-          {delta}, std::move(new_doc), std::move(new_summary), nullptr, span));
+          {delta}, new_doc, new_summary, nullptr, span));
     }
-    return Status::OK();
+  } else {
+    SVX_RETURN_IF_ERROR(EnqueueTo(lanes_[static_cast<size_t>(target)].get(),
+                                  delta, new_doc, new_summary));
+    if (global_active) {
+      SVX_RETURN_IF_ERROR(
+          EnqueueTo(lanes_.back().get(), delta, new_doc, new_summary));
+    }
   }
-  SVX_RETURN_IF_ERROR(EnqueueTo(lanes_[static_cast<size_t>(target)].get(),
-                                delta, new_doc, new_summary));
-  if (global_active) {
-    SVX_RETURN_IF_ERROR(EnqueueTo(lanes_.back().get(), delta,
-                                  std::move(new_doc), std::move(new_summary)));
-  }
+  MutexLock lock(&doc_mu_);
+  doc_ = std::move(new_doc);
+  summary_ = std::move(new_summary);
   return Status::OK();
 }
 
@@ -327,8 +336,24 @@ Status ShardedCatalog::Flush() {
   return first;
 }
 
+void ShardedCatalog::BindLatestDocument() {
+  std::shared_ptr<const Document> doc;
+  std::shared_ptr<const Summary> summary;
+  {
+    MutexLock lock(&doc_mu_);
+    doc = doc_;
+    summary = summary_;
+  }
+  auto bind = [&](ViewCatalog* c) {
+    if (c->Snapshot()->document() != doc.get()) c->BindDocument(doc, summary);
+  };
+  for (auto& shard : shards_) bind(shard.get());
+  bind(global_.get());
+}
+
 Status ShardedCatalog::Materialize(const ViewDef& def, const Document& doc) {
   SVX_RETURN_IF_ERROR(Flush());
+  BindLatestDocument();
   ViewAnchor anchor = AnalyzeViewAnchor(def.pattern, def.name);
   Table extent = MaterializeView(def.pattern, def.name, doc);
   if (!anchor.partitionable) {

@@ -10,7 +10,8 @@
 // queue drained by a background thread that coalesces everything queued
 // into ONE ApplyUpdateBatch pass publishing ONE epoch — so a burst of K
 // deltas against one shard costs one maintenance pass, and writers against
-// different shards never contend on a mutex.
+// different shards share no mutex beyond the brief lock that records the
+// latest document (which Materialize binds the skipped catalogs to).
 //
 // Reads: Snapshot() pins one CatalogSnapshot per shard (scatter);
 // ShardedSnapshot::ExecuteQuery plans the query once, through shard 0's
@@ -134,6 +135,10 @@ class ShardedCatalog {
   /// shard (each shard's partition filter keeps only its rows) — or, when
   /// the view is not partitionable, with the global catalog holding the
   /// full extent. Call at setup or after Flush(), with the latest document.
+  /// Every catalog is first bound to the latest document (Create's or
+  /// Open's, or the last ApplyUpdate's new_doc): updates skip the shards
+  /// that do not own their region and an empty global catalog, and content
+  /// cells resolve in their catalog's document.
   [[nodiscard]] Status Materialize(const ViewDef& def, const Document& doc);
 
   /// Routes `delta` to the shard owning its region (and to the global
@@ -195,7 +200,9 @@ class ShardedCatalog {
   };
 
   ShardedCatalog(const ShardedCatalogOptions& options,
-                 std::shared_ptr<const ShardRouter> router);
+                 std::shared_ptr<const ShardRouter> router,
+                 std::shared_ptr<const Document> doc,
+                 std::shared_ptr<const Summary> summary);
 
   void StartLanes();
   void LaneLoop(Lane* lane, ViewCatalog* catalog);
@@ -203,8 +210,18 @@ class ShardedCatalog {
                    std::shared_ptr<const Document> new_doc,
                    std::shared_ptr<const Summary> new_summary);
 
+  /// Binds every catalog whose epoch is not on doc_ to doc_/summary_. A
+  /// skipped catalog's extents are unchanged by the updates it skipped
+  /// (region routing), so only its document moves.
+  void BindLatestDocument() SVX_EXCLUDES(doc_mu_);
+
   ShardedCatalogOptions options_;
   std::shared_ptr<const ShardRouter> router_;
+  /// The latest document and its summary: Create's or Open's, then the
+  /// new_doc of each accepted ApplyUpdate.
+  Mutex doc_mu_;
+  std::shared_ptr<const Document> doc_ SVX_GUARDED_BY(doc_mu_);
+  std::shared_ptr<const Summary> summary_ SVX_GUARDED_BY(doc_mu_);
   std::vector<std::unique_ptr<ViewCatalog>> shards_;
   std::unique_ptr<ViewCatalog> global_;
   /// lanes_[i] drives shards_[i]; lanes_.back() drives global_ (async only).

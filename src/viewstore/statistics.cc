@@ -16,10 +16,7 @@ namespace {
 int64_t ValueLength(const Value& v) {
   if (v.IsString()) return static_cast<int64_t>(v.AsString().size());
   if (v.IsId()) return v.AsId().Depth();
-  if (v.IsContent()) {
-    const NodeRef& ref = v.AsContent();
-    return ref.doc->ord_path(ref.node).Depth();
-  }
+  if (v.IsContent()) return v.AsContent().id.Depth();
   return v.AsTable().NumRows();
 }
 

@@ -77,19 +77,11 @@ std::unordered_set<std::string> LiveFileSet(
   return live;
 }
 
-/// The document any content reference in `table` points into (deep),
-/// nullptr when content-free — what the columnar extent decodes against.
-const Document* FindContentDoc(const Table& table) {
-  for (const Tuple& row : table.rows()) {
-    for (const Value& v : row) {
-      if (v.IsContent()) return v.AsContent().doc;
-      if (v.IsTable()) {
-        const Document* d = FindContentDoc(v.AsTable());
-        if (d != nullptr) return d;
-      }
-    }
-  }
-  return nullptr;
+/// A document the caller keeps alive, held the way an epoch holds an owned
+/// one.
+std::shared_ptr<const Document> Borrowed(const Document* doc) {
+  return std::shared_ptr<const Document>(std::shared_ptr<const Document>(),
+                                         doc);
 }
 
 /// Installs `extent` as `sv`'s stored representation: encodes the columnar
@@ -100,7 +92,6 @@ const Document* FindContentDoc(const Table& table) {
 void SetExtent(StoredView* sv, Table extent, int64_t extent_bytes,
                const std::shared_ptr<MemoryBudget>& budget) {
   sv->extent_bytes = extent_bytes;
-  sv->decode_doc = FindContentDoc(extent);
   sv->columnar =
       std::make_shared<ColumnarExtent>(ColumnarExtent::Encode(extent));
   sv->residency = std::make_shared<ExtentResidency>(budget);
@@ -140,7 +131,6 @@ Status InstallPersisted(StoredView* sv, std::string_view extent_file,
       CheckViewStatsFit(*stats, columnar.schema(), columnar.num_rows()));
   sv->stats = std::move(*stats);
   sv->extent_bytes = load->uncompressed_bytes;
-  sv->decode_doc = columnar.has_content() ? doc : nullptr;
   sv->residency = std::make_shared<ExtentResidency>(budget);
   sv->residency->SetCompressedBytes(columnar.SerializedByteSize());
   sv->columnar = std::move(load->columnar);
@@ -175,16 +165,16 @@ std::optional<std::vector<std::string_view>> RegionLabels(
 
 /// False when a batch whose added and removed nodes carry only `labels`
 /// leaves `pattern`'s extent as it is: no node of the pattern is a
-/// wildcard, returns content, or carries one of the labels. Every
-/// embedding then avoids the added and removed nodes, and such an
-/// embedding exists in both versions with the same cells, since surviving
-/// nodes keep their ids, labels, values and structural relations; so every
-/// optional edge pads and every nested group aggregates as before.
+/// wildcard or carries one of the labels. Every embedding then avoids the
+/// added and removed nodes, and such an embedding exists in both versions
+/// with the same cells, since surviving nodes keep their ids, labels,
+/// values and structural relations (a content cell is its node's id); so
+/// every optional edge pads and every nested group aggregates as before.
 bool MayTouch(const Pattern& pattern,
               const std::vector<std::string_view>& labels) {
   for (PatternNodeId i = 0; i < pattern.size(); ++i) {
     const Pattern::Node& node = pattern.node(i);
-    if (node.IsWildcard() || (node.attrs & kAttrContent) != 0 ||
+    if (node.IsWildcard() ||
         std::find(labels.begin(), labels.end(), node.label) != labels.end()) {
       return true;
     }
@@ -301,6 +291,7 @@ void ViewCatalog::PublishLocked(
     if (slot == nullptr) slot = std::make_shared<RewriteCache>(cache_counters_);
     snap->rewrite_cache_ = slot;
   }
+  snap->executor_catalog_.set_document(snap->doc_.get());
   snap->cost_model_.constants = CalibratedCostConstants();
   for (const auto& v : snap->views_) {
     snap->cost_model_.AddViewStats(v->def.name, v->stats);
@@ -580,7 +571,6 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       ++ms.views_shared;
       continue;
     }
-    const bool has_content = v->columnar->has_content();
     // The view's value-count cache, built from the pre-batch extent on
     // first use and folded step by step (writer-private, see StoredView).
     std::shared_ptr<ValueCountCache> cache = std::move(v->value_counts);
@@ -627,7 +617,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
         rebuild();
         break;
       }
-      if (td.Empty()) continue;  // content rebind happens once, at the end
+      if (td.Empty()) continue;
       ensure_copy();
       if (cache == nullptr) {
         // Must describe the pre-step extent: build before mutating rows.
@@ -667,80 +657,18 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       ms.tuples_deleted += deleted;
       ms.tuples_inserted += static_cast<int64_t>(td.inserts.size());
     }
-    if (!rebuilt && nv == nullptr && !has_content) {
-      // Nothing in the extent references any document version in the
-      // batch: the stored view — and its on-disk generation — carries into
-      // the new epoch as-is, shared with readers of older epochs.
+    if (!rebuilt && nv == nullptr) {
+      // No step changed a row: the stored view — and its on-disk
+      // generation — carries into the new epoch as-is, shared with readers
+      // of older epochs.
       v->value_counts = std::move(cache);
       next.push_back(v);
       ++ms.views_shared;
       continue;
     }
-    if (!rebuilt && has_content && nv == nullptr) {
-      // Untouched content view. Content references are stored as ORDPATHs
-      // (document-independent), so the whole compressed extent — every
-      // chunk, and its on-disk generation — carries across the document
-      // change; only the decode document moves forward. Survival means
-      // every reference resolves in the final document, validated off the
-      // chunks without decoding any rows; a reference that did not survive
-      // as expected means the view cannot be patched incrementally:
-      // rebuild it.
-      Status valid = v->columnar->ForEachContentId([&](const OrdPath& id) {
-        if (final_doc.FindByOrdPath(id) == kInvalidNode) {
-          return Status::NotFound("content reference lost: " + id.ToString());
-        }
-        return Status::OK();
-      });
-      if (valid.ok()) {
-        auto carried = std::make_shared<StoredView>();
-        carried->def = v->def;
-        carried->stats = v->stats;
-        carried->extent_bytes = v->extent_bytes;
-        carried->columnar = v->columnar;
-        carried->decode_doc = &final_doc;
-        carried->generation = v->generation;  // on-disk bytes unchanged
-        carried->residency = std::make_shared<ExtentResidency>(budget_);
-        carried->residency->SetCompressedBytes(
-            carried->columnar->SerializedByteSize());
-        // Rebind the resident decoded copy if there is one (a pure ORDPATH
-        // re-lookup); a cold view stays cold and the next access decodes
-        // against the final document directly.
-        if (TablePtr res = v->TryResident()) {
-          Table copy = *res;
-          bool rebound = true;
-          for (Tuple& row : copy.mutable_rows()) {
-            if (!RebindTupleContent(&row, final_doc).ok()) {
-              rebound = false;
-              break;
-            }
-          }
-          if (rebound) {
-            carried->InstallResident(std::make_shared<Table>(std::move(copy)));
-          }
-        }
-        carried->value_counts = std::move(cache);
-        next.push_back(std::move(carried));
-        ++ms.views_shared;
-        continue;
-      }
-      rebuild();
-    } else if (!rebuilt && has_content) {
-      // Touched content view: rebind the surviving rows of the working
-      // copy to the final document; a lost reference forces a rebuild.
-      bool rebound = true;
-      for (Tuple& row : working.mutable_rows()) {
-        if (!RebindTupleContent(&row, final_doc).ok()) {
-          rebound = false;
-          break;
-        }
-      }
-      if (!rebound) rebuild();
-    }
     if (rebuilt) {
       nv->stats = ComputeViewStats(working);
     } else {
-      // Only tuple-changed views reach here (rebind-only content views were
-      // carried above).
       ++ms.views_touched;
       nv->value_counts = std::move(cache);
     }
@@ -781,6 +709,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
     ScopedSpan persist_span(pass_span.get(), "persist");
     SVX_RETURN_IF_ERROR(PersistLocked(next, publish_epoch));
   }
+  if (new_doc == nullptr) new_doc = Borrowed(&final_doc);
   PublishLocked(std::move(next), std::move(new_doc), std::move(new_summary),
                 Change::kDocument);
   const int64_t total_us = static_cast<int64_t>(timer.ElapsedMicros());
@@ -804,17 +733,15 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
 }
 
 Status ViewCatalog::Load(const Document* doc) {
-  return LoadImpl(doc, nullptr, nullptr);
+  return LoadImpl(Borrowed(doc), nullptr);
 }
 
 Status ViewCatalog::Load(std::shared_ptr<const Document> doc,
                          std::shared_ptr<const Summary> summary) {
-  const Document* raw = doc.get();
-  return LoadImpl(raw, std::move(doc), std::move(summary));
+  return LoadImpl(std::move(doc), std::move(summary));
 }
 
-Status ViewCatalog::LoadImpl(const Document* doc,
-                             std::shared_ptr<const Document> shared,
+Status ViewCatalog::LoadImpl(std::shared_ptr<const Document> doc,
                              std::shared_ptr<const Summary> summary) {
   if (dir_.empty()) return Status::InvalidArgument("catalog has no store dir");
   Result<std::string> manifest =
@@ -897,7 +824,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
         ReadFileBytes((fs::path(dir_) / StatsFileName(*stored)).string());
     if (!stats.ok()) return stats.status();
     SVX_RETURN_IF_ERROR(
-        InstallPersisted(stored.get(), *extent, *stats, doc, budget_));
+        InstallPersisted(stored.get(), *extent, *stats, doc.get(), budget_));
     loaded.push_back(std::move(stored));
   }
   if (!header_seen) return Status::ParseError("empty manifest");
@@ -955,7 +882,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
   for (size_t i = 0; i < loaded.size(); ++i) {
     if (last[i] == nullptr) continue;
     SVX_RETURN_IF_ERROR(InstallPersisted(loaded[i].get(), last[i]->extent,
-                                         last[i]->stats, doc, budget_));
+                                         last[i]->stats, doc.get(), budget_));
     loaded[i]->generation = 0;
   }
   // Seed the WAL counters: appends continue into the newest segment on
@@ -966,7 +893,7 @@ Status ViewCatalog::LoadImpl(const Document* doc,
   wal_depth_.store(static_cast<int64_t>(records->size()),
                    std::memory_order_relaxed);
   next_epoch_ = std::max(next_epoch_, max_epoch + 1);
-  PublishLocked(std::move(views), std::move(shared), std::move(summary),
+  PublishLocked(std::move(views), std::move(doc), std::move(summary),
                 Change::kStore);
   return Status::OK();
 }

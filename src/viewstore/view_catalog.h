@@ -168,24 +168,25 @@ class ViewCatalog {
       SVX_EXCLUDES(writer_mu_);
 
   /// Maintains every stored extent under a document update. The pass first
-  /// routes the delta: a view whose pattern has no content column, no
-  /// wildcard and none of the labels of the nodes the delta adds or removes
-  /// carries its StoredView into the successor epoch without being decoded
-  /// (counted in views_shared), since every embedding avoids those nodes
-  /// and so exists in both versions. Every other view is decoded and gets a
+  /// routes the delta: a view whose pattern has no wildcard and none of the
+  /// labels of the nodes the delta adds or removes carries its StoredView
+  /// into the successor epoch without being decoded (counted in
+  /// views_shared), since every embedding avoids those nodes and so exists
+  /// in both versions with the same cells (a content cell is its node's
+  /// ORDPATH, which the node keeps). Every other view is decoded and gets a
   /// tuple-level delta (src/maintenance/); the pass builds a successor
   /// epoch applying them — sharing untouched extents with the current
   /// epoch, falling back to rematerialization when incremental evaluation
-  /// does not apply — rebinds stored content references to delta.new_doc,
-  /// refreshes statistics in O(|delta|) through per-view value-count
-  /// caches, persists changed extents under fresh generations when the
-  /// catalog has a store directory (in delta-log mode, logs them to the
-  /// WAL instead), and publishes the successor with one pointer swap.
-  /// Afterwards every extent is byte-identical to a fresh materialization
-  /// over delta.new_doc. Readers of older epochs are undisturbed (but with
-  /// this overload the caller owns both documents' lifetimes, as with delta
-  /// itself). A delta whose region does not name a non-root node of its
-  /// document skips no view.
+  /// does not apply — refreshes statistics in O(|delta|) through per-view
+  /// value-count caches, persists changed extents under fresh generations
+  /// when the catalog has a store directory (in delta-log mode, logs them
+  /// to the WAL instead), and publishes the successor, whose document() is
+  /// delta.new_doc, with one pointer swap. Afterwards every extent is
+  /// byte-identical to a fresh materialization over delta.new_doc. Readers
+  /// of older epochs are undisturbed (but with this overload the epoch
+  /// borrows delta.new_doc: the caller owns both documents' lifetimes, as
+  /// with delta itself). A delta whose region does not name a non-root node
+  /// of its document skips no view.
   [[nodiscard]] Status ApplyUpdate(const DocumentDelta& delta,
                                    MaintenanceStats* out_stats = nullptr)
       SVX_EXCLUDES(writer_mu_);
@@ -200,10 +201,10 @@ class ViewCatalog {
   /// epoch then takes shared ownership of it and `new_summary`, so the
   /// writer may drop the old document right after — old-epoch readers keep
   /// it alive through their snapshot (concurrent serving uses this, also
-  /// for a batch of one). The batch is routed as one delta whose added and
-  /// removed nodes are every step's. Per view, the tuple deltas of the
-  /// steps are folded over a private working extent; content references
-  /// rebind once against the final document. `span`
+  /// for a batch of one); without it the epoch borrows the last delta's
+  /// new_doc, as ApplyUpdate does. The batch is routed as one delta whose
+  /// added and removed nodes are every step's. Per view, the tuple deltas
+  /// of the steps are folded over a private working extent. `span`
   /// (optional) gets a "maintenance_pass" child span carrying
   /// deltas/epoch/views_touched attrs (and the shard label when set).
   [[nodiscard]] Status ApplyUpdateBatch(
@@ -273,13 +274,15 @@ class ViewCatalog {
   /// previous, still complete files.
   [[nodiscard]] Status Save() const SVX_EXCLUDES(writer_mu_);
 
-  /// Replaces the catalog contents with the store at dir(). `doc` rebinds
-  /// content references (may be nullptr when no view stores content). A
+  /// Replaces the catalog contents with the store at dir(). The loaded
+  /// epoch borrows `doc` as its document() (the caller keeps it alive).
+  /// Every content reference of the store's extents and WAL entries must
+  /// name a node of `doc` (may be nullptr when no view stores content). A
   /// manifest that names a view twice, or statistics that do not fit their
   /// extent (CheckViewStatsFit), are a ParseError.
   [[nodiscard]] Status Load(const Document* doc) SVX_EXCLUDES(writer_mu_);
 
-  /// Load for concurrent serving: the loaded epoch pins `doc`/`summary`.
+  /// Load for concurrent serving: the loaded epoch owns `doc`/`summary`.
   [[nodiscard]] Status Load(std::shared_ptr<const Document> doc,
                             std::shared_ptr<const Summary> summary)
       SVX_EXCLUDES(writer_mu_);
@@ -327,12 +330,13 @@ class ViewCatalog {
   };
 
   /// Builds and publishes the successor epoch (writer mutex held). kStore
-  /// and kDocument rebind the epoch's document/summary to the given values
-  /// (possibly null — the caller manages lifetimes then), except that a
-  /// kDocument summary that StructurallyEquals the bound one keeps the
-  /// bound object; kViews keeps the current bindings, and doc/summary must
-  /// be null. The rewrite cache, memo and view index follow the rules of
-  /// rewrite_cache() and containment_memo().
+  /// and kDocument bind the epoch's document/summary to the given values
+  /// (the document possibly borrowed, the summary possibly null), except
+  /// that a kDocument summary that StructurallyEquals the bound one keeps
+  /// the bound object; kViews keeps the current bindings, and doc/summary
+  /// must be null. The executor catalog's document is the epoch's. The
+  /// rewrite cache, memo and view index follow the rules of rewrite_cache()
+  /// and containment_memo().
   void PublishLocked(std::vector<std::shared_ptr<const StoredView>> views,
                      std::shared_ptr<const Document> doc,
                      std::shared_ptr<const Summary> summary, Change change)
@@ -363,7 +367,7 @@ class ViewCatalog {
                               std::shared_ptr<const Summary> new_summary,
                               MaintenanceStats* out_stats, TraceSpan* span)
       SVX_EXCLUDES(writer_mu_);
-  Status LoadImpl(const Document* doc, std::shared_ptr<const Document> shared,
+  Status LoadImpl(std::shared_ptr<const Document> doc,
                   std::shared_ptr<const Summary> summary)
       SVX_EXCLUDES(writer_mu_);
 

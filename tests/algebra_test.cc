@@ -4,6 +4,7 @@
 #include "src/algebra/plan_printer.h"
 #include "src/algebra/relation.h"
 #include "src/algebra/value.h"
+#include "src/xml/builder.h"
 
 namespace svx {
 namespace {
@@ -39,6 +40,29 @@ TEST(Value, BasicsAndEquality) {
   EXPECT_TRUE(id.IsId());
   EXPECT_EQ(id.ToString(), "1.2");
   EXPECT_EQ(id.Hash(), Value{OrdPath::FromString("1.2")}.Hash());
+}
+
+TEST(Value, ContentIsItsNodesOrdPath) {
+  // Content cells built apart (say, by two shards or two document versions)
+  // are one value when they name the same node.
+  Value a{NodeRef{OrdPath::FromString("1.3.2")}};
+  Value b{NodeRef{OrdPath::FromString("1.3.2")}};
+  EXPECT_TRUE(a.IsContent());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(CompareValues(a, b), 0);
+  EXPECT_NE(a, Value{NodeRef{OrdPath::FromString("1.3.3")}});
+  EXPECT_NE(a, Value{OrdPath::FromString("1.3.2")});  // an id is not content
+  EXPECT_EQ(a.ToString(), "content(1.3.2)");
+
+  Schema s;
+  s.Append({"c", ColumnKind::kContent, nullptr});
+  Table t(s);
+  t.AddRow({a});
+  t.AddRow({Value{NodeRef{OrdPath::FromString("1.1")}}});
+  t.AddRow({b});
+  t.Deduplicate();
+  EXPECT_EQ(t.NumRows(), 2);
 }
 
 TEST(Value, NestedTableEquality) {
@@ -269,6 +293,37 @@ TEST_F(ExecutorTest, DeriveParent) {
                                 "gp");
   Table t2 = Run(*p2);
   EXPECT_EQ(t2.row(0)[2].AsId().ToString(), "1");
+}
+
+TEST(ExecutorNavigate, ResolvesContentInTheCatalogDocument) {
+  std::unique_ptr<Document> doc =
+      ParseTreeNotation("a(b(k=1 k=2) b(k=3))").value();
+  Schema s;
+  s.Append({"V.c", ColumnKind::kContent, nullptr});
+  Table contents(s);
+  contents.AddRow({Value{NodeRef{OrdPath::FromString("1.1")}}});  // first b
+  Catalog catalog;
+  catalog.Register("V", &contents);
+  PlanPtr nav = MakeNavigate(MakeViewScan("V", s), 0, {{Axis::kChild, "k"}},
+                             kAttrValue, "k");
+
+  // Without a document there is nothing to navigate: an error, not ⊥ rows.
+  Result<Table> none = Execute(*nav, catalog);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
+
+  catalog.set_document(doc.get());
+  Result<Table> got = Execute(*nav, catalog);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->NumRows(), 2);
+  EXPECT_EQ(got->row(0)[1].AsString(), "1");
+  EXPECT_EQ(got->row(1)[1].AsString(), "2");
+
+  // A reference the document lacks is an error too.
+  contents.AddRow({Value{NodeRef{OrdPath::FromString("1.9")}}});
+  Result<Table> dangling = Execute(*nav, catalog);
+  ASSERT_FALSE(dangling.ok());
+  EXPECT_EQ(dangling.status().code(), StatusCode::kNotFound);
 }
 
 TEST(PlanPrinter, RendersOperators) {

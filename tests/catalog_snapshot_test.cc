@@ -12,6 +12,7 @@
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
 #include "src/util/strings.h"
+#include "src/viewstore/extent_io.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
 #include "src/xml/update.h"
@@ -125,8 +126,8 @@ TEST(CatalogSnapshot, OldEpochKeepsRetiredDocumentAlive) {
   std::shared_ptr<Document> d = Doc("a(b(x=1) b(x=2))");
   std::shared_ptr<Summary> summary(SummaryBuilder::Build(d.get()));
   ViewCatalog catalog;
-  // A content view stores references INTO the document, so epoch lifetime
-  // must pin document lifetime.
+  // A content view's references resolve in the epoch's document, so epoch
+  // lifetime must pin document lifetime.
   ASSERT_TRUE(
       catalog.Materialize({"V", MustParsePattern("a(/b{id,c})")}, *d).ok());
   catalog.BindDocument(d, summary);
@@ -152,13 +153,44 @@ TEST(CatalogSnapshot, OldEpochKeepsRetiredDocumentAlive) {
   for (const Tuple& row : extent->rows()) {
     const Value& content = row[1];
     ASSERT_TRUE(content.IsContent());
-    EXPECT_EQ(content.AsContent().doc, old_epoch->document());
+    EXPECT_NE(old_epoch->document()->FindByOrdPath(content.AsContent().id),
+              kInvalidNode);
   }
   // The new epoch serves the new document...
   EXPECT_EQ(catalog.Snapshot()->document(), d2.get());
   // ...and retiring the last reader retires the old document with it.
   old_epoch.reset();
   EXPECT_TRUE(old_doc_alive.expired());
+}
+
+TEST(CatalogSnapshot, QueryResultsOutliveTheirSnapshot) {
+  std::shared_ptr<Document> d = Doc("site(item(k=1) item(k=2 x) item(k=3))");
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(d.get()));
+  ViewCatalog catalog;
+  const Pattern q = MustParsePattern("site(//item{id,c})");
+  ASSERT_TRUE(catalog.Materialize({"V", q}, *d).ok());
+  catalog.BindDocument(d, summary);
+  // The rows of a temporary snapshot's answer, content cells included.
+  Result<Table> kept = catalog.Snapshot()->Query(q);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  ASSERT_EQ(kept->NumRows(), 3);
+  Table sorted = *kept;
+  sorted.SortRowsCanonical();
+  const std::string before = SerializeExtent(sorted);
+
+  // Publish the next document and drop every other reference to the old
+  // one: no epoch, reader or writer holds it any more.
+  std::weak_ptr<Document> old_doc = d;
+  ASSERT_NE(Publish(&catalog, InsertSubtree(*d, OrdPath::Root(),
+                                            *Doc("item(k=4)"))),
+            nullptr);
+  d.reset();
+  summary.reset();
+  ASSERT_TRUE(old_doc.expired());
+
+  // The kept rows are values, not views into the retired document.
+  kept->SortRowsCanonical();
+  EXPECT_EQ(SerializeExtent(*kept), before);
 }
 
 TEST(CatalogSnapshot, RewriteCacheIsFreshPerEpochWithContinuousCounters) {

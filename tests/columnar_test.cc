@@ -96,7 +96,7 @@ TEST(Columnar, RandomizedRoundTripIsByteDeterministic) {
       EXPECT_EQ(SerializeColumnarExtent(*load->columnar, v1_bytes), bytes_a);
 
       // Decode reproduces the row-major table.
-      Result<Table> decoded = load->columnar->Decode(doc.get());
+      Result<Table> decoded = load->columnar->Decode();
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_TRUE(decoded->EqualsIgnoringOrder(table))
           << def.name << " seed " << seed;
@@ -121,7 +121,6 @@ TEST(Columnar, CompressedSmallerThanRowMajorOnRealExtents) {
 }
 
 TEST(Columnar, TypeMixedColumnRoundTripsThroughRawChunk) {
-  std::unique_ptr<Document> doc = Doc("a(b=1 b=2)");
   const OrdPath first_b = OrdPath::Root().Child(1);
   auto inner = std::make_shared<const Schema>(
       Schema({{"g", ColumnKind::kValue, nullptr}}));
@@ -130,7 +129,7 @@ TEST(Columnar, TypeMixedColumnRoundTripsThroughRawChunk) {
   Table table(Schema({{"mixed", ColumnKind::kNested, inner}}));
   table.AddRow({Value(std::string("s"))});
   table.AddRow({Value(OrdPath::Root().Child(2))});
-  table.AddRow({Value(NodeRef{doc.get(), doc->FindByOrdPath(first_b)})});
+  table.AddRow({Value(NodeRef{first_b})});
   table.AddRow({Value()});
   table.AddRow({Value(std::make_shared<const Table>(std::move(group)))});
 
@@ -160,9 +159,7 @@ TEST(Columnar, TypeMixedColumnRoundTripsThroughRawChunk) {
                   .ok());
   EXPECT_EQ(refs, std::vector<std::string>{first_b.ToString()});
 
-  EXPECT_FALSE(load->columnar->Decode(nullptr).ok())
-      << "a content cell needs a document to rebind against";
-  Result<Table> back = load->columnar->Decode(doc.get());
+  Result<Table> back = load->columnar->Decode();
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(SerializeExtent(*back), SerializeExtent(table));
 }

@@ -26,6 +26,7 @@ class XmarkPipeline : public ::testing::Test {
     opts.seed = 7;
     doc_ = GenerateXmark(opts);
     summary_ = SummaryBuilder::Build(doc_.get());
+    catalog_.set_document(doc_.get());
   }
 
   void AddViews(std::vector<std::pair<std::string, std::string>> defs) {

@@ -10,6 +10,7 @@
 
 #include "src/maintenance/delta_evaluator.h"
 #include "src/pattern/pattern_parser.h"
+#include "src/summary/summary_builder.h"
 #include "src/util/rng.h"
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/view_catalog.h"
@@ -277,7 +278,7 @@ TEST(Maintenance, NestedGroupsReaggregate) {
   EXPECT_TRUE(saw_two);
 }
 
-TEST(Maintenance, ContentReferencesRebindToNewDocument) {
+TEST(Maintenance, ContentReferencesResolveInNewDocument) {
   std::unique_ptr<Document> d = Doc("a(b(c=1) b(c=2))");
   Pattern p = MustParsePattern("a(/b{id,c})");
   ViewCatalog catalog;
@@ -286,11 +287,15 @@ TEST(Maintenance, ContentReferencesRebindToNewDocument) {
   Result<UpdateResult> r = InsertSubtree(*d, OrdPath::Root(), *Doc("b(c=3)"));
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(catalog.ApplyUpdate(r->delta).ok());
-  // Every surviving content cell now points into the new document.
-  TablePtr extent = catalog.Find("C")->table().value();
+  // The epoch reads the new document, and every content cell names one of
+  // its nodes.
+  std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+  ASSERT_EQ(snap->document(), r->doc.get());
+  TablePtr extent = snap->Find("C")->table().value();
+  ASSERT_EQ(extent->NumRows(), 3);
   for (const Tuple& row : extent->rows()) {
     ASSERT_TRUE(row[1].IsContent());
-    EXPECT_EQ(row[1].AsContent().doc, r->doc.get());
+    EXPECT_NE(r->doc->FindByOrdPath(row[1].AsContent().id), kInvalidNode);
   }
   ExpectMaintainedEqualsRemat(catalog, *r->doc);
 }
@@ -437,12 +442,12 @@ TEST(MaintenanceRouting, ViewsTheLabelTestMustNotSkipStayExact) {
     MaintenanceStats ms;
     EXPECT_TRUE(catalog.ApplyUpdateBatch(deltas, next, nullptr, &ms).ok());
     ExpectMaintainedEqualsRemat(catalog, *next);
-    // Content cells encode as ORDPATHs, so the bytes above cannot tell
-    // which document they resolve against: the new one.
+    // Every content cell names a node of the document the epoch reads.
+    EXPECT_EQ(catalog.Snapshot()->document(), next.get());
     for (const Tuple& row : catalog.Find("content")->table().value()->rows()) {
       for (const Value& cell : row) {
         if (cell.IsContent()) {
-          EXPECT_EQ(cell.AsContent().doc, next.get());
+          EXPECT_NE(next->FindByOrdPath(cell.AsContent().id), kInvalidNode);
         }
       }
     }
@@ -457,7 +462,7 @@ TEST(MaintenanceRouting, ViewsTheLabelTestMustNotSkipStayExact) {
 
   // Only the inserted zip carries `zip`, and the item's ⊥ row flips. Of
   // the views the pattern labels admit, `nest` reads no zip: skipped, like
-  // `category` and `initial`; `content` takes the content path.
+  // `category`, `initial` and `content`, whose cells are person ids.
   UpdateResult zip = must(InsertSubtree(*doc, item, *Doc("zip=75001")));
   const OrdPath zip_id = zip.delta.region;
   MaintenanceStats ms = apply({&zip});
@@ -469,12 +474,15 @@ TEST(MaintenanceRouting, ViewsTheLabelTestMustNotSkipStayExact) {
   ms = apply({&keyword});
   EXPECT_EQ(ms.views_touched, 2);  // wild, nest
 
-  // An insert inside a person changes that person's content.
+  // An insert inside a person changes what that person's content reads,
+  // but not its cell, the person's id: `content` carries.
   const NodeIndex person = FirstLabeled(*doc, "person");
   ASSERT_NE(person, kInvalidNode);
   UpdateResult phone = must(InsertSubtree(*doc, doc->ord_path(person),
                                           *Doc("phone=5550100")));
-  apply({&phone});
+  ms = apply({&phone});
+  EXPECT_EQ(ms.views_touched, 1);  // wild
+  EXPECT_EQ(ms.views_shared, 5);
 
   // Deleting the zip brings the ⊥ row back.
   UpdateResult unzip = must(DeleteSubtree(*doc, zip_id));
@@ -504,6 +512,65 @@ TEST(MaintenanceRouting, ViewsTheLabelTestMustNotSkipStayExact) {
       *zip2.doc, doc->ord_path(items[1]), *Doc("keyword=blue")));
   ms = apply({&zip2, &blue});
   EXPECT_EQ(ms.views_touched, 3);  // wild, opt, nest
+}
+
+TEST(MaintenanceRouting, UntouchedContentViewStaysColdAndReadsTheNewDocument) {
+  XmarkOptions opts;
+  opts.scale = 0.2;
+  std::shared_ptr<Document> doc = GenerateXmark(opts);
+  ViewCatalogOptions copts;
+  copts.memory_budget_bytes = 1;  // every extent but the newest evicted
+  ViewCatalog catalog(copts);
+  ASSERT_TRUE(
+      catalog.Materialize({"content", MustParsePattern("site(//person{id,c})")},
+                          *doc)
+          .ok());
+  // The newest extent stays resident: add one more view and drop it.
+  ASSERT_TRUE(
+      catalog.Materialize({"last", MustParsePattern("site(//zipcode{id})")},
+                          *doc)
+          .ok());
+  ASSERT_TRUE(catalog.Drop("last").ok());
+  catalog.BindDocument(doc, std::shared_ptr<const Summary>(
+                                SummaryBuilder::Build(doc.get())));
+  const StoredView* before = catalog.Find("content");
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->TryResident(), nullptr);
+
+  const NodeIndex person = FirstLabeled(*doc, "person");
+  ASSERT_NE(person, kInvalidNode);
+  Result<UpdateResult> up =
+      InsertSubtree(*doc, doc->ord_path(person), *Doc("phone=5550100"));
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  std::shared_ptr<Document> next(std::move(up->doc));
+  const int64_t reloads = catalog.memory_budget()->reloads();
+  MaintenanceStats ms;
+  ASSERT_TRUE(catalog
+                  .ApplyUpdateBatch({up->delta}, next,
+                                    std::shared_ptr<const Summary>(
+                                        SummaryBuilder::Build(next.get())),
+                                    &ms)
+                  .ok());
+  // Carried as it was: not decoded, not re-encoded, still cold.
+  std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+  ASSERT_EQ(snap->Find("content"), before);
+  EXPECT_EQ(ms.views_shared, 1);
+  EXPECT_EQ(ms.views_touched, 0);
+  EXPECT_EQ(catalog.memory_budget()->reloads(), reloads);
+  EXPECT_EQ(before->TryResident(), nullptr);
+
+  // Navigating inside the content reads the new document: the new phone.
+  const Pattern q = MustParsePattern("site(//person{id}(//phone{v}))");
+  Result<Table> got = snap->Query(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const Table want = MaterializeView(q, "q", *next);
+  EXPECT_TRUE(got->EqualsIgnoringOrder(want))
+      << got->NumRows() << " rows, direct evaluation " << want.NumRows();
+  bool saw_phone = false;
+  for (const Tuple& row : got->rows()) {
+    saw_phone = saw_phone || row[1] == Value(std::string("5550100"));
+  }
+  EXPECT_TRUE(saw_phone);
 }
 
 TEST(MaintenanceRouting, ColdViewsTheRegionCannotTouchStayCold) {

@@ -346,6 +346,7 @@ class RewriteExecuteTest : public ::testing::Test {
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     doc_ = std::move(*d);
     summary_ = SummaryBuilder::Build(doc_.get());
+    catalog_.set_document(doc_.get());
     rewriter_ = std::make_unique<Rewriter>(*summary_);
     for (auto& [name, pattern] : views) {
       ViewDef def{name, MustParsePattern(pattern)};

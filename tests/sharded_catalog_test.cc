@@ -352,6 +352,88 @@ TEST(ShardedCatalog, AnchoredQueryWithoutShardRewritingUsesGlobalCatalog) {
                  "global fallback vs direct evaluation");
 }
 
+/// A content cell is its node's ORDPATH, so rows that shards maintained
+/// under different document versions are equal values: after an update
+/// that only shard 1 applies, the sharded content read still equals direct
+/// evaluation, under Table equality and not only under CompareTuples.
+TEST(ShardedCatalog, ContentReadEqualsDirectEvaluation) {
+  std::shared_ptr<Document> doc =
+      Doc("site(a(item(k=1) item(k=2)) b(item(k=3)))");
+  std::shared_ptr<const Summary> summary(SummaryBuilder::Build(doc.get()));
+  ShardedCatalogOptions options;
+  options.num_shards = 2;
+  Result<std::unique_ptr<ShardedCatalog>> catalog =
+      ShardedCatalog::Create(options, doc, summary);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const Pattern q = MustParsePattern("site(//item{id,c})");
+  ASSERT_TRUE((*catalog)->Materialize({"items", q}, *doc).ok());
+
+  const OrdPath b = doc->ord_path(doc->children(doc->root())[1]);
+  ASSERT_EQ((*catalog)->router().Route(b), 1);
+  Result<UpdateResult> up = InsertSubtree(*doc, b, *Doc("item(k=4)"));
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  std::shared_ptr<Document> next(std::move(up->doc));
+  std::shared_ptr<const Summary> next_summary(
+      SummaryBuilder::Build(next.get()));
+  ASSERT_TRUE(
+      (*catalog)->ApplyUpdate(up->delta, next, next_summary).ok());
+
+  ShardedSnapshot snap = (*catalog)->Snapshot();
+  EXPECT_EQ(snap.shard(0)->document(), doc.get()) << "shard 0 was not routed";
+  EXPECT_EQ(snap.shard(1)->document(), next.get());
+  Result<Table> got = snap.ExecuteQuery(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const Table want = MaterializeView(q, "q", *next);
+  ASSERT_EQ(got->NumRows(), 4);
+  EXPECT_TRUE(got->EqualsIgnoringOrder(want)) << got->ToString();
+}
+
+/// An update reaches only the shard owning its region, and the global
+/// catalog only while it holds views, yet content cells resolve in their
+/// catalog's document. So Materialize binds every skipped catalog to the
+/// latest document first: a global content view added after an insert the
+/// empty global catalog skipped answers a query navigating inside it with
+/// the inserted item.
+TEST(ShardedCatalog, MaterializeAfterUpdateBindsSkippedCatalogs) {
+  std::shared_ptr<Document> doc =
+      Doc("site(a(item(k=1) item(k=2)) b(item(k=3)))");
+  std::shared_ptr<const Summary> summary(SummaryBuilder::Build(doc.get()));
+  ShardedCatalogOptions options;
+  options.num_shards = 2;
+  Result<std::unique_ptr<ShardedCatalog>> catalog =
+      ShardedCatalog::Create(options, doc, summary);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+
+  const OrdPath b = doc->ord_path(doc->children(doc->root())[1]);
+  ASSERT_EQ((*catalog)->router().Route(b), 1);
+  Result<UpdateResult> up = InsertSubtree(*doc, b, *Doc("item(k=4)"));
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  std::shared_ptr<Document> next(std::move(up->doc));
+  std::shared_ptr<const Summary> next_summary(
+      SummaryBuilder::Build(next.get()));
+  ASSERT_TRUE((*catalog)->ApplyUpdate(up->delta, next, next_summary).ok());
+  EXPECT_EQ((*catalog)->global_catalog()->Snapshot()->document(), doc.get())
+      << "the empty global catalog skips updates";
+
+  // The optional edge keeps the view off the shards (AnalyzeViewAnchor).
+  const Pattern items = MustParsePattern("site(?//item{id,c})");
+  ASSERT_FALSE(AnalyzeViewAnchor(items, "items").partitionable);
+  ASSERT_TRUE((*catalog)->Materialize({"items", items}, *next).ok());
+  ASSERT_NE((*catalog)->global_catalog()->Find("items"), nullptr);
+
+  ShardedSnapshot snap = (*catalog)->Snapshot();
+  for (int i = 0; i < snap.num_shards(); ++i) {
+    EXPECT_EQ(snap.shard(i)->document(), next.get()) << "shard " << i;
+  }
+  EXPECT_EQ(snap.global()->document(), next.get());
+  const Pattern q = MustParsePattern("site(//item{id}(/k{v}))");
+  Result<Table> got = snap.ExecuteQuery(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->NumRows(), 4);
+  EXPECT_TRUE(got->EqualsIgnoringOrder(MaterializeView(q, "q", *next)))
+      << got->ToString();
+}
+
 /// Async writer lanes coalesce a queued burst into few maintenance passes:
 /// far fewer epochs published than deltas applied, same final extents.
 TEST(ShardedCatalog, AsyncLanesCoalesceBursts) {

@@ -78,8 +78,8 @@ TEST(MaterializeView, ContentColumnReferencesDocument) {
   Table t = MaterializeView(p, "V", *d);
   ASSERT_EQ(t.NumRows(), 1);
   const NodeRef& ref = t.row(0)[0].AsContent();
-  EXPECT_EQ(ref.doc, d.get());
-  EXPECT_EQ(ref.doc->label(ref.node), "b");
+  EXPECT_EQ(ref.id.ToString(), "1.1");
+  EXPECT_EQ(d->label(d->FindByOrdPath(ref.id)), "b");
 }
 
 TEST(MaterializeView, LabelColumnForWildcard) {

@@ -55,11 +55,11 @@ std::string ExtentFileBytes(const Table& t) {
   return SerializeColumnarExtent(ColumnarExtent::Encode(t), ExtentByteSize(t));
 }
 
-/// Parses a version-2 extent image and decodes its rows against `doc`.
-Result<Table> LoadExtent(std::string_view bytes, const Document* doc) {
+/// Parses a version-2 extent image and decodes its rows.
+Result<Table> LoadExtent(std::string_view bytes) {
   Result<ColumnarLoad> load = DeserializeExtentColumnar(bytes);
   if (!load.ok()) return load.status();
-  return load->columnar->Decode(doc);
+  return load->columnar->Decode();
 }
 
 TEST(ExtentIo, RoundTripScalarsAndNulls) {
@@ -69,7 +69,7 @@ TEST(ExtentIo, RoundTripScalarsAndNulls) {
   ASSERT_EQ(t.NumRows(), 3);
 
   std::string bytes = ExtentFileBytes(t);
-  Result<Table> back = LoadExtent(bytes, nullptr);
+  Result<Table> back = LoadExtent(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->schema() == t.schema());
   EXPECT_TRUE(back->EqualsIgnoringOrder(t));
@@ -85,28 +85,32 @@ TEST(ExtentIo, RoundTripNestedTables) {
   ASSERT_EQ(t.NumRows(), 2);
 
   std::string bytes = ExtentFileBytes(t);
-  Result<Table> back = LoadExtent(bytes, nullptr);
+  Result<Table> back = LoadExtent(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->EqualsIgnoringOrder(t));
   EXPECT_EQ(ExtentFileBytes(*back), bytes);
   EXPECT_EQ(SerializeExtent(*back), SerializeExtent(t));
 }
 
-TEST(ExtentIo, ContentReferencesRebindThroughDocument) {
+TEST(ExtentIo, ContentReferencesRoundTripAsOrdPaths) {
   std::unique_ptr<Document> d = Doc("a(b(c=1) b(c=2))");
   Pattern p = MustParsePattern("a(/b{id,c})");
   Table t = MaterializeView(p, "V", *d);
 
-  std::string bytes = ExtentFileBytes(t);
-  // The chunks parse without a document (references stay ORDPATHs), but
-  // decoding content cells needs one to rebind against.
-  ASSERT_TRUE(DeserializeExtentColumnar(bytes).ok());
-  Result<Table> no_doc = LoadExtent(bytes, nullptr);
-  EXPECT_FALSE(no_doc.ok());
-
-  Result<Table> back = LoadExtent(bytes, d.get());
+  // A content reference is its node's ORDPATH: it decodes without a
+  // document, equal to the materialized cell, and resolves in the document
+  // it was materialized from.
+  Result<Table> back = LoadExtent(ExtentFileBytes(t));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->EqualsIgnoringOrder(t));
+  ASSERT_EQ(back->NumRows(), 2);
+  for (const Tuple& row : back->rows()) {
+    ASSERT_TRUE(row[1].IsContent());
+    EXPECT_EQ(row[1].AsContent().id, row[0].AsId());
+    const NodeIndex node = d->FindByOrdPath(row[1].AsContent().id);
+    ASSERT_NE(node, kInvalidNode);
+    EXPECT_EQ(d->label(node), "b");
+  }
 }
 
 TEST(ExtentIo, RejectsCorruptInput) {
@@ -125,7 +129,7 @@ TEST(ExtentIo, RejectsCorruptInput) {
                                          ColumnarExtent::Encode(t)
                                              .SerializedByteSize()));
   auto parse = [&](std::string_view payload) {
-    return LoadExtent(header + std::string(payload), nullptr);
+    return LoadExtent(header + std::string(payload));
   };
   // A row count of 2^64 - 1 fails with ParseError, not an unbounded
   // allocation.
@@ -149,7 +153,7 @@ TEST(ExtentIo, RejectsCorruptInput) {
   // to the input size.
   std::string empty_schema = ExtentFileBytes(Table(Schema()));
   empty_schema.back() = '\x7F';  // 127 rows in a 21-byte input
-  Result<Table> many = LoadExtent(empty_schema, nullptr);
+  Result<Table> many = LoadExtent(empty_schema);
   ASSERT_FALSE(many.ok());
   EXPECT_EQ(many.status().code(), StatusCode::kParseError);
 }
@@ -216,7 +220,7 @@ TEST(ExtentIo, GoldenBytes) {
       "0200000001000000040000000101000000320302000000010000000400000004000000"
       "000000000000");
   Result<Table> back =
-      LoadExtent(SerializeColumnarExtent(columnar, ExtentByteSize(t)), d.get());
+      LoadExtent(SerializeColumnarExtent(columnar, ExtentByteSize(t)));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(SerializeExtent(*back), SerializeExtent(t));
 }
@@ -243,7 +247,7 @@ TEST(ExtentIo, CorruptionFailsAtLoadNotAtDecode) {
     Result<ColumnarLoad> load = DeserializeExtentColumnar(cases[k]);
     if (!load.ok()) continue;
     ++loaded;
-    Result<Table> back = load->columnar->Decode(d.get());
+    Result<Table> back = load->columnar->Decode();
     EXPECT_NE(back.status().code(), StatusCode::kParseError)
         << "case " << k << " loads but fails to decode: "
         << back.status().ToString();
@@ -587,6 +591,29 @@ std::map<std::string, std::string> ManifestExtents(const std::string& dir) {
     if (bytes.ok()) out[name] = std::move(*bytes);
   }
   return out;
+}
+
+TEST(ViewCatalog, LoadRejectsContentReferencesItsDocumentLacks) {
+  // The store's files are outside input: Load checks that every content
+  // reference names a node of the document it is given, so no later read
+  // meets a dangling reference.
+  std::unique_ptr<Document> d = Doc("a(b(c=1) b(c=2))");
+  TempDir dir;
+  {
+    ViewCatalog catalog(dir.path);
+    ASSERT_TRUE(
+        catalog.Materialize({"C", MustParsePattern("a(/b{id,c})")}, *d).ok());
+    ASSERT_TRUE(catalog.Save().ok());
+  }
+  std::unique_ptr<Document> other = Doc("a(b(c=1))");  // no second b
+  ViewCatalog reloaded(dir.path);
+  Status lacks = reloaded.Load(other.get());
+  EXPECT_EQ(lacks.code(), StatusCode::kNotFound) << lacks.ToString();
+  Status none = reloaded.Load(nullptr);
+  EXPECT_EQ(none.code(), StatusCode::kInvalidArgument) << none.ToString();
+  ASSERT_TRUE(reloaded.Load(d.get()).ok());
+  EXPECT_EQ(reloaded.Snapshot()->document(), d.get());
+  EXPECT_EQ(reloaded.ExecutorCatalog().document(), d.get());
 }
 
 TEST(ViewCatalog, SaveLoadRoundTripIsByteIdentical) {
