@@ -58,18 +58,26 @@ const char* UpdateKindName(UpdateKind k) {
   return "?";
 }
 
+/// A random node that may take children: anything but an attribute.
+NodeIndex RandomParent(const Document& doc, Rng* rng) {
+  NodeIndex n = kInvalidNode;
+  do {
+    n = static_cast<NodeIndex>(
+        rng->Uniform(0, static_cast<int64_t>(doc.size()) - 1));
+  } while (doc.label(n)[0] == '@');
+  return n;
+}
+
 /// Picks an update of the given kind against `doc`; deterministic per rng.
 Result<UpdateResult> MakeUpdate(const Document& doc, UpdateKind kind,
                                 Rng* rng) {
   switch (kind) {
     case UpdateKind::kLeafInsert: {
-      NodeIndex n = static_cast<NodeIndex>(
-          rng->Uniform(0, static_cast<int64_t>(doc.size()) - 1));
+      const NodeIndex n = RandomParent(doc, rng);
       return InsertSubtree(doc, doc.ord_path(n), *MustParseTree("keyword=k"));
     }
     case UpdateKind::kSubtreeInsert: {
-      NodeIndex n = static_cast<NodeIndex>(
-          rng->Uniform(0, static_cast<int64_t>(doc.size()) - 1));
+      const NodeIndex n = RandomParent(doc, rng);
       return InsertSubtree(
           doc, doc.ord_path(n),
           *MustParseTree("item(name=fresh description(text=t keyword=new) "

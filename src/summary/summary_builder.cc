@@ -1,123 +1,72 @@
 #include "src/summary/summary_builder.h"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_map>
 
 namespace svx {
 
-namespace {
-constexpr int64_t kNoObservation = std::numeric_limits<int64_t>::max();
-}  // namespace
-
-SummaryBuilder::SummaryBuilder() : summary_(new Summary()) {}
-
-std::unique_ptr<Summary> SummaryBuilder::Build(Document* doc) {
-  SummaryBuilder b;
-  b.Add(doc);
-  return b.Finish();
-}
-
-void SummaryBuilder::Add(Document* doc) {
+std::unique_ptr<Summary> SummaryBuilder::Build(const Document* doc) {
   SVX_CHECK(doc != nullptr && doc->size() > 0);
-  Summary& s = *summary_;
+  auto summary = std::make_unique<Summary>();
+  Summary& s = *summary;
 
-  auto new_path = [&](PathId parent, int32_t label) -> PathId {
-    PathId id = s.AppendPath(parent, label);
-    // A path first observed after its parent path already had occurrences
-    // cannot be strong unless those occurrences are revisited — but within a
-    // single Add() pass statistics are computed afterwards, so only earlier
-    // documents matter here.
-    min_children_.push_back(parent != kInvalidPath &&
-                                    parent_occurrences_.size() >
-                                        static_cast<size_t>(parent) &&
-                                    parent_occurrences_[static_cast<size_t>(
-                                        parent)] > 0
-                                ? 0
-                                : kNoObservation);
-    max_children_.push_back(0);
-    if (parent_occurrences_.size() < static_cast<size_t>(s.size())) {
-      parent_occurrences_.resize(static_cast<size_t>(s.size()), 0);
-    }
-    return id;
-  };
-
+  // Pass A: the rooted label path of every node, extending the summary.
   // Document label id -> summary label id, interned on first use: in
   // preorder a label new to the summary first appears on a new path, so
-  // the summary's label ids come out in path-creation order as before.
+  // the summary's label ids come out in path-creation order.
   std::vector<int32_t> label_ids(static_cast<size_t>(doc->labels().size()),
                                  StringInterner::kNone);
-  // Pass A: extend the summary and annotate the document with path ids.
+  std::vector<PathId> node_path(static_cast<size_t>(doc->size()));
   for (NodeIndex n = 0; n < doc->size(); ++n) {
-    int32_t& label = label_ids[static_cast<size_t>(doc->labels_[
-        static_cast<size_t>(n)])];
+    int32_t& label = label_ids[static_cast<size_t>(doc->label_id(n))];
     if (label == StringInterner::kNone) {
       label = s.label_interner_.Intern(doc->label(n));
     }
-    const NodeIndex par = doc->parents_[static_cast<size_t>(n)];
+    const NodeIndex par = doc->parent(n);
+    const PathId ppath =
+        par == kInvalidNode ? kInvalidPath : node_path[static_cast<size_t>(par)];
     PathId path = kInvalidPath;
-    if (par == kInvalidNode) {
-      if (s.size() == 0) {
-        path = new_path(kInvalidPath, label);
-      } else {
-        SVX_CHECK_MSG(s.label_id(s.root()) == label,
-                      "documents added to one summary must share a root label");
-        path = s.root();
-      }
-    } else {
-      const PathId ppath = doc->path_ids_[static_cast<size_t>(par)];
+    if (ppath != kInvalidPath) {
       for (PathId c : s.children(ppath)) {
         if (s.label_id(c) == label) {
           path = c;
           break;
         }
       }
-      if (path == kInvalidPath) path = new_path(ppath, label);
     }
-    doc->path_ids_[static_cast<size_t>(n)] = path;
+    if (path == kInvalidPath) path = s.AppendPath(ppath, label);
+    node_path[static_cast<size_t>(n)] = path;
   }
 
-  // Build the per-document by-path index (document order is preorder).
-  doc->nodes_by_path_.assign(static_cast<size_t>(s.size()), {});
+  // Pass B: per edge (indexed by child path), the fewest and most children
+  // on it of a node on the parent path. Every path's parent path holds a
+  // node, so every edge is observed. `counts` is indexed by path; every
+  // child of a node on path p lies on a child path of p, so zeroing those
+  // entries resets it for the next node.
+  const size_t paths = static_cast<size_t>(s.size());
+  std::vector<int64_t> min_children(paths, std::numeric_limits<int64_t>::max());
+  std::vector<int64_t> max_children(paths, 0);
+  std::vector<int64_t> counts(paths, 0);
   for (NodeIndex n = 0; n < doc->size(); ++n) {
-    doc->nodes_by_path_[static_cast<size_t>(doc->path_ids_[
-        static_cast<size_t>(n)])].push_back(n);
-  }
-
-  // Pass B: per-edge child-count statistics for strong / one-to-one edges.
-  // `counts` is indexed by path; every child of a node on path p lies on a
-  // child path of p, so zeroing those entries resets it for the next node.
-  std::vector<int64_t> counts(static_cast<size_t>(s.size()), 0);
-  for (NodeIndex n = 0; n < doc->size(); ++n) {
-    const PathId p = doc->path_ids_[static_cast<size_t>(n)];
-    parent_occurrences_[static_cast<size_t>(p)] += 1;
-    for (NodeIndex c = doc->first_children_[static_cast<size_t>(n)];
-         c != kInvalidNode; c = doc->next_siblings_[static_cast<size_t>(c)]) {
-      counts[static_cast<size_t>(doc->path_ids_[static_cast<size_t>(c)])] +=
-          1;
+    for (NodeIndex c = doc->first_child(n); c != kInvalidNode;
+         c = doc->next_sibling(c)) {
+      counts[static_cast<size_t>(node_path[static_cast<size_t>(c)])] += 1;
     }
-    for (PathId cpath : s.children(p)) {
+    for (PathId cpath : s.children(node_path[static_cast<size_t>(n)])) {
       const size_t ci = static_cast<size_t>(cpath);
-      const int64_t cnt = counts[ci];
+      min_children[ci] = std::min(min_children[ci], counts[ci]);
+      max_children[ci] = std::max(max_children[ci], counts[ci]);
       counts[ci] = 0;
-      if (min_children_[ci] == kNoObservation || cnt < min_children_[ci]) {
-        min_children_[ci] = cnt;
-      }
-      if (cnt > max_children_[ci]) max_children_[ci] = cnt;
     }
   }
-}
-
-std::unique_ptr<Summary> SummaryBuilder::Finish() {
-  Summary& s = *summary_;
   for (PathId c = 1; c < s.size(); ++c) {
-    size_t ci = static_cast<size_t>(c);
-    bool observed = min_children_[ci] != kNoObservation;
-    bool strong = observed && min_children_[ci] >= 1;
-    bool one_to_one = observed && min_children_[ci] == 1 && max_children_[ci] == 1;
-    s.SetEdgeFlags(c, strong, one_to_one);
+    const size_t ci = static_cast<size_t>(c);
+    s.SetEdgeFlags(c, min_children[ci] >= 1,
+                   min_children[ci] == 1 && max_children[ci] == 1);
   }
   s.Seal();
-  return std::move(summary_);
+  return summary;
 }
 
 namespace {

@@ -1,9 +1,11 @@
 // Linear-time strong-Dataguide construction (paper §2.3: "Strong Dataguides
 // can be built and maintained in linear time out of tree-structured data").
-// Building also annotates the document with per-node path ids and computes
-// the enhanced-summary integrity constraints (strong / one-to-one edges) by
-// counting children during the single pass (§4.1). The pass compares label
-// ids, not strings: each document label is interned into the summary once,
+// One pass over one document maps every node to its rooted label path and
+// counts children per path, which yields the enhanced-summary integrity
+// constraints (strong / one-to-one edges, §4.1). The build only reads the
+// document: the node-to-path map is local to the call, so any number of
+// threads may summarize one shared document. The pass compares label ids,
+// not strings: each document label is interned into the summary once,
 // through a table indexed by the document's label id, and children are
 // counted per path in a flat array reset per parent. Paths are numbered in
 // order of first occurrence, so a document and the same tree parsed afresh
@@ -19,26 +21,11 @@
 
 namespace svx {
 
-/// Builds the summary of `doc`, annotating `doc` with path ids and the
-/// by-path node index (Document::nodes_on_path).
+/// Builds the summary of one document; it holds no state between builds.
 class SummaryBuilder {
  public:
-  /// Single-document build + annotate.
-  static std::unique_ptr<Summary> Build(Document* doc);
-
-  /// Incremental build across several documents sharing one vocabulary
-  /// (used to grow a summary the way the paper grows XMark11 -> XMark233).
-  SummaryBuilder();
-  void Add(Document* doc);
-  std::unique_ptr<Summary> Finish();
-
- private:
-  std::unique_ptr<Summary> summary_;
-  // Per summary edge (indexed by child path id): statistics over all
-  // document nodes seen on the parent path.
-  std::vector<int64_t> parent_occurrences_;  // nodes on parent path
-  std::vector<int64_t> min_children_;        // min #children on this path
-  std::vector<int64_t> max_children_;        // max #children on this path
+  /// The sealed summary S(doc) of a non-empty document.
+  static std::unique_ptr<Summary> Build(const Document* doc);
 };
 
 /// True iff S(doc) equals `summary` (paper: S1 |= d iff S(d) = S1),

@@ -16,31 +16,20 @@ NodeIndex DocumentBuilder::StartElement(std::string_view label) {
   NodeIndex n = d.size();
   d.labels_.push_back(d.label_interner_.Intern(label));
   d.value_ids_.push_back(-1);
-  d.first_children_.push_back(kInvalidNode);
-  d.next_siblings_.push_back(kInvalidNode);
   d.subtree_ends_.push_back(kInvalidNode);
-  d.path_ids_.push_back(-1);
 
   if (stack_.empty()) {
     d.parents_.push_back(kInvalidNode);
-    d.depths_.push_back(1);
     d.ord_paths_.push_back(OrdPath::Root());
     root_emitted_ = true;
   } else {
     Open& top = stack_.back();
     d.parents_.push_back(top.node);
-    d.depths_.push_back(d.depths_[static_cast<size_t>(top.node)] + 1);
     ++top.child_count;
     d.ord_paths_.push_back(
         d.ord_paths_[static_cast<size_t>(top.node)].Child(top.child_count));
-    if (top.last_child == kInvalidNode) {
-      d.first_children_[static_cast<size_t>(top.node)] = n;
-    } else {
-      d.next_siblings_[static_cast<size_t>(top.last_child)] = n;
-    }
-    top.last_child = n;
   }
-  stack_.push_back(Open{n, kInvalidNode, 0});
+  stack_.push_back(Open{n, 0});
   return n;
 }
 

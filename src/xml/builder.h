@@ -44,7 +44,6 @@ class DocumentBuilder {
   std::unique_ptr<Document> doc_;
   struct Open {
     NodeIndex node;
-    NodeIndex last_child = kInvalidNode;
     int32_t child_count = 0;
   };
   std::vector<Open> stack_;

@@ -24,12 +24,4 @@ std::vector<NodeIndex> Document::children(NodeIndex n) const {
   return out;
 }
 
-const std::vector<NodeIndex>& Document::nodes_on_path(int32_t path) const {
-  static const std::vector<NodeIndex> kEmpty;
-  if (path < 0 || static_cast<size_t>(path) >= nodes_by_path_.size()) {
-    return kEmpty;
-  }
-  return nodes_by_path_[static_cast<size_t>(path)];
-}
-
 }  // namespace svx

@@ -2,10 +2,13 @@
 // Every node has a unique identity (its preorder index and an ORDPATH id),
 // a label from L, and optionally an atomic value from A.
 //
-// Storage is a flat preorder vector; a node's descendants occupy the
-// half-open preorder interval [n+1, subtree_end(n)), giving O(1) ancestor
-// tests, while ORDPATH ids serve the view level (paper §1 "Exploiting ID
-// properties").
+// Storage is five flat preorder arrays — label ids, value ids, parents,
+// subtree ends and ORDPATHs — and nothing derivable from them. A node's
+// descendants occupy the half-open preorder interval [n+1, subtree_end(n)),
+// which gives O(1) ancestor tests and O(1) first-child and next-sibling
+// steps; a node's depth is its ORDPATH's. ORDPATH ids serve the view level
+// (paper §1 "Exploiting ID properties"). A document is never written after
+// it is built, so any number of threads may read one.
 #ifndef SVX_XML_DOCUMENT_H_
 #define SVX_XML_DOCUMENT_H_
 
@@ -58,14 +61,22 @@ class Document {
   /// Parent node, kInvalidNode for the root.
   NodeIndex parent(NodeIndex n) const { return parents_[Check(n)]; }
 
-  /// First child in document order, kInvalidNode if leaf.
-  NodeIndex first_child(NodeIndex n) const { return first_children_[Check(n)]; }
-
-  /// Next sibling, kInvalidNode if last.
-  NodeIndex next_sibling(NodeIndex n) const { return next_siblings_[Check(n)]; }
-
   /// One past the last descendant of `n` in preorder.
   NodeIndex subtree_end(NodeIndex n) const { return subtree_ends_[Check(n)]; }
+
+  /// First child in document order, kInvalidNode if leaf: the next node in
+  /// preorder, when it lies inside `n`'s subtree.
+  NodeIndex first_child(NodeIndex n) const {
+    return n + 1 < subtree_end(n) ? n + 1 : kInvalidNode;
+  }
+
+  /// Next sibling, kInvalidNode if last: the node after `n`'s subtree, when
+  /// it lies inside the parent's subtree.
+  NodeIndex next_sibling(NodeIndex n) const {
+    const NodeIndex p = parent(n);
+    const NodeIndex next = subtree_end(n);
+    return p != kInvalidNode && next < subtree_end(p) ? next : kInvalidNode;
+  }
 
   /// True iff `a` is a strict ancestor of `b` (a ≺≺ b reads "a ancestor").
   bool IsAncestor(NodeIndex a, NodeIndex b) const {
@@ -74,9 +85,6 @@ class Document {
 
   /// True iff `a` is the parent of `b`.
   bool IsParent(NodeIndex a, NodeIndex b) const { return parent(b) == a; }
-
-  /// Depth of `n`; the root has depth 1.
-  int32_t depth(NodeIndex n) const { return depths_[Check(n)]; }
 
   /// Structural ORDPATH/Dewey id of `n`.
   const OrdPath& ord_path(NodeIndex n) const { return ord_paths_[Check(n)]; }
@@ -87,24 +95,12 @@ class Document {
   /// The label interner (shared vocabulary of this document).
   const StringInterner& labels() const { return label_interner_; }
 
-  /// Children of `n` as a materialized vector (convenience for tests).
+  /// Children of `n` in document order, as a materialized vector.
   std::vector<NodeIndex> children(NodeIndex n) const;
-
-  // ---- Summary annotation (filled by SummaryBuilder) ----
-
-  /// Summary path id of node `n`; -1 before annotation.
-  int32_t path_id(NodeIndex n) const { return path_ids_[Check(n)]; }
-
-  /// True once SummaryBuilder annotated this document.
-  bool has_path_annotation() const { return !nodes_by_path_.empty(); }
-
-  /// All nodes on summary path `path`, in document (preorder) order.
-  const std::vector<NodeIndex>& nodes_on_path(int32_t path) const;
 
  private:
   friend class DocumentBuilder;
   friend class SubtreeSplice;
-  friend class SummaryBuilder;
 
   size_t Check(NodeIndex n) const {
     SVX_DCHECK(n >= 0 && n < size());
@@ -118,15 +114,8 @@ class Document {
   std::vector<int32_t> labels_;
   std::vector<int32_t> value_ids_;  // -1 = no value
   std::vector<NodeIndex> parents_;
-  std::vector<NodeIndex> first_children_;
-  std::vector<NodeIndex> next_siblings_;
   std::vector<NodeIndex> subtree_ends_;
-  std::vector<int32_t> depths_;
   std::vector<OrdPath> ord_paths_;
-
-  // Summary annotation.
-  std::vector<int32_t> path_ids_;
-  std::vector<std::vector<NodeIndex>> nodes_by_path_;
 };
 
 }  // namespace svx

@@ -8,8 +8,8 @@ namespace svx {
 
 /// Builds the next document version by splicing the previous version's
 /// per-node arrays: surviving nodes keep their label ids (under a copy of
-/// the old interner), depths and ORDPATHs, and node indexes past the splice
-/// point shift by the region size. Each surviving ORDPATH and value is
+/// the old interner) and ORDPATHs, and node indexes past the splice point
+/// shift by the region size. Each surviving ORDPATH and value is
 /// copied once. Value ids are reassigned in preorder, so a deleted
 /// subtree's values are dropped rather than kept.
 class SubtreeSplice {
@@ -48,6 +48,12 @@ NodeIndex ChildBefore(const Document& doc, NodeIndex parent, NodeIndex at) {
   return n;
 }
 
+/// True for an attribute's label ("@id"): SerializeXml writes such a leaf
+/// into its parent's start tag, before any element child.
+bool IsAttribute(const std::string& label) {
+  return !label.empty() && label[0] == '@';
+}
+
 }  // namespace
 
 std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
@@ -73,14 +79,8 @@ std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
   }
   o.labels_.insert(o.labels_.end(), d.labels_.begin() + head, d.labels_.end());
 
-  const int32_t base_depth = d.depths_[static_cast<size_t>(parent)];
-  o.depths_.reserve(total);
-  o.depths_.assign(d.depths_.begin(), d.depths_.begin() + head);
-  for (int32_t depth : sub.depths_) o.depths_.push_back(base_depth + depth);
-  o.depths_.insert(o.depths_.end(), d.depths_.begin() + head, d.depths_.end());
-
-  // Old indexes past `last_kept` move k places right (for node links that
-  // is every index at or past the splice point); the subtree's own indexes
+  // Old indexes past `last_kept` move k places right (for parents that is
+  // every index at or past the splice point); the subtree's own indexes
   // move to `at`. kInvalidNode (-1) stays put.
   auto splice = [&](const std::vector<NodeIndex>& old,
                     const std::vector<NodeIndex>& in_sub, NodeIndex last_kept,
@@ -97,23 +97,12 @@ std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
     }
   };
   splice(d.parents_, sub.parents_, at - 1, &o.parents_);
-  splice(d.first_children_, sub.first_children_, at - 1, &o.first_children_);
-  splice(d.next_siblings_, sub.next_siblings_, at - 1, &o.next_siblings_);
+  o.parents_[static_cast<size_t>(at)] = parent;
   // A subtree ending exactly at the splice point ends before the new one,
   // unless it encloses it: `parent` and its ancestors grow by k.
   splice(d.subtree_ends_, sub.subtree_ends_, at, &o.subtree_ends_);
   for (NodeIndex a = parent; a != kInvalidNode; a = d.parent(a)) {
     o.subtree_ends_[static_cast<size_t>(a)] = d.subtree_end(a) + k;
-  }
-  // Link the new root between its siblings.
-  const NodeIndex left = ChildBefore(d, parent, at);
-  const bool before = at < d.size() && d.parent(at) == parent;
-  o.parents_[static_cast<size_t>(at)] = parent;
-  o.next_siblings_[static_cast<size_t>(at)] = before ? at + k : kInvalidNode;
-  if (left == kInvalidNode) {
-    o.first_children_[static_cast<size_t>(parent)] = at;
-  } else {
-    o.next_siblings_[static_cast<size_t>(left)] = at;
   }
 
   o.value_ids_.reserve(total);
@@ -137,7 +126,6 @@ std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
   }
   o.ord_paths_.insert(o.ord_paths_.end(), d.ord_paths_.begin() + head,
                       d.ord_paths_.end());
-  o.path_ids_.assign(total, -1);
   return out;
 }
 
@@ -158,11 +146,10 @@ std::unique_ptr<Document> SubtreeSplice::Delete(const Document& d,
     dst->insert(dst->end(), old.begin() + tail, old.end());
   };
   keep(d.labels_, &o.labels_);
-  keep(d.depths_, &o.depths_);
 
-  // Old indexes past the removed subtree move k places left. Survivors
-  // reference a removed node only as the removed root's parent's first
-  // child or its preceding sibling's next sibling, both relinked below.
+  // Old indexes past the removed subtree move k places left. No survivor's
+  // parent is a removed node, and a survivor's subtree ends at or before
+  // the removed root or, for its ancestors, at or past the removed end.
   auto splice = [&](const std::vector<NodeIndex>& old,
                     std::vector<NodeIndex>* dst) {
     dst->reserve(total);
@@ -176,18 +163,7 @@ std::unique_ptr<Document> SubtreeSplice::Delete(const Document& d,
     }
   };
   splice(d.parents_, &o.parents_);
-  splice(d.first_children_, &o.first_children_);
-  splice(d.next_siblings_, &o.next_siblings_);
   splice(d.subtree_ends_, &o.subtree_ends_);
-  const NodeIndex parent = d.parent(target);
-  const NodeIndex left = ChildBefore(d, parent, target);
-  const NodeIndex next = d.next_sibling(target);
-  const NodeIndex next_moved = next == kInvalidNode ? next : next - k;
-  if (left == kInvalidNode) {
-    o.first_children_[static_cast<size_t>(parent)] = next_moved;
-  } else {
-    o.next_siblings_[static_cast<size_t>(left)] = next_moved;
-  }
 
   o.value_ids_.reserve(total);
   o.values_.reserve(d.values_.size());
@@ -198,7 +174,6 @@ std::unique_ptr<Document> SubtreeSplice::Delete(const Document& d,
   o.ord_paths_.assign(d.ord_paths_.begin(), d.ord_paths_.begin() + head);
   o.ord_paths_.insert(o.ord_paths_.end(), d.ord_paths_.begin() + tail,
                       d.ord_paths_.end());
-  o.path_ids_.assign(total, -1);
   return out;
 }
 
@@ -213,9 +188,22 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
   if (subtree.size() == 0) {
     return Status::InvalidArgument("cannot insert an empty subtree");
   }
+  // Keep the tree one that XML writes and reads back unchanged: an
+  // attribute is a leaf, and an element's attributes precede its other
+  // children.
+  if (IsAttribute(doc.label(parent_idx))) {
+    return Status::InvalidArgument("cannot insert under attribute " +
+                                   parent.ToString());
+  }
+  const bool attribute = IsAttribute(subtree.label(subtree.root()));
+  if (attribute && subtree.size() > 1) {
+    return Status::InvalidArgument("attribute " + subtree.label(0) +
+                                   " cannot have children");
+  }
 
   OrdPath region;
-  NodeIndex at = kInvalidNode;  // preorder position of the new root
+  NodeIndex at = kInvalidNode;    // preorder position of the new root
+  NodeIndex left = kInvalidNode;  // its preceding sibling, if any
   if (insert_before != nullptr) {
     NodeIndex before_idx = doc.FindByOrdPath(*insert_before);
     if (before_idx == kInvalidNode ||
@@ -223,9 +211,13 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
       return Status::NotFound("insert_before " + insert_before->ToString() +
                               " is not a child of " + parent.ToString());
     }
+    if (!attribute && IsAttribute(doc.label(before_idx))) {
+      return Status::InvalidArgument("an element cannot precede attribute " +
+                                     insert_before->ToString());
+    }
     // The caret id needs `before`'s immediate preceding sibling (invalid
     // when `before` is the first child).
-    const NodeIndex left = ChildBefore(doc, parent_idx, before_idx);
+    left = ChildBefore(doc, parent_idx, before_idx);
     region = OrdPath::CaretBefore(
         parent, left == kInvalidNode ? OrdPath() : doc.ord_path(left),
         doc.ord_path(before_idx));
@@ -243,9 +235,15 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
     for (NodeIndex c = doc.first_child(parent_idx); c != kInvalidNode;
          c = doc.next_sibling(c)) {
       max_ordinal = std::max(max_ordinal, doc.ord_path(c).components()[level]);
+      left = c;
     }
     region = parent.Child(max_ordinal + 1);
     at = doc.subtree_end(parent_idx);
+  }
+  if (attribute && left != kInvalidNode && !IsAttribute(doc.label(left))) {
+    return Status::InvalidArgument("attribute " + subtree.label(0) +
+                                   " cannot follow an element child of " +
+                                   parent.ToString());
   }
 
   UpdateResult out;

@@ -1,11 +1,12 @@
 // Document updates with stable structural identifiers (the ID-based storage
 // design of paper §1 "Exploiting ID properties"): a subtree insert or delete
 // produces a new Document plus a DocumentDelta naming the affected ORDPATH
-// region. The new version splices the old one's per-node arrays: label ids
-// (under a copy of the old label interner), values, depths and ORDPATHs of
-// surviving nodes are copied once, node indexes past the splice point shift
-// by the region size, and a deleted subtree's values are not kept, so an
-// update costs one pass over flat arrays and no per-node string lookups.
+// region. The new version splices the old one's five per-node arrays:
+// label ids (under a copy of the old label interner), values, parents,
+// subtree ends and ORDPATHs of surviving nodes are copied once, node
+// indexes past the splice point shift by the region size, and a deleted
+// subtree's values are not kept, so an update costs one pass over flat
+// arrays and no per-node string lookups.
 // Surviving nodes keep their ORDPATH ids bit-for-bit:
 //   * DeleteSubtree leaves sibling ordinals untouched (ordinal gaps are
 //     legal Dewey ids, document order is preserved),
@@ -65,9 +66,13 @@ struct UpdateResult {
 /// new node) as a child of the node identified by `parent`: immediately
 /// before the sibling identified by `*insert_before` when given (the new
 /// root's id is careted between its neighbors), as the last child
-/// otherwise. Fails if `parent` is not in `doc`, or if `insert_before` does
-/// not name a child of `parent`. Summary path annotation is not carried
-/// over (both functions) — re-annotate with SummaryBuilder if needed.
+/// otherwise. Fails with NotFound if `parent` is not in `doc`, or if
+/// `insert_before` does not name a child of `parent`. Fails with
+/// InvalidArgument where SerializeXml could not write the result back as
+/// the same tree: under an attribute ("@" label), an attribute with
+/// children, an attribute after an element sibling, or an element before
+/// an attribute sibling. Neither function builds the new version's
+/// summary; SummaryBuilder::Build reads it from the new document.
 [[nodiscard]] Result<UpdateResult> InsertSubtree(
     const Document& doc, const OrdPath& parent, const Document& subtree,
     const OrdPath* insert_before = nullptr);

@@ -26,6 +26,7 @@
 #include "src/util/rng.h"
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/view_catalog.h"
+#include "src/workload/xmark.h"
 #include "src/xml/builder.h"
 #include "src/xml/update.h"
 
@@ -354,6 +355,26 @@ TEST(ConcurrentServing, SharedCachesStaySaneUnderContention) {
   EXPECT_GT(snap->rewrite_cache()->hits(), 0u);
   EXPECT_EQ(snap->rewrite_cache()->hits() + snap->rewrite_cache()->misses(),
             4u * 40u);
+}
+
+TEST(ConcurrentServing, SummaryBuildsShareOneDocument) {
+  // A document version is immutable: building its summary only reads it,
+  // so builds of one shared version may run at once (TSan checks they do
+  // not race) and agree.
+  XmarkOptions opts;
+  opts.scale = 0.05;
+  const std::shared_ptr<const Document> doc = GenerateXmark(opts);
+  const std::string expected =
+      SummaryBuilder::Build(doc.get())->StructureKey();
+  std::vector<std::string> keys(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < keys.size(); ++t) {
+    threads.emplace_back([&doc, &keys, t]() {
+      keys[t] = SummaryBuilder::Build(doc.get())->StructureKey();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& key : keys) EXPECT_EQ(key, expected);
 }
 
 }  // namespace

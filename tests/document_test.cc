@@ -31,7 +31,7 @@ TEST(DocumentBuilder, SingleNode) {
   EXPECT_EQ(d->label(d->root()), "a");
   EXPECT_FALSE(d->has_value(d->root()));
   EXPECT_EQ(d->parent(d->root()), kInvalidNode);
-  EXPECT_EQ(d->depth(d->root()), 1);
+  EXPECT_EQ(d->ord_path(d->root()).Depth(), 1);
 }
 
 TEST(DocumentBuilder, StructureAndValues) {
@@ -89,10 +89,10 @@ TEST(Document, FindByOrdPath) {
 
 TEST(Document, DepthTracksLevels) {
   std::unique_ptr<Document> d = MustParse("a(b(c(d)))");
-  EXPECT_EQ(d->depth(0), 1);
-  EXPECT_EQ(d->depth(1), 2);
-  EXPECT_EQ(d->depth(2), 3);
-  EXPECT_EQ(d->depth(3), 4);
+  EXPECT_EQ(d->ord_path(0).Depth(), 1);
+  EXPECT_EQ(d->ord_path(1).Depth(), 2);
+  EXPECT_EQ(d->ord_path(2).Depth(), 3);
+  EXPECT_EQ(d->ord_path(3).Depth(), 4);
 }
 
 TEST(TreeNotation, QuotedValues) {
@@ -122,13 +122,6 @@ TEST(TreeNotation, Errors) {
   EXPECT_FALSE(ParseTreeNotation("1a").ok());
 }
 
-TEST(Document, NodesOnPathBeforeAnnotationIsEmpty) {
-  std::unique_ptr<Document> d = MustParse("a(b)");
-  EXPECT_FALSE(d->has_path_annotation());
-  EXPECT_TRUE(d->nodes_on_path(0).empty());
-  EXPECT_EQ(d->path_id(0), -1);
-}
-
 // ---------------------------------------------------------------------------
 // Document versions: a seeded insert/delete stream over XMark
 // ---------------------------------------------------------------------------
@@ -146,8 +139,8 @@ constexpr const char* kNewLabelItem = "item(name=kite novelty(sticker=yes))";
 
 /// A seeded update stream over XMark: items inserted into a continent
 /// (careted before one of its children or appended), leaves appended under
-/// any element (leaves included), and deletes of inserted items and of
-/// small original subtrees below the continents.
+/// any node (leaves included; attributes refuse them), and deletes of
+/// inserted items and of small original subtrees below the continents.
 class VersionStream {
  public:
   static constexpr int kNewLabelStep = 250;
@@ -183,24 +176,27 @@ class VersionStream {
       if (doc.size() > initial_size_ / 2 && rng_.Bernoulli(0.25)) {
         for (int tries = 0; tries < 20; ++tries) {
           const auto n = static_cast<NodeIndex>(rng_.Uniform(1, doc.size() - 1));
-          if (doc.depth(n) >= 4 && doc.subtree_end(n) - n <= 12) {
+          if (doc.ord_path(n).Depth() >= 4 && doc.subtree_end(n) - n <= 12) {
             return DeleteSubtree(doc, doc.ord_path(n));
           }
         }
       }
       if (rng_.Bernoulli(0.15)) {
-        // Not under an attribute, which XML could not serialize.
-        NodeIndex n = kInvalidNode;
-        do {
-          n = static_cast<NodeIndex>(rng_.Uniform(0, doc.size() - 1));
-        } while (doc.label(n)[0] == '@');
+        // Any node may be drawn, but an attribute refuses children: XML
+        // could not write them back. Then an item is inserted instead.
+        const auto n = static_cast<NodeIndex>(rng_.Uniform(0, doc.size() - 1));
         *subtree = MustParse("keyword=fresh");
-        return InsertSubtree(doc, doc.ord_path(n), **subtree);
+        Result<UpdateResult> r = InsertSubtree(doc, doc.ord_path(n), **subtree);
+        if (doc.label(n)[0] != '@') return r;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+            << doc.ord_path(n).ToString();
+        ++attribute_parents_;
       }
     }
     std::vector<NodeIndex> continents;
     for (NodeIndex n = 0; n < doc.size(); ++n) {
-      if (doc.depth(n) == 3 && doc.label(doc.parent(n)) == "regions") {
+      if (doc.ord_path(n).Depth() == 3 &&
+          doc.label(doc.parent(n)) == "regions") {
         continents.push_back(n);
       }
     }
@@ -221,18 +217,22 @@ class VersionStream {
     return r;
   }
 
+  /// Leaf inserts refused so far because they drew an attribute parent.
+  int attribute_parents() const { return attribute_parents_; }
+
  private:
   Rng rng_;
   std::unique_ptr<Document> first_;
   int32_t initial_size_ = 0;
   int step_ = 0;
+  int attribute_parents_ = 0;
   std::vector<OrdPath> inserted_;
 };
 
 constexpr int kStreamSteps = 500;
 
-/// Checks every per-node array of `d` against what its ORDPATHs and
-/// preorder positions imply.
+/// Checks every per-node array of `d`, and the navigation derived from
+/// them, against what its ORDPATHs and preorder positions imply.
 void ExpectArraysFollowOrdPaths(const Document& d) {
   std::vector<NodeIndex> open;  // ancestors of node n, by ORDPATH
   std::vector<NodeIndex> last_child(static_cast<size_t>(d.size()),
@@ -248,8 +248,7 @@ void ExpectArraysFollowOrdPaths(const Document& d) {
     }
     const NodeIndex parent = open.empty() ? kInvalidNode : open.back();
     ASSERT_EQ(d.parent(n), parent) << n;
-    ASSERT_EQ(d.depth(n), id.Depth()) << n;
-    ASSERT_EQ(d.depth(n), static_cast<int32_t>(open.size()) + 1) << n;
+    ASSERT_EQ(id.Depth(), static_cast<int32_t>(open.size()) + 1) << n;
     if (parent != kInvalidNode) {
       ASSERT_TRUE(d.ord_path(parent).IsParentOf(id)) << n;
       NodeIndex& left = last_child[static_cast<size_t>(parent)];
@@ -395,23 +394,39 @@ TEST(DocumentVersions, SummaryOfEachVersionMatchesAParsedRebuild) {
     std::unique_ptr<Summary> summary = SummaryBuilder::Build(doc.get());
     // Conforms counts children by its own walk over label strings.
     ASSERT_TRUE(Conforms(*doc, *summary));
-    const std::vector<std::string> paths = LabelPaths(*doc);
-    for (NodeIndex n = 0; n < doc->size(); ++n) {
-      ASSERT_EQ(summary->PathString(doc->path_id(n)),
-                paths[static_cast<size_t>(n)])
-          << n;
-    }
     // The same tree through XML, whose parser interns labels afresh.
     Result<std::unique_ptr<Document>> parsed = ParseXml(SerializeXml(*doc));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(ToTreeNotation(**parsed), ToTreeNotation(*doc));
+    ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(**parsed));
     std::unique_ptr<Summary> rebuilt = SummaryBuilder::Build(parsed->get());
     ASSERT_EQ(summary->StructureKey(), rebuilt->StructureKey());
     ASSERT_TRUE(summary->StructurallyEquals(*rebuilt));
-    ASSERT_EQ((*parsed)->size(), doc->size());
+    // Every node's label path is a summary path, numbered alike in both.
+    const std::vector<std::string> paths = LabelPaths(*doc);
+    const std::vector<std::string> parsed_paths = LabelPaths(**parsed);
     for (NodeIndex n = 0; n < doc->size(); ++n) {
-      ASSERT_EQ((*parsed)->path_id(n), doc->path_id(n)) << n;
+      const std::string& path = paths[static_cast<size_t>(n)];
+      const PathId id = summary->Resolve(path);
+      ASSERT_NE(id, kInvalidPath) << path;
+      ASSERT_EQ(summary->PathString(id), path);
+      ASSERT_EQ(rebuilt->Resolve(parsed_paths[static_cast<size_t>(n)]), id)
+          << path;
     }
   }
+  EXPECT_GT(stream.attribute_parents(), 0);
+}
+
+TEST(DocumentVersions, NavigationFollowsOrdPathsOnEveryConstruction) {
+  XmarkOptions opts;
+  opts.scale = 0.05;
+  ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(*GenerateXmark(opts)));
+  ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(
+      *MustParse("a(b=1 c(d=2 e(f g) h) b i(j(k(l))) m)")));
+  Result<std::unique_ptr<Document>> xml =
+      ParseXml("<a x=\"1\"><b y=\"2\">t<c/><d z=\"3\"/></b><e/></a>");
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(**xml));
 }
 
 }  // namespace

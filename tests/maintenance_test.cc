@@ -16,6 +16,8 @@
 #include "src/viewstore/view_catalog.h"
 #include "src/workload/xmark.h"
 #include "src/xml/builder.h"
+#include "src/xml/parser.h"
+#include "src/xml/serializer.h"
 #include "src/xml/update.h"
 
 namespace svx {
@@ -110,7 +112,7 @@ TEST(DocumentUpdate, InsertBeforeSiblingLandsInDocumentOrder) {
   ASSERT_NE(x, kInvalidNode);
   EXPECT_EQ(nd.label(x), "x");
   EXPECT_EQ(nd.parent(x), nd.root());
-  EXPECT_EQ(nd.depth(x), 2);
+  EXPECT_EQ(nd.ord_path(x).Depth(), 2);
   NodeIndex y = nd.FindByOrdPath(r->delta.region.Child(1));
   ASSERT_NE(y, kInvalidNode);
   EXPECT_EQ(nd.label(y), "y");
@@ -126,7 +128,7 @@ TEST(DocumentUpdate, InsertBeforeFirstChildUsesLowCaret) {
   EXPECT_EQ(r->delta.region.ToString(), "1.0.1");
   const Document& nd = *r->doc;
   EXPECT_EQ(nd.label(nd.first_child(nd.root())), "x");
-  EXPECT_EQ(nd.depth(nd.FindByOrdPath(r->delta.region)), 2);
+  EXPECT_EQ(r->delta.region.Depth(), 2);
 }
 
 TEST(DocumentUpdate, InsertBeforeRejectsNonChildren) {
@@ -136,6 +138,60 @@ TEST(DocumentUpdate, InsertBeforeRejectsNonChildren) {
       InsertSubtree(*d, OrdPath::Root(), *Doc("x"), &not_a_child).ok());
   OrdPath absent = OrdPath::FromString("1.9");
   EXPECT_FALSE(InsertSubtree(*d, OrdPath::Root(), *Doc("x"), &absent).ok());
+}
+
+/// `site(item(@id=i1 name=a))`, read from XML: `@id` is an attribute.
+std::unique_ptr<Document> ItemWithAttribute() {
+  Result<std::unique_ptr<Document>> d =
+      ParseXml("<site><item id=\"i1\"><name>a</name></item></site>");
+  EXPECT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(ToTreeNotation(**d), "site(item(@id=i1 name=a))");
+  return std::move(d).value();
+}
+
+TEST(DocumentUpdate, InsertUnderAttributeRejected) {
+  // SerializeXml would write `<@id>i1<keyword>...`, which ParseXml rejects.
+  std::unique_ptr<Document> d = ItemWithAttribute();
+  const OrdPath id = OrdPath::FromString("1.1.1");
+  ASSERT_EQ(d->label(d->FindByOrdPath(id)), "@id");
+  EXPECT_EQ(InsertSubtree(*d, id, *Doc("keyword=fresh")).status().code(),
+            StatusCode::kInvalidArgument);
+  // Nor may an inserted attribute bring children, even where an attribute
+  // may go.
+  DocumentBuilder b;
+  b.StartElement("@x");
+  b.StartElement("y");
+  b.EndElement();
+  b.EndElement();
+  EXPECT_EQ(InsertSubtree(*d, OrdPath::FromString("1.1"), *b.Finish(), &id)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DocumentUpdate, AttributeAfterElementRejected) {
+  // XML writes attributes before element children, so after a round trip
+  // an `@x` appended after `name` would sit before it.
+  std::unique_ptr<Document> d = ItemWithAttribute();
+  const OrdPath item = OrdPath::FromString("1.1");
+  DocumentBuilder b;
+  b.StartElement("@x");
+  b.AppendValue("1");
+  b.EndElement();
+  const std::unique_ptr<Document> attr = b.Finish();
+  Result<UpdateResult> r = InsertSubtree(*d, item, *attr);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  const OrdPath name = OrdPath::FromString("1.1.2");
+  r = InsertSubtree(*d, item, *attr, &name);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ToTreeNotation(*r->doc), "site(item(@id=i1 @x=1 name=a))");
+  Result<std::unique_ptr<Document>> back = ParseXml(SerializeXml(*r->doc));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(ToTreeNotation(**back), ToTreeNotation(*r->doc));
+  // Nor may an element go before an attribute.
+  const OrdPath id = OrdPath::FromString("1.1.1");
+  r = InsertSubtree(*d, item, *Doc("keyword=fresh"), &id);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DocumentUpdate, RepeatedMidSiblingInsertsKeepOrderAndIds) {
@@ -158,7 +214,7 @@ TEST(DocumentUpdate, RepeatedMidSiblingInsertsKeepOrderAndIds) {
   EXPECT_EQ(d->label(kids.back()), "e");
   for (size_t i = 0; i < inserted.size(); ++i) {
     EXPECT_EQ(d->ord_path(kids[i + 1]), inserted[i]) << i;
-    EXPECT_EQ(d->depth(kids[i + 1]), 2);
+    EXPECT_EQ(d->ord_path(kids[i + 1]).Depth(), 2);
   }
 }
 
@@ -673,19 +729,34 @@ void RunRandomizedMaintenance(uint64_t seed, int ops, int* performed,
         return DeleteSubtree(*doc, doc->ord_path(n));
       }
       // Insert a pool subtree under a random node — half the time careted
-      // before a random existing child instead of appended.
-      NodeIndex n = static_cast<NodeIndex>(
-          rng.Uniform(0, static_cast<int64_t>(doc->size()) - 1));
-      std::unique_ptr<Document> sub = Doc(
-          kInsertPool[static_cast<size_t>(rng.Uniform(
-              0, static_cast<int64_t>(std::size(kInsertPool)) - 1))]);
-      std::vector<NodeIndex> kids = doc->children(n);
-      if (!kids.empty() && rng.Bernoulli(0.5)) {
-        OrdPath before = doc->ord_path(kids[static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(kids.size()) - 1))]);
-        return InsertSubtree(*doc, doc->ord_path(n), *sub, &before);
+      // before a random existing child instead of appended. An attribute
+      // takes neither a child nor an element before it, which XML could
+      // not write back: such an insert must be refused, and the op draws
+      // again.
+      while (true) {
+        NodeIndex n = static_cast<NodeIndex>(
+            rng.Uniform(0, static_cast<int64_t>(doc->size()) - 1));
+        std::unique_ptr<Document> sub = Doc(
+            kInsertPool[static_cast<size_t>(rng.Uniform(
+                0, static_cast<int64_t>(std::size(kInsertPool)) - 1))]);
+        std::vector<NodeIndex> kids = doc->children(n);
+        NodeIndex before = kInvalidNode;
+        if (!kids.empty() && rng.Bernoulli(0.5)) {
+          before = kids[static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(kids.size()) - 1))];
+        }
+        const OrdPath before_id =
+            before == kInvalidNode ? OrdPath() : doc->ord_path(before);
+        Result<UpdateResult> up = InsertSubtree(
+            *doc, doc->ord_path(n), *sub,
+            before == kInvalidNode ? nullptr : &before_id);
+        if (doc->label(n)[0] != '@' &&
+            (before == kInvalidNode || doc->label(before)[0] != '@')) {
+          return up;
+        }
+        EXPECT_EQ(up.status().code(), StatusCode::kInvalidArgument)
+            << doc->ord_path(n).ToString();
       }
-      return InsertSubtree(*doc, doc->ord_path(n), *sub);
     }();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(catalog.ApplyUpdate(r->delta).ok());

@@ -27,16 +27,6 @@ TEST(SummaryBuilder, MergesSamePathNodes) {
   EXPECT_EQ(s->Resolve("/a/c/d"), 3);
 }
 
-TEST(SummaryBuilder, AnnotatesDocument) {
-  std::unique_ptr<Document> d = Doc("a(b c(d) b)");
-  std::unique_ptr<Summary> s = SummaryBuilder::Build(d.get());
-  EXPECT_TRUE(d->has_path_annotation());
-  PathId b = s->Resolve("/a/b");
-  EXPECT_EQ(d->path_id(1), b);
-  EXPECT_EQ(d->path_id(4), b);
-  EXPECT_EQ(d->nodes_on_path(b), (std::vector<NodeIndex>{1, 4}));
-}
-
 TEST(SummaryBuilder, SameLabelDifferentPathsStayDistinct) {
   // b occurs under /a and under /a/c: two summary nodes.
   std::unique_ptr<Document> d = Doc("a(b c(b))");
@@ -66,30 +56,6 @@ TEST(SummaryBuilder, OneToOneEdges) {
   EXPECT_TRUE(s->one_to_one(s->Resolve("/a/b/e")));
   EXPECT_EQ(s->num_strong_edges(), 4);  // c, c/d, b, b/e
   EXPECT_EQ(s->num_one_to_one_edges(), 1);
-}
-
-TEST(SummaryBuilder, MultiDocumentWeakensConstraints) {
-  // Doc 1: every b has e. Doc 2 introduces b without e -> edge not strong.
-  std::unique_ptr<Document> d1 = Doc("a(b(e))");
-  std::unique_ptr<Document> d2 = Doc("a(b)");
-  SummaryBuilder builder;
-  builder.Add(d1.get());
-  builder.Add(d2.get());
-  std::unique_ptr<Summary> s = builder.Finish();
-  EXPECT_EQ(s->size(), 3);
-  EXPECT_FALSE(s->strong_edge(s->Resolve("/a/b/e")));
-}
-
-TEST(SummaryBuilder, NewPathAfterParentSeenIsNotStrong) {
-  // Doc 1 has a(b); doc 2 has a(b(c)): /a/b/c cannot be strong because doc1's
-  // b had no c.
-  std::unique_ptr<Document> d1 = Doc("a(b)");
-  std::unique_ptr<Document> d2 = Doc("a(b(c))");
-  SummaryBuilder builder;
-  builder.Add(d1.get());
-  builder.Add(d2.get());
-  std::unique_ptr<Summary> s = builder.Finish();
-  EXPECT_FALSE(s->strong_edge(s->Resolve("/a/b/c")));
 }
 
 TEST(Summary, AncestorAndChainQueries) {
