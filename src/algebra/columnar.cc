@@ -36,32 +36,54 @@ const OrdPath& CellOrdPath(const Value& v) {
   return v.IsId() ? v.AsId() : v.AsContent().id;
 }
 
+/// Writes what GetOrdPath reads.
 void PutOrdPath(const OrdPath& id, std::string* out) {
-  PutU32(static_cast<uint32_t>(id.components().size()), out);
-  for (int32_t c : id.components()) {
-    PutU32(static_cast<uint32_t>(c), out);
+  PutU32(static_cast<uint32_t>(id.NumComponents()), out);
+  for (size_t pos = 0; pos < id.bytes().size();) {
+    PutU32(static_cast<uint32_t>(id.ComponentAt(&pos)), out);
   }
 }
 
-bool GetOrdPath(ByteReader* r, OrdPath* id) {
-  uint32_t n = 0;
-  if (!r->GetU32(&n) || n > kMaxOrdPathComponents ||
-      4ull * n > r->Remaining()) {
-    return false;
-  }
-  std::vector<int32_t> comps(n);
-  for (int32_t& c : comps) {
-    uint32_t u = 0;
-    if (!r->GetU32(&u)) return false;
-    c = static_cast<int32_t>(u);
-  }
-  *id = OrdPath(std::move(comps));
-  return true;
+/// A stored component must be one an OrdPath holds: a real ordinal or a
+/// caret, 0 .. kCaretHigh.
+Status CheckComponent(uint64_t c) {
+  if (c <= static_cast<uint64_t>(OrdPath::kCaretHigh)) return Status::OK();
+  return Status::ParseError(
+      StrFormat("ORDPATH component %llu out of range",
+                static_cast<unsigned long long>(c)));
+}
+
+/// A stored id names a node: it has components and ends in a real ordinal.
+Status CheckIdEnd(size_t num_components, int32_t last) {
+  if (num_components > 0 && !OrdPath::IsCaret(last)) return Status::OK();
+  return Status::ParseError("ORDPATH is empty or ends in a caret");
 }
 
 Status Truncated(const ByteReader& r) {
   return Status::ParseError(
       StrFormat("truncated columnar extent at offset %zu", r.pos()));
+}
+
+/// The cell codec's id: a u32 component count, then each component as a
+/// u32.
+Status GetOrdPath(ByteReader* r, OrdPath* id) {
+  uint32_t n = 0;
+  if (!r->GetU32(&n) || n > kMaxOrdPathComponents ||
+      4ull * n > r->Remaining()) {
+    return Truncated(*r);
+  }
+  OrdPath out;
+  int32_t last = OrdPath::kCaretLow;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t u = 0;
+    if (!r->GetU32(&u)) return Truncated(*r);
+    SVX_RETURN_IF_ERROR(CheckComponent(u));
+    last = static_cast<int32_t>(u);
+    out.AppendComponent(last);
+  }
+  SVX_RETURN_IF_ERROR(CheckIdEnd(n, last));
+  *id = std::move(out);
+  return Status::OK();
 }
 
 /// Called with every content reference a reader meets (ForEachContentId).
@@ -85,7 +107,7 @@ Result<Value> GetCell(ByteReader* r, const ColumnSpec& col,
     case kCellId:
     case kCellContent: {
       OrdPath id;
-      if (!GetOrdPath(r, &id)) return Truncated(*r);
+      SVX_RETURN_IF_ERROR(GetOrdPath(r, &id));
       if (tag == kCellId) return Value(std::move(id));
       SVX_RETURN_IF_ERROR(content(id));
       return Value(NodeRef{std::move(id)});
@@ -153,21 +175,27 @@ bool HasContent(const Value& v) {
   return false;
 }
 
-void AppendDeltaId(const OrdPath& id, std::vector<int32_t>* prev,
-                   std::string* out) {
-  const std::vector<int32_t>& comps = id.components();
-  size_t prefix = 0;
-  size_t limit = std::min(prev->size(), comps.size());
-  while (prefix < limit &&
-         (*prev)[prefix] == comps[prefix]) {
-    ++prefix;
+/// Appends `id` delta-coded against `*prev`, the chunk's previous id: the
+/// count of leading components they share plus one, the count of the rest,
+/// and the rest as varints.
+void AppendDeltaId(const OrdPath& id, OrdPath* prev, std::string* out) {
+  size_t pos = 0;
+  size_t prev_pos = 0;
+  uint64_t shared = 0;
+  while (pos < id.bytes().size() && prev_pos < prev->bytes().size()) {
+    size_t next = pos;
+    size_t prev_next = prev_pos;
+    if (id.ComponentAt(&next) != prev->ComponentAt(&prev_next)) break;
+    pos = next;
+    prev_pos = prev_next;
+    ++shared;
   }
-  PutVarint(static_cast<uint64_t>(prefix) + 1, out);
-  PutVarint(static_cast<uint64_t>(comps.size() - prefix), out);
-  for (size_t i = prefix; i < comps.size(); ++i) {
-    PutVarint(static_cast<uint64_t>(static_cast<uint32_t>(comps[i])), out);
+  PutVarint(shared + 1, out);
+  PutVarint(static_cast<uint64_t>(id.NumComponents()) - shared, out);
+  while (pos < id.bytes().size()) {
+    PutVarint(static_cast<uint32_t>(id.ComponentAt(&pos)), out);
   }
-  *prev = comps;
+  *prev = id;
 }
 
 /// A varint length, then `bytes`.
@@ -224,7 +252,7 @@ bool EncodeColumn(const Table& table, int32_t c, const ColumnSpec& spec,
     // least one reference.
     PutU8(all_id ? kIds : kContent, out);
     std::string ids;
-    std::vector<int32_t> prev;
+    OrdPath prev;
     for (const Tuple& row : table.rows()) {
       const Value& v = row[static_cast<size_t>(c)];
       if (v.IsNull()) {
@@ -381,7 +409,7 @@ class PayloadReader {
     std::string_view run;
     SVX_RETURN_IF_ERROR(GetRun(&run));
     ByteReader ids(run);
-    std::vector<int32_t> comps;
+    std::vector<int32_t> comps;  // the previous row's id, then this row's
     for (uint64_t i = 0; i < nrows; ++i) {
       uint64_t head = 0;
       if (!ids.GetVarint(&head)) return Truncated(ids);
@@ -400,10 +428,14 @@ class PayloadReader {
       for (uint64_t k = 0; k < suffix; ++k) {
         uint64_t comp = 0;
         if (!ids.GetVarint(&comp)) return Truncated(ids);
-        comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
+        SVX_RETURN_IF_ERROR(CheckComponent(comp));
+        comps.push_back(static_cast<int32_t>(comp));
       }
+      SVX_RETURN_IF_ERROR(
+          CheckIdEnd(comps.size(), comps.empty() ? 0 : comps.back()));
       if (!is_content && rows == nullptr) continue;  // checked only
-      OrdPath id(comps);
+      OrdPath id;
+      for (int32_t c : comps) id.AppendComponent(c);
       if (is_content) SVX_RETURN_IF_ERROR(Content(id));
       if (rows == nullptr) continue;
       (*rows)[i].push_back(is_content ? Value(NodeRef{std::move(id)})
@@ -530,7 +562,7 @@ int64_t EncodedValueSize(const Value& v) {
   if (v.IsNull()) return 1;
   if (v.IsString()) return 1 + 4 + static_cast<int64_t>(v.AsString().size());
   if (v.IsId() || v.IsContent()) {
-    return 1 + 4 + 4 * static_cast<int64_t>(CellOrdPath(v).components().size());
+    return 1 + 4 + 4 * static_cast<int64_t>(CellOrdPath(v).NumComponents());
   }
   int64_t size = 1 + 8;
   for (const Tuple& row : v.AsTable().rows()) {

@@ -224,7 +224,7 @@ void AppendAttrValues(const Document& doc, NodeIndex n, uint8_t attrs,
   if (attrs & kAttrLabel) row->emplace_back(doc.label(n));
   if (attrs & kAttrValue) {
     if (doc.has_value(n)) {
-      row->emplace_back(doc.value(n));
+      row->emplace_back(std::string(doc.value(n)));
     } else {
       row->emplace_back();
     }

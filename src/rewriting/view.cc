@@ -82,7 +82,7 @@ Tuple PatternOwnValues(const Pattern& p, PatternNodeId pn,
   if (node.attrs & kAttrLabel) out.emplace_back(doc.label(dn));
   if (node.attrs & kAttrValue) {
     if (doc.has_value(dn)) {
-      out.emplace_back(doc.value(dn));
+      out.emplace_back(std::string(doc.value(dn)));
     } else {
       out.emplace_back();
     }

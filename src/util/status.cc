@@ -1,5 +1,7 @@
 #include "src/util/status.h"
 
+#include <ostream>
+
 namespace svx {
 
 const char* StatusCodeName(StatusCode code) {
@@ -20,6 +22,10 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
   }
   return "Unknown";
+}
+
+std::ostream& operator<<(std::ostream& os, StatusCode code) {
+  return os << StatusCodeName(code);
 }
 
 std::string Status::ToString() const {

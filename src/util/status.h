@@ -4,6 +4,7 @@
 #ifndef SVX_UTIL_STATUS_H_
 #define SVX_UTIL_STATUS_H_
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,6 +26,9 @@ enum class StatusCode {
 
 /// Returns a short human-readable name for a status code.
 const char* StatusCodeName(StatusCode code);
+
+/// Writes StatusCodeName(code), so that test failures print codes by name.
+std::ostream& operator<<(std::ostream& os, StatusCode code);
 
 /// A success-or-error result without a payload. [[nodiscard]] on the class
 /// makes silently dropping any Status-returning call a compile error

@@ -14,34 +14,34 @@ NodeIndex DocumentBuilder::StartElement(std::string_view label) {
                 "document must have a single root");
   Document& d = *doc_;
   NodeIndex n = d.size();
-  d.labels_.push_back(d.label_interner_.Intern(label));
-  d.value_ids_.push_back(-1);
+  d.labels_.push_back(labels_.Intern(label));
   d.subtree_ends_.push_back(kInvalidNode);
+  value_ids_.push_back(-1);
 
+  OrdPath id = OrdPath::Root();
   if (stack_.empty()) {
     d.parents_.push_back(kInvalidNode);
-    d.ord_paths_.push_back(OrdPath::Root());
     root_emitted_ = true;
   } else {
     Open& top = stack_.back();
     d.parents_.push_back(top.node);
-    ++top.child_count;
-    d.ord_paths_.push_back(
-        d.ord_paths_[static_cast<size_t>(top.node)].Child(top.child_count));
+    id = d.ord_path(top.node).Child(++top.child_count);
   }
+  d.ids_.append(id.bytes());
+  SVX_CHECK_MSG(d.ids_.size() < Document::kHasValue, "ids exceed 2 GiB");
+  d.id_ends_.push_back(static_cast<uint32_t>(d.ids_.size()));
   stack_.push_back(Open{n, 0});
   return n;
 }
 
 void DocumentBuilder::AppendValue(std::string_view value) {
   SVX_CHECK_MSG(!stack_.empty(), "AppendValue outside any element");
-  Document& d = *doc_;
-  size_t n = static_cast<size_t>(stack_.back().node);
-  if (d.value_ids_[n] < 0) {
-    d.value_ids_[n] = static_cast<int32_t>(d.values_.size());
-    d.values_.emplace_back(value);
+  int32_t& v = value_ids_[static_cast<size_t>(stack_.back().node)];
+  if (v < 0) {
+    v = static_cast<int32_t>(values_.size());
+    values_.emplace_back(value);
   } else {
-    d.values_[static_cast<size_t>(d.value_ids_[n])].append(value);
+    values_[static_cast<size_t>(v)].append(value);
   }
 }
 
@@ -56,6 +56,20 @@ void DocumentBuilder::EndElement() {
 std::unique_ptr<Document> DocumentBuilder::Finish() {
   SVX_CHECK_MSG(stack_.empty(), "unclosed elements at Finish");
   SVX_CHECK_MSG(root_emitted_, "empty document");
+  Document& d = *doc_;
+  d.label_interner_ =
+      std::make_shared<const StringInterner>(std::move(labels_));
+  d.value_ends_.reserve(value_ids_.size());
+  for (int32_t v : value_ids_) {
+    uint32_t flag = 0;
+    if (v >= 0) {
+      d.values_.append(values_[static_cast<size_t>(v)]);
+      flag = Document::kHasValue;
+    }
+    SVX_CHECK_MSG(d.values_.size() < Document::kHasValue,
+                  "values exceed 2 GiB");
+    d.value_ends_.push_back(static_cast<uint32_t>(d.values_.size()) | flag);
+  }
   return std::move(doc_);
 }
 
@@ -89,7 +103,7 @@ class TreeNotationParser {
 
   static bool IsLabelStart(char c) {
     return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '*' || c == '#';
+           c == '*' || c == '#' || c == '@';
   }
   static bool IsLabelChar(char c) {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||

@@ -42,6 +42,11 @@ class DocumentBuilder {
 
  private:
   std::unique_ptr<Document> doc_;
+  StringInterner labels_;
+  // Values by node until Finish lays them out in preorder: text after a
+  // child element (mixed content) still appends to its parent's value.
+  std::vector<int32_t> value_ids_;  // -1 = no value
+  std::vector<std::string> values_;
   struct Open {
     NodeIndex node;
     int32_t child_count = 0;
@@ -50,11 +55,11 @@ class DocumentBuilder {
   bool root_emitted_ = false;
 };
 
-/// Parses the parenthesized notation. Labels are
-/// [A-Za-z_][A-Za-z0-9_-]*; a value is attached with '=' followed by either
-/// a bare token or a single-quoted string. Children are whitespace- or
-/// comma-separated inside parentheses.
-///   "site(regions(asia(item=3 item=5)))"
+/// Parses the parenthesized notation, which ToTreeNotation prints. Labels
+/// are [@A-Za-z_][A-Za-z0-9_-]* ("@id" names an attribute); a value is
+/// attached with '=' followed by either a bare token or a single-quoted
+/// string. Children are whitespace- or comma-separated inside parentheses.
+///   "site(regions(asia(item(@id=i3 name=pen))))"
 Result<std::unique_ptr<Document>> ParseTreeNotation(std::string_view text);
 
 }  // namespace svx

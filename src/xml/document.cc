@@ -1,19 +1,26 @@
 #include "src/xml/document.h"
 
-#include <algorithm>
-
 namespace svx {
 
 NodeIndex Document::FindByOrdPath(const OrdPath& id) const {
   if (size() == 0 || !id.IsValid()) return kInvalidNode;
-  // Preorder is document order is OrdPath order, so the id array is sorted:
-  // binary search. (Ordinals are not positional — deletes leave gaps and
-  // careted inserts extend component counts — so a per-level child walk
-  // would have to decode keys; the order-based lookup is exact and O(log n)
+  // Preorder is document order is byte order of the ids, so the id buffer
+  // is sorted: binary search. (Ordinals are not positional — deletes leave
+  // gaps and careted inserts lengthen ids — so a per-level child walk would
+  // have to decode keys; the order-based lookup is exact and O(log n)
   // regardless of id shape.)
-  auto it = std::lower_bound(ord_paths_.begin(), ord_paths_.end(), id);
-  if (it == ord_paths_.end() || *it != id) return kInvalidNode;
-  return static_cast<NodeIndex>(it - ord_paths_.begin());
+  const std::string_view key = id.bytes();
+  NodeIndex lo = 0;
+  NodeIndex hi = size();
+  while (lo < hi) {
+    const NodeIndex mid = lo + (hi - lo) / 2;
+    if (IdBytes(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < size() && IdBytes(lo) == key ? lo : kInvalidNode;
 }
 
 std::vector<NodeIndex> Document::children(NodeIndex n) const {

@@ -2,17 +2,21 @@
 // Every node has a unique identity (its preorder index and an ORDPATH id),
 // a label from L, and optionally an atomic value from A.
 //
-// Storage is five flat preorder arrays — label ids, value ids, parents,
-// subtree ends and ORDPATHs — and nothing derivable from them. A node's
-// descendants occupy the half-open preorder interval [n+1, subtree_end(n)),
-// which gives O(1) ancestor tests and O(1) first-child and next-sibling
-// steps; a node's depth is its ORDPATH's. ORDPATH ids serve the view level
-// (paper §1 "Exploiting ID properties"). A document is never written after
-// it is built, so any number of threads may read one.
+// Storage is flat and holds nothing derivable: three preorder int arrays
+// (label ids, parents, subtree ends), every node's ORDPATH bytes in one
+// buffer and every atomic value in one preorder arena, each with an array
+// of per-node end offsets, and a label interner that versions share until
+// an update brings a new label. A node's descendants occupy the half-open
+// preorder interval [n+1, subtree_end(n)), which gives O(1) ancestor tests
+// and O(1) first-child and next-sibling steps; a node's depth is its
+// ORDPATH's. ORDPATH ids serve the view level (paper §1 "Exploiting ID
+// properties"). A document is never written after it is built, so any
+// number of threads may read one.
 #ifndef SVX_XML_DOCUMENT_H_
 #define SVX_XML_DOCUMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,22 +45,24 @@ class Document {
 
   /// Label string of node `n`.
   const std::string& label(NodeIndex n) const {
-    return label_interner_.Get(label_id(n));
+    return label_interner_->Get(label_id(n));
   }
 
-  /// True if node `n` carries an atomic value.
-  bool has_value(NodeIndex n) const { return value_ids_[Check(n)] >= 0; }
-
-  /// The node's atomic value; requires has_value(n).
-  const std::string& value(NodeIndex n) const {
-    int32_t v = value_ids_[Check(n)];
-    SVX_DCHECK(v >= 0);
-    return values_[static_cast<size_t>(v)];
+  /// True if node `n` carries an atomic value (possibly empty).
+  bool has_value(NodeIndex n) const {
+    return (value_ends_[Check(n)] & kHasValue) != 0;
   }
 
-  /// Number of stored atomic values: one per node that has one, since an
-  /// update keeps no value of a node it removes.
-  int32_t num_values() const { return static_cast<int32_t>(values_.size()); }
+  /// The node's atomic value; requires has_value(n). It lives as long as
+  /// the document.
+  std::string_view value(NodeIndex n) const {
+    SVX_DCHECK(has_value(n));
+    return Slice(values_, value_ends_, Check(n));
+  }
+
+  /// Bytes of stored atomic values: exactly the values of this version's
+  /// nodes, since an update keeps no value of a node it removes.
+  size_t value_bytes() const { return values_.size(); }
 
   /// Parent node, kInvalidNode for the root.
   NodeIndex parent(NodeIndex n) const { return parents_[Check(n)]; }
@@ -86,14 +92,14 @@ class Document {
   /// True iff `a` is the parent of `b`.
   bool IsParent(NodeIndex a, NodeIndex b) const { return parent(b) == a; }
 
-  /// Structural ORDPATH/Dewey id of `n`.
-  const OrdPath& ord_path(NodeIndex n) const { return ord_paths_[Check(n)]; }
+  /// Structural ORDPATH/Dewey id of `n` (a copy of its bytes).
+  OrdPath ord_path(NodeIndex n) const { return OrdPath(IdBytes(n)); }
 
   /// Looks a node up by its ORDPATH id; kInvalidNode if absent.
   NodeIndex FindByOrdPath(const OrdPath& id) const;
 
   /// The label interner (shared vocabulary of this document).
-  const StringInterner& labels() const { return label_interner_; }
+  const StringInterner& labels() const { return *label_interner_; }
 
   /// Children of `n` in document order, as a materialized vector.
   std::vector<NodeIndex> children(NodeIndex n) const;
@@ -102,20 +108,43 @@ class Document {
   friend class DocumentBuilder;
   friend class SubtreeSplice;
 
+  /// Set in a value end when the node carries a value.
+  static constexpr uint32_t kHasValue = 1u << 31;
+
   size_t Check(NodeIndex n) const {
     SVX_DCHECK(n >= 0 && n < size());
     return static_cast<size_t>(n);
   }
 
-  StringInterner label_interner_;
-  std::vector<std::string> values_;  // value storage, indexed by value id
+  /// Where node `i`'s bytes begin in the buffer whose end offsets are
+  /// `ends`: where node i - 1's end (`i` may be one past the last node).
+  static uint32_t Begin(const std::vector<uint32_t>& ends, size_t i) {
+    return i == 0 ? 0 : ends[i - 1] & ~kHasValue;
+  }
 
-  // Per-node parallel arrays (preorder).
+  /// Node `i`'s bytes of `arena`.
+  static std::string_view Slice(const std::string& arena,
+                                const std::vector<uint32_t>& ends, size_t i) {
+    const uint32_t begin = Begin(ends, i);
+    return std::string_view(arena).substr(begin,
+                                          (ends[i] & ~kHasValue) - begin);
+  }
+
+  std::string_view IdBytes(NodeIndex n) const {
+    return Slice(ids_, id_ends_, Check(n));
+  }
+
+  std::shared_ptr<const StringInterner> label_interner_;
+
+  // Per-node arrays (preorder).
   std::vector<int32_t> labels_;
-  std::vector<int32_t> value_ids_;  // -1 = no value
   std::vector<NodeIndex> parents_;
   std::vector<NodeIndex> subtree_ends_;
-  std::vector<OrdPath> ord_paths_;
+  std::vector<uint32_t> id_ends_;     // end of the node's id in ids_
+  std::vector<uint32_t> value_ends_;  // end in values_, | kHasValue
+
+  std::string ids_;     // every ORDPATH's bytes, in preorder
+  std::string values_;  // every atomic value, in preorder
 };
 
 }  // namespace svx

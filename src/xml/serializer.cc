@@ -54,7 +54,7 @@ void SerializeNode(const Document& doc, NodeIndex n, int indent, int depth,
   if (indent >= 0) out->push_back('\n');
 }
 
-bool NeedsQuoting(const std::string& v) {
+bool NeedsQuoting(std::string_view v) {
   if (v.empty()) return true;
   for (char c : v) {
     if (c == ' ' || c == '(' || c == ')' || c == ',' || c == '\'' ||
@@ -69,7 +69,7 @@ void TreeNotationNode(const Document& doc, NodeIndex n, std::string* out) {
   out->append(doc.label(n));
   if (doc.has_value(n)) {
     out->push_back('=');
-    const std::string& v = doc.value(n);
+    const std::string_view v = doc.value(n);
     if (NeedsQuoting(v)) {
       out->push_back('\'');
       out->append(v);  // note: assumes no single quotes inside

@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace svx {
 
 /// Builds the next document version by splicing the previous version's
-/// per-node arrays: surviving nodes keep their label ids (under a copy of
-/// the old interner) and ORDPATHs, and node indexes past the splice point
-/// shift by the region size. Each surviving ORDPATH and value is
-/// copied once. Value ids are reassigned in preorder, so a deleted
-/// subtree's values are dropped rather than kept.
+/// flat buffers: surviving nodes keep their label ids (under the old
+/// interner, shared unless the subtree brings a new label), ORDPATH bytes
+/// and values, node indexes past the splice point shift by the region
+/// size, and byte offsets past it by the region's bytes. Every array and
+/// buffer is copied with a few memcpys and one pass of offset shifts; a
+/// deleted subtree's bytes are dropped.
 class SubtreeSplice {
  public:
   /// Inserts `sub` as a child of `parent` at preorder position `at`: the
@@ -24,15 +27,38 @@ class SubtreeSplice {
   static std::unique_ptr<Document> Delete(const Document& d, NodeIndex target);
 
  private:
-  /// Copies node `n`'s value (if any) into `o`, giving it the next id.
-  static void CopyValue(const Document& from, NodeIndex n, Document* o) {
-    const int32_t v = from.value_ids_[static_cast<size_t>(n)];
-    if (v < 0) {
-      o->value_ids_.push_back(-1);
-      return;
+  /// `old`'s node range [from, to) appended to `dst`, each offset moved by
+  /// `shift` (modulo 2^32: a negative shift wraps). A shift never carries
+  /// into kHasValue, since every offset stays below it.
+  static void AppendShifted(const std::vector<uint32_t>& old, NodeIndex from,
+                            NodeIndex to, uint32_t shift,
+                            std::vector<uint32_t>* dst) {
+    for (NodeIndex i = from; i < to; ++i) {
+      dst->push_back(old[static_cast<size_t>(i)] + shift);
     }
-    o->value_ids_.push_back(static_cast<int32_t>(o->values_.size()));
-    o->values_.push_back(from.values_[static_cast<size_t>(v)]);
+  }
+
+  /// `old` with `sub` spliced in at node `at`: the buffer bytes, then the
+  /// end offsets (`sub`'s node range shifted to where it lands).
+  static void SpliceIn(const std::string& old_bytes,
+                       const std::vector<uint32_t>& old_ends,
+                       const std::string& sub_bytes,
+                       const std::vector<uint32_t>& sub_ends, NodeIndex at,
+                       std::string* bytes, std::vector<uint32_t>* ends) {
+    const uint32_t head = Document::Begin(old_ends, static_cast<size_t>(at));
+    const auto added = static_cast<uint32_t>(sub_bytes.size());
+    SVX_CHECK_MSG(old_bytes.size() + added < Document::kHasValue,
+                  "document buffer exceeds 2 GiB");
+    bytes->reserve(old_bytes.size() + added);
+    bytes->append(old_bytes, 0, head);
+    bytes->append(sub_bytes);
+    bytes->append(old_bytes, head);
+    ends->reserve(old_ends.size() + sub_ends.size());
+    ends->assign(old_ends.begin(), old_ends.begin() + at);
+    AppendShifted(sub_ends, 0, static_cast<NodeIndex>(sub_ends.size()), head,
+                  ends);
+    AppendShifted(old_ends, at, static_cast<NodeIndex>(old_ends.size()), added,
+                  ends);
   }
 };
 
@@ -54,6 +80,30 @@ bool IsAttribute(const std::string& label) {
   return !label.empty() && label[0] == '@';
 }
 
+/// `d`'s interner, or a copy that also holds every label of `sub` when `d`
+/// lacks one; `*sub_labels` maps `sub`'s label ids to the result's.
+std::shared_ptr<const StringInterner> MergeLabels(
+    const std::shared_ptr<const StringInterner>& base, const Document& sub,
+    std::vector<int32_t>* sub_labels) {
+  std::shared_ptr<StringInterner> grown;
+  const StringInterner* labels = base.get();
+  sub_labels->resize(static_cast<size_t>(sub.labels().size()));
+  for (int32_t l = 0; l < sub.labels().size(); ++l) {
+    const std::string& s = sub.labels().Get(l);
+    int32_t id = labels->Find(s);
+    if (id == StringInterner::kNone) {
+      if (grown == nullptr) {
+        grown = std::make_shared<StringInterner>(*base);
+        labels = grown.get();
+      }
+      id = grown->Intern(s);
+    }
+    (*sub_labels)[static_cast<size_t>(l)] = id;
+  }
+  if (grown == nullptr) return base;
+  return grown;
+}
+
 }  // namespace
 
 std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
@@ -65,12 +115,8 @@ std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
   const NodeIndex k = sub.size();
   const auto head = static_cast<std::ptrdiff_t>(at);
   const size_t total = static_cast<size_t>(d.size() + k);
-  o.label_interner_ = d.label_interner_;
-  std::vector<int32_t> sub_labels(static_cast<size_t>(sub.labels().size()));
-  for (int32_t l = 0; l < sub.labels().size(); ++l) {
-    sub_labels[static_cast<size_t>(l)] =
-        o.label_interner_.Intern(sub.labels().Get(l));
-  }
+  std::vector<int32_t> sub_labels;
+  o.label_interner_ = MergeLabels(d.label_interner_, sub, &sub_labels);
 
   o.labels_.reserve(total);
   o.labels_.assign(d.labels_.begin(), d.labels_.begin() + head);
@@ -105,27 +151,22 @@ std::unique_ptr<Document> SubtreeSplice::Insert(const Document& d,
     o.subtree_ends_[static_cast<size_t>(a)] = d.subtree_end(a) + k;
   }
 
-  o.value_ids_.reserve(total);
-  o.values_.reserve(d.values_.size() + sub.values_.size());
-  for (NodeIndex n = 0; n < at; ++n) CopyValue(d, n, &o);
-  for (NodeIndex n = 0; n < k; ++n) CopyValue(sub, n, &o);
-  for (NodeIndex n = at; n < d.size(); ++n) CopyValue(d, n, &o);
+  SpliceIn(d.values_, d.value_ends_, sub.values_, sub.value_ends_, at,
+           &o.values_, &o.value_ends_);
 
-  // The subtree's ids are re-rooted under `region`: its root's "1" becomes
-  // the region id.
-  o.ord_paths_.reserve(total);
-  o.ord_paths_.assign(d.ord_paths_.begin(), d.ord_paths_.begin() + head);
-  const std::vector<int32_t>& prefix = region.components();
-  for (const OrdPath& id : sub.ord_paths_) {
-    std::vector<int32_t> comps;
-    comps.reserve(prefix.size() + id.components().size() - 1);
-    comps.insert(comps.end(), prefix.begin(), prefix.end());
-    comps.insert(comps.end(), id.components().begin() + 1,
-                 id.components().end());
-    o.ord_paths_.emplace_back(std::move(comps));
+  // The subtree's ids are re-rooted under `region`: its root's "1" (one
+  // byte) becomes the region's bytes.
+  std::string sub_ids;
+  std::vector<uint32_t> sub_id_ends;
+  sub_ids.reserve(sub.ids_.size() +
+                  static_cast<size_t>(k) * region.bytes().size());
+  sub_id_ends.reserve(static_cast<size_t>(k));
+  for (NodeIndex j = 0; j < k; ++j) {
+    sub_ids.append(region.bytes());
+    sub_ids.append(sub.IdBytes(j).substr(1));
+    sub_id_ends.push_back(static_cast<uint32_t>(sub_ids.size()));
   }
-  o.ord_paths_.insert(o.ord_paths_.end(), d.ord_paths_.begin() + head,
-                      d.ord_paths_.end());
+  SpliceIn(d.ids_, d.id_ends_, sub_ids, sub_id_ends, at, &o.ids_, &o.id_ends_);
   return out;
 }
 
@@ -165,15 +206,20 @@ std::unique_ptr<Document> SubtreeSplice::Delete(const Document& d,
   splice(d.parents_, &o.parents_);
   splice(d.subtree_ends_, &o.subtree_ends_);
 
-  o.value_ids_.reserve(total);
-  o.values_.reserve(d.values_.size());
-  for (NodeIndex n = 0; n < target; ++n) CopyValue(d, n, &o);
-  for (NodeIndex n = end; n < d.size(); ++n) CopyValue(d, n, &o);
-
-  o.ord_paths_.reserve(total);
-  o.ord_paths_.assign(d.ord_paths_.begin(), d.ord_paths_.begin() + head);
-  o.ord_paths_.insert(o.ord_paths_.end(), d.ord_paths_.begin() + tail,
-                      d.ord_paths_.end());
+  // The removed nodes' bytes go; later offsets move back by their count.
+  auto cut = [&](const std::string& bytes, const std::vector<uint32_t>& ends,
+                 std::string* dst, std::vector<uint32_t>* dst_ends) {
+    const uint32_t from = Document::Begin(ends, static_cast<size_t>(target));
+    const uint32_t to = Document::Begin(ends, static_cast<size_t>(end));
+    dst->reserve(bytes.size() - (to - from));
+    dst->append(bytes, 0, from);
+    dst->append(bytes, to);
+    dst_ends->reserve(total);
+    dst_ends->assign(ends.begin(), ends.begin() + head);
+    AppendShifted(ends, end, d.size(), from - to, dst_ends);
+  };
+  cut(d.values_, d.value_ends_, &o.values_, &o.value_ends_);
+  cut(d.ids_, d.id_ends_, &o.ids_, &o.id_ends_);
   return out;
 }
 
@@ -189,8 +235,9 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
     return Status::InvalidArgument("cannot insert an empty subtree");
   }
   // Keep the tree one that XML writes and reads back unchanged: an
-  // attribute is a leaf, and an element's attributes precede its other
-  // children.
+  // attribute is a leaf with a value (XML writes a valueless one as x="",
+  // which reads back with an empty value), and an element's attributes
+  // precede its other children.
   if (IsAttribute(doc.label(parent_idx))) {
     return Status::InvalidArgument("cannot insert under attribute " +
                                    parent.ToString());
@@ -199,6 +246,10 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
   if (attribute && subtree.size() > 1) {
     return Status::InvalidArgument("attribute " + subtree.label(0) +
                                    " cannot have children");
+  }
+  if (attribute && !subtree.has_value(subtree.root())) {
+    return Status::InvalidArgument("attribute " + subtree.label(0) +
+                                   " has no value");
   }
 
   OrdPath region;
@@ -224,17 +275,18 @@ Result<UpdateResult> InsertSubtree(const Document& doc, const OrdPath& parent,
     at = before_idx;
   } else {
     // Append: one past the largest *surviving* child ordinal. A child id
-    // extends the parent's components, so the child's ordering key at this
-    // level is its first component past the parent prefix — carets
-    // included, `back()` would misread careted children. Note ids are
+    // extends the parent's bytes, so the child's ordering key at this level
+    // is its first component past the parent prefix — carets included, its
+    // last component would misread careted children. Note ids are
     // unique per document version, not across history: if the
     // largest-ordinal child was deleted earlier, its ordinal (like a
     // caret slot vacated by a delete) can be minted again.
     int32_t max_ordinal = 0;
-    size_t level = parent.components().size();
     for (NodeIndex c = doc.first_child(parent_idx); c != kInvalidNode;
          c = doc.next_sibling(c)) {
-      max_ordinal = std::max(max_ordinal, doc.ord_path(c).components()[level]);
+      size_t level = parent.bytes().size();
+      max_ordinal =
+          std::max(max_ordinal, doc.ord_path(c).ComponentAt(&level));
       left = c;
     }
     region = parent.Child(max_ordinal + 1);

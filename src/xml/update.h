@@ -1,12 +1,14 @@
 // Document updates with stable structural identifiers (the ID-based storage
 // design of paper §1 "Exploiting ID properties"): a subtree insert or delete
 // produces a new Document plus a DocumentDelta naming the affected ORDPATH
-// region. The new version splices the old one's five per-node arrays:
-// label ids (under a copy of the old label interner), values, parents,
-// subtree ends and ORDPATHs of surviving nodes are copied once, node
-// indexes past the splice point shift by the region size, and a deleted
-// subtree's values are not kept, so an update costs one pass over flat
-// arrays and no per-node string lookups.
+// region. The new version splices the old one's flat buffers (document.h):
+// the label id, parent and subtree-end arrays, and the ORDPATH and value
+// bytes with their end offsets, are copied with a few memcpys; indexes and
+// offsets past the splice point shift by the region's size; a deleted
+// subtree's bytes are dropped; and the label interner is shared with the
+// old version unless an insert brings a label it lacks. So an update
+// copies bytes, not nodes: it allocates a handful of buffers and makes no
+// per-node string lookup.
 // Surviving nodes keep their ORDPATH ids bit-for-bit:
 //   * DeleteSubtree leaves sibling ordinals untouched (ordinal gaps are
 //     legal Dewey ids, document order is preserved),
@@ -70,9 +72,9 @@ struct UpdateResult {
 /// `insert_before` does not name a child of `parent`. Fails with
 /// InvalidArgument where SerializeXml could not write the result back as
 /// the same tree: under an attribute ("@" label), an attribute with
-/// children, an attribute after an element sibling, or an element before
-/// an attribute sibling. Neither function builds the new version's
-/// summary; SummaryBuilder::Build reads it from the new document.
+/// children or without a value, an attribute after an element sibling, or
+/// an element before an attribute sibling. Neither function builds the new
+/// version's summary; SummaryBuilder::Build reads it from the new document.
 [[nodiscard]] Result<UpdateResult> InsertSubtree(
     const Document& doc, const OrdPath& parent, const Document& subtree,
     const OrdPath* insert_before = nullptr);

@@ -113,6 +113,17 @@ TEST(TreeNotation, RoundTrip) {
   }
 }
 
+TEST(TreeNotation, AttributesRoundTrip) {
+  // ToTreeNotation prints attributes as `@` leaves; they parse back, and
+  // the tree is the one XML reads.
+  const char* text = "site(item(@id=i1 @x='' name=a) item(@id=i2))";
+  std::unique_ptr<Document> d = MustParse(text);
+  EXPECT_EQ(ToTreeNotation(*d), text);
+  Result<std::unique_ptr<Document>> xml = ParseXml(SerializeXml(*d));
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  EXPECT_EQ(ToTreeNotation(**xml), text);
+}
+
 TEST(TreeNotation, Errors) {
   EXPECT_FALSE(ParseTreeNotation("").ok());
   EXPECT_FALSE(ParseTreeNotation("a(").ok());
@@ -311,17 +322,21 @@ void ExpectSpliced(const Document& prev, const UpdateResult& up,
     if (subtree->has_value(j)) {
       ASSERT_EQ(next.value(n), subtree->value(j)) << j;
     }
-    std::vector<int32_t> id = up.delta.region.components();
-    const std::vector<int32_t>& rest = subtree->ord_path(j).components();
-    id.insert(id.end(), rest.begin() + 1, rest.end());
-    ASSERT_EQ(next.ord_path(n), OrdPath(id)) << j;
+    // The subtree's "1" becomes the region id: "1.2.3" lands at
+    // region + ".2.3".
+    const std::string rest = subtree->ord_path(j).ToString().substr(1);
+    ASSERT_EQ(next.ord_path(n),
+              OrdPath::FromString(up.delta.region.ToString() + rest))
+        << j;
   }
 }
 
-/// Values stored for nodes that have one; an update keeps no others.
-int32_t ValuedNodes(const Document& d) {
-  int32_t n = 0;
-  for (NodeIndex i = 0; i < d.size(); ++i) n += d.has_value(i) ? 1 : 0;
+/// Bytes of the values of `d`'s nodes; an update keeps no others.
+size_t ValueBytesOfNodes(const Document& d) {
+  size_t n = 0;
+  for (NodeIndex i = 0; i < d.size(); ++i) {
+    n += d.has_value(i) ? d.value(i).size() : 0;
+  }
   return n;
 }
 
@@ -339,7 +354,7 @@ TEST(DocumentVersions, SplicedVersionsStayWellFormed) {
     SCOPED_TRACE("step " + std::to_string(step));
     ASSERT_NO_FATAL_FAILURE(ExpectSpliced(*doc, *up, subtree.get()));
     ASSERT_NO_FATAL_FAILURE(ExpectArraysFollowOrdPaths(*up->doc));
-    ASSERT_EQ(up->doc->num_values(), ValuedNodes(*up->doc));
+    ASSERT_EQ(up->doc->value_bytes(), ValueBytesOfNodes(*up->doc));
     (subtree != nullptr ? inserts : deletes) += 1;
     if (step == VersionStream::kNewLabelStep) {
       ASSERT_EQ(doc->labels().Find("novelty"), StringInterner::kNone);
@@ -354,7 +369,7 @@ TEST(DocumentVersions, SplicedVersionsStayWellFormed) {
   EXPECT_GT(deletes, kStreamSteps / 4);
 
   // Repeated insert/delete cycles leave value storage where it started.
-  const int32_t values = doc->num_values();
+  const size_t values = doc->value_bytes();
   const NodeIndex continent = doc->parent(doc->FindByOrdPath(
       OrdPath::FromString("1.1.1.1")));
   ASSERT_NE(continent, kInvalidNode);
@@ -366,7 +381,7 @@ TEST(DocumentVersions, SplicedVersionsStayWellFormed) {
     Result<UpdateResult> out = DeleteSubtree(*in->doc, in->delta.region);
     ASSERT_TRUE(out.ok());
     doc = std::move(out->doc);
-    ASSERT_EQ(doc->num_values(), values) << cycle;
+    ASSERT_EQ(doc->value_bytes(), values) << cycle;
   }
 }
 

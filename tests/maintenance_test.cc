@@ -169,6 +169,24 @@ TEST(DocumentUpdate, InsertUnderAttributeRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(DocumentUpdate, ValuelessAttributeRejected) {
+  // XML writes a valueless `@x` as x="", which reads back with a value.
+  std::unique_ptr<Document> d = ItemWithAttribute();
+  const OrdPath item = OrdPath::FromString("1.1");
+  const OrdPath name = OrdPath::FromString("1.1.2");
+  DocumentBuilder b;
+  b.StartElement("@x");
+  b.EndElement();
+  EXPECT_EQ(InsertSubtree(*d, item, *b.Finish(), &name).status().code(),
+            StatusCode::kInvalidArgument);
+  // An empty value is a value, and round-trips.
+  Result<UpdateResult> r = InsertSubtree(*d, item, *Doc("@x=''"), &name);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Result<std::unique_ptr<Document>> back = ParseXml(SerializeXml(*r->doc));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(ToTreeNotation(**back), "site(item(@id=i1 @x='' name=a))");
+}
+
 TEST(DocumentUpdate, AttributeAfterElementRejected) {
   // XML writes attributes before element children, so after a round trip
   // an `@x` appended after `name` would sit before it.

@@ -24,6 +24,12 @@ TEST(Status, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.ToString(), "ParseError: bad token");
 }
 
+TEST(Status, CodesPrintByName) {
+  // A failed EXPECT_EQ on two codes shows their names, not their bytes.
+  EXPECT_EQ(testing::PrintToString(StatusCode::kParseError), "ParseError");
+  EXPECT_EQ(testing::PrintToString(StatusCode::kOk), "OK");
+}
+
 TEST(Status, AllConstructorsSetCodes) {
   EXPECT_EQ(Status::InvalidArgument("x").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Status::NotFound("x").code(), StatusCode::kNotFound);

@@ -265,6 +265,31 @@ TEST(ExtentIo, CorruptionFailsAtLoadNotAtDecode) {
       DeserializeExtentColumnar(header + std::string("\x01\x01\x02\x06\x00", 5));
   ASSERT_FALSE(bad_delta.ok());
   EXPECT_EQ(bad_delta.status().code(), StatusCode::kParseError);
+
+  // Ids no OrdPath holds: each payload is one row of that id column. An
+  // earlier decoder loaded each of them as a different id.
+  const std::pair<const char*, std::string> bad_ids[] = {
+      // A raw chunk's id cell "1.2^31": components are 0 .. 2^31 - 1.
+      {"u32 component 2^31",
+       std::string("\x01\x04\x0d\x02\x02\x00\x00\x00\x01\x00\x00\x00"
+                   "\x00\x00\x00\x80",
+                   16)},
+      // A delta-coded "1.(2^32 + 1)", which a 32-bit cast read as "1.1".
+      {"64-bit varint component",
+       std::string("\x01\x01\x08\x01\x02\x01\x81\x80\x80\x80\x10", 11)},
+      // A delta-coded "1.0" and a raw "1.^": a caret ends no id.
+      {"delta id ends in a caret",
+       std::string("\x01\x01\x04\x01\x02\x01\x00", 7)},
+      {"cell id ends in a caret",
+       std::string("\x01\x04\x0d\x02\x02\x00\x00\x00\x01\x00\x00\x00"
+                   "\xff\xff\xff\x7f",
+                   16)},
+  };
+  for (const auto& [what, payload] : bad_ids) {
+    Result<ColumnarLoad> load = DeserializeExtentColumnar(header + payload);
+    ASSERT_FALSE(load.ok()) << what;
+    EXPECT_EQ(load.status().code(), StatusCode::kParseError) << what;
+  }
 }
 
 TEST(ExtentIo, ByteSizeMatchesSerialization) {
