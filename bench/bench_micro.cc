@@ -54,8 +54,8 @@ NodeIndex MiddleItem(const Document& doc) {
 void BM_SummaryBuild(benchmark::State& state) {
   std::unique_ptr<Document> doc = XmarkAtArg(state);
   for (auto _ : state) {
-    // Building rewrites every path id of the document's annotation, so the
-    // same document serves every iteration.
+    // Building only reads the document, so the same document serves every
+    // iteration.
     std::unique_ptr<Summary> s = SummaryBuilder::Build(doc.get());
     benchmark::DoNotOptimize(s->size());
   }
@@ -182,6 +182,40 @@ void BM_IdJoinExecution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IdJoinExecution);
+
+/// The shape of a cached sharded read (servebench's q8):
+/// π(navfID³(names) ⋈≺≺ navfID³(watches)), each navfID chain deriving the
+/// three nearest ancestors of a stored id, joined on the nearest ones.
+void BM_DerivedIdJoinExecution(benchmark::State& state) {
+  XmarkOptions opts;
+  opts.scale = 1.0;
+  std::unique_ptr<Document> doc = GenerateXmark(opts);
+  Table names =
+      MaterializeView(MustParsePattern("site(//name{id,v})"), "N", *doc);
+  Table watches =
+      MaterializeView(MustParsePattern("site(//watch{id,v})"), "W", *doc);
+  Catalog catalog;
+  catalog.Register("N", &names);
+  catalog.Register("W", &watches);
+  auto up3 = [](const std::string& view, const Table& extent) {
+    PlanPtr p = MakeViewScan(view, extent.schema());
+    for (int32_t steps = 1; steps <= 3; ++steps) {
+      p = MakeDeriveParent(std::move(p), 0, steps,
+                           view + ".up" + std::to_string(steps) + ".id");
+    }
+    return p;  // columns: id, v, up1, up2, up3
+  };
+  PlanPtr plan = MakeProject(MakeStructJoin(up3("N", names), up3("W", watches),
+                                            2, 2, StructAxis::kAncestor),
+                             {2, 1, 6});
+  for (auto _ : state) {
+    Result<Table> t = Execute(*plan, catalog);
+    benchmark::DoNotOptimize(t.ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (names.NumRows() + watches.NumRows()));
+}
+BENCHMARK(BM_DerivedIdJoinExecution);
 
 }  // namespace
 }  // namespace svx

@@ -1,8 +1,10 @@
 #include "src/algebra/executor.h"
 
+#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
@@ -13,79 +15,157 @@ namespace svx {
 
 namespace {
 
-Tuple Concat(const Tuple& a, const Tuple& b) {
-  Tuple out = a;
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+/// The ⊥ every padded or underivable cell points at.
+const Value& Null() {
+  static const Value null;
+  return null;
 }
 
-struct OrdPathKeyHash {
-  size_t operator()(const OrdPath& p) const { return p.Hash(); }
+/// An operator's output: `width` borrowed cells per row, row-major. A cell
+/// points into an extent the call pinned, into a nested group inside one,
+/// or into the call's arena of derived values.
+class CellRelation {
+ public:
+  explicit CellRelation(int32_t width) : width_(width) {}
+
+  int32_t width() const { return width_; }
+  int64_t NumRows() const { return rows_; }
+  const Value* const* row(int64_t i) const {
+    return cells_.data() + static_cast<size_t>(i) * static_cast<size_t>(width_);
+  }
+  const Value& cell(int64_t i, int32_t col) const {
+    return *row(i)[static_cast<size_t>(col)];
+  }
+
+  // Building: push a row's cells, then EndRow().
+  void Reserve(int64_t rows) {
+    cells_.reserve(static_cast<size_t>(rows) * static_cast<size_t>(width_));
+  }
+  void Push(const Value* v) { cells_.push_back(v); }
+  void PushCells(const Value* const* cells, int32_t n) {
+    cells_.insert(cells_.end(), cells, cells + n);
+  }
+  void EndRow() { ++rows_; }
+  void DropLastRow() {
+    cells_.resize(cells_.size() - static_cast<size_t>(width_));
+    --rows_;
+  }
+
+ private:
+  int32_t width_;
+  int64_t rows_ = 0;
+  std::vector<const Value*> cells_;
 };
 
-using IdIndex =
-    std::unordered_map<OrdPath, std::vector<int64_t>, OrdPathKeyHash>;
-
-IdIndex BuildIdIndex(const Table& t, int32_t col) {
-  IdIndex index;
-  for (int64_t i = 0; i < t.NumRows(); ++i) {
-    const Value& v = t.row(i)[static_cast<size_t>(col)];
-    if (v.IsNull()) continue;  // ⊥ never joins
-    index[v.AsId()].push_back(i);
+size_t RowHash(const Value* const* row, int32_t width) {
+  size_t h = 0x9E3779B97f4A7C15ULL;
+  for (int32_t c = 0; c < width; ++c) {
+    h ^= row[c]->Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
   }
-  return index;
+  return h;
 }
 
-Result<Table> ExecIdEqJoin(const PlanNode& p, Table left, Table right) {
-  Table out(p.schema);
-  IdIndex right_index = BuildIdIndex(right, p.right_col);
-  for (int64_t i = 0; i < left.NumRows(); ++i) {
-    const Value& v = left.row(i)[static_cast<size_t>(p.left_col)];
-    if (v.IsNull()) continue;
-    auto it = right_index.find(v.AsId());
-    if (it == right_index.end()) continue;
-    for (int64_t j : it->second) {
-      out.AddRow(Concat(left.row(i), right.row(j)));
+bool RowsEqual(const Value* const* a, const Value* const* b, int32_t width) {
+  for (int32_t c = 0; c < width; ++c) {
+    if (a[c] != b[c] && *a[c] != *b[c]) return false;
+  }
+  return true;
+}
+
+/// Set semantics while a relation is built (as Table::Deduplicate): after
+/// each appended row, KeepFirst drops it when an earlier row is equal by
+/// value, so first occurrences survive in order.
+class FirstOccurrences {
+ public:
+  explicit FirstOccurrences(CellRelation* out) : out_(out), slots_(16, -1) {}
+
+  /// The index of the first row equal to the relation's last row; drops
+  /// the last row when that is an earlier one.
+  int64_t KeepFirst() {
+    const int64_t last = out_->NumRows() - 1;
+    const size_t h = RowHash(out_->row(last), out_->width());
+    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = h & mask;; s = (s + 1) & mask) {
+      const int64_t r = slots_[s];
+      if (r < 0) {
+        slots_[s] = last;
+        hashes_.push_back(h);
+        return last;
+      }
+      if (hashes_[static_cast<size_t>(r)] == h &&
+          RowsEqual(out_->row(r), out_->row(last), out_->width())) {
+        out_->DropLastRow();
+        return r;
+      }
     }
   }
-  return out;
-}
 
-/// Matches of `id` against left ids under the structural axis: the parent
-/// prefix for ≺, every strict ancestor prefix for ≺≺.
-void ForEachAncestorMatch(const IdIndex& left_index, const OrdPath& id,
-                          StructAxis axis,
-                          const std::function<void(int64_t)>& fn) {
-  if (axis == StructAxis::kParent) {
-    OrdPath parent = id.Parent();
-    if (!parent.IsValid()) return;
-    auto it = left_index.find(parent);
-    if (it == left_index.end()) return;
-    for (int64_t i : it->second) fn(i);
-    return;
+ private:
+  void Grow() {
+    slots_.assign(slots_.size() * 2, -1);
+    const size_t mask = slots_.size() - 1;
+    for (size_t r = 0; r < hashes_.size(); ++r) {
+      size_t s = hashes_[r] & mask;
+      while (slots_[s] >= 0) s = (s + 1) & mask;
+      slots_[s] = static_cast<int64_t>(r);
+    }
   }
-  for (OrdPath a = id.Parent(); a.IsValid(); a = a.Parent()) {
-    auto it = left_index.find(a);
-    if (it == left_index.end()) continue;
-    for (int64_t i : it->second) fn(i);
-  }
-}
 
-Result<Table> ExecStructJoin(const PlanNode& p, Table left, Table right) {
-  Table out(p.schema);
-  IdIndex left_index = BuildIdIndex(left, p.left_col);
-  for (int64_t j = 0; j < right.NumRows(); ++j) {
-    const Value& v = right.row(j)[static_cast<size_t>(p.right_col)];
-    if (v.IsNull()) continue;
-    ForEachAncestorMatch(left_index, v.AsId(), p.struct_axis, [&](int64_t i) {
-      out.AddRow(Concat(left.row(i), right.row(j)));
-    });
-  }
-  return out;
-}
+  CellRelation* out_;
+  std::vector<int64_t> slots_;  // kept row index, or -1
+  std::vector<size_t> hashes_;  // per kept row
+};
 
-bool SelectAccepts(const PlanNode& p, const Tuple& row) {
-  const Value& v = row[static_cast<size_t>(p.select_col)];
+/// The rows of a relation by the bytes of one id column, for the joins' build
+/// sides. ⊥ is not indexed: it never joins. Keys view the ids' bytes, which
+/// the relation's cells own.
+class IdIndex {
+ public:
+  IdIndex(const CellRelation& rel, int32_t col)
+      : next_(static_cast<size_t>(rel.NumRows()), -1) {
+    size_t capacity = 2;
+    while (capacity < 2 * static_cast<size_t>(rel.NumRows())) capacity *= 2;
+    slots_.resize(capacity);
+    // Rows go in last to first, so each key's chain lists them in order.
+    for (int64_t i = rel.NumRows() - 1; i >= 0; --i) {
+      const Value& v = rel.cell(i, col);
+      if (v.IsNull()) continue;
+      Slot& slot = slots_[SlotOf(v.AsId().bytes())];
+      slot.key = v.AsId().bytes();
+      next_[static_cast<size_t>(i)] = slot.head;
+      slot.head = i;
+    }
+  }
+
+  /// Calls fn(row) for each row whose id's bytes are `key`, in row order.
+  template <typename Fn>
+  void ForEachMatch(std::string_view key, Fn fn) const {
+    for (int64_t i = slots_[SlotOf(key)].head; i >= 0;
+         i = next_[static_cast<size_t>(i)]) {
+      fn(i);
+    }
+  }
+
+ private:
+  struct Slot {
+    std::string_view key;
+    int64_t head = -1;  // first row with this key; -1 for an empty slot
+  };
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  size_t SlotOf(std::string_view key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = std::hash<std::string_view>{}(key) & mask;
+    while (slots_[s].head >= 0 && slots_[s].key != key) s = (s + 1) & mask;
+    return s;
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<int64_t> next_;  // next row with the same key, or -1
+};
+
+bool SelectAccepts(const PlanNode& p, const Value& v) {
   switch (p.select_kind) {
     case SelectKind::kNonNull:
       return !v.IsNull();
@@ -97,101 +177,6 @@ bool SelectAccepts(const PlanNode& p, const Tuple& row) {
              p.select_pred.ContainsValue(v.AsString());
   }
   return false;
-}
-
-Result<Table> ExecUnnest(const PlanNode& p, Table in) {
-  Table out(p.schema);
-  int32_t group_width =
-      p.schema.size() - in.schema().size() + 1;  // columns replacing the col
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    const Tuple& row = in.row(i);
-    const Value& nested = row[static_cast<size_t>(p.unnest_col)];
-    bool empty = nested.IsNull() || nested.AsTable().NumRows() == 0;
-    if (empty) {  // outer unnest: one ⊥-padded row keeps the tuple
-      Tuple padded;
-      padded.reserve(static_cast<size_t>(p.schema.size()));
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (static_cast<int32_t>(c) == p.unnest_col) {
-          for (int32_t e = 0; e < group_width; ++e) padded.emplace_back();
-        } else {
-          padded.push_back(row[c]);
-        }
-      }
-      out.AddRow(std::move(padded));
-      continue;
-    }
-    const Table& group = nested.AsTable();
-    for (int64_t g = 0; g < group.NumRows(); ++g) {
-      Tuple expanded;
-      expanded.reserve(static_cast<size_t>(p.schema.size()));
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (static_cast<int32_t>(c) == p.unnest_col) {
-          for (const Value& v : group.row(g)) expanded.push_back(v);
-        } else {
-          expanded.push_back(row[c]);
-        }
-      }
-      out.AddRow(std::move(expanded));
-    }
-  }
-  return out;
-}
-
-Result<Table> ExecGroupBy(const PlanNode& p, Table in) {
-  Table out(p.schema);
-  const Schema& in_schema = in.schema();
-  std::vector<bool> is_key(static_cast<size_t>(in_schema.size()), false);
-  for (int32_t k : p.group_key_cols) is_key[static_cast<size_t>(k)] = true;
-
-  struct Group {
-    Tuple key;
-    std::shared_ptr<Table> rows;
-  };
-  std::vector<Group> groups;
-  std::unordered_map<size_t, std::vector<size_t>> by_hash;
-  std::shared_ptr<const Schema> nested_schema =
-      p.schema.column(p.schema.size() - 1).nested;
-
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    const Tuple& row = in.row(i);
-    Tuple key;
-    Tuple rest;
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (is_key[c]) continue;
-      rest.push_back(row[c]);
-    }
-    for (int32_t k : p.group_key_cols) key.push_back(row[static_cast<size_t>(k)]);
-
-    size_t h = TupleHash(key);
-    size_t group_idx = SIZE_MAX;
-    auto it = by_hash.find(h);
-    if (it != by_hash.end()) {
-      for (size_t g : it->second) {
-        if (groups[g].key == key) {
-          group_idx = g;
-          break;
-        }
-      }
-    }
-    if (group_idx == SIZE_MAX) {
-      group_idx = groups.size();
-      groups.push_back({key, std::make_shared<Table>(*nested_schema)});
-      by_hash[h].push_back(group_idx);
-    }
-    // Rows whose non-key part is all-⊥ contribute an empty group entry
-    // (the optional/nested combination of Figure 12).
-    bool all_null = true;
-    for (const Value& v : rest) all_null = all_null && v.IsNull();
-    if (!all_null) groups[group_idx].rows->AddRow(std::move(rest));
-  }
-
-  for (Group& g : groups) {
-    g.rows->Deduplicate();
-    Tuple row = std::move(g.key);
-    row.emplace_back(TablePtr(g.rows));
-    out.AddRow(std::move(row));
-  }
-  return out;
 }
 
 void CollectNavMatches(const Document& doc, NodeIndex from,
@@ -218,193 +203,347 @@ void CollectNavMatches(const Document& doc, NodeIndex from,
   }
 }
 
-void AppendAttrValues(const Document& doc, NodeIndex n, uint8_t attrs,
-                      Tuple* row) {
-  if (attrs & kAttrId) row->emplace_back(doc.ord_path(n));
-  if (attrs & kAttrLabel) row->emplace_back(doc.label(n));
-  if (attrs & kAttrValue) {
-    if (doc.has_value(n)) {
-      row->emplace_back(std::string(doc.value(n)));
-    } else {
-      row->emplace_back();
-    }
+/// One Execute call: the extents its scans pinned and the values its plan
+/// derives, both alive until the call has copied its result out.
+class Executor {
+ public:
+  explicit Executor(const Catalog& catalog) : catalog_(catalog) {}
+
+  int64_t rows_scanned() const { return rows_scanned_; }
+
+  /// Runs `plan` under `parent`: a span per operator, as the plan printer
+  /// names it, with the operator's out_rows (and a scan's view).
+  Result<CellRelation> Run(const PlanNode& plan, TraceSpan* parent) {
+    ScopedSpan span(parent, PlanKindName(plan.kind));
+    if (plan.kind == PlanKind::kViewScan) span.Attr("view", plan.view_name);
+    Result<CellRelation> out = RunOperator(plan, span.get());
+    if (out.ok()) span.Attr("out_rows", out->NumRows());
+    return out;
   }
-  if (attrs & kAttrContent) row->emplace_back(NodeRef{doc.ord_path(n)});
-}
 
-/// Navigates inside each row's content: the reference's node is looked up
-/// in the catalog's document, which must hold it.
-Result<Table> ExecNavigate(const PlanNode& p, const Document* doc, Table in) {
-  Table out(p.schema);
-  int32_t extra = p.schema.size() - in.schema().size();
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    const Tuple& row = in.row(i);
-    const Value& v = row[static_cast<size_t>(p.navigate_col)];
-    std::vector<NodeIndex> matches;
-    if (!v.IsNull()) {
-      const OrdPath& id = v.AsContent().id;
-      if (doc == nullptr) {
-        return Status::InvalidArgument(
-            "content navigation over a catalog without a document");
-      }
-      const NodeIndex node = doc->FindByOrdPath(id);
-      if (node == kInvalidNode) {
-        return Status::NotFound("content reference " + id.ToString() +
-                                " not in the catalog's document");
-      }
-      CollectNavMatches(*doc, node, p.navigate_steps, 0, &matches);
+  /// The result: one Table that owns copies of the cells.
+  static Table Materialize(const Schema& schema, const CellRelation& rel) {
+    Table out(schema);
+    std::vector<Tuple>& rows = out.mutable_rows();
+    rows.reserve(static_cast<size_t>(rel.NumRows()));
+    for (int64_t i = 0; i < rel.NumRows(); ++i) {
+      const Value* const* cells = rel.row(i);
+      Tuple& row = rows.emplace_back();
+      row.reserve(static_cast<size_t>(rel.width()));
+      for (int32_t c = 0; c < rel.width(); ++c) row.push_back(*cells[c]);
     }
-    if (matches.empty()) {
-      // Optional navigation semantics: keep the row, pad with ⊥.
-      Tuple padded = row;
-      for (int32_t e = 0; e < extra; ++e) padded.emplace_back();
-      out.AddRow(std::move(padded));
-      continue;
-    }
-    for (NodeIndex m : matches) {
-      Tuple expanded = row;
-      AppendAttrValues(*doc, m, p.navigate_attrs, &expanded);
-      out.AddRow(std::move(expanded));
-    }
+    return out;
   }
-  out.Deduplicate();
-  return out;
-}
 
-Result<Table> ExecScan(const PlanNode& plan, const Catalog& catalog,
-                       int64_t* rows_scanned) {
-  Result<TablePtr> extent =
-      catalog.Scan(plan.view_name);  // pinned for the copy below
-  if (!extent.ok()) return extent.status();
-  const Table& in = **extent;
-  *rows_scanned += in.NumRows();
-  Table out(plan.schema);
-  for (const Tuple& row : in.rows()) out.AddRow(row);
-  return out;
-}
-
-Result<Table> ExecNode(const PlanNode& plan, const Catalog& catalog,
-                       TraceSpan* parent, int64_t* rows_scanned) {
-  // Span names reuse the plan printer's operator vocabulary (plan.h), so a
-  // trace tree reads like the compact plan form.
-  ScopedSpan span(parent, PlanKindName(plan.kind));
-  auto exec = [&]() -> Result<Table> {
+ private:
+  Result<CellRelation> RunOperator(const PlanNode& plan, TraceSpan* span) {
+    if (plan.kind == PlanKind::kViewScan) return Scan(plan);
+    if (plan.kind == PlanKind::kUnion) return Union(plan, span);
+    Result<CellRelation> in = Run(*plan.children[0], span);
+    if (!in.ok()) return in;
     switch (plan.kind) {
-      case PlanKind::kViewScan: {
-        span.Attr("view", plan.view_name);
-        return ExecScan(plan, catalog, rows_scanned);
-      }
-      case PlanKind::kIdEqJoin: {
-        Result<Table> l =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!l.ok()) return l;
-        Result<Table> r =
-            ExecNode(*plan.children[1], catalog, span.get(), rows_scanned);
-        if (!r.ok()) return r;
-        return ExecIdEqJoin(plan, std::move(*l), std::move(*r));
-      }
+      case PlanKind::kIdEqJoin:
       case PlanKind::kStructJoin: {
-        Result<Table> l =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!l.ok()) return l;
-        Result<Table> r =
-            ExecNode(*plan.children[1], catalog, span.get(), rows_scanned);
-        if (!r.ok()) return r;
-        return ExecStructJoin(plan, std::move(*l), std::move(*r));
+        Result<CellRelation> right = Run(*plan.children[1], span);
+        if (!right.ok()) return right;
+        return plan.kind == PlanKind::kIdEqJoin
+                   ? IdEqJoin(plan, *in, *right)
+                   : StructJoin(plan, *in, *right);
       }
-      case PlanKind::kSelect: {
-        Result<Table> in =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!in.ok()) return in;
-        Table out(plan.schema);
-        for (const Tuple& row : in->rows()) {
-          if (SelectAccepts(plan, row)) out.AddRow(row);
-        }
-        return out;
-      }
-      case PlanKind::kProject: {
-        Result<Table> in =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!in.ok()) return in;
-        Table out(plan.schema);
-        for (const Tuple& row : in->rows()) {
-          Tuple projected;
-          projected.reserve(plan.project_cols.size());
-          for (int32_t c : plan.project_cols) {
-            projected.push_back(row[static_cast<size_t>(c)]);
-          }
-          out.AddRow(std::move(projected));
-        }
-        out.Deduplicate();
-        return out;
-      }
-      case PlanKind::kUnion: {
-        Table out(plan.schema);
-        for (const PlanPtr& c : plan.children) {
-          Result<Table> in = ExecNode(*c, catalog, span.get(), rows_scanned);
-          if (!in.ok()) return in;
-          for (const Tuple& row : in->rows()) out.AddRow(row);
-        }
-        out.Deduplicate();
-        return out;
-      }
-      case PlanKind::kUnnest: {
-        Result<Table> in =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!in.ok()) return in;
-        return ExecUnnest(plan, std::move(*in));
-      }
-      case PlanKind::kGroupBy: {
-        Result<Table> in =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!in.ok()) return in;
-        return ExecGroupBy(plan, std::move(*in));
-      }
-      case PlanKind::kNavigate: {
-        Result<Table> in =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!in.ok()) return in;
-        return ExecNavigate(plan, catalog.document(), std::move(*in));
-      }
-      case PlanKind::kDeriveParent: {
-        Result<Table> in =
-            ExecNode(*plan.children[0], catalog, span.get(), rows_scanned);
-        if (!in.ok()) return in;
-        Table out(plan.schema);
-        for (const Tuple& row : in->rows()) {
-          Tuple expanded = row;
-          const Value& v = row[static_cast<size_t>(plan.derive_col)];
-          if (v.IsNull()) {
-            expanded.emplace_back();
-          } else {
-            OrdPath anc = v.AsId().Ancestor(plan.derive_steps);
-            if (anc.IsValid()) {
-              expanded.emplace_back(std::move(anc));
-            } else {
-              expanded.emplace_back();
-            }
-          }
-          out.AddRow(std::move(expanded));
-        }
-        return out;
-      }
+      case PlanKind::kSelect:
+        return Select(plan, *in);
+      case PlanKind::kProject:
+        return Project(plan, *in);
+      case PlanKind::kUnnest:
+        return Unnest(plan, *in);
+      case PlanKind::kGroupBy:
+        return GroupBy(plan, *in);
+      case PlanKind::kNavigate:
+        return Navigate(plan, *in);
+      case PlanKind::kDeriveParent:
+        return DeriveParent(plan, *in);
+      case PlanKind::kViewScan:
+      case PlanKind::kUnion:
+        break;
     }
     return Status::Internal("unknown plan kind");
-  };
-  Result<Table> out = exec();
-  if (out.ok()) span.Attr("out_rows", out->NumRows());
-  return out;
-}
+  }
+
+  /// Borrows the extent's cells; the extent stays pinned until the call
+  /// returns, even if the memory budget evicts it meanwhile.
+  Result<CellRelation> Scan(const PlanNode& plan) {
+    Result<TablePtr> extent = catalog_.Scan(plan.view_name);
+    if (!extent.ok()) return extent.status();
+    pins_.push_back(std::move(extent).value());
+    const Table& in = *pins_.back();
+    rows_scanned_ += in.NumRows();
+    CellRelation out(plan.schema.size());
+    out.Reserve(in.NumRows());
+    for (const Tuple& row : in.rows()) {
+      if (static_cast<int32_t>(row.size()) != out.width()) {
+        return Status::Internal("extent of " + plan.view_name +
+                                " does not have its scan's arity");
+      }
+      for (const Value& v : row) out.Push(&v);
+      out.EndRow();
+    }
+    return out;
+  }
+
+  Result<CellRelation> Union(const PlanNode& plan, TraceSpan* span) {
+    CellRelation out(plan.schema.size());
+    FirstOccurrences seen(&out);
+    for (const PlanPtr& c : plan.children) {
+      Result<CellRelation> in = Run(*c, span);
+      if (!in.ok()) return in;
+      if (in->width() != out.width()) {
+        return Status::Internal("union branch does not have the union's arity");
+      }
+      for (int64_t i = 0; i < in->NumRows(); ++i) {
+        out.PushCells(in->row(i), out.width());
+        out.EndRow();
+        seen.KeepFirst();
+      }
+    }
+    return out;
+  }
+
+  /// Left-major: each left row with its matching right rows in order.
+  static CellRelation IdEqJoin(const PlanNode& p, const CellRelation& left,
+                               const CellRelation& right) {
+    CellRelation out(left.width() + right.width());
+    const IdIndex right_index(right, p.right_col);
+    for (int64_t i = 0; i < left.NumRows(); ++i) {
+      const Value& v = left.cell(i, p.left_col);
+      if (v.IsNull()) continue;
+      right_index.ForEachMatch(v.AsId().bytes(), [&](int64_t j) {
+        out.PushCells(left.row(i), left.width());
+        out.PushCells(right.row(j), right.width());
+        out.EndRow();
+      });
+    }
+    return out;
+  }
+
+  /// Right-major: each right row with the left rows its id's parent (≺) or
+  /// strict ancestors (≺≺, nearest first) match, probed as prefixes of its
+  /// id's bytes.
+  static CellRelation StructJoin(const PlanNode& p, const CellRelation& left,
+                                 const CellRelation& right) {
+    CellRelation out(left.width() + right.width());
+    const IdIndex left_index(left, p.left_col);
+    for (int64_t j = 0; j < right.NumRows(); ++j) {
+      const Value& v = right.cell(j, p.right_col);
+      if (v.IsNull()) continue;
+      const std::string_view id = v.AsId().bytes();
+      for (size_t len = OrdPath::ParentLength(id); len > 0;
+           len = OrdPath::ParentLength(id.substr(0, len))) {
+        left_index.ForEachMatch(id.substr(0, len), [&](int64_t i) {
+          out.PushCells(left.row(i), left.width());
+          out.PushCells(right.row(j), right.width());
+          out.EndRow();
+        });
+        if (p.struct_axis == StructAxis::kParent) break;
+      }
+    }
+    return out;
+  }
+
+  static CellRelation Select(const PlanNode& p, const CellRelation& in) {
+    CellRelation out(in.width());
+    for (int64_t i = 0; i < in.NumRows(); ++i) {
+      if (!SelectAccepts(p, in.cell(i, p.select_col))) continue;
+      out.PushCells(in.row(i), in.width());
+      out.EndRow();
+    }
+    return out;
+  }
+
+  static CellRelation Project(const PlanNode& p, const CellRelation& in) {
+    CellRelation out(static_cast<int32_t>(p.project_cols.size()));
+    FirstOccurrences seen(&out);
+    for (int64_t i = 0; i < in.NumRows(); ++i) {
+      const Value* const* row = in.row(i);
+      for (int32_t c : p.project_cols) out.Push(row[c]);
+      out.EndRow();
+      seen.KeepFirst();
+    }
+    return out;
+  }
+
+  /// Outer unnest: each group row replaces the nested cell; an empty or ⊥
+  /// group keeps the row once, padded with ⊥.
+  static Result<CellRelation> Unnest(const PlanNode& p,
+                                     const CellRelation& in) {
+    CellRelation out(p.schema.size());
+    const int32_t col = p.unnest_col;
+    const int32_t group_width = out.width() - in.width() + 1;
+    const int32_t after = in.width() - col - 1;
+    for (int64_t i = 0; i < in.NumRows(); ++i) {
+      const Value* const* row = in.row(i);
+      const Value& nested = *row[col];
+      if (nested.IsNull() || nested.AsTable().NumRows() == 0) {
+        out.PushCells(row, col);
+        for (int32_t e = 0; e < group_width; ++e) out.Push(&Null());
+        out.PushCells(row + col + 1, after);
+        out.EndRow();
+        continue;
+      }
+      for (const Tuple& g : nested.AsTable().rows()) {
+        if (static_cast<int32_t>(g.size()) != group_width) {
+          return Status::Internal("nested group row has the wrong arity");
+        }
+        out.PushCells(row, col);
+        for (const Value& v : g) out.Push(&v);
+        out.PushCells(row + col + 1, after);
+        out.EndRow();
+      }
+    }
+    return out;
+  }
+
+  /// Nests the non-key columns under each distinct key, in first-occurrence
+  /// order. The only operator that builds tables mid-plan: its groups are
+  /// values the plan derives.
+  CellRelation GroupBy(const PlanNode& p, const CellRelation& in) {
+    std::vector<bool> is_key(static_cast<size_t>(in.width()), false);
+    for (int32_t k : p.group_key_cols) is_key[static_cast<size_t>(k)] = true;
+    const std::shared_ptr<const Schema>& nested_schema =
+        p.schema.column(p.schema.size() - 1).nested;
+
+    CellRelation keys(static_cast<int32_t>(p.group_key_cols.size()));
+    FirstOccurrences seen(&keys);
+    std::vector<std::shared_ptr<Table>> groups;
+    for (int64_t i = 0; i < in.NumRows(); ++i) {
+      const Value* const* row = in.row(i);
+      for (int32_t k : p.group_key_cols) keys.Push(row[k]);
+      keys.EndRow();
+      const auto g = static_cast<size_t>(seen.KeepFirst());
+      if (g == groups.size()) {
+        groups.push_back(std::make_shared<Table>(*nested_schema));
+      }
+      // A row whose non-key part is all ⊥ contributes an empty group (the
+      // optional/nested combination of Figure 12).
+      Tuple rest;
+      bool all_null = true;
+      for (int32_t c = 0; c < in.width(); ++c) {
+        if (is_key[static_cast<size_t>(c)]) continue;
+        rest.push_back(*row[c]);
+        all_null = all_null && row[c]->IsNull();
+      }
+      if (!all_null) groups[g]->AddRow(std::move(rest));
+    }
+
+    CellRelation out(keys.width() + 1);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      groups[g]->Deduplicate();
+      out.PushCells(keys.row(static_cast<int64_t>(g)), keys.width());
+      out.Push(Derived(Value(TablePtr(std::move(groups[g])))));
+      out.EndRow();
+    }
+    return out;
+  }
+
+  /// navC: each row's content reference is looked up in the catalog's
+  /// document, which must hold it; a row without matches keeps ⊥ padding.
+  Result<CellRelation> Navigate(const PlanNode& p, const CellRelation& in) {
+    const Document* doc = catalog_.document();
+    CellRelation out(p.schema.size());
+    FirstOccurrences seen(&out);
+    const int32_t extra = out.width() - in.width();
+    std::vector<NodeIndex> matches;
+    for (int64_t i = 0; i < in.NumRows(); ++i) {
+      const Value* const* row = in.row(i);
+      const Value& v = *row[p.navigate_col];
+      matches.clear();
+      if (!v.IsNull()) {
+        const OrdPath& id = v.AsContent().id;
+        if (doc == nullptr) {
+          return Status::InvalidArgument(
+              "content navigation over a catalog without a document");
+        }
+        const NodeIndex node = doc->FindByOrdPath(id);
+        if (node == kInvalidNode) {
+          return Status::NotFound("content reference " + id.ToString() +
+                                  " not in the catalog's document");
+        }
+        CollectNavMatches(*doc, node, p.navigate_steps, 0, &matches);
+      }
+      if (matches.empty()) {
+        out.PushCells(row, in.width());
+        for (int32_t e = 0; e < extra; ++e) out.Push(&Null());
+        out.EndRow();
+        seen.KeepFirst();
+        continue;
+      }
+      for (NodeIndex m : matches) {
+        out.PushCells(row, in.width());
+        PushAttrValues(*doc, m, p.navigate_attrs, &out);
+        out.EndRow();
+        seen.KeepFirst();
+      }
+    }
+    return out;
+  }
+
+  /// navfID: appends the id `derive_steps` levels above the row's id, or ⊥
+  /// past the root.
+  CellRelation DeriveParent(const PlanNode& p, const CellRelation& in) {
+    CellRelation out(in.width() + 1);
+    out.Reserve(in.NumRows());
+    for (int64_t i = 0; i < in.NumRows(); ++i) {
+      out.PushCells(in.row(i), in.width());
+      const Value& v = in.cell(i, p.derive_col);
+      const Value* derived = &Null();
+      if (!v.IsNull()) {
+        OrdPath anc = v.AsId().Ancestor(p.derive_steps);
+        if (anc.IsValid()) derived = Derived(Value(std::move(anc)));
+      }
+      out.Push(derived);
+      out.EndRow();
+    }
+    return out;
+  }
+
+  void PushAttrValues(const Document& doc, NodeIndex n, uint8_t attrs,
+                      CellRelation* out) {
+    if (attrs & kAttrId) out->Push(Derived(Value(doc.ord_path(n))));
+    if (attrs & kAttrLabel) out->Push(Derived(Value(doc.label(n))));
+    if (attrs & kAttrValue) {
+      out->Push(doc.has_value(n)
+                    ? Derived(Value(std::string(doc.value(n))))
+                    : &Null());
+    }
+    if (attrs & kAttrContent) {
+      out->Push(Derived(Value(NodeRef{doc.ord_path(n)})));
+    }
+  }
+
+  /// Keeps a value the plan derived for the rest of the call.
+  const Value* Derived(Value v) {
+    arena_.push_back(std::move(v));
+    return &arena_.back();
+  }
+
+  const Catalog& catalog_;
+  std::vector<TablePtr> pins_;
+  std::deque<Value> arena_;  // grows without moving what it holds
+  int64_t rows_scanned_ = 0;
+};
 
 }  // namespace
 
 Result<Table> Execute(const PlanNode& plan, const Catalog& catalog,
                       TraceSpan* trace) {
   Timer timer;
-  int64_t rows_scanned = 0;
-  Result<Table> out = ExecNode(plan, catalog, trace, &rows_scanned);
+  Executor exec(catalog);
+  Result<CellRelation> cells = exec.Run(plan, trace);
+  Result<Table> out = cells.ok()
+                          ? Result<Table>(Executor::Materialize(plan.schema,
+                                                                *cells))
+                          : Result<Table>(cells.status());
   metrics::ExecutorRuns()->Add(1);
-  metrics::ExecutorRowsScanned()->Add(rows_scanned);
+  metrics::ExecutorRowsScanned()->Add(exec.rows_scanned());
   if (out.ok()) metrics::ExecutorRowsEmitted()->Add(out->NumRows());
   metrics::ExecutorLatencyUs()->Observe(
       static_cast<int64_t>(timer.ElapsedMicros()));

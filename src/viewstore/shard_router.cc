@@ -79,8 +79,31 @@ Result<ShardRouter> ShardRouter::Deserialize(const std::string& text) {
   return ShardRouter(std::move(boundaries));
 }
 
-ViewAnchor AnalyzeViewAnchor(const Pattern& pattern,
-                             const std::string& view_name) {
+namespace {
+
+/// Index of `a`'s id column in the view's schema (ViewSchema), counted
+/// without building it: the columns SubtreeSchema emits before it. A node's
+/// own attributes come first, id first among them, then its children's
+/// columns in order, a nested child as one column. `a` carries kAttrId and
+/// no nested edge leads to it.
+int32_t IdColumn(const Pattern& pattern, PatternNodeId a) {
+  int32_t col = 0;
+  for (PatternNodeId n = pattern.root(); n != a;) {
+    col += __builtin_popcount(pattern.node(n).attrs);
+    for (PatternNodeId m : pattern.node(n).children) {
+      if (pattern.IsAncestorOrSelf(m, a)) {
+        n = m;
+        break;
+      }
+      col += pattern.node(m).nested ? 1 : PatternSubtreeWidth(pattern, m);
+    }
+  }
+  return col;
+}
+
+}  // namespace
+
+ViewAnchor AnalyzeViewAnchor(const Pattern& pattern) {
   ViewAnchor anchor;
   for (PatternNodeId a : pattern.ReturnNodes()) {
     if ((pattern.node(a).attrs & kAttrId) == 0) continue;
@@ -108,13 +131,9 @@ ViewAnchor AnalyzeViewAnchor(const Pattern& pattern,
       }
     }
     if (!local) continue;
-    Schema schema = ViewSchema(pattern, view_name);
-    int32_t col = schema.Find(
-        StrFormat("%s.n%d.id", view_name.c_str(), a));
-    if (col < 0) continue;
     anchor.partitionable = true;
     anchor.node = a;
-    anchor.column = col;
+    anchor.column = IdColumn(pattern, a);
     return anchor;
   }
   return anchor;

@@ -66,7 +66,8 @@ struct ViewAnchor {
   bool partitionable = false;
   /// The anchor return node (first qualifying ID return node in preorder).
   PatternNodeId node = -1;
-  /// Index of the anchor's ".id" column in the view schema.
+  /// Index of the anchor's ".id" column in the view schema (ViewSchema),
+  /// which depends on the pattern only, not on the view's name.
   int32_t column = -1;
 };
 
@@ -81,8 +82,7 @@ struct ViewAnchor {
 ///     `a` — then a document change inside one top-level subtree can only
 ///     create or delete rows whose anchor lies in that same subtree.
 /// Views failing the test go to the catalog's global (unsharded) store.
-ViewAnchor AnalyzeViewAnchor(const Pattern& pattern,
-                             const std::string& view_name);
+ViewAnchor AnalyzeViewAnchor(const Pattern& pattern);
 
 }  // namespace svx
 

@@ -24,7 +24,7 @@ class ShardPartition : public ExtentPartition {
       : router_(std::move(router)), shard_(shard) {}
 
   void Filter(const ViewDef& def, Table* extent) const override {
-    ViewAnchor anchor = AnalyzeViewAnchor(def.pattern, def.name);
+    ViewAnchor anchor = AnalyzeViewAnchor(def.pattern);
     if (!anchor.partitionable || anchor.column < 0 ||
         anchor.column >= extent->schema().size()) {
       return;
@@ -68,7 +68,7 @@ Result<Table> ShardedSnapshot::ExecuteQuery(const Pattern& query,
   // rows each live in exactly one shard, so shard slices partition the full
   // result. Anything else (no anchoring return id, nodes off the spine —
   // e.g. a cross-subtree join) must see whole extents: the global catalog.
-  ViewAnchor anchor = AnalyzeViewAnchor(query, "q");
+  ViewAnchor anchor = AnalyzeViewAnchor(query);
   if (!anchor.partitionable || shards_.empty()) {
     return global_->Query(query, trace);
   }
@@ -354,7 +354,7 @@ void ShardedCatalog::BindLatestDocument() {
 Status ShardedCatalog::Materialize(const ViewDef& def, const Document& doc) {
   SVX_RETURN_IF_ERROR(Flush());
   BindLatestDocument();
-  ViewAnchor anchor = AnalyzeViewAnchor(def.pattern, def.name);
+  ViewAnchor anchor = AnalyzeViewAnchor(def.pattern);
   Table extent = MaterializeView(def.pattern, def.name, doc);
   if (!anchor.partitionable) {
     return global_->Add(def, std::move(extent));

@@ -154,14 +154,18 @@ int32_t OrdPath::Depth() const {
   return depth;
 }
 
-OrdPath OrdPath::Parent() const {
+size_t OrdPath::ParentLength(std::string_view bytes) {
   // The parent ends where the id's last level begins; the root's begins at
   // 0, so its parent is empty.
   size_t last = 0;
-  ForEachKey(bytes_, 0, [&](size_t start) {
-    if (Descends(bytes_, start)) last = start;
+  ForEachKey(bytes, 0, [&](size_t start) {
+    if (Descends(bytes, start)) last = start;
   });
-  return OrdPath(std::string_view(bytes_).substr(0, last));
+  return last;
+}
+
+OrdPath OrdPath::Parent() const {
+  return OrdPath(std::string_view(bytes_).substr(0, ParentLength(bytes_)));
 }
 
 OrdPath OrdPath::Ancestor(int32_t steps) const {

@@ -97,6 +97,11 @@ class OrdPath {
   /// Id of the ancestor `steps` levels up (Parent applied `steps` times).
   OrdPath Ancestor(int32_t steps) const;
 
+  /// Length of the parent's id within an id's `bytes`: 0 for the root.
+  /// Applied to its own result it walks the strict ancestors, nearest
+  /// first, as prefixes of `bytes`, so an ancestor probe builds no OrdPath.
+  static size_t ParentLength(std::string_view bytes);
+
   /// True for default-constructed / root-parent results.
   bool IsValid() const { return !bytes_.empty(); }
 

@@ -295,6 +295,235 @@ TEST_F(ExecutorTest, DeriveParent) {
   EXPECT_EQ(t2.row(0)[2].AsId().ToString(), "1");
 }
 
+// ---- The operator contract: rows and their order ----
+
+/// The rows of `t` in order, each rendered "cell | cell | ...".
+std::vector<std::string> RowStrings(const Table& t) {
+  std::vector<std::string> out;
+  for (const Tuple& row : t.rows()) {
+    std::string s;
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) s += " | ";
+      s += row[i].ToString();
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+using Rows = std::vector<std::string>;
+
+TEST_F(ExecutorTest, ProjectAndUnionKeepFirstOccurrences) {
+  Table dup(IdValueSchema("d"));
+  dup.AddRow(Row("1.3", "b"));
+  dup.AddRow(Row("1.1", "a"));
+  dup.AddRow(Row("1.2", "b"));
+  dup.AddRow(Row("1.4", ""));
+  dup.AddRow(Row("1.5", "a"));
+  dup.AddRow(Row("1.6", ""));
+  dup.AddRow(Row("1.7", "c"));
+  catalog_.Register("dup", &dup);
+  EXPECT_EQ(RowStrings(Run(*MakeProject(MakeViewScan("dup", dup.schema()),
+                                        {1}))),
+            (Rows{"b", "a", "⊥", "c"}));
+
+  Table first(IdValueSchema("u"));
+  first.AddRow(Row("1.2", "x"));
+  first.AddRow(Row("1.1", "y"));
+  first.AddRow(Row("1.2", "x"));
+  Table second(IdValueSchema("u"));
+  second.AddRow(Row("1.1", "y"));
+  second.AddRow(Row("1.3", "z"));
+  second.AddRow(Row("1.2", "x"));
+  catalog_.Register("first", &first);
+  catalog_.Register("second", &second);
+  std::vector<PlanPtr> branches;
+  branches.push_back(MakeViewScan("first", first.schema()));
+  branches.push_back(MakeViewScan("second", second.schema()));
+  EXPECT_EQ(RowStrings(Run(*MakeUnion(std::move(branches)))),
+            (Rows{"1.2 | x", "1.1 | y", "1.3 | z"}));
+}
+
+TEST_F(ExecutorTest, AncestorJoinIsRightMajorNearestAncestorFirst) {
+  Table anc(IdValueSchema("a"));
+  anc.AddRow(Row("1", "a1"));
+  anc.AddRow(Row("1.2", "a12"));
+  anc.AddRow(Row("1.2.5", "a125"));
+  anc.AddRow(Row("1.2", "b12"));  // a second left row with the same id
+  Table right(IdValueSchema("r"));
+  right.AddRow(Row("1.1.1", "pen"));
+  right.AddRow(Row("1.2.4", "ink"));
+  right.AddRow(Row("1.2.5.1", "deep"));
+  right.AddRow(Row("1.2.^.1", "caret"));  // careted: a child of 1, not 1.2
+  catalog_.Register("anc", &anc);
+  catalog_.Register("right", &right);
+  PlanPtr p = MakeStructJoin(MakeViewScan("anc", anc.schema()),
+                             MakeViewScan("right", right.schema()), 0, 0,
+                             StructAxis::kAncestor);
+  EXPECT_EQ(RowStrings(Run(*p)), (Rows{
+                                     "1 | a1 | 1.1.1 | pen",
+                                     "1.2 | a12 | 1.2.4 | ink",
+                                     "1.2 | b12 | 1.2.4 | ink",
+                                     "1 | a1 | 1.2.4 | ink",
+                                     "1.2.5 | a125 | 1.2.5.1 | deep",
+                                     "1.2 | a12 | 1.2.5.1 | deep",
+                                     "1.2 | b12 | 1.2.5.1 | deep",
+                                     "1 | a1 | 1.2.5.1 | deep",
+                                     "1 | a1 | 1.2.^.1 | caret",
+                                 }));
+}
+
+TEST_F(ExecutorTest, IdJoinsNeverJoinNull) {
+  Table left(IdValueSchema("l"));
+  left.AddRow(Row("1.1", "y"));
+  left.AddRow(Tuple{Value(), Value(std::string("x"))});
+  left.AddRow(Row("1.2", "w"));
+  Table right(IdValueSchema("r"));
+  right.AddRow(Tuple{Value(), Value(std::string("p"))});
+  right.AddRow(Row("1.1", "q"));
+  right.AddRow(Row("1.1.2", "t"));
+  right.AddRow(Row("1.1", "r"));
+  right.AddRow(Row("1.1.1", "s"));
+  catalog_.Register("left", &left);
+  catalog_.Register("right", &right);
+  // ⋈= is left-major: each left row with its matches in right order.
+  PlanPtr eq = MakeIdEqJoin(MakeViewScan("left", left.schema()),
+                            MakeViewScan("right", right.schema()), 0, 0);
+  EXPECT_EQ(RowStrings(Run(*eq)),
+            (Rows{"1.1 | y | 1.1 | q", "1.1 | y | 1.1 | r"}));
+  PlanPtr parent = MakeStructJoin(MakeViewScan("left", left.schema()),
+                                  MakeViewScan("right", right.schema()), 0,
+                                  0, StructAxis::kParent);
+  EXPECT_EQ(RowStrings(Run(*parent)),
+            (Rows{"1.1 | y | 1.1.2 | t", "1.1 | y | 1.1.1 | s"}));
+}
+
+TEST_F(ExecutorTest, OuterUnnestPadsEmptyAndNullGroups) {
+  // The nested column sits between two flat ones.
+  Schema gs;
+  gs.Append({"k.id", ColumnKind::kId, nullptr});
+  gs.Append({"grp", ColumnKind::kNested,
+             std::make_shared<Schema>(IdValueSchema("g"))});
+  gs.Append({"k.v", ColumnKind::kValue, nullptr});
+  auto two = std::make_shared<Table>(IdValueSchema("g"));
+  two->AddRow(Row("1.1.2", "b"));
+  two->AddRow(Row("1.1.1", "a"));
+  Table groups(gs);
+  groups.AddRow({Value(OrdPath::FromString("1.1")), Value(TablePtr(two)),
+                 Value(std::string("x"))});
+  groups.AddRow({Value(OrdPath::FromString("1.2")),
+                 Value(TablePtr(std::make_shared<Table>(IdValueSchema("g")))),
+                 Value(std::string("y"))});
+  groups.AddRow({Value(OrdPath::FromString("1.3")), Value(),
+                 Value(std::string("z"))});
+  catalog_.Register("groups", &groups);
+  Table flat = Run(*MakeOuterUnnest(MakeViewScan("groups", gs), 1));
+  EXPECT_EQ(flat.schema().ToString(), "k.id:id, g.id:id, g.v:v, k.v:v");
+  EXPECT_EQ(RowStrings(flat), (Rows{
+                                  "1.1 | 1.1.2 | b | x",
+                                  "1.1 | 1.1.1 | a | x",
+                                  "1.2 | ⊥ | ⊥ | y",
+                                  "1.3 | ⊥ | ⊥ | z",
+                              }));
+}
+
+TEST_F(ExecutorTest, GroupByOfAllNullRestGivesAnEmptyGroup) {
+  Table in(IdValueSchema("i"));
+  in.AddRow(Row("1.2", ""));
+  in.AddRow(Row("1.1", "a"));
+  in.AddRow(Row("1.1", "b"));
+  in.AddRow(Row("1.1", "a"));
+  in.AddRow(Row("1.2", ""));
+  catalog_.Register("in", &in);
+  Table grouped = Run(*MakeGroupBy(MakeViewScan("in", in.schema()), {0}, "g"));
+  EXPECT_EQ(RowStrings(grouped), (Rows{"1.2 | {}", "1.1 | {(a); (b)}"}));
+}
+
+TEST_F(ExecutorTest, DeriveParentPastTheRootIsNull) {
+  Table ids(IdValueSchema("i"));
+  ids.AddRow(Row("1.1.1", "x"));
+  ids.AddRow(Tuple{Value(), Value(std::string("y"))});
+  ids.AddRow(Row("1.2.5.1", "z"));
+  ids.AddRow(Row("1.3.^.1.2", "w"));  // careted: depth 3, grandparent 1
+  catalog_.Register("ids", &ids);
+  Table t = Run(*MakeDeriveParent(MakeViewScan("ids", ids.schema()), 0, 3,
+                                  "up3"));
+  EXPECT_EQ(RowStrings(t), (Rows{"1.1.1 | x | ⊥", "⊥ | y | ⊥",
+                                 "1.2.5.1 | z | 1", "1.3.^.1.2 | w | ⊥"}));
+  Table t2 = Run(*MakeDeriveParent(MakeViewScan("ids", ids.schema()), 0, 2,
+                                   "up2"));
+  EXPECT_EQ(RowStrings(t2), (Rows{"1.1.1 | x | 1", "⊥ | y | ⊥",
+                                  "1.2.5.1 | z | 1.2", "1.3.^.1.2 | w | 1"}));
+}
+
+TEST_F(ExecutorTest, EverySelectionRejectsNull) {
+  Table in(IdValueSchema("i"));
+  in.AddRow(Row("1.1", "item"));
+  in.AddRow(Row("1.2", ""));
+  in.AddRow(Row("1.3", "20"));
+  in.AddRow(Row("1.4", "5"));
+  catalog_.Register("in", &in);
+  PlanPtr scan = MakeViewScan("in", in.schema());
+  EXPECT_EQ(RowStrings(Run(*MakeSelectNonNull(scan, 1))),
+            (Rows{"1.1 | item", "1.3 | 20", "1.4 | 5"}));
+  EXPECT_EQ(RowStrings(Run(*MakeSelectValue(scan, 1, Predicate::Gt(15)))),
+            (Rows{"1.3 | 20"}));
+  EXPECT_EQ(RowStrings(Run(*MakeSelectValue(scan, 1, Predicate::Le(15)))),
+            (Rows{"1.4 | 5"}));
+
+  Schema ls;
+  ls.Append({"x.id", ColumnKind::kId, nullptr});
+  ls.Append({"x.l", ColumnKind::kLabel, nullptr});
+  Table labels(ls);
+  labels.AddRow(Row("1.1", "item"));
+  labels.AddRow(Row("1.2", ""));
+  labels.AddRow(Row("1.3", "name"));
+  catalog_.Register("labels", &labels);
+  EXPECT_EQ(
+      RowStrings(Run(*MakeSelectLabel(MakeViewScan("labels", ls), 1, "item"))),
+      (Rows{"1.1 | item"}));
+}
+
+TEST(ExecutorNavigate, KeepsFirstOccurrencesAndPadsRowsWithoutMatches) {
+  std::unique_ptr<Document> doc =
+      ParseTreeNotation("a(b(k=1 k=2 k=1) b(k=3) b(j=4))").value();
+  Schema s;
+  s.Append({"V.c", ColumnKind::kContent, nullptr});
+  Table contents(s);
+  for (const char* id : {"1.1", "", "1.2", "1.3", "", "1.1"}) {
+    contents.AddRow({*id == '\0' ? Value()
+                                 : Value(NodeRef{OrdPath::FromString(id)})});
+  }
+  Catalog catalog;
+  catalog.Register("V", &contents);
+  catalog.set_document(doc.get());
+  Result<Table> got = Execute(
+      *MakeNavigate(MakeViewScan("V", s), 0, {{Axis::kChild, "k"}},
+                    kAttrId | kAttrValue, "k"),
+      catalog);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(RowStrings(*got), (Rows{
+                                  "content(1.1) | 1.1.1 | 1",
+                                  "content(1.1) | 1.1.2 | 2",
+                                  "content(1.1) | 1.1.3 | 1",
+                                  "⊥ | ⊥ | ⊥",
+                                  "content(1.2) | 1.2.1 | 3",
+                                  "content(1.3) | ⊥ | ⊥",
+                              }));
+  Result<Table> values = Execute(
+      *MakeNavigate(MakeViewScan("V", s), 0, {{Axis::kChild, "k"}},
+                    kAttrValue, "k"),
+      catalog);
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  EXPECT_EQ(RowStrings(*values), (Rows{
+                                     "content(1.1) | 1",
+                                     "content(1.1) | 2",
+                                     "⊥ | ⊥",
+                                     "content(1.2) | 3",
+                                     "content(1.3) | ⊥",
+                                 }));
+}
+
 TEST(ExecutorNavigate, ResolvesContentInTheCatalogDocument) {
   std::unique_ptr<Document> doc =
       ParseTreeNotation("a(b(k=1 k=2) b(k=3))").value();

@@ -16,6 +16,7 @@
 #include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/view.h"
+#include "src/summary/summary_builder.h"
 #include "src/util/fileio.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -385,6 +386,63 @@ TEST(Columnar, PinnedTableSurvivesEviction) {
     }
   }
   EXPECT_EQ(SerializeExtent(**pinned), before);
+}
+
+TEST(Columnar, BorrowedCellsSurviveEvictionMidPlan) {
+  // The executor's operators pass cells borrowed from the extents a plan
+  // scans. Under a 1-byte budget, installing the second extent a plan scans
+  // evicts the first while its cells (and, for an outer unnest, its nested
+  // groups' cells) are still in use; the plan's pins keep them alive.
+  std::shared_ptr<Document> doc = RandomXmark(41);
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(doc.get()));
+  struct Case {
+    std::vector<ViewDef> views;
+    const char* query;
+    const char* plan_op;  // the operator the plan must use
+  };
+  const Case cases[] = {
+      {{{"items", MustParsePattern("site(//item{id})")},
+        {"keywords", MustParsePattern("site(//keyword{id,v})")}},
+       "site(//item{id}(//keyword{id,v}))",
+       "⋈≺≺"},
+      {{{"names", MustParsePattern("site(//item{id}(/name{v}))")},
+        {"item_keywords",
+         MustParsePattern("site(//item{id}(n//keyword{id,v}))")}},
+       "site(//item{id}(/name{v} ?//keyword{id,v}))",
+       "unnest"},
+  };
+  for (const Case& c : cases) {
+    ViewCatalogOptions opts;
+    opts.memory_budget_bytes = 1;  // evict everything not pinned
+    ViewCatalog catalog(opts);
+    for (const ViewDef& def : c.views) {
+      ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
+    }
+    catalog.BindDocument(doc, summary);
+    std::shared_ptr<const CatalogSnapshot> snap = catalog.Snapshot();
+    const Pattern q = MustParsePattern(c.query);
+    Result<Rewriting> rw = snap->Rewrite(q);
+    ASSERT_TRUE(rw.ok()) << rw.status().ToString();
+    ASSERT_NE(rw->compact.find(c.plan_op), std::string::npos) << rw->compact;
+    for (const ViewDef& def : c.views) {
+      ASSERT_NE(rw->compact.find(def.name), std::string::npos) << rw->compact;
+    }
+
+    Table want = MaterializeView(q, "q", *doc);
+    want.SortRowsCanonical();
+    ASSERT_GT(want.NumRows(), 0);
+    const int64_t evictions = catalog.memory_budget()->evictions();
+    Result<Table> got = snap->Query(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GT(catalog.memory_budget()->evictions(), evictions)
+        << c.query << ": the second scan must evict the first extent";
+    got->SortRowsCanonical();
+    ASSERT_EQ(got->NumRows(), want.NumRows()) << c.query;
+    for (int64_t i = 0; i < want.NumRows(); ++i) {
+      EXPECT_EQ(CompareTuples(got->row(i), want.row(i)), 0)
+          << c.query << " row " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

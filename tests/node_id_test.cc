@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -140,6 +141,26 @@ TEST(OrdPathCaret, StructuralRelationshipsAreCaretAware) {
   EXPECT_TRUE(OrdPath::Root().IsAncestorOf(caret_child));
   // Low-caret first children are ordinary descendants.
   EXPECT_TRUE(OrdPath::Root().IsParentOf(OrdPath::FromString("1.0.1")));
+}
+
+TEST(OrdPathCaret, ParentLengthWalksTheAncestorsAsPrefixes) {
+  for (const char* s : {"1.3.^.1.2", "1.0.1.5", "1.2.4.^.^.7.1", "1"}) {
+    const OrdPath id = OrdPath::FromString(s);
+    ASSERT_TRUE(id.IsValid()) << s;
+    const std::string_view bytes = id.bytes();
+    std::vector<std::string_view> walked;
+    for (size_t len = OrdPath::ParentLength(bytes); len > 0;
+         len = OrdPath::ParentLength(bytes.substr(0, len))) {
+      walked.push_back(bytes.substr(0, len));
+    }
+    std::vector<std::string> want;
+    for (OrdPath a = id.Parent(); a.IsValid(); a = a.Parent()) {
+      want.emplace_back(a.bytes());
+    }
+    EXPECT_EQ(std::vector<std::string>(walked.begin(), walked.end()), want)
+        << s;
+  }
+  EXPECT_EQ(OrdPath::ParentLength(OrdPath::Root().bytes()), 0u);
 }
 
 TEST(OrdPathCaret, CaretBeforeSortsBetweenNeighbors) {

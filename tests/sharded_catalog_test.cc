@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <random>
@@ -12,6 +13,7 @@
 
 #include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
+#include "src/pattern/pattern_printer.h"
 #include "src/rewriting/rewriter.h"
 #include "src/rewriting/view.h"
 #include "src/summary/summary_builder.h"
@@ -21,6 +23,8 @@
 #include "src/viewstore/extent_io.h"
 #include "src/viewstore/shard_router.h"
 #include "src/viewstore/view_catalog.h"
+#include "src/workload/xmark.h"
+#include "src/workload/xmark_queries.h"
 #include "src/xml/builder.h"
 #include "src/xml/update.h"
 
@@ -206,19 +210,72 @@ TEST(ShardRouter, SerializeRoundTrips) {
 
 TEST(ShardRouter, AnchorAnalysis) {
   // Anchored on the item return id: partitionable.
-  ViewAnchor a = AnalyzeViewAnchor(MustParsePattern(kItemNames), "v");
+  ViewAnchor a = AnalyzeViewAnchor(MustParsePattern(kItemNames));
   EXPECT_TRUE(a.partitionable);
   EXPECT_GE(a.column, 0);
   // Optional edges below the anchor do not break partitionability.
   EXPECT_TRUE(
-      AnalyzeViewAnchor(MustParsePattern(kItemKeywords), "v").partitionable);
+      AnalyzeViewAnchor(MustParsePattern(kItemKeywords)).partitionable);
   // The only id return is the pattern root: rows span every shard.
   EXPECT_FALSE(
-      AnalyzeViewAnchor(MustParsePattern(kPersonNames), "v").partitionable);
+      AnalyzeViewAnchor(MustParsePattern(kPersonNames)).partitionable);
   // No id return at all.
   EXPECT_FALSE(
-      AnalyzeViewAnchor(MustParsePattern("site(//item(/name{v}))"), "v")
+      AnalyzeViewAnchor(MustParsePattern("site(//item(/name{v}))"))
           .partitionable);
+}
+
+TEST(ShardRouter, AnchorColumnIsTheViewSchemasIdColumn) {
+  // AnalyzeViewAnchor counts the anchor's column without building the
+  // schema; the reference finds it by name in the built schema.
+  XmarkOptions xo;
+  xo.scale = 1.0;
+  std::unique_ptr<Document> doc = GenerateXmark(xo);
+  std::unique_ptr<Summary> summary = SummaryBuilder::Build(doc.get());
+  std::vector<Pattern> patterns;
+  // The base views: one {id,v} view per summary tag.
+  std::vector<std::string> tags;
+  for (PathId s = 1; s < summary->size(); ++s) {
+    tags.push_back(summary->label(s));
+  }
+  std::sort(tags.begin(), tags.end());
+  tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
+  for (const std::string& tag : tags) {
+    patterns.push_back(MustParsePattern("site(//" + tag + "{id,v})"));
+  }
+  EXPECT_EQ(patterns.size(), 79u);
+  for (int q = 1; q <= 20; ++q) {
+    patterns.push_back(GetXmarkQueryPatternConjunctive(q));
+  }
+  // bench_concurrent's views and queries, and anchors below ancestors that
+  // store attributes of their own.
+  for (const char* p : {
+           "site(//item{id}(/name{id,v}))",
+           "site(//item{id}(?//keyword{v}))",
+           "site(//item{id}(n//keyword{id,v}))",
+           "site(//person{id}(/name{id,v}))",
+           "site(//open_auction{id}(//bidder{id}(/increase{v})))",
+           "site(//item{id}(/name{v}))",
+           "site(//item{id}(/name{id,v} ?//keyword{v}))",
+           "site(//person{id}(/name{v}))",
+           "site{id,l}(/regions{v}(//item{id}(/name{id,v})))",
+           "site{c}(//open_auction{id,v,c}(//bidder{id}(/increase{v})))",
+       }) {
+    patterns.push_back(MustParsePattern(p));
+  }
+  int anchored = 0;
+  int not_first = 0;
+  for (const Pattern& p : patterns) {
+    const ViewAnchor anchor = AnalyzeViewAnchor(p);
+    if (!anchor.partitionable) continue;
+    ++anchored;
+    const int32_t want =
+        ViewSchema(p, "V").Find(StrFormat("V.n%d.id", anchor.node));
+    EXPECT_EQ(anchor.column, want) << PatternToString(p);
+    if (want > 0) ++not_first;
+  }
+  EXPECT_GE(anchored, 100);
+  EXPECT_GE(not_first, 2);  // not every anchor is the first column
 }
 
 // ---------------------------------------------------------------------------
@@ -339,7 +396,7 @@ TEST(ShardedCatalog, AnchoredQueryWithoutShardRewritingUsesGlobalCatalog) {
   ASSERT_NE((*catalog)->global_catalog()->Find("persons_opt"), nullptr);
 
   Pattern query = MustParsePattern("site(//person{id}(/name{v}))");
-  ASSERT_TRUE(AnalyzeViewAnchor(query, "q").partitionable);
+  ASSERT_TRUE(AnalyzeViewAnchor(query).partitionable);
   ShardedSnapshot snap = (*catalog)->Snapshot();
   Result<Rewriting> on_shard = snap.shard(0)->Rewrite(query);
   ASSERT_FALSE(on_shard.ok());
@@ -417,7 +474,7 @@ TEST(ShardedCatalog, MaterializeAfterUpdateBindsSkippedCatalogs) {
 
   // The optional edge keeps the view off the shards (AnalyzeViewAnchor).
   const Pattern items = MustParsePattern("site(?//item{id,c})");
-  ASSERT_FALSE(AnalyzeViewAnchor(items, "items").partitionable);
+  ASSERT_FALSE(AnalyzeViewAnchor(items).partitionable);
   ASSERT_TRUE((*catalog)->Materialize({"items", items}, *next).ok());
   ASSERT_NE((*catalog)->global_catalog()->Find("items"), nullptr);
 
